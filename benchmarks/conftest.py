@@ -1,0 +1,7 @@
+"""Make the benchmark's modules and the program under test importable."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
