@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -124,7 +124,7 @@ def _config_from_args(args) -> codec.CompressionConfig:
         kwargs["d_pw"] = args.d_pw
     cfg = base(**kwargs)
     if args.regime == "small" and args.d_pw != 4:
-        cfg = codec.CompressionConfig(**{**cfg.__dict__, "d_pw": args.d_pw})
+        cfg = replace(cfg, d_pw=args.d_pw)
     return cfg
 
 

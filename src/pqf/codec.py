@@ -16,7 +16,7 @@ import numpy as np
 
 from . import graph as graph_mod
 from . import layout, permsearch, quantize, tensor_io
-from .errors import IndivisibleBlockSize, UnknownLayerKind
+from .errors import CodebookOverflow, IndivisibleBlockSize, NonFiniteWeight, UnknownLayerKind
 from .permsearch import Permutation
 from .rng import derive_seed
 from .tensor_io import (
@@ -119,6 +119,12 @@ class LayerEncoding:
         return self.codebook.shape[0]
 
 
+def _require_finite(name: str, weight) -> None:
+    """Raise `NonFiniteWeight` unless every entry of the weight is finite."""
+    if not np.isfinite(weight).all():
+        raise NonFiniteWeight(f"layer {name!r} has a NaN or infinite weight")
+
+
 def encode_layer(
     weight,
     meta: LayerMeta,
@@ -127,6 +133,7 @@ def encode_layer(
     seed: int = 0,
 ) -> LayerEncoding:
     """Reshape, permute, split, and quantize one layer's weights."""
+    _require_finite(meta.name, weight)
     rw = layout.reshape_weight(weight, meta.kind)
     block = rw.kernel_size**2
     if permutation is None:
@@ -380,8 +387,6 @@ def compress_model(ckpt: ModelCheckpoint, cfg: CompressionConfig, seed: int = 0,
     """
     ckpt.validate()
     first_conv = first_conv_name(ckpt.layers)
-    permutations = resolve_layer_permutations(ckpt, cfg, seed)
-
     compressed_layers = [
         meta
         for meta in ckpt.layers
@@ -389,6 +394,10 @@ def compress_model(ckpt: ModelCheckpoint, cfg: CompressionConfig, seed: int = 0,
         and is_compressible(meta, cfg, first_conv)
         and ckpt.tensor(f"{meta.name}.weight") is not None
     ]
+    # fail before the permutation search, not after it
+    for meta in compressed_layers:
+        _require_finite(meta.name, ckpt.tensor(f"{meta.name}.weight").data)
+    permutations = resolve_layer_permutations(ckpt, cfg, seed)
 
     def encode_one(meta):
         rec = ckpt.tensor(f"{meta.name}.weight")
@@ -423,7 +432,17 @@ def compress_model(ckpt: ModelCheckpoint, cfg: CompressionConfig, seed: int = 0,
 
 
 def encoding_to_entry(name: str, enc: LayerEncoding) -> EncodedEntry:
-    """Convert an in-memory encoding to its storage form (float16 codebook)."""
+    """Convert an in-memory encoding to its storage form (float16 codebook).
+
+    Raises `CodebookOverflow` if a finite centroid coordinate would round to
+    infinity in float16 (magnitude 65520 or more).
+    """
+    with np.errstate(over="ignore"):
+        codebook = enc.codebook.astype("<f2")
+    if not np.isfinite(codebook).all():
+        raise CodebookOverflow(
+            f"layer {name!r}: a centroid exceeds the float16 range (max 65504)"
+        )
     return EncodedEntry(
         name=name,
         source_kind=enc.source_kind,
@@ -432,7 +451,7 @@ def encoding_to_entry(name: str, enc: LayerEncoding) -> EncodedEntry:
         c_out=enc.c_out,
         d=enc.d,
         k_eff=enc.k_eff,
-        codebook=enc.codebook.astype("<f2"),
+        codebook=codebook,
         codes=enc.codes.astype(np.int64),
         permutation=enc.permutation.indices.astype("<u4"),
         perm_block=enc.permutation.block,

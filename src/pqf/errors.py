@@ -59,3 +59,11 @@ class ShapeMismatch(PQFError):
 
 class DivergedLoss(PQFError):
     """Fine-tuning produced a non-finite loss."""
+
+
+class NonFiniteWeight(PQFError):
+    """A weight to be compressed is NaN or infinite."""
+
+
+class CodebookOverflow(PQFError):
+    """A centroid lies outside the float16 range of the stored codebook."""

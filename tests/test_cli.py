@@ -1,9 +1,14 @@
 import importlib.resources as resources
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pqf
 from pqf import cli, finetune, tensor_io
 from pqf.cli import BenchConfig, bench_csv, run_bench
 from pqf.finetune import make_mlp_checkpoint
@@ -125,6 +130,40 @@ def test_compress_is_reproducible(tmp_path):
             ]
         )
         assert rc == 0
+        outs.append(out_path.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_compress_non_finite_weight_is_data_error(tmp_path, capsys):
+    ckpt = make_mlp_checkpoint((8, 16, 4), seed=3)
+    ckpt.tensor("fc1.weight").data[0, 0] = np.nan
+    ckpt_path = tmp_path / "nan.pqfn"
+    tensor_io.save_checkpoint(ckpt, ckpt_path)
+    out_path = tmp_path / "nan.pqfc"
+    rc = cli.main(["compress", str(ckpt_path), "--out", str(out_path), "--k", "4", "--k-fc", "4"])
+    assert rc == 2
+    assert "error kind=NonFiniteWeight" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_compressed_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # prefilter blocks of 1024 x 1024 x 4 multiply-adds: above the size at which
+    # OpenBLAS splits a GEMM across threads
+    ckpt_path = tmp_path / "mlp.pqfn"
+    tensor_io.save_checkpoint(make_mlp_checkpoint((256, 512, 64), seed=4), ckpt_path)
+    src_dir = str(Path(pqf.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        out_path = tmp_path / f"t{threads}.pqfc"
+        argv = ["compress", str(ckpt_path), "--out", str(out_path), "--k", "256",
+                "--k-fc", "1024", "--src-iters", "4", "--perm-iters", "10", "--seed", "5"]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from pqf.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
         outs.append(out_path.read_bytes())
     assert outs[0] == outs[1]
 

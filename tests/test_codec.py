@@ -11,7 +11,7 @@ from pqf.codec import (
     encode_layer,
     quantization_error,
 )
-from pqf.errors import IndivisibleBlockSize
+from pqf.errors import CodebookOverflow, IndivisibleBlockSize, NonFiniteWeight, PQFError
 from pqf.finetune import make_mlp_checkpoint
 from pqf.permsearch import Permutation
 from pqf.rng import make_rng
@@ -291,3 +291,40 @@ def test_entry_encoding_round_trip_preserves_f16_codebook():
     assert np.array_equal(back.codes, enc.codes)
     assert np.array_equal(back.permutation.indices, enc.permutation.indices)
     assert np.array_equal(back.codebook, enc.codebook.astype("<f2").astype(np.float64))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_compress_rejects_non_finite_weight(bad):
+    ckpt = _toy_mlp()
+    ckpt.tensor("fc2.weight").data[3, 1] = bad
+    cfg = CompressionConfig.small_blocks(k=4, k_fc=4, src_iterations=5, perm_iterations=5)
+    with pytest.raises(NonFiniteWeight, match="fc2"):
+        compress_model(ckpt, cfg, seed=0)
+    assert issubclass(NonFiniteWeight, PQFError)
+
+
+def test_encode_layer_rejects_non_finite_weight():
+    w = make_rng(50, "nan").standard_normal((8, 4))
+    w[0, 0] = np.nan
+    cfg = CompressionConfig.small_blocks(k=2, k_fc=2, src_iterations=5)
+    with pytest.raises(NonFiniteWeight):
+        encode_layer(w, _meta(c_in=8, c_out=4), cfg)
+
+
+def test_codebook_beyond_float16_range_is_an_error():
+    w = make_rng(51, "f16").standard_normal((8, 4))
+    enc = encode_layer(w, _meta(c_in=8, c_out=4), CompressionConfig.small_blocks(k=2, k_fc=2))
+    enc.codebook[1, 0] = 65504.0  # the largest float16 is still fine
+    codec.encoding_to_entry("layer", enc)
+    enc.codebook[1, 0] = -65520.0  # rounds to -inf in float16
+    with pytest.raises(CodebookOverflow, match="layer"):
+        codec.encoding_to_entry("layer", enc)
+    assert issubclass(CodebookOverflow, PQFError)
+
+
+def test_compress_rejects_weights_whose_centroids_overflow_float16():
+    ckpt = _toy_mlp()
+    ckpt.tensor("fc1.weight").data[:] = 1e5
+    cfg = CompressionConfig.small_blocks(k=4, k_fc=4, src_iterations=5, use_permutation=False)
+    with pytest.raises(CodebookOverflow, match="fc1"):
+        compress_model(ckpt, cfg, seed=0)

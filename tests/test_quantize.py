@@ -56,6 +56,85 @@ def test_assign_keeps_subvector_grid_shape():
     assert codes.shape == (4, 5)
 
 
+def _difference_form_codes(pts, codebook):
+    """The pre-prefilter assignment loop, kept as the exactness oracle."""
+    n, d = pts.shape
+    k = codebook.shape[0]
+    chunk = max(1, (1 << 22) // max(k * d, 1))
+    out = np.empty(n, dtype=np.int64)
+    for start in range(0, n, chunk):
+        block = pts[start : start + chunk]
+        dist = np.square(block[:, None, :] - codebook[None, :, :]).sum(axis=2)
+        out[start : start + chunk] = np.argmin(dist, axis=1)
+    return out
+
+
+def _assert_matches_oracle(pts, codebook):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _difference_form_codes(pts, codebook)
+        got = assign_codes(pts, codebook)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", [1, 4, 9])
+def test_assign_matches_oracle_on_random_points(d):
+    rng = make_rng(40 + d, "oracle")
+    _assert_matches_oracle(rng.standard_normal((3000, d)), rng.standard_normal((64, d)))
+
+
+@pytest.mark.parametrize("d", [1, 4, 9])
+def test_assign_matches_oracle_with_duplicate_centroids_and_ties(d):
+    rng = make_rng(50 + d, "ties")
+    base = rng.standard_normal((16, d))
+    codebook = np.concatenate([base, base[::-1], base[:3]])  # every centroid twice or more
+    # points on centroids, and exact midpoints between pairs of centroids
+    picks = rng.integers(0, 16, size=(2, 2000))
+    pts = np.concatenate([base[picks[0]], (base[picks[0]] + base[picks[1]]) / 2])
+    _assert_matches_oracle(pts, codebook)
+
+
+@pytest.mark.parametrize("d", [1, 4, 9])
+def test_assign_matches_oracle_on_integer_grid(d):
+    rng = make_rng(60 + d, "grid")
+    pts = rng.integers(-3, 4, size=(3000, d)).astype(np.float64)
+    codebook = rng.integers(-3, 4, size=(40, d)).astype(np.float64)
+    _assert_matches_oracle(pts, codebook)
+
+
+@pytest.mark.parametrize("d", [1, 4, 9])
+def test_assign_matches_oracle_with_huge_norm_offset(d):
+    rng = make_rng(70 + d, "offset")
+    # the expanded form cancels ~1e12 against ~1e12 here: many rows are unsure
+    pts = rng.standard_normal((3000, d)) + 1e6
+    codebook = rng.standard_normal((32, d)) + 1e6
+    _assert_matches_oracle(pts, codebook)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-310, 1e150, 1e200])
+def test_assign_matches_oracle_at_extreme_magnitudes(scale):
+    rng = make_rng(80, "extreme")
+    _assert_matches_oracle(
+        rng.standard_normal((500, 4)) * scale, rng.standard_normal((16, 4)) * scale
+    )
+
+
+def test_assign_single_centroid():
+    pts = make_rng(81, "k1").standard_normal((100, 4))
+    _assert_matches_oracle(pts, np.ones((1, 4)))
+    assert not assign_codes(pts, np.ones((1, 4))).any()
+
+
+@pytest.mark.parametrize("extra", [-1020, -1, 0, 1])
+def test_assign_matches_oracle_around_a_block_boundary(extra):
+    k = 1024
+    rows = quantize._BLOCK // k  # rows per prefilter block
+    rng = make_rng(82, "boundary")
+    pts = rng.standard_normal((rows + extra, 4))
+    codebook = rng.standard_normal((k, 4))
+    codebook[7] = codebook[3]  # a duplicate sends rows near it to the exact path
+    _assert_matches_oracle(pts, codebook)
+
+
 # ---------------------------------------------------------------------------
 # update_codebook
 # ---------------------------------------------------------------------------
