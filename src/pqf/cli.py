@@ -282,17 +282,7 @@ def run_eval(toy="mlp", epochs=30, lr=1e-3, lr_min=1e-6, k=4, d=8, seed=0) -> di
         use_permutation=False,
         src_iterations=50,
     )
-    first_conv = codec.first_conv_name(trained.layers)
-    encodings = {}
-    for meta in trained.layers:
-        if meta.kind in tensor_io.WEIGHTED_KINDS and codec.is_compressible(meta, cfg, first_conv):
-            rec = trained.tensor(f"{meta.name}.weight")
-            encodings[meta.name] = codec.encode_layer(
-                np.asarray(rec.data, dtype=np.float64),
-                meta,
-                cfg,
-                seed=derive_seed(seed, "quantize", meta.name),
-            )
+    encodings = codec.encode_layers(trained, cfg, {}, seed)
     qnet = finetune.ToyNetwork.from_checkpoint(trained, encodings=encodings)
     quantized_acc = finetune.accuracy(qnet, dataset.val_x, dataset.val_y)
     trace = finetune.finetune_codebooks(
@@ -467,3 +457,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error kind=IoFailure detail={str(exc)!r}", file=sys.stderr)
         return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

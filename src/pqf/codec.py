@@ -378,26 +378,25 @@ def resolve_layer_permutations(ckpt: ModelCheckpoint, cfg: CompressionConfig, se
     return result
 
 
-def compress_model(ckpt: ModelCheckpoint, cfg: CompressionConfig, seed: int = 0, jobs: int = 1):
-    """Permute, quantize, and package a checkpoint.
-
-    Returns ``(CompressedModel, CompressionReport, per_layer_errors)``.
-    Deterministic given the seed; layers and groups are independent, so a
-    thread pool of `jobs` workers changes nothing but wall time.
-    """
-    ckpt.validate()
+def _compressed_layers(ckpt: ModelCheckpoint, cfg: CompressionConfig) -> list:
+    """Layers whose weights `cfg` compresses, in declaration order."""
     first_conv = first_conv_name(ckpt.layers)
-    compressed_layers = [
+    return [
         meta
         for meta in ckpt.layers
-        if meta.kind in WEIGHTED_KINDS
-        and is_compressible(meta, cfg, first_conv)
+        if is_compressible(meta, cfg, first_conv)
         and ckpt.tensor(f"{meta.name}.weight") is not None
     ]
-    # fail before the permutation search, not after it
-    for meta in compressed_layers:
-        _require_finite(meta.name, ckpt.tensor(f"{meta.name}.weight").data)
-    permutations = resolve_layer_permutations(ckpt, cfg, seed)
+
+
+def encode_layers(
+    ckpt: ModelCheckpoint, cfg: CompressionConfig, permutations: dict, seed: int, jobs: int = 1
+) -> dict:
+    """Encode every compressible layer; returns name -> `LayerEncoding`.
+
+    Layers missing from `permutations` keep the identity. Seeds are derived
+    per layer, so `jobs` worker threads change nothing but wall time.
+    """
 
     def encode_one(meta):
         rec = ckpt.tensor(f"{meta.name}.weight")
@@ -409,13 +408,28 @@ def compress_model(ckpt: ModelCheckpoint, cfg: CompressionConfig, seed: int = 0,
             seed=derive_seed(seed, "quantize", meta.name),
         )
 
-    if jobs > 1 and len(compressed_layers) > 1:
+    layers = _compressed_layers(ckpt, cfg)
+    if jobs > 1 and len(layers) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            encodings = dict(pool.map(encode_one, compressed_layers))
-    else:
-        encodings = dict(encode_one(meta) for meta in compressed_layers)
+            return dict(pool.map(encode_one, layers))
+    return dict(encode_one(meta) for meta in layers)
+
+
+def compress_model(ckpt: ModelCheckpoint, cfg: CompressionConfig, seed: int = 0, jobs: int = 1):
+    """Permute, quantize, and package a checkpoint.
+
+    Returns ``(CompressedModel, CompressionReport, per_layer_errors)``.
+    Deterministic given the seed; layers and groups are independent, so a
+    thread pool of `jobs` workers changes nothing but wall time.
+    """
+    ckpt.validate()
+    # fail before the permutation search, not after it
+    for meta in _compressed_layers(ckpt, cfg):
+        _require_finite(meta.name, ckpt.tensor(f"{meta.name}.weight").data)
+    permutations = resolve_layer_permutations(ckpt, cfg, seed)
+    encodings = encode_layers(ckpt, cfg, permutations, seed, jobs)
 
     entries = []
     for rec in ckpt.tensors:
@@ -459,9 +473,15 @@ def encoding_to_entry(name: str, enc: LayerEncoding) -> EncodedEntry:
 
 
 def entry_to_encoding(entry: EncodedEntry) -> LayerEncoding:
-    """Rehydrate a storage entry; the codebook keeps its float16 rounding."""
+    """Rehydrate a storage entry; the codebook keeps its float16 rounding.
+
+    Raises `IndivisibleBlockSize` if the stored permutation repeats or skips
+    a row, or breaks its `perm_block` structure.
+    """
+    permutation = Permutation(entry.permutation.astype(np.int64), block=entry.perm_block)
+    permutation.validate()
     return LayerEncoding(
-        permutation=Permutation(entry.permutation.astype(np.int64), block=entry.perm_block),
+        permutation=permutation,
         codebook=entry.codebook.astype(np.float64),
         codes=entry.codes.astype(np.int64),
         kernel_size=entry.kernel_size,

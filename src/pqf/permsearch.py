@@ -8,6 +8,11 @@ determinant, builds a greedy bucket-balanced initial permutation, and refines
 it with stochastic local search. Convolution rows move in contiguous groups
 of K*K so whole filters stay together, and several layers that must share one
 channel permutation can be optimized jointly on their summed objective.
+
+When every swap unit of a layer holds whole subvectors (its rows per unit are
+a multiple of the subvector size d, as for a 3x3 convolution with d = 9), a
+swap only reorders subvectors and cannot change that layer's covariance, so
+the group search leaves such layers out and skips groups made only of them.
 """
 
 from __future__ import annotations
@@ -65,12 +70,15 @@ class Permutation:
         return Permutation(np.argsort(self.indices), self.block)
 
 
+def _unit_rows(units: np.ndarray, g: int) -> np.ndarray:
+    """Row indices of the contiguous `g`-row units listed in `units`, in order."""
+    return (units[:, None] * g + np.arange(g)).ravel()
+
+
 def expand_channel_permutation(channel_indices, rows_per_channel: int) -> Permutation:
     """Lift a channel permutation to row level, `rows_per_channel` rows each."""
-    chan = np.asarray(channel_indices, dtype=np.int64)
     g = int(rows_per_channel)
-    rows = (chan[:, None] * g + np.arange(g)).ravel()
-    return Permutation(rows, block=g)
+    return Permutation(_unit_rows(np.asarray(channel_indices, dtype=np.int64), g), block=g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,8 +228,35 @@ def greedy_init(weight, d: int, block: int = 1) -> Permutation:
     for b, members in enumerate(buckets):
         for slot, g in enumerate(members):
             group_order[slot * n_buckets + b] = g
-    rows = (group_order[:, None] * block + np.arange(block)).ravel()
-    return Permutation(rows, block=block)
+    return Permutation(_unit_rows(group_order, block), block=block)
+
+
+def _group_objective(specs, units: np.ndarray) -> float:
+    """Summed objective of ``(matrix, d, block)`` children, units in order `units`."""
+    return sum(permuted_objective(m, d, _unit_rows(units, block)) for m, d, block in specs)
+
+
+def _swap_search(specs, units: np.ndarray, current: float, iters: int, seed: int):
+    """Random pair swaps of `units`, in place, kept when they lower the objective.
+
+    `current` is the objective of `units` on entry. Deterministic given `seed`.
+    """
+    n = units.shape[0]
+    if n < 2:
+        return units
+    rng = make_rng(seed, "perm-local-search")
+    for _ in range(iters):
+        a = int(rng.integers(n))
+        b = int(rng.integers(n - 1))
+        if b >= a:
+            b += 1
+        units[[a, b]] = units[[b, a]]
+        candidate = _group_objective(specs, units)
+        if candidate < current:
+            current = candidate
+        else:
+            units[[a, b]] = units[[b, a]]
+    return units
 
 
 def local_search(
@@ -237,104 +272,51 @@ def local_search(
     init.validate()
     if init.block != block or init.size != matrix.shape[0]:
         raise IndivisibleBlockSize("initial permutation does not match the matrix/block")
-    indices = init.indices.copy()
-    n_groups = matrix.shape[0] // block
-    if iters <= 0 or n_groups < 2:
-        return Permutation(indices, block)
-
-    rng = make_rng(seed, "perm-local-search")
-    groups = indices.reshape(n_groups, block)
-    current = permuted_objective(matrix, d, indices)
-    for _ in range(iters):
-        a = int(rng.integers(n_groups))
-        b = int(rng.integers(n_groups - 1))
-        if b >= a:
-            b += 1
-        groups[[a, b]] = groups[[b, a]]
-        candidate = permuted_objective(matrix, d, indices)
-        if candidate < current:
-            current = candidate
-        else:
-            groups[[a, b]] = groups[[b, a]]
-    return Permutation(indices, block)
+    specs = [(matrix, d, block)]
+    units = init.indices[::block] // block
+    units = _swap_search(specs, units, _group_objective(specs, units), iters, seed)
+    return expand_channel_permutation(units, block)
 
 
-def _child_spec(child):
-    if isinstance(child, tuple):
-        weight, d, block = child
-        return _as_matrix(weight), int(d), int(block)
-    raise TypeError("children must be (weight, d, block) tuples")
-
-
-def optimize_group_permutation(
-    children, iters: int = 1000, seed: int = 0, channel_block: int = 1
-) -> Permutation:
+def optimize_group_permutation(children, iters: int = 1000, seed: int = 0) -> Permutation:
     """Find one channel permutation shared by all `children`.
 
     `children` is a list of ``(weight_matrix, d, block)`` tuples where `block`
     is the number of matrix rows per shared channel (K*K for convolutions).
-    The summed objective over all children is optimized: the greedy
-    initialization comes from the child with the largest weight matrix, the
-    identity permutation is kept instead when it scores better, and local
-    search then swaps channels (or `channel_block`-sized channel groups)
-    accepting strict improvements of the sum. Returns a channel-level
-    permutation with ``block=channel_block``.
+    A child with ``block % d == 0`` holds whole subvectors in every channel,
+    so a channel permutation only reorders its subvectors and cannot change
+    its objective: such children are left out, and a group of nothing else
+    keeps the identity without a search. The summed objective of the other
+    children is optimized: the greedy initialization comes from the largest
+    of them, the identity is kept instead when it scores better, and local
+    search then swaps channels accepting strict improvements of the sum.
+    Returns a channel-level permutation with ``block=1``.
     """
-    specs = [_child_spec(c) for c in children]
+    specs = [(_as_matrix(weight), int(d), int(block)) for weight, d, block in children]
     if not specs:
         raise MismatchedChannelCounts("need at least one child")
 
-    channels = None
     for matrix, d, block in specs:
         m = matrix.shape[0]
         if block <= 0 or m % block != 0:
             raise IndivisibleBlockSize(f"block {block} does not divide {m} rows")
         if d <= 0 or m % d != 0:
             raise IndivisibleBlockSize(f"subvector size {d} does not divide {m} rows")
-        c = m // block
-        if channels is None:
-            channels = c
-        elif channels != c:
-            raise MismatchedChannelCounts(f"children disagree on channels: {channels} vs {c}")
-    if channel_block <= 0 or channels % channel_block != 0:
-        raise IndivisibleBlockSize(
-            f"channel block {channel_block} does not divide {channels} channels"
-        )
-
-    def objective(chan: np.ndarray) -> float:
-        total = 0.0
-        for matrix, d, block in specs:
-            rows = (chan[:, None] * block + np.arange(block)).ravel()
-            total += permuted_objective(matrix, d, rows)
-        return total
+    counts = sorted({matrix.shape[0] // block for matrix, _, block in specs})
+    if len(counts) > 1:
+        raise MismatchedChannelCounts(f"children disagree on channels: {counts}")
+    channels = counts[0]
 
     identity = np.arange(channels, dtype=np.int64)
-    best = identity
-    best_obj = objective(identity)
+    specs = [spec for spec in specs if spec[2] % spec[1] != 0]
+    if not specs:
+        return Permutation(identity)
+    best, best_obj = identity, _group_objective(specs, identity)
     # greedy initialization needs whole blocks inside each subvector
-    largest = max(specs, key=lambda s: s[0].size)
-    if channel_block == 1 and largest[1] % largest[2] == 0:
-        row_perm = greedy_init(largest[0], largest[1], largest[2])
-        greedy = row_perm.indices.reshape(channels, largest[2])[:, 0] // largest[2]
-        greedy_obj = objective(greedy)
+    matrix, d, block = max(specs, key=lambda s: s[0].size)
+    if d % block == 0:
+        greedy = greedy_init(matrix, d, block).indices[::block] // block
+        greedy_obj = _group_objective(specs, greedy)
         if greedy_obj < best_obj:
             best, best_obj = greedy, greedy_obj
-
-    chan = best.copy()
-    n_units = channels // channel_block
-    rng = make_rng(seed, "perm-local-search")
-    if iters > 0 and n_units >= 2:
-        units = chan.reshape(n_units, channel_block)
-        current = best_obj
-        for _ in range(iters):
-            a = int(rng.integers(n_units))
-            b = int(rng.integers(n_units - 1))
-            if b >= a:
-                b += 1
-            units[[a, b]] = units[[b, a]]
-            candidate = objective(chan)
-            if candidate < current:
-                current = candidate
-            else:
-                units[[a, b]] = units[[b, a]]
-    return Permutation(chan, block=channel_block)
+    return Permutation(_swap_search(specs, best, best_obj, iters, seed))

@@ -38,6 +38,19 @@ def test_missing_file_is_data_error(capsys):
     assert "error kind=" in capsys.readouterr().err
 
 
+def test_module_entry_point_runs_main(tmp_path):
+    src_dir = str(Path(pqf.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pqf.cli", "decompress", str(tmp_path / "missing.pqfc"),
+         "--out", str(tmp_path / "x")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "error kind=" in proc.stderr
+
+
 def test_report_last_line_total_mb(arch_paths, capsys):
     rc = cli.main(["report", str(arch_paths / "resnet18.arch"), "--regime", "small", "--k", "256"])
     assert rc == 0
@@ -103,6 +116,24 @@ def test_compress_decompress_round_trip(tmp_path, capsys):
     restored = tensor_io.load_checkpoint(back_path)
     assert restored.tensor("fc1.weight").data.shape == (8, 16)
     assert [m.name for m in restored.layers] == ["input", "fc1", "relu1", "fc2", "output"]
+
+
+def test_decompress_duplicate_permutation_index_is_data_error(tmp_path, capsys):
+    ckpt_path = tmp_path / "toy.pqfn"
+    tensor_io.save_checkpoint(make_mlp_checkpoint((8, 16, 4), seed=1), ckpt_path)
+    packed = tmp_path / "toy.pqfc"
+    argv = ["compress", str(ckpt_path), "--out", str(packed), "--k", "4", "--k-fc", "4",
+            "--src-iters", "5", "--perm-iters", "5"]
+    assert cli.main(argv) == 0
+    model = tensor_io.load_compressed(packed)
+    (fc1,) = [e for e in model.entries if isinstance(e, tensor_io.EncodedEntry) and e.name == "fc1"]
+    fc1.permutation[:] = 0
+    tensor_io.save_compressed(model, packed)
+    capsys.readouterr()
+    back_path = tmp_path / "back.pqfn"
+    assert cli.main(["decompress", str(packed), "--out", str(back_path)]) == 2
+    assert "error kind=IndivisibleBlockSize" in capsys.readouterr().err
+    assert not back_path.exists()
 
 
 def test_compress_is_reproducible(tmp_path):

@@ -322,3 +322,37 @@ def test_group_with_conv_and_fc_children():
     rows = expand_channel_permutation(out.indices, 9)
     rows.validate()
     assert rows.block == 9
+    # the conv child's objective cannot move, so it does not steer the search
+    solo = optimize_group_permutation([(fc_child, 2, 1)], iters=80, seed=2)
+    assert np.array_equal(out.indices, solo.indices)
+
+
+@pytest.mark.parametrize("d,block", [(4, 4), (4, 8), (9, 9), (9, 18)])
+def test_whole_subvector_units_leave_objective_unchanged(d, block):
+    rng = make_rng(24, "invariant", str(d), str(block))
+    matrix = rng.standard_normal((6 * block, 15)) * rng.random((6 * block, 1))
+    rows = expand_channel_permutation(rng.permutation(6), block).indices
+    base = matrix_objective(matrix, d)
+    assert abs(permuted_objective(matrix, d, rows) - base) <= 1e-12 * abs(base)
+
+
+@pytest.mark.parametrize(
+    "children",
+    [
+        [((36, 12), 9, 9)],
+        [((36, 12), 9, 9), ((72, 5), 9, 18), ((16, 7), 4, 4)],
+        [((32, 10), 4, 8), ((8, 3), 2, 2)],
+    ],
+)
+def test_group_of_invariant_children_keeps_identity_without_search(children, monkeypatch):
+    rng = make_rng(25, "invariant-group")
+    specs = [(rng.standard_normal(shape), d, block) for shape, d, block in children]
+    calls = []
+    original = permsearch.matrix_objective
+    monkeypatch.setattr(
+        permsearch, "matrix_objective", lambda *a: calls.append(a) or original(*a)
+    )
+    out = optimize_group_permutation(specs, iters=50, seed=3)
+    assert np.array_equal(out.indices, np.arange(4))
+    assert out.block == 1
+    assert calls == []
