@@ -16,7 +16,13 @@ import numpy as np
 
 from . import graph as graph_mod
 from . import layout, permsearch, quantize, tensor_io
-from .errors import CodebookOverflow, IndivisibleBlockSize, NonFiniteWeight, UnknownLayerKind
+from .errors import (
+    CodebookOverflow,
+    IndivisibleBlockSize,
+    MalformedFile,
+    NonFiniteWeight,
+    UnknownLayerKind,
+)
 from .permsearch import Permutation
 from .rng import derive_seed
 from .tensor_io import (
@@ -475,11 +481,14 @@ def encoding_to_entry(name: str, enc: LayerEncoding) -> EncodedEntry:
 def entry_to_encoding(entry: EncodedEntry) -> LayerEncoding:
     """Rehydrate a storage entry; the codebook keeps its float16 rounding.
 
-    Raises `IndivisibleBlockSize` if the stored permutation repeats or skips
-    a row, or breaks its `perm_block` structure.
+    Raises `MalformedFile` naming the entry if the stored permutation repeats
+    or skips a row, or breaks its `perm_block` structure.
     """
     permutation = Permutation(entry.permutation.astype(np.int64), block=entry.perm_block)
-    permutation.validate()
+    try:
+        permutation.validate()
+    except IndivisibleBlockSize as exc:
+        raise MalformedFile(f"entry {entry.name!r} stores an invalid permutation: {exc}") from exc
     return LayerEncoding(
         permutation=permutation,
         codebook=entry.codebook.astype(np.float64),

@@ -3,10 +3,13 @@
 The network evaluator runs directly on checkpoint metadata: dense layers are
 matrix products, convolutions are matrix products on pre-extracted patches
 (stride 1, same padding), plus relu, residual add, frozen batchnorm affine,
-global average pooling, and channel-major flatten. Backward passes are exact
-reverse-mode gradients of the same ops, in float64 throughout. Fine-tuning
-moves only codebook centroids: codes and permutations have no update path, so
-decoded weights stay exact centroid copies.
+global average pooling, and channel-major flatten. A network sorts its graph
+once, when it is built, into an execution plan that forward and backward both
+walk; forward decodes each weighted layer once and backward reuses that matrix.
+Backward passes are exact reverse-mode gradients of the same ops, in float64
+throughout. One training loop serves both raw-weight training and codebook
+fine-tuning. Fine-tuning moves only codebook centroids: codes and permutations
+have no update path, so decoded weights stay exact centroid copies.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from . import codec, layout
 from .errors import DivergedLoss, ShapeMismatch
 from .permsearch import subvector_points
 from .rng import gaussian, make_rng
-from .tensor_io import LayerMeta, ModelCheckpoint, tensor_record
+from .tensor_io import WEIGHTED_KINDS, LayerMeta, ModelCheckpoint, tensor_record
 
 # ---------------------------------------------------------------------------
 # Toy datasets
@@ -104,6 +107,11 @@ class ToyNetwork:
     edges: list
     params: dict  # layer name -> {"weight": array, "bias": array}
     encodings: dict = field(default_factory=dict)  # layer name -> LayerEncoding
+    plan: list = field(init=False, repr=False)  # (meta, producer names), topological
+
+    def __post_init__(self):
+        order = ModelCheckpoint([], self.layers, self.edges).topological_order()
+        self.plan = [(meta, [p for p, c in self.edges if c == meta.name]) for meta in order]
 
     @classmethod
     def from_checkpoint(cls, ckpt: ModelCheckpoint, encodings=None) -> "ToyNetwork":
@@ -145,12 +153,6 @@ class ToyNetwork:
     def bias(self, name: str):
         return self.params.get(name, {}).get("bias")
 
-    def topological(self) -> list:
-        return ModelCheckpoint([], self.layers, self.edges).topological_order()
-
-    def producers_of(self, name: str) -> list:
-        return [p for p, c in self.edges if c == name]
-
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     """Stride-1, same-padded patches: (B, H, W, C*K*K), channel-major."""
@@ -179,28 +181,20 @@ def forward(net: ToyNetwork, x) -> tuple:
     """Run the DAG; returns (logits, cache) with everything backward needs."""
     x = np.asarray(x, dtype=np.float64)
     values = {}
-    cache = {"values": values, "inputs": {}, "patches": {}}
+    cache = {"values": values, "weights": {}, "patches": {}}
     logits = None
-    for meta in net.topological():
-        producers = net.producers_of(meta.name)
+    for meta, producers in net.plan:
         if meta.kind == "input":
-            if x.ndim == 2:
-                ok = x.shape[1] == meta.c_out
-            elif x.ndim == 4:
-                ok = x.shape[1] == meta.c_out
-            else:
-                ok = False
-            if not ok:
+            if x.ndim not in (2, 4) or x.shape[1] != meta.c_out:
                 raise ShapeMismatch(f"input shape {x.shape} does not fit {meta.c_out} channels")
             values[meta.name] = x
             continue
         ins = [values[p] for p in producers]
-        cache["inputs"][meta.name] = producers
         if meta.kind == "fc":
             (xin,) = ins
             if xin.ndim != 2 or xin.shape[1] != meta.c_in:
                 raise ShapeMismatch(f"fc {meta.name!r} expects (B, {meta.c_in}), got {xin.shape}")
-            w = net.decoded_weight(meta.name)
+            w = cache["weights"][meta.name] = net.decoded_weight(meta.name)
             out = xin @ w
             bias = net.bias(meta.name)
             if bias is not None:
@@ -212,8 +206,8 @@ def forward(net: ToyNetwork, x) -> tuple:
                 raise ShapeMismatch(
                     f"conv {meta.name!r} expects (B, {meta.c_in}, H, W), got {xin.shape}"
                 )
-            w = net.decoded_weight(meta.name)
-            rw = layout.reshape_conv(w)
+            rw = layout.reshape_conv(net.decoded_weight(meta.name))
+            cache["weights"][meta.name] = rw.matrix
             cols = _im2col(xin, meta.kernel_size)
             b, h, ww = cols.shape[0], cols.shape[1], cols.shape[2]
             out = cols.reshape(-1, rw.rows) @ rw.matrix
@@ -295,25 +289,22 @@ def backward(net: ToyNetwork, cache: dict, labels, loss: str = "ce") -> tuple:
         else:
             dvalues[name] = grad
 
-    topo = net.topological()
-    for meta in reversed(topo):
+    for meta, producers in reversed(net.plan):
         if meta.kind == "input":
             continue
-        producers = cache["inputs"].get(meta.name, [])
         g = dvalues.get(meta.name)
         if meta.kind == "output":
             push(producers[0], upstream if g is None else g + upstream)
             continue
         if g is None:
             continue
+        xin = values[producers[0]]
         if meta.kind == "fc":
-            xin = values[producers[0]]
-            w = net.decoded_weight(meta.name)
             entry = {"weight": xin.T @ g}
             if net.bias(meta.name) is not None:
                 entry["bias"] = g.sum(axis=0)
             grads[meta.name] = entry
-            push(producers[0], g @ w.T)
+            push(producers[0], g @ cache["weights"][meta.name].T)
         elif meta.kind == "conv":
             cols = cache["patches"][meta.name]
             b, h, w_sp = cols.shape[0], cols.shape[1], cols.shape[2]
@@ -326,19 +317,14 @@ def backward(net: ToyNetwork, cache: dict, labels, loss: str = "ce") -> tuple:
             if net.bias(meta.name) is not None:
                 entry["bias"] = gmat.sum(axis=0)
             grads[meta.name] = entry
-            weight = net.decoded_weight(meta.name)
-            wmat = layout.reshape_conv(weight).matrix
-            dcols = gmat @ wmat.T
-            xin = values[producers[0]]
+            dcols = gmat @ cache["weights"][meta.name].T
             push(producers[0], _col2im(dcols.reshape(b, h, w_sp, -1), xin.shape, meta.kernel_size))
         elif meta.kind == "relu":
-            xin = values[producers[0]]
             push(producers[0], g * (xin > 0.0))
         elif meta.kind == "add":
             for p in producers:
                 push(p, g)
         elif meta.kind == "batchnorm":
-            xin = values[producers[0]]
             gamma = net.params[meta.name]["weight"]
             axes = (0,) + tuple(range(2, xin.ndim))
             grads[meta.name] = {
@@ -348,11 +334,9 @@ def backward(net: ToyNetwork, cache: dict, labels, loss: str = "ce") -> tuple:
             shape = (1, -1) + (1,) * (xin.ndim - 2)
             push(producers[0], g * gamma.reshape(shape))
         elif meta.kind == "pool":
-            xin = values[producers[0]]
             _, _, h, w_sp = xin.shape
             push(producers[0], np.broadcast_to(g[:, :, None, None], xin.shape) / (h * w_sp))
         elif meta.kind == "reshape":
-            xin = values[producers[0]]
             push(producers[0], g.reshape(xin.shape))
     return loss_value, grads
 
@@ -435,6 +419,35 @@ def _epoch_batches(n: int, batch_size: int, rng) -> list:
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
+def _train(net, dataset, epochs, batch_size, lr, lr_min, seed, tag, tensors, tensor_grads):
+    """Shuffled mini-batch Adam with cosine annealing over ``tensors``.
+
+    ``tensor_grads`` maps backward's per-layer gradients onto the keys of
+    ``tensors``; ``tag`` names the shuffle stream.
+    """
+    state = OptimizerState(lr=lr, lr_min=lr_min)
+    n_train = dataset.train_x.shape[0]
+    steps_total = max(1, epochs * max(1, -(-n_train // batch_size)))
+    trace = FinetuneTrace([], [], [])
+    step = 0
+    for epoch in range(epochs):
+        rng = make_rng(seed, tag, str(epoch))
+        loss_sum = 0.0
+        for batch in _epoch_batches(n_train, batch_size, rng):
+            _, cache = forward(net, dataset.train_x[batch])
+            loss, grads = backward(net, cache, dataset.train_y[batch])
+            if not np.isfinite(loss):
+                raise DivergedLoss(f"loss became {loss} at epoch {epoch}")
+            t = step / max(1, steps_total - 1)
+            adam_cosine_step(state, tensors, tensor_grads(grads), t)
+            step += 1
+            loss_sum += loss * len(batch)
+        trace.train_loss.append(loss_sum / n_train)
+        trace.val_acc.append(accuracy(net, dataset.val_x, dataset.val_y))
+        trace.lr.append(cosine_lr(state, min(1.0, step / max(1, steps_total - 1))))
+    return trace
+
+
 def finetune_codebooks(
     net: ToyNetwork,
     dataset: ToyDataset,
@@ -455,33 +468,18 @@ def finetune_codebooks(
     frozen_codes = {n: enc.codes.copy() for n, enc in net.encodings.items()}
     frozen_perms = {n: enc.permutation.indices.copy() for n, enc in net.encodings.items()}
 
-    state = OptimizerState(lr=lr, lr_min=lr_min)
-    codebooks = {n: enc.codebook for n, enc in net.encodings.items()}
-    n_train = dataset.train_x.shape[0]
-    steps_total = max(1, epochs * max(1, -(-n_train // batch_size)))
-    trace = FinetuneTrace([], [], [])
-    step = 0
-    for epoch in range(epochs):
-        rng = make_rng(seed, "finetune-shuffle", str(epoch))
-        loss_sum = 0.0
-        for batch in _epoch_batches(n_train, batch_size, rng):
-            _, cache = forward(net, dataset.train_x[batch])
-            loss, grads = backward(net, cache, dataset.train_y[batch])
-            if not np.isfinite(loss):
-                raise DivergedLoss(f"loss became {loss} at epoch {epoch}")
-            cb_grads = {
-                name: centroid_gradients(grads[name]["weight"], net.encodings[name])
-                for name in net.encodings
-                if name in grads
-            }
-            t = step / max(1, steps_total - 1)
-            adam_cosine_step(state, codebooks, cb_grads, t)
-            step += 1
-            loss_sum += loss * len(batch)
-        trace.train_loss.append(loss_sum / n_train)
-        trace.val_acc.append(accuracy(net, dataset.val_x, dataset.val_y))
-        trace.lr.append(cosine_lr(state, min(1.0, step / max(1, steps_total - 1))))
+    def codebook_grads(grads):
+        return {
+            name: centroid_gradients(grads[name]["weight"], enc)
+            for name, enc in net.encodings.items()
+            if name in grads
+        }
 
+    codebooks = {n: enc.codebook for n, enc in net.encodings.items()}
+    trace = _train(
+        net, dataset, epochs, batch_size, lr, lr_min, seed,
+        "finetune-shuffle", codebooks, codebook_grads,
+    )
     for name, enc in net.encodings.items():
         assert np.array_equal(enc.codes, frozen_codes[name]), "codes must stay frozen"
         assert np.array_equal(
@@ -500,39 +498,24 @@ def train_network(
     seed: int = 0,
 ) -> FinetuneTrace:
     """Train raw dense/conv weights; a fixture step for demos and evals."""
-    state = OptimizerState(lr=lr, lr_min=lr_min)
-    tensors = {}
-    for name, entry in net.params.items():
-        meta = next(m for m in net.layers if m.name == name)
-        if meta.kind in ("fc", "conv", "deconv"):
-            for part, arr in entry.items():
-                tensors[f"{name}.{part}"] = arr
-    n_train = dataset.train_x.shape[0]
-    steps_total = max(1, epochs * max(1, -(-n_train // batch_size)))
-    trace = FinetuneTrace([], [], [])
-    step = 0
-    for epoch in range(epochs):
-        rng = make_rng(seed, "train-shuffle", str(epoch))
-        loss_sum = 0.0
-        for batch in _epoch_batches(n_train, batch_size, rng):
-            _, cache = forward(net, dataset.train_x[batch])
-            loss, grads = backward(net, cache, dataset.train_y[batch])
-            if not np.isfinite(loss):
-                raise DivergedLoss(f"loss became {loss} at epoch {epoch}")
-            flat = {}
-            for lname, entry in grads.items():
-                for part, grad in entry.items():
-                    key = f"{lname}.{part}"
-                    if key in tensors:
-                        flat[key] = grad
-            t = step / max(1, steps_total - 1)
-            adam_cosine_step(state, tensors, flat, t)
-            step += 1
-            loss_sum += loss * len(batch)
-        trace.train_loss.append(loss_sum / n_train)
-        trace.val_acc.append(accuracy(net, dataset.val_x, dataset.val_y))
-        trace.lr.append(cosine_lr(state, min(1.0, step / max(1, steps_total - 1))))
-    return trace
+    tensors = {
+        f"{meta.name}.{part}": arr
+        for meta in net.layers
+        if meta.kind in WEIGHTED_KINDS
+        for part, arr in net.params.get(meta.name, {}).items()
+    }
+
+    def flat_grads(grads):
+        return {
+            f"{lname}.{part}": grad
+            for lname, entry in grads.items()
+            for part, grad in entry.items()
+            if f"{lname}.{part}" in tensors
+        }
+
+    return _train(
+        net, dataset, epochs, batch_size, lr, lr_min, seed, "train-shuffle", tensors, flat_grads
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,9 @@ from .errors import (
     UnsupportedLayerKind,
 )
 from .permsearch import Permutation
-from .tensor_io import LayerMeta, ModelCheckpoint, WEIGHTED_KINDS
+from .tensor_io import LAYER_KINDS, LayerMeta, ModelCheckpoint, WEIGHTED_KINDS
 
 _PASS_THROUGH = frozenset({"batchnorm", "relu", "pool", "add"})
-_KNOWN = frozenset(
-    {"conv", "deconv", "fc", "batchnorm", "add", "relu", "pool", "reshape", "input", "output"}
-)
 
 
 @dataclass(frozen=True)
@@ -74,7 +71,7 @@ def resolve_groups(model) -> list:
 
     index = {}
     for i, meta in enumerate(layers):
-        if meta.kind not in _KNOWN:
+        if meta.kind not in LAYER_KINDS:
             raise UnsupportedLayerKind(f"{meta.name!r} has kind {meta.kind!r}")
         index[meta.name] = i
 

@@ -241,52 +241,57 @@ def _write_file(path, raw: bytes) -> int:
     return len(raw)
 
 
-def save_checkpoint(ckpt: ModelCheckpoint, path) -> int:
-    """Serialize a checkpoint; returns the byte count written."""
-    ckpt.validate()
-    payload = bytearray()
-    tensors = []
-    for rec in ckpt.tensors:
-        offset = len(payload)
-        payload.extend(rec.data.astype(DTYPES[rec.dtype], copy=False).tobytes())
-        tensors.append(
-            {
-                "name": rec.name,
-                "dtype": rec.dtype,
-                "shape": list(rec.shape),
-                "offset": offset,
-                "nbytes": rec.nbytes,
-            }
-        )
-    manifest = {
-        "tensors": tensors,
-        "layers": [_layer_to_dict(m) for m in ckpt.layers],
-        "edges": [[p, c] for p, c in ckpt.edges],
-    }
-    return _write_file(path, _frame(CHECKPOINT_MAGIC, manifest, bytes(payload)))
-
-
 def _take(payload: bytes, offset: int, nbytes: int, what: str) -> bytes:
     if offset < 0 or nbytes < 0 or offset + nbytes > len(payload):
         raise MalformedFile(f"file truncated inside {what}")
     return payload[offset : offset + nbytes]
 
 
+def _put_tensor(payload: bytearray, rec: TensorRecord) -> dict:
+    """Append a record's bytes to `payload`; returns its manifest fields."""
+    rec.validate()
+    offset = len(payload)
+    payload.extend(rec.data.astype(DTYPES[rec.dtype], copy=False).tobytes())
+    return {
+        "name": rec.name,
+        "dtype": rec.dtype,
+        "shape": list(rec.shape),
+        "offset": offset,
+        "nbytes": rec.nbytes,
+    }
+
+
+def _get_tensor(payload: bytes, obj: dict) -> TensorRecord:
+    """Inverse of :func:`_put_tensor`, checking the fields against the payload."""
+    name, dtype = obj["name"], obj["dtype"]
+    if dtype not in DTYPES:
+        raise MalformedFile(f"unknown dtype {dtype!r}")
+    shape = tuple(int(s) for s in obj["shape"])
+    if any(s < 0 for s in shape):
+        raise MalformedFile(f"tensor {name!r} has a negative dimension")
+    nbytes = math.prod(shape) * DTYPES[dtype].itemsize
+    if nbytes != int(obj["nbytes"]):
+        raise MalformedFile(f"tensor {name!r} byte length mismatch")
+    raw = _take(payload, int(obj["offset"]), nbytes, f"tensor {name!r}")
+    return TensorRecord(name, dtype, shape, np.frombuffer(raw, DTYPES[dtype]).reshape(shape).copy())
+
+
+def save_checkpoint(ckpt: ModelCheckpoint, path) -> int:
+    """Serialize a checkpoint; returns the byte count written."""
+    ckpt.validate()
+    payload = bytearray()
+    manifest = {
+        "tensors": [_put_tensor(payload, rec) for rec in ckpt.tensors],
+        "layers": [_layer_to_dict(m) for m in ckpt.layers],
+        "edges": [[p, c] for p, c in ckpt.edges],
+    }
+    return _write_file(path, _frame(CHECKPOINT_MAGIC, manifest, bytes(payload)))
+
+
 def load_checkpoint(path) -> ModelCheckpoint:
     """Parse and fully validate a ``PQFN`` checkpoint file."""
     manifest, payload = _unframe(_read_file(path), CHECKPOINT_MAGIC)
-    tensors = []
-    for obj in manifest.get("tensors", []):
-        dtype = obj["dtype"]
-        if dtype not in DTYPES:
-            raise MalformedFile(f"unknown dtype {dtype!r}")
-        shape = tuple(int(s) for s in obj["shape"])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * DTYPES[dtype].itemsize
-        if nbytes != int(obj["nbytes"]):
-            raise MalformedFile(f"tensor {obj['name']!r} byte length mismatch")
-        raw = _take(payload, int(obj["offset"]), nbytes, f"tensor {obj['name']!r}")
-        data = np.frombuffer(raw, dtype=DTYPES[dtype]).reshape(shape).copy()
-        tensors.append(TensorRecord(obj["name"], dtype, shape, data))
+    tensors = [_get_tensor(payload, obj) for obj in manifest.get("tensors", [])]
     layers = [_layer_from_dict(o) for o in manifest.get("layers", [])]
     edges = [(p, c) for p, c in manifest.get("edges", [])]
     ckpt = ModelCheckpoint(tensors=tensors, layers=layers, edges=edges)
@@ -465,20 +470,7 @@ def save_compressed(model: CompressedModel, path) -> int:
     entries = []
     for entry in model.entries:
         if isinstance(entry, RawEntry):
-            rec = entry.record
-            rec.validate()
-            offset = len(payload)
-            payload.extend(rec.data.astype(DTYPES[rec.dtype], copy=False).tobytes())
-            entries.append(
-                {
-                    "type": "raw",
-                    "name": rec.name,
-                    "dtype": rec.dtype,
-                    "shape": list(rec.shape),
-                    "offset": offset,
-                    "nbytes": rec.nbytes,
-                }
-            )
+            entries.append({"type": "raw", **_put_tensor(payload, entry.record)})
             continue
         entry.validate()
         m_hat, n = entry.codes.shape
@@ -527,13 +519,7 @@ def load_compressed(path) -> CompressedModel:
     entries = []
     for obj in listed:
         if obj["type"] == "raw":
-            dtype = obj["dtype"]
-            if dtype not in DTYPES:
-                raise MalformedFile(f"unknown dtype {dtype!r}")
-            shape = tuple(int(s) for s in obj["shape"])
-            raw = _take(payload, int(obj["offset"]), int(obj["nbytes"]), obj["name"])
-            data = np.frombuffer(raw, dtype=DTYPES[dtype]).reshape(shape).copy()
-            entries.append(RawEntry(TensorRecord(obj["name"], dtype, shape, data)))
+            entries.append(RawEntry(_get_tensor(payload, obj)))
             continue
         if obj["type"] != "encoded":
             raise MalformedFile(f"unknown entry type {obj['type']!r}")

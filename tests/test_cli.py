@@ -132,8 +132,65 @@ def test_decompress_duplicate_permutation_index_is_data_error(tmp_path, capsys):
     capsys.readouterr()
     back_path = tmp_path / "back.pqfn"
     assert cli.main(["decompress", str(packed), "--out", str(back_path)]) == 2
-    assert "error kind=IndivisibleBlockSize" in capsys.readouterr().err
+    assert "error kind=MalformedFile" in capsys.readouterr().err
     assert not back_path.exists()
+
+
+def _edit_tensor_entry(path, name, **fields):
+    """Rewrite one tensor entry's manifest fields in a PQFN/PQFC file."""
+    raw = path.read_bytes()
+    mlen = int.from_bytes(raw[8:16], "little")
+    manifest = json.loads(raw[16 : 16 + mlen])
+    listed = manifest["tensors"] if "tensors" in manifest else manifest["entries"]
+    (obj,) = [o for o in listed if o["name"] == name]
+    obj.update(fields)
+    blob = json.dumps(manifest).encode()
+    path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + mlen :])
+
+
+def _compressed_toy(tmp_path):
+    ckpt_path = tmp_path / "toy.pqfn"
+    tensor_io.save_checkpoint(make_mlp_checkpoint((8, 16, 4), seed=1), ckpt_path)
+    packed = tmp_path / "toy.pqfc"
+    argv = ["compress", str(ckpt_path), "--out", str(packed), "--k", "4", "--k-fc", "4",
+            "--src-iters", "5", "--perm-iters", "5"]
+    assert cli.main(argv) == 0
+    return ckpt_path, packed
+
+
+def _assert_malformed(argv, out_path, capsys):
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert "error kind=MalformedFile" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_decompress_short_raw_entry_is_data_error(tmp_path, capsys):
+    _, packed = _compressed_toy(tmp_path)
+    _edit_tensor_entry(packed, "fc1.bias", nbytes=16 * 4 - 4)
+    back_path = tmp_path / "back.pqfn"
+    _assert_malformed(["decompress", str(packed), "--out", str(back_path)], back_path, capsys)
+
+
+def test_decompress_raw_entry_with_doubled_shape_is_data_error(tmp_path, capsys):
+    _, packed = _compressed_toy(tmp_path)
+    _edit_tensor_entry(packed, "fc1.bias", shape=[32])
+    back_path = tmp_path / "back.pqfn"
+    _assert_malformed(["decompress", str(packed), "--out", str(back_path)], back_path, capsys)
+
+
+@pytest.mark.parametrize("container", ["pqfn", "pqfc"])
+def test_negative_tensor_dimension_is_data_error(tmp_path, capsys, container):
+    ckpt_path, packed = _compressed_toy(tmp_path)
+    out_path = tmp_path / "out.bin"
+    # fc2.bias holds 4 float32 values: 16 bytes, the same as a (-2, -2) shape claims
+    if container == "pqfn":
+        _edit_tensor_entry(ckpt_path, "fc2.bias", shape=[-2, -2])
+        argv = ["compress", str(ckpt_path), "--out", str(out_path)]
+    else:
+        _edit_tensor_entry(packed, "fc2.bias", shape=[-2, -2])
+        argv = ["decompress", str(packed), "--out", str(out_path)]
+    _assert_malformed(argv, out_path, capsys)
 
 
 def test_compress_is_reproducible(tmp_path):

@@ -10,7 +10,13 @@ DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
 
 @pytest.mark.parametrize(
     "script",
-    ["01_containers.py", "02_permutation_search.py", "04_bit_accounting.py", "05_permutation_groups.py"],
+    [
+        "01_containers.py",
+        "02_permutation_search.py",
+        "04_bit_accounting.py",
+        "05_permutation_groups.py",
+        "06_finetune_recovery.py",
+    ],
 )
 def test_demo_runs(script, capsys):
     runpy.run_path(str(DEMOS / script), run_name="__main__")

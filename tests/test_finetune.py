@@ -3,7 +3,7 @@ import pytest
 
 from pqf import codec, finetune
 from pqf.codec import CompressionConfig, encode_layer
-from pqf.errors import DivergedLoss, ShapeMismatch
+from pqf.errors import DivergedLoss, MalformedFile, ShapeMismatch
 from pqf.finetune import (
     OptimizerState,
     ToyNetwork,
@@ -15,6 +15,7 @@ from pqf.finetune import (
     finetune_codebooks,
     forward,
     gaussian_blobs,
+    make_conv_classifier_checkpoint,
     make_mlp_checkpoint,
     make_residual_checkpoint,
     softmax_cross_entropy,
@@ -243,6 +244,63 @@ def test_centroid_gradients_match_finite_differences():
         flat[i] = old
         numeric.ravel()[i] = (lp - lm) / (2 * h)
     _assert_close(analytic, numeric)
+
+
+# ---------------------------------------------------------------------------
+# Execution plan and decoded-weight reuse
+# ---------------------------------------------------------------------------
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_forward_backward_decodes_each_encoded_layer_once(monkeypatch):
+    net, _ = _encoded_single_layer(seed=40)
+    x = gaussian(make_rng(41, "dec"), (5, 8))
+    calls = _count_calls(monkeypatch, codec, "decode_layer")
+    _, cache = forward(net, x)
+    backward(net, cache, np.array([0, 1, 2, 3, 0]))
+    assert len(calls) == 1
+
+
+def test_conv_forward_backward_decodes_each_encoded_layer_once(monkeypatch):
+    ckpt = make_conv_classifier_checkpoint((2, 4, 4), 3, 4, seed=42)
+    cfg = CompressionConfig.small_blocks(
+        k=4, k_fc=4, use_permutation=False, skip_first_conv=False, src_iterations=5
+    )
+    encodings = codec.encode_layers(ckpt, cfg, {}, 43)
+    assert "conv2" in encodings
+    net = ToyNetwork.from_checkpoint(ckpt, encodings=encodings)
+    x = gaussian(make_rng(44, "dec"), (3, 2, 6, 6))
+    calls = _count_calls(monkeypatch, codec, "decode_layer")
+    _, cache = forward(net, x)
+    backward(net, cache, np.array([0, 1, 2]))
+    assert len(calls) == len(encodings)
+
+
+def test_training_steps_never_resort_the_graph(monkeypatch):
+    net = ToyNetwork.from_checkpoint(make_residual_checkpoint(c_in=2, width=4, n_blocks=1, seed=45))
+    x = gaussian(make_rng(46, "topo"), (2, 2, 4, 4))
+    calls = _count_calls(monkeypatch, ModelCheckpoint, "topological_order")
+    for _ in range(3):
+        _, cache = forward(net, x)
+        backward(net, cache, np.array([0, 1]))
+    assert calls == []
+
+
+def test_cyclic_graph_is_rejected_when_the_network_is_built():
+    ckpt = make_mlp_checkpoint((3, 4, 2), seed=47)
+    ckpt.edges.append(("relu1", "fc1"))
+    with pytest.raises(MalformedFile):
+        ToyNetwork.from_checkpoint(ckpt)
 
 
 # ---------------------------------------------------------------------------
