@@ -9,6 +9,12 @@ it with stochastic local search. Convolution rows move in contiguous groups
 of K*K so whole filters stay together, and several layers that must share one
 channel permutation can be optimized jointly on their summed objective.
 
+The local search does not recompute the covariance per proposal. It keeps
+raw moments per chunk (d consecutive rows of the permuted matrix): a swap
+recomputes only the chunks holding the two swapped units, and the objective
+sums the chunks in a fixed order, so it depends only on the current order
+and needs no periodic exact recompute.
+
 When every swap unit of a layer holds whole subvectors (its rows per unit are
 a multiple of the subvector size d, as for a 3x3 convolution with d = 9), a
 swap only reorders subvectors and cannot change that layer's covariance, so
@@ -117,21 +123,24 @@ def subvector_covariance(subvectors) -> CovarianceStats:
     return CovarianceStats(sigma=sigma, count=n, mean=mean)
 
 
-def _regularized_logdet(sigma: np.ndarray) -> float:
-    d = sigma.shape[0]
-    eps = 1e-12 * max(float(np.trace(sigma)) / d, 1.0)
-    a = sigma + eps * np.eye(d)
+def _regularized_logdet(sigma: np.ndarray):
+    """Logdet of ``sigma + eps*I``; a stack of matrices gives one value each."""
+    d = sigma.shape[-1]
+    eps = 1e-12 * np.maximum(sigma.trace(axis1=-2, axis2=-1) / d, 1.0)
+    a = sigma + eps[..., None, None] * np.eye(d)
     try:
         chol = np.linalg.cholesky(a)
-        return float(2.0 * np.sum(np.log(np.diag(chol))))
+        return 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
     except np.linalg.LinAlgError:
+        if sigma.ndim > 2:
+            return np.array([_regularized_logdet(one) for one in sigma])
         eigs = np.linalg.eigvalsh(a)
-        return float(np.sum(np.log(np.clip(eigs, eps, None))))
+        return np.log(np.clip(eigs, eps, None)).sum()
 
 
 def logdet(stats: CovarianceStats) -> float:
     """Natural-log determinant of ``sigma + eps*I`` via a symmetric factorization."""
-    return _regularized_logdet(stats.sigma)
+    return float(_regularized_logdet(stats.sigma))
 
 
 def rd_lower_bound(stats: CovarianceStats, k: int, d: int | None = None) -> float:
@@ -236,26 +245,99 @@ def _group_objective(specs, units: np.ndarray) -> float:
     return sum(permuted_objective(m, d, _unit_rows(units, block)) for m, d, block in specs)
 
 
-def _swap_search(specs, units: np.ndarray, current: float, iters: int, seed: int):
+class _ChunkMoments:
+    """Raw moments of the subvector chunks of children that share one row order.
+
+    Children with the same `(d, block)` hold the same rows in the same order
+    under any unit order. A chunk is a run of `d` consecutive rows of the
+    permuted matrix; its `n` columns are `n` subvectors of one child. Each
+    chunk keeps, per child, the second-moment matrix of its subvectors with a
+    1 appended, so the last row holds their sum and count. Entries are first
+    shifted by the child's overall mean: the covariance does not change under
+    the shift, and the raw-moment form keeps its precision. The objective
+    sums the chunk arrays in a fixed order, so it is a pure function of the
+    unit order and never drifts.
+    """
+
+    def __init__(self, matrices, d: int, block: int, units: np.ndarray):
+        self.d, self.block = d, block
+        # row m of each shifted matrix is all ones, and every chunk gathers it
+        # last: the chunk's last moment row then holds its sums and its count
+        self.shifted = [np.vstack([matrix - matrix.mean(), np.ones(matrix.shape[1])])
+                        for matrix in matrices]
+        rows = _unit_rows(units, block)
+        self.rows = np.hstack([rows.reshape(-1, d), np.full((rows.size // d, 1), rows.size)])
+        self._slots = np.arange(rows.size) + np.arange(rows.size) // d  # row position -> rows.flat
+        self.moments = self._moments(self.rows)
+
+    def _moments(self, rows: np.ndarray) -> np.ndarray:
+        """Augmented second moments ``(t, C, d+1, d+1)`` of the `(t, d+1)` chunk rows."""
+        out = np.empty((rows.shape[0], len(self.shifted), self.d + 1, self.d + 1))
+        for c, shifted in enumerate(self.shifted):
+            chunks = shifted[rows]
+            # einsum keeps the reduction off BLAS so results do not depend on thread count
+            np.einsum("tin,tjn->tij", chunks, chunks, out=out[:, c])
+        return out
+
+    def objectives(self) -> np.ndarray:
+        """Regularized logdet of each child's subvector covariance."""
+        d = self.d
+        total = self.moments.sum(axis=0)
+        moments = total / total[:, d:, d:]
+        mean = moments[:, d, :d]
+        return _regularized_logdet(moments[:, :d, :d] - mean[:, :, None] * mean[:, None, :])
+
+    def _swap_rows(self, a: int, b: int):
+        g, flat = self.block, self.rows.reshape(-1)
+        sa, sb = self._slots[a * g : (a + 1) * g], self._slots[b * g : (b + 1) * g]
+        flat[sa], flat[sb] = flat[sb], flat[sa]
+
+    def swap(self, a: int, b: int):
+        """Swap the units at positions `a` and `b`; recompute the chunks they touch."""
+        g, d = self.block, self.d
+        touched = sorted({*range(a * g // d, ((a + 1) * g - 1) // d + 1),
+                          *range(b * g // d, ((b + 1) * g - 1) // d + 1)})
+        self._saved = (a, b, touched, self.moments[touched])
+        self._swap_rows(a, b)
+        self.moments[touched] = self._moments(self.rows[touched])
+
+    def undo(self):
+        """Revert the last `swap`, restoring the chunks it recomputed."""
+        a, b, touched, moments = self._saved
+        self._swap_rows(a, b)
+        self.moments[touched] = moments
+
+
+def _swap_search(specs, units: np.ndarray, iters: int, seed: int):
     """Random pair swaps of `units`, in place, kept when they lower the objective.
 
-    `current` is the objective of `units` on entry. Deterministic given `seed`.
+    Children are tracked as `_ChunkMoments` families, one per `(d, block)`.
+    Each proposal recomputes only the chunks the two units touch and
+    restores them when it is rejected. Deterministic given `seed`.
     """
     n = units.shape[0]
-    if n < 2:
+    if n < 2 or iters <= 0:
         return units
+    families = {}
+    for matrix, d, block in specs:
+        families.setdefault((d, block), []).append(matrix)
+    families = [_ChunkMoments(ms, d, block, units) for (d, block), ms in families.items()]
+    current = sum(float(f.objectives().sum()) for f in families)
     rng = make_rng(seed, "perm-local-search")
     for _ in range(iters):
         a = int(rng.integers(n))
         b = int(rng.integers(n - 1))
         if b >= a:
             b += 1
-        units[[a, b]] = units[[b, a]]
-        candidate = _group_objective(specs, units)
+        for family in families:
+            family.swap(a, b)
+        candidate = sum(float(f.objectives().sum()) for f in families)
         if candidate < current:
             current = candidate
-        else:
             units[[a, b]] = units[[b, a]]
+        else:
+            for family in families:
+                family.undo()
     return units
 
 
@@ -265,17 +347,19 @@ def local_search(
     """Refine a permutation by random group swaps, keeping strict improvements.
 
     Each iteration proposes swapping two distinct `block`-row groups chosen
-    uniformly at random and recomputes the full objective; the result never
+    uniformly at random and rescores it from per-chunk moments, recomputing
+    only the chunks of `d` rows that hold the two groups; the result never
     scores worse than `init`. Deterministic given `seed`.
     """
     matrix = _as_matrix(weight)
     init.validate()
     if init.block != block or init.size != matrix.shape[0]:
         raise IndivisibleBlockSize("initial permutation does not match the matrix/block")
+    if d <= 0 or matrix.shape[0] % d != 0:
+        raise IndivisibleBlockSize(f"subvector size {d} does not divide {matrix.shape[0]} rows")
     specs = [(matrix, d, block)]
     units = init.indices[::block] // block
-    units = _swap_search(specs, units, _group_objective(specs, units), iters, seed)
-    return expand_channel_permutation(units, block)
+    return expand_channel_permutation(_swap_search(specs, units, iters, seed), block)
 
 
 def optimize_group_permutation(children, iters: int = 1000, seed: int = 0) -> Permutation:
@@ -319,4 +403,4 @@ def optimize_group_permutation(children, iters: int = 1000, seed: int = 0) -> Pe
         greedy_obj = _group_objective(specs, greedy)
         if greedy_obj < best_obj:
             best, best_obj = greedy, greedy_obj
-    return Permutation(_swap_search(specs, best, best_obj, iters, seed))
+    return Permutation(_swap_search(specs, best, iters, seed))

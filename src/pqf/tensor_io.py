@@ -132,11 +132,7 @@ class ModelCheckpoint:
                 if meta.c_in != meta.c_out:
                     raise MalformedFile(f"{meta.kind} layer {meta.name!r} must preserve channels")
 
-        for producer, consumer in self.edges:
-            if producer not in layer_names:
-                raise DanglingEdge(producer)
-            if consumer not in layer_names:
-                raise DanglingEdge(consumer)
+        self.topological_order()
 
         kinds = [m.kind for m in self.layers]
         if self.layers:
@@ -144,7 +140,6 @@ class ModelCheckpoint:
                 raise MalformedFile("checkpoint must declare exactly one input node")
             if kinds.count("output") < 1:
                 raise MalformedFile("checkpoint must declare at least one output node")
-            self.topological_order()
 
         if self.tensors and self.layers:
             for meta in self.layers:
@@ -153,10 +148,13 @@ class ModelCheckpoint:
                         raise MalformedFile(f"layer {meta.name!r} has no weight tensor")
 
     def topological_order(self) -> list:
-        """Kahn topological sort; raises on cycles."""
+        """Kahn topological sort; raises on cycles and on edges to unknown layers."""
         indeg = {m.name: 0 for m in self.layers}
         out = {m.name: [] for m in self.layers}
         for producer, consumer in self.edges:
+            for end in (producer, consumer):
+                if end not in indeg:
+                    raise DanglingEdge(end)
             indeg[consumer] += 1
             out[producer].append(consumer)
         ready = [m.name for m in self.layers if indeg[m.name] == 0]
@@ -423,6 +421,10 @@ class EncodedEntry:
 
     def validate(self):
         m_hat, n = self.codes.shape
+        if self.d < 1:
+            raise MalformedFile(f"entry {self.name!r} has subvector size {self.d}")
+        if m_hat * self.d != self.c_in * self.kernel_size**2 or n != self.c_out:
+            raise MalformedFile(f"entry {self.name!r} codes do not match its layer geometry")
         if self.codebook.shape != (self.k_eff, self.d):
             raise MalformedFile(f"entry {self.name!r} codebook shape mismatch")
         if self.codes.size and (self.codes.min() < 0 or self.codes.max() >= self.k_eff):

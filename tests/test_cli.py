@@ -165,6 +165,14 @@ def _assert_malformed(argv, out_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("fields", [{"d": 0}, {"c_out": 17}, {"c_in": 9}])
+def test_decompress_entry_with_wrong_geometry_is_data_error(tmp_path, fields, capsys):
+    _, packed = _compressed_toy(tmp_path)
+    _edit_tensor_entry(packed, "fc1", **fields)
+    back_path = tmp_path / "back.pqfn"
+    _assert_malformed(["decompress", str(packed), "--out", str(back_path)], back_path, capsys)
+
+
 def test_decompress_short_raw_entry_is_data_error(tmp_path, capsys):
     _, packed = _compressed_toy(tmp_path)
     _edit_tensor_entry(packed, "fc1.bias", nbytes=16 * 4 - 4)

@@ -13,6 +13,7 @@ DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
     [
         "01_containers.py",
         "02_permutation_search.py",
+        "03_annealed_quantization.py",
         "04_bit_accounting.py",
         "05_permutation_groups.py",
         "06_finetune_recovery.py",

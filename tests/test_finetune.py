@@ -3,7 +3,7 @@ import pytest
 
 from pqf import codec, finetune
 from pqf.codec import CompressionConfig, encode_layer
-from pqf.errors import DivergedLoss, MalformedFile, ShapeMismatch
+from pqf.errors import DanglingEdge, DivergedLoss, MalformedFile, ShapeMismatch
 from pqf.finetune import (
     OptimizerState,
     ToyNetwork,
@@ -300,6 +300,14 @@ def test_cyclic_graph_is_rejected_when_the_network_is_built():
     ckpt = make_mlp_checkpoint((3, 4, 2), seed=47)
     ckpt.edges.append(("relu1", "fc1"))
     with pytest.raises(MalformedFile):
+        ToyNetwork.from_checkpoint(ckpt)
+
+
+@pytest.mark.parametrize("edge", [("ghost", "fc1"), ("fc1", "ghost")])
+def test_edge_to_unknown_layer_is_rejected_when_the_network_is_built(edge):
+    ckpt = make_mlp_checkpoint((3, 4, 2), seed=47)
+    ckpt.edges.append(edge)
+    with pytest.raises(DanglingEdge):
         ToyNetwork.from_checkpoint(ckpt)
 
 

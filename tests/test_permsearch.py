@@ -210,6 +210,12 @@ def test_local_search_zero_iters_returns_init():
     assert np.array_equal(out.indices, init.indices)
 
 
+def test_local_search_rejects_subvector_size_not_dividing_rows():
+    init = Permutation(np.arange(6))
+    with pytest.raises(IndivisibleBlockSize):
+        local_search(np.ones((6, 5)), 4, 1, init, iters=0, seed=0)
+
+
 def test_local_search_never_worse_and_prefix_monotone():
     matrix = make_rng(18, "ls2").standard_normal((8, 40))
     init = greedy_init(matrix, 2, 1)
@@ -356,3 +362,107 @@ def test_group_of_invariant_children_keeps_identity_without_search(children, mon
     assert np.array_equal(out.indices, np.arange(4))
     assert out.block == 1
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# Incremental swap search
+# ---------------------------------------------------------------------------
+
+def _oracle_objective(specs, units):
+    return sum(
+        permuted_objective(m, d, expand_channel_permutation(units, block).indices)
+        for m, d, block in specs
+    )
+
+
+def _oracle_swap_search(specs, units, iters, seed):
+    """The swap loop that recomputes every child's whole covariance per proposal."""
+    units = units.copy()
+    n = units.shape[0]
+    current = _oracle_objective(specs, units)
+    rng = make_rng(seed, "perm-local-search")
+    for _ in range(iters):
+        a = int(rng.integers(n))
+        b = int(rng.integers(n - 1))
+        if b >= a:
+            b += 1
+        units[[a, b]] = units[[b, a]]
+        candidate = _oracle_objective(specs, units)
+        if candidate < current:
+            current = candidate
+        else:
+            units[[a, b]] = units[[b, a]]
+    return units
+
+
+def _scaled_matrix(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-1.0, 1.0, (rows, 1))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "children",
+    [
+        [(16, 2, 1)],
+        [(16, 4, 1)],
+        [(16, 4, 2)],
+        [(16, 4, 3)],  # units straddle chunks
+        [(8, 18, 9)],
+        [(12, 4, 1), (12, 4, 3), (12, 4, 1)],  # two children share a row order
+    ],
+    ids=["d2b1", "d4b1", "d4b2", "d4b3", "d18b9", "mixed"],
+)
+def test_swap_search_matches_full_recompute(children, seed):
+    rng = make_rng(seed, "swap-oracle")
+    specs = [
+        (_scaled_matrix(rng, channels * block, int(rng.integers(3, 40))), d, block)
+        for channels, d, block in children
+    ]
+    start = rng.permutation(children[0][0])
+    expected = _oracle_swap_search(specs, start, 200, seed)
+    got = permsearch._swap_search(specs, start.copy(), 200, seed)
+    assert np.array_equal(got, expected)
+    assert not np.array_equal(got, start)  # the search moved
+
+
+def test_tracked_objective_follows_every_swap_and_undo():
+    rng = make_rng(26, "swap-track")
+    # rows scaled over 3 decades, all far below a common offset
+    offset = rng.standard_normal((24, 30)) * 10.0 ** rng.uniform(-3.0, 0.0, (24, 1)) + 1e3
+    specs = [(offset, 4, 1), (_scaled_matrix(rng, 24, 7), 4, 1), (_scaled_matrix(rng, 72, 11), 4, 3)]
+    units = rng.permutation(24)
+    families = [
+        permsearch._ChunkMoments([offset, specs[1][0]], 4, 1, units),
+        permsearch._ChunkMoments([specs[2][0]], 4, 3, units),
+    ]
+    for _ in range(300):
+        a, b = (int(x) for x in rng.choice(24, 2, replace=False))
+        for family in families:
+            family.swap(a, b)
+        if rng.random() < 0.5:
+            units[[a, b]] = units[[b, a]]
+        else:
+            for family in families:
+                family.undo()
+        tracked = sum(float(f.objectives().sum()) for f in families)
+        exact = permsearch._group_objective(specs, units)
+        assert abs(tracked - exact) <= 1e-9 * abs(exact)
+    # the tracked chunks equal a fresh set-up on the final order, bit for bit
+    fresh = permsearch._ChunkMoments([offset, specs[1][0]], 4, 1, units)
+    assert np.array_equal(fresh.moments, families[0].moments)
+
+
+def test_objective_evaluations_do_not_grow_with_iterations(monkeypatch):
+    rng = make_rng(27, "swap-count")
+    children = [(_scaled_matrix(rng, 32, 20), 4, 1), (_scaled_matrix(rng, 96, 9), 4, 3)]
+    calls = []
+    original = permsearch.matrix_objective
+    monkeypatch.setattr(
+        permsearch, "matrix_objective", lambda *a: calls.append(a) or original(*a)
+    )
+    counts = []
+    for iters in (10, 1000):
+        calls.clear()
+        optimize_group_permutation(children, iters=iters, seed=4)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
