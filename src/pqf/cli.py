@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,26 +106,17 @@ def _add_config_flags(parser):
 
 
 def _config_from_args(args) -> codec.CompressionConfig:
-    base = (
-        codec.CompressionConfig.large_blocks
-        if args.regime == "large"
-        else codec.CompressionConfig.small_blocks
-    )
-    kwargs = dict(
+    return codec.CompressionConfig(
         k=args.k,
         k_fc=args.k_fc,
+        d_conv_multiplier=2 if args.regime == "large" else 1,
+        d_pw=args.d_pw,
         quantizer="kmeans" if args.no_anneal else "src",
         src_iterations=args.src_iters,
         gamma=args.gamma,
         use_permutation=not args.no_perm,
         perm_iterations=args.perm_iters,
     )
-    if args.regime == "large":
-        kwargs["d_pw"] = args.d_pw
-    cfg = base(**kwargs)
-    if args.regime == "small" and args.d_pw != 4:
-        cfg = replace(cfg, d_pw=args.d_pw)
-    return cfg
 
 
 def _load_model_description(path) -> tensor_io.ModelCheckpoint:

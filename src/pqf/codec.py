@@ -40,18 +40,19 @@ from .tensor_io import (
 class CompressionConfig:
     """Subvector sizes, codebook sizes, and skip rules for one run.
 
-    ``d_conv_multiplier`` selects K*K (1) or 2*K*K (2) subvectors for K>1
-    convolutions; pointwise convolutions use ``d_pw`` and fully-connected
-    layers ``d_fc``. Classifier fc layers get their own codebook size
-    ``k_fc`` regardless of the convolutional ``k``.
+    ``d_conv_multiplier`` selects K*K (1, the small-blocks regime) or 2*K*K
+    (2, large blocks) subvectors for K>1 convolutions; pointwise convolutions
+    use ``d_pw`` and fully-connected layers ``D_FC``. Classifier fc layers get
+    their own codebook size ``k_fc`` regardless of the convolutional ``k``.
+    Per-layer ``overrides`` take precedence over all of these.
     """
 
-    regime: str = "small"
+    D_FC = 4  # not a field: no run sets another fc subvector size
+
     k: int = 256
     k_fc: int = 2048
     d_conv_multiplier: int = 1
     d_pw: int = 4
-    d_fc: int = 4
     skip_first_conv: bool = True
     skip: frozenset = frozenset()
     overrides: dict = field(default_factory=dict)  # name -> {"k": int, "d": int}
@@ -61,13 +62,17 @@ class CompressionConfig:
     use_permutation: bool = True
     perm_iterations: int = 1000
 
+    @property
+    def regime(self) -> str:
+        return "large" if self.d_conv_multiplier == 2 else "small"
+
     @classmethod
     def small_blocks(cls, k: int = 256, **kwargs) -> "CompressionConfig":
-        return cls(regime="small", k=k, d_conv_multiplier=1, d_pw=4, d_fc=4, **kwargs)
+        return cls(k=k, d_conv_multiplier=1, d_pw=4, **kwargs)
 
     @classmethod
     def large_blocks(cls, k: int = 256, d_pw: int = 4, **kwargs) -> "CompressionConfig":
-        return cls(regime="large", k=k, d_conv_multiplier=2, d_pw=d_pw, d_fc=4, **kwargs)
+        return cls(k=k, d_conv_multiplier=2, d_pw=d_pw, **kwargs)
 
     def subvector_size(self, meta: LayerMeta) -> int:
         override = self.overrides.get(meta.name, {})
@@ -78,7 +83,7 @@ class CompressionConfig:
                 return self.d_conv_multiplier * meta.kernel_size**2
             return self.d_pw
         if meta.kind == "fc":
-            return self.d_fc
+            return self.D_FC
         raise UnknownLayerKind(meta.kind)
 
     def requested_codebook_size(self, meta: LayerMeta) -> int:
@@ -339,51 +344,6 @@ def bit_report(model, cfg: CompressionConfig) -> CompressionReport:
 # Whole-model orchestration
 # ---------------------------------------------------------------------------
 
-def _group_child_specs(ckpt, group, cfg, first_conv):
-    """Reshaped matrices of the group's compressible children, with row/unit sizes."""
-    units = group.channels // group.channel_block
-    specs, names = [], []
-    for name in group.children:
-        meta = ckpt.layer(name)
-        if meta is None or not is_compressible(meta, cfg, first_conv):
-            continue
-        rec = ckpt.tensor(f"{name}.weight")
-        if rec is None:
-            continue
-        rw = layout.reshape_weight(np.asarray(rec.data, dtype=np.float64), meta.kind)
-        if rw.rows % units != 0:
-            continue
-        specs.append((rw.matrix, cfg.subvector_size(meta), rw.rows // units))
-        names.append(name)
-    return specs, names, units
-
-
-def resolve_layer_permutations(ckpt: ModelCheckpoint, cfg: CompressionConfig, seed: int = 0):
-    """Optimize one shared permutation per group; returns name -> row Permutation."""
-    first_conv = first_conv_name(ckpt.layers)
-    result = {}
-    if not cfg.use_permutation:
-        return result
-    groups = graph_mod.resolve_groups(ckpt)
-    for group in groups:
-        specs, names, units = _group_child_specs(ckpt, group, cfg, first_conv)
-        if not specs:
-            continue
-        try:
-            unit_perm = permsearch.optimize_group_permutation(
-                specs,
-                iters=cfg.perm_iterations,
-                seed=derive_seed(seed, "perm", *sorted(names)),
-            )
-        except IndivisibleBlockSize:
-            continue
-        for name, (_, _, rows_per_unit) in zip(names, specs):
-            result[name] = permsearch.expand_channel_permutation(
-                unit_perm.indices, rows_per_unit
-            )
-    return result
-
-
 def _compressed_layers(ckpt: ModelCheckpoint, cfg: CompressionConfig) -> list:
     """Layers whose weights `cfg` compresses, in declaration order."""
     first_conv = first_conv_name(ckpt.layers)
@@ -393,6 +353,39 @@ def _compressed_layers(ckpt: ModelCheckpoint, cfg: CompressionConfig) -> list:
         if is_compressible(meta, cfg, first_conv)
         and ckpt.tensor(f"{meta.name}.weight") is not None
     ]
+
+
+def resolve_layer_permutations(ckpt: ModelCheckpoint, cfg: CompressionConfig, seed: int = 0):
+    """Optimize one shared permutation per group; returns name -> row Permutation.
+
+    A group's children are its layers that `cfg` compresses. `resolve_groups`
+    proves that the group's units divide each child's input channels, and
+    `validate` that each weight has its layer's shape.
+    """
+    if not cfg.use_permutation:
+        return {}
+    compressed = {meta.name: meta for meta in _compressed_layers(ckpt, cfg)}
+    result = {}
+    for group in graph_mod.resolve_groups(ckpt):
+        names = [name for name in group.children if name in compressed]
+        if not names:
+            continue
+        units = group.channels // group.channel_block
+        specs = []
+        for name in names:
+            meta = compressed[name]
+            weight = np.asarray(ckpt.tensor(f"{name}.weight").data, dtype=np.float64)
+            rw = layout.reshape_weight(weight, meta.kind)
+            specs.append((rw.matrix, cfg.subvector_size(meta), rw.rows // units))
+        # `names` keeps the sorted order of `group.children`
+        unit_perm = permsearch.optimize_group_permutation(
+            specs, iters=cfg.perm_iterations, seed=derive_seed(seed, "perm", *names)
+        )
+        for name, (_, _, rows_per_unit) in zip(names, specs):
+            result[name] = permsearch.expand_channel_permutation(
+                unit_perm.indices, rows_per_unit
+            )
+    return result
 
 
 def encode_layers(

@@ -9,11 +9,13 @@ it with stochastic local search. Convolution rows move in contiguous groups
 of K*K so whole filters stay together, and several layers that must share one
 channel permutation can be optimized jointly on their summed objective.
 
-The local search does not recompute the covariance per proposal. It keeps
-raw moments per chunk (d consecutive rows of the permuted matrix): a swap
-recomputes only the chunks holding the two swapped units, and the objective
-sums the chunks in a fixed order, so it depends only on the current order
-and needs no periodic exact recompute.
+The search scores every order, the identity and greedy starts included,
+from raw moments per chunk (d consecutive rows of the permuted matrix): a
+swap recomputes only the chunks holding the two swapped units, and the
+objective sums the chunks in a fixed order, so it depends only on the
+current order and needs no periodic exact recompute. `matrix_objective`
+evaluates the same objective from the covariance formula; it is the
+reference the search is tested against, not a second path through it.
 
 When every swap unit of a layer holds whole subvectors (its rows per unit are
 a multiple of the subvector size d, as for a 3x3 convolution with d = 9), a
@@ -194,16 +196,11 @@ def _group_scores(matrix: np.ndarray, block: int) -> np.ndarray:
     across columns.
     """
     m, n = matrix.shape
-    n_groups = m // block
     if block == 1:
         return matrix.var(axis=1)
-    scores = np.empty(n_groups)
-    for g in range(n_groups):
-        rows = matrix[g * block : (g + 1) * block]
-        centered = rows - rows.mean(axis=1, keepdims=True)
-        cov = np.einsum("in,jn->ij", centered, centered) / n
-        scores[g] = _regularized_logdet(cov)
-    return scores
+    blocks = matrix.reshape(m // block, block, n)
+    centered = blocks - blocks.mean(axis=2, keepdims=True)
+    return _regularized_logdet(np.einsum("gin,gjn->gij", centered, centered) / n)
 
 
 def greedy_init(weight, d: int, block: int = 1) -> Permutation:
@@ -238,11 +235,6 @@ def greedy_init(weight, d: int, block: int = 1) -> Permutation:
         for slot, g in enumerate(members):
             group_order[slot * n_buckets + b] = g
     return Permutation(_unit_rows(group_order, block), block=block)
-
-
-def _group_objective(specs, units: np.ndarray) -> float:
-    """Summed objective of ``(matrix, d, block)`` children, units in order `units`."""
-    return sum(permuted_objective(m, d, _unit_rows(units, block)) for m, d, block in specs)
 
 
 class _ChunkMoments:
@@ -308,21 +300,30 @@ class _ChunkMoments:
         self.moments[touched] = moments
 
 
-def _swap_search(specs, units: np.ndarray, iters: int, seed: int):
+def _families(specs, units: np.ndarray) -> list:
+    """`_ChunkMoments` of ``(matrix, d, block)`` children, one per `(d, block)`."""
+    by_shape = {}
+    for matrix, d, block in specs:
+        by_shape.setdefault((d, block), []).append(matrix)
+    return [_ChunkMoments(ms, d, block, units) for (d, block), ms in by_shape.items()]
+
+
+def _total(families) -> float:
+    """Summed objective of every child of `families`."""
+    return sum(float(f.objectives().sum()) for f in families)
+
+
+def _swap_search(families, units: np.ndarray, iters: int, seed: int):
     """Random pair swaps of `units`, in place, kept when they lower the objective.
 
-    Children are tracked as `_ChunkMoments` families, one per `(d, block)`.
-    Each proposal recomputes only the chunks the two units touch and
-    restores them when it is rejected. Deterministic given `seed`.
+    `families` are the children's `_ChunkMoments`, set up at `units`. Each
+    proposal recomputes only the chunks the two units touch and restores
+    them when it is rejected. Deterministic given `seed`.
     """
     n = units.shape[0]
     if n < 2 or iters <= 0:
         return units
-    families = {}
-    for matrix, d, block in specs:
-        families.setdefault((d, block), []).append(matrix)
-    families = [_ChunkMoments(ms, d, block, units) for (d, block), ms in families.items()]
-    current = sum(float(f.objectives().sum()) for f in families)
+    current = _total(families)
     rng = make_rng(seed, "perm-local-search")
     for _ in range(iters):
         a = int(rng.integers(n))
@@ -331,7 +332,7 @@ def _swap_search(specs, units: np.ndarray, iters: int, seed: int):
             b += 1
         for family in families:
             family.swap(a, b)
-        candidate = sum(float(f.objectives().sum()) for f in families)
+        candidate = _total(families)
         if candidate < current:
             current = candidate
             units[[a, b]] = units[[b, a]]
@@ -357,9 +358,9 @@ def local_search(
         raise IndivisibleBlockSize("initial permutation does not match the matrix/block")
     if d <= 0 or matrix.shape[0] % d != 0:
         raise IndivisibleBlockSize(f"subvector size {d} does not divide {matrix.shape[0]} rows")
-    specs = [(matrix, d, block)]
     units = init.indices[::block] // block
-    return expand_channel_permutation(_swap_search(specs, units, iters, seed), block)
+    families = _families([(matrix, d, block)], units)
+    return expand_channel_permutation(_swap_search(families, units, iters, seed), block)
 
 
 def optimize_group_permutation(children, iters: int = 1000, seed: int = 0) -> Permutation:
@@ -372,7 +373,7 @@ def optimize_group_permutation(children, iters: int = 1000, seed: int = 0) -> Pe
     its objective: such children are left out, and a group of nothing else
     keeps the identity without a search. The summed objective of the other
     children is optimized: the greedy initialization comes from the largest
-    of them, the identity is kept instead when it scores better, and local
+    of them, the identity is kept instead when it scores no worse, and local
     search then swaps channels accepting strict improvements of the sum.
     Returns a channel-level permutation with ``block=1``.
     """
@@ -391,16 +392,14 @@ def optimize_group_permutation(children, iters: int = 1000, seed: int = 0) -> Pe
         raise MismatchedChannelCounts(f"children disagree on channels: {counts}")
     channels = counts[0]
 
-    identity = np.arange(channels, dtype=np.int64)
     specs = [spec for spec in specs if spec[2] % spec[1] != 0]
+    starts = [np.arange(channels, dtype=np.int64)]
     if not specs:
-        return Permutation(identity)
-    best, best_obj = identity, _group_objective(specs, identity)
+        return Permutation(starts[0])
     # greedy initialization needs whole blocks inside each subvector
     matrix, d, block = max(specs, key=lambda s: s[0].size)
     if d % block == 0:
-        greedy = greedy_init(matrix, d, block).indices[::block] // block
-        greedy_obj = _group_objective(specs, greedy)
-        if greedy_obj < best_obj:
-            best, best_obj = greedy, greedy_obj
-    return Permutation(_swap_search(specs, best, iters, seed))
+        starts.append(greedy_init(matrix, d, block).indices[::block] // block)
+    # min keeps the first of equal scores: the identity wins a tie
+    units, families = min(((u, _families(specs, u)) for u in starts), key=lambda s: _total(s[1]))
+    return Permutation(_swap_search(families, units, iters, seed))

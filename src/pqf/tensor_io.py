@@ -114,12 +114,12 @@ class ModelCheckpoint:
         return None
 
     def validate(self):
-        seen = set()
+        by_name = {}
         for rec in self.tensors:
             rec.validate()
-            if rec.name in seen:
+            if rec.name in by_name:
                 raise DuplicateTensorName(rec.name)
-            seen.add(rec.name)
+            by_name[rec.name] = rec
 
         layer_names = set()
         for meta in self.layers:
@@ -131,6 +131,8 @@ class ModelCheckpoint:
             if meta.kind in PASSTHROUGH_KINDS and meta.kind != "reshape":
                 if meta.c_in != meta.c_out:
                     raise MalformedFile(f"{meta.kind} layer {meta.name!r} must preserve channels")
+            if meta.kind in WEIGHTED_KINDS and min(meta.kernel_size, meta.c_in, meta.c_out) < 1:
+                raise MalformedFile(f"layer {meta.name!r} has an empty dimension")
 
         self.topological_order()
 
@@ -143,9 +145,18 @@ class ModelCheckpoint:
 
         if self.tensors and self.layers:
             for meta in self.layers:
-                if meta.kind in WEIGHTED_KINDS:
-                    if self.tensor(f"{meta.name}.weight") is None:
-                        raise MalformedFile(f"layer {meta.name!r} has no weight tensor")
+                if meta.kind not in WEIGHTED_KINDS:
+                    continue
+                if f"{meta.name}.weight" not in by_name:
+                    raise MalformedFile(f"layer {meta.name!r} has no weight tensor")
+                k, i, o = meta.kernel_size, meta.c_in, meta.c_out
+                stored = {"conv": (i, o, k, k), "deconv": (o, i, k, k), "fc": (i, o)}[meta.kind]
+                for part, want in (("weight", stored), ("bias", (o,))):
+                    rec = by_name.get(f"{meta.name}.{part}")
+                    if rec is not None and tuple(rec.shape) != want:
+                        raise MalformedFile(
+                            f"layer {meta.name!r} {part} has shape {tuple(rec.shape)}, expected {want}"
+                        )
 
     def topological_order(self) -> list:
         """Kahn topological sort; raises on cycles and on edges to unknown layers."""
@@ -170,12 +181,6 @@ class ModelCheckpoint:
             raise MalformedFile("layer graph contains a cycle")
         by_name = {m.name: m for m in self.layers}
         return [by_name[n] for n in order]
-
-    def producers_of(self, name: str) -> list:
-        return [p for p, c in self.edges if c == name]
-
-    def consumers_of(self, name: str) -> list:
-        return [c for p, c in self.edges if p == name]
 
 
 def _layer_to_dict(meta: LayerMeta) -> dict:
@@ -344,14 +349,6 @@ def parse_arch_spec(text: str) -> ModelCheckpoint:
     ckpt = ModelCheckpoint(tensors=[], layers=layers, edges=edges)
     ckpt.validate()
     return ckpt
-
-
-def format_arch_spec(ckpt: ModelCheckpoint) -> str:
-    lines = [
-        f"{m.name} {m.kind} {m.kernel_size} {m.c_in} {m.c_out}" for m in ckpt.layers
-    ]
-    lines.extend(f"edge {p} {c}" for p, c in ckpt.edges)
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

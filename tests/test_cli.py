@@ -138,11 +138,16 @@ def test_decompress_duplicate_permutation_index_is_data_error(tmp_path, capsys):
 
 def _edit_tensor_entry(path, name, **fields):
     """Rewrite one tensor entry's manifest fields in a PQFN/PQFC file."""
+    _edit_manifest(path, None, name, **fields)
+
+
+def _edit_manifest(path, listing, name, **fields):
+    """Rewrite the fields of item `name` of manifest list `listing` (default: tensors)."""
     raw = path.read_bytes()
     mlen = int.from_bytes(raw[8:16], "little")
     manifest = json.loads(raw[16 : 16 + mlen])
-    listed = manifest["tensors"] if "tensors" in manifest else manifest["entries"]
-    (obj,) = [o for o in listed if o["name"] == name]
+    listing = listing or ("tensors" if "tensors" in manifest else "entries")
+    (obj,) = [o for o in manifest[listing] if o["name"] == name]
     obj.update(fields)
     blob = json.dumps(manifest).encode()
     path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + mlen :])
@@ -199,6 +204,50 @@ def test_negative_tensor_dimension_is_data_error(tmp_path, capsys, container):
         _edit_tensor_entry(packed, "fc2.bias", shape=[-2, -2])
         argv = ["decompress", str(packed), "--out", str(out_path)]
     _assert_malformed(argv, out_path, capsys)
+
+
+@pytest.mark.parametrize("part", ["weight", "bias"])
+def test_compress_tensor_shape_disagreeing_with_its_layer_is_data_error(tmp_path, part, capsys):
+    # fc1 is declared 16 -> 32, but stores a (24, 32) weight or a (16,) bias
+    ckpt_path = tmp_path / "toy.pqfn"
+    if part == "weight":
+        tensor_io.save_checkpoint(make_mlp_checkpoint((24, 32, 4), seed=1), ckpt_path)
+        _edit_manifest(ckpt_path, "layers", "fc1", c_in=16)
+    else:
+        tensor_io.save_checkpoint(make_mlp_checkpoint((16, 32, 4), seed=1), ckpt_path)
+        _edit_tensor_entry(ckpt_path, "fc1.bias", shape=[16], nbytes=16 * 4)
+    out_path = tmp_path / "toy.pqfc"
+    argv = ["compress", str(ckpt_path), "--out", str(out_path), "--k", "4", "--k-fc", "4",
+            "--src-iters", "2", "--perm-iters", "5"]
+    _assert_malformed(argv, out_path, capsys)
+
+
+def test_decompress_layer_disagreeing_with_its_entry_is_data_error(tmp_path, capsys):
+    _, packed = _compressed_toy(tmp_path)
+    _edit_manifest(packed, "layers", "fc1", c_out=24)  # the entry decodes to (8, 16)
+    back_path = tmp_path / "back.pqfn"
+    _assert_malformed(["decompress", str(packed), "--out", str(back_path)], back_path, capsys)
+
+
+def test_compress_child_with_a_single_subvector(tmp_path):
+    # fc2 is 4 -> 1: with d = 4 its one column is one subvector
+    ckpt_path = tmp_path / "tiny.pqfn"
+    tensor_io.save_checkpoint(make_mlp_checkpoint((8, 4, 1), seed=1), ckpt_path)
+    out_path = tmp_path / "tiny.pqfc"
+    argv = ["compress", str(ckpt_path), "--out", str(out_path), "--k", "4", "--k-fc", "4",
+            "--src-iters", "5", "--perm-iters", "5"]
+    assert cli.main(argv) == 0
+    back_path = tmp_path / "back.pqfn"
+    assert cli.main(["decompress", str(out_path), "--out", str(back_path)]) == 0
+    assert tensor_io.load_checkpoint(back_path).tensor("fc2.weight").data.shape == (4, 1)
+
+
+def test_weighted_layer_with_an_empty_dimension_is_data_error(tmp_path, capsys):
+    arch = tmp_path / "empty.arch"
+    arch.write_text("input input 1 4 4\nfc1 fc 1 4 0\noutput output 1 0 0\n"
+                    "edge input fc1\nedge fc1 output\n")
+    assert cli.main(["report", str(arch)]) == 2
+    assert "error kind=MalformedFile" in capsys.readouterr().err
 
 
 def test_compress_is_reproducible(tmp_path):

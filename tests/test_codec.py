@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pqf import codec, layout, quantize, tensor_io
+from pqf import codec, layout, permsearch, quantize, tensor_io
 from pqf.codec import (
     CompressionConfig,
     bit_report,
@@ -12,7 +12,7 @@ from pqf.codec import (
     quantization_error,
 )
 from pqf.errors import CodebookOverflow, IndivisibleBlockSize, NonFiniteWeight, PQFError
-from pqf.finetune import make_mlp_checkpoint
+from pqf.finetune import make_mlp_checkpoint, make_residual_checkpoint
 from pqf.permsearch import Permutation
 from pqf.rng import make_rng
 from pqf.tensor_io import EncodedEntry, LayerMeta, RawEntry
@@ -196,6 +196,20 @@ def test_compress_deterministic_and_jobs_invariant():
     m2, _, e2 = compress_model(ckpt, cfg, seed=3, jobs=4)
     assert e1 == e2
     assert tensor_io.compressed_models_equal(m1, m2)
+
+
+@pytest.mark.parametrize("regime", [CompressionConfig.small_blocks, CompressionConfig.large_blocks])
+def test_compress_model_scores_no_order_with_the_reference_objective(regime, monkeypatch):
+    ckpt = make_residual_checkpoint(c_in=2, width=8, n_blocks=2, seed=7)
+    cfg = regime(k=4, k_fc=4, src_iterations=3, perm_iterations=20)
+    calls = []
+    original = permsearch.matrix_objective
+    monkeypatch.setattr(
+        permsearch, "matrix_objective", lambda *a: calls.append(a) or original(*a)
+    )
+    model, _, _ = compress_model(ckpt, cfg, seed=1)
+    assert calls == []
+    assert any(isinstance(e, EncodedEntry) and e.name == "fc" for e in model.entries)
 
 
 def _anisotropic_mlp(seed):

@@ -177,6 +177,27 @@ def test_greedy_single_capacity_buckets():
     assert sorted(g[0] for g in groups) == [0, 1]
 
 
+def _loop_group_scores(matrix, block):
+    """Per-block covariance logdets, one block at a time."""
+    n = matrix.shape[1]
+    scores = np.empty(matrix.shape[0] // block)
+    for g in range(scores.size):
+        rows = matrix[g * block : (g + 1) * block]
+        centered = rows - rows.mean(axis=1, keepdims=True)
+        scores[g] = permsearch._regularized_logdet(np.einsum("in,jn->ij", centered, centered) / n)
+    return scores
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_batched_block_scores_equal_the_per_block_loop(seed):
+    rng = make_rng(seed, "block-scores")
+    for block in range(2, 10):
+        rows, cols = 6 * block, int(rng.integers(2, 30))  # fewer columns than rows per block too
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, (rows, 1))
+        matrix = rng.standard_normal((rows, cols)) * scale + rng.uniform(-5.0, 5.0)
+        assert np.array_equal(permsearch._group_scores(matrix, block), _loop_group_scores(matrix, block))
+
+
 def test_greedy_rejects_bad_blocks():
     with pytest.raises(IndivisibleBlockSize):
         greedy_init(np.zeros((8, 3)), d=3, block=1)
@@ -420,7 +441,8 @@ def test_swap_search_matches_full_recompute(children, seed):
     ]
     start = rng.permutation(children[0][0])
     expected = _oracle_swap_search(specs, start, 200, seed)
-    got = permsearch._swap_search(specs, start.copy(), 200, seed)
+    units = start.copy()
+    got = permsearch._swap_search(permsearch._families(specs, units), units, 200, seed)
     assert np.array_equal(got, expected)
     assert not np.array_equal(got, start)  # the search moved
 
@@ -445,7 +467,7 @@ def test_tracked_objective_follows_every_swap_and_undo():
             for family in families:
                 family.undo()
         tracked = sum(float(f.objectives().sum()) for f in families)
-        exact = permsearch._group_objective(specs, units)
+        exact = _oracle_objective(specs, units)
         assert abs(tracked - exact) <= 1e-9 * abs(exact)
     # the tracked chunks equal a fresh set-up on the final order, bit for bit
     fresh = permsearch._ChunkMoments([offset, specs[1][0]], 4, 1, units)
@@ -460,9 +482,56 @@ def test_objective_evaluations_do_not_grow_with_iterations(monkeypatch):
     monkeypatch.setattr(
         permsearch, "matrix_objective", lambda *a: calls.append(a) or original(*a)
     )
+
+    class CountedMoments(permsearch._ChunkMoments):
+        def __init__(self, *args):
+            calls.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(permsearch, "_ChunkMoments", CountedMoments)
     counts = []
     for iters in (10, 1000):
         calls.clear()
         optimize_group_permutation(children, iters=iters, seed=4)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def _oracle_start(children):
+    """Identity or greedy start, picked by the covariance formula on the live children."""
+    live = [(m, d, block) for m, d, block in children if block % d != 0]
+    identity = np.arange(children[0][0].shape[0] // children[0][2])
+    matrix, d, block = max(live, key=lambda s: s[0].size)
+    if d % block != 0:
+        return identity
+    greedy = greedy_init(matrix, d, block).indices[::block] // block
+    return greedy if _oracle_objective(live, greedy) < _oracle_objective(live, identity) else identity
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_zero_iterations_keep_the_start_the_covariance_formula_picks(seed, monkeypatch):
+    rng = make_rng(seed, "start-oracle")
+    calls = []
+    original = permsearch.matrix_objective
+    monkeypatch.setattr(
+        permsearch, "matrix_objective", lambda *a: calls.append(a) or original(*a)
+    )
+    picks = []
+    for trial in range(6):
+        # mixed groups: an invariant conv child next to live fc and conv children;
+        # a near-identical row pair makes greedy worse than the identity in some trials
+        fc = _scaled_matrix(rng, 8, 12)
+        if trial % 2:
+            fc[1] = fc[0] + 1e-3 * rng.standard_normal(12)
+        children = [
+            (fc, 4, 1),
+            (rng.standard_normal((8 * 9, 5)), 9, 9),
+            (_scaled_matrix(rng, 8 * 9, int(rng.integers(2, 6))), 18, 9),
+        ]
+        expected = _oracle_start(children)
+        calls.clear()
+        out = optimize_group_permutation(children, iters=0, seed=seed)
+        assert calls == []
+        assert np.array_equal(out.indices, expected)
+        picks.append(np.array_equal(expected, np.arange(8)))
+    assert True in picks and False in picks  # both starts occur
