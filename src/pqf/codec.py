@@ -394,7 +394,10 @@ def encode_layers(
     """Encode every compressible layer; returns name -> `LayerEncoding`.
 
     Layers missing from `permutations` keep the identity. Seeds are derived
-    per layer, so `jobs` worker threads change nothing but wall time.
+    per layer, so `jobs` worker threads change nothing but wall time. The
+    pool takes the layers largest first (Graham's LPT rule), by the
+    assignment work N * k_eff * d of one quantizer iteration, so the largest
+    layer does not start last; results stay in declaration order.
     """
 
     def encode_one(meta):
@@ -411,8 +414,14 @@ def encode_layers(
     if jobs > 1 and len(layers) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
+        def work(meta):
+            size = ckpt.tensor(f"{meta.name}.weight").data.size  # N * d
+            n = max(1, size // max(1, cfg.subvector_size(meta)))
+            return size * quantize.clamp_codebook_size(cfg.requested_codebook_size(meta), n)
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return dict(pool.map(encode_one, layers))
+            done = dict(pool.map(encode_one, sorted(layers, key=work, reverse=True)))
+        return {meta.name: done[meta.name] for meta in layers}
     return dict(encode_one(meta) for meta in layers)
 
 

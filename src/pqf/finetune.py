@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import codec, layout
-from .errors import DivergedLoss, ShapeMismatch
+from .errors import DivergedLoss, MalformedFile, ShapeMismatch
 from .permsearch import subvector_points
 from .rng import gaussian, make_rng
 from .tensor_io import WEIGHTED_KINDS, LayerMeta, ModelCheckpoint, tensor_record
@@ -523,7 +523,10 @@ def train_network(
 # ---------------------------------------------------------------------------
 
 def make_mlp_checkpoint(sizes, seed: int = 0, prefix: str = "fc") -> ModelCheckpoint:
-    """input -> [fc -> relu]* -> fc -> output, He-initialized."""
+    """input -> [fc -> relu]* -> fc -> output, He-initialized.
+
+    Raises `MalformedFile` naming the first fc layer with a width below 1.
+    """
     rng = make_rng(seed, "mlp-init")
     layers = [LayerMeta("input", "input", 1, sizes[0], sizes[0])]
     edges = []
@@ -531,6 +534,8 @@ def make_mlp_checkpoint(sizes, seed: int = 0, prefix: str = "fc") -> ModelCheckp
     prev = "input"
     for i in range(len(sizes) - 1):
         name = f"{prefix}{i + 1}"
+        if min(sizes[i], sizes[i + 1]) < 1:
+            raise MalformedFile(f"layer {name!r} has an empty dimension")
         layers.append(LayerMeta(name, "fc", 1, sizes[i], sizes[i + 1]))
         edges.append((prev, name))
         w = gaussian(rng, (sizes[i], sizes[i + 1])) * np.sqrt(2.0 / sizes[i])

@@ -10,13 +10,17 @@ noiseless; code updates always see the clean subvectors. With a zero
 covariance the annealed run is bit-for-bit identical to plain k-means under
 the same seed.
 
-The code update is exact: each block of subvectors is scored against all
-centroids with one matrix multiply (``||c||**2 - 2 x.c``), and a subvector
-keeps that winner only when the runner-up trails by more than a rigorous
-rounding margin, ``4*(d+2)*eps*(||x|| + max ||c||)**2``. Every other
-subvector is re-scored with the plain difference form. Codes are therefore
-the difference form's argmin (lowest index on ties) bit for bit, whatever
-order or thread count the BLAS library uses.
+The code update is exact. Each block of subvectors is scored in float32
+against all centroids with one matrix multiply (``||c||**2 - 2 x.c``, the
+norm folded in as one more column). A subvector keeps the winner when no
+other centroid scores within a rigorous rounding margin,
+``4*g_{d+4}*(||x|| + max ||c||)**2`` with ``g_n ~ n * 2**-24`` (it also covers
+the cast to float32, underflow and overflow). Every other subvector is
+re-scored in float64 with the plain difference form, over only the centroids
+inside the margin. Codes are therefore the difference form's argmin (lowest
+index on ties) bit for bit, whatever order or thread count the BLAS library
+uses. Toy-sized calls skip the prefilter and take the difference form
+directly.
 """
 
 from __future__ import annotations
@@ -69,10 +73,11 @@ def assign_codes(subvectors, codebook) -> np.ndarray:
     """Nearest centroid (squared Euclidean) per subvector; ties go low.
 
     Exactly the argmin of the difference form ``sum_i (x_i - c_ji)**2``: a
-    matrix-multiply prefilter decides every subvector whose winner leads by
-    more than the rounding margin ``4*(d+2)*eps*(||x|| + max ||c||)**2`` and
-    the difference form decides the rest (see `_assign`), so the codes do
-    not depend on BLAS summation order or thread count.
+    float32 matrix-multiply prefilter decides every subvector whose winner
+    leads all other centroids by more than a proven rounding margin, and the
+    float64 difference form over the centroids within that margin decides
+    the rest (see `_assign`), so the codes do not depend on BLAS summation
+    order or thread count.
     """
     pts, shape = _points_and_shape(subvectors)
     cb = np.asarray(codebook, dtype=np.float64)
@@ -80,78 +85,147 @@ def assign_codes(subvectors, codebook) -> np.ndarray:
         raise DimensionMismatch(
             f"codebook width {cb.shape} does not match subvector length {pts.shape[1]}"
         )
-    codes = _assign(pts, cb, _row_norms(pts))
+    codes = _assign(pts, cb, *_lift(pts, cb.shape[0]))
     return codes.reshape(shape) if shape is not None else codes
 
 
-# A (rows, k) score block or (rows, k, d) difference block holds at most this
-# many float64 values (8 MB).
-_BLOCK = 1 << 20
-_EPS = np.finfo(np.float64).eps
-_TINY = np.finfo(np.float64).tiny
+# A score block holds about this many float32 values (256 KB) and a
+# difference block about this many float64 values (512 KB), within L2.
+_BLOCK = 1 << 16
+# A call with at most this many difference-form terms (n*k*d) is cheaper on
+# the exact path than the prefilter's fixed cost of some thirty numpy calls:
+# measured 38 against 56 us at (n, k, d) = (48, 12, 4), 59 against 54 us at
+# (64, 16, 4), one BLAS thread.
+_EXACT_WORK = 3072
+_U32 = 2.0**-24  # float32 unit roundoff
 
 
-def _row_norms(pts: np.ndarray) -> np.ndarray:
-    # ||x|| per row, for the rounding margin of `_assign`
-    return np.sqrt(np.einsum("ij,ij->i", pts, pts))
+def _layout(n: int, k: int):
+    """Rows per score block, and whether a block is scored centroid-major.
+
+    Reductions across rows as short as 32 centroids cost more per row than
+    the scores they read, so with fewer centroids than rows per block each
+    block is a (k, rows) array reduced down its columns instead.
+    """
+    rows = max(1, min(n, _BLOCK // k))
+    return rows, k < rows
 
 
-def _assign(pts: np.ndarray, codebook: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Exact nearest centroid: a GEMM prefilter, then the difference form where unsure.
+def _lift(pts: np.ndarray, k: int):
+    """||x|| per row, and the rows as float32 with a 1 appended, for `_assign`.
+
+    The lifted rows are stored in the order the block GEMM reads fastest:
+    column-major when the blocks are scored centroid-major.
+    """
+    n, d = pts.shape
+    order = "F" if _layout(n, k)[1] else "C"
+    lifted = np.ones((n, d + 1), dtype=np.float32, order=order)
+    # a cast that overflows gives inf, and that row's margin is infinite too
+    with np.errstate(over="ignore"):
+        lifted[:, :d] = pts
+    return np.sqrt(np.einsum("ij,ij->i", pts, pts)), lifted
+
+
+def _assign(pts, codebook, norms, lifted) -> np.ndarray:
+    """Exact nearest centroid: a float32 GEMM prefilter, then float64 where unsure.
 
     The codes are by definition the argmin (lowest index on ties) of the
-    difference form ``delta_j = sum_i (x_i - c_ji)**2``. Each row is first
-    scored with ``a_j = ||c_j||**2 - 2 x.c_j`` (one matrix multiply per block)
-    and keeps the prefilter's winner w only when every other centroid scores
-    more than a rounding margin ``m`` above it; all other rows are re-scored
-    with the difference form over all k.
+    float64 difference form ``delta_j = sum_i (x_i - c_ji)**2``. Each row is
+    first scored in float32 with ``s_j = ||c_j||**2 - 2 x.c_j``, one GEMM per
+    block of the lifted rows ``(x, 1)`` against ``(-2 c_j, ||c_j||**2)``.
+    Let w be the lowest score and m the row's margin. A centroid with
+    ``s_j > s_w + m`` can be neither the argmin of the difference form nor tied
+    with it, so a row with one candidate ``s_j <= s_w + m`` keeps it, and
+    every other row is re-scored with the difference form over its
+    candidates only.
 
-    Margin. Let u = eps/2, gamma_n = n*u/(1 - n*u), R = ||x|| + max_j ||c_j||
-    and D_j = ||x - c_j||**2 <= R**2 (exact). For any summation order:
-      - difference form: one rounding for the subtraction (squared), one for
-        the square, d - 1 for the sum, so |delta_j - D_j| <= gamma_{d+2} R**2;
-      - prefilter: x.(-2 c_j) and ||c_j||**2 err by at most gamma_d * 2||x|| ||c_j||
-        and gamma_d ||c_j||**2 (scaling by -2 is exact), and their sum adds
-        u*|a_j|, so |a_j - (D_j - ||x||**2)| <= gamma_{d+1} R**2.
-    If a_j > a_w + m for every j != w, then delta_j - delta_w > m -
-    2*(gamma_{d+1} + gamma_{d+2}) R**2 >= m - 4*gamma_{d+2} R**2, so
-    m = 4*gamma_{d+2} R**2 makes w the strict argmin of the difference form,
-    whatever order BLAS sums in. The code uses m = 4*(d+2)*eps*R**2, twice
-    that, which also covers the rounding of R, of m and of ``a_w + m``; the
-    added ``tiny`` covers underflow, whose absolute error per operation is at
-    most 2**-1075. R is squared after scaling by 2**24, so m is infinite for
-    R >= 2**488, before any squared distance can overflow. A NaN or infinite
-    margin fails the test, so the row takes the exact path.
+    Margin. Let u = 2**-24, g_n = n*u/(1 - n*u), G_n the float64 analogue
+    (unit 2**-53), R = ||x|| + max_j ||c_j|| and D_j = ||x - c_j||**2 <= R**2
+    (exact). The float64 difference form rounds once in the subtraction
+    (squared), once in the square and d - 1 times in the sum, so
+    |delta_j - D_j| <= G_{d+2} R**2. A float32 rounding errs by at most u
+    relative or, where it underflows, by eta = 2**-150 absolute (an addition
+    that underflows is exact). For any summation order, with or without
+    fused multiply-adds:
+      - casting: x~_i = fl32(x_i) and b_ji = fl32(-2 c_ji) err by u|x_i| + eta
+        and 2u|c_ji| + eta; q_j = fl32(fl64(||c_j||**2)) errs by
+        (u + G_d)(1 + u)||c_j||**2 + eta;
+      - so x~.b_j differs from -2 x.c_j by at most (2u + u**2) 2||x|| ||c_j||
+        + eta (2 sqrt(d) R (1 + u) + d eta);
+      - the folded dot product over d + 1 terms (the last one times an exact
+        1) adds g_{d+1} times the sum of the terms' magnitudes, plus d eta
+        for products that underflow.
+    With 2||x|| ||c_j|| + ||c_j||**2 <= R**2 and 2 sqrt(d) R <= d + R**2, and
+    g_{d+4} - g_{d+1} >= 3u absorbing the small cross terms, this gives
+    |s_j - (D_j - ||x||**2)| <= E = g_{d+4} R**2 + (2d + 2) eta. If
+    s_j > s_w + m then delta_j - delta_w > m - 2E - 2 G_{d+2} R**2, so
+    m = 2E + 2 G_{d+2} R**2 suffices. The code uses
+    m = 4 g_{d+4} R**2 + (d + 1) 2**-147 = 4E. The spare 2E covers G_{d+2}
+    (below 2**-28 g_{d+4}), float64 underflow (2**-1075 per operation), the
+    float64 rounding of R, m and s_w + m, and the rounding of that limit to
+    float32 (at most u (R**2 + 5E) + eta < E).
+
+    Overflow. R is scaled by 2**449 before squaring, so m is infinite for
+    R >= 2**63. Below that R**2 < 2**126, and no cast, product or partial sum
+    can leave float32's range (about 2**128), so the bound above holds. A row
+    whose limit ``s_w + m`` is infinite or NaN takes all k centroids as
+    candidates.
     """
     n, d = pts.shape
     k = codebook.shape[0]
+    # the margin below needs (d + 4) u < 1
+    if n * k * d <= _EXACT_WORK or (d + 4) * _U32 >= 1:
+        return _assign_exact(pts, codebook)
     out = np.empty(n, dtype=np.int64)
-    unsure = []
-    # overflow only makes a margin infinite or a score non-finite, which sends
-    # the row to the exact path; that path keeps its own warnings
+    rows, centroid_major = _layout(n, k)
+    if centroid_major:
+        count_index = np.stack([np.ones(k), np.arange(k)]).astype(np.float32)
+    else:
+        at = np.arange(rows)
+    gamma = (d + 4) * _U32 / (1 - (d + 4) * _U32)
+    # overflow only makes a limit infinite or a score non-finite, which sends
+    # the row to the difference form over all k
     with np.errstate(over="ignore", invalid="ignore"):
         cb_sq = np.einsum("ij,ij->i", codebook, codebook)
         radius = norms + np.sqrt(cb_sq.max())
-        margin = (4.0 * (d + 2) * _EPS * 2.0**-48) * np.square(radius * 2.0**24) + _TINY
-        cb_t = -2.0 * codebook.T
-        rows = max(1, min(n, _BLOCK // k))
-        at = np.arange(rows)
+        margin = (4.0 * gamma * 2.0**-898) * np.square(radius * 2.0**449) + (d + 1) * 2.0**-147
+        lifted_cb = np.empty((k, d + 1), dtype=np.float32)
+        lifted_cb[:, :d] = -2.0 * codebook
+        lifted_cb[:, d] = cb_sq
         for start in range(0, n, rows):
             stop = min(start + rows, n)
-            score = pts[start:stop] @ cb_t
-            score += cb_sq
-            best = np.argmin(score, axis=1)
-            here = at[: stop - start]
-            lowest = score[here, best]
-            score[here, best] = np.inf
+            if centroid_major:
+                score = lifted_cb @ lifted[start:stop].T  # (k, rows)
+                limit = (score.min(axis=0) + margin[start:stop]).astype(np.float32)
+                # per row: how many candidates, and the sum of their indices
+                count, best = count_index @ (score <= limit).astype(np.float32)
+                sure = count == 1
+                score = score.T
+            else:
+                score = lifted[start:stop] @ lifted_cb.T  # (rows, k)
+                here = at[: stop - start]
+                best = np.argmin(score, axis=1)
+                lowest = score[here, best]
+                limit = (lowest + margin[start:stop]).astype(np.float32)
+                score[here, best] = np.inf
+                # argmin, unlike min, has no per-row overhead along short rows
+                sure = score[here, np.argmin(score, axis=1)] > limit
+                score[here, best] = lowest
             out[start:stop] = best
-            sure = score.min(axis=1) > lowest + margin[start:stop]
             if not sure.all():
-                unsure.append(start + np.flatnonzero(~sure))
-    if unsure:
-        unsure = np.concatenate(unsure)
-        out[unsure] = _assign_exact(pts[unsure], codebook)
+                unsure = np.flatnonzero(~sure)
+                cand = score[unsure] <= limit[unsure, None]
+                cand[~np.isfinite(limit[unsure])] = True
+                out[start + unsure] = _assign_candidates(pts[start + unsure], codebook, cand)
     return out
+
+
+def _assign_candidates(pts: np.ndarray, codebook: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    # the difference form over each row's candidates; a non-candidate scores inf
+    r, j = np.nonzero(cand)
+    dist = np.full(cand.shape, np.inf)
+    dist[r, j] = np.square(pts[r] - codebook[j]).sum(axis=1)
+    return np.argmin(dist, axis=1)
 
 
 def _assign_exact(pts: np.ndarray, codebook: np.ndarray) -> np.ndarray:
@@ -214,7 +288,7 @@ def _run(pts, k_eff, iters, rng, noise_std=None, gamma=DEFAULT_GAMMA, stop_when_
     n = pts.shape[0]
     codes = rng.integers(0, k_eff, size=n, dtype=np.int64)
     codebook, _ = _update(pts, codes, k_eff)
-    norms = _row_norms(pts)
+    prefilter = _lift(pts, k_eff) if iters > 0 else None
     add_noise = noise_std is not None and bool(np.any(noise_std > 0))
     for tau in range(1, iters + 1):
         scale = (1.0 - tau / iters) ** gamma
@@ -223,7 +297,7 @@ def _run(pts, k_eff, iters, rng, noise_std=None, gamma=DEFAULT_GAMMA, stop_when_
         else:
             noisy = pts
         codebook, reseeded = _update(noisy, codes, k_eff)
-        new_codes = _assign(pts, codebook, norms)
+        new_codes = _assign(pts, codebook, *prefilter)
         stable = not reseeded and np.array_equal(new_codes, codes)
         codes = new_codes
         if stop_when_stable and stable:

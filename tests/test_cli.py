@@ -292,18 +292,20 @@ def test_compress_non_finite_weight_is_data_error(tmp_path, capsys):
 
 
 def test_compressed_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # prefilter blocks of 1024 x 1024 x 4 multiply-adds: above the size at which
-    # OpenBLAS splits a GEMM across threads
-    ckpt_path = tmp_path / "mlp.pqfn"
-    tensor_io.save_checkpoint(make_mlp_checkpoint((256, 512, 64), seed=4), ckpt_path)
+    # the large-regime 3x3 conv (64 -> 64, d = 18, k = 256) is scored in
+    # float32 blocks of 256 rows x 256 centroids x 19 multiply-adds, a GEMM that
+    # OpenBLAS splits across two threads; blocks with d = 4 or 9 it does not
+    ckpt = finetune.make_conv_classifier_checkpoint((2, 64, 64), kernel_size=3, seed=4)
+    ckpt_path = tmp_path / "conv.pqfn"
+    tensor_io.save_checkpoint(ckpt, ckpt_path)
     src_dir = str(Path(pqf.__file__).resolve().parents[1])
     outs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
         out_path = tmp_path / f"t{threads}.pqfc"
-        argv = ["compress", str(ckpt_path), "--out", str(out_path), "--k", "256",
-                "--k-fc", "1024", "--src-iters", "4", "--perm-iters", "10", "--seed", "5"]
+        argv = ["compress", str(ckpt_path), "--out", str(out_path), "--regime", "large",
+                "--k", "256", "--src-iters", "4", "--perm-iters", "10", "--seed", "5"]
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from pqf.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
             env=env, capture_output=True, text=True, timeout=300,

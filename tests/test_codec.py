@@ -198,6 +198,36 @@ def test_compress_deterministic_and_jobs_invariant():
     assert tensor_io.compressed_models_equal(m1, m2)
 
 
+def test_jobs_pool_takes_the_largest_layer_first(monkeypatch, tmp_path):
+    import concurrent.futures
+
+    # assignment work N * k_eff * d = weight size * k_eff: fc1 512 * 8,
+    # fc2 2048 * 8, fc3 256 * 8
+    ckpt = make_mlp_checkpoint((16, 32, 64, 4), seed=5)
+    cfg = CompressionConfig.small_blocks(k=8, k_fc=8, src_iterations=5, perm_iterations=10)
+    submitted = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def map(self, fn, items):
+            items = list(items)
+            submitted.append([meta.name for meta in items])
+            return super().map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    permutations = codec.resolve_layer_permutations(ckpt, cfg, seed=2)
+    encodings = codec.encode_layers(ckpt, cfg, permutations, seed=2, jobs=2)
+    assert submitted == [["fc2", "fc1", "fc3"]]
+    assert list(encodings) == ["fc1", "fc2", "fc3"]
+
+    written = []
+    for jobs in (1, 2):
+        model, _, _ = compress_model(ckpt, cfg, seed=2, jobs=jobs)
+        path = tmp_path / f"jobs{jobs}.pqfc"
+        tensor_io.save_compressed(model, path)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("regime", [CompressionConfig.small_blocks, CompressionConfig.large_blocks])
 def test_compress_model_scores_no_order_with_the_reference_objective(regime, monkeypatch):
     ckpt = make_residual_checkpoint(c_in=2, width=8, n_blocks=2, seed=7)

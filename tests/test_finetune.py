@@ -296,6 +296,12 @@ def test_training_steps_never_resort_the_graph(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("sizes, layer", [((8, 0, 4), "fc1"), ((0, 4), "fc1"), ((8, 4, 0), "fc2")])
+def test_mlp_with_a_zero_width_is_malformed(sizes, layer):
+    with pytest.raises(MalformedFile, match=f"'{layer}'"):
+        make_mlp_checkpoint(sizes)
+
+
 def test_cyclic_graph_is_rejected_when_the_network_is_built():
     ckpt = make_mlp_checkpoint((3, 4, 2), seed=47)
     ckpt.edges.append(("relu1", "fc1"))

@@ -110,7 +110,14 @@ def test_assign_matches_oracle_with_huge_norm_offset(d):
     _assert_matches_oracle(pts, codebook)
 
 
-@pytest.mark.parametrize("scale", [1e-160, 1e-310, 1e150, 1e200])
+# float64's edges (1e-310 is subnormal, 1e200 squares overflow) and float32's:
+# squares are subnormal at 1e-20 and flush to zero at 1e-23, the cast gives
+# subnormals at 1e-40 and zero at 1e-46, squares reach float32's range at
+# 1e19 and pass it at 1e20, and the cast itself overflows at 1e39
+@pytest.mark.parametrize(
+    "scale",
+    [1e-160, 1e-310, 1e150, 1e200, 1e-20, 1e-23, 1e-40, 1e-46, 1e19, 1e20, 1e39],
+)
 def test_assign_matches_oracle_at_extreme_magnitudes(scale):
     rng = make_rng(80, "extreme")
     _assert_matches_oracle(
@@ -126,13 +133,62 @@ def test_assign_single_centroid():
 
 @pytest.mark.parametrize("extra", [-1020, -1, 0, 1])
 def test_assign_matches_oracle_around_a_block_boundary(extra):
-    k = 1024
+    k = 16
     rows = quantize._BLOCK // k  # rows per prefilter block
     rng = make_rng(82, "boundary")
     pts = rng.standard_normal((rows + extra, 4))
     codebook = rng.standard_normal((k, 4))
     codebook[7] = codebook[3]  # a duplicate sends rows near it to the exact path
     _assert_matches_oracle(pts, codebook)
+
+
+def _block_rows(k):
+    # rows per prefilter block; k < rows scores centroid-major, else row-major
+    return quantize._BLOCK // k
+
+
+@pytest.mark.parametrize("k", [4, 32, 256, 2048])
+@pytest.mark.parametrize("scale", [1e-20, 1e-23, 1e-40, 1e-46, 1e19, 1e20, 1e39])
+def test_assign_matches_oracle_at_float32_limits_in_both_layouts(k, scale):
+    rng = make_rng(83, "float32-limits")
+    n = 2 * _block_rows(k) + 1  # two full blocks and a one-row tail
+    codebook = rng.standard_normal((k, 4)) * scale
+    codebook[-1] = codebook[0]  # a duplicate: rows near it tie
+    _assert_matches_oracle(rng.standard_normal((n, 4)) * scale, codebook)
+
+
+@pytest.mark.parametrize("k", [4, 32, 256, 2048])
+def test_assign_matches_oracle_with_rows_spanning_60_decades(k):
+    rng = make_rng(84, "decades")
+    n = _block_rows(k) + 1
+    row_scale = np.logspace(-30, 30, n)[rng.permutation(n)][:, None]
+    cb_scale = np.logspace(-30, 30, k)[:, None]
+    _assert_matches_oracle(
+        rng.standard_normal((n, 4)) * row_scale, rng.standard_normal((k, 4)) * cb_scale
+    )
+
+
+def test_assign_matches_oracle_on_integer_grid_ties_at_k2048():
+    rng = make_rng(85, "grid-2048")
+    # 2048 centroids drawn from 7**4 grid points: hundreds of exact duplicates,
+    # and grid points equidistant from several centroids
+    codebook = rng.integers(-3, 4, size=(2048, 4)).astype(np.float64)
+    pts = rng.integers(-3, 4, size=(2 * _block_rows(2048) + 5, 4)).astype(np.float64)
+    halves = rng.integers(-6, 7, size=(500, 4)) / 2.0
+    _assert_matches_oracle(np.concatenate([pts, halves]), codebook)
+
+
+def test_only_small_calls_take_the_exact_path(monkeypatch):
+    rows_seen = []
+    exact = quantize._assign_exact
+    monkeypatch.setattr(
+        quantize, "_assign_exact", lambda pts, cb: rows_seen.append(len(pts)) or exact(pts, cb)
+    )
+    rng = make_rng(86, "toy")
+    _assert_matches_oracle(rng.standard_normal((16, 8)), rng.standard_normal((4, 8)))
+    assert rows_seen == [16]
+    _assert_matches_oracle(rng.standard_normal((1000, 4)), rng.standard_normal((16, 4)))
+    assert rows_seen == [16]
 
 
 # ---------------------------------------------------------------------------
