@@ -105,6 +105,18 @@ def _add_config_flags(parser):
     parser.add_argument("--no-perm", action="store_true", help="identity permutations")
 
 
+def _check_config_flags(parser, args):
+    """Reject config values no run can use, as usage errors, before any work."""
+    widest = 1 << tensor_io.MAX_CODE_BITS  # larger codebooks need codes wider than stored
+    for flag, value in (("--k", args.k), ("--k-fc", args.k_fc)):
+        if not 1 <= value <= widest:
+            parser.error(f"{flag} must be between 1 and {widest}, got {value}")
+    if args.src_iters < (0 if args.no_anneal else 1):
+        parser.error(
+            f"--src-iters must be at least 1 (0 only with --no-anneal), got {args.src_iters}"
+        )
+
+
 def _config_from_args(args) -> codec.CompressionConfig:
     return codec.CompressionConfig(
         k=args.k,
@@ -440,6 +452,8 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
+    if args.command in ("compress", "report"):
+        _check_config_flags(parser, args)
     try:
         return _COMMANDS[args.command](args)
     except PQFError as exc:

@@ -116,7 +116,7 @@ class LayerEncoding:
     """Permutation + codebook + codes for one layer, and what they decode to."""
 
     permutation: Permutation
-    codebook: np.ndarray  # (k_eff, d) float64
+    codebook: np.ndarray  # (k_eff, d) float64, or float32 when read from a container
     codes: np.ndarray  # (m_hat, n) int64
     kernel_size: int
     c_in: int
@@ -184,12 +184,23 @@ def encode_layer(
 
 
 def decode_layer(enc: LayerEncoding) -> np.ndarray:
-    """Rebuild the weight tensor approximation in its original shape."""
-    subvectors = np.asarray(enc.codebook, dtype=np.float64)[enc.codes]
-    permuted = layout.merge_matrix(subvectors)
-    matrix = enc.permutation.invert_rows(permuted)
-    rw = layout.ReshapedWeight(matrix, enc.kernel_size, enc.c_in, enc.c_out, enc.source_kind)
-    return layout.inverse_reshape(rw)
+    """Rebuild the weight tensor approximation in its original shape.
+
+    Two passes over the weight: gather the centroids in the codebook's own
+    dtype (float32 from a container, float64 in fine-tuning), then scatter
+    each subvector's rows to their unpermuted place, straight into the
+    stored layout (`layout.empty_weight`), so no transpose copy follows.
+    """
+    m_hat, n = enc.codes.shape
+    subvectors = np.take(enc.codebook, enc.codes, axis=0)  # (m_hat, n, d)
+    weight, rows = layout.empty_weight(
+        enc.source_kind, enc.c_in, enc.c_out, enc.kernel_size, subvectors.dtype
+    )
+    # row i*d + t of the permuted matrix is row dest[i, t] of the layer's own
+    dest = enc.permutation.indices.reshape(m_hat, enc.d)
+    kk = enc.kernel_size**2
+    rows[dest // kk, dest % kk] = subvectors.transpose(0, 2, 1)
+    return weight
 
 
 def quantization_error(weight, enc: LayerEncoding) -> float:
@@ -483,8 +494,10 @@ def encoding_to_entry(name: str, enc: LayerEncoding) -> EncodedEntry:
 def entry_to_encoding(entry: EncodedEntry) -> LayerEncoding:
     """Rehydrate a storage entry; the codebook keeps its float16 rounding.
 
-    Raises `MalformedFile` naming the entry if the stored permutation repeats
-    or skips a row, or breaks its `perm_block` structure.
+    The codebook widens to float32, which holds every float16 exactly, and
+    the codes are shared with the entry, not copied. Raises `MalformedFile`
+    naming the entry if the stored permutation repeats or skips a row, or
+    breaks its `perm_block` structure.
     """
     permutation = Permutation(entry.permutation.astype(np.int64), block=entry.perm_block)
     try:
@@ -493,8 +506,8 @@ def entry_to_encoding(entry: EncodedEntry) -> LayerEncoding:
         raise MalformedFile(f"entry {entry.name!r} stores an invalid permutation: {exc}") from exc
     return LayerEncoding(
         permutation=permutation,
-        codebook=entry.codebook.astype(np.float64),
-        codes=entry.codes.astype(np.int64),
+        codebook=entry.codebook.astype(np.float32),
+        codes=np.asarray(entry.codes, dtype=np.int64),
         kernel_size=entry.kernel_size,
         c_in=entry.c_in,
         c_out=entry.c_out,
@@ -510,8 +523,11 @@ def decompress_model(model: CompressedModel) -> ModelCheckpoint:
         if isinstance(entry, RawEntry):
             tensors.append(entry.record)
         else:
-            weight = decode_layer(entry_to_encoding(entry))
-            tensors.append(tensor_io.tensor_record(f"{entry.name}.weight", weight, "f32"))
+            f32 = tensor_io.DTYPES["f32"]
+            # the decoded float32 weight becomes the record as is, not a copy
+            weight = np.asarray(decode_layer(entry_to_encoding(entry)), dtype=f32)
+            name = f"{entry.name}.weight"
+            tensors.append(tensor_io.TensorRecord(name, "f32", weight.shape, weight))
     ckpt = ModelCheckpoint(tensors=tensors, layers=list(model.layers), edges=list(model.edges))
     tensor_io._fill_bias_flags(ckpt)
     return ckpt

@@ -465,6 +465,9 @@ def finetune_codebooks(
     """
     if not net.encodings:
         raise ValueError("network has no encoded layers to fine-tune")
+    for enc in net.encodings.values():
+        # a container's float32 codebook trains in float64, like a fresh one
+        enc.codebook = np.asarray(enc.codebook, dtype=np.float64)
     frozen_codes = {n: enc.codes.copy() for n, enc in net.encodings.items()}
     frozen_perms = {n: enc.permutation.indices.copy() for n, enc in net.encodings.items()}
 

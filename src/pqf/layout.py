@@ -72,15 +72,32 @@ def reshape_weight(weight, kind: str) -> ReshapedWeight:
     raise ShapeMismatch(f"no reshape rule for layer kind {kind!r}")
 
 
+def empty_weight(kind: str, c_in: int, c_out: int, kernel_size: int, dtype) -> tuple:
+    """An unfilled weight tensor in its stored layout, and its reshaped rows.
+
+    Returns ``(tensor, rows)``: `rows` is a `(C_in, K*K, C_out)` view of
+    `tensor` whose ``rows[c, s, o]`` is entry ``(c*K*K + s, o)`` of the
+    matrix `reshape_weight` makes, so filling `rows` fills the tensor
+    without a transpose copy.
+    """
+    k = kernel_size
+    if kind == "fc":
+        tensor = np.empty((c_in, c_out), dtype)
+        return tensor, tensor.reshape(c_in, 1, c_out)
+    if kind == "conv":
+        tensor = np.empty((c_in, c_out, k, k), dtype)
+        return tensor, tensor.reshape(c_in, c_out, k * k).transpose(0, 2, 1)
+    if kind == "deconv":
+        tensor = np.empty((c_out, c_in, k, k), dtype)
+        return tensor, tensor.reshape(c_out, c_in, k * k).transpose(1, 2, 0)
+    raise ShapeMismatch(f"no reshape rule for layer kind {kind!r}")
+
+
 def inverse_reshape(rw: ReshapedWeight) -> np.ndarray:
     """Recover the original weight tensor from a reshaped matrix."""
-    k = rw.kernel_size
-    if rw.source_kind == "fc":
-        return rw.matrix.copy()
-    conv = rw.matrix.reshape(rw.c_in, k, k, rw.c_out).transpose(0, 3, 1, 2)
-    if rw.source_kind == "deconv":
-        return conv.transpose(1, 0, 2, 3).copy()
-    return conv.copy()
+    tensor, rows = empty_weight(rw.source_kind, rw.c_in, rw.c_out, rw.kernel_size, rw.matrix.dtype)
+    rows[...] = rw.matrix.reshape(rows.shape)
+    return tensor
 
 
 @dataclass(frozen=True, eq=False)

@@ -69,11 +69,6 @@ class Permutation:
     def apply_rows(self, matrix: np.ndarray) -> np.ndarray:
         return matrix[self.indices]
 
-    def invert_rows(self, matrix: np.ndarray) -> np.ndarray:
-        out = np.empty_like(matrix)
-        out[self.indices] = matrix
-        return out
-
     def inverse(self) -> "Permutation":
         return Permutation(np.argsort(self.indices), self.block)
 

@@ -193,23 +193,82 @@ def _layer_to_dict(meta: LayerMeta) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _field(obj: dict, key: str, kind, where: str):
+    """``obj[key]`` if it is a `kind` (an int is never a bool); else `MalformedFile`."""
+    value = obj.get(key)
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
+        raise MalformedFile(f"{where}: field {key!r} is missing or not {kind.__name__}")
+    return value
+
+
+def _listing(manifest: dict, key: str) -> list:
+    """Manifest list `key` (default empty), checked to hold JSON objects only."""
+    items = manifest.get(key, [])
+    if not isinstance(items, list) or not all(isinstance(o, dict) for o in items):
+        raise MalformedFile(f"manifest field {key!r} is not a list of objects")
+    return items
+
+
 def _layer_from_dict(obj: dict) -> LayerMeta:
+    name = _field(obj, "name", str, "layer")
+    where = f"layer {name!r}"
     return LayerMeta(
-        name=obj["name"],
-        kind=obj["kind"],
-        kernel_size=int(obj["kernel_size"]),
-        c_in=int(obj["c_in"]),
-        c_out=int(obj["c_out"]),
+        name=name,
+        kind=_field(obj, "kind", str, where),
+        kernel_size=_field(obj, "kernel_size", int, where),
+        c_in=_field(obj, "c_in", int, where),
+        c_out=_field(obj, "c_out", int, where),
     )
 
 
-def _frame(magic: bytes, manifest: dict, payload: bytes) -> bytes:
+def _graph_from_manifest(manifest: dict) -> tuple:
+    """The checked ``(layers, edges)`` a manifest echoes."""
+    edges = manifest.get("edges", [])
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e) for e in edges
+    ):
+        raise MalformedFile("manifest field 'edges' is not a list of [producer, consumer] names")
+    layers = [_layer_from_dict(o) for o in _listing(manifest, "layers")]
+    return layers, [(p, c) for p, c in edges]
+
+
+class _Payload:
+    """The buffers written after a manifest, in file order, and their total size."""
+
+    def __init__(self):
+        self.parts = []
+        self.nbytes = 0
+
+    def add(self, data) -> int:
+        """Queue `data` (bytes or an array, written as its raw bytes); returns its offset."""
+        if not isinstance(data, bytes):
+            data = np.ascontiguousarray(data).reshape(-1).view(np.uint8)
+        view = memoryview(data)
+        offset = self.nbytes
+        self.parts.append(view)
+        self.nbytes += view.nbytes
+        return offset
+
+
+def _write_file(path, magic: bytes, manifest: dict, payload: _Payload) -> int:
+    """Write header, manifest, then each payload buffer in place; returns the bytes written."""
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     head = magic + FORMAT_VERSION.to_bytes(4, "little") + len(blob).to_bytes(8, "little")
-    return head + blob + payload
+    try:
+        with open(path, "wb") as fh:
+            for part in (head, blob, *payload.parts):
+                fh.write(part)
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+    return len(head) + len(blob) + payload.nbytes
 
 
 def _unframe(raw: bytes, magic: bytes) -> tuple:
+    """Split a file into its manifest and a view of its payload (no copy)."""
     if len(raw) < _HEADER:
         raise MalformedFile("file too short for header")
     if raw[:4] != magic:
@@ -224,7 +283,9 @@ def _unframe(raw: bytes, magic: bytes) -> tuple:
         manifest = json.loads(raw[_HEADER : _HEADER + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedFile(f"manifest is not valid JSON: {exc}") from exc
-    return manifest, raw[_HEADER + mlen :]
+    if not isinstance(manifest, dict):
+        raise MalformedFile("manifest is not a JSON object")
+    return manifest, memoryview(raw)[_HEADER + mlen :]
 
 
 def _read_file(path) -> bytes:
@@ -235,68 +296,65 @@ def _read_file(path) -> bytes:
         raise IoFailure(str(exc)) from exc
 
 
-def _write_file(path, raw: bytes) -> int:
-    try:
-        with open(path, "wb") as fh:
-            fh.write(raw)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    return len(raw)
-
-
-def _take(payload: bytes, offset: int, nbytes: int, what: str) -> bytes:
+def _take(payload: memoryview, offset: int, nbytes: int, what: str) -> memoryview:
     if offset < 0 or nbytes < 0 or offset + nbytes > len(payload):
         raise MalformedFile(f"file truncated inside {what}")
     return payload[offset : offset + nbytes]
 
 
-def _put_tensor(payload: bytearray, rec: TensorRecord) -> dict:
-    """Append a record's bytes to `payload`; returns its manifest fields."""
+def _put_tensor(payload: _Payload, rec: TensorRecord) -> dict:
+    """Queue a record's bytes in `payload`; returns its manifest fields."""
     rec.validate()
-    offset = len(payload)
-    payload.extend(rec.data.astype(DTYPES[rec.dtype], copy=False).tobytes())
     return {
         "name": rec.name,
         "dtype": rec.dtype,
         "shape": list(rec.shape),
-        "offset": offset,
+        "offset": payload.add(rec.data),
         "nbytes": rec.nbytes,
     }
 
 
-def _get_tensor(payload: bytes, obj: dict) -> TensorRecord:
+def _get_tensor(payload: memoryview, obj: dict) -> TensorRecord:
     """Inverse of :func:`_put_tensor`, checking the fields against the payload."""
-    name, dtype = obj["name"], obj["dtype"]
+    name = _field(obj, "name", str, "tensor")
+    where = f"tensor {name!r}"
+    dtype = _field(obj, "dtype", str, where)
     if dtype not in DTYPES:
         raise MalformedFile(f"unknown dtype {dtype!r}")
-    shape = tuple(int(s) for s in obj["shape"])
+    shape = tuple(_field(obj, "shape", list, where))
+    if not all(_is_int(s) for s in shape):
+        raise MalformedFile(f"{where}: field 'shape' is not a list of int")
     if any(s < 0 for s in shape):
         raise MalformedFile(f"tensor {name!r} has a negative dimension")
     nbytes = math.prod(shape) * DTYPES[dtype].itemsize
-    if nbytes != int(obj["nbytes"]):
+    if nbytes != _field(obj, "nbytes", int, where):
         raise MalformedFile(f"tensor {name!r} byte length mismatch")
-    raw = _take(payload, int(obj["offset"]), nbytes, f"tensor {name!r}")
+    raw = _take(payload, _field(obj, "offset", int, where), nbytes, where)
     return TensorRecord(name, dtype, shape, np.frombuffer(raw, DTYPES[dtype]).reshape(shape).copy())
 
 
 def save_checkpoint(ckpt: ModelCheckpoint, path) -> int:
-    """Serialize a checkpoint; returns the byte count written."""
+    """Serialize a checkpoint; returns the byte count written.
+
+    Offsets follow from each record's `nbytes`, so the header and manifest
+    go out first and every tensor is then written straight from its array
+    through a memoryview: the payload is never assembled in memory.
+    """
     ckpt.validate()
-    payload = bytearray()
+    payload = _Payload()
     manifest = {
         "tensors": [_put_tensor(payload, rec) for rec in ckpt.tensors],
         "layers": [_layer_to_dict(m) for m in ckpt.layers],
         "edges": [[p, c] for p, c in ckpt.edges],
     }
-    return _write_file(path, _frame(CHECKPOINT_MAGIC, manifest, bytes(payload)))
+    return _write_file(path, CHECKPOINT_MAGIC, manifest, payload)
 
 
 def load_checkpoint(path) -> ModelCheckpoint:
     """Parse and fully validate a ``PQFN`` checkpoint file."""
     manifest, payload = _unframe(_read_file(path), CHECKPOINT_MAGIC)
-    tensors = [_get_tensor(payload, obj) for obj in manifest.get("tensors", [])]
-    layers = [_layer_from_dict(o) for o in manifest.get("layers", [])]
-    edges = [(p, c) for p, c in manifest.get("edges", [])]
+    tensors = [_get_tensor(payload, obj) for obj in _listing(manifest, "tensors")]
+    layers, edges = _graph_from_manifest(manifest)
     ckpt = ModelCheckpoint(tensors=tensors, layers=layers, edges=edges)
     _fill_bias_flags(ckpt)
     ckpt.validate()
@@ -360,12 +418,15 @@ def code_width(k_eff: int) -> int:
     return max(0, math.ceil(math.log2(k_eff))) if k_eff > 1 else 0
 
 
+MAX_CODE_BITS = 16  # the widest code the container stores: k_eff <= 65536
+
+
 def pack_codes(values, bits: int) -> bytes:
     """Pack non-negative ints to `bits` bits each, LSB-first within the stream."""
     vals = np.ascontiguousarray(values, dtype="<u2").ravel()
     if bits == 0 or vals.size == 0:
         return b""
-    if bits < 0 or bits > 16:
+    if bits < 0 or bits > MAX_CODE_BITS:
         raise ValueError(f"code width {bits} out of range")
     if vals.size and int(vals.max()) >= (1 << bits):
         raise ValueError("code value does not fit in the requested width")
@@ -374,19 +435,33 @@ def pack_codes(values, bits: int) -> bytes:
     return np.packbits(stream, bitorder="little").tobytes()
 
 
-def unpack_codes(buf: bytes, bits: int, count: int) -> np.ndarray:
-    """Inverse of :func:`pack_codes`; returns int64 values."""
+def unpack_codes(buf, bits: int, count: int) -> np.ndarray:
+    """Inverse of :func:`pack_codes`; returns int64 values.
+
+    Eight codes fill exactly `bits` bytes, so the zero-padded section reads
+    as a ``(groups, bits)`` byte grid in which code ``q`` of every group
+    starts at the same byte ``q*bits // 8`` and bit ``q*bits % 8``. Each of
+    the 8 lanes is then one strided little-endian u32 read at that byte, a
+    shift and a mask; a code spans at most 7 + 16 bits, so the u32 holds it.
+    One path serves every width. Raises `MalformedFile` for a width outside
+    0..16 or a section whose length disagrees with `count`.
+    """
+    if not 0 <= bits <= MAX_CODE_BITS:
+        raise MalformedFile(f"code width {bits} outside 0..{MAX_CODE_BITS}")
     if bits == 0 or count == 0:
         return np.zeros(count, dtype=np.int64)
     need = (count * bits + 7) // 8
     if len(buf) != need:
         raise MalformedFile(f"packed code section has {len(buf)} bytes, expected {need}")
-    stream = np.unpackbits(np.frombuffer(buf, dtype="u1"), bitorder="little")
-    rows = stream[: count * bits].reshape(count, bits)
-    padded = np.zeros((count, 16), dtype="u1")
-    padded[:, :bits] = rows
-    packed = np.packbits(padded, axis=1, bitorder="little")
-    return packed.view("<u2").ravel().astype(np.int64)
+    groups = -(-count // 8)
+    grid = np.zeros(groups * bits + 3, dtype=np.uint8)  # +3: the last lane's u32 read
+    grid[:need] = np.frombuffer(buf, dtype=np.uint8)
+    out = np.empty((groups, 8), dtype=np.int64)
+    for lane in range(8):
+        byte, shift = divmod(lane * bits, 8)
+        window = np.ndarray((groups,), dtype="<u4", buffer=grid, offset=byte, strides=(bits,))
+        out[:, lane] = (window >> shift) & ((1 << bits) - 1)
+    return out.reshape(-1)[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +493,10 @@ class EncodedEntry:
 
     def validate(self):
         m_hat, n = self.codes.shape
+        if self.source_kind not in WEIGHTED_KINDS:
+            raise MalformedFile(f"entry {self.name!r} has unknown source kind {self.source_kind!r}")
+        if self.source_kind == "fc" and self.kernel_size != 1:
+            raise MalformedFile(f"fc entry {self.name!r} has kernel size {self.kernel_size}")
         if self.d < 1:
             raise MalformedFile(f"entry {self.name!r} has subvector size {self.d}")
         if m_hat * self.d != self.c_in * self.kernel_size**2 or n != self.c_out:
@@ -465,7 +544,7 @@ def compressed_models_equal(a: CompressedModel, b: CompressedModel) -> bool:
 
 def save_compressed(model: CompressedModel, path) -> int:
     """Serialize a compressed model; returns the byte count written."""
-    payload = bytearray()
+    payload = _Payload()
     entries = []
     for entry in model.entries:
         if isinstance(entry, RawEntry):
@@ -473,14 +552,10 @@ def save_compressed(model: CompressedModel, path) -> int:
             continue
         entry.validate()
         m_hat, n = entry.codes.shape
-        bits = code_width(entry.k_eff)
-        cb_off = len(payload)
-        payload.extend(entry.codebook.astype("<f2", copy=False).tobytes())
-        codes_off = len(payload)
-        codes_blob = pack_codes(entry.codes, bits)
-        payload.extend(codes_blob)
-        perm_off = len(payload)
-        payload.extend(entry.permutation.astype("<u4", copy=False).tobytes())
+        codes_blob = pack_codes(entry.codes, code_width(entry.k_eff))
+        cb_off = payload.add(entry.codebook.astype("<f2", copy=False))
+        codes_off = payload.add(codes_blob)
+        perm_off = payload.add(entry.permutation.astype("<u4", copy=False))
         entries.append(
             {
                 "type": "encoded",
@@ -506,47 +581,64 @@ def save_compressed(model: CompressedModel, path) -> int:
         "layers": [_layer_to_dict(m) for m in model.layers],
         "edges": [[p, c] for p, c in model.edges],
     }
-    return _write_file(path, _frame(COMPRESSED_MAGIC, manifest, bytes(payload)))
+    return _write_file(path, COMPRESSED_MAGIC, manifest, payload)
+
+
+_ENCODED_INT_FIELDS = (
+    "kernel_size", "c_in", "c_out", "d", "k_eff", "m_hat", "n",
+    "codebook_offset", "codes_offset", "codes_nbytes", "perm_offset", "perm_block",
+)
+
+
+def _get_encoded(payload: memoryview, obj: dict) -> EncodedEntry:
+    """Rebuild one encoded entry, checking every field's presence, type and sign."""
+    name = _field(obj, "name", str, "encoded entry")
+    where = f"entry {name!r}"
+    source_kind = _field(obj, "source_kind", str, where)
+    f = {key: _field(obj, key, int, where) for key in _ENCODED_INT_FIELDS}
+    for key, value in f.items():
+        if value < 0:
+            raise MalformedFile(f"{where}: field {key!r} is negative")
+    k_eff, d, m_hat, n = f["k_eff"], f["d"], f["m_hat"], f["n"]
+    cb_raw = _take(payload, f["codebook_offset"], k_eff * d * 2, where)
+    codes_raw = _take(payload, f["codes_offset"], f["codes_nbytes"], where)
+    perm_raw = _take(payload, f["perm_offset"], m_hat * d * 4, where)
+    entry = EncodedEntry(
+        name=name,
+        source_kind=source_kind,
+        kernel_size=f["kernel_size"],
+        c_in=f["c_in"],
+        c_out=f["c_out"],
+        d=d,
+        k_eff=k_eff,
+        codebook=np.frombuffer(cb_raw, dtype="<f2").reshape(k_eff, d).copy(),
+        codes=unpack_codes(codes_raw, code_width(k_eff), m_hat * n).reshape(m_hat, n),
+        permutation=np.frombuffer(perm_raw, dtype="<u4").copy(),
+        perm_block=f["perm_block"],
+    )
+    entry.validate()
+    return entry
 
 
 def load_compressed(path) -> CompressedModel:
-    """Parse a ``PQFC`` compressed model file."""
+    """Parse a ``PQFC`` compressed model file.
+
+    A missing, mistyped or negative manifest field raises `MalformedFile`
+    naming the entry and the field.
+    """
     manifest, payload = _unframe(_read_file(path), COMPRESSED_MAGIC)
-    listed = manifest.get("entries", [])
-    if int(manifest.get("entry_count", len(listed))) != len(listed):
+    listed = _listing(manifest, "entries")
+    count = manifest.get("entry_count", len(listed))
+    if not _is_int(count) or count != len(listed):
         raise MalformedFile("entry count disagrees with the entry list")
     entries = []
     for obj in listed:
-        if obj["type"] == "raw":
+        kind = obj.get("type")
+        if kind == "raw":
             entries.append(RawEntry(_get_tensor(payload, obj)))
-            continue
-        if obj["type"] != "encoded":
-            raise MalformedFile(f"unknown entry type {obj['type']!r}")
-        k_eff, d = int(obj["k_eff"]), int(obj["d"])
-        m_hat, n = int(obj["m_hat"]), int(obj["n"])
-        bits = code_width(k_eff)
-        cb_raw = _take(payload, int(obj["codebook_offset"]), k_eff * d * 2, obj["name"])
-        codebook = np.frombuffer(cb_raw, dtype="<f2").reshape(k_eff, d).copy()
-        codes_raw = _take(payload, int(obj["codes_offset"]), int(obj["codes_nbytes"]), obj["name"])
-        codes = unpack_codes(codes_raw, bits, m_hat * n).reshape(m_hat, n)
-        rows = m_hat * d
-        perm_raw = _take(payload, int(obj["perm_offset"]), rows * 4, obj["name"])
-        perm = np.frombuffer(perm_raw, dtype="<u4").copy()
-        entry = EncodedEntry(
-            name=obj["name"],
-            source_kind=obj["source_kind"],
-            kernel_size=int(obj["kernel_size"]),
-            c_in=int(obj["c_in"]),
-            c_out=int(obj["c_out"]),
-            d=d,
-            k_eff=k_eff,
-            codebook=codebook,
-            codes=codes,
-            permutation=perm,
-            perm_block=int(obj["perm_block"]),
-        )
-        entry.validate()
-        entries.append(entry)
-    layers = [_layer_from_dict(o) for o in manifest.get("layers", [])]
-    edges = [(p, c) for p, c in manifest.get("edges", [])]
+        elif kind == "encoded":
+            entries.append(_get_encoded(payload, obj))
+        else:
+            raise MalformedFile(f"unknown entry type {kind!r}")
+    layers, edges = _graph_from_manifest(manifest)
     return CompressedModel(entries=entries, layers=layers, edges=edges)

@@ -143,12 +143,21 @@ def _edit_tensor_entry(path, name, **fields):
 
 def _edit_manifest(path, listing, name, **fields):
     """Rewrite the fields of item `name` of manifest list `listing` (default: tensors)."""
+
+    def edit(manifest):
+        items = manifest[listing or ("tensors" if "tensors" in manifest else "entries")]
+        (obj,) = [o for o in items if o["name"] == name]
+        obj.update(fields)
+
+    _rewrite_manifest(path, edit)
+
+
+def _rewrite_manifest(path, edit):
+    """Rewrite a container's JSON manifest through `edit(manifest)`."""
     raw = path.read_bytes()
     mlen = int.from_bytes(raw[8:16], "little")
     manifest = json.loads(raw[16 : 16 + mlen])
-    listing = listing or ("tensors" if "tensors" in manifest else "entries")
-    (obj,) = [o for o in manifest[listing] if o["name"] == name]
-    obj.update(fields)
+    edit(manifest)
     blob = json.dumps(manifest).encode()
     path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + mlen :])
 
@@ -389,3 +398,65 @@ def test_config_flag_mapping():
     assert cfg.use_permutation is False
     assert cfg.k == 256 and cfg.k_fc == 2048
     assert cfg.gamma == 0.5 and cfg.src_iterations == 1000 and cfg.perm_iterations == 1000
+
+
+@pytest.mark.parametrize(
+    "command, flags, detail",
+    [
+        ("report", ["--k", "0"], "--k must be between 1 and 65536, got 0"),
+        ("compress", ["--k-fc", "-1"], "--k-fc must be between 1 and 65536, got -1"),
+        ("report", ["--k", "65537"], "--k must be between 1 and 65536, got 65537"),
+        ("compress", ["--k-fc", "70000"], "--k-fc must be between 1 and 65536, got 70000"),
+        ("compress", ["--src-iters", "0"], "--src-iters must be at least 1"),
+        ("report", ["--src-iters", "-1", "--no-anneal"], "--src-iters must be at least 1"),
+    ],
+)
+def test_out_of_range_config_flag_is_usage_error(
+    tmp_path, arch_paths, capsys, command, flags, detail
+):
+    if command == "compress":
+        source = tmp_path / "toy.pqfn"
+        tensor_io.save_checkpoint(make_mlp_checkpoint((8, 16, 4), seed=1), source)
+        argv = ["compress", str(source), "--out", str(tmp_path / "toy.pqfc"), *flags]
+    else:
+        argv = ["report", str(arch_paths / "resnet18.arch"), *flags]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "error kind=Usage" in err and detail in err
+    assert not (tmp_path / "toy.pqfc").exists()
+
+
+def test_config_flags_at_their_limits_run(tmp_path, arch_paths, capsys):
+    arch = str(arch_paths / "resnet18.arch")
+    assert cli.main(["report", arch, "--k", "1", "--k-fc", "65536"]) == 0
+    source, packed = tmp_path / "toy.pqfn", tmp_path / "toy.pqfc"
+    tensor_io.save_checkpoint(make_mlp_checkpoint((8, 16, 4), seed=1), source)
+    argv = ["compress", str(source), "--out", str(packed), "--no-anneal", "--src-iters", "0"]
+    assert cli.main(argv) == 0
+
+
+def _drop_perm_block(manifest):
+    (fc1,) = [o for o in manifest["entries"] if o["name"] == "fc1"]
+    del fc1["perm_block"]
+
+
+@pytest.mark.parametrize(
+    "edit, detail",
+    [
+        (_drop_perm_block, "entry 'fc1': field 'perm_block' is missing or not int"),
+        (lambda m: [o.update(m_hat=None) for o in m["entries"] if o["name"] == "fc1"],
+         "entry 'fc1': field 'm_hat' is missing or not int"),
+        (lambda m: m.update(entries=5), "manifest field 'entries' is not a list of objects"),
+    ],
+)
+def test_decompress_hostile_entry_field_is_data_error(tmp_path, capsys, edit, detail):
+    _, packed = _compressed_toy(tmp_path)
+    _rewrite_manifest(packed, edit)
+    back_path = tmp_path / "back.pqfn"
+    capsys.readouterr()
+    assert cli.main(["decompress", str(packed), "--out", str(back_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error kind=MalformedFile" in err and detail in err
+    assert not back_path.exists()

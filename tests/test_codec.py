@@ -372,3 +372,98 @@ def test_compress_rejects_weights_whose_centroids_overflow_float16():
     cfg = CompressionConfig.small_blocks(k=4, k_fc=4, src_iterations=5, use_permutation=False)
     with pytest.raises(CodebookOverflow, match="fc1"):
         compress_model(ckpt, cfg, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Decode path against the float64 decoder and in-memory writer it replaced
+# ---------------------------------------------------------------------------
+
+def _decode_oracle(enc):
+    """Float64 gather, merge, un-permute, un-reshape: the decoder `decode_layer` replaced."""
+    subvectors = np.asarray(enc.codebook, dtype=np.float64)[enc.codes]
+    m_hat, n, d = subvectors.shape
+    permuted = subvectors.transpose(0, 2, 1).reshape(m_hat * d, n)
+    matrix = np.empty_like(permuted)
+    matrix[enc.permutation.indices] = permuted
+    if enc.source_kind == "fc":
+        return matrix.copy()
+    k = enc.kernel_size
+    conv = matrix.reshape(enc.c_in, k, k, enc.c_out).transpose(0, 3, 1, 2)
+    return (conv.transpose(1, 0, 2, 3) if enc.source_kind == "deconv" else conv).copy()
+
+
+def _pqfn_oracle(model) -> bytes:
+    """`.pqfn` bytes of `model` from the oracle decoder and a bytearray-assembled writer."""
+    import json
+
+    payload, listing = bytearray(), []
+    for entry in model.entries:
+        if isinstance(entry, RawEntry):
+            rec = entry.record
+        else:
+            weight = _decode_oracle(codec.entry_to_encoding(entry))
+            rec = tensor_io.tensor_record(f"{entry.name}.weight", weight, "f32")
+        listing.append({"name": rec.name, "dtype": rec.dtype, "shape": list(rec.shape),
+                        "offset": len(payload), "nbytes": rec.nbytes})
+        payload.extend(rec.data.tobytes())
+    manifest = {"tensors": listing, "layers": [], "edges": []}
+    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    head = b"PQFN" + (1).to_bytes(4, "little") + len(blob).to_bytes(8, "little")
+    return head + blob + bytes(payload)
+
+
+# (kind, K, C_in, C_out, regime): every stored layout the decoder writes
+_DECODE_LAYERS = [
+    ("fc", 1, 16, 12, "small"),
+    ("conv", 1, 8, 6, "small"),
+    ("conv", 3, 6, 5, "small"),
+    ("conv", 3, 6, 5, "large"),
+    ("deconv", 3, 4, 6, "small"),
+    ("deconv", 1, 8, 3, "small"),
+]
+
+
+@pytest.mark.parametrize("order", ["identity", "channels", "rows"])
+@pytest.mark.parametrize("kind, k, c_in, c_out, regime", _DECODE_LAYERS)
+def test_decompressed_bytes_match_the_float64_decoder(
+    tmp_path, kind, k, c_in, c_out, regime, order
+):
+    rng = make_rng(61, "decode-oracle", kind, str(k), regime)
+    stored = {"fc": (c_in, c_out), "conv": (c_in, c_out, k, k), "deconv": (c_out, c_in, k, k)}
+    weight = rng.standard_normal(stored[kind])
+    meta = _meta(kind=kind, k=k, c_in=c_in, c_out=c_out, name="layer")
+    cfg = CompressionConfig(k=8, k_fc=8, d_conv_multiplier=2 if regime == "large" else 1,
+                            quantizer="kmeans", src_iterations=3)
+    perm = {
+        "identity": None,
+        "channels": permsearch.expand_channel_permutation(rng.permutation(c_in), k * k),
+        # a row order that splits filters, which only a hand-made file stores
+        "rows": Permutation(rng.permutation(c_in * k * k), block=1),
+    }[order]
+    enc = encode_layer(weight, meta, cfg, permutation=perm, seed=3)
+    bias = tensor_io.tensor_record("layer.bias", rng.standard_normal(c_out))
+    model = tensor_io.CompressedModel(
+        entries=[codec.encoding_to_entry("layer", enc), RawEntry(bias)]
+    )
+    packed = tmp_path / "model.pqfc"
+    tensor_io.save_compressed(model, packed)
+    loaded = tensor_io.load_compressed(packed)
+
+    out = tmp_path / "model.pqfn"
+    nbytes = tensor_io.save_checkpoint(decompress_model(loaded), out)
+    assert out.read_bytes() == _pqfn_oracle(loaded)
+    assert nbytes == out.stat().st_size
+    # fine-tuning decodes float64 codebooks, and still gets float64 weights
+    decoded = decode_layer(enc)
+    assert decoded.dtype == np.float64 and decoded.shape == weight.shape
+    assert np.array_equal(decoded, _decode_oracle(enc))
+
+
+def test_entry_to_encoding_widens_to_float32_and_shares_the_codes():
+    w = make_rng(62, "f32").standard_normal((8, 4))
+    enc = encode_layer(w, _meta(c_in=8, c_out=4), CompressionConfig.small_blocks(k=2, k_fc=2))
+    entry = codec.encoding_to_entry("layer", enc)
+    back = codec.entry_to_encoding(entry)
+    assert back.codebook.dtype == np.float32
+    assert back.codes is entry.codes
+    assert decode_layer(back).dtype == np.float32

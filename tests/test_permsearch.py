@@ -128,7 +128,6 @@ def test_permutation_preserves_row_multiset_and_inverts():
     perm = Permutation(rng.permutation(12))
     permuted = perm.apply_rows(matrix)
     assert np.array_equal(np.sort(permuted, axis=0), np.sort(matrix, axis=0))
-    assert np.array_equal(perm.invert_rows(permuted), matrix)
     assert np.array_equal(perm.inverse().apply_rows(permuted), matrix)
 
 

@@ -239,3 +239,132 @@ def test_compressed_round_trip_k2048(tmp_path):
     path2 = tmp_path / "again.pqfc"
     save_compressed(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _unpack_oracle(buf, bits, count):
+    """The per-bit unpacker `unpack_codes` replaced: unpackbits, pad to 16, packbits."""
+    if bits == 0 or count == 0:
+        return np.zeros(count, dtype=np.int64)
+    stream = np.unpackbits(np.frombuffer(buf, dtype="u1"), bitorder="little")
+    rows = stream[: count * bits].reshape(count, bits)
+    padded = np.zeros((count, 16), dtype="u1")
+    padded[:, :bits] = rows
+    packed = np.packbits(padded, axis=1, bitorder="little")
+    return packed.view("<u2").ravel().astype(np.int64)
+
+
+@pytest.mark.parametrize("bits", range(1, 17))
+def test_unpack_matches_the_per_bit_oracle_for_every_width(bits):
+    rng = make_rng(101, "unpack", str(bits))
+    for count in [*range(18), 100_003]:
+        values = rng.integers(0, 1 << bits, size=count)
+        if count:
+            values[0], values[-1] = (1 << bits) - 1, 0  # all-ones code at a group start
+        packed = pack_codes(values, bits)
+        got = unpack_codes(packed, bits, count)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _unpack_oracle(packed, bits, count)), (bits, count)
+        assert np.array_equal(got, values), (bits, count)
+        # a memoryview section, as `load_compressed` passes it, unpacks the same
+        assert np.array_equal(unpack_codes(memoryview(packed), bits, count), values)
+
+
+@pytest.mark.parametrize("bits", [-1, 17, 32])
+def test_unpack_rejects_a_width_the_container_never_stores(bits):
+    with pytest.raises(MalformedFile, match="code width"):
+        unpack_codes(bytes(64), bits, 8)
+
+
+def test_unpack_rejects_a_section_of_the_wrong_length():
+    with pytest.raises(MalformedFile, match="expected 11"):
+        unpack_codes(bytes(12), 11, 8)
+
+
+def test_save_returns_the_bytes_written_and_reports_os_errors(tmp_path):
+    from pqf.errors import IoFailure
+
+    ckpt = _mini_checkpoint()
+    ckpt.tensors.append(tensor_record("empty", np.zeros((0, 3))))
+    path = tmp_path / "mini.pqfn"
+    assert save_checkpoint(ckpt, path) == path.stat().st_size
+    assert records_equal(load_checkpoint(path).tensor("empty"), ckpt.tensor("empty"))
+    with pytest.raises(IoFailure):
+        save_checkpoint(ckpt, tmp_path / "missing" / "dir" / "x.pqfn")
+    with pytest.raises(IoFailure):
+        save_compressed(CompressedModel(), tmp_path / "missing" / "x.pqfc")
+
+
+def _manifest_edit(path, edit):
+    """Rewrite a container's JSON manifest through `edit(manifest)`."""
+    import json
+
+    raw = path.read_bytes()
+    mlen = int.from_bytes(raw[8:16], "little")
+    manifest = json.loads(raw[16 : 16 + mlen])
+    edit(manifest)
+    blob = json.dumps(manifest).encode()
+    path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + mlen :])
+
+
+def _saved_entry(tmp_path):
+    entry = _encoded_entry("layer", k_eff=16, d=4, m_hat=4, n=5, seed=6)
+    path = tmp_path / "one.pqfc"
+    save_compressed(CompressedModel(entries=[entry]), path)
+    return path
+
+
+def _not_int(key):
+    return f"entry 'layer': field '{key}' is missing or not int"
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda m: m["entries"][0].pop("perm_block"), _not_int("perm_block")),
+        (lambda m: m["entries"][0].update(m_hat=None), _not_int("m_hat")),
+        (lambda m: m["entries"][0].update(k_eff="16"), _not_int("k_eff")),
+        (lambda m: m["entries"][0].update(d=True), _not_int("d")),
+        (lambda m: m["entries"][0].update(codes_offset=-1), "field 'codes_offset' is negative"),
+        (lambda m: m["entries"][0].pop("name"), "encoded entry: field 'name' is missing"),
+        (lambda m: m["entries"][0].update(source_kind=7), "'source_kind' is missing or not str"),
+        (lambda m: m.update(entries=5), "field 'entries' is not a list of objects"),
+        (lambda m: m.update(entries=[5]), "field 'entries' is not a list of objects"),
+        (lambda m: m.update(entry_count=None), "entry count disagrees"),
+        (lambda m: m.update(edges=[["a"]]), "field 'edges' is not a list"),
+        (lambda m: m.update(layers=[{"name": "a", "kind": "fc"}]), "layer 'a': field 'kernel_size"),
+    ],
+)
+def test_hostile_compressed_manifest_field_is_malformed(tmp_path, edit, match):
+    path = _saved_entry(tmp_path)
+    _manifest_edit(path, edit)
+    with pytest.raises(MalformedFile, match=match):
+        load_compressed(path)
+
+
+def test_manifest_that_is_not_an_object_is_malformed(tmp_path):
+    path = _saved_entry(tmp_path)
+    raw = path.read_bytes()
+    blob = b"[1, 2]"
+    mlen = int.from_bytes(raw[8:16], "little")
+    path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + mlen :])
+    with pytest.raises(MalformedFile, match="not a JSON object"):
+        load_compressed(path)
+
+
+@pytest.mark.parametrize(
+    "overrides, match",
+    [({"source_kind": "pool"}, "source kind"), ({"source_kind": "fc"}, "kernel size")],
+)
+def test_entry_with_an_impossible_kind_is_malformed(tmp_path, overrides, match):
+    # the (4, 5) code grid with d = 9 reads as a 3x3 conv with 4 input channels
+    entry = _encoded_entry("layer", k_eff=16, d=9, m_hat=4, n=5, seed=6)
+    for key, value in overrides.items():
+        setattr(entry, key, value)
+    with pytest.raises(MalformedFile, match=match):
+        entry.validate()
+    entry.source_kind = "conv"
+    path = tmp_path / "one.pqfc"
+    save_compressed(CompressedModel(entries=[entry]), path)
+    _manifest_edit(path, lambda m: m["entries"][0].update(overrides))
+    with pytest.raises(MalformedFile, match=match):
+        load_compressed(path)
