@@ -186,8 +186,7 @@ def _cmd_compress(args) -> int:
 def _cmd_decompress(args) -> int:
     started = time.perf_counter()
     model = tensor_io.load_compressed(args.model)
-    ckpt = codec.decompress_model(model)
-    nbytes = tensor_io.save_checkpoint(ckpt, args.out)
+    nbytes = codec.decompress_to_file(model, args.out)
     print(f"wrote {args.out} ({nbytes} bytes)")
     _emit_manifest(args, {"bytes_written": nbytes, "elapsed_s": round(time.perf_counter() - started, 6)})
     return 0

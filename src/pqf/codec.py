@@ -21,6 +21,7 @@ from .errors import (
     IndivisibleBlockSize,
     MalformedFile,
     NonFiniteWeight,
+    TensorTooLarge,
     UnknownLayerKind,
 )
 from .permsearch import Permutation
@@ -183,18 +184,22 @@ def encode_layer(
     )
 
 
-def decode_layer(enc: LayerEncoding) -> np.ndarray:
+def decode_layer(enc: LayerEncoding, out=None) -> np.ndarray:
     """Rebuild the weight tensor approximation in its original shape.
 
     Two passes over the weight: gather the centroids in the codebook's own
     dtype (float32 from a container, float64 in fine-tuning), then scatter
     each subvector's rows to their unpermuted place, straight into the
     stored layout (`layout.empty_weight`), so no transpose copy follows.
+    With `out`, a contiguous 1-D buffer of the codebook's dtype and at
+    least the weight's size, the weight is written over its leading
+    elements and returned as a view of them, so one buffer can serve every
+    layer of a model in turn.
     """
     m_hat, n = enc.codes.shape
     subvectors = np.take(enc.codebook, enc.codes, axis=0)  # (m_hat, n, d)
     weight, rows = layout.empty_weight(
-        enc.source_kind, enc.c_in, enc.c_out, enc.kernel_size, subvectors.dtype
+        enc.source_kind, enc.c_in, enc.c_out, enc.kernel_size, subvectors.dtype, out
     )
     # row i*d + t of the permuted matrix is row dest[i, t] of the layer's own
     dest = enc.permutation.indices.reshape(m_hat, enc.d)
@@ -516,18 +521,57 @@ def entry_to_encoding(entry: EncodedEntry) -> LayerEncoding:
     )
 
 
-def decompress_model(model: CompressedModel) -> ModelCheckpoint:
-    """Decode every entry back into a plain checkpoint (float32 tensors)."""
+def _decoded_checkpoint(model: CompressedModel, decode) -> ModelCheckpoint:
+    """`model` as a checkpoint whose encoded weights hold ``decode(name, enc)``."""
     tensors = []
     for entry in model.entries:
         if isinstance(entry, RawEntry):
             tensors.append(entry.record)
-        else:
-            f32 = tensor_io.DTYPES["f32"]
-            # the decoded float32 weight becomes the record as is, not a copy
-            weight = np.asarray(decode_layer(entry_to_encoding(entry)), dtype=f32)
-            name = f"{entry.name}.weight"
-            tensors.append(tensor_io.TensorRecord(name, "f32", weight.shape, weight))
+            continue
+        enc = entry_to_encoding(entry)
+        name = f"{entry.name}.weight"
+        shape = layout.weight_shape(enc.source_kind, enc.c_in, enc.c_out, enc.kernel_size)
+        tensors.append(tensor_io.TensorRecord(name, "f32", shape, decode(name, enc)))
     ckpt = ModelCheckpoint(tensors=tensors, layers=list(model.layers), edges=list(model.edges))
     tensor_io._fill_bias_flags(ckpt)
     return ckpt
+
+
+def decompress_model(model: CompressedModel) -> ModelCheckpoint:
+    """Decode every entry back into a plain checkpoint (float32 tensors)."""
+    return _decoded_checkpoint(model, lambda name, enc: decode_layer(enc))
+
+
+def decompress_to_file(model: CompressedModel, path) -> int:
+    """Decode `model` into a checkpoint file one layer at a time; returns the bytes written.
+
+    The bytes equal those of ``save_checkpoint(decompress_model(model), path)``,
+    but only one decoded layer is held at a time. The manifest follows from
+    the entries' geometry, so `save_checkpoint` writes it first; each encoded
+    weight is then decoded into one float32 buffer sized for the largest
+    layer, written, and the buffer reused for the next. Every permutation
+    and declared shape is checked, and the buffer allocated, before the
+    file is opened, so a hostile entry leaves no file.
+    """
+    pending = {}
+
+    def declare(name, enc):
+        pending[name] = enc
+        return None  # the record declares the tensor; `produce` decodes it
+
+    ckpt = _decoded_checkpoint(model, declare)
+    sizes = {name: enc.codes.size * enc.d for name, enc in pending.items()}
+    largest = max(sizes, key=sizes.get, default=None)
+    try:
+        buf = np.empty(sizes.get(largest, 0), dtype=np.float32)
+    except MemoryError as exc:
+        detail = f"tensor {largest!r}: {sizes[largest]} values do not fit in memory"
+        raise TensorTooLarge(detail) from exc
+
+    def produce(rec):
+        try:
+            return decode_layer(pending[rec.name], out=buf)
+        except MemoryError as exc:
+            raise TensorTooLarge(f"tensor {rec.name!r} does not fit in memory") from exc
+
+    return tensor_io.save_checkpoint(ckpt, path, produce)

@@ -67,3 +67,7 @@ class NonFiniteWeight(PQFError):
 
 class CodebookOverflow(PQFError):
     """A centroid lies outside the float16 range of the stored codebook."""
+
+
+class TensorTooLarge(PQFError):
+    """A tensor an input declares does not fit in memory."""

@@ -9,6 +9,7 @@ exact inverses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,25 +73,42 @@ def reshape_weight(weight, kind: str) -> ReshapedWeight:
     raise ShapeMismatch(f"no reshape rule for layer kind {kind!r}")
 
 
-def empty_weight(kind: str, c_in: int, c_out: int, kernel_size: int, dtype) -> tuple:
+def weight_shape(kind: str, c_in: int, c_out: int, kernel_size: int) -> tuple:
+    """The stored shape of a `kind` layer's weight tensor."""
+    k = kernel_size
+    if kind == "fc":
+        return (c_in, c_out)
+    if kind == "conv":
+        return (c_in, c_out, k, k)
+    if kind == "deconv":
+        return (c_out, c_in, k, k)
+    raise ShapeMismatch(f"no reshape rule for layer kind {kind!r}")
+
+
+def empty_weight(kind: str, c_in: int, c_out: int, kernel_size: int, dtype, out=None) -> tuple:
     """An unfilled weight tensor in its stored layout, and its reshaped rows.
 
     Returns ``(tensor, rows)``: `rows` is a `(C_in, K*K, C_out)` view of
     `tensor` whose ``rows[c, s, o]`` is entry ``(c*K*K + s, o)`` of the
     matrix `reshape_weight` makes, so filling `rows` fills the tensor
-    without a transpose copy.
+    without a transpose copy. With `out`, a contiguous 1-D `dtype` buffer
+    of at least the tensor's size, the tensor is a view of its leading
+    elements, which keep their old values until filled; nothing is
+    allocated.
     """
+    shape = weight_shape(kind, c_in, c_out, kernel_size)
+    if out is None:
+        tensor = np.empty(shape, dtype)
+    else:
+        if out.dtype != dtype:
+            raise ValueError(f"a {out.dtype} buffer cannot hold a {dtype} weight")
+        tensor = out[: math.prod(shape)].reshape(shape)  # too small: ValueError
     k = kernel_size
     if kind == "fc":
-        tensor = np.empty((c_in, c_out), dtype)
         return tensor, tensor.reshape(c_in, 1, c_out)
     if kind == "conv":
-        tensor = np.empty((c_in, c_out, k, k), dtype)
         return tensor, tensor.reshape(c_in, c_out, k * k).transpose(0, 2, 1)
-    if kind == "deconv":
-        tensor = np.empty((c_out, c_in, k, k), dtype)
-        return tensor, tensor.reshape(c_out, c_in, k * k).transpose(1, 2, 0)
-    raise ShapeMismatch(f"no reshape rule for layer kind {kind!r}")
+    return tensor, tensor.reshape(c_out, c_in, k * k).transpose(1, 2, 0)
 
 
 def inverse_reshape(rw: ReshapedWeight) -> np.ndarray:

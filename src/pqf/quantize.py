@@ -287,7 +287,9 @@ def _quantize_rng(seed: int) -> np.random.Generator:
 def _run(pts, k_eff, iters, rng, noise_std=None, gamma=DEFAULT_GAMMA, stop_when_stable=False):
     n = pts.shape[0]
     codes = rng.integers(0, k_eff, size=n, dtype=np.int64)
-    codebook, _ = _update(pts, codes, k_eff)
+    if iters == 0:
+        # otherwise the first iteration replaces it before anything reads it
+        codebook, _ = _update(pts, codes, k_eff)
     prefilter = _lift(pts, k_eff) if iters > 0 else None
     add_noise = noise_std is not None and bool(np.any(noise_std > 0))
     for tau in range(1, iters + 1):

@@ -12,17 +12,21 @@ and bit-packed codes. Architecture specs are plain text: one
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import layout
 from .errors import (
     DanglingEdge,
     DuplicateTensorName,
     IoFailure,
     MalformedFile,
+    TensorTooLarge,
 )
 
 CHECKPOINT_MAGIC = b"PQFN"
@@ -46,19 +50,28 @@ PASSTHROUGH_KINDS = frozenset({"batchnorm", "add", "relu", "pool", "reshape"})
 
 @dataclass(eq=False)
 class TensorRecord:
-    """One named tensor: raw little-endian values in row-major order."""
+    """One named tensor: raw little-endian values in row-major order.
+
+    A record whose `data` is None only declares its tensor; `save_checkpoint`
+    asks for the array when it writes the record.
+    """
 
     name: str
     dtype: str
     shape: tuple
-    data: np.ndarray
+    data: np.ndarray | None
 
-    def validate(self):
+    def validate(self, data=None):
+        """Check the dtype, and that `data` (default: the record's own, if
+        any) has the declared shape and storage dtype."""
         if self.dtype not in DTYPES:
             raise MalformedFile(f"unknown dtype {self.dtype!r} for tensor {self.name!r}")
-        if tuple(self.data.shape) != tuple(self.shape):
+        data = self.data if data is None else data
+        if data is None:
+            return
+        if tuple(data.shape) != tuple(self.shape):
             raise MalformedFile(f"tensor {self.name!r} shape mismatch")
-        if self.data.dtype != DTYPES[self.dtype]:
+        if data.dtype != DTYPES[self.dtype]:
             raise MalformedFile(f"tensor {self.name!r} storage dtype mismatch")
 
     @property
@@ -149,9 +162,8 @@ class ModelCheckpoint:
                     continue
                 if f"{meta.name}.weight" not in by_name:
                     raise MalformedFile(f"layer {meta.name!r} has no weight tensor")
-                k, i, o = meta.kernel_size, meta.c_in, meta.c_out
-                stored = {"conv": (i, o, k, k), "deconv": (o, i, k, k), "fc": (i, o)}[meta.kind]
-                for part, want in (("weight", stored), ("bias", (o,))):
+                stored = layout.weight_shape(meta.kind, meta.c_in, meta.c_out, meta.kernel_size)
+                for part, want in (("weight", stored), ("bias", (meta.c_out,))):
                     rec = by_name.get(f"{meta.name}.{part}")
                     if rec is not None and tuple(rec.shape) != want:
                         raise MalformedFile(
@@ -236,6 +248,13 @@ def _graph_from_manifest(manifest: dict) -> tuple:
     return layers, [(p, c) for p, c in edges]
 
 
+def _view(data) -> memoryview:
+    """The raw bytes of `data` (bytes, or an array in its own byte order), not copied."""
+    if not isinstance(data, bytes):
+        data = np.ascontiguousarray(data).reshape(-1).view(np.uint8)
+    return memoryview(data)
+
+
 class _Payload:
     """The buffers written after a manifest, in file order, and their total size."""
 
@@ -243,27 +262,42 @@ class _Payload:
         self.parts = []
         self.nbytes = 0
 
-    def add(self, data) -> int:
-        """Queue `data` (bytes or an array, written as its raw bytes); returns its offset."""
-        if not isinstance(data, bytes):
-            data = np.ascontiguousarray(data).reshape(-1).view(np.uint8)
-        view = memoryview(data)
+    def add(self, data, nbytes: int | None = None) -> int:
+        """Queue `data` (bytes or an array, written as its raw bytes); returns its offset.
+
+        `data` may instead be a function that returns the `nbytes` bytes when
+        the file is written.
+        """
+        if not callable(data):
+            data = _view(data)
+            nbytes = data.nbytes
         offset = self.nbytes
-        self.parts.append(view)
-        self.nbytes += view.nbytes
+        self.parts.append(data)
+        self.nbytes += nbytes
         return offset
 
 
 def _write_file(path, magic: bytes, manifest: dict, payload: _Payload) -> int:
-    """Write header, manifest, then each payload buffer in place; returns the bytes written."""
+    """Write header, manifest, then each payload buffer in place; returns the bytes written.
+
+    If any part fails, the partly written file is removed.
+    """
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     head = magic + FORMAT_VERSION.to_bytes(4, "little") + len(blob).to_bytes(8, "little")
     try:
-        with open(path, "wb") as fh:
-            for part in (head, blob, *payload.parts):
-                fh.write(part)
+        fh = open(path, "wb")
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
+    try:
+        with fh:
+            for part in (head, blob, *payload.parts):
+                fh.write(_view(part()) if callable(part) else part)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(path)
+        if isinstance(exc, OSError):
+            raise IoFailure(str(exc)) from exc
+        raise
     return len(head) + len(blob) + payload.nbytes
 
 
@@ -302,14 +336,21 @@ def _take(payload: memoryview, offset: int, nbytes: int, what: str) -> memoryvie
     return payload[offset : offset + nbytes]
 
 
-def _put_tensor(payload: _Payload, rec: TensorRecord) -> dict:
-    """Queue a record's bytes in `payload`; returns its manifest fields."""
+def _put_tensor(payload: _Payload, rec: TensorRecord, produce=None) -> dict:
+    """Queue a record's data, or else its `produce(rec)` array; returns its manifest fields."""
     rec.validate()
+
+    def produced():
+        array = produce(rec)
+        rec.validate(array)
+        return array
+
+    data = produced if rec.data is None else rec.data
     return {
         "name": rec.name,
         "dtype": rec.dtype,
         "shape": list(rec.shape),
-        "offset": payload.add(rec.data),
+        "offset": payload.add(data, rec.nbytes),
         "nbytes": rec.nbytes,
     }
 
@@ -333,17 +374,22 @@ def _get_tensor(payload: memoryview, obj: dict) -> TensorRecord:
     return TensorRecord(name, dtype, shape, np.frombuffer(raw, DTYPES[dtype]).reshape(shape).copy())
 
 
-def save_checkpoint(ckpt: ModelCheckpoint, path) -> int:
+def save_checkpoint(ckpt: ModelCheckpoint, path, produce=None) -> int:
     """Serialize a checkpoint; returns the byte count written.
 
     Offsets follow from each record's `nbytes`, so the header and manifest
     go out first and every tensor is then written straight from its array
-    through a memoryview: the payload is never assembled in memory.
+    through a memoryview: the payload is never assembled in memory. A
+    record whose `data` is None gets its array from `produce(rec)`, called
+    in file order as the record is written, so the arrays can be made one
+    at a time in a reused buffer; each is checked against its record before
+    its bytes go out. The checkpoint is validated before the file is
+    opened, and a failure while writing removes the file.
     """
     ckpt.validate()
     payload = _Payload()
     manifest = {
-        "tensors": [_put_tensor(payload, rec) for rec in ckpt.tensors],
+        "tensors": [_put_tensor(payload, rec, produce) for rec in ckpt.tensors],
         "layers": [_layer_to_dict(m) for m in ckpt.layers],
         "edges": [[p, c] for p, c in ckpt.edges],
     }
@@ -603,6 +649,10 @@ def _get_encoded(payload: memoryview, obj: dict) -> EncodedEntry:
     cb_raw = _take(payload, f["codebook_offset"], k_eff * d * 2, where)
     codes_raw = _take(payload, f["codes_offset"], f["codes_nbytes"], where)
     perm_raw = _take(payload, f["perm_offset"], m_hat * d * 4, where)
+    try:
+        codes = unpack_codes(codes_raw, code_width(k_eff), m_hat * n).reshape(m_hat, n)
+    except MemoryError as exc:  # an empty 0-bit section bounds nothing
+        raise TensorTooLarge(f"{where}: {m_hat} x {n} codes do not fit in memory") from exc
     entry = EncodedEntry(
         name=name,
         source_kind=source_kind,
@@ -612,7 +662,7 @@ def _get_encoded(payload: memoryview, obj: dict) -> EncodedEntry:
         d=d,
         k_eff=k_eff,
         codebook=np.frombuffer(cb_raw, dtype="<f2").reshape(k_eff, d).copy(),
-        codes=unpack_codes(codes_raw, code_width(k_eff), m_hat * n).reshape(m_hat, n),
+        codes=codes,
         permutation=np.frombuffer(perm_raw, dtype="<u4").copy(),
         perm_block=f["perm_block"],
     )

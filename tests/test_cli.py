@@ -437,6 +437,53 @@ def test_config_flags_at_their_limits_run(tmp_path, arch_paths, capsys):
     assert cli.main(argv) == 0
 
 
+def _zero_bit_entry_of_a_trillion_columns(tmp_path):
+    """A `--k 1` file whose fc1 entry claims 10**12 output columns of 0-bit codes."""
+    source, packed = tmp_path / "toy.pqfn", tmp_path / "toy.pqfc"
+    tensor_io.save_checkpoint(make_mlp_checkpoint((8, 16, 4), seed=1), source)
+    argv = ["compress", str(source), "--out", str(packed), "--k", "1", "--k-fc", "1",
+            "--src-iters", "2", "--perm-iters", "5"]
+    assert cli.main(argv) == 0
+    _edit_manifest(packed, "entries", "fc1", n=10**12, c_out=10**12)
+    return packed, "entry 'fc1': 2 x 1000000000000 codes do not fit in memory"
+
+
+def _entry_decoding_to_four_gigabytes(tmp_path):
+    """A 6 MB file whose one entry decodes to 10**9 float32 values."""
+    rows, cols = 10**6, 1000
+    entry = tensor_io.EncodedEntry(
+        name="wide", source_kind="fc", kernel_size=1, c_in=rows, c_out=cols, d=rows, k_eff=1,
+        codebook=np.zeros((1, rows), dtype="<f2"), codes=np.zeros((1, cols), dtype=np.int64),
+        permutation=np.arange(rows, dtype="<u4"),
+    )
+    packed = tmp_path / "wide.pqfc"
+    tensor_io.save_compressed(tensor_io.CompressedModel(entries=[entry]), packed)
+    return packed, "tensor 'wide.weight': 1000000000 values do not fit in memory"
+
+
+@pytest.mark.parametrize("make", [_zero_bit_entry_of_a_trillion_columns,
+                                  _entry_decoding_to_four_gigabytes])
+def test_decompress_of_an_entry_too_large_for_memory_is_data_error(tmp_path, make):
+    import resource
+
+    packed, detail = make(tmp_path)
+    back_path = tmp_path / "back.pqfn"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src_dir = str(Path(pqf.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    limit = 2 << 30  # the child's address space only, so the allocation fails, not the host
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "pqf.cli", "decompress", str(packed), "--out", str(back_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "error kind=TensorTooLarge" in proc.stderr and detail in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not back_path.exists()
+
+
 def _drop_perm_block(manifest):
     (fc1,) = [o for o in manifest["entries"] if o["name"] == "fc1"]
     del fc1["perm_block"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pqf import codec, layout, permsearch, quantize, tensor_io
+from pqf import cli, codec, layout, permsearch, quantize, tensor_io
 from pqf.codec import (
     CompressionConfig,
     bit_report,
@@ -423,15 +423,11 @@ _DECODE_LAYERS = [
 ]
 
 
-@pytest.mark.parametrize("order", ["identity", "channels", "rows"])
-@pytest.mark.parametrize("kind, k, c_in, c_out, regime", _DECODE_LAYERS)
-def test_decompressed_bytes_match_the_float64_decoder(
-    tmp_path, kind, k, c_in, c_out, regime, order
-):
+def _encode_case(kind, k, c_in, c_out, regime, order, name="layer"):
+    """A random weight of one `_DECODE_LAYERS` case, its encoding, and the case's rng."""
     rng = make_rng(61, "decode-oracle", kind, str(k), regime)
-    stored = {"fc": (c_in, c_out), "conv": (c_in, c_out, k, k), "deconv": (c_out, c_in, k, k)}
-    weight = rng.standard_normal(stored[kind])
-    meta = _meta(kind=kind, k=k, c_in=c_in, c_out=c_out, name="layer")
+    weight = rng.standard_normal(layout.weight_shape(kind, c_in, c_out, k))
+    meta = _meta(kind=kind, k=k, c_in=c_in, c_out=c_out, name=name)
     cfg = CompressionConfig(k=8, k_fc=8, d_conv_multiplier=2 if regime == "large" else 1,
                             quantizer="kmeans", src_iterations=3)
     perm = {
@@ -440,7 +436,15 @@ def test_decompressed_bytes_match_the_float64_decoder(
         # a row order that splits filters, which only a hand-made file stores
         "rows": Permutation(rng.permutation(c_in * k * k), block=1),
     }[order]
-    enc = encode_layer(weight, meta, cfg, permutation=perm, seed=3)
+    return weight, encode_layer(weight, meta, cfg, permutation=perm, seed=3), rng
+
+
+@pytest.mark.parametrize("order", ["identity", "channels", "rows"])
+@pytest.mark.parametrize("kind, k, c_in, c_out, regime", _DECODE_LAYERS)
+def test_decompressed_bytes_match_the_float64_decoder(
+    tmp_path, kind, k, c_in, c_out, regime, order
+):
+    weight, enc, rng = _encode_case(kind, k, c_in, c_out, regime, order)
     bias = tensor_io.tensor_record("layer.bias", rng.standard_normal(c_out))
     model = tensor_io.CompressedModel(
         entries=[codec.encoding_to_entry("layer", enc), RawEntry(bias)]
@@ -467,3 +471,59 @@ def test_entry_to_encoding_widens_to_float32_and_shares_the_codes():
     assert back.codebook.dtype == np.float32
     assert back.codes is entry.codes
     assert decode_layer(back).dtype == np.float32
+
+
+@pytest.mark.parametrize("kind, k, c_in, c_out, regime", _DECODE_LAYERS)
+def test_decode_into_a_buffer_overwrites_it_and_returns_a_view(kind, k, c_in, c_out, regime):
+    _, enc, _ = _encode_case(kind, k, c_in, c_out, regime, "rows")
+    enc.codebook = enc.codebook.astype(np.float32)
+    buf = np.full(c_in * c_out * k * k + 5, np.nan, dtype=np.float32)
+    decoded = decode_layer(enc, out=buf)
+    assert np.shares_memory(decoded, buf)
+    assert np.array_equal(decoded, decode_layer(enc))
+    with pytest.raises(ValueError):
+        decode_layer(enc, out=buf[:-6])
+    with pytest.raises(ValueError):
+        decode_layer(enc, out=buf.astype(np.float64))
+
+
+@pytest.mark.parametrize("kind, k, c_in, c_out, regime", _DECODE_LAYERS)
+def test_streamed_decompress_writes_the_bytes_of_the_in_memory_decode(
+    tmp_path, kind, k, c_in, c_out, regime
+):
+    # raw tensors sit between encoded layers, and the smaller second layer
+    # decodes over what the first one left in the reused buffer
+    _, enc, rng = _encode_case(kind, k, c_in, c_out, regime, "channels")
+    _, small, _ = _encode_case("fc", 1, 4, 3, "small", "rows", name="small")
+    model = tensor_io.CompressedModel(entries=[
+        RawEntry(tensor_io.tensor_record("first", rng.standard_normal(7))),
+        codec.encoding_to_entry("layer", enc),
+        RawEntry(tensor_io.tensor_record("layer.bias", rng.standard_normal(c_out))),
+        codec.encoding_to_entry("small", small),
+        RawEntry(tensor_io.tensor_record("last", rng.standard_normal((2, 3)))),
+    ])
+    packed, streamed, in_memory = tmp_path / "m.pqfc", tmp_path / "s.pqfn", tmp_path / "m.pqfn"
+    tensor_io.save_compressed(model, packed)
+    assert cli.main(["decompress", str(packed), "--out", str(streamed)]) == 0
+    loaded = tensor_io.load_compressed(packed)
+    nbytes = tensor_io.save_checkpoint(decompress_model(loaded), in_memory)
+    assert streamed.read_bytes() == in_memory.read_bytes()
+    assert codec.decompress_to_file(loaded, streamed) == nbytes == streamed.stat().st_size
+    assert streamed.read_bytes() == in_memory.read_bytes()
+
+
+def test_a_decode_failing_while_the_file_is_written_leaves_no_file(tmp_path, monkeypatch, capsys):
+    w = make_rng(63, "oom").standard_normal((8, 4))
+    enc = encode_layer(w, _meta(c_in=8, c_out=4), CompressionConfig.small_blocks(k=2, k_fc=2))
+    packed, out = tmp_path / "m.pqfc", tmp_path / "m.pqfn"
+    tensor_io.save_compressed(
+        tensor_io.CompressedModel(entries=[codec.encoding_to_entry("layer", enc)]), packed
+    )
+
+    def no_memory(enc, out=None):
+        raise MemoryError
+
+    monkeypatch.setattr(codec, "decode_layer", no_memory)
+    assert cli.main(["decompress", str(packed), "--out", str(out)]) == 2
+    assert "error kind=TensorTooLarge detail=\"tensor 'layer.weight'" in capsys.readouterr().err
+    assert not out.exists()

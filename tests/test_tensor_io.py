@@ -294,6 +294,31 @@ def test_save_returns_the_bytes_written_and_reports_os_errors(tmp_path):
         save_compressed(CompressedModel(), tmp_path / "missing" / "x.pqfc")
 
 
+def test_declared_records_are_produced_in_file_order_and_checked(tmp_path):
+    ckpt = _mini_checkpoint()
+    whole = tmp_path / "whole.pqfn"
+    nbytes = save_checkpoint(ckpt, whole)
+    arrays = {rec.name: rec.data for rec in ckpt.tensors}
+    declared = _mini_checkpoint()
+    for rec in declared.tensors:
+        rec.data = None
+    asked = []
+
+    def produce(rec):
+        asked.append(rec.name)
+        return arrays[rec.name]
+
+    path = tmp_path / "declared.pqfn"
+    assert save_checkpoint(declared, path, produce) == nbytes
+    assert asked == ["fc1.weight", "fc1.bias"]
+    assert path.read_bytes() == whole.read_bytes()
+    # a produced array is checked against its record, and the partial file removed
+    arrays["fc1.bias"] = arrays["fc1.bias"][:2]
+    with pytest.raises(MalformedFile, match="'fc1.bias' shape mismatch"):
+        save_checkpoint(declared, path, produce)
+    assert not path.exists()
+
+
 def _manifest_edit(path, edit):
     """Rewrite a container's JSON manifest through `edit(manifest)`."""
     import json
