@@ -9,7 +9,7 @@ the actual quantization error follow.
 
 import numpy as np
 
-from pqf import permsearch, quantize
+from pqf import layout, permsearch, quantize
 from pqf.rng import gaussian, make_rng
 
 rng = make_rng(0, "demo-perm")
@@ -35,7 +35,7 @@ print(f"logdet objective, +search  : {refined_obj:9.4f}")
 # a lower covariance determinant translates into lower quantization error
 k = 32
 for label, perm in (("identity", np.arange(m)), ("optimized", refined.indices)):
-    pts = permsearch.subvector_points(matrix[perm], d)
+    pts = layout.split_matrix(matrix[perm], d).reshape(-1, d)
     stats = permsearch.subvector_covariance(pts)
     _, _, err = quantize.src(pts, stats, k, quantize.SRCConfig(200, 0.5, 1))
     print(f"quantization error with {label} rows: {err:8.4f}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import codec, finetune, graph, permsearch, quantize, tensor_io
+from . import codec, finetune, graph, layout, permsearch, quantize, tensor_io
 from .errors import PQFError
 from .rng import derive_seed, gaussian, make_rng
 
@@ -31,17 +32,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _env_seed() -> int:
+def _seed(text: str) -> int:
+    """`--seed`; its default is PQF_SEED's text, which argparse parses only without --seed."""
     try:
-        return int(os.environ.get("PQF_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise argparse.ArgumentTypeError(f"PQF_SEED or --seed is not an integer: {text!r}")
+
+
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=_env_seed(), help="master seed")
+    default = os.environ.get("PQF_SEED", "0")
+    parser.add_argument("--seed", type=_seed, default=default, help="master seed")
     parser.add_argument("--manifest", default=None, help="write the run manifest here")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel groups/layers")
 
 
 def build_parser() -> _Parser:
@@ -52,6 +61,7 @@ def build_parser() -> _Parser:
     p.add_argument("checkpoint")
     p.add_argument("--out", required=True)
     _add_config_flags(p)
+    p.add_argument("--jobs", type=_at_least_one, default=1, help="parallel layers")
     _add_common(p)
 
     p = sub.add_parser("decompress", help="decode a compressed model")
@@ -74,7 +84,7 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--lr-min", type=float, default=1e-6)
-    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--k", type=_at_least_one, default=4)
     p.add_argument("--d", type=int, default=8)
     p.add_argument("--out", default=None, help="CSV trace path (default: stdout)")
     _add_common(p)
@@ -84,8 +94,8 @@ def build_parser() -> _Parser:
     p.add_argument("--rows", type=int, default=32)
     p.add_argument("--cols", type=int, default=96)
     p.add_argument("--d", type=int, default=4)
-    p.add_argument("--k", type=int, default=16)
-    p.add_argument("--src-iters", type=int, default=150)
+    p.add_argument("--k", type=_at_least_one, default=16)
+    p.add_argument("--src-iters", type=_at_least_one, default=150)
     p.add_argument("--perm-iters", type=int, default=300)
     p.add_argument("--generator", choices=("anisotropic", "isotropic"), default="anisotropic")
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
@@ -111,6 +121,8 @@ def _check_config_flags(parser, args):
     for flag, value in (("--k", args.k), ("--k-fc", args.k_fc)):
         if not 1 <= value <= widest:
             parser.error(f"{flag} must be between 1 and {widest}, got {value}")
+    if not 0 < args.gamma < math.inf:
+        parser.error(f"--gamma must be finite and above 0, got {args.gamma}")
     if args.src_iters < (0 if args.no_anneal else 1):
         parser.error(
             f"--src-iters must be at least 1 (0 only with --no-anneal), got {args.src_iters}"
@@ -355,7 +367,7 @@ def _bench_one(matrix: np.ndarray, cfg: BenchConfig, method: str, seed: int):
         work = perm.apply_rows(matrix)
     else:
         work = matrix
-    pts = permsearch.subvector_points(work, d)
+    pts = layout.split_matrix(work, d).reshape(-1, d)
     stats = permsearch.subvector_covariance(pts)
     k_eff = quantize.clamp_codebook_size(cfg.k, pts.shape[0])
     if method == "kmeans":

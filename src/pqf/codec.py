@@ -10,7 +10,7 @@ convolution, biases, and batchnorm vectors stay uncompressed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -156,10 +156,7 @@ def encode_layer(
             f"permutation covers {permutation.size} rows, layer has {rw.rows}"
         )
     d = cfg.subvector_size(meta)
-    permuted = layout.ReshapedWeight(
-        permutation.apply_rows(rw.matrix), rw.kernel_size, rw.c_in, rw.c_out, rw.source_kind
-    )
-    subs = layout.split_subvectors(permuted, d)
+    subs = layout.split_subvectors(replace(rw, matrix=permutation.apply_rows(rw.matrix)), d)
     k_eff = quantize.clamp_codebook_size(cfg.requested_codebook_size(meta), subs.count)
     if cfg.quantizer == "kmeans":
         codes, codebook, error = quantize.kmeans(subs, k_eff, cfg.src_iterations, seed)

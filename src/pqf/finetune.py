@@ -20,7 +20,6 @@ import numpy as np
 
 from . import codec, layout
 from .errors import DivergedLoss, MalformedFile, ShapeMismatch
-from .permsearch import subvector_points
 from .rng import gaussian, make_rng
 from .tensor_io import WEIGHTED_KINDS, LayerMeta, ModelCheckpoint, tensor_record
 
@@ -206,7 +205,7 @@ def forward(net: ToyNetwork, x) -> tuple:
                 raise ShapeMismatch(
                     f"conv {meta.name!r} expects (B, {meta.c_in}, H, W), got {xin.shape}"
                 )
-            rw = layout.reshape_conv(net.decoded_weight(meta.name))
+            rw = layout.reshape_weight(net.decoded_weight(meta.name), "conv")
             cache["weights"][meta.name] = rw.matrix
             cols = _im2col(xin, meta.kernel_size)
             b, h, ww = cols.shape[0], cols.shape[1], cols.shape[2]
@@ -349,7 +348,7 @@ def centroid_gradients(weight_grad: np.ndarray, enc) -> np.ndarray:
     """
     rw = layout.reshape_weight(weight_grad, enc.source_kind)
     permuted = enc.permutation.apply_rows(rw.matrix)
-    pts = subvector_points(permuted, enc.d)
+    pts = layout.split_matrix(permuted, enc.d).reshape(-1, enc.d)
     flat = enc.codes.ravel()
     out = np.zeros((enc.k_eff, enc.d))
     for j in range(enc.d):

@@ -25,6 +25,7 @@ from .errors import (
     ShapeMismatch,
     UnsupportedLayerKind,
 )
+from .layout import channel_axis
 from .permsearch import Permutation
 from .tensor_io import LAYER_KINDS, LayerMeta, ModelCheckpoint, WEIGHTED_KINDS
 
@@ -215,33 +216,19 @@ def apply_group_permutation(ckpt: ModelCheckpoint, group: PermutationGroup, perm
         local = _coarsen(indices, group.channels // count)
         rec.data = np.take(rec.data, local, axis=axis)
 
+    def weight_axis(meta, side):
+        if meta.kind not in WEIGHTED_KINDS:
+            raise UnsupportedLayerKind(meta.kind)
+        return channel_axis(meta.kind, side)
+
     for name in group.parents:
         meta = out.layer(name)
-        if meta.kind == "batchnorm":
-            permute_tensor(f"{name}.weight", 0, meta.c_out)
-            permute_tensor(f"{name}.bias", 0, meta.c_out)
-        elif meta.kind == "conv":
-            permute_tensor(f"{name}.weight", 1, meta.c_out)
-            permute_tensor(f"{name}.bias", 0, meta.c_out)
-        elif meta.kind == "deconv":
-            permute_tensor(f"{name}.weight", 0, meta.c_out)
-            permute_tensor(f"{name}.bias", 0, meta.c_out)
-        elif meta.kind == "fc":
-            permute_tensor(f"{name}.weight", 1, meta.c_out)
-            permute_tensor(f"{name}.bias", 0, meta.c_out)
-        else:
-            raise UnsupportedLayerKind(meta.kind)
-
+        axis = 0 if meta.kind == "batchnorm" else weight_axis(meta, "o")
+        permute_tensor(f"{name}.weight", axis, meta.c_out)
+        permute_tensor(f"{name}.bias", 0, meta.c_out)
     for name in group.children:
         meta = out.layer(name)
-        if meta.kind == "conv":
-            permute_tensor(f"{name}.weight", 0, meta.c_in)
-        elif meta.kind == "deconv":
-            permute_tensor(f"{name}.weight", 1, meta.c_in)
-        elif meta.kind == "fc":
-            permute_tensor(f"{name}.weight", 0, meta.c_in)
-        else:
-            raise UnsupportedLayerKind(meta.kind)
+        permute_tensor(f"{name}.weight", weight_axis(meta, "i"), meta.c_in)
     return out
 
 

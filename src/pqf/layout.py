@@ -1,10 +1,13 @@
 """Reshaping weights to 2-D matrices and carving them into subvectors.
 
-Convolution weights `(C_in, C_out, K, K)` become `(C_in*K*K, C_out)` matrices
-whose row block `[c*K*K, (c+1)*K*K)` of column `o` holds filter `(c, o)`
-flattened row-major. Columns are then cut into length-`d` subvectors, the
-atomic unit every later stage quantizes. Both steps are lossless and have
-exact inverses.
+`_AXES` is the one table of which stored axis holds which channels: conv
+`(C_in, C_out, K, K)`, deconv `(C_out, C_in, K, K)`, fc `(C_in, C_out)`.
+`weight_shape`, `channel_axis`, `reshape_weight` and `empty_weight` derive
+from it. Every kind becomes a `(C_in*K*K, C_out)` matrix whose row block
+`[c*K*K, (c+1)*K*K)` of column `o` holds filter `(c, o)` flattened
+row-major (K is 1 for fc). Columns are then cut into length-`d` subvectors,
+the atomic unit every later stage quantizes. Both steps are lossless and
+have exact inverses.
 """
 
 from __future__ import annotations
@@ -15,6 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndivisibleBlockSize, ShapeMismatch
+
+# stored axes per weighted kind: i = input channels, o = output channels,
+# k = kernel; the two channel axes come first
+_AXES = {"conv": "iokk", "deconv": "oikk", "fc": "io"}
+
+
+def _axes(kind: str) -> str:
+    if kind not in _AXES:
+        raise ShapeMismatch(f"no reshape rule for layer kind {kind!r}")
+    return _AXES[kind]
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,53 +49,34 @@ class ReshapedWeight:
         return self.matrix.shape[1]
 
 
-def reshape_conv(weight) -> ReshapedWeight:
-    """Flatten a `(C_in, C_out, K, K)` tensor to `(C_in*K*K, C_out)`."""
-    w = np.asarray(weight, dtype=np.float64)
-    if w.ndim != 4 or w.shape[2] != w.shape[3]:
-        raise ShapeMismatch(f"conv weights must be (C_in, C_out, K, K), got {w.shape}")
-    c_in, c_out, k, _ = w.shape
-    matrix = w.transpose(0, 2, 3, 1).reshape(c_in * k * k, c_out)
-    return ReshapedWeight(matrix, k, c_in, c_out, "conv")
+def weight_shape(kind: str, c_in: int, c_out: int, kernel_size: int) -> tuple:
+    """The stored shape of a `kind` layer's weight tensor."""
+    size = {"i": c_in, "o": c_out, "k": kernel_size}
+    return tuple(size[axis] for axis in _axes(kind))
 
 
-def reshape_deconv(weight) -> ReshapedWeight:
-    """Deconvolutions store `(C_out, C_in, K, K)`; swap channel axes, then reshape."""
-    w = np.asarray(weight, dtype=np.float64)
-    if w.ndim != 4 or w.shape[2] != w.shape[3]:
-        raise ShapeMismatch(f"deconv weights must be (C_out, C_in, K, K), got {w.shape}")
-    swapped = reshape_conv(w.transpose(1, 0, 2, 3))
-    return ReshapedWeight(swapped.matrix, swapped.kernel_size, swapped.c_in, swapped.c_out, "deconv")
+def channel_axis(kind: str, side: str) -> int:
+    """The axis of a stored `kind` weight holding its input (`"i"`) or output (`"o"`) channels."""
+    return _axes(kind).index(side)
 
 
-def reshape_fc(weight) -> ReshapedWeight:
-    """Fully-connected weights `(m, n)` are already matrices; K is 1."""
-    w = np.asarray(weight, dtype=np.float64)
-    if w.ndim != 2:
-        raise ShapeMismatch(f"fc weights must be 2-D, got {w.shape}")
-    return ReshapedWeight(w.copy(), 1, w.shape[0], w.shape[1], "fc")
+def _rows(tensor: np.ndarray, kind: str) -> np.ndarray:
+    """The `(C_in, K*K, C_out)` view of a stored weight tensor."""
+    axes = _axes(kind)
+    kk = math.prod(tensor.shape[2:])
+    return tensor.reshape(*tensor.shape[:2], kk).transpose(axes.index("i"), 2, axes.index("o"))
 
 
 def reshape_weight(weight, kind: str) -> ReshapedWeight:
-    if kind == "conv":
-        return reshape_conv(weight)
-    if kind == "deconv":
-        return reshape_deconv(weight)
-    if kind == "fc":
-        return reshape_fc(weight)
-    raise ShapeMismatch(f"no reshape rule for layer kind {kind!r}")
-
-
-def weight_shape(kind: str, c_in: int, c_out: int, kernel_size: int) -> tuple:
-    """The stored shape of a `kind` layer's weight tensor."""
-    k = kernel_size
-    if kind == "fc":
-        return (c_in, c_out)
-    if kind == "conv":
-        return (c_in, c_out, k, k)
-    if kind == "deconv":
-        return (c_out, c_in, k, k)
-    raise ShapeMismatch(f"no reshape rule for layer kind {kind!r}")
+    """Flatten a stored `kind` weight to its `(C_in*K*K, C_out)` float64 matrix, in one copy."""
+    w = np.asarray(weight)
+    if w.ndim != len(_axes(kind)) or len(set(w.shape[2:])) > 1:
+        raise ShapeMismatch(
+            f"{kind} weights must be {weight_shape(kind, 'C_in', 'C_out', 'K')}, got {w.shape}"
+        )
+    rows = _rows(w, kind).astype(np.float64, order="C")
+    c_in, kk, c_out = rows.shape
+    return ReshapedWeight(rows.reshape(c_in * kk, c_out), math.isqrt(kk), c_in, c_out, kind)
 
 
 def empty_weight(kind: str, c_in: int, c_out: int, kernel_size: int, dtype, out=None) -> tuple:
@@ -103,12 +97,7 @@ def empty_weight(kind: str, c_in: int, c_out: int, kernel_size: int, dtype, out=
         if out.dtype != dtype:
             raise ValueError(f"a {out.dtype} buffer cannot hold a {dtype} weight")
         tensor = out[: math.prod(shape)].reshape(shape)  # too small: ValueError
-    k = kernel_size
-    if kind == "fc":
-        return tensor, tensor.reshape(c_in, 1, c_out)
-    if kind == "conv":
-        return tensor, tensor.reshape(c_in, c_out, k * k).transpose(0, 2, 1)
-    return tensor, tensor.reshape(c_out, c_in, k * k).transpose(1, 2, 0)
+    return tensor, _rows(tensor, kind)
 
 
 def inverse_reshape(rw: ReshapedWeight) -> np.ndarray:
@@ -126,10 +115,6 @@ class SubvectorMatrix:
     """
 
     subvectors: np.ndarray  # (m_hat, n, d)
-    kernel_size: int
-    c_in: int
-    c_out: int
-    source_kind: str
 
     @property
     def d(self) -> int:
@@ -171,19 +156,10 @@ def split_subvectors(rw: ReshapedWeight, d: int) -> SubvectorMatrix:
         raise IndivisibleBlockSize(
             f"subvector size {d} must be a multiple of K^2={k * k} for K={k} layers"
         )
-    return SubvectorMatrix(
-        split_matrix(rw.matrix, d), rw.kernel_size, rw.c_in, rw.c_out, rw.source_kind
-    )
+    return SubvectorMatrix(split_matrix(rw.matrix, d))
 
 
 def merge_matrix(subvectors: np.ndarray) -> np.ndarray:
     """Inverse of :func:`split_matrix`."""
     m_hat, n, d = subvectors.shape
     return np.ascontiguousarray(subvectors.transpose(0, 2, 1).reshape(m_hat * d, n))
-
-
-def merge_subvectors(s: SubvectorMatrix) -> ReshapedWeight:
-    """Reassemble the reshaped weight matrix from its subvectors."""
-    return ReshapedWeight(
-        merge_matrix(s.subvectors), s.kernel_size, s.c_in, s.c_out, s.source_kind
-    )

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndivisibleBlockSize, MismatchedChannelCounts, TooFewSubvectors
-from .layout import ReshapedWeight, SubvectorMatrix
+from .layout import SubvectorMatrix, split_matrix
 from .rng import make_rng
 
 
@@ -140,18 +140,16 @@ def logdet(stats: CovarianceStats) -> float:
     return float(_regularized_logdet(stats.sigma))
 
 
-def rd_lower_bound(stats: CovarianceStats, k: int, d: int | None = None) -> float:
+def rd_lower_bound(stats: CovarianceStats, k: int) -> float:
     """Minimum expected per-subvector squared error of a size-`k` quantizer.
 
-    Evaluates ``k**(-2/d) * d * det(sigma)**(1/d)`` with the exact
-    (unregularized) determinant, so degenerate covariances give 0.
+    Evaluates ``k**(-2/d) * d * det(sigma)**(1/d)`` for ``d = stats.dim``
+    with the exact (unregularized) determinant, so degenerate covariances
+    give 0.
     """
-    if d is None:
-        d = stats.dim
-    if d != stats.dim:
-        raise TooFewSubvectors(f"bound dimension {d} != covariance dimension {stats.dim}")
     if k < 1:
         raise ValueError("codebook size must be >= 1")
+    d = stats.dim
     eigs = np.clip(np.linalg.eigvalsh(stats.sigma), 0.0, None)
     if np.any(eigs <= 0.0):
         det_root = 0.0
@@ -160,27 +158,13 @@ def rd_lower_bound(stats: CovarianceStats, k: int, d: int | None = None) -> floa
     return float(k ** (-2.0 / d)) * d * det_root
 
 
-def subvector_points(matrix: np.ndarray, d: int) -> np.ndarray:
-    """Column subvectors of an `(m, n)` matrix as an `(m/d*n, d)` array."""
-    m, n = matrix.shape
-    if d <= 0 or m % d != 0:
-        raise IndivisibleBlockSize(f"subvector size {d} does not divide {m} rows")
-    return matrix.reshape(m // d, d, n).transpose(0, 2, 1).reshape(-1, d)
-
-
 def matrix_objective(matrix: np.ndarray, d: int) -> float:
     """Regularized logdet of the subvector covariance of `matrix`."""
-    return logdet(subvector_covariance(subvector_points(matrix, d)))
+    return logdet(subvector_covariance(split_matrix(matrix, d).reshape(-1, d)))
 
 
 def permuted_objective(matrix: np.ndarray, d: int, indices) -> float:
     return matrix_objective(matrix[np.asarray(indices, dtype=np.int64)], d)
-
-
-def _as_matrix(weight) -> np.ndarray:
-    if isinstance(weight, ReshapedWeight):
-        return weight.matrix
-    return np.asarray(weight, dtype=np.float64)
 
 
 def _group_scores(matrix: np.ndarray, block: int) -> np.ndarray:
@@ -206,7 +190,7 @@ def greedy_init(weight, d: int, block: int = 1) -> Permutation:
     running score sum (ties to the lowest bucket index), then interlaces the
     buckets so same-bucket groups land exactly `d` rows apart.
     """
-    matrix = _as_matrix(weight)
+    matrix = np.asarray(weight, dtype=np.float64)
     m = matrix.shape[0]
     if block <= 0 or d <= 0 or d % block != 0 or m % d != 0:
         raise IndivisibleBlockSize(
@@ -347,7 +331,7 @@ def local_search(
     only the chunks of `d` rows that hold the two groups; the result never
     scores worse than `init`. Deterministic given `seed`.
     """
-    matrix = _as_matrix(weight)
+    matrix = np.asarray(weight, dtype=np.float64)
     init.validate()
     if init.block != block or init.size != matrix.shape[0]:
         raise IndivisibleBlockSize("initial permutation does not match the matrix/block")
@@ -372,7 +356,7 @@ def optimize_group_permutation(children, iters: int = 1000, seed: int = 0) -> Pe
     search then swaps channels accepting strict improvements of the sum.
     Returns a channel-level permutation with ``block=1``.
     """
-    specs = [(_as_matrix(weight), int(d), int(block)) for weight, d, block in children]
+    specs = [(np.asarray(w, dtype=np.float64), int(d), int(block)) for w, d, block in children]
     if not specs:
         raise MismatchedChannelCounts("need at least one child")
 

@@ -438,7 +438,7 @@ def test_criterion_10_round_trip_suite(tmp_path):
                 w, meta, CompressionConfig.small_blocks(k=5, src_iterations=30), seed=seed
             )
             decoded = codec.decode_layer(enc)
-            rw, rw_hat = layout.reshape_conv(w), layout.reshape_conv(decoded)
+            rw, rw_hat = layout.reshape_weight(w, "conv"), layout.reshape_weight(decoded, "conv")
             m_hat = rw.rows // enc.d
             direct = float(np.square(rw_hat.matrix - rw.matrix).sum() / (m_hat * rw.cols))
             assert abs(direct - enc.error) < 1e-10

@@ -378,11 +378,23 @@ def test_eval_conv_toy_smoke(capsys):
     assert len(result["trace"].train_loss) == 4
 
 
-def test_seed_env_fallback(arch_paths, capsys, monkeypatch):
+def test_seed_env_fallback(tmp_path, arch_paths, capsys, monkeypatch):
     monkeypatch.setenv("PQF_SEED", "123")
     parser = cli.build_parser()
     args = parser.parse_args(["groups", str(arch_paths / "resnet18.arch")])
     assert args.seed == 123
+
+    monkeypatch.setenv("PQF_SEED", "abc")
+    args = cli.build_parser().parse_args(["groups", "x.arch", "--seed", "5"])
+    assert args.seed == 5  # --seed wins, so the variable is not read
+    source, packed = tmp_path / "toy.pqfn", tmp_path / "toy.pqfc"
+    tensor_io.save_checkpoint(make_mlp_checkpoint((8, 16, 8), seed=1), source)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compress", str(source), "--out", str(packed)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "error kind=Usage" in err and "PQF_SEED" in err and "'abc'" in err
+    assert not packed.exists()
 
 
 def test_config_flag_mapping():
@@ -409,6 +421,12 @@ def test_config_flag_mapping():
         ("compress", ["--k-fc", "70000"], "--k-fc must be between 1 and 65536, got 70000"),
         ("compress", ["--src-iters", "0"], "--src-iters must be at least 1"),
         ("report", ["--src-iters", "-1", "--no-anneal"], "--src-iters must be at least 1"),
+        ("compress", ["--gamma", "0"], "--gamma must be finite and above 0, got 0.0"),
+        ("compress", ["--gamma", "-1"], "--gamma must be finite and above 0, got -1.0"),
+        ("compress", ["--gamma", "nan"], "--gamma must be finite and above 0, got nan"),
+        ("report", ["--gamma", "inf"], "--gamma must be finite and above 0, got inf"),
+        ("compress", ["--jobs", "0"], "argument --jobs: must be at least 1, got 0"),
+        ("compress", ["--jobs", "-2"], "argument --jobs: must be at least 1, got -2"),
     ],
 )
 def test_out_of_range_config_flag_is_usage_error(
@@ -426,6 +444,23 @@ def test_out_of_range_config_flag_is_usage_error(
     err = capsys.readouterr().err
     assert "error kind=Usage" in err and detail in err
     assert not (tmp_path / "toy.pqfc").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (["eval", "--k", "0"], "argument --k: must be at least 1, got 0"),
+        (["bench", "--k", "0"], "argument --k: must be at least 1, got 0"),
+        (["bench", "--src-iters", "0"], "argument --src-iters: must be at least 1, got 0"),
+        (["groups", "x.arch", "--jobs", "2"], "unrecognized arguments: --jobs 2"),
+    ],
+)
+def test_out_of_range_eval_or_bench_flag_is_usage_error(capsys, argv, detail):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "error kind=Usage" in err and detail in err
 
 
 def test_config_flags_at_their_limits_run(tmp_path, arch_paths, capsys):

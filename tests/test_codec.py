@@ -45,7 +45,7 @@ def test_fc_encode_matches_direct_kmeans_composition():
     seed = 77
     enc = encode_layer(w, meta, cfg, seed=seed)
     # oracle: layout + quantize composed by hand on the 8 column-halves
-    subs = layout.split_subvectors(layout.reshape_fc(w), 4)
+    subs = layout.split_subvectors(layout.reshape_weight(w, "fc"), 4)
     codes, cb, err = quantize.kmeans(subs, 2, 40, seed)
     assert np.array_equal(enc.codes, codes)
     assert np.array_equal(enc.codebook, cb)
@@ -85,7 +85,7 @@ def test_reported_error_matches_definition_oracle():
     enc = encode_layer(w, meta, cfg, permutation=perm, seed=3)
     # recompute from the definition via the decoded tensor
     decoded = decode_layer(enc)
-    rw, rw_hat = layout.reshape_conv(w), layout.reshape_conv(decoded)
+    rw, rw_hat = layout.reshape_weight(w, "conv"), layout.reshape_weight(decoded, "conv")
     m_hat = rw.rows // enc.d
     direct = float(np.square(rw_hat.matrix - rw.matrix).sum() / (m_hat * rw.cols))
     assert abs(direct - enc.error) < 1e-10

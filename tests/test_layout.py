@@ -1,26 +1,28 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pqf import layout
-from pqf.errors import IndivisibleBlockSize
+from pqf.errors import IndivisibleBlockSize, ShapeMismatch
 from pqf.rng import make_rng
 
 
 def test_reshape_identity_case():
-    rw = layout.reshape_conv(np.array([[[[5.0]]]]))
+    rw = layout.reshape_weight(np.array([[[[5.0]]]]), "conv")
     assert rw.matrix.shape == (1, 1)
     assert rw.matrix[0, 0] == 5.0
 
 
 def test_reshape_two_input_channels():
     w = np.array([[[[2.0]]], [[[7.0]]]])  # C_in=2, C_out=1, K=1
-    rw = layout.reshape_conv(w)
+    rw = layout.reshape_weight(w, "conv")
     assert np.array_equal(rw.matrix, np.array([[2.0], [7.0]]))
 
 
 def test_reshape_places_filters_rowmajor():
     w = make_rng(0, "reshape").standard_normal((2, 3, 3, 3))
-    rw = layout.reshape_conv(w)
+    rw = layout.reshape_weight(w, "conv")
     assert rw.matrix.shape == (18, 3)
     for c in range(2):
         for o in range(3):
@@ -36,7 +38,7 @@ def test_reshape_round_trip(kind, shape):
 
 
 def test_split_4x1_pairs():
-    rw = layout.reshape_fc(np.array([[1.0], [2.0], [3.0], [4.0]]))
+    rw = layout.reshape_weight(np.array([[1.0], [2.0], [3.0], [4.0]]), "fc")
     s = layout.split_subvectors(rw, 2)
     assert s.m_hat == 2 and s.n == 1 and s.d == 2
     assert np.array_equal(s.subvectors[0, 0], [1.0, 2.0])
@@ -44,7 +46,7 @@ def test_split_4x1_pairs():
 
 
 def test_split_whole_columns():
-    rw = layout.reshape_fc(make_rng(2, "split").standard_normal((4, 2)))
+    rw = layout.reshape_weight(make_rng(2, "split").standard_normal((4, 2)), "fc")
     s = layout.split_subvectors(rw, 4)
     assert s.m_hat == 1 and s.count == 2
     assert np.array_equal(s.subvectors[0, 0], rw.matrix[:, 0])
@@ -54,7 +56,7 @@ def test_split_whole_columns():
 def test_split_conv_keeps_whole_filters():
     # 18x5 matrix from a K=3 conv, d=9: every subvector is one whole filter
     w = make_rng(3, "filters").standard_normal((2, 5, 3, 3))
-    rw = layout.reshape_conv(w)
+    rw = layout.reshape_weight(w, "conv")
     s = layout.split_subvectors(rw, 9)
     assert s.count == 10
     for i in range(s.m_hat):
@@ -64,10 +66,10 @@ def test_split_conv_keeps_whole_filters():
 
 
 def test_split_rejects_bad_sizes():
-    rw = layout.reshape_fc(np.zeros((6, 2)))
+    rw = layout.reshape_weight(np.zeros((6, 2)), "fc")
     with pytest.raises(IndivisibleBlockSize):
         layout.split_subvectors(rw, 4)
-    conv = layout.reshape_conv(np.zeros((2, 2, 3, 3)))
+    conv = layout.reshape_weight(np.zeros((2, 2, 3, 3)), "conv")
     with pytest.raises(IndivisibleBlockSize):
         layout.split_subvectors(conv, 6)  # divides rows but straddles filters
 
@@ -80,7 +82,7 @@ def test_merge_inverts_split(kind, shape, d):
     w = make_rng(4, "merge", kind, str(d)).standard_normal(shape)
     rw = layout.reshape_weight(w, kind)
     s = layout.split_subvectors(rw, d)
-    merged = layout.merge_subvectors(s)
+    merged = replace(rw, matrix=layout.merge_matrix(s.subvectors))
     assert np.array_equal(merged.matrix, rw.matrix)
     assert np.array_equal(layout.inverse_reshape(merged), w)
     # split(merge(s)) reproduces the subvectors too
@@ -89,7 +91,7 @@ def test_merge_inverts_split(kind, shape, d):
 
 
 def test_points_ordering():
-    rw = layout.reshape_fc(np.arange(8.0).reshape(4, 2))
+    rw = layout.reshape_weight(np.arange(8.0).reshape(4, 2), "fc")
     s = layout.split_subvectors(rw, 2)
     pts = s.points()
     assert pts.shape == (4, 2)
@@ -97,3 +99,29 @@ def test_points_ordering():
     assert np.array_equal(pts[0], s.subvectors[0, 0])
     assert np.array_equal(pts[1], s.subvectors[0, 1])
     assert np.array_equal(pts[2], s.subvectors[1, 0])
+
+
+@pytest.mark.parametrize(
+    "kind,shape",
+    [("conv", (2, 3, 3)), ("conv", (2, 3, 3, 2)), ("deconv", (3, 2, 1, 3)), ("fc", (4, 2, 1)),
+     ("fc", (4,)), ("pool", (4, 2))],
+)
+def test_reshape_rejects_wrong_rank_kernel_or_kind(kind, shape):
+    with pytest.raises(ShapeMismatch):
+        layout.reshape_weight(np.zeros(shape), kind)
+
+
+@pytest.mark.parametrize("kind,k", [("conv", 3), ("deconv", 3), ("fc", 1)])
+def test_channel_axes_match_the_matrix_layout(kind, k):
+    """Permuting a stored weight along `channel_axis` moves K*K-row blocks or columns."""
+    c_in, c_out = 4, 5
+    w = make_rng(5, "axes", kind).standard_normal(layout.weight_shape(kind, c_in, c_out, k))
+    matrix = layout.reshape_weight(w, kind).matrix
+    rng = make_rng(6, "axes", kind)
+    p_in, p_out = rng.permutation(c_in), rng.permutation(c_out)
+    moved = layout.reshape_weight(np.take(w, p_in, axis=layout.channel_axis(kind, "i")), kind)
+    blocks = matrix.reshape(c_in, k * k, c_out)[p_in].reshape(c_in * k * k, c_out)
+    assert np.array_equal(moved.matrix, blocks)
+    moved = layout.reshape_weight(np.take(w, p_out, axis=layout.channel_axis(kind, "o")), kind)
+    assert np.array_equal(moved.matrix, matrix[:, p_out])
+

@@ -50,7 +50,7 @@ def test_assign_dimension_mismatch():
 
 
 def test_assign_keeps_subvector_grid_shape():
-    rw = layout.reshape_fc(make_rng(32, "grid").standard_normal((8, 5)))
+    rw = layout.reshape_weight(make_rng(32, "grid").standard_normal((8, 5)), "fc")
     subs = layout.split_subvectors(rw, 2)
     codes = assign_codes(subs, np.zeros((3, 2)))
     assert codes.shape == (4, 5)
