@@ -40,11 +40,20 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(f"PQF_SEED or --seed is not an integer: {text!r}")
 
 
-def _at_least_one(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(low: int):
+    """An argparse type: an int of at least `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
+_at_least_one, _non_negative = _at_least(1), _at_least(0)
 
 
 def _add_common(parser):
@@ -81,22 +90,22 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="toy fine-tuning recovery run")
     p.add_argument("--toy", choices=("mlp", "conv"), default="mlp")
-    p.add_argument("--epochs", type=int, default=30)
+    p.add_argument("--epochs", type=_non_negative, default=30)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--lr-min", type=float, default=1e-6)
     p.add_argument("--k", type=_at_least_one, default=4)
-    p.add_argument("--d", type=int, default=8)
+    p.add_argument("--d", type=_at_least_one, default=8)
     p.add_argument("--out", default=None, help="CSV trace path (default: stdout)")
     _add_common(p)
 
     p = sub.add_parser("bench", help="quantizer ablation on synthetic weights")
-    p.add_argument("--seeds", type=int, default=20)
+    p.add_argument("--seeds", type=_at_least_one, default=20)
     p.add_argument("--rows", type=int, default=32)
     p.add_argument("--cols", type=int, default=96)
-    p.add_argument("--d", type=int, default=4)
+    p.add_argument("--d", type=_at_least_one, default=4)
     p.add_argument("--k", type=_at_least_one, default=16)
     p.add_argument("--src-iters", type=_at_least_one, default=150)
-    p.add_argument("--perm-iters", type=int, default=300)
+    p.add_argument("--perm-iters", type=_non_negative, default=300)
     p.add_argument("--generator", choices=("anisotropic", "isotropic"), default="anisotropic")
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
     _add_common(p)
@@ -107,11 +116,11 @@ def _add_config_flags(parser):
     parser.add_argument("--regime", choices=("small", "large"), default="small")
     parser.add_argument("--k", type=int, default=256)
     parser.add_argument("--k-fc", type=int, default=2048)
-    parser.add_argument("--d-pw", type=int, default=4)
+    parser.add_argument("--d-pw", type=_at_least_one, default=4)
     parser.add_argument("--src-iters", type=int, default=1000)
     parser.add_argument("--gamma", type=float, default=0.5)
     parser.add_argument("--no-anneal", action="store_true", help="plain k-means codebooks")
-    parser.add_argument("--perm-iters", type=int, default=1000)
+    parser.add_argument("--perm-iters", type=_non_negative, default=1000)
     parser.add_argument("--no-perm", action="store_true", help="identity permutations")
 
 

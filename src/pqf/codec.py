@@ -467,7 +467,7 @@ def compress_model(ckpt: ModelCheckpoint, cfg: CompressionConfig, seed: int = 0,
 
 
 def encoding_to_entry(name: str, enc: LayerEncoding) -> EncodedEntry:
-    """Convert an in-memory encoding to its storage form (float16 codebook).
+    """Convert an in-memory encoding to its storage form (float16 codebook, packed codes).
 
     Raises `CodebookOverflow` if a finite centroid coordinate would round to
     infinity in float16 (magnitude 65520 or more).
@@ -478,6 +478,7 @@ def encoding_to_entry(name: str, enc: LayerEncoding) -> EncodedEntry:
         raise CodebookOverflow(
             f"layer {name!r}: a centroid exceeds the float16 range (max 65504)"
         )
+    m_hat, n = enc.codes.shape
     return EncodedEntry(
         name=name,
         source_kind=enc.source_kind,
@@ -487,17 +488,21 @@ def encoding_to_entry(name: str, enc: LayerEncoding) -> EncodedEntry:
         d=enc.d,
         k_eff=enc.k_eff,
         codebook=codebook,
-        codes=enc.codes.astype(np.int64),
+        packed=tensor_io.pack_codes(enc.codes, code_width(enc.k_eff)),
+        m_hat=m_hat,
+        n=n,
         permutation=enc.permutation.indices.astype("<u4"),
         perm_block=enc.permutation.block,
     )
 
 
-def entry_to_encoding(entry: EncodedEntry) -> LayerEncoding:
+def entry_to_encoding(entry: EncodedEntry, codes=None) -> LayerEncoding:
     """Rehydrate a storage entry; the codebook keeps its float16 rounding.
 
     The codebook widens to float32, which holds every float16 exactly, and
-    the codes are shared with the entry, not copied. Raises `MalformedFile`
+    the codes are unpacked into a new int64 array. With `codes`, an int64
+    ``(m_hat, n)`` array, the encoding takes it as its code grid as it is,
+    for the caller to unpack into before decoding. Raises `MalformedFile`
     naming the entry if the stored permutation repeats or skips a row, or
     breaks its `perm_block` structure.
     """
@@ -509,7 +514,7 @@ def entry_to_encoding(entry: EncodedEntry) -> LayerEncoding:
     return LayerEncoding(
         permutation=permutation,
         codebook=entry.codebook.astype(np.float32),
-        codes=np.asarray(entry.codes, dtype=np.int64),
+        codes=entry.unpack() if codes is None else codes,
         kernel_size=entry.kernel_size,
         c_in=entry.c_in,
         c_out=entry.c_out,
@@ -519,16 +524,16 @@ def entry_to_encoding(entry: EncodedEntry) -> LayerEncoding:
 
 
 def _decoded_checkpoint(model: CompressedModel, decode) -> ModelCheckpoint:
-    """`model` as a checkpoint whose encoded weights hold ``decode(name, enc)``."""
+    """`model` as a checkpoint whose encoded weights hold ``decode(name, entry)``."""
     tensors = []
     for entry in model.entries:
         if isinstance(entry, RawEntry):
             tensors.append(entry.record)
             continue
-        enc = entry_to_encoding(entry)
         name = f"{entry.name}.weight"
-        shape = layout.weight_shape(enc.source_kind, enc.c_in, enc.c_out, enc.kernel_size)
-        tensors.append(tensor_io.TensorRecord(name, "f32", shape, decode(name, enc)))
+        data = decode(name, entry)
+        shape = layout.weight_shape(entry.source_kind, entry.c_in, entry.c_out, entry.kernel_size)
+        tensors.append(tensor_io.TensorRecord(name, "f32", shape, data))
     ckpt = ModelCheckpoint(tensors=tensors, layers=list(model.layers), edges=list(model.edges))
     tensor_io._fill_bias_flags(ckpt)
     return ckpt
@@ -536,38 +541,53 @@ def _decoded_checkpoint(model: CompressedModel, decode) -> ModelCheckpoint:
 
 def decompress_model(model: CompressedModel) -> ModelCheckpoint:
     """Decode every entry back into a plain checkpoint (float32 tensors)."""
-    return _decoded_checkpoint(model, lambda name, enc: decode_layer(enc))
+    return _decoded_checkpoint(model, lambda name, entry: decode_layer(entry_to_encoding(entry)))
 
 
 def decompress_to_file(model: CompressedModel, path) -> int:
     """Decode `model` into a checkpoint file one layer at a time; returns the bytes written.
 
     The bytes equal those of ``save_checkpoint(decompress_model(model), path)``,
-    but only one decoded layer is held at a time. The manifest follows from
-    the entries' geometry, so `save_checkpoint` writes it first; each encoded
-    weight is then decoded into one float32 buffer sized for the largest
-    layer, written, and the buffer reused for the next. Every permutation
-    and declared shape is checked, and the buffer allocated, before the
-    file is opened, so a hostile entry leaves no file.
+    but only one layer's codes and decoded weight are held at a time. The
+    manifest follows from the entries' geometry, so `save_checkpoint` writes
+    it first. Then each encoded layer's packed codes are unpacked into one
+    int64 buffer sized for the layer with the most codes, decoded into one
+    float32 buffer sized for the largest weight, and written, and both
+    buffers are reused for the next layer. Both buffers are allocated and
+    every permutation and declared shape is checked before the file is
+    opened, so a hostile entry leaves no file; `load_compressed` has already
+    checked each entry's codes.
     """
-    pending = {}
+    entries = {}
 
-    def declare(name, enc):
-        pending[name] = enc
+    def declare(name, entry):
+        entries[name] = entry
         return None  # the record declares the tensor; `produce` decodes it
 
     ckpt = _decoded_checkpoint(model, declare)
-    sizes = {name: enc.codes.size * enc.d for name, enc in pending.items()}
+    counts = {name: e.m_hat * e.n for name, e in entries.items()}
+    sizes = {name: count * entries[name].d for name, count in counts.items()}
+    most = max(counts, key=counts.get, default=None)
     largest = max(sizes, key=sizes.get, default=None)
+    try:
+        codes = np.empty(counts.get(most, 0), dtype=np.int64)
+    except MemoryError as exc:
+        e = entries[most]
+        raise TensorTooLarge(f"entry {e.name!r}: {e.m_hat} x {e.n} codes do not fit in memory") from exc
     try:
         buf = np.empty(sizes.get(largest, 0), dtype=np.float32)
     except MemoryError as exc:
         detail = f"tensor {largest!r}: {sizes[largest]} values do not fit in memory"
         raise TensorTooLarge(detail) from exc
+    encodings = {
+        name: entry_to_encoding(e, codes=codes[: e.m_hat * e.n].reshape(e.m_hat, e.n))
+        for name, e in entries.items()
+    }
 
     def produce(rec):
         try:
-            return decode_layer(pending[rec.name], out=buf)
+            entries[rec.name].unpack(out=codes)
+            return decode_layer(encodings[rec.name], out=buf)
         except MemoryError as exc:
             raise TensorTooLarge(f"tensor {rec.name!r} does not fit in memory") from exc
 

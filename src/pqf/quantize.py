@@ -292,10 +292,14 @@ def _run(pts, k_eff, iters, rng, noise_std=None, gamma=DEFAULT_GAMMA, stop_when_
         codebook, _ = _update(pts, codes, k_eff)
     prefilter = _lift(pts, k_eff) if iters > 0 else None
     add_noise = noise_std is not None and bool(np.any(noise_std > 0))
+    # one buffer for every draw; the last iteration draws none, so one alone needs none
+    noise = np.empty(pts.shape) if add_noise and iters > 1 else None
     for tau in range(1, iters + 1):
         scale = (1.0 - tau / iters) ** gamma
         if add_noise and scale > 0.0:
-            noisy = pts + gaussian(rng, pts.shape) * (noise_std * scale)
+            noisy = gaussian(rng, pts.shape, out=noise)
+            np.multiply(noisy, noise_std * scale, out=noisy)
+            np.add(pts, noisy, out=noisy)
         else:
             noisy = pts
         codebook, reseeded = _update(noisy, codes, k_eff)

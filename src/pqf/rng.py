@@ -36,14 +36,33 @@ def derive_seed(seed: int, *tags: str) -> int:
     return int.from_bytes(h.digest(), "little") >> 1
 
 
-def gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard normal samples via Box-Muller over Philox uniforms."""
+def gaussian(rng: np.random.Generator, shape, out=None) -> np.ndarray:
+    """Standard normal samples via Box-Muller over Philox uniforms.
+
+    The first half of the values are ``r cos(theta)`` and the rest
+    ``r sin(theta)``, for ``(n + 1) // 2`` uniform pairs; an odd count drops
+    the last sine. Every step writes in place into the output, which `out`
+    (a contiguous float64 array of `shape`) can supply, plus one temporary
+    of half its size.
+    """
     n = int(np.prod(shape)) if shape else 1
     half = (n + 1) // 2
+    if out is None:
+        out = np.empty(shape)
+    elif out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"a {out.dtype} buffer that is not contiguous float64 cannot hold normals")
+    flat = out.reshape(n)  # a view: `out` is contiguous
+    radius, sines = flat[:half], flat[half:]
     # 1 - U keeps the log argument in (0, 1].
-    u1 = 1.0 - rng.random(half)
-    u2 = rng.random(half)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * np.pi * u2
-    z = np.concatenate([radius * np.cos(theta), radius * np.sin(theta)])
-    return z[:n].reshape(shape)
+    rng.random(out=radius)
+    np.subtract(1.0, radius, out=radius)
+    np.log(radius, out=radius)
+    np.multiply(radius, -2.0, out=radius)
+    np.sqrt(radius, out=radius)
+    theta = rng.random(half)
+    np.multiply(theta, 2.0 * np.pi, out=theta)
+    np.sin(theta[: n - half], out=sines)
+    np.multiply(sines, radius[: n - half], out=sines)
+    np.cos(theta, out=theta)
+    np.multiply(radius, theta, out=radius)
+    return out

@@ -85,15 +85,6 @@ def tensor_record(name: str, array, dtype: str = "f32") -> TensorRecord:
     return TensorRecord(name=name, dtype=dtype, shape=tuple(arr.shape), data=arr)
 
 
-def records_equal(a: TensorRecord, b: TensorRecord) -> bool:
-    return (
-        a.name == b.name
-        and a.dtype == b.dtype
-        and tuple(a.shape) == tuple(b.shape)
-        and a.data.tobytes() == b.data.tobytes()
-    )
-
-
 @dataclass
 class LayerMeta:
     """Geometry of one architecture node."""
@@ -481,33 +472,49 @@ def pack_codes(values, bits: int) -> bytes:
     return np.packbits(stream, bitorder="little").tobytes()
 
 
-def unpack_codes(buf, bits: int, count: int) -> np.ndarray:
+def unpack_codes(buf, bits: int, count: int, out=None) -> np.ndarray:
     """Inverse of :func:`pack_codes`; returns int64 values.
 
     Eight codes fill exactly `bits` bytes, so the zero-padded section reads
     as a ``(groups, bits)`` byte grid in which code ``q`` of every group
     starts at the same byte ``q*bits // 8`` and bit ``q*bits % 8``. Each of
-    the 8 lanes is then one strided little-endian u32 read at that byte, a
-    shift and a mask; a code spans at most 7 + 16 bits, so the u32 holds it.
-    One path serves every width. Raises `MalformedFile` for a width outside
-    0..16 or a section whose length disagrees with `count`.
+    the 8 lanes is then one strided little-endian u32 read at that byte,
+    shifted and masked in place into its own contiguous row of a u32
+    ``(8, groups)`` array; a code spans at most 7 + 16 bits, so the u32
+    holds it. One widening store interleaves the rows into int64. One path
+    serves every width. With `out`, a contiguous 1-D int64 buffer of at
+    least `count` elements, the codes are written over its leading elements
+    and returned as a view of them. Raises `MalformedFile` for a width
+    outside 0..16 or a section whose length disagrees with `count`.
     """
     if not 0 <= bits <= MAX_CODE_BITS:
         raise MalformedFile(f"code width {bits} outside 0..{MAX_CODE_BITS}")
-    if bits == 0 or count == 0:
-        return np.zeros(count, dtype=np.int64)
     need = (count * bits + 7) // 8
     if len(buf) != need:
         raise MalformedFile(f"packed code section has {len(buf)} bytes, expected {need}")
+    if out is None:
+        out = np.empty(count, dtype=np.int64)
+    elif out.dtype != np.int64 or out.ndim != 1 or out.size < count:
+        raise ValueError(f"a {out.dtype} buffer of shape {out.shape} cannot hold {count} codes")
+    codes = out[:count]
+    if bits == 0 or count == 0:
+        codes[:] = 0
+        return codes
     groups = -(-count // 8)
     grid = np.zeros(groups * bits + 3, dtype=np.uint8)  # +3: the last lane's u32 read
     grid[:need] = np.frombuffer(buf, dtype=np.uint8)
-    out = np.empty((groups, 8), dtype=np.int64)
-    for lane in range(8):
+    lanes = np.empty((8, groups), dtype=np.uint32)
+    mask = np.uint32((1 << bits) - 1)
+    for lane, row in enumerate(lanes):
         byte, shift = divmod(lane * bits, 8)
         window = np.ndarray((groups,), dtype="<u4", buffer=grid, offset=byte, strides=(bits,))
-        out[:, lane] = (window >> shift) & ((1 << bits) - 1)
-    return out.reshape(-1)[:count]
+        np.right_shift(window, np.uint32(shift), out=row)
+        np.bitwise_and(row, mask, out=row)
+    whole, tail = divmod(count, 8)
+    codes[: whole * 8].reshape(whole, 8)[...] = lanes[:, :whole].T
+    if tail:
+        codes[whole * 8 :] = lanes[:tail, whole]
+    return codes
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +530,13 @@ class RawEntry:
 
 @dataclass(eq=False)
 class EncodedEntry:
-    """One layer's codebook/codes/permutation plus its geometry."""
+    """One layer's codebook, packed codes and permutation, plus its geometry.
+
+    The codes stay in their stored form: `packed` holds the ``m_hat * n``
+    codes of the ``(m_hat, n)`` grid, `bits` = ``code_width(k_eff)`` bits
+    each, as `pack_codes` writes them (a `memoryview` into the file when
+    loaded). `unpack` turns them into int64 codes when a layer is decoded.
+    """
 
     name: str
     source_kind: str
@@ -533,12 +546,32 @@ class EncodedEntry:
     d: int
     k_eff: int
     codebook: np.ndarray  # (k_eff, d) float16
-    codes: np.ndarray  # (m_hat, n) int64
+    packed: bytes  # or a memoryview of them
+    m_hat: int
+    n: int
     permutation: np.ndarray  # (rows,) uint32
     perm_block: int = 1
 
+    @property
+    def bits(self) -> int:
+        return code_width(self.k_eff)
+
+    def unpack(self, out=None) -> np.ndarray:
+        """The ``(m_hat, n)`` int64 codes, over the leading elements of `out` if given."""
+        try:
+            codes = unpack_codes(self.packed, self.bits, self.m_hat * self.n, out)
+        except MemoryError as exc:
+            detail = f"entry {self.name!r}: {self.m_hat} x {self.n} codes do not fit in memory"
+            raise TensorTooLarge(detail) from exc
+        return codes.reshape(self.m_hat, self.n)
+
     def validate(self):
-        m_hat, n = self.codes.shape
+        """Check kind, geometry, sizes and codes; every code is below `k_eff`.
+
+        A width of `bits` bounds every code when `k_eff` is a power of two;
+        otherwise the codes are unpacked once, briefly, to find the largest.
+        """
+        m_hat, n = self.m_hat, self.n
         if self.source_kind not in WEIGHTED_KINDS:
             raise MalformedFile(f"entry {self.name!r} has unknown source kind {self.source_kind!r}")
         if self.source_kind == "fc" and self.kernel_size != 1:
@@ -549,24 +582,16 @@ class EncodedEntry:
             raise MalformedFile(f"entry {self.name!r} codes do not match its layer geometry")
         if self.codebook.shape != (self.k_eff, self.d):
             raise MalformedFile(f"entry {self.name!r} codebook shape mismatch")
-        if self.codes.size and (self.codes.min() < 0 or self.codes.max() >= self.k_eff):
-            raise MalformedFile(f"entry {self.name!r} has out-of-range codes")
+        need = (m_hat * n * self.bits + 7) // 8
+        if len(self.packed) != need:
+            raise MalformedFile(
+                f"entry {self.name!r}: packed code section has {len(self.packed)} bytes, expected {need}"
+            )
+        if m_hat * n and self.k_eff < (1 << self.bits):
+            if self.k_eff == 0 or self.unpack().max() >= self.k_eff:
+                raise MalformedFile(f"entry {self.name!r} has out-of-range codes")
         if self.permutation.shape != (m_hat * self.d,):
             raise MalformedFile(f"entry {self.name!r} permutation length mismatch")
-
-
-def entries_equal(a, b) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, RawEntry):
-        return records_equal(a.record, b.record)
-    return (
-        (a.name, a.source_kind, a.kernel_size, a.c_in, a.c_out, a.d, a.k_eff, a.perm_block)
-        == (b.name, b.source_kind, b.kernel_size, b.c_in, b.c_out, b.d, b.k_eff, b.perm_block)
-        and a.codebook.tobytes() == b.codebook.tobytes()
-        and np.array_equal(a.codes, b.codes)
-        and np.array_equal(a.permutation, b.permutation)
-    )
 
 
 @dataclass(eq=False)
@@ -578,16 +603,6 @@ class CompressedModel:
     edges: list = field(default_factory=list)
 
 
-def compressed_models_equal(a: CompressedModel, b: CompressedModel) -> bool:
-    if len(a.entries) != len(b.entries):
-        return False
-    if [(m.name, m.kind) for m in a.layers] != [(m.name, m.kind) for m in b.layers]:
-        return False
-    if list(a.edges) != list(b.edges):
-        return False
-    return all(entries_equal(x, y) for x, y in zip(a.entries, b.entries))
-
-
 def save_compressed(model: CompressedModel, path) -> int:
     """Serialize a compressed model; returns the byte count written."""
     payload = _Payload()
@@ -597,10 +612,8 @@ def save_compressed(model: CompressedModel, path) -> int:
             entries.append({"type": "raw", **_put_tensor(payload, entry.record)})
             continue
         entry.validate()
-        m_hat, n = entry.codes.shape
-        codes_blob = pack_codes(entry.codes, code_width(entry.k_eff))
         cb_off = payload.add(entry.codebook.astype("<f2", copy=False))
-        codes_off = payload.add(codes_blob)
+        codes_off = payload.add(entry.packed)
         perm_off = payload.add(entry.permutation.astype("<u4", copy=False))
         entries.append(
             {
@@ -612,11 +625,11 @@ def save_compressed(model: CompressedModel, path) -> int:
                 "c_out": entry.c_out,
                 "d": entry.d,
                 "k_eff": entry.k_eff,
-                "m_hat": m_hat,
-                "n": n,
+                "m_hat": entry.m_hat,
+                "n": entry.n,
                 "codebook_offset": cb_off,
                 "codes_offset": codes_off,
-                "codes_nbytes": len(codes_blob),
+                "codes_nbytes": len(entry.packed),
                 "perm_offset": perm_off,
                 "perm_block": entry.perm_block,
             }
@@ -649,10 +662,6 @@ def _get_encoded(payload: memoryview, obj: dict) -> EncodedEntry:
     cb_raw = _take(payload, f["codebook_offset"], k_eff * d * 2, where)
     codes_raw = _take(payload, f["codes_offset"], f["codes_nbytes"], where)
     perm_raw = _take(payload, f["perm_offset"], m_hat * d * 4, where)
-    try:
-        codes = unpack_codes(codes_raw, code_width(k_eff), m_hat * n).reshape(m_hat, n)
-    except MemoryError as exc:  # an empty 0-bit section bounds nothing
-        raise TensorTooLarge(f"{where}: {m_hat} x {n} codes do not fit in memory") from exc
     entry = EncodedEntry(
         name=name,
         source_kind=source_kind,
@@ -662,7 +671,9 @@ def _get_encoded(payload: memoryview, obj: dict) -> EncodedEntry:
         d=d,
         k_eff=k_eff,
         codebook=np.frombuffer(cb_raw, dtype="<f2").reshape(k_eff, d).copy(),
-        codes=codes,
+        packed=codes_raw,
+        m_hat=m_hat,
+        n=n,
         permutation=np.frombuffer(perm_raw, dtype="<u4").copy(),
         perm_block=f["perm_block"],
     )
@@ -674,7 +685,10 @@ def load_compressed(path) -> CompressedModel:
     """Parse a ``PQFC`` compressed model file.
 
     A missing, mistyped or negative manifest field raises `MalformedFile`
-    naming the entry and the field.
+    naming the entry and the field. Encoded entries keep their codes packed,
+    as slices of the file's bytes; each entry is checked as a whole
+    (`EncodedEntry.validate`), so a section of the wrong length or an
+    out-of-range code is a `MalformedFile` here, before any decoding.
     """
     manifest, payload = _unframe(_read_file(path), COMPRESSED_MAGIC)
     listed = _listing(manifest, "entries")

@@ -136,6 +136,31 @@ def test_decompress_duplicate_permutation_index_is_data_error(tmp_path, capsys):
     assert not back_path.exists()
 
 
+@pytest.mark.parametrize("k_eff, error", [(8, None), (5, "out-of-range codes")])
+def test_decompress_code_beyond_a_k_eff_that_is_no_power_of_two_is_data_error(
+    tmp_path, capsys, k_eff, error
+):
+    # 8 centroids take 3-bit codes; declaring 5 keeps the width but not every code
+    source, packed = tmp_path / "toy.pqfn", tmp_path / "toy.pqfc"
+    tensor_io.save_checkpoint(make_mlp_checkpoint((8, 16, 4), seed=1), source)
+    argv = ["compress", str(source), "--out", str(packed), "--k", "8", "--k-fc", "8",
+            "--src-iters", "3", "--perm-iters", "5"]
+    assert cli.main(argv) == 0
+    entries = tensor_io.load_compressed(packed).entries
+    (fc1,) = [e for e in entries if isinstance(e, tensor_io.EncodedEntry) and e.name == "fc1"]
+    assert fc1.k_eff == 8 and fc1.unpack().max() >= 5
+    _edit_manifest(packed, "entries", "fc1", k_eff=k_eff)
+    back_path = tmp_path / "back.pqfn"
+    capsys.readouterr()
+    argv = ["decompress", str(packed), "--out", str(back_path)]
+    if error is None:
+        assert cli.main(argv) == 0
+        return
+    assert cli.main(argv) == 2
+    assert f"error kind=MalformedFile detail=\"entry 'fc1' has {error}" in capsys.readouterr().err
+    assert not back_path.exists()
+
+
 def _edit_tensor_entry(path, name, **fields):
     """Rewrite one tensor entry's manifest fields in a PQFN/PQFC file."""
     _edit_manifest(path, None, name, **fields)
@@ -427,6 +452,8 @@ def test_config_flag_mapping():
         ("report", ["--gamma", "inf"], "--gamma must be finite and above 0, got inf"),
         ("compress", ["--jobs", "0"], "argument --jobs: must be at least 1, got 0"),
         ("compress", ["--jobs", "-2"], "argument --jobs: must be at least 1, got -2"),
+        ("compress", ["--perm-iters", "-1"], "argument --perm-iters: must be at least 0, got -1"),
+        ("compress", ["--d-pw", "0"], "argument --d-pw: must be at least 1, got 0"),
     ],
 )
 def test_out_of_range_config_flag_is_usage_error(
@@ -453,14 +480,21 @@ def test_out_of_range_config_flag_is_usage_error(
         (["bench", "--k", "0"], "argument --k: must be at least 1, got 0"),
         (["bench", "--src-iters", "0"], "argument --src-iters: must be at least 1, got 0"),
         (["groups", "x.arch", "--jobs", "2"], "unrecognized arguments: --jobs 2"),
+        (["bench", "--seeds", "0"], "argument --seeds: must be at least 1, got 0"),
+        (["bench", "--perm-iters", "-1"], "argument --perm-iters: must be at least 0, got -1"),
+        (["eval", "--d", "0"], "argument --d: must be at least 1, got 0"),
+        (["bench", "--d", "0"], "argument --d: must be at least 1, got 0"),
+        (["eval", "--epochs", "-1"], "argument --epochs: must be at least 0, got -1"),
+        (["bench", "--seeds", "x"], "argument --seeds: invalid int value: 'x'"),
     ],
 )
 def test_out_of_range_eval_or_bench_flag_is_usage_error(capsys, argv, detail):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert "error kind=Usage" in err and detail in err
+    assert out == ""  # no work ran
 
 
 def test_config_flags_at_their_limits_run(tmp_path, arch_paths, capsys):
@@ -488,7 +522,7 @@ def _entry_decoding_to_four_gigabytes(tmp_path):
     rows, cols = 10**6, 1000
     entry = tensor_io.EncodedEntry(
         name="wide", source_kind="fc", kernel_size=1, c_in=rows, c_out=cols, d=rows, k_eff=1,
-        codebook=np.zeros((1, rows), dtype="<f2"), codes=np.zeros((1, cols), dtype=np.int64),
+        codebook=np.zeros((1, rows), dtype="<f2"), packed=b"", m_hat=1, n=cols,
         permutation=np.arange(rows, dtype="<u4"),
     )
     packed = tmp_path / "wide.pqfc"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import compressed_models_equal, records_equal
 from pqf import cli, codec, layout, permsearch, quantize, tensor_io
 from pqf.codec import (
     CompressionConfig,
@@ -167,7 +168,7 @@ def test_compress_model_round_trips_and_matches_report(tmp_path):
     path = tmp_path / "toy.pqfc"
     tensor_io.save_compressed(model, path)
     loaded = tensor_io.load_compressed(path)
-    assert tensor_io.compressed_models_equal(model, loaded)
+    assert compressed_models_equal(model, loaded)
     restored = decompress_model(loaded)
     assert restored.tensor("fc1.weight").data.shape == (8, 16)
     # report totals equal the sum of entry-level costs
@@ -185,7 +186,7 @@ def test_compress_skip_all_yields_raw_entries():
     assert errors == {}
     assert all(isinstance(e, RawEntry) for e in model.entries)
     for entry, rec in zip(model.entries, ckpt.tensors):
-        assert tensor_io.records_equal(entry.record, rec)
+        assert records_equal(entry.record, rec)
     assert report.ratio == pytest.approx(1.0)
 
 
@@ -195,7 +196,7 @@ def test_compress_deterministic_and_jobs_invariant():
     m1, _, e1 = compress_model(ckpt, cfg, seed=3, jobs=1)
     m2, _, e2 = compress_model(ckpt, cfg, seed=3, jobs=4)
     assert e1 == e2
-    assert tensor_io.compressed_models_equal(m1, m2)
+    assert compressed_models_equal(m1, m2)
 
 
 def test_jobs_pool_takes_the_largest_layer_first(monkeypatch, tmp_path):
@@ -469,7 +470,7 @@ def test_entry_to_encoding_widens_to_float32_and_shares_the_codes():
     entry = codec.encoding_to_entry("layer", enc)
     back = codec.entry_to_encoding(entry)
     assert back.codebook.dtype == np.float32
-    assert back.codes is entry.codes
+    assert np.array_equal(back.codes, enc.codes)
     assert decode_layer(back).dtype == np.float32
 
 
@@ -527,3 +528,35 @@ def test_a_decode_failing_while_the_file_is_written_leaves_no_file(tmp_path, mon
     assert cli.main(["decompress", str(packed), "--out", str(out)]) == 2
     assert "error kind=TensorTooLarge detail=\"tensor 'layer.weight'" in capsys.readouterr().err
     assert not out.exists()
+
+
+# (name, kind, K, C_in, C_out, k): k_eff 1, 2, 1500, 3, 5 and 128, so codes of
+# 0, 1, 11, 2, 3 and 7 bits, three of them with a k_eff that is not a power of two
+_MIXED_WIDTHS = [
+    ("zero", "fc", 1, 16, 12, 1),
+    ("one", "conv", 3, 6, 5, 2),
+    ("eleven", "fc", 1, 64, 375, 1500),
+    ("two", "conv", 1, 8, 6, 3),
+    ("three", "deconv", 3, 4, 6, 5),
+    ("seven", "fc", 1, 32, 64, 128),
+]
+
+
+def test_streamed_decompress_of_mixed_code_widths_matches_the_in_memory_decode(tmp_path):
+    # the layer with the most codes comes third, so later layers unpack over its codes
+    rng = make_rng(64, "mixed-widths")
+    entries = []
+    for name, kind, k, c_in, c_out, k_eff in _MIXED_WIDTHS:
+        weight = rng.standard_normal(layout.weight_shape(kind, c_in, c_out, k))
+        cfg = CompressionConfig(k=k_eff, k_fc=k_eff, quantizer="kmeans", src_iterations=2)
+        enc = encode_layer(weight, _meta(kind=kind, k=k, c_in=c_in, c_out=c_out, name=name), cfg)
+        assert enc.k_eff == k_eff
+        entries.append(codec.encoding_to_entry(name, enc))
+        entries.append(RawEntry(tensor_io.tensor_record(f"{name}.bias", rng.standard_normal(c_out))))
+    assert [e.bits for e in entries[::2]] == [0, 1, 11, 2, 3, 7]
+    packed, streamed, in_memory = tmp_path / "m.pqfc", tmp_path / "s.pqfn", tmp_path / "m.pqfn"
+    tensor_io.save_compressed(tensor_io.CompressedModel(entries=entries), packed)
+    assert cli.main(["decompress", str(packed), "--out", str(streamed)]) == 0
+    tensor_io.save_checkpoint(decompress_model(tensor_io.load_compressed(packed)), in_memory)
+    assert streamed.read_bytes() == in_memory.read_bytes()
+    assert streamed.read_bytes() == _pqfn_oracle(tensor_io.CompressedModel(entries=entries))

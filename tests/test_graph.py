@@ -3,7 +3,8 @@ import importlib.resources as resources
 import numpy as np
 import pytest
 
-from pqf import graph, tensor_io
+from helpers import records_equal
+from pqf import graph
 from pqf.errors import BlockViolation, InconsistentChannelCounts
 from pqf.finetune import make_mlp_checkpoint, make_residual_checkpoint
 from pqf.graph import (
@@ -156,7 +157,7 @@ def test_apply_identity_is_noop():
     (group,) = resolve_groups(ckpt)
     out = apply_group_permutation(ckpt, group, np.arange(6))
     for a, b in zip(ckpt.tensors, out.tensors):
-        assert tensor_io.records_equal(a, b)
+        assert records_equal(a, b)
 
 
 def test_apply_reversal_keeps_mlp_function():

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import compressed_models_equal, records_equal
 from pqf import tensor_io
 from pqf.errors import DanglingEdge, DuplicateTensorName, MalformedFile
 from pqf.rng import make_rng
@@ -11,12 +14,10 @@ from pqf.tensor_io import (
     ModelCheckpoint,
     RawEntry,
     code_width,
-    compressed_models_equal,
     load_checkpoint,
     load_compressed,
     pack_codes,
     parse_arch_spec,
-    records_equal,
     save_checkpoint,
     save_compressed,
     tensor_record,
@@ -190,7 +191,9 @@ def _encoded_entry(name, k_eff, d, m_hat, n, seed=0):
         d=d,
         k_eff=k_eff,
         codebook=rng.standard_normal((k_eff, d)).astype("<f2"),
-        codes=rng.integers(0, k_eff, size=(m_hat, n)),
+        packed=pack_codes(rng.integers(0, k_eff, size=(m_hat, n)), code_width(k_eff)),
+        m_hat=m_hat,
+        n=n,
         permutation=np.arange(m_hat * d, dtype="<u4"),
         perm_block=9 if d % 9 == 0 else 1,
     )
@@ -267,6 +270,29 @@ def test_unpack_matches_the_per_bit_oracle_for_every_width(bits):
         assert np.array_equal(got, values), (bits, count)
         # a memoryview section, as `load_compressed` passes it, unpacks the same
         assert np.array_equal(unpack_codes(memoryview(packed), bits, count), values)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_unpack_round_trips_with_and_without_a_buffer(data):
+    bits = data.draw(st.integers(0, 16), label="bits")
+    values = data.draw(st.lists(st.integers(0, (1 << bits) - 1), max_size=70), label="values")
+    spare = data.draw(st.integers(0, 9), label="spare")
+    count = len(values)
+    packed = pack_codes(np.array(values, dtype=np.int64), bits)
+    got = unpack_codes(packed, bits, count)
+    assert got.dtype == np.int64 and got.tolist() == values
+    buf = np.full(count + spare, -7, dtype=np.int64)
+    into = unpack_codes(packed, bits, count, buf)
+    assert into.tolist() == values
+    assert into.base is buf or count == 0  # a view of the buffer's leading elements
+    assert buf[count:].tolist() == [-7] * spare
+
+
+@pytest.mark.parametrize("buf", [np.zeros(7, np.int64), np.zeros(8, np.int32), np.zeros((8, 1), np.int64)])
+def test_unpack_rejects_a_buffer_that_cannot_hold_the_codes(buf):
+    with pytest.raises(ValueError):
+        unpack_codes(pack_codes(np.arange(8), 3), 3, 8, buf)
 
 
 @pytest.mark.parametrize("bits", [-1, 17, 32])
@@ -350,6 +376,7 @@ def _not_int(key):
         (lambda m: m["entries"][0].update(k_eff="16"), _not_int("k_eff")),
         (lambda m: m["entries"][0].update(d=True), _not_int("d")),
         (lambda m: m["entries"][0].update(codes_offset=-1), "field 'codes_offset' is negative"),
+        (lambda m: m["entries"][0].update(codes_nbytes=9), "section has 9 bytes, expected 10"),
         (lambda m: m["entries"][0].pop("name"), "encoded entry: field 'name' is missing"),
         (lambda m: m["entries"][0].update(source_kind=7), "'source_kind' is missing or not str"),
         (lambda m: m.update(entries=5), "field 'entries' is not a list of objects"),
