@@ -300,7 +300,7 @@ def run_eval(toy="mlp", epochs=30, lr=1e-3, lr_min=1e-6, k=4, d=8, seed=0) -> di
     cfg = codec.CompressionConfig.small_blocks(
         k=k,
         k_fc=k,
-        overrides={meta.name: {"d": d} for meta in trained.layers if meta.kind == "fc"},
+        d_fc=d,
         skip_first_conv=(toy == "conv"),
         use_permutation=False,
         src_iterations=50,

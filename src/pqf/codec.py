@@ -10,7 +10,7 @@ convolution, biases, and batchnorm vectors stay uncompressed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,20 +43,17 @@ class CompressionConfig:
 
     ``d_conv_multiplier`` selects K*K (1, the small-blocks regime) or 2*K*K
     (2, large blocks) subvectors for K>1 convolutions; pointwise convolutions
-    use ``d_pw`` and fully-connected layers ``D_FC``. Classifier fc layers get
+    use ``d_pw`` and fully-connected layers ``d_fc``. Classifier fc layers get
     their own codebook size ``k_fc`` regardless of the convolutional ``k``.
-    Per-layer ``overrides`` take precedence over all of these.
     """
-
-    D_FC = 4  # not a field: no run sets another fc subvector size
 
     k: int = 256
     k_fc: int = 2048
     d_conv_multiplier: int = 1
     d_pw: int = 4
+    d_fc: int = 4
     skip_first_conv: bool = True
     skip: frozenset = frozenset()
-    overrides: dict = field(default_factory=dict)  # name -> {"k": int, "d": int}
     quantizer: str = "src"  # src | kmeans
     src_iterations: int = quantize.DEFAULT_ITERATIONS
     gamma: float = quantize.DEFAULT_GAMMA
@@ -76,21 +73,15 @@ class CompressionConfig:
         return cls(k=k, d_conv_multiplier=2, d_pw=d_pw, **kwargs)
 
     def subvector_size(self, meta: LayerMeta) -> int:
-        override = self.overrides.get(meta.name, {})
-        if "d" in override:
-            return int(override["d"])
         if meta.kind in ("conv", "deconv"):
             if meta.kernel_size > 1:
                 return self.d_conv_multiplier * meta.kernel_size**2
             return self.d_pw
         if meta.kind == "fc":
-            return self.D_FC
+            return self.d_fc
         raise UnknownLayerKind(meta.kind)
 
     def requested_codebook_size(self, meta: LayerMeta) -> int:
-        override = self.overrides.get(meta.name, {})
-        if "k" in override:
-            return int(override["k"])
         return self.k_fc if meta.kind == "fc" else self.k
 
 
@@ -203,15 +194,6 @@ def decode_layer(enc: LayerEncoding, out=None) -> np.ndarray:
     kk = enc.kernel_size**2
     rows[dest // kk, dest % kk] = subvectors.transpose(0, 2, 1)
     return weight
-
-
-def quantization_error(weight, enc: LayerEncoding) -> float:
-    """Mean squared error per subvector between P*W_r and its reconstruction."""
-    rw = layout.reshape_weight(weight, enc.source_kind)
-    permuted = enc.permutation.apply_rows(rw.matrix)
-    approx = layout.merge_matrix(np.asarray(enc.codebook, dtype=np.float64)[enc.codes])
-    m_hat = permuted.shape[0] // enc.d
-    return float(np.square(approx - permuted).sum() / (m_hat * permuted.shape[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +369,7 @@ def resolve_layer_permutations(ckpt: ModelCheckpoint, cfg: CompressionConfig, se
         specs = []
         for name in names:
             meta = compressed[name]
-            weight = np.asarray(ckpt.tensor(f"{name}.weight").data, dtype=np.float64)
-            rw = layout.reshape_weight(weight, meta.kind)
+            rw = layout.reshape_weight(ckpt.tensor(f"{name}.weight").data, meta.kind)
             specs.append((rw.matrix, cfg.subvector_size(meta), rw.rows // units))
         # `names` keeps the sorted order of `group.children`
         unit_perm = permsearch.optimize_group_permutation(
@@ -407,16 +388,13 @@ def encode_layers(
     """Encode every compressible layer; returns name -> `LayerEncoding`.
 
     Layers missing from `permutations` keep the identity. Seeds are derived
-    per layer, so `jobs` worker threads change nothing but wall time. The
-    pool takes the layers largest first (Graham's LPT rule), by the
-    assignment work N * k_eff * d of one quantizer iteration, so the largest
-    layer does not start last; results stay in declaration order.
+    per layer, so `jobs` worker threads change nothing but wall time;
+    results stay in declaration order.
     """
 
     def encode_one(meta):
-        rec = ckpt.tensor(f"{meta.name}.weight")
         return meta.name, encode_layer(
-            np.asarray(rec.data, dtype=np.float64),
+            ckpt.tensor(f"{meta.name}.weight").data,
             meta,
             cfg,
             permutation=permutations.get(meta.name),
@@ -427,15 +405,9 @@ def encode_layers(
     if jobs > 1 and len(layers) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        def work(meta):
-            size = ckpt.tensor(f"{meta.name}.weight").data.size  # N * d
-            n = max(1, size // max(1, cfg.subvector_size(meta)))
-            return size * quantize.clamp_codebook_size(cfg.requested_codebook_size(meta), n)
-
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            done = dict(pool.map(encode_one, sorted(layers, key=work, reverse=True)))
-        return {meta.name: done[meta.name] for meta in layers}
-    return dict(encode_one(meta) for meta in layers)
+            return dict(pool.map(encode_one, layers))
+    return dict(map(encode_one, layers))
 
 
 def compress_model(ckpt: ModelCheckpoint, cfg: CompressionConfig, seed: int = 0, jobs: int = 1):

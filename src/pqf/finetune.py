@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import codec, layout
-from .errors import DivergedLoss, MalformedFile, ShapeMismatch
+from .errors import DivergedLoss, ShapeMismatch
 from .rng import gaussian, make_rng
 from .tensor_io import WEIGHTED_KINDS, LayerMeta, ModelCheckpoint, tensor_record
 
@@ -82,16 +82,6 @@ def blob_images(
     )
     y = np.repeat(np.arange(n_classes), n_per_class)
     return _split(x, y, val_fraction, rng)
-
-
-def two_spirals(n_per_arm: int, seed: int, noise: float = 0.15) -> ToyDataset:
-    """The classic interleaved two-spiral binary problem in 2-D."""
-    rng = make_rng(seed, "spirals")
-    t = np.sqrt(rng.random(n_per_arm)) * 3.0 * np.pi
-    arm = np.stack([t * np.cos(t), t * np.sin(t)], axis=1) / (3.0 * np.pi)
-    x = np.concatenate([arm, -arm]) + gaussian(rng, (2 * n_per_arm, 2)) * noise
-    y = np.repeat(np.arange(2), n_per_arm)
-    return _split(x, y, 0.25, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -524,146 +514,76 @@ def train_network(
 # Toy architecture builders
 # ---------------------------------------------------------------------------
 
-def make_mlp_checkpoint(sizes, seed: int = 0, prefix: str = "fc") -> ModelCheckpoint:
+def _init_checkpoint(tag: str, seed: int, layers: list) -> ModelCheckpoint:
+    """Wire and initialize a toy net from ``(name, kind, K, C_in, C_out, *extra_inputs)`` rows.
+
+    Each layer reads the one declared before it, then its extra inputs, and
+    the edges keep that order. The graph is checked before any draw; then,
+    in declaration order, each conv and fc weight is He-initialized, each fc
+    gets a zero bias, and each batchnorm draws a scale in [0.75, 1.25) and
+    a shift of standard deviation 0.1.
+    """
+    metas = [LayerMeta(*row[:5]) for row in layers]
+    edges = [(p, row[0]) for prev, row in zip(layers, layers[1:]) for p in (prev[0], *row[5:])]
+    ckpt = ModelCheckpoint([], metas, edges)
+    ckpt.validate()
+    rng = make_rng(seed, tag)
+    put = ckpt.tensors.append
+    for m in metas:
+        if m.kind in WEIGHTED_KINDS:
+            m.has_bias = m.kind == "fc"
+            w = gaussian(rng, layout.weight_shape(m.kind, m.c_in, m.c_out, m.kernel_size))
+            put(tensor_record(f"{m.name}.weight", w * np.sqrt(2.0 / (m.c_in * m.kernel_size**2))))
+            if m.has_bias:
+                put(tensor_record(f"{m.name}.bias", np.zeros(m.c_out)))
+        elif m.kind == "batchnorm":
+            put(tensor_record(f"{m.name}.weight", 0.75 + 0.5 * rng.random(m.c_out)))
+            put(tensor_record(f"{m.name}.bias", gaussian(rng, (m.c_out,)) * 0.1))
+    return ckpt
+
+
+def _same(name: str, kind: str, c: int, *extra_inputs) -> tuple:
+    """A row for a layer that keeps its `c` channels."""
+    return (name, kind, 1, c, c, *extra_inputs)
+
+
+def make_mlp_checkpoint(sizes, seed: int = 0) -> ModelCheckpoint:
     """input -> [fc -> relu]* -> fc -> output, He-initialized.
 
     Raises `MalformedFile` naming the first fc layer with a width below 1.
     """
-    rng = make_rng(seed, "mlp-init")
-    layers = [LayerMeta("input", "input", 1, sizes[0], sizes[0])]
-    edges = []
-    tensors = []
-    prev = "input"
-    for i in range(len(sizes) - 1):
-        name = f"{prefix}{i + 1}"
-        if min(sizes[i], sizes[i + 1]) < 1:
-            raise MalformedFile(f"layer {name!r} has an empty dimension")
-        layers.append(LayerMeta(name, "fc", 1, sizes[i], sizes[i + 1]))
-        edges.append((prev, name))
-        w = gaussian(rng, (sizes[i], sizes[i + 1])) * np.sqrt(2.0 / sizes[i])
-        tensors.append(tensor_record(f"{name}.weight", w))
-        tensors.append(tensor_record(f"{name}.bias", np.zeros(sizes[i + 1])))
-        prev = name
-        if i < len(sizes) - 2:
-            rname = f"relu{i + 1}"
-            layers.append(LayerMeta(rname, "relu", 1, sizes[i + 1], sizes[i + 1]))
-            edges.append((prev, rname))
-            prev = rname
-    layers.append(LayerMeta("output", "output", 1, sizes[-1], sizes[-1]))
-    edges.append((prev, "output"))
-    ckpt = ModelCheckpoint(tensors=tensors, layers=layers, edges=edges)
-    for meta in ckpt.layers:
-        if meta.kind == "fc":
-            meta.has_bias = True
-    return ckpt
+    layers = [_same("input", "input", sizes[0])]
+    for i, (c_in, c_out) in enumerate(zip(sizes, sizes[1:]), 1):
+        if i > 1:
+            layers.append(_same(f"relu{i - 1}", "relu", c_in))
+        layers.append((f"fc{i}", "fc", 1, c_in, c_out))
+    return _init_checkpoint("mlp-init", seed, layers + [_same("output", "output", sizes[-1])])
 
 
 def make_conv_classifier_checkpoint(
     channels=(2, 8, 8), kernel_size: int = 3, n_classes: int = 4, seed: int = 0
 ) -> ModelCheckpoint:
     """input -> [conv -> relu]* -> pool -> fc -> output."""
-    rng = make_rng(seed, "conv-init")
-    layers = [LayerMeta("input", "input", 1, channels[0], channels[0])]
-    edges, tensors = [], []
-    prev = "input"
-    for i in range(len(channels) - 1):
-        name = f"conv{i + 1}"
-        c_in, c_out = channels[i], channels[i + 1]
-        layers.append(LayerMeta(name, "conv", kernel_size, c_in, c_out))
-        edges.append((prev, name))
-        fan_in = c_in * kernel_size**2
-        w = gaussian(rng, (c_in, c_out, kernel_size, kernel_size)) * np.sqrt(2.0 / fan_in)
-        tensors.append(tensor_record(f"{name}.weight", w))
-        rname = f"relu{i + 1}"
-        layers.append(LayerMeta(rname, "relu", 1, c_out, c_out))
-        edges.append((name, rname))
-        prev = rname
-    layers.append(LayerMeta("pool", "pool", 1, channels[-1], channels[-1]))
-    edges.append((prev, "pool"))
-    layers.append(LayerMeta("fc", "fc", 1, channels[-1], n_classes))
-    edges.append(("pool", "fc"))
-    w = gaussian(rng, (channels[-1], n_classes)) * np.sqrt(2.0 / channels[-1])
-    tensors.append(tensor_record("fc.weight", w))
-    tensors.append(tensor_record("fc.bias", np.zeros(n_classes)))
-    layers.append(LayerMeta("output", "output", 1, n_classes, n_classes))
-    edges.append(("fc", "output"))
-    ckpt = ModelCheckpoint(tensors=tensors, layers=layers, edges=edges)
-    ckpt.layer("fc").has_bias = True
-    return ckpt
+    layers = [_same("input", "input", channels[0])]
+    for i, (c_in, c_out) in enumerate(zip(channels, channels[1:]), 1):
+        layers += [(f"conv{i}", "conv", kernel_size, c_in, c_out), _same(f"relu{i}", "relu", c_out)]
+    c = channels[-1]
+    layers += [_same("pool", "pool", c), ("fc", "fc", 1, c, n_classes)]
+    return _init_checkpoint("conv-init", seed, layers + [_same("output", "output", n_classes)])
 
 
 def make_residual_checkpoint(
-    c_in: int = 3,
-    width: int = 8,
-    n_blocks: int = 2,
-    kernel_size: int = 3,
-    n_classes: int = 4,
-    seed: int = 0,
-    with_batchnorm: bool = True,
+    c_in: int = 3, width: int = 8, n_blocks: int = 2, kernel_size: int = 3, seed: int = 0
 ) -> ModelCheckpoint:
-    """A small residual conv net: stem, add-blocks, pool, classifier."""
-    rng = make_rng(seed, "residual-init")
-    layers, edges, tensors = [], [], []
-
-    def conv(name, ci, co, k):
-        layers.append(LayerMeta(name, "conv", k, ci, co))
-        fan_in = ci * k**2
-        tensors.append(
-            tensor_record(f"{name}.weight", gaussian(rng, (ci, co, k, k)) * np.sqrt(2.0 / fan_in))
-        )
-
-    def bn(name, c):
-        layers.append(LayerMeta(name, "batchnorm", 1, c, c))
-        tensors.append(tensor_record(f"{name}.weight", 0.75 + 0.5 * rng.random(c)))
-        tensors.append(tensor_record(f"{name}.bias", gaussian(rng, (c,)) * 0.1))
-
-    layers.append(LayerMeta("input", "input", 1, c_in, c_in))
-    conv("stem", c_in, width, kernel_size)
-    edges.append(("input", "stem"))
-    prev = "stem"
-    if with_batchnorm:
-        bn("stem_bn", width)
-        edges.append(("stem", "stem_bn"))
-        prev = "stem_bn"
-    layers.append(LayerMeta("stem_relu", "relu", 1, width, width))
-    edges.append((prev, "stem_relu"))
-    prev = "stem_relu"
-
-    for i in range(n_blocks):
-        base = f"block{i + 1}"
-        conv(f"{base}.conv1", width, width, kernel_size)
-        edges.append((prev, f"{base}.conv1"))
-        last = f"{base}.conv1"
-        if with_batchnorm:
-            bn(f"{base}.bn1", width)
-            edges.append((last, f"{base}.bn1"))
-            last = f"{base}.bn1"
-        layers.append(LayerMeta(f"{base}.relu1", "relu", 1, width, width))
-        edges.append((last, f"{base}.relu1"))
-        conv(f"{base}.conv2", width, width, kernel_size)
-        edges.append((f"{base}.relu1", f"{base}.conv2"))
-        last = f"{base}.conv2"
-        if with_batchnorm:
-            bn(f"{base}.bn2", width)
-            edges.append((last, f"{base}.bn2"))
-            last = f"{base}.bn2"
-        layers.append(LayerMeta(f"{base}.add", "add", 1, width, width))
-        edges.append((last, f"{base}.add"))
-        edges.append((prev, f"{base}.add"))
-        layers.append(LayerMeta(f"{base}.relu2", "relu", 1, width, width))
-        edges.append((f"{base}.add", f"{base}.relu2"))
-        prev = f"{base}.relu2"
-
-    layers.append(LayerMeta("pool", "pool", 1, width, width))
-    edges.append((prev, "pool"))
-    layers.append(LayerMeta("fc", "fc", 1, width, n_classes))
-    edges.append(("pool", "fc"))
-    tensors.append(
-        tensor_record("fc.weight", gaussian(rng, (width, n_classes)) * np.sqrt(2.0 / width))
-    )
-    tensors.append(tensor_record("fc.bias", np.zeros(n_classes)))
-    layers.append(LayerMeta("output", "output", 1, n_classes, n_classes))
-    edges.append(("fc", "output"))
-    ckpt = ModelCheckpoint(tensors=tensors, layers=layers, edges=edges)
-    ckpt.layer("fc").has_bias = True
-    return ckpt
+    """A small residual conv net: stem, add-blocks, pool, 4-class classifier."""
+    w, k = width, kernel_size
+    layers = [_same("input", "input", c_in), ("stem", "conv", k, c_in, w),
+              _same("stem_bn", "batchnorm", w), _same("stem_relu", "relu", w)]
+    for i in range(1, n_blocks + 1):
+        b, skip = f"block{i}", layers[-1][0]
+        layers += [(f"{b}.conv1", "conv", k, w, w), _same(f"{b}.bn1", "batchnorm", w),
+                   _same(f"{b}.relu1", "relu", w), (f"{b}.conv2", "conv", k, w, w),
+                   _same(f"{b}.bn2", "batchnorm", w), _same(f"{b}.add", "add", w, skip),
+                   _same(f"{b}.relu2", "relu", w)]
+    layers += [_same("pool", "pool", w), ("fc", "fc", 1, w, 4), _same("output", "output", 4)]
+    return _init_checkpoint("residual-init", seed, layers)

@@ -208,9 +208,16 @@ def _field(obj: dict, key: str, kind, where: str):
     return value
 
 
+def _required(manifest: dict, key: str):
+    """``manifest[key]``; both writers always write it, so its absence is `MalformedFile`."""
+    if key not in manifest:
+        raise MalformedFile(f"manifest field {key!r} is missing")
+    return manifest[key]
+
+
 def _listing(manifest: dict, key: str) -> list:
-    """Manifest list `key` (default empty), checked to hold JSON objects only."""
-    items = manifest.get(key, [])
+    """Manifest list `key`, checked to be present and to hold JSON objects only."""
+    items = _required(manifest, key)
     if not isinstance(items, list) or not all(isinstance(o, dict) for o in items):
         raise MalformedFile(f"manifest field {key!r} is not a list of objects")
     return items
@@ -230,7 +237,7 @@ def _layer_from_dict(obj: dict) -> LayerMeta:
 
 def _graph_from_manifest(manifest: dict) -> tuple:
     """The checked ``(layers, edges)`` a manifest echoes."""
-    edges = manifest.get("edges", [])
+    edges = _required(manifest, "edges")
     if not isinstance(edges, list) or not all(
         isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e) for e in edges
     ):
@@ -692,7 +699,7 @@ def load_compressed(path) -> CompressedModel:
     """
     manifest, payload = _unframe(_read_file(path), COMPRESSED_MAGIC)
     listed = _listing(manifest, "entries")
-    count = manifest.get("entry_count", len(listed))
+    count = _required(manifest, "entry_count")
     if not _is_int(count) or count != len(listed):
         raise MalformedFile("entry count disagrees with the entry list")
     entries = []

@@ -1,9 +1,13 @@
-"""Equality of containers and their entries, for round-trip tests."""
+"""Test-only helpers: container equality for round trips, a quantizer error oracle, a toy dataset."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from pqf import layout
+from pqf.codec import LayerEncoding
+from pqf.finetune import ToyDataset, _split
+from pqf.rng import gaussian, make_rng
 from pqf.tensor_io import CompressedModel, RawEntry, TensorRecord
 
 
@@ -40,3 +44,22 @@ def compressed_models_equal(a: CompressedModel, b: CompressedModel) -> bool:
     if list(a.edges) != list(b.edges):
         return False
     return all(entries_equal(x, y) for x, y in zip(a.entries, b.entries))
+
+
+def quantization_error(weight, enc: LayerEncoding) -> float:
+    """Mean squared error per subvector between P*W_r and its reconstruction."""
+    rw = layout.reshape_weight(weight, enc.source_kind)
+    permuted = enc.permutation.apply_rows(rw.matrix)
+    approx = layout.merge_matrix(np.asarray(enc.codebook, dtype=np.float64)[enc.codes])
+    m_hat = permuted.shape[0] // enc.d
+    return float(np.square(approx - permuted).sum() / (m_hat * permuted.shape[1]))
+
+
+def two_spirals(n_per_arm: int, seed: int, noise: float = 0.15) -> ToyDataset:
+    """The classic interleaved two-spiral binary problem in 2-D."""
+    rng = make_rng(seed, "spirals")
+    t = np.sqrt(rng.random(n_per_arm)) * 3.0 * np.pi
+    arm = np.stack([t * np.cos(t), t * np.sin(t)], axis=1) / (3.0 * np.pi)
+    x = np.concatenate([arm, -arm]) + gaussian(rng, (2 * n_per_arm, 2)) * noise
+    y = np.repeat(np.arange(2), n_per_arm)
+    return _split(x, y, 0.25, rng)

@@ -371,7 +371,7 @@ def test_criterion_8_gradient_suite():
             w = gaussian(rng, (8, 5))
             meta = tensor_io.LayerMeta("fc1", "fc", 1, 8, 5)
             cfg = CompressionConfig.small_blocks(
-                k=3, k_fc=3, overrides={"fc1": {"d": 4}}, src_iterations=15
+                k=3, k_fc=3, d_fc=4, src_iterations=15
             )
             enc = encode_layer(w, meta, cfg, seed=seed)
             ckpt = make_mlp_checkpoint((8, 5), seed=seed)

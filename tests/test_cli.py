@@ -576,3 +576,28 @@ def test_decompress_hostile_entry_field_is_data_error(tmp_path, capsys, edit, de
     err = capsys.readouterr().err
     assert "error kind=MalformedFile" in err and detail in err
     assert not back_path.exists()
+
+
+@pytest.mark.parametrize(
+    "container, dropped",
+    [
+        ("pqfc", ("edges",)),
+        ("pqfc", ("layers",)),
+        ("pqfc", ("entries", "entry_count")),
+        ("pqfc", ("entry_count",)),
+        ("pqfn", ("tensors",)),
+        ("pqfn", ("edges",)),
+        ("pqfn", ("layers",)),
+    ],
+)
+def test_container_missing_a_manifest_array_is_data_error(tmp_path, capsys, container, dropped):
+    ckpt_path, packed = _compressed_toy(tmp_path)
+    out_path = tmp_path / "out.bin"
+    path = ckpt_path if container == "pqfn" else packed
+    _rewrite_manifest(path, lambda m: [m.pop(key) for key in dropped])
+    command = "compress" if container == "pqfn" else "decompress"
+    capsys.readouterr()
+    assert cli.main([command, str(path), "--out", str(out_path)]) == 2
+    detail = f"manifest field {dropped[0]!r} is missing"
+    assert f'error kind=MalformedFile detail="{detail}"' in capsys.readouterr().err
+    assert not out_path.exists()

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from helpers import two_spirals
 from pqf import codec, finetune
 from pqf.codec import CompressionConfig, encode_layer
 from pqf.errors import DanglingEdge, DivergedLoss, MalformedFile, ShapeMismatch
@@ -20,10 +23,9 @@ from pqf.finetune import (
     make_residual_checkpoint,
     softmax_cross_entropy,
     train_network,
-    two_spirals,
 )
 from pqf.rng import gaussian, make_rng
-from pqf.tensor_io import LayerMeta, ModelCheckpoint, tensor_record
+from pqf.tensor_io import LayerMeta, ModelCheckpoint, save_checkpoint, tensor_record
 
 
 def _single_layer_net(w, bias=None):
@@ -179,7 +181,7 @@ def _encoded_single_layer(seed=0, m=8, n=4, d=4, k=3):
     w = rng.standard_normal((m, n))
     meta = LayerMeta("fc1", "fc", 1, m, n)
     cfg = CompressionConfig.small_blocks(
-        k=k, k_fc=k, overrides={"fc1": {"d": d}}, src_iterations=20
+        k=k, k_fc=k, d_fc=d, src_iterations=20
     )
     enc = encode_layer(w, meta, cfg, seed=seed)
     net = _single_layer_net(w)
@@ -294,6 +296,32 @@ def test_training_steps_never_resort_the_graph(monkeypatch):
         _, cache = forward(net, x)
         backward(net, cache, np.array([0, 1]))
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "build, kwargs, digest",
+    [
+        (make_mlp_checkpoint, dict(sizes=(8, 16, 16, 4), seed=5),
+         "1d724d89a5af5ab94ef95a9a13b679d9c8da58a3ce0222a09b4e6ceaa721cb1f"),
+        (make_mlp_checkpoint, dict(sizes=(3, 4, 2), seed=47),
+         "cd9a3ac163aa1f048b918126b6bec3da221e63445cf9c6c88f988f3dc41f23b7"),
+        (make_mlp_checkpoint, dict(sizes=(8, 5), seed=1),
+         "e8e0ba12f7f9f2d09763668daee48a4ff4436400445676f129f51dad2b9b395c"),
+        (make_conv_classifier_checkpoint, dict(channels=(2, 64, 64), kernel_size=3, seed=4),
+         "cfc29738487f491b9cfc14319e8d3bc8c80d08cc150539b12c493d874cbcebc8"),
+        (make_conv_classifier_checkpoint, dict(channels=(2, 4, 4), kernel_size=3, n_classes=4,
+                                               seed=42),
+         "2afd46d4630d0d02710ea0d3ad3ffd03073a6ba97e3c5c5186e47fd9596065cd"),
+        (make_residual_checkpoint, dict(c_in=2, width=8, n_blocks=2, seed=7),
+         "584a2e9b0bb3c1f33c8cc14c6f57200574789ab7dc9b1a5ee074340eab957c83"),
+        (make_residual_checkpoint, dict(c_in=2, width=4, n_blocks=1, seed=8),
+         "f0d7abdca50187a4d62a4dec91020b932b709e1f4df839da1e51d5a065544f94"),
+    ],
+)
+def test_toy_checkpoint_bytes_are_pinned(tmp_path, build, kwargs, digest):
+    path = tmp_path / "toy.pqfn"
+    save_checkpoint(build(**kwargs), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("sizes, layer", [((8, 0, 4), "fc1"), ((0, 4), "fc1"), ((8, 4, 0), "fc2")])
@@ -418,7 +446,7 @@ def test_full_pipeline_compress_store_finetune(tmp_path):
     from pqf import tensor_io as tio
 
     cfg = CompressionConfig.small_blocks(
-        k=4, k_fc=4, overrides={m.name: {"d": 8} for m in trained.layers if m.kind == "fc"},
+        k=4, k_fc=4, d_fc=8,
         src_iterations=40, perm_iterations=60,
     )
     model, _, _ = compress_model(trained, cfg, seed=33)

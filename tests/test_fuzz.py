@@ -1,4 +1,5 @@
-"""Seeded mutants of a `.pqfc` file: `pqf decompress` exits 0 or 2, never raises."""
+"""Seeded mutants of both containers: `pqf decompress` of a `.pqfc`, and `pqf compress` and
+`pqf report` of a `.pqfn`, exit 0 or 2 and never raise."""
 
 import json
 
@@ -30,18 +31,19 @@ def _join(raw: bytes, manifest, payload: bytes) -> bytes:
     return raw[:8] + len(blob).to_bytes(8, "little") + blob + payload
 
 
-def _mutants(raw: bytes, count: int, seed: int):
+def _mutants(raw: bytes, count: int, seed: int, tag: str):
     """`count` mutants: a manifest field deleted, nulled or retyped, or 1-3 payload bits flipped.
 
     A flip lands anywhere in the payload or, as often, inside one entry's
     packed codes: they are too small a share of the payload for flips spread
     over all of it to reach them reliably.
     """
-    rng = make_rng(seed, "pqfc-fuzz")
+    rng = make_rng(seed, tag)
     manifest, payload = _split(raw)
     paths = list(_field_paths(manifest))
     spans = [(0, len(payload))] + [
-        (e["codes_offset"], e["codes_nbytes"]) for e in manifest["entries"] if e["type"] == "encoded"
+        (e["codes_offset"], e["codes_nbytes"])
+        for e in manifest.get("entries", []) if e["type"] == "encoded"
     ]
     for _ in range(count):
         if rng.random() < 0.25:
@@ -81,7 +83,7 @@ def test_decompress_of_pqfc_mutants_exits_0_or_2_and_leaves_no_file_on_2(
     write_file = tensor_io._write_file
     monkeypatch.setattr(tensor_io, "_write_file", lambda *a: opened.append(a[0]) or write_file(*a))
     exits = []
-    for what, data in _mutants(raw, 400, seed=11):
+    for what, data in _mutants(raw, 400, seed=11, tag="pqfc-fuzz"):
         mutant.write_bytes(data)
         opened.clear()
         capsys.readouterr()
@@ -93,4 +95,26 @@ def test_decompress_of_pqfc_mutants_exits_0_or_2_and_leaves_no_file_on_2(
             assert "error kind=" in err and not opened and not out.exists(), what
         out.unlink(missing_ok=True)
         exits.append(code)
+    assert exits.count(0) and exits.count(2) > len(exits) // 2
+
+
+def test_compress_and_report_of_pqfn_mutants_exit_0_or_2_and_leave_no_file_on_2(tmp_path, capsys):
+    source = tmp_path / "toy.pqfn"
+    tensor_io.save_checkpoint(make_mlp_checkpoint((8, 16, 4), seed=2), source)
+    raw = source.read_bytes()
+    mutant, out = tmp_path / "mutant.pqfn", tmp_path / "out.pqfc"
+    compress = ["compress", str(mutant), "--out", str(out), "--k", "5", "--k-fc", "5",
+                "--src-iters", "3", "--perm-iters", "5"]
+    exits = []
+    for what, data in _mutants(raw, 400, seed=12, tag="pqfn-fuzz"):
+        mutant.write_bytes(data)
+        for argv in (compress, ["report", str(mutant)]):
+            capsys.readouterr()
+            code = cli.main(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 2), (argv[0], what)
+            if code == 2:
+                assert "error kind=" in err and not out.exists(), (argv[0], what)
+            out.unlink(missing_ok=True)
+            exits.append(code)
     assert exits.count(0) and exits.count(2) > len(exits) // 2
