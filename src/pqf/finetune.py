@@ -8,12 +8,19 @@ once, when it is built, into an execution plan that forward and backward both
 walk; forward decodes each weighted layer once and backward reuses that matrix.
 Backward passes are exact reverse-mode gradients of the same ops, in float64
 throughout. One training loop serves both raw-weight training and codebook
-fine-tuning. Fine-tuning moves only codebook centroids: codes and permutations
-have no update path, so decoded weights stay exact centroid copies.
+fine-tuning. It copies every trainable tensor into one contiguous float64
+vector and rebinds the network's arrays (`params` entries or codebooks) to
+views of it, so each step writes all gradients into one flat gradient vector
+and one fused run of in-place ufuncs is the Adam update. Fine-tuning moves
+only codebook centroids: codes and permutations have no update path, so
+decoded weights stay exact centroid copies, and the maps that carry a weight
+gradient onto the centroids are computed once per encoding.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -330,20 +337,37 @@ def backward(net: ToyNetwork, cache: dict, labels, loss: str = "ce") -> tuple:
     return loss_value, grads
 
 
-def centroid_gradients(weight_grad: np.ndarray, enc) -> np.ndarray:
+def centroid_maps(enc) -> tuple:
+    """Index maps ``(positions, bins)`` from a weight gradient onto `enc`'s centroids.
+
+    Both list the code grid in order, subvector by subvector and within each
+    its `d` coordinates. ``positions`` holds the flat index into the stored
+    weight of each coordinate: the reshape, permutation and subvector cut
+    applied to a tensor of indices. ``bins`` holds ``code*d + j`` for
+    coordinate `j`. Codes and permutations are frozen in fine-tuning, so the
+    maps are computed once per encoding.
+    """
+    shape = layout.weight_shape(enc.source_kind, enc.c_in, enc.c_out, enc.kernel_size)
+    index = np.arange(math.prod(shape)).reshape(shape)
+    # float64 holds every index exactly
+    permuted = enc.permutation.apply_rows(layout.reshape_weight(index, enc.source_kind).matrix)
+    positions = layout.split_matrix(permuted, enc.d).astype(np.intp).ravel()
+    bins = (enc.codes[:, :, None] * enc.d + np.arange(enc.d)).ravel()
+    return positions, bins
+
+
+def centroid_gradients(weight_grad: np.ndarray, enc, maps=None) -> np.ndarray:
     """Push a weight-space gradient onto the codebook centroids.
 
     Centroid t accumulates the d-slices of the (reshaped, permuted) weight
-    gradient at every position assigned to t; unused centroids get zero.
+    gradient at every position assigned to t, in code-grid order; unused
+    centroids get zero. One gather and one `bincount` over
+    ``centroid_maps(enc)``, or over `maps` when given.
     """
-    rw = layout.reshape_weight(weight_grad, enc.source_kind)
-    permuted = enc.permutation.apply_rows(rw.matrix)
-    pts = layout.split_matrix(permuted, enc.d).reshape(-1, enc.d)
-    flat = enc.codes.ravel()
-    out = np.zeros((enc.k_eff, enc.d))
-    for j in range(enc.d):
-        out[:, j] = np.bincount(flat, weights=pts[:, j], minlength=enc.k_eff)
-    return out
+    positions, bins = centroid_maps(enc) if maps is None else maps
+    k_eff, d = enc.codebook.shape
+    grads = np.bincount(bins, weights=np.take(weight_grad, positions), minlength=k_eff * d)
+    return grads.reshape(k_eff, d)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +384,8 @@ class OptimizerState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def cosine_lr(state: OptimizerState, t: float) -> float:
@@ -369,22 +393,36 @@ def cosine_lr(state: OptimizerState, t: float) -> float:
     return state.lr_min + 0.5 * (state.lr - state.lr_min) * (1.0 + np.cos(np.pi * t))
 
 
-def adam_cosine_step(state: OptimizerState, tensors: dict, grads: dict, t: float) -> dict:
-    """One bias-corrected Adam update of `tensors` in place at fraction `t`."""
+def adam_cosine_step(
+    state: OptimizerState, params: np.ndarray, grad: np.ndarray, t: float
+) -> np.ndarray:
+    """One bias-corrected Adam update of the float64 array `params` in place at fraction `t`.
+
+    In-place ufuncs in the order of ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + (1-b2)*g**2`` and ``params -= lr*m_hat / (sqrt(v_hat) + eps)``,
+    so every element rounds as in that elementwise form.
+    """
     state.step += 1
     lr = cosine_lr(state, t)
     b1, b2 = state.beta1, state.beta2
-    for name, grad in grads.items():
-        tensor = tensors[name]
-        if name not in state.m:
-            state.m[name] = np.zeros_like(tensor)
-            state.v[name] = np.zeros_like(tensor)
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * grad
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * np.square(grad)
-        m_hat = state.m[name] / (1.0 - b1**state.step)
-        v_hat = state.v[name] / (1.0 - b2**state.step)
-        tensor -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return tensors
+    if state.m is None:
+        state.m, state.v = np.zeros_like(params), np.zeros_like(params)
+    m, v = state.m, state.v
+    work = np.multiply(grad, 1.0 - b1)
+    m *= b1
+    m += work
+    np.square(grad, out=work)
+    work *= 1.0 - b2
+    v *= b2
+    v += work
+    update = np.divide(m, 1.0 - b1**state.step)  # m_hat
+    np.divide(v, 1.0 - b2**state.step, out=work)  # v_hat
+    np.sqrt(work, out=work)
+    work += state.eps
+    update *= lr
+    update /= work
+    params -= update
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -408,12 +446,29 @@ def _epoch_batches(n: int, batch_size: int, rng) -> list:
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _train(net, dataset, epochs, batch_size, lr, lr_min, seed, tag, tensors, tensor_grads):
-    """Shuffled mini-batch Adam with cosine annealing over ``tensors``.
+def _views(flat: np.ndarray, arrays: list) -> list:
+    """Views of consecutive slices of `flat`, shaped like each of `arrays`."""
+    ends = itertools.accumulate(a.size for a in arrays)
+    return [flat[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends)]
 
-    ``tensor_grads`` maps backward's per-layer gradients onto the keys of
-    ``tensors``; ``tag`` names the shuffle stream.
+
+def _train(net, dataset, epochs, batch_size, lr, lr_min, seed, tag, tensors, rebind, write_grads):
+    """Shuffled mini-batch Adam with cosine annealing over one flat vector.
+
+    ``tensors`` are copied into one contiguous float64 vector and
+    ``rebind(views)`` points the network at a view of it for each one.
+    ``write_grads(grads, views)`` writes backward's per-layer gradients into
+    views of one flat gradient vector, shaped like ``tensors``; a tensor
+    backward gives no gradient keeps a zero one, which leaves it unchanged.
+    ``tag`` names the shuffle stream.
     """
+    params = np.empty(sum(a.size for a in tensors))
+    views = _views(params, tensors)
+    for view, tensor in zip(views, tensors):
+        view[...] = tensor
+    rebind(views)
+    grad = np.zeros_like(params)
+    grad_views = _views(grad, tensors)
     state = OptimizerState(lr=lr, lr_min=lr_min)
     n_train = dataset.train_x.shape[0]
     steps_total = max(1, epochs * max(1, -(-n_train // batch_size)))
@@ -428,7 +483,8 @@ def _train(net, dataset, epochs, batch_size, lr, lr_min, seed, tag, tensors, ten
             if not np.isfinite(loss):
                 raise DivergedLoss(f"loss became {loss} at epoch {epoch}")
             t = step / max(1, steps_total - 1)
-            adam_cosine_step(state, tensors, tensor_grads(grads), t)
+            write_grads(grads, grad_views)
+            adam_cosine_step(state, params, grad, t)
             step += 1
             loss_sum += loss * len(batch)
         trace.train_loss.append(loss_sum / n_train)
@@ -454,23 +510,24 @@ def finetune_codebooks(
     """
     if not net.encodings:
         raise ValueError("network has no encoded layers to fine-tune")
-    for enc in net.encodings.values():
-        # a container's float32 codebook trains in float64, like a fresh one
-        enc.codebook = np.asarray(enc.codebook, dtype=np.float64)
-    frozen_codes = {n: enc.codes.copy() for n, enc in net.encodings.items()}
-    frozen_perms = {n: enc.permutation.indices.copy() for n, enc in net.encodings.items()}
+    encodings = list(net.encodings.items())
+    frozen_codes = {n: enc.codes.copy() for n, enc in encodings}
+    frozen_perms = {n: enc.permutation.indices.copy() for n, enc in encodings}
+    maps = [centroid_maps(enc) for _, enc in encodings]
 
-    def codebook_grads(grads):
-        return {
-            name: centroid_gradients(grads[name]["weight"], enc)
-            for name, enc in net.encodings.items()
-            if name in grads
-        }
+    def rebind(views):
+        for (_, enc), view in zip(encodings, views):
+            enc.codebook = view
 
-    codebooks = {n: enc.codebook for n, enc in net.encodings.items()}
+    def write_grads(grads, out):
+        for (name, enc), enc_maps, view in zip(encodings, maps, out):
+            if name in grads:
+                view[...] = centroid_gradients(grads[name]["weight"], enc, enc_maps)
+
+    # a container's float32 codebook trains in float64, like a fresh one
     trace = _train(
-        net, dataset, epochs, batch_size, lr, lr_min, seed,
-        "finetune-shuffle", codebooks, codebook_grads,
+        net, dataset, epochs, batch_size, lr, lr_min, seed, "finetune-shuffle",
+        [enc.codebook for _, enc in encodings], rebind, write_grads,
     )
     for name, enc in net.encodings.items():
         assert np.array_equal(enc.codes, frozen_codes[name]), "codes must stay frozen"
@@ -490,23 +547,25 @@ def train_network(
     seed: int = 0,
 ) -> FinetuneTrace:
     """Train raw dense/conv weights; a fixture step for demos and evals."""
-    tensors = {
-        f"{meta.name}.{part}": arr
+    keys = [
+        (meta.name, part)
         for meta in net.layers
         if meta.kind in WEIGHTED_KINDS
-        for part, arr in net.params.get(meta.name, {}).items()
-    }
+        for part in net.params.get(meta.name, {})
+    ]
 
-    def flat_grads(grads):
-        return {
-            f"{lname}.{part}": grad
-            for lname, entry in grads.items()
-            for part, grad in entry.items()
-            if f"{lname}.{part}" in tensors
-        }
+    def rebind(views):
+        for (name, part), view in zip(keys, views):
+            net.params[name][part] = view
+
+    def write_grads(grads, out):
+        for (name, part), view in zip(keys, out):
+            if part in grads.get(name, {}):
+                view[...] = grads[name][part]
 
     return _train(
-        net, dataset, epochs, batch_size, lr, lr_min, seed, "train-shuffle", tensors, flat_grads
+        net, dataset, epochs, batch_size, lr, lr_min, seed, "train-shuffle",
+        [net.params[name][part] for name, part in keys], rebind, write_grads,
     )
 
 

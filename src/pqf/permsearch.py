@@ -202,12 +202,15 @@ def greedy_init(weight, d: int, block: int = 1) -> Permutation:
     order = np.argsort(-scores, kind="stable")  # descending, ties by original index
 
     buckets = [[] for _ in range(n_buckets)]
-    sums = np.zeros(n_buckets)
-    for g in order:
-        open_idx = np.flatnonzero([len(b) < capacity for b in buckets])
-        pick = open_idx[np.argmin(sums[open_idx])]
-        buckets[pick].append(int(g))
-        sums[pick] += scores[g]
+    sums = [0.0] * n_buckets
+    open_buckets = list(range(n_buckets))  # ascending, so `min` keeps the lowest on ties
+    score_of = scores.tolist()
+    for g in order.tolist():
+        pick = min(open_buckets, key=sums.__getitem__)
+        buckets[pick].append(g)
+        sums[pick] += score_of[g]
+        if len(buckets[pick]) == capacity:
+            open_buckets.remove(pick)
 
     group_order = np.empty(m // block, dtype=np.int64)
     for b, members in enumerate(buckets):

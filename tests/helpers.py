@@ -1,4 +1,5 @@
-"""Test-only helpers: container equality for round trips, a quantizer error oracle, a toy dataset."""
+"""Test-only helpers: container equality for round trips, quantizer-error and centroid-gradient
+oracles, a toy dataset."""
 
 from __future__ import annotations
 
@@ -53,6 +54,23 @@ def quantization_error(weight, enc: LayerEncoding) -> float:
     approx = layout.merge_matrix(np.asarray(enc.codebook, dtype=np.float64)[enc.codes])
     m_hat = permuted.shape[0] // enc.d
     return float(np.square(approx - permuted).sum() / (m_hat * permuted.shape[1]))
+
+
+def centroid_gradients_oracle(weight_grad, enc: LayerEncoding) -> np.ndarray:
+    """Centroid gradients the long way: reshape, permute, cut, one `bincount` per coordinate.
+
+    Each bin sums its weights in code-grid order, as the one `bincount` over
+    index maps in `finetune.centroid_gradients` must, so the two agree bit
+    for bit.
+    """
+    rw = layout.reshape_weight(weight_grad, enc.source_kind)
+    permuted = enc.permutation.apply_rows(rw.matrix)
+    pts = layout.split_matrix(permuted, enc.d).reshape(-1, enc.d)
+    flat = enc.codes.ravel()
+    out = np.zeros((enc.k_eff, enc.d))
+    for j in range(enc.d):
+        out[:, j] = np.bincount(flat, weights=pts[:, j], minlength=enc.k_eff)
+    return out
 
 
 def two_spirals(n_per_arm: int, seed: int, noise: float = 0.15) -> ToyDataset:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.resources as resources
 import json
 import os
@@ -358,6 +359,23 @@ def test_eval_emits_csv_trace(tmp_path, capsys):
     assert len(lines) == 4
     stdout = capsys.readouterr().out
     assert "val_acc raw=" in stdout
+
+
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        (("--toy", "mlp", "--epochs", "30", "--seed", "0"),
+         "9e7ecc860d3549f83dd6e10c9ee3e1c5943e8cb797bae92ed4a7807a280fec75"),
+        (("--toy", "mlp", "--epochs", "30", "--seed", "5"),
+         "e43e33eac825afc1de109661eb86aa58d7e7540228d4e3679156eb5f95620e1e"),
+        (("--toy", "conv", "--epochs", "4", "--seed", "2"),
+         "547e1028e5a22f2b677de2e8febe5dd7d67c03d21ad09831f51e0a7b0fe9a9ad"),
+    ],
+)
+def test_eval_csv_bytes_are_pinned(tmp_path, capsys, flags, digest):
+    out = tmp_path / "trace.csv"
+    assert cli.main(["eval", *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_bench_csv_and_isotropic_band(capsys):
