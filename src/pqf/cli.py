@@ -56,6 +56,17 @@ def _at_least(low: int):
 _at_least_one, _non_negative = _at_least(1), _at_least(0)
 
 
+def _rate(text: str) -> float:
+    """An argparse type: a finite float of at least 0, for a learning rate."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:  # nan fails too
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {value}")
+    return value
+
+
+_rate.__name__ = "float"  # argparse names it in "invalid float value"
+
+
 def _add_common(parser):
     default = os.environ.get("PQF_SEED", "0")
     parser.add_argument("--seed", type=_seed, default=default, help="master seed")
@@ -91,8 +102,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="toy fine-tuning recovery run")
     p.add_argument("--toy", choices=("mlp", "conv"), default="mlp")
     p.add_argument("--epochs", type=_non_negative, default=30)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--lr-min", type=float, default=1e-6)
+    p.add_argument("--lr", type=_rate, default=1e-3)
+    p.add_argument("--lr-min", type=_rate, default=1e-6)
     p.add_argument("--k", type=_at_least_one, default=4)
     p.add_argument("--d", type=_at_least_one, default=8)
     p.add_argument("--out", default=None, help="CSV trace path (default: stdout)")

@@ -7,14 +7,16 @@ global average pooling, and channel-major flatten. A network sorts its graph
 once, when it is built, into an execution plan that forward and backward both
 walk; forward decodes each weighted layer once and backward reuses that matrix.
 Backward passes are exact reverse-mode gradients of the same ops, in float64
-throughout. One training loop serves both raw-weight training and codebook
-fine-tuning. It copies every trainable tensor into one contiguous float64
-vector and rebinds the network's arrays (`params` entries or codebooks) to
-views of it, so each step writes all gradients into one flat gradient vector
-and one fused run of in-place ufuncs is the Adam update. Fine-tuning moves
-only codebook centroids: codes and permutations have no update path, so
-decoded weights stay exact centroid copies, and the maps that carry a weight
-gradient onto the centroids are computed once per encoding.
+throughout, and form only the gradients their caller asks for. One training
+loop serves both raw-weight training and codebook fine-tuning. It copies
+every trainable tensor into one contiguous float64 vector and rebinds the
+network's arrays (`params` entries or codebooks) to views of it, so each step
+writes all gradients into one flat gradient vector and one fused run of
+in-place ufuncs is the Adam update. Fine-tuning moves only codebook
+centroids: codes and permutations have no update path, so decoded weights
+stay exact centroid copies. Each is one gather of its codebook, and a weight
+gradient reaches the centroids through the same index maps, all computed
+once per encoding.
 """
 
 from __future__ import annotations
@@ -95,6 +97,9 @@ def blob_images(
 # Toy networks over checkpoint metadata
 # ---------------------------------------------------------------------------
 
+_PARAMETERIZED = WEIGHTED_KINDS | {"batchnorm"}  # the kinds backward gives gradients
+
+
 @dataclass(eq=False)
 class ToyNetwork:
     """Executable view of a checkpoint, with optional per-layer encodings."""
@@ -104,6 +109,9 @@ class ToyNetwork:
     params: dict  # layer name -> {"weight": array, "bias": array}
     encodings: dict = field(default_factory=dict)  # layer name -> LayerEncoding
     plan: list = field(init=False, repr=False)  # (meta, producer names), topological
+    # layer name -> `decode_index` of its encoding; set only while
+    # `finetune_codebooks` runs, when codes and permutations are frozen
+    decode_indices: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         order = ModelCheckpoint([], self.layers, self.edges).topological_order()
@@ -142,6 +150,9 @@ class ToyNetwork:
         return ModelCheckpoint(tensors=tensors, layers=list(self.layers), edges=list(self.edges))
 
     def decoded_weight(self, name: str) -> np.ndarray:
+        index = self.decode_indices.get(name)
+        if index is not None:
+            return self.encodings[name].codebook.take(index)
         if name in self.encodings:
             return codec.decode_layer(self.encodings[name])
         return self.params[name]["weight"]
@@ -174,7 +185,13 @@ def _col2im(dcols: np.ndarray, x_shape, k: int) -> np.ndarray:
 
 
 def forward(net: ToyNetwork, x) -> tuple:
-    """Run the DAG; returns (logits, cache) with everything backward needs."""
+    """Run the DAG; returns (logits, cache) with everything backward needs.
+
+    Each weighted layer reads `ToyNetwork.decoded_weight` once: during
+    `finetune_codebooks` one gather of the codebook through the layer's
+    decode index, otherwise `codec.decode_layer` for an encoded layer and
+    the raw weight for any other.
+    """
     x = np.asarray(x, dtype=np.float64)
     values = {}
     cache = {"values": values, "weights": {}, "patches": {}}
@@ -194,7 +211,7 @@ def forward(net: ToyNetwork, x) -> tuple:
             out = xin @ w
             bias = net.bias(meta.name)
             if bias is not None:
-                out = out + bias
+                out += bias
             values[meta.name] = out
         elif meta.kind in ("conv",):
             (xin,) = ins
@@ -209,7 +226,7 @@ def forward(net: ToyNetwork, x) -> tuple:
             out = cols.reshape(-1, rw.rows) @ rw.matrix
             bias = net.bias(meta.name)
             if bias is not None:
-                out = out + bias
+                out += bias
             values[meta.name] = out.reshape(b, h, ww, meta.c_out).transpose(0, 3, 1, 2)
             cache["patches"][meta.name] = cols
         elif meta.kind == "relu":
@@ -246,15 +263,17 @@ def forward(net: ToyNetwork, x) -> tuple:
 
 def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple:
     """Mean cross-entropy and its gradient w.r.t. the logits."""
-    labels = np.asarray(labels)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    probs = expd / expd.sum(axis=1, keepdims=True)
     n = logits.shape[0]
-    loss = float(-np.mean(np.log(probs[np.arange(n), labels] + 1e-300)))
-    grad = probs.copy()
-    grad[np.arange(n), labels] -= 1.0
-    return loss, grad / n
+    picks = (np.arange(n), np.asarray(labels))
+    probs = logits - logits.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    picked = probs[picks]
+    probs[picks] = picked - 1.0
+    probs /= n
+    picked += 1e-300
+    # the sum over n is how np.mean rounds
+    return float(-(np.log(picked, out=picked).sum() / n)), probs
 
 
 def mse_loss(outputs: np.ndarray, targets) -> tuple:
@@ -265,8 +284,17 @@ def mse_loss(outputs: np.ndarray, targets) -> tuple:
     return float(np.square(diff).sum() / n), 2.0 * diff / n
 
 
-def backward(net: ToyNetwork, cache: dict, labels, loss: str = "ce") -> tuple:
-    """Loss value plus exact gradients for every parameterized layer."""
+def backward(net: ToyNetwork, cache: dict, labels, loss: str = "ce", into=None) -> tuple:
+    """Loss value plus exact parameter gradients.
+
+    Without `into`, returns the gradients of every parameterized layer as
+    a dict of layer name -> {"weight": array, "bias": array}. With `into`,
+    a dict of that form whose arrays are contiguous float64 and shaped like
+    the parts, computes only the gradients it names, writes each into its
+    array and returns `into`. Either way, a value's gradient is formed only
+    when a part to compute lies at or before it, so the network input gets
+    none.
+    """
     logits = cache["logits"]
     if loss == "ce":
         loss_value, upstream = softmax_cross_entropy(logits, labels)
@@ -275,18 +303,33 @@ def backward(net: ToyNetwork, cache: dict, labels, loss: str = "ce") -> tuple:
     else:
         raise ValueError(f"unknown loss {loss!r}")
 
+    grads = {} if into is None else into
+
+    def part(name, key, shape):
+        """The array for the gradient of `name`'s `key`, or None when it is not asked for."""
+        if into is None:
+            grads.setdefault(name, {})[key] = np.empty(shape)
+        return grads.get(name, {}).get(key)
+
+    needed = set()  # values whose gradient reaches a part to compute
+    for meta, producers in net.plan:
+        wanted = meta.kind in _PARAMETERIZED if into is None else meta.name in into
+        if wanted or not needed.isdisjoint(producers):
+            needed.add(meta.name)
+
     values = cache["values"]
-    grads = {}
     dvalues = {}
 
     def push(name, grad):
+        if name not in needed:
+            return
         if name in dvalues:
             dvalues[name] = dvalues[name] + grad
         else:
             dvalues[name] = grad
 
     for meta, producers in reversed(net.plan):
-        if meta.kind == "input":
+        if meta.name not in needed:
             continue
         g = dvalues.get(meta.name)
         if meta.kind == "output":
@@ -296,25 +339,32 @@ def backward(net: ToyNetwork, cache: dict, labels, loss: str = "ce") -> tuple:
             continue
         xin = values[producers[0]]
         if meta.kind == "fc":
-            entry = {"weight": xin.T @ g}
-            if net.bias(meta.name) is not None:
-                entry["bias"] = g.sum(axis=0)
-            grads[meta.name] = entry
-            push(producers[0], g @ cache["weights"][meta.name].T)
+            w = cache["weights"][meta.name]
+            dw = part(meta.name, "weight", w.shape)
+            if dw is not None:
+                np.matmul(xin.T, g, out=dw)
+            db = part(meta.name, "bias", (meta.c_out,)) if net.bias(meta.name) is not None else None
+            if db is not None:
+                np.add.reduce(g, 0, out=db)
+            if producers[0] in needed:
+                push(producers[0], g @ w.T)
         elif meta.kind == "conv":
+            k = meta.kernel_size
             cols = cache["patches"][meta.name]
             b, h, w_sp = cols.shape[0], cols.shape[1], cols.shape[2]
             gmat = g.transpose(0, 2, 3, 1).reshape(-1, meta.c_out)
-            dmatrix = cols.reshape(-1, cols.shape[3]).T @ gmat
-            rw = layout.ReshapedWeight(
-                dmatrix, meta.kernel_size, meta.c_in, meta.c_out, "conv"
-            )
-            entry = {"weight": layout.inverse_reshape(rw)}
-            if net.bias(meta.name) is not None:
-                entry["bias"] = gmat.sum(axis=0)
-            grads[meta.name] = entry
-            dcols = gmat @ cache["weights"][meta.name].T
-            push(producers[0], _col2im(dcols.reshape(b, h, w_sp, -1), xin.shape, meta.kernel_size))
+            dw = part(meta.name, "weight", layout.weight_shape("conv", meta.c_in, meta.c_out, k))
+            if dw is not None:
+                _, rows = layout.empty_weight(
+                    "conv", meta.c_in, meta.c_out, k, np.float64, out=dw.reshape(-1)
+                )
+                rows[...] = (cols.reshape(-1, cols.shape[3]).T @ gmat).reshape(rows.shape)
+            db = part(meta.name, "bias", (meta.c_out,)) if net.bias(meta.name) is not None else None
+            if db is not None:
+                np.add.reduce(gmat, 0, out=db)
+            if producers[0] in needed:
+                dcols = gmat @ cache["weights"][meta.name].T
+                push(producers[0], _col2im(dcols.reshape(b, h, w_sp, -1), xin.shape, k))
         elif meta.kind == "relu":
             push(producers[0], g * (xin > 0.0))
         elif meta.kind == "add":
@@ -323,12 +373,15 @@ def backward(net: ToyNetwork, cache: dict, labels, loss: str = "ce") -> tuple:
         elif meta.kind == "batchnorm":
             gamma = net.params[meta.name]["weight"]
             axes = (0,) + tuple(range(2, xin.ndim))
-            grads[meta.name] = {
-                "weight": (g * xin).sum(axis=axes),
-                "bias": g.sum(axis=axes),
-            }
-            shape = (1, -1) + (1,) * (xin.ndim - 2)
-            push(producers[0], g * gamma.reshape(shape))
+            dgamma = part(meta.name, "weight", gamma.shape)
+            if dgamma is not None:
+                np.add.reduce(g * xin, axes, out=dgamma)
+            dbeta = part(meta.name, "bias", gamma.shape)
+            if dbeta is not None:
+                np.add.reduce(g, axes, out=dbeta)
+            if producers[0] in needed:
+                shape = (1, -1) + (1,) * (xin.ndim - 2)
+                push(producers[0], g * gamma.reshape(shape))
         elif meta.kind == "pool":
             _, _, h, w_sp = xin.shape
             push(producers[0], np.broadcast_to(g[:, :, None, None], xin.shape) / (h * w_sp))
@@ -354,6 +407,21 @@ def centroid_maps(enc) -> tuple:
     positions = layout.split_matrix(permuted, enc.d).astype(np.intp).ravel()
     bins = (enc.codes[:, :, None] * enc.d + np.arange(enc.d)).ravel()
     return positions, bins
+
+
+def decode_index(enc, maps=None) -> np.ndarray:
+    """The flat codebook index of every weight entry, in the stored weight's shape.
+
+    ``np.take(enc.codebook, decode_index(enc))`` is ``codec.decode_layer(enc)``
+    bit for bit. The index inverts ``centroid_maps(enc)``, or `maps` when
+    given: its positions list every weight entry once, and its bins are the
+    flat codebook entries they decode from.
+    """
+    positions, bins = centroid_maps(enc) if maps is None else maps
+    shape = layout.weight_shape(enc.source_kind, enc.c_in, enc.c_out, enc.kernel_size)
+    index = np.empty(math.prod(shape), np.intp)
+    index[positions] = bins
+    return index.reshape(shape)
 
 
 def centroid_gradients(weight_grad: np.ndarray, enc, maps=None) -> np.ndarray:
@@ -452,23 +520,23 @@ def _views(flat: np.ndarray, arrays: list) -> list:
     return [flat[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends)]
 
 
-def _train(net, dataset, epochs, batch_size, lr, lr_min, seed, tag, tensors, rebind, write_grads):
+def _train(net, dataset, epochs, batch_size, lr, lr_min, seed, tag, tensors, bind):
     """Shuffled mini-batch Adam with cosine annealing over one flat vector.
 
-    ``tensors`` are copied into one contiguous float64 vector and
-    ``rebind(views)`` points the network at a view of it for each one.
-    ``write_grads(grads, views)`` writes backward's per-layer gradients into
-    views of one flat gradient vector, shaped like ``tensors``; a tensor
-    backward gives no gradient keeps a zero one, which leaves it unchanged.
-    ``tag`` names the shuffle stream.
+    ``tensors`` are copied into one contiguous float64 vector and one flat
+    gradient vector is kept beside it. ``bind(views, grad_views)`` gets
+    views of both, shaped like ``tensors``, points the network at `views`
+    and returns ``(into, pull)``: each step `backward` writes the gradients
+    `into` names, then ``pull()``, unless None, carries them into
+    `grad_views`. A gradient never written stays zero, which leaves its
+    tensor unchanged. ``tag`` names the shuffle stream.
     """
     params = np.empty(sum(a.size for a in tensors))
     views = _views(params, tensors)
     for view, tensor in zip(views, tensors):
         view[...] = tensor
-    rebind(views)
     grad = np.zeros_like(params)
-    grad_views = _views(grad, tensors)
+    into, pull = bind(views, _views(grad, tensors))
     state = OptimizerState(lr=lr, lr_min=lr_min)
     n_train = dataset.train_x.shape[0]
     steps_total = max(1, epochs * max(1, -(-n_train // batch_size)))
@@ -479,11 +547,12 @@ def _train(net, dataset, epochs, batch_size, lr, lr_min, seed, tag, tensors, reb
         loss_sum = 0.0
         for batch in _epoch_batches(n_train, batch_size, rng):
             _, cache = forward(net, dataset.train_x[batch])
-            loss, grads = backward(net, cache, dataset.train_y[batch])
-            if not np.isfinite(loss):
+            loss = backward(net, cache, dataset.train_y[batch], into=into)[0]
+            if not math.isfinite(loss):
                 raise DivergedLoss(f"loss became {loss} at epoch {epoch}")
             t = step / max(1, steps_total - 1)
-            write_grads(grads, grad_views)
+            if pull is not None:
+                pull()
             adam_cosine_step(state, params, grad, t)
             step += 1
             loss_sum += loss * len(batch)
@@ -504,9 +573,14 @@ def finetune_codebooks(
 ) -> FinetuneTrace:
     """Fine-tune codebook centroids only; codes and permutations are frozen.
 
-    Gradients reach centroids through the decoded weights; there is no code
-    update path, so decoded layers remain exact centroid copies throughout.
-    Raises DivergedLoss if the training loss leaves the reals.
+    Since codes and permutations are frozen, each encoding's index maps are
+    built once: `decode_index`, through which every forward decodes the
+    layer by one gather of its codebook, and `centroid_maps`, which carry
+    backward's weight gradient onto the centroids. Backward forms only the
+    weight gradients of the encoded layers. There is no code update path,
+    so decoded layers remain exact centroid copies throughout; the decode
+    indices are dropped on return. Raises DivergedLoss if the training loss
+    leaves the reals.
     """
     if not net.encodings:
         raise ValueError("network has no encoded layers to fine-tune")
@@ -514,21 +588,28 @@ def finetune_codebooks(
     frozen_codes = {n: enc.codes.copy() for n, enc in encodings}
     frozen_perms = {n: enc.permutation.indices.copy() for n, enc in encodings}
     maps = [centroid_maps(enc) for _, enc in encodings]
+    indices = {n: decode_index(enc, m) for (n, enc), m in zip(encodings, maps)}
+    weight_grads = {n: {"weight": np.zeros(index.shape)} for n, index in indices.items()}
 
-    def rebind(views):
+    def bind(views, grad_views):
         for (_, enc), view in zip(encodings, views):
             enc.codebook = view
 
-    def write_grads(grads, out):
-        for (name, enc), enc_maps, view in zip(encodings, maps, out):
-            if name in grads:
-                view[...] = centroid_gradients(grads[name]["weight"], enc, enc_maps)
+        def pull():
+            for (name, enc), enc_maps, view in zip(encodings, maps, grad_views):
+                view[...] = centroid_gradients(weight_grads[name]["weight"], enc, enc_maps)
 
-    # a container's float32 codebook trains in float64, like a fresh one
-    trace = _train(
-        net, dataset, epochs, batch_size, lr, lr_min, seed, "finetune-shuffle",
-        [enc.codebook for _, enc in encodings], rebind, write_grads,
-    )
+        return weight_grads, pull
+
+    net.decode_indices = indices
+    try:
+        # a container's float32 codebook trains in float64, like a fresh one
+        trace = _train(
+            net, dataset, epochs, batch_size, lr, lr_min, seed, "finetune-shuffle",
+            [enc.codebook for _, enc in encodings], bind,
+        )
+    finally:
+        net.decode_indices = {}
     for name, enc in net.encodings.items():
         assert np.array_equal(enc.codes, frozen_codes[name]), "codes must stay frozen"
         assert np.array_equal(
@@ -546,7 +627,10 @@ def train_network(
     lr_min: float = 1e-4,
     seed: int = 0,
 ) -> FinetuneTrace:
-    """Train raw dense/conv weights; a fixture step for demos and evals."""
+    """Train raw dense/conv weights; a fixture step for demos and evals.
+
+    Backward writes their gradients straight into the flat gradient vector.
+    """
     keys = [
         (meta.name, part)
         for meta in net.layers
@@ -554,18 +638,16 @@ def train_network(
         for part in net.params.get(meta.name, {})
     ]
 
-    def rebind(views):
-        for (name, part), view in zip(keys, views):
+    def bind(views, grad_views):
+        into = {}
+        for (name, part), view, grad_view in zip(keys, views, grad_views):
             net.params[name][part] = view
-
-    def write_grads(grads, out):
-        for (name, part), view in zip(keys, out):
-            if part in grads.get(name, {}):
-                view[...] = grads[name][part]
+            into.setdefault(name, {})[part] = grad_view
+        return into, None
 
     return _train(
         net, dataset, epochs, batch_size, lr, lr_min, seed, "train-shuffle",
-        [net.params[name][part] for name, part in keys], rebind, write_grads,
+        [net.params[name][part] for name, part in keys], bind,
     )
 
 

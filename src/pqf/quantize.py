@@ -25,6 +25,7 @@ directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,8 @@ class SRCConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
+        if not 0 < self.gamma < math.inf:  # nan fails too
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
 
 
 def clamp_codebook_size(k: int, num_subvectors: int) -> int:

@@ -42,15 +42,16 @@ def gaussian(rng: np.random.Generator, shape, out=None) -> np.ndarray:
     The first half of the values are ``r cos(theta)`` and the rest
     ``r sin(theta)``, for ``(n + 1) // 2`` uniform pairs; an odd count drops
     the last sine. Every step writes in place into the output, which `out`
-    (a contiguous float64 array of `shape`) can supply, plus one temporary
-    of half its size.
+    (a contiguous float64 array of `shape`, else `ValueError`) can supply,
+    plus one temporary of half its size.
     """
-    n = int(np.prod(shape)) if shape else 1
+    shape = tuple(shape) if np.iterable(shape) else (shape,)
+    n = int(np.prod(shape))
     half = (n + 1) // 2
     if out is None:
         out = np.empty(shape)
-    elif out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"a {out.dtype} buffer that is not contiguous float64 cannot hold normals")
+    elif out.dtype != np.float64 or not out.flags.c_contiguous or out.shape != shape:
+        raise ValueError(f"{shape} normals need a contiguous float64 buffer of that shape")
     flat = out.reshape(n)  # a view: `out` is contiguous
     radius, sines = flat[:half], flat[half:]
     # 1 - U keeps the log argument in (0, 1].

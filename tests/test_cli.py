@@ -504,6 +504,13 @@ def test_out_of_range_config_flag_is_usage_error(
         (["bench", "--d", "0"], "argument --d: must be at least 1, got 0"),
         (["eval", "--epochs", "-1"], "argument --epochs: must be at least 0, got -1"),
         (["bench", "--seeds", "x"], "argument --seeds: invalid int value: 'x'"),
+        (["eval", "--lr", "-1"], "argument --lr: must be finite and at least 0, got -1.0"),
+        (["eval", "--lr", "nan"], "argument --lr: must be finite and at least 0, got nan"),
+        (["eval", "--lr", "inf"], "argument --lr: must be finite and at least 0, got inf"),
+        (["eval", "--lr-min", "-0.5"], "argument --lr-min: must be finite and at least 0, got -0.5"),
+        (["eval", "--lr-min", "nan"], "argument --lr-min: must be finite and at least 0, got nan"),
+        (["eval", "--lr-min", "inf"], "argument --lr-min: must be finite and at least 0, got inf"),
+        (["eval", "--lr", "x"], "argument --lr: invalid float value: 'x'"),
     ],
 )
 def test_out_of_range_eval_or_bench_flag_is_usage_error(capsys, argv, detail):
@@ -522,6 +529,7 @@ def test_config_flags_at_their_limits_run(tmp_path, arch_paths, capsys):
     tensor_io.save_checkpoint(make_mlp_checkpoint((8, 16, 4), seed=1), source)
     argv = ["compress", str(source), "--out", str(packed), "--no-anneal", "--src-iters", "0"]
     assert cli.main(argv) == 0
+    assert cli.main(["eval", "--epochs", "1", "--lr", "0", "--lr-min", "0"]) == 0
 
 
 def _zero_bit_entry_of_a_trillion_columns(tmp_path):

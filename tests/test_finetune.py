@@ -7,15 +7,18 @@ from helpers import centroid_gradients_oracle, two_spirals
 from pqf import codec, finetune, layout
 from pqf.codec import CompressionConfig, encode_layer
 from pqf.errors import DanglingEdge, DivergedLoss, MalformedFile, ShapeMismatch
+from pqf.permsearch import Permutation
 from pqf.finetune import (
     OptimizerState,
     ToyNetwork,
     accuracy,
     adam_cosine_step,
     backward,
+    blob_images,
     centroid_gradients,
     centroid_maps,
     cosine_lr,
+    decode_index,
     finetune_codebooks,
     forward,
     gaussian_blobs,
@@ -313,6 +316,119 @@ def test_conv_forward_backward_decodes_each_encoded_layer_once(monkeypatch):
     _, cache = forward(net, x)
     backward(net, cache, np.array([0, 1, 2]))
     assert len(calls) == len(encodings)
+
+
+@pytest.mark.parametrize(
+    "kind, kernel_size, c_in, c_out, large",
+    [
+        ("fc", 1, 8, 6, False),
+        ("conv", 1, 8, 6, False),
+        ("conv", 3, 4, 6, False),
+        ("conv", 3, 4, 6, True),
+        ("deconv", 3, 4, 6, False),
+    ],
+)
+@pytest.mark.parametrize("permuted", [False, True])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_decode_index_gathers_what_decode_layer_decodes(
+    kind, kernel_size, c_in, c_out, large, permuted, dtype
+):
+    rng = make_rng(63, "decode-index", kind, str(kernel_size))
+    block = kernel_size**2
+    units = rng.permutation(c_in) if permuted else np.arange(c_in)
+    assert permuted != np.array_equal(units, np.arange(c_in))
+    perm = Permutation((units[:, None] * block + np.arange(block)).ravel(), block)
+    make = CompressionConfig.large_blocks if large else CompressionConfig.small_blocks
+    cfg = make(k=8, k_fc=8, src_iterations=5)
+    meta = LayerMeta("l", kind, kernel_size, c_in, c_out)
+    weight = gaussian(rng, layout.weight_shape(kind, c_in, c_out, kernel_size))
+    enc = encode_layer(weight, meta, cfg, permutation=perm, seed=4)
+    assert enc.d == (2 * block if large else block if kernel_size > 1 else 4)
+    enc.codebook = enc.codebook.astype(dtype)
+    want = codec.decode_layer(enc)
+    for index in (decode_index(enc), decode_index(enc, centroid_maps(enc))):
+        gathered = np.take(enc.codebook, index)
+        assert gathered.dtype == want.dtype and gathered.shape == want.shape
+        assert gathered.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("diverge", [False, True])
+def test_finetune_decodes_by_gather_at_any_epoch_count(monkeypatch, diverge):
+    calls = _count_calls(monkeypatch, codec, "decode_layer")
+    counts = []
+    for epochs in (1, 5):
+        net, enc = _encoded_single_layer(seed=48)
+        if diverge:
+            enc.codebook *= np.inf
+        calls.clear()
+        with np.errstate(invalid="ignore"):
+            try:
+                finetune_codebooks(net, gaussian_blobs(20, 4, 8, seed=49), epochs=epochs, seed=0)
+            except DivergedLoss:
+                assert diverge
+        counts.append(len(calls))
+        assert net.decode_indices == {}  # no later forward can read a stale index
+    assert counts[0] == counts[1]
+
+
+def _residual_net_and_input():
+    net = ToyNetwork.from_checkpoint(make_residual_checkpoint(c_in=2, width=4, n_blocks=1, seed=8))
+    return net, gaussian(make_rng(50, "into"), (3, 2, 4, 4)), np.array([0, 3, 1])
+
+
+def test_backward_writes_only_the_gradients_asked_for_bit_for_bit():
+    net, x, labels = _residual_net_and_input()
+    _, cache = forward(net, x)
+    loss, full = backward(net, cache, labels)
+    asked = [("stem", "weight"), ("block1.conv2", "weight"), ("block1.bn1", "bias"),
+             ("fc", "bias")]
+    into = {}
+    for name, part in asked:
+        into.setdefault(name, {})[part] = np.full(full[name][part].shape, np.nan)
+    got_loss, got = backward(net, cache, labels, into=into)
+    assert got_loss == loss and got is into
+    assert sorted((n, p) for n, parts in into.items() for p in parts) == sorted(asked)
+    for name, part in asked:
+        assert into[name][part].tobytes() == full[name][part].tobytes(), (name, part)
+
+
+def test_backward_forms_no_gradient_for_the_network_input(monkeypatch):
+    net, x, labels = _residual_net_and_input()
+    _, cache = forward(net, x)
+    calls = _count_calls(monkeypatch, finetune, "_col2im")
+    backward(net, cache, labels)
+    assert len(calls) == 2  # block1.conv1 and block1.conv2; the stem reads the input
+    calls.clear()
+    backward(net, cache, labels, into={"fc": {"bias": np.empty(4)}})
+    assert calls == []  # nothing before fc is asked for
+
+
+def test_residual_training_and_finetuning_are_pinned():
+    # conv, batchnorm, add and fc gradients, written into the flat gradient
+    # vector or carried onto permuted codebooks, all reach these bytes
+    dataset = blob_images(12, 4, (2, 6, 6), seed=64)
+    net = ToyNetwork.from_checkpoint(make_residual_checkpoint(c_in=2, width=4, n_blocks=1, seed=65))
+    train_network(net, dataset, epochs=3, batch_size=16, seed=66)
+    trained = net.to_checkpoint()
+    perms = {
+        name: Permutation((np.array(units)[:, None] * block + np.arange(block)).ravel(), block)
+        for name, units, block in [
+            ("block1.conv1", [2, 0, 3, 1], 9), ("block1.conv2", [3, 1, 0, 2], 9),
+            ("fc", [1, 3, 0, 2], 1),
+        ]
+    }
+    cfg = CompressionConfig.small_blocks(k=4, k_fc=4, perm_iterations=20, src_iterations=5)
+    qnet = ToyNetwork.from_checkpoint(trained, encodings=codec.encode_layers(trained, cfg, perms, 67))
+    assert sorted(qnet.encodings) == sorted(perms)
+    finetune_codebooks(qnet, dataset, epochs=2, batch_size=16, seed=68)
+    h = hashlib.sha256()
+    for n in (net, qnet):
+        for meta in n.layers:
+            for _, arr in sorted(n.params.get(meta.name, {}).items()):
+                h.update(arr.tobytes())
+    for enc in qnet.encodings.values():
+        h.update(enc.codebook.tobytes())
+    assert h.hexdigest() == "4c950d4a75c3caff1544547bd88b4081a8808cffec4dd661c68dfb4da5187ab5"
 
 
 def test_training_steps_never_resort_the_graph(monkeypatch):

@@ -330,6 +330,13 @@ def test_src_config_validation():
         SRCConfig(gamma=0.0)
 
 
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -float("inf")])
+def test_src_config_rejects_a_gamma_that_is_not_finite(gamma):
+    # a nan gamma made every noise scale nan, so annealing silently drew none
+    with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+        SRCConfig(gamma=gamma)
+
+
 def test_determinism_across_runs():
     pts = _mixture(4, n=256, d=4)
     stats = subvector_covariance(pts)

@@ -37,7 +37,9 @@ def _after(rng, shape):
     return rng
 
 
-@pytest.mark.parametrize("buf", [np.zeros((3, 4), np.float32), np.zeros((4, 3)).T, np.zeros(11)])
+@pytest.mark.parametrize(
+    "buf", [np.zeros((3, 4), np.float32), np.zeros((4, 3)).T, np.zeros(11), np.zeros((4, 3))]
+)
 def test_gaussian_rejects_a_buffer_that_cannot_hold_the_normals(buf):
     with pytest.raises(ValueError):
         gaussian(make_rng(0), (3, 4), out=buf)
