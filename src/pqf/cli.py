@@ -485,6 +485,9 @@ def main(argv=None) -> int:
         return 1
     if args.command in ("compress", "report"):
         _check_config_flags(parser, args)
+    if args.command == "eval" and args.lr_min > args.lr:
+        # the rate anneals from --lr down to --lr-min; the other way it would rise
+        parser.error(f"--lr-min must be at most --lr, got --lr-min {args.lr_min} above --lr {args.lr}")
     try:
         return _COMMANDS[args.command](args)
     except PQFError as exc:

@@ -17,6 +17,14 @@ current order and needs no periodic exact recompute. `matrix_objective`
 evaluates the same objective from the covariance formula; it is the
 reference the search is tested against, not a second path through it.
 
+Proposals are scored speculatively, many in one vectorized pass. The random
+pairs do not depend on the decisions, and a rejected swap leaves the order
+as it was, so a batch of upcoming pairs is scored against the current order
+at once; the first candidate below the current objective is kept and the
+next batch starts right after it. Every candidate sums its chunks in the
+same fixed order, so the search keeps exactly the swaps that scoring one
+proposal at a time keeps, whatever the batch sizes.
+
 When every swap unit of a layer holds whole subvectors (its rows per unit are
 a multiple of the subvector size d, as for a 3x3 convolution with d = 9), a
 swap only reorders subvectors and cannot change that layer's covariance, so
@@ -25,6 +33,7 @@ the group search leaves such layers out and skips groups made only of them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,6 +228,20 @@ def greedy_init(weight, d: int, block: int = 1) -> Permutation:
     return Permutation(_unit_rows(group_order, block), block=block)
 
 
+# A scoring batch holds as many candidates as fit about this much work,
+# counted in float64 values: a candidate sums every chunk moment and forms
+# its chunks' einsum products, about 1 ns each. A scoring round costs some
+# forty numpy calls (about 0.1 ms) on top, so speculation pays while a batch
+# holds a few rounds' worth. On full-width ResNet-18 groups at d = 18, one
+# BLAS thread, 2**18, 2**20 and 2**22 took +0%, -7% and +5% search time
+# against scoring one proposal at a time; ResNet-50 at 1/8 width did not
+# move from 2**17 up. A batch holds at least one candidate.
+_BATCH = 1 << 20
+# Proposals are drawn in blocks of at most this many pairs (1 MB), so memory
+# does not grow with the iteration count.
+_DRAWS = 1 << 16
+
+
 class _ChunkMoments:
     """Raw moments of the subvector chunks of children that share one row order.
 
@@ -239,47 +262,75 @@ class _ChunkMoments:
         # last: the chunk's last moment row then holds its sums and its count
         self.shifted = [np.vstack([matrix - matrix.mean(), np.ones(matrix.shape[1])])
                         for matrix in matrices]
-        rows = _unit_rows(units, block)
-        self.rows = np.hstack([rows.reshape(-1, d), np.full((rows.size // d, 1), rows.size)])
-        self._slots = np.arange(rows.size) + np.arange(rows.size) // d  # row position -> rows.flat
-        self.moments = self._moments(self.rows)
+        m = units.size * block
+        self.order = np.append(_unit_rows(units, block), m)  # the row at each position
+        # chunk c holds positions c*d, ..., c*d + d-1 and, last, m: the ones row
+        grid = np.hstack([np.arange(m).reshape(-1, d), np.full((m // d, 1), m)])
+        self.moments = self._moments(grid)
+        # a unit starts a multiple of gcd(block, d) rows into a chunk, so it
+        # touches at most `span` chunks: those of its rows d apart and its last
+        span = (block + d - math.gcd(block, d) - 1) // d + 1
+        probe = np.minimum(np.arange(span) * d, block - 1)
+        self._touch = grid[(np.arange(units.size)[:, None] * block + probe) // d]
+        # values one candidate touches: every chunk summed, its chunks' einsum products
+        self.work = self.moments.size + 2 * span * (d + 1) ** 2 * sum(x.shape[1] for x in matrices)
 
-    def _moments(self, rows: np.ndarray) -> np.ndarray:
-        """Augmented second moments ``(t, C, d+1, d+1)`` of the `(t, d+1)` chunk rows."""
+    def _moments(self, positions: np.ndarray) -> np.ndarray:
+        """Augmented second moments ``(..., C, d+1, d+1)`` of the chunks at `positions`."""
+        rows = self.order[positions.reshape(-1, self.d + 1)]
         out = np.empty((rows.shape[0], len(self.shifted), self.d + 1, self.d + 1))
         for c, shifted in enumerate(self.shifted):
             chunks = shifted[rows]
             # einsum keeps the reduction off BLAS so results do not depend on thread count
             np.einsum("tin,tjn->tij", chunks, chunks, out=out[:, c])
-        return out
+        return out.reshape(positions.shape[:-1] + out.shape[1:])
+
+    def _logdets(self, total: np.ndarray) -> np.ndarray:
+        """Regularized logdet of each child's covariance from its summed chunk moments."""
+        d = self.d
+        moments = total / total[..., d:, d:]
+        mean = moments[..., d, :d]
+        return _regularized_logdet(moments[..., :d, :d] - mean[..., :, None] * mean[..., None, :])
 
     def objectives(self) -> np.ndarray:
         """Regularized logdet of each child's subvector covariance."""
-        d = self.d
-        total = self.moments.sum(axis=0)
-        moments = total / total[:, d:, d:]
-        mean = moments[:, d, :d]
-        return _regularized_logdet(moments[:, :d, :d] - mean[:, :, None] * mean[:, None, :])
+        return self._logdets(self.moments.sum(axis=0))
 
-    def _swap_rows(self, a: int, b: int):
-        g, flat = self.block, self.rows.reshape(-1)
-        sa, sb = self._slots[a * g : (a + 1) * g], self._slots[b * g : (b + 1) * g]
-        flat[sa], flat[sb] = flat[sb], flat[sa]
+    def score(self, pairs: np.ndarray) -> np.ndarray:
+        """Summed objective of the children after each swap of the units ``pairs[i]``.
 
-    def swap(self, a: int, b: int):
-        """Swap the units at positions `a` and `b`; recompute the chunks they touch."""
+        Every candidate swaps against the current order. The chunks the two
+        units touch are recomputed for all candidates at once (a chunk both
+        touch, twice). Each candidate's chunks then stand in for the current
+        ones while all chunks are summed in the order `objectives` sums them,
+        so a candidate scores exactly the summed `objectives` of its order,
+        which `commit` makes current.
+        """
         g, d = self.block, self.d
-        touched = sorted({*range(a * g // d, ((a + 1) * g - 1) // d + 1),
-                          *range(b * g // d, ((b + 1) * g - 1) // d + 1)})
-        self._saved = (a, b, touched, self.moments[touched])
-        self._swap_rows(a, b)
-        self.moments[touched] = self._moments(self.rows[touched])
+        # the positions of each touched chunk, then with the two units' rows exchanged
+        positions = self._touch[pairs].reshape(pairs.shape[0], -1, d + 1)
+        chunks = positions[..., 0] // d
+        unit, a, b = positions // g, pairs[:, :1, None], pairs[:, 1:, None]
+        shift = g * (b - a)
+        np.add(positions, shift, out=positions, where=unit == a)
+        np.subtract(positions, shift, out=positions, where=unit == b)
+        moments = self._moments(positions)
+        saved = self.moments[chunks]
+        totals = np.empty((pairs.shape[0],) + self.moments.shape[1:])
+        for i, touched in enumerate(chunks):
+            self.moments[touched] = moments[i]
+            self.moments.sum(axis=0, out=totals[i])
+            self.moments[touched] = saved[i]
+        self._scored = (pairs, chunks, moments)
+        return self._logdets(totals).sum(axis=-1)
 
-    def undo(self):
-        """Revert the last `swap`, restoring the chunks it recomputed."""
-        a, b, touched, moments = self._saved
-        self._swap_rows(a, b)
-        self.moments[touched] = moments
+    def commit(self, i: int):
+        """Keep candidate `i` of the last `score`, reusing the moments it computed."""
+        pairs, chunks, moments = self._scored
+        self.moments[chunks[i]] = moments[i]
+        g, order = self.block, self.order
+        a, b = pairs[i] * g
+        order[a : a + g], order[b : b + g] = order[b : b + g], order[a : a + g].copy()
 
 
 def _families(specs, units: np.ndarray) -> list:
@@ -295,32 +346,56 @@ def _total(families) -> float:
     return sum(float(f.objectives().sum()) for f in families)
 
 
+def _pairs(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """The next `count` unit pairs ``(count, 2)`` the search proposes, drawn at once.
+
+    They are the draws ``integers(n)``, ``integers(n - 1)`` a loop of scalar
+    calls would make: an array of bounds consumes the stream in the same
+    order. The second unit skips the first, so the two differ.
+    """
+    pairs = rng.integers(np.tile([n, n - 1], count)).reshape(count, 2)
+    pairs[:, 1] += pairs[:, 1] >= pairs[:, 0]
+    return pairs
+
+
 def _swap_search(families, units: np.ndarray, iters: int, seed: int):
     """Random pair swaps of `units`, in place, kept when they lower the objective.
 
-    `families` are the children's `_ChunkMoments`, set up at `units`. Each
-    proposal recomputes only the chunks the two units touch and restores
-    them when it is rejected. Deterministic given `seed`.
+    `families` are the children's `_ChunkMoments`, set up at `units`. The
+    proposals are scored speculatively, a batch at a time against the
+    current order, and the first candidate of a batch below the current
+    objective is kept; the next batch starts right after it. This is exact:
+    a rejected proposal leaves the order as it was and the pairs do not
+    depend on the decisions, so every candidate is scored on the order a
+    one-at-a-time loop would score it on, and the same proposals are kept.
+    A batch starts at one pair, doubles after a batch that keeps none, holds
+    twice the pairs up to the kept one after one that keeps, and holds no
+    more candidates than fit `_BATCH` values of work; the result does not
+    depend on these sizes. Deterministic given `seed`.
     """
     n = units.shape[0]
     if n < 2 or iters <= 0:
         return units
-    current = _total(families)
     rng = make_rng(seed, "perm-local-search")
-    for _ in range(iters):
-        a = int(rng.integers(n))
-        b = int(rng.integers(n - 1))
-        if b >= a:
-            b += 1
-        for family in families:
-            family.swap(a, b)
-        candidate = _total(families)
-        if candidate < current:
-            current = candidate
-            units[[a, b]] = units[[b, a]]
-        else:
+    current = _total(families)
+    cap = max(1, _BATCH // sum(f.work for f in families))
+    size = 1
+    for first in range(0, iters, _DRAWS):
+        pairs = _pairs(rng, n, min(_DRAWS, iters - first))
+        start = 0
+        while start < len(pairs):
+            batch = pairs[start : start + size]
+            scores = sum(f.score(batch) for f in families)
+            better = (scores < current).nonzero()[0]
+            if better.size == 0:
+                start, size = start + len(batch), min(2 * size, cap)
+                continue
+            j = int(better[0])
             for family in families:
-                family.undo()
+                family.commit(j)
+            current = scores[j]
+            units[batch[j]] = units[batch[j, ::-1]]
+            start, size = start + j + 1, min(2 * (j + 1), cap)
     return units
 
 

@@ -1,5 +1,5 @@
 """Test-only helpers: container equality for round trips, quantizer-error and centroid-gradient
-oracles, a toy dataset."""
+oracles, the one-proposal-at-a-time swap search, a toy dataset."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import numpy as np
 from pqf import layout
 from pqf.codec import LayerEncoding
 from pqf.finetune import ToyDataset, _split
+from pqf.permsearch import _regularized_logdet, _unit_rows
 from pqf.rng import gaussian, make_rng
 from pqf.tensor_io import CompressedModel, RawEntry, TensorRecord
 
@@ -71,6 +72,89 @@ def centroid_gradients_oracle(weight_grad, enc: LayerEncoding) -> np.ndarray:
     for j in range(enc.d):
         out[:, j] = np.bincount(flat, weights=pts[:, j], minlength=enc.k_eff)
     return out
+
+
+class _ScalarChunkMoments:
+    """Chunk moments of children sharing one row order, kept one proposal at a time.
+
+    The same moments as `permsearch._ChunkMoments`: `swap` recomputes the
+    chunks holding two units and `undo` restores them.
+    """
+
+    def __init__(self, matrices, d: int, block: int, units: np.ndarray):
+        self.d, self.block = d, block
+        self.shifted = [np.vstack([matrix - matrix.mean(), np.ones(matrix.shape[1])])
+                        for matrix in matrices]
+        rows = _unit_rows(units, block)
+        self.rows = np.hstack([rows.reshape(-1, d), np.full((rows.size // d, 1), rows.size)])
+        self._slots = np.arange(rows.size) + np.arange(rows.size) // d  # row position -> rows.flat
+        self.moments = self._moments(self.rows)
+
+    def _moments(self, rows: np.ndarray) -> np.ndarray:
+        out = np.empty((rows.shape[0], len(self.shifted), self.d + 1, self.d + 1))
+        for c, shifted in enumerate(self.shifted):
+            chunks = shifted[rows]
+            np.einsum("tin,tjn->tij", chunks, chunks, out=out[:, c])
+        return out
+
+    def objectives(self) -> np.ndarray:
+        d = self.d
+        total = self.moments.sum(axis=0)
+        moments = total / total[:, d:, d:]
+        mean = moments[:, d, :d]
+        return _regularized_logdet(moments[:, :d, :d] - mean[:, :, None] * mean[:, None, :])
+
+    def _swap_rows(self, a: int, b: int):
+        g, flat = self.block, self.rows.reshape(-1)
+        sa, sb = self._slots[a * g : (a + 1) * g], self._slots[b * g : (b + 1) * g]
+        flat[sa], flat[sb] = flat[sb], flat[sa]
+
+    def swap(self, a: int, b: int):
+        g, d = self.block, self.d
+        touched = sorted({*range(a * g // d, ((a + 1) * g - 1) // d + 1),
+                          *range(b * g // d, ((b + 1) * g - 1) // d + 1)})
+        self._saved = (a, b, touched, self.moments[touched])
+        self._swap_rows(a, b)
+        self.moments[touched] = self._moments(self.rows[touched])
+
+    def undo(self):
+        a, b, touched, moments = self._saved
+        self._swap_rows(a, b)
+        self.moments[touched] = moments
+
+
+def scalar_swap_search(specs, units: np.ndarray, iters: int, seed: int) -> np.ndarray:
+    """The swap search one proposal at a time: draw a pair, swap, score, undo if not lower.
+
+    `specs` are ``(matrix, d, block)`` children; children with the same
+    `(d, block)` share moments, as in `permsearch._families`. Returns a new
+    unit order; `units` is left as it is.
+    """
+    by_shape = {}
+    for matrix, d, block in specs:
+        by_shape.setdefault((d, block), []).append(matrix)
+    units = units.copy()
+    families = [_ScalarChunkMoments(ms, d, block, units) for (d, block), ms in by_shape.items()]
+    n = units.shape[0]
+    if n < 2 or iters <= 0:
+        return units
+    current = sum(float(f.objectives().sum()) for f in families)
+    rng = make_rng(seed, "perm-local-search")
+    for _ in range(iters):
+        a = int(rng.integers(n))
+        b = int(rng.integers(n - 1))
+        if b >= a:
+            b += 1
+        for family in families:
+            family.swap(a, b)
+        candidate = sum(float(f.objectives().sum()) for f in families)
+        if candidate < current:
+            current = candidate
+            units[[a, b]] = units[[b, a]]
+        else:
+            for family in families:
+                family.undo()
+    return units
 
 
 def two_spirals(n_per_arm: int, seed: int, noise: float = 0.15) -> ToyDataset:

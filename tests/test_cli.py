@@ -13,6 +13,7 @@ import pqf
 from pqf import cli, finetune, tensor_io
 from pqf.cli import BenchConfig, bench_csv, run_bench
 from pqf.finetune import make_mlp_checkpoint
+from pqf.rng import gaussian, make_rng
 
 
 @pytest.fixture(scope="module")
@@ -350,6 +351,43 @@ def test_compressed_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert outs[0] == outs[1]
 
 
+def _synthetic_resnet50(divisor: int, seed: int) -> tensor_io.ModelCheckpoint:
+    """The shipped ResNet-50 with every channel count but the 3 image channels divided by
+    `divisor`; weights from `pqf.rng`, each input channel scaled by its own log-uniform factor."""
+    spec = tensor_io.parse_arch_spec((resources.files("pqf") / "data" / "resnet50.arch").read_text())
+    layers, tensors = [], []
+    for meta in spec.layers:
+        c_in, c_out = (c if c == 3 else c // divisor for c in (meta.c_in, meta.c_out))
+        has_bias = meta.kind == "fc" if meta.kind in tensor_io.WEIGHTED_KINDS else None
+        layers.append(tensor_io.LayerMeta(meta.name, meta.kind, meta.kernel_size, c_in, c_out, has_bias))
+        rng = make_rng(seed, "r50", meta.name)
+        if meta.kind in tensor_io.WEIGHTED_KINDS:
+            k = meta.kernel_size
+            shape = (c_in, c_out, k, k) if meta.kind == "conv" else (c_in, c_out)
+            scales = 10.0 ** (1.5 * (rng.random(c_in) - 0.5))
+            weight = gaussian(rng, shape) * 0.05 * scales.reshape((c_in,) + (1,) * (len(shape) - 1))
+            tensors.append(tensor_io.tensor_record(f"{meta.name}.weight", weight))
+            if has_bias:
+                tensors.append(tensor_io.tensor_record(f"{meta.name}.bias", gaussian(rng, (c_out,)) * 0.01))
+        elif meta.kind == "batchnorm":
+            tensors.append(tensor_io.tensor_record(f"{meta.name}.weight", 1.0 + 0.1 * gaussian(rng, (c_out,))))
+            tensors.append(tensor_io.tensor_record(f"{meta.name}.bias", 0.1 * gaussian(rng, (c_out,))))
+    return tensor_io.ModelCheckpoint(tensors=tensors, layers=layers, edges=list(spec.edges))
+
+
+def test_permutation_search_bytes_are_pinned(tmp_path):
+    # a ResNet-50 at 1/8 width has 21 groups that search; the hash pins every
+    # proposal the search keeps, so a refactor of the search cannot change them silently
+    source, packed = tmp_path / "r50.pqfn", tmp_path / "r50.pqfc"
+    tensor_io.save_checkpoint(_synthetic_resnet50(8, seed=3), source)
+    argv = ["compress", str(source), "--out", str(packed), "--k", "32", "--k-fc", "32",
+            "--src-iters", "1", "--perm-iters", "100", "--seed", "3"]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(packed.read_bytes()).hexdigest() == (
+        "3e6b5de4e4eb54834693a92aaaac306401f18e52264eaf263f59b97b375796f2"
+    )
+
+
 def test_eval_emits_csv_trace(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     rc = cli.main(["eval", "--toy", "mlp", "--epochs", "3", "--seed", "1", "--out", str(out)])
@@ -511,6 +549,9 @@ def test_out_of_range_config_flag_is_usage_error(
         (["eval", "--lr-min", "nan"], "argument --lr-min: must be finite and at least 0, got nan"),
         (["eval", "--lr-min", "inf"], "argument --lr-min: must be finite and at least 0, got inf"),
         (["eval", "--lr", "x"], "argument --lr: invalid float value: 'x'"),
+        (["eval", "--lr", "0", "--lr-min", "0.5"],
+         "--lr-min must be at most --lr, got --lr-min 0.5 above --lr 0.0"),
+        (["eval", "--lr-min", "0.01"], "--lr-min must be at most --lr, got --lr-min 0.01 above --lr 0.001"),
     ],
 )
 def test_out_of_range_eval_or_bench_flag_is_usage_error(capsys, argv, detail):

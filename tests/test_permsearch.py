@@ -20,6 +20,8 @@ from pqf.permsearch import (
 )
 from pqf.rng import gaussian, make_rng
 
+from helpers import scalar_swap_search
+
 
 # ---------------------------------------------------------------------------
 # Covariance
@@ -443,10 +445,78 @@ def test_swap_search_matches_full_recompute(children, seed):
     units = start.copy()
     got = permsearch._swap_search(permsearch._families(specs, units), units, 200, seed)
     assert np.array_equal(got, expected)
+    assert np.array_equal(got, scalar_swap_search(specs, start, 200, seed))
     assert not np.array_equal(got, start)  # the search moved
 
 
-def test_tracked_objective_follows_every_swap_and_undo():
+def _speculative_search(specs, start, iters, seed):
+    units = start.copy()
+    return permsearch._swap_search(permsearch._families(specs, units), units, iters, seed)
+
+
+@pytest.mark.parametrize("iters", [0, 1, 500])
+@pytest.mark.parametrize(
+    "children",
+    [[(2, 2, 1)], [(2, 2, 3)], [(2, 4, 2), (2, 2, 1)]],
+    ids=["d2b1", "d2b3", "d4b2+d2b1"],
+)
+def test_search_over_two_units_matches_the_one_proposal_loop(children, iters):
+    rng = make_rng(iters, "two-units")
+    specs = [(_scaled_matrix(rng, 2 * block, 9), d, block) for _, d, block in children]
+    start = np.array([1, 0])
+    assert np.array_equal(
+        _speculative_search(specs, start, iters, 7), scalar_swap_search(specs, start, iters, 7)
+    )
+
+
+def test_search_with_a_degenerate_child_matches_the_one_proposal_loop(monkeypatch):
+    shapes = []
+    original = permsearch._regularized_logdet
+    monkeypatch.setattr(
+        permsearch, "_regularized_logdet", lambda sigma: shapes.append(sigma.shape) or original(sigma)
+    )
+    for seed in range(4):
+        # two rows, each repeated 8 times, far apart and nearly constant: in an
+        # order that keeps each row's copies in one coordinate, the raw-moment
+        # variance is rounding noise and can come out negative, so Cholesky fails
+        rng = make_rng(seed, "degenerate")
+        pair = rng.standard_normal((2, 30)) * 1e-6 + np.array([[1e3], [-1e3]])
+        specs = [(pair[np.arange(16) % 2], 2, 1), (_scaled_matrix(rng, 48, 7), 4, 3)]
+        start = np.arange(16)
+        got = _speculative_search(specs, start, 300, seed)
+        assert np.array_equal(got, scalar_swap_search(specs, start, 300, seed))
+        assert not np.array_equal(got, start)
+    # some batch of several candidates fell back to scoring them one by one
+    assert any(len(a) == 4 and a[0] > 1 and len(b) == 3 for a, b in zip(shapes, shapes[1:]))
+
+
+@pytest.mark.parametrize("batch, draws", [(1, 1 << 16), (1 << 40, 7), (1, 1)])
+def test_search_does_not_depend_on_batch_or_draw_sizes(batch, draws, monkeypatch):
+    monkeypatch.setattr(permsearch, "_BATCH", batch)
+    monkeypatch.setattr(permsearch, "_DRAWS", draws)
+    rng = make_rng(28, "batch-sizes")
+    # units in one chunk, straddling two, spanning three, and two shapes at once
+    for children in ([(16, 4, 1)], [(16, 4, 3)], [(8, 4, 9)], [(12, 4, 1), (12, 4, 3)], [(8, 18, 9)]):
+        specs = [(_scaled_matrix(rng, c * block, 11), d, block) for c, d, block in children]
+        start = rng.permutation(children[0][0])
+        assert np.array_equal(
+            _speculative_search(specs, start, 300, 3), scalar_swap_search(specs, start, 300, 3)
+        )
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 1000])
+def test_vectorised_pair_draws_equal_the_scalar_draws(n):
+    scalar, batched = make_rng(n, "perm-local-search"), make_rng(n, "perm-local-search")
+    expected = []
+    for _ in range(400):
+        a, b = int(scalar.integers(n)), int(scalar.integers(n - 1))
+        expected.append((a, b + (b >= a)))
+    # one stream, drawn in blocks of several sizes
+    got = np.vstack([permsearch._pairs(batched, n, count) for count in (1, 0, 5, 194, 200)])
+    assert np.array_equal(got, expected)
+
+
+def test_tracked_objective_follows_every_score_and_commit():
     rng = make_rng(26, "swap-track")
     # rows scaled over 3 decades, all far below a common offset
     offset = rng.standard_normal((24, 30)) * 10.0 ** rng.uniform(-3.0, 0.0, (24, 1)) + 1e3
@@ -457,20 +527,28 @@ def test_tracked_objective_follows_every_swap_and_undo():
         permsearch._ChunkMoments([specs[2][0]], 4, 3, units),
     ]
     for _ in range(300):
-        a, b = (int(x) for x in rng.choice(24, 2, replace=False))
-        for family in families:
-            family.swap(a, b)
+        pairs = np.array([rng.choice(24, 2, replace=False) for _ in range(int(rng.integers(1, 5)))])
+        scores = sum(f.score(pairs) for f in families)
+        for (a, b), score in zip(pairs, scores):
+            swapped = units.copy()
+            swapped[[a, b]] = swapped[[b, a]]
+            exact = _oracle_objective(specs, swapped)
+            assert abs(score - exact) <= 1e-9 * abs(exact)
         if rng.random() < 0.5:
-            units[[a, b]] = units[[b, a]]
-        else:
+            i = int(rng.integers(len(pairs)))
             for family in families:
-                family.undo()
+                family.commit(i)
+            units[pairs[i]] = units[pairs[i, ::-1]]
+            # a kept candidate scored exactly what the objective now reads
+            assert sum(float(f.objectives().sum()) for f in families) == scores[i]
         tracked = sum(float(f.objectives().sum()) for f in families)
         exact = _oracle_objective(specs, units)
         assert abs(tracked - exact) <= 1e-9 * abs(exact)
     # the tracked chunks equal a fresh set-up on the final order, bit for bit
-    fresh = permsearch._ChunkMoments([offset, specs[1][0]], 4, 1, units)
-    assert np.array_equal(fresh.moments, families[0].moments)
+    fresh = permsearch._families(specs, units)
+    assert [(f.d, f.block) for f in fresh] == [(f.d, f.block) for f in families]
+    for new, tracked in zip(fresh, families):
+        assert np.array_equal(new.moments, tracked.moments)
 
 
 def test_objective_evaluations_do_not_grow_with_iterations(monkeypatch):
