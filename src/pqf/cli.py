@@ -111,8 +111,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="quantizer ablation on synthetic weights")
     p.add_argument("--seeds", type=_at_least_one, default=20)
-    p.add_argument("--rows", type=int, default=32)
-    p.add_argument("--cols", type=int, default=96)
+    p.add_argument("--rows", type=_at_least_one, default=32)
+    p.add_argument("--cols", type=_at_least_one, default=96)
     p.add_argument("--d", type=_at_least_one, default=4)
     p.add_argument("--k", type=_at_least_one, default=16)
     p.add_argument("--src-iters", type=_at_least_one, default=150)

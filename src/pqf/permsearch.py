@@ -25,6 +25,19 @@ next batch starts right after it. Every candidate sums its chunks in the
 same fixed order, so the search keeps exactly the swaps that scoring one
 proposal at a time keeps, whatever the batch sizes.
 
+A scoring round takes a fixed number of numpy calls, whatever its batch
+size. Besides the current chunk moments, each family keeps one lane per
+candidate, a copy of them, and the round writes each candidate's recomputed
+chunks into its lane; one sum over the chunk axis then folds every lane, and
+the written chunks are put back. A sum over an axis that is not the
+innermost adds the chunks one at a time in chunk order, the sequential fold
+that scores the current order, so every candidate scores bit for bit what
+its order scores. Folding the chunks before the first one a round touches
+once, as a prefix shared by all lanes, would be exact for the same reason;
+it is left out, because it costs more calls than the reads it saves at the
+batch sizes the search uses. Families with the same subvector size take
+their logdets in one Cholesky call.
+
 When every swap unit of a layer holds whole subvectors (its rows per unit are
 a multiple of the subvector size d, as for a 3x3 convolution with d = 9), a
 swap only reorders subvectors and cannot change that layer's covariance, so
@@ -37,6 +50,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import IndivisibleBlockSize, MismatchedChannelCounts, TooFewSubvectors
 from .layout import SubvectorMatrix, split_matrix
@@ -129,19 +143,30 @@ def subvector_covariance(subvectors) -> CovarianceStats:
     return CovarianceStats(sigma=sigma, count=n, mean=mean)
 
 
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonals of a C-contiguous stack of square matrices."""
+    d = a.shape[-1]
+    return a.reshape(a.shape[:-2] + (d * d,))[..., :: d + 1]
+
+
 def _regularized_logdet(sigma: np.ndarray):
     """Logdet of ``sigma + eps*I``; a stack of matrices gives one value each."""
     d = sigma.shape[-1]
-    eps = 1e-12 * np.maximum(sigma.trace(axis1=-2, axis2=-1) / d, 1.0)
-    a = sigma + eps[..., None, None] * np.eye(d)
+    a = sigma.copy()
+    diagonal = _diagonal(a)
+    eps = 1e-12 * np.maximum(diagonal.sum(axis=-1) / d, 1.0)
+    diagonal += eps[..., None]
     try:
-        chol = np.linalg.cholesky(a)
-        return 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-    except np.linalg.LinAlgError:
+        # the factorization `np.linalg.cholesky` runs, without its checks and
+        # wrapping; a matrix it cannot factor sets the invalid flag
+        with np.errstate(all="ignore", invalid="raise"):
+            chol = _umath_linalg.cholesky_lo(a, signature="d->d")
+    except FloatingPointError:
         if sigma.ndim > 2:
             return np.array([_regularized_logdet(one) for one in sigma])
-        eigs = np.linalg.eigvalsh(a)
+        eigs = np.linalg.eigvalsh(sigma + eps * np.eye(d))
         return np.log(np.clip(eigs, eps, None)).sum()
+    return 2.0 * np.log(_diagonal(chol)).sum(axis=-1)
 
 
 def logdet(stats: CovarianceStats) -> float:
@@ -228,18 +253,35 @@ def greedy_init(weight, d: int, block: int = 1) -> Permutation:
     return Permutation(_unit_rows(group_order, block), block=block)
 
 
+def _logdets(total: np.ndarray) -> np.ndarray:
+    """Regularized logdet of each child's covariance from its summed chunk moments."""
+    d = total.shape[-1] - 1
+    moments = total / total[..., d:, d:]
+    mean = moments[..., d:, :d]
+    return _regularized_logdet(moments[..., :d, :d] - mean.swapaxes(-1, -2) * mean)
+
+
 # A scoring batch holds as many candidates as fit about this much work,
-# counted in float64 values: a candidate sums every chunk moment and forms
-# its chunks' einsum products, about 1 ns each. A scoring round costs some
-# forty numpy calls (about 0.1 ms) on top, so speculation pays while a batch
-# holds a few rounds' worth. On full-width ResNet-18 groups at d = 18, one
-# BLAS thread, 2**18, 2**20 and 2**22 took +0%, -7% and +5% search time
-# against scoring one proposal at a time; ResNet-50 at 1/8 width did not
-# move from 2**17 up. A batch holds at least one candidate.
+# counted in float64 values: a candidate's lane, which the round's fold
+# reads, and its chunks' einsum products, about 1 ns each. A round costs
+# some forty numpy calls on top, so speculation pays while a batch holds a
+# few rounds' worth. With the fold that wrote each candidate over the one
+# current copy, on full-width ResNet-18 groups at d = 18, one BLAS thread,
+# 2**18, 2**20 and 2**22 took +0%, -7% and +5% search time against scoring
+# one proposal at a time. A batch holds at least one candidate.
 _BATCH = 1 << 20
+# A batch also holds at most this many candidates. Without it, a long run of
+# rejections doubles batches to hundreds of small candidates, and those
+# scored after an early keep cost more than the rounds they save: in-process,
+# one BLAS thread, ResNet-50 at 1/8 width took 3-4% less search time with
+# it, and ResNet-18 in the large regime, whose work bound is lower, did not
+# move.
+_MAX_BATCH = 16
 # Proposals are drawn in blocks of at most this many pairs (1 MB), so memory
 # does not grow with the iteration count.
 _DRAWS = 1 << 16
+# ``pairs @ (g * _SWAP_SIGNS)`` is ``(g*(b-a), g*(a-b))`` for each pair ``(a, b)``
+_SWAP_SIGNS = np.array([[-1, 1], [1, -1]])
 
 
 class _ChunkMoments:
@@ -257,80 +299,86 @@ class _ChunkMoments:
     """
 
     def __init__(self, matrices, d: int, block: int, units: np.ndarray):
-        self.d, self.block = d, block
+        self.d, self.block, self.children = d, block, len(matrices)
+        n = units.size
+        m = n * block
         # row m of each shifted matrix is all ones, and every chunk gathers it
         # last: the chunk's last moment row then holds its sums and its count
         self.shifted = [np.vstack([matrix - matrix.mean(), np.ones(matrix.shape[1])])
                         for matrix in matrices]
-        m = units.size * block
         self.order = np.append(_unit_rows(units, block), m)  # the row at each position
         # chunk c holds positions c*d, ..., c*d + d-1 and, last, m: the ones row
         grid = np.hstack([np.arange(m).reshape(-1, d), np.full((m // d, 1), m)])
-        self.moments = self._moments(grid)
         # a unit starts a multiple of gcd(block, d) rows into a chunk, so it
         # touches at most `span` chunks: those of its rows d apart and its last
         span = (block + d - math.gcd(block, d) - 1) // d + 1
         probe = np.minimum(np.arange(span) * d, block - 1)
-        self._touch = grid[(np.arange(units.size)[:, None] * block + probe) // d]
-        # values one candidate touches: every chunk summed, its chunks' einsum products
-        self.work = self.moments.size + 2 * span * (d + 1) ** 2 * sum(x.shape[1] for x in matrices)
+        touch = grid[(np.arange(n)[:, None] * block + probe) // d]
+        # per unit, the positions of the chunks it touches and the unit each
+        # position belongs to (the ones row to none: n), and those chunks
+        self._swap = np.stack([touch, touch // block])
+        self._chunks = touch[..., 0] // d
+        self._unit_positions = np.arange(m).reshape(n, block)
+        # moves the first unit's rows of a pair to the second's place, and back
+        self._shift = block * _SWAP_SIGNS
+        # lane 0 holds the current chunk moments, lane i the chunks candidate i of a round folds
+        self._lanes = self._moments(grid)[None]
+        # values one candidate touches: its lane, its chunks' einsum products
+        self.work = self._lanes.size + 2 * span * (d + 1) ** 2 * sum(x.shape[1] for x in matrices)
 
     def _moments(self, positions: np.ndarray) -> np.ndarray:
         """Augmented second moments ``(..., C, d+1, d+1)`` of the chunks at `positions`."""
         rows = self.order[positions.reshape(-1, self.d + 1)]
-        out = np.empty((rows.shape[0], len(self.shifted), self.d + 1, self.d + 1))
+        out = np.empty((rows.shape[0], self.children, self.d + 1, self.d + 1))
         for c, shifted in enumerate(self.shifted):
             chunks = shifted[rows]
             # einsum keeps the reduction off BLAS so results do not depend on thread count
             np.einsum("tin,tjn->tij", chunks, chunks, out=out[:, c])
         return out.reshape(positions.shape[:-1] + out.shape[1:])
 
-    def _logdets(self, total: np.ndarray) -> np.ndarray:
-        """Regularized logdet of each child's covariance from its summed chunk moments."""
-        d = self.d
-        moments = total / total[..., d:, d:]
-        mean = moments[..., d, :d]
-        return _regularized_logdet(moments[..., :d, :d] - mean[..., :, None] * mean[..., None, :])
+    @property
+    def moments(self) -> np.ndarray:
+        """The current chunk moments ``(C, children, d+1, d+1)``."""
+        return self._lanes[0]
 
     def objectives(self) -> np.ndarray:
         """Regularized logdet of each child's subvector covariance."""
-        return self._logdets(self.moments.sum(axis=0))
+        return _logdets(self.moments.sum(axis=0))
 
     def score(self, pairs: np.ndarray) -> np.ndarray:
-        """Summed objective of the children after each swap of the units ``pairs[i]``.
+        """Summed chunk moments ``(B, children, d+1, d+1)`` after each swap of ``pairs[i]``.
 
         Every candidate swaps against the current order. The chunks the two
         units touch are recomputed for all candidates at once (a chunk both
-        touch, twice). Each candidate's chunks then stand in for the current
-        ones while all chunks are summed in the order `objectives` sums them,
-        so a candidate scores exactly the summed `objectives` of its order,
-        which `commit` makes current.
+        touch, twice). Candidate i's lane holds lane 0's current chunks with
+        its own written over them, and one sum over the chunk axis folds
+        every lane; the current chunks are then written back. That sum adds
+        the chunks one at a time in chunk order, as `objectives` does, so
+        each candidate's total is bit for bit the one its order has, which
+        `commit` makes current.
         """
-        g, d = self.block, self.d
+        count = pairs.shape[0]
         # the positions of each touched chunk, then with the two units' rows exchanged
-        positions = self._touch[pairs].reshape(pairs.shape[0], -1, d + 1)
-        chunks = positions[..., 0] // d
-        unit, a, b = positions // g, pairs[:, :1, None], pairs[:, 1:, None]
-        shift = g * (b - a)
-        np.add(positions, shift, out=positions, where=unit == a)
-        np.subtract(positions, shift, out=positions, where=unit == b)
-        moments = self._moments(positions)
-        saved = self.moments[chunks]
-        totals = np.empty((pairs.shape[0],) + self.moments.shape[1:])
-        for i, touched in enumerate(chunks):
-            self.moments[touched] = moments[i]
-            self.moments.sum(axis=0, out=totals[i])
-            self.moments[touched] = saved[i]
+        positions, units = self._swap[:, pairs]
+        moved = units[..., None] == pairs[:, None, None, None, :]
+        positions += (moved @ (pairs @ self._shift)[:, None, None, :, None])[..., 0]
+        chunks, moments = self._chunks[pairs], self._moments(positions)
         self._scored = (pairs, chunks, moments)
-        return self._logdets(totals).sum(axis=-1)
+        if len(self._lanes) <= count:
+            self._lanes = np.repeat(self._lanes[:1], count + 1, axis=0)
+            self._lane = np.arange(1, count + 1)[:, None, None]
+        lanes, lane = self._lanes, self._lane[:count]
+        lanes[lane, chunks] = moments
+        totals = lanes[1 : count + 1].sum(axis=1)
+        lanes[lane, chunks] = lanes[0, chunks]
+        return totals
 
     def commit(self, i: int):
         """Keep candidate `i` of the last `score`, reusing the moments it computed."""
         pairs, chunks, moments = self._scored
-        self.moments[chunks[i]] = moments[i]
-        g, order = self.block, self.order
-        a, b = pairs[i] * g
-        order[a : a + g], order[b : b + g] = order[b : b + g], order[a : a + g].copy()
+        self._lanes[:, chunks[i]] = moments[i]
+        positions = self._unit_positions[pairs[i]]
+        self.order[positions] = self.order[positions[::-1]]
 
 
 def _families(specs, units: np.ndarray) -> list:
@@ -344,6 +392,25 @@ def _families(specs, units: np.ndarray) -> list:
 def _total(families) -> float:
     """Summed objective of every child of `families`."""
     return sum(float(f.objectives().sum()) for f in families)
+
+
+def _score(families, pairs: np.ndarray) -> np.ndarray:
+    """Summed objective of every child of `families` after each swap of ``pairs[i]``.
+
+    Families of one `d` take their logdets in one call. Each family's children
+    are summed, then the families in order, as `_total` sums them.
+    """
+    totals = [f.score(pairs) for f in families]
+    sums = [None] * len(families)
+    for d in dict.fromkeys(f.d for f in families):
+        members = [i for i, f in enumerate(families) if f.d == d]
+        stack = [totals[i] for i in members]
+        logdets = _logdets(np.concatenate(stack, axis=1) if len(stack) > 1 else stack[0])
+        end = 0
+        for i in members:
+            start, end = end, end + families[i].children
+            sums[i] = logdets[:, start:end].sum(axis=-1)
+    return sum(sums)
 
 
 def _pairs(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
@@ -370,22 +437,23 @@ def _swap_search(families, units: np.ndarray, iters: int, seed: int):
     one-at-a-time loop would score it on, and the same proposals are kept.
     A batch starts at one pair, doubles after a batch that keeps none, holds
     twice the pairs up to the kept one after one that keeps, and holds no
-    more candidates than fit `_BATCH` values of work; the result does not
-    depend on these sizes. Deterministic given `seed`.
+    more candidates than fit `_BATCH` values of work, nor more than
+    `_MAX_BATCH`; the result does not depend on these sizes. Deterministic
+    given `seed`.
     """
     n = units.shape[0]
     if n < 2 or iters <= 0:
         return units
     rng = make_rng(seed, "perm-local-search")
     current = _total(families)
-    cap = max(1, _BATCH // sum(f.work for f in families))
+    cap = max(1, min(_BATCH // sum(f.work for f in families), _MAX_BATCH))
     size = 1
     for first in range(0, iters, _DRAWS):
         pairs = _pairs(rng, n, min(_DRAWS, iters - first))
         start = 0
         while start < len(pairs):
             batch = pairs[start : start + size]
-            scores = sum(f.score(batch) for f in families)
+            scores = _score(families, batch)
             better = (scores < current).nonzero()[0]
             if better.size == 0:
                 start, size = start + len(batch), min(2 * size, cap)
@@ -394,8 +462,10 @@ def _swap_search(families, units: np.ndarray, iters: int, seed: int):
             for family in families:
                 family.commit(j)
             current = scores[j]
-            units[batch[j]] = units[batch[j, ::-1]]
             start, size = start + j + 1, min(2 * (j + 1), cap)
+    # every family keeps the order; unit u starts the row at position u*block
+    family = families[0]
+    units[:] = family.order[: -1 : family.block] // family.block
     return units
 
 

@@ -1,5 +1,5 @@
 """Test-only helpers: container equality for round trips, quantizer-error and centroid-gradient
-oracles, the one-proposal-at-a-time swap search, a toy dataset."""
+oracles, the one-proposal-at-a-time swap search and its logdet and fold, a toy dataset."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 from pqf import layout
 from pqf.codec import LayerEncoding
 from pqf.finetune import ToyDataset, _split
-from pqf.permsearch import _regularized_logdet, _unit_rows
+from pqf.permsearch import _unit_rows
 from pqf.rng import gaussian, make_rng
 from pqf.tensor_io import CompressedModel, RawEntry, TensorRecord
 
@@ -74,6 +74,50 @@ def centroid_gradients_oracle(weight_grad, enc: LayerEncoding) -> np.ndarray:
     return out
 
 
+def regularized_logdet_oracle(sigma: np.ndarray):
+    """Logdet of ``sigma + eps*I`` through `np.linalg.cholesky`, one value per matrix of a stack.
+
+    A stack that fails to factor is scored matrix by matrix, and a matrix
+    that fails takes its eigenvalues, clipped at `eps`.
+    """
+    d = sigma.shape[-1]
+    eps = 1e-12 * np.maximum(sigma.trace(axis1=-2, axis2=-1) / d, 1.0)
+    a = sigma + eps[..., None, None] * np.eye(d)
+    try:
+        chol = np.linalg.cholesky(a)
+        return 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    except np.linalg.LinAlgError:
+        if sigma.ndim > 2:
+            return np.array([regularized_logdet_oracle(one) for one in sigma])
+        eigs = np.linalg.eigvalsh(a)
+        return np.log(np.clip(eigs, eps, None)).sum()
+
+
+def logdets_oracle(total: np.ndarray) -> np.ndarray:
+    """Regularized logdet of each child's covariance from its summed chunk moments."""
+    d = total.shape[-1] - 1
+    moments = total / total[..., d:, d:]
+    mean = moments[..., d, :d]
+    return regularized_logdet_oracle(moments[..., :d, :d] - mean[..., :, None] * mean[..., None, :])
+
+
+def candidate_totals_oracle(moments, chunks, candidates) -> np.ndarray:
+    """Summed chunk moments of each candidate, one candidate at a time.
+
+    Candidate i's moments `candidates[i]` are written over the current chunks
+    `chunks[i]` of a copy of `moments`, every chunk is summed, and the
+    current ones are put back.
+    """
+    moments = moments.copy()
+    totals = np.empty((len(chunks),) + moments.shape[1:])
+    for i, touched in enumerate(chunks):
+        saved = moments[touched]
+        moments[touched] = candidates[i]
+        moments.sum(axis=0, out=totals[i])
+        moments[touched] = saved
+    return totals
+
+
 class _ScalarChunkMoments:
     """Chunk moments of children sharing one row order, kept one proposal at a time.
 
@@ -102,7 +146,7 @@ class _ScalarChunkMoments:
         total = self.moments.sum(axis=0)
         moments = total / total[:, d:, d:]
         mean = moments[:, d, :d]
-        return _regularized_logdet(moments[:, :d, :d] - mean[:, :, None] * mean[:, None, :])
+        return regularized_logdet_oracle(moments[:, :d, :d] - mean[:, :, None] * mean[:, None, :])
 
     def _swap_rows(self, a: int, b: int):
         g, flat = self.block, self.rows.reshape(-1)

@@ -351,16 +351,17 @@ def test_compressed_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert outs[0] == outs[1]
 
 
-def _synthetic_resnet50(divisor: int, seed: int) -> tensor_io.ModelCheckpoint:
-    """The shipped ResNet-50 with every channel count but the 3 image channels divided by
+def _synthetic_resnet(depth: int, divisor: int, seed: int) -> tensor_io.ModelCheckpoint:
+    """The shipped ResNet-`depth` with every channel count but the 3 image channels divided by
     `divisor`; weights from `pqf.rng`, each input channel scaled by its own log-uniform factor."""
-    spec = tensor_io.parse_arch_spec((resources.files("pqf") / "data" / "resnet50.arch").read_text())
+    arch = (resources.files("pqf") / "data" / f"resnet{depth}.arch").read_text()
+    spec = tensor_io.parse_arch_spec(arch)
     layers, tensors = [], []
     for meta in spec.layers:
         c_in, c_out = (c if c == 3 else c // divisor for c in (meta.c_in, meta.c_out))
         has_bias = meta.kind == "fc" if meta.kind in tensor_io.WEIGHTED_KINDS else None
         layers.append(tensor_io.LayerMeta(meta.name, meta.kind, meta.kernel_size, c_in, c_out, has_bias))
-        rng = make_rng(seed, "r50", meta.name)
+        rng = make_rng(seed, f"r{depth}", meta.name)
         if meta.kind in tensor_io.WEIGHTED_KINDS:
             k = meta.kernel_size
             shape = (c_in, c_out, k, k) if meta.kind == "conv" else (c_in, c_out)
@@ -375,16 +376,28 @@ def _synthetic_resnet50(divisor: int, seed: int) -> tensor_io.ModelCheckpoint:
     return tensor_io.ModelCheckpoint(tensors=tensors, layers=layers, edges=list(spec.edges))
 
 
+def _pinned_compress_digest(tmp_path, depth: int, divisor: int, *flags) -> str:
+    source, packed = tmp_path / "model.pqfn", tmp_path / "model.pqfc"
+    tensor_io.save_checkpoint(_synthetic_resnet(depth, divisor, seed=3), source)
+    argv = ["compress", str(source), "--out", str(packed), "--k", "32", "--k-fc", "32",
+            "--src-iters", "1", "--perm-iters", "100", "--seed", "3", *flags]
+    assert cli.main(argv) == 0
+    return hashlib.sha256(packed.read_bytes()).hexdigest()
+
+
 def test_permutation_search_bytes_are_pinned(tmp_path):
     # a ResNet-50 at 1/8 width has 21 groups that search; the hash pins every
     # proposal the search keeps, so a refactor of the search cannot change them silently
-    source, packed = tmp_path / "r50.pqfn", tmp_path / "r50.pqfc"
-    tensor_io.save_checkpoint(_synthetic_resnet50(8, seed=3), source)
-    argv = ["compress", str(source), "--out", str(packed), "--k", "32", "--k-fc", "32",
-            "--src-iters", "1", "--perm-iters", "100", "--seed", "3"]
-    assert cli.main(argv) == 0
-    assert hashlib.sha256(packed.read_bytes()).hexdigest() == (
+    assert _pinned_compress_digest(tmp_path, 50, 8) == (
         "3e6b5de4e4eb54834693a92aaaac306401f18e52264eaf263f59b97b375796f2"
+    )
+
+
+def test_large_regime_search_bytes_are_pinned(tmp_path):
+    # a ResNet-18 at 1/4 width in the large regime searches 12 groups, 4 of them over
+    # two families, with d = 18 for its 3x3 children
+    assert _pinned_compress_digest(tmp_path, 18, 4, "--regime", "large") == (
+        "7bc8a656c84fca088a38df84ab48e4a7db0f79295e19e651d5a13a04ec36e8be"
     )
 
 
@@ -552,6 +565,10 @@ def test_out_of_range_config_flag_is_usage_error(
         (["eval", "--lr", "0", "--lr-min", "0.5"],
          "--lr-min must be at most --lr, got --lr-min 0.5 above --lr 0.0"),
         (["eval", "--lr-min", "0.01"], "--lr-min must be at most --lr, got --lr-min 0.01 above --lr 0.001"),
+        (["bench", "--rows", "-4"], "argument --rows: must be at least 1, got -4"),
+        (["bench", "--rows", "0"], "argument --rows: must be at least 1, got 0"),
+        (["bench", "--cols", "-3"], "argument --cols: must be at least 1, got -3"),
+        (["bench", "--cols", "0"], "argument --cols: must be at least 1, got 0"),
     ],
 )
 def test_out_of_range_eval_or_bench_flag_is_usage_error(capsys, argv, detail):

@@ -20,7 +20,12 @@ from pqf.permsearch import (
 )
 from pqf.rng import gaussian, make_rng
 
-from helpers import scalar_swap_search
+from helpers import (
+    candidate_totals_oracle,
+    logdets_oracle,
+    regularized_logdet_oracle,
+    scalar_swap_search,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +498,7 @@ def test_search_with_a_degenerate_child_matches_the_one_proposal_loop(monkeypatc
 @pytest.mark.parametrize("batch, draws", [(1, 1 << 16), (1 << 40, 7), (1, 1)])
 def test_search_does_not_depend_on_batch_or_draw_sizes(batch, draws, monkeypatch):
     monkeypatch.setattr(permsearch, "_BATCH", batch)
+    monkeypatch.setattr(permsearch, "_MAX_BATCH", batch)
     monkeypatch.setattr(permsearch, "_DRAWS", draws)
     rng = make_rng(28, "batch-sizes")
     # units in one chunk, straddling two, spanning three, and two shapes at once
@@ -528,7 +534,7 @@ def test_tracked_objective_follows_every_score_and_commit():
     ]
     for _ in range(300):
         pairs = np.array([rng.choice(24, 2, replace=False) for _ in range(int(rng.integers(1, 5)))])
-        scores = sum(f.score(pairs) for f in families)
+        scores = permsearch._score(families, pairs)
         for (a, b), score in zip(pairs, scores):
             swapped = units.copy()
             swapped[[a, b]] = swapped[[b, a]]
@@ -549,6 +555,96 @@ def test_tracked_objective_follows_every_score_and_commit():
     assert [(f.d, f.block) for f in fresh] == [(f.d, f.block) for f in families]
     for new, tracked in zip(fresh, families):
         assert np.array_equal(new.moments, tracked.moments)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _covariance_stack(rng, shape, d):
+    """Covariances of `d`-dimensional points scaled over six decades, one per leading index."""
+    points = rng.standard_normal(shape + (3 * d, d)) * 10.0 ** rng.uniform(-3, 3, shape + (1, d))
+    centered = points - points.mean(axis=-2, keepdims=True)
+    return np.einsum("...ni,...nj->...ij", centered, centered) / (3 * d)
+
+
+@pytest.mark.parametrize("d", [4, 9, 18])
+@pytest.mark.parametrize("shape", [(6,), (3, 4)], ids=["3d", "4d"])
+def test_regularized_logdet_matches_the_cholesky_oracle_bit_for_bit(d, shape):
+    rng = make_rng(d, "logdet-oracle", str(len(shape)))
+    stack = _covariance_stack(rng, shape, d)
+    assert _bits(permsearch._regularized_logdet(stack)) == _bits(regularized_logdet_oracle(stack))
+    assert _bits(permsearch._regularized_logdet(stack[(0,) * len(shape)])) == _bits(
+        regularized_logdet_oracle(stack[(0,) * len(shape)])
+    )
+    # a negative definite member fails to factor and takes the eigenvalue fallback
+    one_fails = stack.copy()
+    one_fails[(1,) * len(shape)] *= -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(one_fails[(1,) * len(shape)])
+    for bad in (one_fails, -stack):
+        expected = regularized_logdet_oracle(bad)
+        assert np.isfinite(expected).all()
+        assert _bits(permsearch._regularized_logdet(bad)) == _bits(expected)
+
+
+@pytest.mark.parametrize(
+    "children",
+    [[(16, 4, 1)], [(16, 4, 3)], [(8, 4, 9)], [(8, 18, 9), (8, 18, 9)], [(12, 4, 1), (12, 18, 9), (12, 4, 3)]],
+    ids=["d4b1", "d4b3", "d4b9", "d18b9x2", "mixed"],
+)
+def test_a_round_scores_each_candidate_as_the_one_at_a_time_fold(children):
+    rng = make_rng(29, "round-fold", str(len(children)))
+    specs = [(_scaled_matrix(rng, c * block, int(rng.integers(3, 40))), d, block) for c, d, block in children]
+    units = rng.permutation(children[0][0])
+    families = permsearch._families(specs, units)
+    for count in (1, 2, 5, 9, 3, 1, 16):
+        pairs = permsearch._pairs(rng, units.size, count)
+        current = [f.moments.copy() for f in families]
+        scores = permsearch._score(families, pairs)
+        family_scores = []
+        for family, moments in zip(families, current):
+            _, chunks, candidates = family._scored
+            totals = candidate_totals_oracle(moments, chunks, candidates)
+            assert _bits(family.score(pairs)) == _bits(totals)
+            family_scores.append(logdets_oracle(totals).sum(axis=-1))
+        assert _bits(scores) == _bits(sum(family_scores))
+        # each candidate folds what a fresh set-up at its order folds
+        for (a, b), score in zip(pairs, scores):
+            swapped = units.copy()
+            swapped[[a, b]] = swapped[[b, a]]
+            assert _bits(permsearch._total(permsearch._families(specs, swapped))) == _bits(score)
+        i = int(rng.integers(count))
+        for family in families:
+            family.commit(i)
+        units[pairs[i]] = units[pairs[i, ::-1]]
+    for new, tracked in zip(permsearch._families(specs, units), families):
+        assert _bits(new.moments) == _bits(tracked.moments)
+
+
+def test_families_of_one_d_share_one_logdet_call(monkeypatch):
+    shapes = []
+    original = permsearch._regularized_logdet
+    monkeypatch.setattr(
+        permsearch, "_regularized_logdet", lambda sigma: shapes.append(sigma.shape) or original(sigma)
+    )
+    rng = make_rng(30, "one-call")
+    # three families, (4, 1), (18, 9) and (4, 3); the two of d = 4 are not neighbours
+    specs = [(_scaled_matrix(rng, 16, 9), 4, 1), (_scaled_matrix(rng, 16 * 9, 5), 18, 9),
+             (_scaled_matrix(rng, 48, 7), 4, 3), (_scaled_matrix(rng, 16, 11), 4, 1)]
+    units = rng.permutation(16)
+    families = permsearch._families(specs, units)
+    assert [(f.d, f.block, f.children) for f in families] == [(4, 1, 2), (18, 9, 1), (4, 3, 1)]
+    pairs = permsearch._pairs(rng, 16, 3)
+    current = [f.moments.copy() for f in families]
+    shapes.clear()
+    scores = permsearch._score(families, pairs)
+    assert shapes == [(3, 3, 4, 4), (3, 1, 18, 18)]
+    expected = []
+    for family, moments in zip(families, current):
+        _, chunks, candidates = family._scored
+        expected.append(logdets_oracle(candidate_totals_oracle(moments, chunks, candidates)).sum(axis=-1))
+    assert _bits(scores) == _bits(sum(expected))
 
 
 def test_objective_evaluations_do_not_grow_with_iterations(monkeypatch):
