@@ -176,7 +176,7 @@ def decode_layer(enc: LayerEncoding, out=None) -> np.ndarray:
     """Rebuild the weight tensor approximation in its original shape.
 
     Two passes over the weight: gather the centroids in the codebook's own
-    dtype (float32 from a container, float64 in fine-tuning), then scatter
+    dtype (float32 from a container, float64 once fine-tuned), then scatter
     each subvector's rows to their unpermuted place, straight into the
     stored layout (`layout.empty_weight`), so no transpose copy follows.
     With `out`, a contiguous 1-D buffer of the codebook's dtype and at
@@ -291,13 +291,12 @@ def _has_bias(meta: LayerMeta) -> bool:
     return meta.kind == "fc"
 
 
-def bit_report(model, cfg: CompressionConfig) -> CompressionReport:
+def bit_report(model: ModelCheckpoint, cfg: CompressionConfig) -> CompressionReport:
     """Price every stored entry of an architecture, weights not required."""
-    layers = model.layers if isinstance(model, ModelCheckpoint) else list(model)
-    first_conv = first_conv_name(layers)
+    first_conv = first_conv_name(model.layers)
     rows = []
     baseline = 0
-    for meta in layers:
+    for meta in model.layers:
         if meta.kind in ("input", "output", "relu", "pool", "add", "reshape"):
             continue
         if meta.kind == "batchnorm":

@@ -1,22 +1,24 @@
 """Desk-scale gradient fine-tuning of codebooks on self-contained toy nets.
 
-The network evaluator runs directly on checkpoint metadata: dense layers are
-matrix products, convolutions are matrix products on pre-extracted patches
-(stride 1, same padding), plus relu, residual add, frozen batchnorm affine,
-global average pooling, and channel-major flatten. A network sorts its graph
-once, when it is built, into an execution plan that forward and backward both
-walk; forward decodes each weighted layer once and backward reuses that matrix.
-Backward passes are exact reverse-mode gradients of the same ops, in float64
-throughout, and form only the gradients their caller asks for. One training
-loop serves both raw-weight training and codebook fine-tuning. It copies
-every trainable tensor into one contiguous float64 vector and rebinds the
-network's arrays (`params` entries or codebooks) to views of it, so each step
-writes all gradients into one flat gradient vector and one fused run of
-in-place ufuncs is the Adam update. Fine-tuning moves only codebook
-centroids: codes and permutations have no update path, so decoded weights
-stay exact centroid copies. Each is one gather of its codebook, and a weight
-gradient reaches the centroids through the same index maps, all computed
-once per encoding.
+The network evaluator runs directly on checkpoint metadata. It holds every
+conv and fc weight as its `(C_in*K*K, C_out)` matrix, converted once when a
+network is built from a checkpoint and back when one is written out, so dense
+and conv layers are one matrix product, for a conv on pre-extracted patches
+(stride 1, same padding). The other ops are relu, residual add, frozen
+batchnorm affine, global average pooling, and channel-major flatten. A network
+sorts its graph once, when it is built, into an execution plan that forward
+and backward both walk; forward decodes each weighted layer once and backward
+reuses that matrix. Backward passes are exact reverse-mode gradients of the
+same ops, in float64 throughout, and form only the gradients their caller asks
+for. One training loop serves both raw-weight training and codebook
+fine-tuning. It copies every trainable tensor into one contiguous float64
+vector and rebinds the network's arrays (`params` entries or codebooks) to
+views of it, so each step writes all gradients into one flat gradient vector
+and one fused run of in-place ufuncs is the Adam update. Fine-tuning moves
+only codebook centroids: codes and permutations have no update path, so
+decoded weights stay exact centroid copies. Each is one gather of its
+codebook, and a weight gradient reaches the centroids through the same index
+maps, all computed once per encoding.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import codec, layout
+from . import layout
 from .errors import DivergedLoss, ShapeMismatch
 from .rng import gaussian, make_rng
 from .tensor_io import WEIGHTED_KINDS, LayerMeta, ModelCheckpoint, tensor_record
@@ -106,7 +108,7 @@ class ToyNetwork:
 
     layers: list
     edges: list
-    params: dict  # layer name -> {"weight": array, "bias": array}
+    params: dict  # layer name -> {"weight", "bias"} arrays; conv/fc weights as matrices
     encodings: dict = field(default_factory=dict)  # layer name -> LayerEncoding
     plan: list = field(init=False, repr=False)  # (meta, producer names), topological
     # layer name -> `decode_index` of its encoding; set only while
@@ -126,6 +128,8 @@ class ToyNetwork:
                 rec = ckpt.tensor(f"{meta.name}.{part}")
                 if rec is not None:
                     entry[part] = np.asarray(rec.data, dtype=np.float64)
+            if meta.kind in WEIGHTED_KINDS and "weight" in entry:
+                entry["weight"] = layout.reshape_weight(entry["weight"], meta.kind).matrix
             if entry:
                 params[meta.name] = entry
         return cls(
@@ -136,33 +140,40 @@ class ToyNetwork:
         )
 
     def to_checkpoint(self) -> ModelCheckpoint:
+        """The checkpoint of the current weights, each in its stored layout and float32."""
         tensors = []
         for meta in self.layers:
             entry = self.params.get(meta.name, {})
-            if meta.name in self.encodings:
-                tensors.append(
-                    tensor_record(f"{meta.name}.weight", self.decoded_weight(meta.name))
-                )
-            elif "weight" in entry:
-                tensors.append(tensor_record(f"{meta.name}.weight", entry["weight"]))
+            if meta.name in self.encodings or "weight" in entry:
+                weight = self.decoded_weight(meta.name)
+                if meta.kind in WEIGHTED_KINDS:
+                    weight = layout.inverse_reshape(layout.ReshapedWeight(
+                        weight, meta.kernel_size, meta.c_in, meta.c_out, meta.kind
+                    ))
+                tensors.append(tensor_record(f"{meta.name}.weight", weight))
             if "bias" in entry:
                 tensors.append(tensor_record(f"{meta.name}.bias", entry["bias"]))
         return ModelCheckpoint(tensors=tensors, layers=list(self.layers), edges=list(self.edges))
 
     def decoded_weight(self, name: str) -> np.ndarray:
+        """The weight of `name`; a conv or fc weight is its `(C_in*K*K, C_out)` matrix.
+
+        An encoded layer is one gather of its codebook, through the cached
+        `decode_indices` entry while `finetune_codebooks` runs and through a
+        fresh `decode_index` otherwise.
+        """
+        enc = self.encodings.get(name)
+        if enc is None:
+            return self.params[name]["weight"]
         index = self.decode_indices.get(name)
-        if index is not None:
-            return self.encodings[name].codebook.take(index)
-        if name in self.encodings:
-            return codec.decode_layer(self.encodings[name])
-        return self.params[name]["weight"]
+        return enc.codebook.take(decode_index(enc) if index is None else index)
 
     def bias(self, name: str):
         return self.params.get(name, {}).get("bias")
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """Stride-1, same-padded patches: (B, H, W, C*K*K), channel-major."""
+    """Stride-1, same-padded patches: (B*H*W, C*K*K), channel-major."""
     b, c, h, w = x.shape
     pad = k // 2
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
@@ -170,7 +181,7 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     for ki in range(k):
         for kj in range(k):
             cols[:, :, :, :, ki, kj] = xp[:, :, ki : ki + h, kj : kj + w].transpose(0, 2, 3, 1)
-    return cols.reshape(b, h, w, c * k * k)
+    return cols.reshape(b * h * w, c * k * k)
 
 
 def _col2im(dcols: np.ndarray, x_shape, k: int) -> np.ndarray:
@@ -187,14 +198,14 @@ def _col2im(dcols: np.ndarray, x_shape, k: int) -> np.ndarray:
 def forward(net: ToyNetwork, x) -> tuple:
     """Run the DAG; returns (logits, cache) with everything backward needs.
 
-    Each weighted layer reads `ToyNetwork.decoded_weight` once: during
-    `finetune_codebooks` one gather of the codebook through the layer's
-    decode index, otherwise `codec.decode_layer` for an encoded layer and
-    the raw weight for any other.
+    Each fc or conv layer is one product of its input rows with its
+    `(C_in*K*K, C_out)` weight matrix, read once from
+    `ToyNetwork.decoded_weight`; a conv layer's rows are its `_im2col`
+    patches, and its product is reshaped back to NCHW.
     """
     x = np.asarray(x, dtype=np.float64)
     values = {}
-    cache = {"values": values, "weights": {}, "patches": {}}
+    cache = {"values": values, "weights": {}, "rows": {}}
     logits = None
     for meta, producers in net.plan:
         if meta.kind == "input":
@@ -203,32 +214,24 @@ def forward(net: ToyNetwork, x) -> tuple:
             values[meta.name] = x
             continue
         ins = [values[p] for p in producers]
-        if meta.kind == "fc":
+        if meta.kind in ("fc", "conv"):
             (xin,) = ins
-            if xin.ndim != 2 or xin.shape[1] != meta.c_in:
-                raise ShapeMismatch(f"fc {meta.name!r} expects (B, {meta.c_in}), got {xin.shape}")
-            w = cache["weights"][meta.name] = net.decoded_weight(meta.name)
-            out = xin @ w
-            bias = net.bias(meta.name)
-            if bias is not None:
-                out += bias
-            values[meta.name] = out
-        elif meta.kind in ("conv",):
-            (xin,) = ins
-            if xin.ndim != 4 or xin.shape[1] != meta.c_in:
+            spatial = meta.kind == "conv"
+            if xin.ndim != (4 if spatial else 2) or xin.shape[1] != meta.c_in:
+                dims = ", H, W" if spatial else ""
                 raise ShapeMismatch(
-                    f"conv {meta.name!r} expects (B, {meta.c_in}, H, W), got {xin.shape}"
+                    f"{meta.kind} {meta.name!r} expects (B, {meta.c_in}{dims}), got {xin.shape}"
                 )
-            rw = layout.reshape_weight(net.decoded_weight(meta.name), "conv")
-            cache["weights"][meta.name] = rw.matrix
-            cols = _im2col(xin, meta.kernel_size)
-            b, h, ww = cols.shape[0], cols.shape[1], cols.shape[2]
-            out = cols.reshape(-1, rw.rows) @ rw.matrix
+            w = cache["weights"][meta.name] = net.decoded_weight(meta.name)
+            rows = cache["rows"][meta.name] = _im2col(xin, meta.kernel_size) if spatial else xin
+            out = rows @ w
             bias = net.bias(meta.name)
             if bias is not None:
                 out += bias
-            values[meta.name] = out.reshape(b, h, ww, meta.c_out).transpose(0, 3, 1, 2)
-            cache["patches"][meta.name] = cols
+            if spatial:
+                b, _, h, width = xin.shape
+                out = out.reshape(b, h, width, meta.c_out).transpose(0, 3, 1, 2)
+            values[meta.name] = out
         elif meta.kind == "relu":
             (xin,) = ins
             values[meta.name] = np.maximum(xin, 0.0)
@@ -338,33 +341,21 @@ def backward(net: ToyNetwork, cache: dict, labels, loss: str = "ce", into=None) 
         if g is None:
             continue
         xin = values[producers[0]]
-        if meta.kind == "fc":
-            w = cache["weights"][meta.name]
+        if meta.kind in ("fc", "conv"):
+            w, rows = cache["weights"][meta.name], cache["rows"][meta.name]
+            if meta.kind == "conv":
+                g = g.transpose(0, 2, 3, 1).reshape(-1, meta.c_out)
             dw = part(meta.name, "weight", w.shape)
             if dw is not None:
-                np.matmul(xin.T, g, out=dw)
+                np.matmul(rows.T, g, out=dw)
             db = part(meta.name, "bias", (meta.c_out,)) if net.bias(meta.name) is not None else None
             if db is not None:
                 np.add.reduce(g, 0, out=db)
             if producers[0] in needed:
-                push(producers[0], g @ w.T)
-        elif meta.kind == "conv":
-            k = meta.kernel_size
-            cols = cache["patches"][meta.name]
-            b, h, w_sp = cols.shape[0], cols.shape[1], cols.shape[2]
-            gmat = g.transpose(0, 2, 3, 1).reshape(-1, meta.c_out)
-            dw = part(meta.name, "weight", layout.weight_shape("conv", meta.c_in, meta.c_out, k))
-            if dw is not None:
-                _, rows = layout.empty_weight(
-                    "conv", meta.c_in, meta.c_out, k, np.float64, out=dw.reshape(-1)
-                )
-                rows[...] = (cols.reshape(-1, cols.shape[3]).T @ gmat).reshape(rows.shape)
-            db = part(meta.name, "bias", (meta.c_out,)) if net.bias(meta.name) is not None else None
-            if db is not None:
-                np.add.reduce(gmat, 0, out=db)
-            if producers[0] in needed:
-                dcols = gmat @ cache["weights"][meta.name].T
-                push(producers[0], _col2im(dcols.reshape(b, h, w_sp, -1), xin.shape, k))
+                dx = g @ w.T
+                if meta.kind == "conv":
+                    dx = _col2im(dx, xin.shape, meta.kernel_size)
+                push(producers[0], dx)
         elif meta.kind == "relu":
             push(producers[0], g * (xin > 0.0))
         elif meta.kind == "add":
@@ -391,43 +382,40 @@ def backward(net: ToyNetwork, cache: dict, labels, loss: str = "ce", into=None) 
 
 
 def centroid_maps(enc) -> tuple:
-    """Index maps ``(positions, bins)`` from a weight gradient onto `enc`'s centroids.
+    """Index maps ``(positions, bins)`` from a weight-matrix gradient onto `enc`'s centroids.
 
     Both list the code grid in order, subvector by subvector and within each
-    its `d` coordinates. ``positions`` holds the flat index into the stored
-    weight of each coordinate: the reshape, permutation and subvector cut
-    applied to a tensor of indices. ``bins`` holds ``code*d + j`` for
-    coordinate `j`. Codes and permutations are frozen in fine-tuning, so the
-    maps are computed once per encoding.
+    its `d` coordinates. ``positions`` holds the flat index into the
+    `(C_in*K*K, C_out)` weight matrix of each coordinate: the permutation
+    and subvector cut applied to a matrix of indices. ``bins`` holds
+    ``code*d + j`` for coordinate `j`. Codes and permutations are frozen in
+    fine-tuning, so the maps are computed once per encoding.
     """
-    shape = layout.weight_shape(enc.source_kind, enc.c_in, enc.c_out, enc.kernel_size)
-    index = np.arange(math.prod(shape)).reshape(shape)
-    # float64 holds every index exactly
-    permuted = enc.permutation.apply_rows(layout.reshape_weight(index, enc.source_kind).matrix)
-    positions = layout.split_matrix(permuted, enc.d).astype(np.intp).ravel()
+    index = np.arange(enc.c_in * enc.kernel_size**2 * enc.c_out).reshape(-1, enc.c_out)
+    positions = layout.split_matrix(enc.permutation.apply_rows(index), enc.d).ravel()
     bins = (enc.codes[:, :, None] * enc.d + np.arange(enc.d)).ravel()
     return positions, bins
 
 
 def decode_index(enc, maps=None) -> np.ndarray:
-    """The flat codebook index of every weight entry, in the stored weight's shape.
+    """The flat codebook index of every weight entry, in the `(C_in*K*K, C_out)` matrix shape.
 
-    ``np.take(enc.codebook, decode_index(enc))`` is ``codec.decode_layer(enc)``
-    bit for bit. The index inverts ``centroid_maps(enc)``, or `maps` when
-    given: its positions list every weight entry once, and its bins are the
-    flat codebook entries they decode from.
+    ``np.take(enc.codebook, decode_index(enc))`` holds ``codec.decode_layer(enc)``
+    as that matrix, bit for bit and in the same dtype. The index inverts
+    ``centroid_maps(enc)``, or `maps` when given: its positions list every
+    matrix entry once, and its bins are the flat codebook entries they
+    decode from.
     """
     positions, bins = centroid_maps(enc) if maps is None else maps
-    shape = layout.weight_shape(enc.source_kind, enc.c_in, enc.c_out, enc.kernel_size)
-    index = np.empty(math.prod(shape), np.intp)
+    index = np.empty(positions.size, np.intp)
     index[positions] = bins
-    return index.reshape(shape)
+    return index.reshape(-1, enc.c_out)
 
 
 def centroid_gradients(weight_grad: np.ndarray, enc, maps=None) -> np.ndarray:
     """Push a weight-space gradient onto the codebook centroids.
 
-    Centroid t accumulates the d-slices of the (reshaped, permuted) weight
+    Centroid t accumulates the d-slices of the permuted weight-matrix
     gradient at every position assigned to t, in code-grid order; unused
     centroids get zero. One gather and one `bincount` over
     ``centroid_maps(enc)``, or over `maps` when given.

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import finetune
 from .errors import (
     BlockViolation,
     InconsistentChannelCounts,
@@ -65,10 +66,9 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def resolve_groups(model) -> list:
+def resolve_groups(model: ModelCheckpoint) -> list:
     """Partition an architecture DAG into independent permutation groups."""
-    layers = model.layers if isinstance(model, ModelCheckpoint) else list(model[0])
-    edges = model.edges if isinstance(model, ModelCheckpoint) else list(model[1])
+    layers, edges = model.layers, model.edges
 
     index = {}
     for i, meta in enumerate(layers):
@@ -234,8 +234,6 @@ def apply_group_permutation(ckpt: ModelCheckpoint, group: PermutationGroup, perm
 
 def verify_equivalence(ckpt_a: ModelCheckpoint, ckpt_b: ModelCheckpoint, probes) -> float:
     """Max absolute output difference between two checkpoints over probes."""
-    from . import finetune  # deferred: finetune depends on codec
-
     net_a = finetune.ToyNetwork.from_checkpoint(ckpt_a)
     net_b = finetune.ToyNetwork.from_checkpoint(ckpt_b)
     x = np.asarray(probes, dtype=np.float64)

@@ -58,14 +58,14 @@ def quantization_error(weight, enc: LayerEncoding) -> float:
 
 
 def centroid_gradients_oracle(weight_grad, enc: LayerEncoding) -> np.ndarray:
-    """Centroid gradients the long way: reshape, permute, cut, one `bincount` per coordinate.
+    """Centroid gradients the long way: permute, cut, one `bincount` per coordinate.
 
-    Each bin sums its weights in code-grid order, as the one `bincount` over
+    `weight_grad` is shaped like the `(C_in*K*K, C_out)` weight matrix. Each
+    bin sums its weights in code-grid order, as the one `bincount` over
     index maps in `finetune.centroid_gradients` must, so the two agree bit
     for bit.
     """
-    rw = layout.reshape_weight(weight_grad, enc.source_kind)
-    permuted = enc.permutation.apply_rows(rw.matrix)
+    permuted = enc.permutation.apply_rows(np.asarray(weight_grad))
     pts = layout.split_matrix(permuted, enc.d).reshape(-1, enc.d)
     flat = enc.codes.ravel()
     out = np.zeros((enc.k_eff, enc.d))

@@ -264,12 +264,13 @@ def test_centroid_gradients_match_the_per_column_oracle_bit_for_bit(
     block = kernel_size**2
     perm = Permutation((np.array(units)[:, None] * block + np.arange(block)).ravel(), block)
     rng = make_rng(61, "cg-oracle", kind)
-    shape = layout.weight_shape(kind, c_in, c_out, kernel_size)
     meta = LayerMeta("l", kind, kernel_size, c_in, c_out)
     cfg = CompressionConfig.small_blocks(k=4, k_fc=4, d_fc=4, src_iterations=5)
-    enc = encode_layer(gaussian(rng, shape), meta, cfg, permutation=perm, seed=3)
+    weight = gaussian(rng, layout.weight_shape(kind, c_in, c_out, kernel_size))
+    enc = encode_layer(weight, meta, cfg, permutation=perm, seed=3)
     assert enc.k_eff * enc.d < enc.codes.size * enc.d  # bins shared, so summation order matters
     maps = centroid_maps(enc)
+    shape = (c_in * block, c_out)  # gradients of the weight matrix
     for _ in range(3):
         wgrad = gaussian(rng, shape) * np.exp(3.0 * gaussian(rng, shape))
         want = centroid_gradients_oracle(wgrad, enc).tobytes()
@@ -297,7 +298,7 @@ def _count_calls(monkeypatch, owner, name):
 def test_forward_backward_decodes_each_encoded_layer_once(monkeypatch):
     net, _ = _encoded_single_layer(seed=40)
     x = gaussian(make_rng(41, "dec"), (5, 8))
-    calls = _count_calls(monkeypatch, codec, "decode_layer")
+    calls = _count_calls(monkeypatch, finetune, "decode_index")
     _, cache = forward(net, x)
     backward(net, cache, np.array([0, 1, 2, 3, 0]))
     assert len(calls) == 1
@@ -312,7 +313,7 @@ def test_conv_forward_backward_decodes_each_encoded_layer_once(monkeypatch):
     assert "conv2" in encodings
     net = ToyNetwork.from_checkpoint(ckpt, encodings=encodings)
     x = gaussian(make_rng(44, "dec"), (3, 2, 6, 6))
-    calls = _count_calls(monkeypatch, codec, "decode_layer")
+    calls = _count_calls(monkeypatch, finetune, "decode_index")
     _, cache = forward(net, x)
     backward(net, cache, np.array([0, 1, 2]))
     assert len(calls) == len(encodings)
@@ -347,14 +348,17 @@ def test_decode_index_gathers_what_decode_layer_decodes(
     enc.codebook = enc.codebook.astype(dtype)
     want = codec.decode_layer(enc)
     for index in (decode_index(enc), decode_index(enc, centroid_maps(enc))):
-        gathered = np.take(enc.codebook, index)
+        assert index.shape == (c_in * block, c_out)
+        gathered = layout.inverse_reshape(
+            layout.ReshapedWeight(np.take(enc.codebook, index), kernel_size, c_in, c_out, kind)
+        )
         assert gathered.dtype == want.dtype and gathered.shape == want.shape
         assert gathered.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("diverge", [False, True])
 def test_finetune_decodes_by_gather_at_any_epoch_count(monkeypatch, diverge):
-    calls = _count_calls(monkeypatch, codec, "decode_layer")
+    calls = _count_calls(monkeypatch, finetune, "decode_index")
     counts = []
     for epochs in (1, 5):
         net, enc = _encoded_single_layer(seed=48)
@@ -424,21 +428,63 @@ def test_residual_training_and_finetuning_are_pinned():
     h = hashlib.sha256()
     for n in (net, qnet):
         for meta in n.layers:
-            for _, arr in sorted(n.params.get(meta.name, {}).items()):
+            for part, arr in sorted(n.params.get(meta.name, {}).items()):
+                if part == "weight" and meta.kind in ("conv", "fc"):  # hashed in stored layout
+                    arr = layout.inverse_reshape(layout.ReshapedWeight(
+                        arr, meta.kernel_size, meta.c_in, meta.c_out, meta.kind
+                    ))
                 h.update(arr.tobytes())
     for enc in qnet.encodings.values():
         h.update(enc.codebook.tobytes())
     assert h.hexdigest() == "4c950d4a75c3caff1544547bd88b4081a8808cffec4dd661c68dfb4da5187ab5"
 
 
-def test_training_steps_never_resort_the_graph(monkeypatch):
+def _residual_step_calls(monkeypatch, owner, name):
+    """The calls to `owner.name` in three forward+backward steps of a built residual net."""
     net = ToyNetwork.from_checkpoint(make_residual_checkpoint(c_in=2, width=4, n_blocks=1, seed=45))
     x = gaussian(make_rng(46, "topo"), (2, 2, 4, 4))
-    calls = _count_calls(monkeypatch, ModelCheckpoint, "topological_order")
+    calls = _count_calls(monkeypatch, owner, name)
     for _ in range(3):
         _, cache = forward(net, x)
         backward(net, cache, np.array([0, 1]))
-    assert calls == []
+    return calls
+
+
+def test_training_steps_never_resort_the_graph(monkeypatch):
+    assert _residual_step_calls(monkeypatch, ModelCheckpoint, "topological_order") == []
+
+
+def test_training_steps_never_reshape_a_weight(monkeypatch):
+    assert _residual_step_calls(monkeypatch, layout, "reshape_weight") == []
+
+
+@pytest.mark.parametrize(
+    "ckpt",
+    [
+        make_conv_classifier_checkpoint((2, 4, 4), 3, 4, seed=42),
+        make_residual_checkpoint(c_in=2, width=4, n_blocks=1, seed=8),
+    ],
+    ids=["conv", "residual"],
+)
+@pytest.mark.parametrize("encoded", [False, True])
+def test_checkpoint_round_trip_keeps_every_tensor(ckpt, encoded):
+    encodings = {}
+    if encoded:
+        cfg = CompressionConfig.small_blocks(
+            k=4, k_fc=4, skip_first_conv=False, use_permutation=False, src_iterations=5
+        )
+        encodings = codec.encode_layers(ckpt, cfg, {}, 43)
+        assert any(ckpt.layer(name).kind == "conv" for name in encodings)
+    back = ToyNetwork.from_checkpoint(ckpt, encodings=encodings).to_checkpoint()
+    assert [t.name for t in back.tensors] == [t.name for t in ckpt.tensors]
+    for rec in ckpt.tensors:
+        want = rec.data
+        name, part = rec.name.rsplit(".", 1)
+        if part == "weight" and name in encodings:
+            want = codec.decode_layer(encodings[name]).astype(np.float32)
+        got = back.tensor(rec.name).data
+        assert got.dtype == want.dtype and got.shape == want.shape, rec.name
+        assert got.tobytes() == want.tobytes(), rec.name
 
 
 @pytest.mark.parametrize(
