@@ -60,10 +60,6 @@ class CompressionConfig:
     use_permutation: bool = True
     perm_iterations: int = 1000
 
-    @property
-    def regime(self) -> str:
-        return "large" if self.d_conv_multiplier == 2 else "small"
-
     @classmethod
     def small_blocks(cls, k: int = 256, **kwargs) -> "CompressionConfig":
         return cls(k=k, d_conv_multiplier=1, d_pw=4, **kwargs)

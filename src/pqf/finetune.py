@@ -50,49 +50,34 @@ class ToyDataset:
         return int(max(self.train_y.max(), self.val_y.max())) + 1
 
 
-def _split(x, y, val_fraction, rng):
+def _split(x, y, rng):
+    """Shuffle, then hold out a quarter (at least one sample) for validation."""
     order = rng.permutation(x.shape[0])
     x, y = x[order], y[order]
-    n_val = max(1, int(round(val_fraction * x.shape[0])))
+    n_val = max(1, int(round(0.25 * x.shape[0])))
     return ToyDataset(x[n_val:], y[n_val:], x[:n_val], y[:n_val])
 
 
-def gaussian_blobs(
-    n_per_class: int,
-    n_classes: int,
-    dim: int,
-    seed: int,
-    center_scale: float = 2.0,
-    spread: float = 0.6,
-    val_fraction: float = 0.25,
-) -> ToyDataset:
+def _blobs(tag: str, center_scale: float, n_per_class: int, n_classes: int, shape, seed: int):
+    """Class blobs of `shape`: seeded Gaussian centers, each with spread-0.6 samples."""
+    rng = make_rng(seed, tag)
+    shape = tuple(shape)
+    centers = gaussian(rng, (n_classes,) + shape) * center_scale
+    x = np.concatenate(
+        [centers[c] + gaussian(rng, (n_per_class,) + shape) * 0.6 for c in range(n_classes)]
+    )
+    y = np.repeat(np.arange(n_classes), n_per_class)
+    return _split(x, y, rng)
+
+
+def gaussian_blobs(n_per_class: int, n_classes: int, dim: int, seed: int) -> ToyDataset:
     """Seeded Gaussian class blobs; regeneration is bit-identical."""
-    rng = make_rng(seed, "blobs")
-    centers = gaussian(rng, (n_classes, dim)) * center_scale
-    x = np.concatenate(
-        [centers[c] + gaussian(rng, (n_per_class, dim)) * spread for c in range(n_classes)]
-    )
-    y = np.repeat(np.arange(n_classes), n_per_class)
-    return _split(x, y, val_fraction, rng)
+    return _blobs("blobs", 2.0, n_per_class, n_classes, (dim,), seed)
 
 
-def blob_images(
-    n_per_class: int,
-    n_classes: int,
-    shape=(2, 6, 6),
-    seed: int = 0,
-    center_scale: float = 1.5,
-    spread: float = 0.6,
-    val_fraction: float = 0.25,
-) -> ToyDataset:
+def blob_images(n_per_class: int, n_classes: int, shape=(2, 6, 6), seed: int = 0) -> ToyDataset:
     """Class-conditional Gaussian images for the toy conv pipeline."""
-    rng = make_rng(seed, "blob-images")
-    centers = gaussian(rng, (n_classes,) + tuple(shape)) * center_scale
-    x = np.concatenate(
-        [centers[c] + gaussian(rng, (n_per_class,) + tuple(shape)) * spread for c in range(n_classes)]
-    )
-    y = np.repeat(np.arange(n_classes), n_per_class)
-    return _split(x, y, val_fraction, rng)
+    return _blobs("blob-images", 1.5, n_per_class, n_classes, shape, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +264,8 @@ def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple:
     return float(-(np.log(picked, out=picked).sum() / n)), probs
 
 
-def mse_loss(outputs: np.ndarray, targets) -> tuple:
-    """Per-sample summed squared error, averaged over the batch."""
-    targets = np.asarray(targets, dtype=np.float64)
-    diff = outputs - targets
-    n = outputs.shape[0]
-    return float(np.square(diff).sum() / n), 2.0 * diff / n
-
-
-def backward(net: ToyNetwork, cache: dict, labels, loss: str = "ce", into=None) -> tuple:
-    """Loss value plus exact parameter gradients.
+def backward(net: ToyNetwork, cache: dict, labels, into=None) -> tuple:
+    """Softmax cross-entropy loss value plus exact parameter gradients.
 
     Without `into`, returns the gradients of every parameterized layer as
     a dict of layer name -> {"weight": array, "bias": array}. With `into`,
@@ -298,13 +275,7 @@ def backward(net: ToyNetwork, cache: dict, labels, loss: str = "ce", into=None) 
     when a part to compute lies at or before it, so the network input gets
     none.
     """
-    logits = cache["logits"]
-    if loss == "ce":
-        loss_value, upstream = softmax_cross_entropy(logits, labels)
-    elif loss == "mse":
-        loss_value, upstream = mse_loss(logits, labels)
-    else:
-        raise ValueError(f"unknown loss {loss!r}")
+    loss_value, upstream = softmax_cross_entropy(cache["logits"], labels)
 
     grads = {} if into is None else into
 
@@ -430,15 +401,15 @@ def centroid_gradients(weight_grad: np.ndarray, enc, maps=None) -> np.ndarray:
 # Adam with cosine annealing
 # ---------------------------------------------------------------------------
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
+
+
 @dataclass(eq=False)
 class OptimizerState:
     """First/second moment accumulators plus the cosine schedule endpoints."""
 
     lr: float = 1e-3
     lr_min: float = 1e-6
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -460,7 +431,7 @@ def adam_cosine_step(
     """
     state.step += 1
     lr = cosine_lr(state, t)
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = _BETA1, _BETA2
     if state.m is None:
         state.m, state.v = np.zeros_like(params), np.zeros_like(params)
     m, v = state.m, state.v
@@ -474,7 +445,7 @@ def adam_cosine_step(
     update = np.divide(m, 1.0 - b1**state.step)  # m_hat
     np.divide(v, 1.0 - b2**state.step, out=work)  # v_hat
     np.sqrt(work, out=work)
-    work += state.eps
+    work += _EPS
     update *= lr
     update /= work
     params -= update
@@ -611,13 +582,12 @@ def train_network(
     dataset: ToyDataset,
     epochs: int = 100,
     batch_size: int = 64,
-    lr: float = 1e-2,
-    lr_min: float = 1e-4,
     seed: int = 0,
 ) -> FinetuneTrace:
     """Train raw dense/conv weights; a fixture step for demos and evals.
 
-    Backward writes their gradients straight into the flat gradient vector.
+    The rate anneals from 1e-2 to 1e-4. Backward writes the gradients
+    straight into the flat gradient vector.
     """
     keys = [
         (meta.name, part)
@@ -634,7 +604,7 @@ def train_network(
         return into, None
 
     return _train(
-        net, dataset, epochs, batch_size, lr, lr_min, seed, "train-shuffle",
+        net, dataset, epochs, batch_size, 1e-2, 1e-4, seed, "train-shuffle",
         [net.params[name][part] for name, part in keys], bind,
     )
 
@@ -699,20 +669,3 @@ def make_conv_classifier_checkpoint(
     c = channels[-1]
     layers += [_same("pool", "pool", c), ("fc", "fc", 1, c, n_classes)]
     return _init_checkpoint("conv-init", seed, layers + [_same("output", "output", n_classes)])
-
-
-def make_residual_checkpoint(
-    c_in: int = 3, width: int = 8, n_blocks: int = 2, kernel_size: int = 3, seed: int = 0
-) -> ModelCheckpoint:
-    """A small residual conv net: stem, add-blocks, pool, 4-class classifier."""
-    w, k = width, kernel_size
-    layers = [_same("input", "input", c_in), ("stem", "conv", k, c_in, w),
-              _same("stem_bn", "batchnorm", w), _same("stem_relu", "relu", w)]
-    for i in range(1, n_blocks + 1):
-        b, skip = f"block{i}", layers[-1][0]
-        layers += [(f"{b}.conv1", "conv", k, w, w), _same(f"{b}.bn1", "batchnorm", w),
-                   _same(f"{b}.relu1", "relu", w), (f"{b}.conv2", "conv", k, w, w),
-                   _same(f"{b}.bn2", "batchnorm", w), _same(f"{b}.add", "add", w, skip),
-                   _same(f"{b}.relu2", "relu", w)]
-    layers += [_same("pool", "pool", w), ("fc", "fc", 1, w, 4), _same("output", "output", 4)]
-    return _init_checkpoint("residual-init", seed, layers)

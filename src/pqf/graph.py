@@ -1,4 +1,4 @@
-"""Which layers must share one channel permutation, and applying/checking it.
+"""Which layers must share one channel permutation, and their text listing.
 
 A layer's output channels can be reordered without changing the network
 function only if every consumer reorders its input channels the same way, so
@@ -17,18 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import finetune
-from .errors import (
-    BlockViolation,
-    InconsistentChannelCounts,
-    ShapeMismatch,
-    UnsupportedLayerKind,
-)
-from .layout import channel_axis
-from .permsearch import Permutation
-from .tensor_io import LAYER_KINDS, LayerMeta, ModelCheckpoint, WEIGHTED_KINDS
+from .errors import InconsistentChannelCounts, UnsupportedLayerKind
+from .tensor_io import LAYER_KINDS, ModelCheckpoint, WEIGHTED_KINDS
 
 _PASS_THROUGH = frozenset({"batchnorm", "relu", "pool", "add"})
 
@@ -163,87 +153,6 @@ def resolve_groups(model: ModelCheckpoint) -> list:
     return groups
 
 
-def _check_block(indices: np.ndarray, block: int):
-    m = indices.shape[0]
-    if block <= 0 or m % block != 0:
-        raise BlockViolation(f"block {block} does not divide {m} channels")
-    grid = indices.reshape(m // block, block)
-    if not np.array_equal(grid, grid[:, :1] + np.arange(block)):
-        raise BlockViolation("permutation splits a contiguous channel block")
-
-
-def _coarsen(indices: np.ndarray, factor: int) -> np.ndarray:
-    if factor == 1:
-        return indices
-    return indices[::factor] // factor
-
-
-def apply_group_permutation(ckpt: ModelCheckpoint, group: PermutationGroup, permutation):
-    """Physically permute a checkpoint's tensors along one group's channels.
-
-    Parents move their output dimension and 1-D vectors; children move their
-    input dimension. Returns a new checkpoint; the original is untouched.
-    """
-    indices = (
-        permutation.indices if isinstance(permutation, Permutation) else np.asarray(permutation)
-    ).astype(np.int64)
-    if indices.shape[0] != group.channels:
-        raise ShapeMismatch(
-            f"permutation covers {indices.shape[0]} channels, group has {group.channels}"
-        )
-    if not np.array_equal(np.sort(indices), np.arange(group.channels)):
-        raise BlockViolation("indices are not a permutation")
-    _check_block(indices, group.channel_block)
-
-    out = ModelCheckpoint(
-        tensors=[
-            type(rec)(rec.name, rec.dtype, tuple(rec.shape), rec.data.copy())
-            for rec in ckpt.tensors
-        ],
-        layers=[
-            LayerMeta(m.name, m.kind, m.kernel_size, m.c_in, m.c_out, m.has_bias)
-            for m in ckpt.layers
-        ],
-        edges=list(ckpt.edges),
-    )
-
-    def permute_tensor(name, axis, count):
-        rec = out.tensor(name)
-        if rec is None:
-            return
-        if rec.data.shape[axis] != count:
-            raise ShapeMismatch(f"tensor {name!r} axis {axis} != {count} channels")
-        local = _coarsen(indices, group.channels // count)
-        rec.data = np.take(rec.data, local, axis=axis)
-
-    def weight_axis(meta, side):
-        if meta.kind not in WEIGHTED_KINDS:
-            raise UnsupportedLayerKind(meta.kind)
-        return channel_axis(meta.kind, side)
-
-    for name in group.parents:
-        meta = out.layer(name)
-        axis = 0 if meta.kind == "batchnorm" else weight_axis(meta, "o")
-        permute_tensor(f"{name}.weight", axis, meta.c_out)
-        permute_tensor(f"{name}.bias", 0, meta.c_out)
-    for name in group.children:
-        meta = out.layer(name)
-        permute_tensor(f"{name}.weight", weight_axis(meta, "i"), meta.c_in)
-    return out
-
-
-def verify_equivalence(ckpt_a: ModelCheckpoint, ckpt_b: ModelCheckpoint, probes) -> float:
-    """Max absolute output difference between two checkpoints over probes."""
-    net_a = finetune.ToyNetwork.from_checkpoint(ckpt_a)
-    net_b = finetune.ToyNetwork.from_checkpoint(ckpt_b)
-    x = np.asarray(probes, dtype=np.float64)
-    out_a, _ = finetune.forward(net_a, x)
-    out_b, _ = finetune.forward(net_b, x)
-    if out_a.shape != out_b.shape:
-        raise ShapeMismatch(f"outputs disagree in shape: {out_a.shape} vs {out_b.shape}")
-    return float(np.max(np.abs(out_a - out_b))) if out_a.size else 0.0
-
-
 def format_groups(groups) -> str:
     """Human-readable listing, one parents/children block per group."""
     lines = []
@@ -252,29 +161,3 @@ def format_groups(groups) -> str:
         lines.append("  parents:  [" + ", ".join(group.parents) + "]")
         lines.append("  children: [" + ", ".join(group.children) + "]")
     return "\n".join(lines)
-
-
-def parse_groups_text(text: str) -> list:
-    """Parse :func:`format_groups` output back into group tuples."""
-    groups = []
-    channels = block = 0
-    parents = children = None
-    for line in text.splitlines():
-        line = line.strip()
-        if line.startswith("group "):
-            fields = dict(part.split("=") for part in line.split(":", 1)[1].split())
-            channels, block = int(fields["channels"]), int(fields["block"])
-        elif line.startswith("parents:"):
-            parents = _parse_name_list(line.split(":", 1)[1])
-        elif line.startswith("children:"):
-            children = _parse_name_list(line.split(":", 1)[1])
-            groups.append(
-                PermutationGroup(tuple(parents), tuple(children), channels, block)
-            )
-            parents = children = None
-    return groups
-
-
-def _parse_name_list(blob: str) -> list:
-    inner = blob.strip().strip("[]")
-    return [t.strip() for t in inner.split(",") if t.strip()]

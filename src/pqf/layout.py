@@ -62,9 +62,9 @@ def channel_axis(kind: str, side: str) -> int:
 
 def _rows(tensor: np.ndarray, kind: str) -> np.ndarray:
     """The `(C_in, K*K, C_out)` view of a stored weight tensor."""
-    axes = _axes(kind)
     kk = math.prod(tensor.shape[2:])
-    return tensor.reshape(*tensor.shape[:2], kk).transpose(axes.index("i"), 2, axes.index("o"))
+    in_axis, out_axis = channel_axis(kind, "i"), channel_axis(kind, "o")
+    return tensor.reshape(*tensor.shape[:2], kk).transpose(in_axis, 2, out_axis)
 
 
 def reshape_weight(weight, kind: str) -> ReshapedWeight:

@@ -92,9 +92,6 @@ class Permutation:
     def apply_rows(self, matrix: np.ndarray) -> np.ndarray:
         return matrix[self.indices]
 
-    def inverse(self) -> "Permutation":
-        return Permutation(np.argsort(self.indices), self.block)
-
 
 def _unit_rows(units: np.ndarray, g: int) -> np.ndarray:
     """Row indices of the contiguous `g`-row units listed in `units`, in order."""

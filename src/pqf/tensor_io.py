@@ -425,6 +425,8 @@ def load_arch_spec(path) -> ModelCheckpoint:
             text = fh.read()
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"architecture spec is not UTF-8 text: {exc}") from exc
     return parse_arch_spec(text)
 
 

@@ -1,16 +1,28 @@
 """Test-only helpers: container equality for round trips, quantizer-error and centroid-gradient
-oracles, the one-proposal-at-a-time swap search and its logdet and fold, a toy dataset."""
+oracles, the one-proposal-at-a-time swap search and its logdet and fold, the group-permutation
+oracles (apply a group's permutation, check the function is unchanged, parse a group listing),
+a toy residual net and a toy dataset."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from pqf import layout
+from pqf import finetune, layout
 from pqf.codec import LayerEncoding
-from pqf.finetune import ToyDataset, _split
-from pqf.permsearch import _unit_rows
+from pqf.errors import BlockViolation, ShapeMismatch, UnsupportedLayerKind
+from pqf.finetune import ToyDataset, _init_checkpoint, _same, _split
+from pqf.graph import PermutationGroup
+from pqf.layout import channel_axis
+from pqf.permsearch import Permutation, _unit_rows
 from pqf.rng import gaussian, make_rng
-from pqf.tensor_io import CompressedModel, RawEntry, TensorRecord
+from pqf.tensor_io import (
+    WEIGHTED_KINDS,
+    CompressedModel,
+    LayerMeta,
+    ModelCheckpoint,
+    RawEntry,
+    TensorRecord,
+)
 
 
 def records_equal(a: TensorRecord, b: TensorRecord) -> bool:
@@ -201,6 +213,130 @@ def scalar_swap_search(specs, units: np.ndarray, iters: int, seed: int) -> np.nd
     return units
 
 
+def _check_block(indices: np.ndarray, block: int):
+    m = indices.shape[0]
+    if block <= 0 or m % block != 0:
+        raise BlockViolation(f"block {block} does not divide {m} channels")
+    grid = indices.reshape(m // block, block)
+    if not np.array_equal(grid, grid[:, :1] + np.arange(block)):
+        raise BlockViolation("permutation splits a contiguous channel block")
+
+
+def _coarsen(indices: np.ndarray, factor: int) -> np.ndarray:
+    if factor == 1:
+        return indices
+    return indices[::factor] // factor
+
+
+def apply_group_permutation(ckpt: ModelCheckpoint, group: PermutationGroup, permutation):
+    """Physically permute a checkpoint's tensors along one group's channels.
+
+    Parents move their output dimension and 1-D vectors; children move their
+    input dimension. Returns a new checkpoint; the original is untouched.
+    """
+    indices = (
+        permutation.indices if isinstance(permutation, Permutation) else np.asarray(permutation)
+    ).astype(np.int64)
+    if indices.shape[0] != group.channels:
+        raise ShapeMismatch(
+            f"permutation covers {indices.shape[0]} channels, group has {group.channels}"
+        )
+    if not np.array_equal(np.sort(indices), np.arange(group.channels)):
+        raise BlockViolation("indices are not a permutation")
+    _check_block(indices, group.channel_block)
+
+    out = ModelCheckpoint(
+        tensors=[
+            type(rec)(rec.name, rec.dtype, tuple(rec.shape), rec.data.copy())
+            for rec in ckpt.tensors
+        ],
+        layers=[
+            LayerMeta(m.name, m.kind, m.kernel_size, m.c_in, m.c_out, m.has_bias)
+            for m in ckpt.layers
+        ],
+        edges=list(ckpt.edges),
+    )
+
+    def permute_tensor(name, axis, count):
+        rec = out.tensor(name)
+        if rec is None:
+            return
+        if rec.data.shape[axis] != count:
+            raise ShapeMismatch(f"tensor {name!r} axis {axis} != {count} channels")
+        local = _coarsen(indices, group.channels // count)
+        rec.data = np.take(rec.data, local, axis=axis)
+
+    def weight_axis(meta, side):
+        if meta.kind not in WEIGHTED_KINDS:
+            raise UnsupportedLayerKind(meta.kind)
+        return channel_axis(meta.kind, side)
+
+    for name in group.parents:
+        meta = out.layer(name)
+        axis = 0 if meta.kind == "batchnorm" else weight_axis(meta, "o")
+        permute_tensor(f"{name}.weight", axis, meta.c_out)
+        permute_tensor(f"{name}.bias", 0, meta.c_out)
+    for name in group.children:
+        meta = out.layer(name)
+        permute_tensor(f"{name}.weight", weight_axis(meta, "i"), meta.c_in)
+    return out
+
+
+def verify_equivalence(ckpt_a: ModelCheckpoint, ckpt_b: ModelCheckpoint, probes) -> float:
+    """Max absolute output difference between two checkpoints over probes."""
+    net_a = finetune.ToyNetwork.from_checkpoint(ckpt_a)
+    net_b = finetune.ToyNetwork.from_checkpoint(ckpt_b)
+    x = np.asarray(probes, dtype=np.float64)
+    out_a, _ = finetune.forward(net_a, x)
+    out_b, _ = finetune.forward(net_b, x)
+    if out_a.shape != out_b.shape:
+        raise ShapeMismatch(f"outputs disagree in shape: {out_a.shape} vs {out_b.shape}")
+    return float(np.max(np.abs(out_a - out_b))) if out_a.size else 0.0
+
+
+def parse_groups_text(text: str) -> list:
+    """Parse `graph.format_groups` output back into group tuples."""
+    groups = []
+    channels = block = 0
+    parents = children = None
+    for line in text.splitlines():
+        line = line.strip()
+        if line.startswith("group "):
+            fields = dict(part.split("=") for part in line.split(":", 1)[1].split())
+            channels, block = int(fields["channels"]), int(fields["block"])
+        elif line.startswith("parents:"):
+            parents = _parse_name_list(line.split(":", 1)[1])
+        elif line.startswith("children:"):
+            children = _parse_name_list(line.split(":", 1)[1])
+            groups.append(
+                PermutationGroup(tuple(parents), tuple(children), channels, block)
+            )
+            parents = children = None
+    return groups
+
+
+def _parse_name_list(blob: str) -> list:
+    inner = blob.strip().strip("[]")
+    return [t.strip() for t in inner.split(",") if t.strip()]
+
+
+def make_residual_checkpoint(
+    c_in: int = 3, width: int = 8, n_blocks: int = 2, kernel_size: int = 3, seed: int = 0
+) -> ModelCheckpoint:
+    """A small residual conv net: stem, add-blocks, pool, 4-class classifier."""
+    w, k = width, kernel_size
+    layers = [_same("input", "input", c_in), ("stem", "conv", k, c_in, w),
+              _same("stem_bn", "batchnorm", w), _same("stem_relu", "relu", w)]
+    for i in range(1, n_blocks + 1):
+        b, skip = f"block{i}", layers[-1][0]
+        layers += [(f"{b}.conv1", "conv", k, w, w), _same(f"{b}.bn1", "batchnorm", w),
+                   _same(f"{b}.relu1", "relu", w), (f"{b}.conv2", "conv", k, w, w),
+                   _same(f"{b}.bn2", "batchnorm", w), _same(f"{b}.add", "add", w, skip),
+                   _same(f"{b}.relu2", "relu", w)]
+    layers += [_same("pool", "pool", w), ("fc", "fc", 1, w, 4), _same("output", "output", 4)]
+    return _init_checkpoint("residual-init", seed, layers)
+
+
 def two_spirals(n_per_arm: int, seed: int, noise: float = 0.15) -> ToyDataset:
     """The classic interleaved two-spiral binary problem in 2-D."""
     rng = make_rng(seed, "spirals")
@@ -208,4 +344,4 @@ def two_spirals(n_per_arm: int, seed: int, noise: float = 0.15) -> ToyDataset:
     arm = np.stack([t * np.cos(t), t * np.sin(t)], axis=1) / (3.0 * np.pi)
     x = np.concatenate([arm, -arm]) + gaussian(rng, (2 * n_per_arm, 2)) * noise
     y = np.repeat(np.arange(2), n_per_arm)
-    return _split(x, y, 0.25, rng)
+    return _split(x, y, rng)

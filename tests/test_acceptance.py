@@ -11,10 +11,16 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from helpers import (
+    apply_group_permutation,
+    make_residual_checkpoint,
+    parse_groups_text,
+    verify_equivalence,
+)
 from pqf import codec, finetune, graph, layout, permsearch, quantize, tensor_io
 from pqf.cli import BenchConfig, run_bench, run_eval
 from pqf.codec import CompressionConfig, bit_report, encode_layer
-from pqf.finetune import ToyNetwork, backward, forward, make_mlp_checkpoint, make_residual_checkpoint
+from pqf.finetune import ToyNetwork, backward, forward, make_mlp_checkpoint
 from pqf.permsearch import (
     greedy_init,
     local_search,
@@ -168,7 +174,7 @@ def test_criterion_2_permutation_group_golden():
         for name, count in (("resnet18", 12), ("resnet50", 37)):
             arch = tensor_io.parse_arch_spec(_data_text(f"{name}.arch"))
             resolved = graph.resolve_groups(arch)
-            expected = graph.parse_groups_text(_data_text(f"{name}.groups"))
+            expected = parse_groups_text(_data_text(f"{name}.groups"))
             assert len(resolved) == count
             to_sets = lambda gs: {(frozenset(g.parents), frozenset(g.children)) for g in gs}
             assert to_sets(resolved) == to_sets(expected)
@@ -192,8 +198,8 @@ def test_criterion_3_functional_equivalence():
                 if triples >= 100:
                     break
                 perm = rng.permutation(group.channels)
-                permuted = graph.apply_group_permutation(ckpt, group, perm)
-                worst = max(worst, graph.verify_equivalence(ckpt, permuted, probes))
+                permuted = apply_group_permutation(ckpt, group, perm)
+                worst = max(worst, verify_equivalence(ckpt, permuted, probes))
                 triples += 1
             seed += 1
         assert triples == 100

