@@ -191,11 +191,19 @@ def _emit_manifest(args, payload: dict):
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each prints its output and returns its manifest fields
 # ---------------------------------------------------------------------------
 
-def _cmd_compress(args) -> int:
-    started = time.perf_counter()
+def _write_csv(path, text: str):
+    """Write CSV `text` to `path`, or print it when no path is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+
+
+def _cmd_compress(args) -> dict:
     ckpt = tensor_io.load_checkpoint(args.checkpoint)
     cfg = _config_from_args(args)
     model, report, errors = codec.compress_model(ckpt, cfg, seed=args.seed, jobs=args.jobs)
@@ -203,57 +211,36 @@ def _cmd_compress(args) -> int:
     print(f"wrote {args.out} ({nbytes} bytes)")
     print(f"total_bits {report.total_bits}")
     print(f"ratio_vs_float32 {report.ratio:.2f}")
-    _emit_manifest(
-        args,
-        {
-            "seeds": {"master": args.seed},
-            "per_layer_error": {k: float(v) for k, v in sorted(errors.items())},
-            "bytes_written": nbytes,
-            "elapsed_s": round(time.perf_counter() - started, 6),
-        },
-    )
-    return 0
+    return {
+        "seeds": {"master": args.seed},
+        "per_layer_error": {k: float(v) for k, v in sorted(errors.items())},
+        "bytes_written": nbytes,
+    }
 
 
-def _cmd_decompress(args) -> int:
-    started = time.perf_counter()
+def _cmd_decompress(args) -> dict:
     model = tensor_io.load_compressed(args.model)
     nbytes = codec.decompress_to_file(model, args.out)
     print(f"wrote {args.out} ({nbytes} bytes)")
-    _emit_manifest(args, {"bytes_written": nbytes, "elapsed_s": round(time.perf_counter() - started, 6)})
-    return 0
+    return {"bytes_written": nbytes}
 
 
-def _cmd_report(args) -> int:
-    started = time.perf_counter()
+def _cmd_report(args) -> dict:
     model = _load_model_description(args.arch)
     cfg = _config_from_args(args)
     report = codec.bit_report(model, cfg)
     print(report.to_csv() if args.csv else report.to_text())
-    _emit_manifest(
-        args,
-        {
-            "total_bits": report.total_bits,
-            "elapsed_s": round(time.perf_counter() - started, 6),
-        },
-    )
-    return 0
+    return {"total_bits": report.total_bits}
 
 
-def _cmd_groups(args) -> int:
-    started = time.perf_counter()
+def _cmd_groups(args) -> dict:
     model = _load_model_description(args.arch)
     groups = graph.resolve_groups(model)
     print(graph.format_groups(groups))
-    _emit_manifest(
-        args,
-        {"group_count": len(groups), "elapsed_s": round(time.perf_counter() - started, 6)},
-    )
-    return 0
+    return {"group_count": len(groups)}
 
 
-def _cmd_eval(args) -> int:
-    started = time.perf_counter()
+def _cmd_eval(args) -> dict:
     result = run_eval(
         toy=args.toy,
         epochs=args.epochs,
@@ -268,27 +255,13 @@ def _cmd_eval(args) -> int:
         zip(result["trace"].lr, result["trace"].train_loss, result["trace"].val_acc), start=1
     ):
         lines.append(f"{i},{lr:.8g},{loss:.8g},{acc:.6g}")
-    csv = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv + "\n")
-    else:
-        print(csv)
+    _write_csv(args.out, "\n".join(lines))
     print(
         f"val_acc raw={result['raw_acc']:.4f} quantized={result['quantized_acc']:.4f} "
         f"finetuned={result['finetuned_acc']:.4f}",
         file=sys.stderr if not args.out else sys.stdout,
     )
-    _emit_manifest(
-        args,
-        {
-            "raw_acc": result["raw_acc"],
-            "quantized_acc": result["quantized_acc"],
-            "finetuned_acc": result["finetuned_acc"],
-            "elapsed_s": round(time.perf_counter() - started, 6),
-        },
-    )
-    return 0
+    return {key: result[key] for key in ("raw_acc", "quantized_acc", "finetuned_acc")}
 
 
 def run_eval(toy="mlp", epochs=30, lr=1e-3, lr_min=1e-6, k=4, d=8, seed=0) -> dict:
@@ -439,8 +412,7 @@ def bench_csv(rows) -> str:
     return "\n".join(lines)
 
 
-def _cmd_bench(args) -> int:
-    started = time.perf_counter()
+def _cmd_bench(args) -> dict:
     cfg = BenchConfig(
         seeds=args.seeds,
         rows=args.rows,
@@ -452,22 +424,14 @@ def _cmd_bench(args) -> int:
         generator=args.generator,
     )
     rows = run_bench(cfg, base_seed=args.seed)
-    csv = bench_csv(rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv + "\n")
-    else:
-        print(csv)
+    _write_csv(args.out, bench_csv(rows))
     medians = {
         m: float(np.median([r["error"] for r in rows if r["method"] == m]))
         for m in cfg.methods
     }
     for method, med in medians.items():
         print(f"median_error {method} {med:.8g}", file=sys.stderr)
-    _emit_manifest(
-        args, {"medians": medians, "elapsed_s": round(time.perf_counter() - started, 6)}
-    )
-    return 0
+    return {"medians": medians}
 
 
 _COMMANDS = {
@@ -497,14 +461,21 @@ def main(argv=None) -> int:
         parser.error(f"--lr-min must be at most --lr, got --lr-min {args.lr_min} above --lr {args.lr}")
     if args.command == "bench" and args.generator == "anisotropic" and args.rows % 2:
         parser.error(f"--rows must be even for the anisotropic generator, got {args.rows}")
+    if args.command == "bench" and args.rows % args.d:
+        # the quantizer cuts each column into subvectors of --d rows
+        parser.error(f"--rows must be a multiple of --d, got --rows {args.rows} and --d {args.d}")
+    started = time.perf_counter()
     try:
-        return _COMMANDS[args.command](args)
+        fields = _COMMANDS[args.command](args)
+        # inside the try: an unwritable --manifest is an I/O failure like any other
+        _emit_manifest(args, {**fields, "elapsed_s": round(time.perf_counter() - started, 6)})
     except PQFError as exc:
         print(f"error kind={type(exc).__name__} detail={str(exc)!r}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error kind=IoFailure detail={str(exc)!r}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

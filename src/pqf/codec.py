@@ -31,7 +31,7 @@ from .tensor_io import (
     EncodedEntry,
     LayerMeta,
     ModelCheckpoint,
-    RawEntry,
+    TensorRecord,
     WEIGHTED_KINDS,
     code_width,
 )
@@ -293,8 +293,6 @@ def bit_report(model: ModelCheckpoint, cfg: CompressionConfig) -> CompressionRep
     rows = []
     baseline = 0
     for meta in model.layers:
-        if meta.kind in ("input", "output", "relu", "pool", "add", "reshape"):
-            continue
         if meta.kind == "batchnorm":
             c = meta.c_out
             baseline += 2 * c
@@ -302,7 +300,7 @@ def bit_report(model: ModelCheckpoint, cfg: CompressionConfig) -> CompressionRep
             rows.append(ReportRow(f"{meta.name}.bias", "BatchNorm2d", (c,), "float32", 32 * c))
             continue
         if meta.kind not in WEIGHTED_KINDS:
-            raise UnknownLayerKind(meta.kind)
+            continue  # stores no tensor
         label = _TYPE_LABEL[meta.kind]
         wshape = _display_weight_shape(meta)
         n_params = int(np.prod(wshape))
@@ -426,7 +424,7 @@ def compress_model(ckpt: ModelCheckpoint, cfg: CompressionConfig, seed: int = 0,
             enc = encodings[layer_name]
             entries.append(encoding_to_entry(layer_name, enc))
         else:
-            entries.append(RawEntry(rec))
+            entries.append(rec)
     model = CompressedModel(entries=entries, layers=list(ckpt.layers), edges=list(ckpt.edges))
     report = bit_report(ckpt, cfg)
     errors = {name: enc.error for name, enc in encodings.items()}
@@ -494,13 +492,13 @@ def _decoded_checkpoint(model: CompressedModel, decode) -> ModelCheckpoint:
     """`model` as a checkpoint whose encoded weights hold ``decode(name, entry)``."""
     tensors = []
     for entry in model.entries:
-        if isinstance(entry, RawEntry):
-            tensors.append(entry.record)
+        if isinstance(entry, TensorRecord):
+            tensors.append(entry)
             continue
         name = f"{entry.name}.weight"
         data = decode(name, entry)
         shape = layout.weight_shape(entry.source_kind, entry.c_in, entry.c_out, entry.kernel_size)
-        tensors.append(tensor_io.TensorRecord(name, "f32", shape, data))
+        tensors.append(TensorRecord(name, "f32", shape, data))
     ckpt = ModelCheckpoint(tensors=tensors, layers=list(model.layers), edges=list(model.edges))
     tensor_io._fill_bias_flags(ckpt)
     return ckpt

@@ -49,10 +49,6 @@ class InconsistentChannelCounts(PQFError):
     """Slots unified into one permutation group have irreconcilable widths."""
 
 
-class BlockViolation(PQFError):
-    """A permutation does not respect the group's contiguous channel blocks."""
-
-
 class ShapeMismatch(PQFError):
     """An input or tensor does not have the shape a network expects."""
 

@@ -18,9 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InconsistentChannelCounts, UnsupportedLayerKind
-from .tensor_io import LAYER_KINDS, ModelCheckpoint, WEIGHTED_KINDS
-
-_PASS_THROUGH = frozenset({"batchnorm", "relu", "pool", "add"})
+from .tensor_io import LAYER_KINDS, PASSTHROUGH_KINDS, WEIGHTED_KINDS, ModelCheckpoint
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,7 @@ def resolve_groups(model: ModelCheckpoint) -> list:
         s_in, s_out = 2 * i, 2 * i + 1
         slot_channels[s_in] = meta.c_in
         slot_channels[s_out] = meta.c_out
-        if meta.kind in _PASS_THROUGH or meta.kind == "reshape":
+        if meta.kind in PASSTHROUGH_KINDS:
             uf.union(s_in, s_out)
         elif meta.kind == "input":
             fixed_slots.append(s_out)

@@ -285,7 +285,13 @@ def _quantize_rng(seed: int) -> np.random.Generator:
     return make_rng(seed, "quantize")
 
 
-def _run(pts, k_eff, iters, rng, noise_std=None, gamma=DEFAULT_GAMMA, stop_when_stable=False):
+def _run(pts, k_eff, iters, rng, noise_std=None, gamma=DEFAULT_GAMMA):
+    """Up to `iters` rounds of (codebook update, code update) from random codes.
+
+    Without noise, a round that keeps every code and re-seeds no cluster is
+    a fixed point: each later round would repeat it exactly and draw nothing
+    from `rng`, so the loop stops there with the bytes a full run returns.
+    """
     n = pts.shape[0]
     codes = rng.integers(0, k_eff, size=n, dtype=np.int64)
     if iters == 0:
@@ -307,7 +313,7 @@ def _run(pts, k_eff, iters, rng, noise_std=None, gamma=DEFAULT_GAMMA, stop_when_
         new_codes = _assign(pts, codebook, *prefilter)
         stable = not reseeded and np.array_equal(new_codes, codes)
         codes = new_codes
-        if stop_when_stable and stable:
+        if stable and not add_noise:
             break
     return codes, codebook, reconstruction_error(pts, codebook, codes)
 
@@ -323,9 +329,7 @@ def kmeans(subvectors, k_eff: int, iters: int = DEFAULT_ITERATIONS, seed: int = 
     pts, shape = _points_and_shape(subvectors)
     if k_eff < 1:
         raise ValueError("codebook size must be >= 1")
-    codes, codebook, error = _run(
-        pts, k_eff, iters, _quantize_rng(seed), stop_when_stable=True
-    )
+    codes, codebook, error = _run(pts, k_eff, iters, _quantize_rng(seed))
     return (codes.reshape(shape) if shape is not None else codes), codebook, error
 
 
@@ -335,7 +339,8 @@ def src(subvectors, stats: CovarianceStats, k_eff: int, cfg: SRCConfig):
     The noise standard deviation per coordinate is the square root of the
     diagonal of ``stats.sigma``, scaled by ``(1 - tau/I)**gamma``; the final
     iteration runs at exactly zero noise. Returns ``(codes, codebook, error)``
-    after all ``cfg.iterations`` rounds.
+    after all ``cfg.iterations`` rounds; a zero covariance adds no noise, so
+    that run stops at a fixed point as `kmeans` does.
     """
     pts, shape = _points_and_shape(subvectors)
     if stats.dim != pts.shape[1]:

@@ -531,13 +531,6 @@ def unpack_codes(buf, bits: int, count: int, out=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(eq=False)
-class RawEntry:
-    """A tensor stored verbatim in the compressed container."""
-
-    record: TensorRecord
-
-
-@dataclass(eq=False)
 class EncodedEntry:
     """One layer's codebook, packed codes and permutation, plus its geometry.
 
@@ -603,9 +596,19 @@ class EncodedEntry:
             raise MalformedFile(f"entry {self.name!r} permutation length mismatch")
 
 
+# The fields of an encoded entry that its manifest object holds as they are:
+# two strings, then ints. The codebook, codes and permutation are sections of
+# the payload, found through the offsets that follow.
+_STORED_FIELDS = (
+    "name", "source_kind", "kernel_size", "c_in", "c_out", "d", "k_eff", "m_hat", "n", "perm_block",
+)
+_SECTION_FIELDS = ("codebook_offset", "codes_offset", "codes_nbytes", "perm_offset")
+
+
 @dataclass(eq=False)
 class CompressedModel:
-    """Ordered per-layer entries plus an echo of the architecture DAG."""
+    """Ordered entries, each a `TensorRecord` stored verbatim or an `EncodedEntry`,
+    plus an echo of the architecture DAG."""
 
     entries: list = field(default_factory=list)
     layers: list = field(default_factory=list)
@@ -617,30 +620,18 @@ def save_compressed(model: CompressedModel, path) -> int:
     payload = _Payload()
     entries = []
     for entry in model.entries:
-        if isinstance(entry, RawEntry):
-            entries.append({"type": "raw", **_put_tensor(payload, entry.record)})
+        if isinstance(entry, TensorRecord):
+            entries.append({"type": "raw", **_put_tensor(payload, entry)})
             continue
         entry.validate()
-        cb_off = payload.add(entry.codebook.astype("<f2", copy=False))
-        codes_off = payload.add(entry.packed)
-        perm_off = payload.add(entry.permutation.astype("<u4", copy=False))
         entries.append(
             {
                 "type": "encoded",
-                "name": entry.name,
-                "source_kind": entry.source_kind,
-                "kernel_size": entry.kernel_size,
-                "c_in": entry.c_in,
-                "c_out": entry.c_out,
-                "d": entry.d,
-                "k_eff": entry.k_eff,
-                "m_hat": entry.m_hat,
-                "n": entry.n,
-                "codebook_offset": cb_off,
-                "codes_offset": codes_off,
+                **{key: getattr(entry, key) for key in _STORED_FIELDS},
+                "codebook_offset": payload.add(entry.codebook.astype("<f2", copy=False)),
+                "codes_offset": payload.add(entry.packed),
                 "codes_nbytes": len(entry.packed),
-                "perm_offset": perm_off,
-                "perm_block": entry.perm_block,
+                "perm_offset": payload.add(entry.permutation.astype("<u4", copy=False)),
             }
         )
     manifest = {
@@ -652,39 +643,25 @@ def save_compressed(model: CompressedModel, path) -> int:
     return _write_file(path, COMPRESSED_MAGIC, manifest, payload)
 
 
-_ENCODED_INT_FIELDS = (
-    "kernel_size", "c_in", "c_out", "d", "k_eff", "m_hat", "n",
-    "codebook_offset", "codes_offset", "codes_nbytes", "perm_offset", "perm_block",
-)
-
-
 def _get_encoded(payload: memoryview, obj: dict) -> EncodedEntry:
     """Rebuild one encoded entry, checking every field's presence, type and sign."""
     name = _field(obj, "name", str, "encoded entry")
     where = f"entry {name!r}"
-    source_kind = _field(obj, "source_kind", str, where)
-    f = {key: _field(obj, key, int, where) for key in _ENCODED_INT_FIELDS}
-    for key, value in f.items():
-        if value < 0:
+    f = {"name": name, "source_kind": _field(obj, "source_kind", str, where)}
+    ints = _STORED_FIELDS[2:] + _SECTION_FIELDS
+    f.update((key, _field(obj, key, int, where)) for key in ints)
+    for key in ints:
+        if f[key] < 0:
             raise MalformedFile(f"{where}: field {key!r} is negative")
-    k_eff, d, m_hat, n = f["k_eff"], f["d"], f["m_hat"], f["n"]
+    k_eff, d, m_hat = f["k_eff"], f["d"], f["m_hat"]
     cb_raw = _take(payload, f["codebook_offset"], k_eff * d * 2, where)
     codes_raw = _take(payload, f["codes_offset"], f["codes_nbytes"], where)
     perm_raw = _take(payload, f["perm_offset"], m_hat * d * 4, where)
     entry = EncodedEntry(
-        name=name,
-        source_kind=source_kind,
-        kernel_size=f["kernel_size"],
-        c_in=f["c_in"],
-        c_out=f["c_out"],
-        d=d,
-        k_eff=k_eff,
+        **{key: f[key] for key in _STORED_FIELDS},
         codebook=np.frombuffer(cb_raw, dtype="<f2").reshape(k_eff, d).copy(),
         packed=codes_raw,
-        m_hat=m_hat,
-        n=n,
         permutation=np.frombuffer(perm_raw, dtype="<u4").copy(),
-        perm_block=f["perm_block"],
     )
     entry.validate()
     return entry
@@ -708,7 +685,7 @@ def load_compressed(path) -> CompressedModel:
     for obj in listed:
         kind = obj.get("type")
         if kind == "raw":
-            entries.append(RawEntry(_get_tensor(payload, obj)))
+            entries.append(_get_tensor(payload, obj))
         elif kind == "encoded":
             entries.append(_get_encoded(payload, obj))
         else:

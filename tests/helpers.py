@@ -1,15 +1,16 @@
 """Test-only helpers: container equality for round trips, quantizer-error and centroid-gradient
-oracles, the one-proposal-at-a-time swap search and its logdet and fold, the group-permutation
-oracles (apply a group's permutation, check the function is unchanged, parse a group listing),
-a toy residual net and a toy dataset."""
+oracles, the noise-free quantizer loop run to its last round, the one-proposal-at-a-time swap
+search and its logdet and fold, the group-permutation oracles (apply a group's permutation and
+its `BlockViolation`, check the function is unchanged, parse a group listing), a toy residual net
+and a toy dataset."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from pqf import finetune, layout
+from pqf import finetune, layout, quantize
 from pqf.codec import LayerEncoding
-from pqf.errors import BlockViolation, ShapeMismatch, UnsupportedLayerKind
+from pqf.errors import PQFError, ShapeMismatch, UnsupportedLayerKind
 from pqf.finetune import ToyDataset, _init_checkpoint, _same, _split
 from pqf.graph import PermutationGroup
 from pqf.layout import channel_axis
@@ -20,8 +21,8 @@ from pqf.tensor_io import (
     CompressedModel,
     LayerMeta,
     ModelCheckpoint,
-    RawEntry,
     TensorRecord,
+    _STORED_FIELDS,
 )
 
 
@@ -38,12 +39,10 @@ def entries_equal(a, b) -> bool:
     """Same kind, fields and bytes; encoded entries compare their packed codes."""
     if type(a) is not type(b):
         return False
-    if isinstance(a, RawEntry):
-        return records_equal(a.record, b.record)
-    fields = ("name", "source_kind", "kernel_size", "c_in", "c_out", "d", "k_eff", "m_hat", "n",
-              "perm_block")
+    if isinstance(a, TensorRecord):
+        return records_equal(a, b)
     return (
-        all(getattr(a, f) == getattr(b, f) for f in fields)
+        all(getattr(a, f) == getattr(b, f) for f in _STORED_FIELDS)
         and a.codebook.tobytes() == b.codebook.tobytes()
         and bytes(a.packed) == bytes(b.packed)
         and np.array_equal(a.permutation, b.permutation)
@@ -67,6 +66,21 @@ def quantization_error(weight, enc: LayerEncoding) -> float:
     approx = layout.merge_matrix(np.asarray(enc.codebook, dtype=np.float64)[enc.codes])
     m_hat = permuted.shape[0] // enc.d
     return float(np.square(approx - permuted).sum() / (m_hat * permuted.shape[1]))
+
+
+def noiseless_quantizer_oracle(pts, k_eff: int, iters: int, seed: int):
+    """The noise-free quantizer loop, run for every one of its `iters` rounds.
+
+    The same random start as `quantize.kmeans`, then (codebook update, code
+    update) rounds with no early stop; returns ``(codes, codebook, error)``.
+    """
+    pts = np.asarray(pts, dtype=np.float64)
+    codes = quantize._quantize_rng(seed).integers(0, k_eff, size=pts.shape[0], dtype=np.int64)
+    codebook = quantize.update_codebook(pts, codes, k_eff)
+    for _ in range(iters):
+        codebook = quantize.update_codebook(pts, codes, k_eff)
+        codes = quantize.assign_codes(pts, codebook)
+    return codes, codebook, quantize.reconstruction_error(pts, codebook, codes)
 
 
 def centroid_gradients_oracle(weight_grad, enc: LayerEncoding) -> np.ndarray:
@@ -211,6 +225,10 @@ def scalar_swap_search(specs, units: np.ndarray, iters: int, seed: int) -> np.nd
             for family in families:
                 family.undo()
     return units
+
+
+class BlockViolation(PQFError):
+    """A permutation does not respect the group's contiguous channel blocks."""
 
 
 def _check_block(indices: np.ndarray, block: int):

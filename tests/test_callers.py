@@ -1,7 +1,7 @@
 """Every public function and class of `src/pqf` is called by the shipped code.
 
 A name only tests use belongs in `tests/helpers.py`, so this parses the
-modules of `src/pqf` (but `errors.py` and `__init__.py`) and looks for each
+modules of `src/pqf` (but `__init__.py`) and looks for each
 module-level public function or class among the names and attributes in
 code under `src/`, `benchmarks/`, `demos/` and `scripts/`, and among the
 `module.name` strings by which the benchmark tracer wraps functions. A
@@ -14,7 +14,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLER_DIRS = ("src", "benchmarks", "demos", "scripts")
-EXEMPT = ("errors.py", "__init__.py")
+EXEMPT = ("__init__.py",)
 
 
 def _parse(path: Path) -> ast.Module:

@@ -601,6 +601,9 @@ def test_out_of_range_config_flag_is_usage_error(
         (["bench", "--cols", "0"], "argument --cols: must be at least 1, got 0"),
         (["bench", "--rows", "33"], "--rows must be even for the anisotropic generator, got 33"),
         (["bench", "--rows", "1"], "--rows must be even for the anisotropic generator, got 1"),
+        (["bench", "--rows", "6", "--d", "4"], "--rows must be a multiple of --d, got --rows 6 and --d 4"),
+        (["bench", "--generator", "isotropic", "--rows", "5", "--d", "2"],
+         "--rows must be a multiple of --d, got --rows 5 and --d 2"),
     ],
 )
 def test_out_of_range_eval_or_bench_flag_is_usage_error(capsys, argv, detail):
@@ -610,6 +613,26 @@ def test_out_of_range_eval_or_bench_flag_is_usage_error(capsys, argv, detail):
     out, err = capsys.readouterr()
     assert "error kind=Usage" in err and detail in err
     assert out == ""  # no work ran
+
+
+@pytest.mark.parametrize("command", ["compress", "decompress", "report", "groups", "eval", "bench"])
+def test_unwritable_manifest_is_data_error(tmp_path, arch_paths, capsys, command):
+    ckpt_path, packed = _compressed_toy(tmp_path)
+    arch = str(arch_paths / "resnet18.arch")
+    argv = {
+        "compress": ["compress", str(ckpt_path), "--out", str(tmp_path / "again.pqfc"),
+                     "--k", "4", "--k-fc", "4", "--src-iters", "1", "--perm-iters", "0"],
+        "decompress": ["decompress", str(packed), "--out", str(tmp_path / "back.pqfn")],
+        "report": ["report", arch],
+        "groups": ["groups", arch],
+        "eval": ["eval", "--epochs", "1"],
+        "bench": ["bench", "--seeds", "1", "--rows", "8", "--cols", "16", "--src-iters", "1",
+                  "--perm-iters", "0"],
+    }[command]
+    capsys.readouterr()
+    assert cli.main([*argv, "--manifest", str(tmp_path / "missing" / "run.json")]) == 2
+    err = capsys.readouterr().err
+    assert "error kind=IoFailure" in err and "Traceback" not in err
 
 
 def test_config_flags_at_their_limits_run(tmp_path, arch_paths, capsys):

@@ -20,7 +20,7 @@ from pqf.errors import CodebookOverflow, IndivisibleBlockSize, NonFiniteWeight, 
 from pqf.finetune import make_mlp_checkpoint
 from pqf.permsearch import Permutation
 from pqf.rng import make_rng
-from pqf.tensor_io import EncodedEntry, LayerMeta, RawEntry
+from pqf.tensor_io import EncodedEntry, LayerMeta, TensorRecord
 
 
 def _meta(kind="fc", k=1, c_in=8, c_out=4, name="layer"):
@@ -188,9 +188,9 @@ def test_compress_skip_all_yields_raw_entries():
     )
     model, report, errors = compress_model(ckpt, cfg, seed=0)
     assert errors == {}
-    assert all(isinstance(e, RawEntry) for e in model.entries)
+    assert all(isinstance(e, TensorRecord) for e in model.entries)
     for entry, rec in zip(model.entries, ckpt.tensors):
-        assert records_equal(entry.record, rec)
+        assert records_equal(entry, rec)
     assert report.ratio == pytest.approx(1.0)
 
 
@@ -389,8 +389,8 @@ def _pqfn_oracle(model) -> bytes:
 
     payload, listing = bytearray(), []
     for entry in model.entries:
-        if isinstance(entry, RawEntry):
-            rec = entry.record
+        if isinstance(entry, TensorRecord):
+            rec = entry
         else:
             weight = _decode_oracle(codec.entry_to_encoding(entry))
             rec = tensor_io.tensor_record(f"{entry.name}.weight", weight, "f32")
@@ -438,7 +438,7 @@ def test_decompressed_bytes_match_the_float64_decoder(
     weight, enc, rng = _encode_case(kind, k, c_in, c_out, regime, order)
     bias = tensor_io.tensor_record("layer.bias", rng.standard_normal(c_out))
     model = tensor_io.CompressedModel(
-        entries=[codec.encoding_to_entry("layer", enc), RawEntry(bias)]
+        entries=[codec.encoding_to_entry("layer", enc), bias]
     )
     packed = tmp_path / "model.pqfc"
     tensor_io.save_compressed(model, packed)
@@ -487,11 +487,11 @@ def test_streamed_decompress_writes_the_bytes_of_the_in_memory_decode(
     _, enc, rng = _encode_case(kind, k, c_in, c_out, regime, "channels")
     _, small, _ = _encode_case("fc", 1, 4, 3, "small", "rows", name="small")
     model = tensor_io.CompressedModel(entries=[
-        RawEntry(tensor_io.tensor_record("first", rng.standard_normal(7))),
+        tensor_io.tensor_record("first", rng.standard_normal(7)),
         codec.encoding_to_entry("layer", enc),
-        RawEntry(tensor_io.tensor_record("layer.bias", rng.standard_normal(c_out))),
+        tensor_io.tensor_record("layer.bias", rng.standard_normal(c_out)),
         codec.encoding_to_entry("small", small),
-        RawEntry(tensor_io.tensor_record("last", rng.standard_normal((2, 3)))),
+        tensor_io.tensor_record("last", rng.standard_normal((2, 3))),
     ])
     packed, streamed, in_memory = tmp_path / "m.pqfc", tmp_path / "s.pqfn", tmp_path / "m.pqfn"
     tensor_io.save_compressed(model, packed)
@@ -542,7 +542,7 @@ def test_streamed_decompress_of_mixed_code_widths_matches_the_in_memory_decode(t
         enc = encode_layer(weight, _meta(kind=kind, k=k, c_in=c_in, c_out=c_out, name=name), cfg)
         assert enc.k_eff == k_eff
         entries.append(codec.encoding_to_entry(name, enc))
-        entries.append(RawEntry(tensor_io.tensor_record(f"{name}.bias", rng.standard_normal(c_out))))
+        entries.append(tensor_io.tensor_record(f"{name}.bias", rng.standard_normal(c_out)))
     assert [e.bits for e in entries[::2]] == [0, 1, 11, 2, 3, 7]
     packed, streamed, in_memory = tmp_path / "m.pqfc", tmp_path / "s.pqfn", tmp_path / "m.pqfn"
     tensor_io.save_compressed(tensor_io.CompressedModel(entries=entries), packed)

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from helpers import (
+    BlockViolation,
     apply_group_permutation,
     make_residual_checkpoint,
     parse_groups_text,
     records_equal,
     verify_equivalence,
 )
-from pqf.errors import BlockViolation, InconsistentChannelCounts
+from pqf.errors import InconsistentChannelCounts
 from pqf.finetune import make_mlp_checkpoint
 from pqf.graph import PermutationGroup, format_groups, resolve_groups
 from pqf.rng import gaussian, make_rng

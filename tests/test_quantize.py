@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import noiseless_quantizer_oracle
 from pqf import layout, quantize
 from pqf.errors import DimensionMismatch
 from pqf.permsearch import CovarianceStats, subvector_covariance
@@ -290,6 +291,25 @@ def test_src_with_zero_covariance_is_bitwise_kmeans():
         assert np.array_equal(k_codes, s_codes)
         assert np.array_equal(k_cb, s_cb)
         assert k_err == s_err
+
+
+def test_noiseless_run_stops_at_its_fixed_point_with_the_full_runs_bytes(monkeypatch):
+    pts = _mixture(4, n=400, d=3)
+    zero = CovarianceStats(np.zeros((3, 3)), len(pts), np.zeros(3))
+    for iters in (1, 4, 30, 200):
+        want_codes, want_cb, want_err = noiseless_quantizer_oracle(pts, 12, iters, seed=6)
+        for codes, cb, err in (
+            kmeans(pts, k_eff=12, iters=iters, seed=6),
+            src(pts, zero, k_eff=12, cfg=SRCConfig(iters, 0.5, 6)),
+        ):
+            assert np.array_equal(codes, want_codes)
+            assert cb.tobytes() == want_cb.tobytes()
+            assert err == want_err
+    calls = []
+    update = quantize._update
+    monkeypatch.setattr(quantize, "_update", lambda *a: calls.append(1) or update(*a))
+    src(pts, zero, k_eff=12, cfg=SRCConfig(200, 0.5, 6))
+    assert len(calls) < 200
 
 
 def test_src_final_iteration_noise_is_zero():

@@ -12,7 +12,6 @@ from pqf.tensor_io import (
     EncodedEntry,
     LayerMeta,
     ModelCheckpoint,
-    RawEntry,
     code_width,
     load_checkpoint,
     load_compressed,
@@ -224,7 +223,7 @@ def test_codes_section_is_4096_bytes_for_byte_wide_codes(tmp_path):
 
 def test_compressed_round_trip_k2048(tmp_path):
     entries = [
-        RawEntry(tensor_record("bn.weight", np.linspace(0, 1, 8))),
+        tensor_record("bn.weight", np.linspace(0, 1, 8)),
         _encoded_entry("wide", k_eff=2048, d=4, m_hat=16, n=33, seed=3),
         _encoded_entry("filters", k_eff=256, d=9, m_hat=8, n=10, seed=4),
     ]
