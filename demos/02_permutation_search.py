@@ -36,6 +36,6 @@ print(f"logdet objective, +search  : {refined_obj:9.4f}")
 k = 32
 for label, perm in (("identity", np.arange(m)), ("optimized", refined.indices)):
     pts = layout.split_matrix(matrix[perm], d).reshape(-1, d)
-    stats = permsearch.subvector_covariance(pts)
-    _, _, err = quantize.src(pts, stats, k, quantize.SRCConfig(200, 0.5, 1))
+    sigma = permsearch.subvector_covariance(pts)
+    _, _, err = quantize.src(pts, sigma, k, quantize.SRCConfig(200, 0.5, 1))
     print(f"quantization error with {label} rows: {err:8.4f}")

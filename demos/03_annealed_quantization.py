@@ -23,9 +23,9 @@ print(f"{'seed':>4}  {'k-means':>10}  {'annealed':>10}  winner")
 k_errs, s_errs = [], []
 for seed in range(10):
     pts = mixture(seed)
-    stats = subvector_covariance(pts)
+    sigma = subvector_covariance(pts)
     _, _, ke = kmeans(pts, k, iters=iters, seed=seed)
-    _, _, se = src(pts, stats, k, SRCConfig(iterations=iters, gamma=0.5, seed=seed))
+    _, _, se = src(pts, sigma, k, SRCConfig(iterations=iters, gamma=0.5, seed=seed))
     k_errs.append(ke)
     s_errs.append(se)
     print(f"{seed:>4}  {ke:10.5f}  {se:10.5f}  {'annealed' if se <= ke else 'k-means'}")

@@ -317,6 +317,9 @@ def run_eval(toy="mlp", epochs=30, lr=1e-3, lr_min=1e-6, k=4, d=8, seed=0) -> di
 # Bench harness
 # ---------------------------------------------------------------------------
 
+BENCH_METHODS = ("kmeans", "src", "perm+src")
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     seeds: int = 20
@@ -327,7 +330,6 @@ class BenchConfig:
     src_iterations: int = 150
     perm_iterations: int = 300
     generator: str = "anisotropic"  # anisotropic | isotropic
-    methods: tuple = ("kmeans", "src", "perm+src")
 
 
 def synthetic_weights(cfg: BenchConfig, seed: int) -> np.ndarray:
@@ -368,18 +370,18 @@ def _bench_one(matrix: np.ndarray, cfg: BenchConfig, method: str, seed: int):
     else:
         work = matrix
     pts = layout.split_matrix(work, d).reshape(-1, d)
-    stats = permsearch.subvector_covariance(pts)
+    sigma = permsearch.subvector_covariance(pts)
     k_eff = quantize.clamp_codebook_size(cfg.k, pts.shape[0])
     if method == "kmeans":
         _, _, err = quantize.kmeans(pts, k_eff, cfg.src_iterations, derive_seed(seed, "bench-q"))
     else:
         _, _, err = quantize.src(
             pts,
-            stats,
+            sigma,
             k_eff,
             quantize.SRCConfig(cfg.src_iterations, 0.5, derive_seed(seed, "bench-q")),
         )
-    bound = permsearch.rd_lower_bound(stats, k_eff)
+    bound = permsearch.rd_lower_bound(sigma, k_eff)
     return err, bound
 
 
@@ -388,7 +390,7 @@ def run_bench(cfg: BenchConfig, base_seed: int = 0) -> list:
     rows = []
     for s in range(cfg.seeds):
         matrix = synthetic_weights(cfg, derive_seed(base_seed, "bench-data", str(s)))
-        for method in cfg.methods:
+        for method in BENCH_METHODS:
             t0 = time.perf_counter()
             err, bound = _bench_one(matrix, cfg, method, derive_seed(base_seed, method, str(s)))
             rows.append(
@@ -427,7 +429,7 @@ def _cmd_bench(args) -> dict:
     _write_csv(args.out, bench_csv(rows))
     medians = {
         m: float(np.median([r["error"] for r in rows if r["method"] == m]))
-        for m in cfg.methods
+        for m in BENCH_METHODS
     }
     for method, med in medians.items():
         print(f"median_error {method} {med:.8g}", file=sys.stderr)
@@ -464,6 +466,10 @@ def main(argv=None) -> int:
     if args.command == "bench" and args.rows % args.d:
         # the quantizer cuts each column into subvectors of --d rows
         parser.error(f"--rows must be a multiple of --d, got --rows {args.rows} and --d {args.d}")
+    if args.command == "bench" and args.rows // args.d * args.cols < 2:
+        # the covariance the quantizer and the bound use needs two subvectors
+        count = args.rows // args.d * args.cols
+        parser.error(f"the matrix must hold at least 2 subvectors (--rows / --d x --cols), got {count}")
     started = time.perf_counter()
     try:
         fields = _COMMANDS[args.command](args)

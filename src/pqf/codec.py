@@ -10,7 +10,7 @@ convolution, biases, and batchnorm vectors stay uncompressed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .errors import (
     IndivisibleBlockSize,
     MalformedFile,
     NonFiniteWeight,
+    ShapeMismatch,
     TensorTooLarge,
     UnknownLayerKind,
 )
@@ -131,39 +132,43 @@ def encode_layer(
     permutation: Permutation | None = None,
     seed: int = 0,
 ) -> LayerEncoding:
-    """Reshape, permute, split, and quantize one layer's weights."""
+    """Reshape, permute, split, and quantize one layer's weights.
+
+    The geometry is `meta`'s, priced by the rule `bit_report` uses; a weight
+    of another shape raises `ShapeMismatch` naming the layer.
+    """
     _require_finite(meta.name, weight)
-    rw = layout.reshape_weight(weight, meta.kind)
-    block = rw.kernel_size**2
-    if permutation is None:
-        permutation = Permutation.identity(rw.rows, block=block)
-    permutation.validate()
-    if permutation.size != rw.rows:
-        raise IndivisibleBlockSize(
-            f"permutation covers {permutation.size} rows, layer has {rw.rows}"
+    shape = layout.weight_shape(meta.kind, meta.c_in, meta.c_out, meta.kernel_size)
+    if np.shape(weight) != shape:
+        raise ShapeMismatch(
+            f"layer {meta.name!r}: weight has shape {np.shape(weight)}, its layer needs {shape}"
         )
-    d = cfg.subvector_size(meta)
-    subs = layout.split_subvectors(replace(rw, matrix=permutation.apply_rows(rw.matrix)), d)
-    k_eff = quantize.clamp_codebook_size(cfg.requested_codebook_size(meta), subs.count)
+    d, m_hat, n, k_eff = _layer_geometry(meta, cfg)
+    matrix = layout.reshape_weight(weight, meta.kind)
+    if permutation is None:
+        permutation = Permutation.identity(len(matrix), block=meta.kernel_size**2)
+    permutation.validate()
+    if permutation.size != len(matrix):
+        raise IndivisibleBlockSize(
+            f"permutation covers {permutation.size} rows, layer has {len(matrix)}"
+        )
+    subs = layout.split_subvectors(permutation.apply_rows(matrix), d)
     if cfg.quantizer == "kmeans":
         codes, codebook, error = quantize.kmeans(subs, k_eff, cfg.src_iterations, seed)
     else:
-        if subs.count >= 2:
-            stats = permsearch.subvector_covariance(subs)
-        else:
-            stats = permsearch.CovarianceStats(np.zeros((d, d)), subs.count, np.zeros(d))
+        sigma = permsearch.subvector_covariance(subs) if m_hat * n >= 2 else np.zeros((d, d))
         codes, codebook, error = quantize.src(
-            subs, stats, k_eff, quantize.SRCConfig(cfg.src_iterations, cfg.gamma, seed)
+            subs, sigma, k_eff, quantize.SRCConfig(cfg.src_iterations, cfg.gamma, seed)
         )
     return LayerEncoding(
         permutation=permutation,
         codebook=codebook,
         codes=codes,
-        kernel_size=rw.kernel_size,
-        c_in=rw.c_in,
-        c_out=rw.c_out,
+        kernel_size=meta.kernel_size,
+        c_in=meta.c_in,
+        c_out=meta.c_out,
         d=d,
-        source_kind=rw.source_kind,
+        source_kind=meta.kind,
         error=error,
     )
 
@@ -362,8 +367,8 @@ def resolve_layer_permutations(ckpt: ModelCheckpoint, cfg: CompressionConfig, se
         specs = []
         for name in names:
             meta = compressed[name]
-            rw = layout.reshape_weight(ckpt.tensor(f"{name}.weight").data, meta.kind)
-            specs.append((rw.matrix, cfg.subvector_size(meta), rw.rows // units))
+            matrix = layout.reshape_weight(ckpt.tensor(f"{name}.weight").data, meta.kind)
+            specs.append((matrix, cfg.subvector_size(meta), matrix.shape[0] // units))
         # `names` keeps the sorted order of `group.children`
         unit_perm = permsearch.optimize_group_permutation(
             specs, iters=cfg.perm_iterations, seed=derive_seed(seed, "perm", *names)

@@ -45,10 +45,6 @@ class ToyDataset:
     val_x: np.ndarray
     val_y: np.ndarray
 
-    @property
-    def n_classes(self) -> int:
-        return int(max(self.train_y.max(), self.val_y.max())) + 1
-
 
 def _split(x, y, rng):
     """Shuffle, then hold out a quarter (at least one sample) for validation."""
@@ -114,7 +110,7 @@ class ToyNetwork:
                 if rec is not None:
                     entry[part] = np.asarray(rec.data, dtype=np.float64)
             if meta.kind in WEIGHTED_KINDS and "weight" in entry:
-                entry["weight"] = layout.reshape_weight(entry["weight"], meta.kind).matrix
+                entry["weight"] = layout.reshape_weight(entry["weight"], meta.kind)
             if entry:
                 params[meta.name] = entry
         return cls(
@@ -132,9 +128,7 @@ class ToyNetwork:
             if meta.name in self.encodings or "weight" in entry:
                 weight = self.decoded_weight(meta.name)
                 if meta.kind in WEIGHTED_KINDS:
-                    weight = layout.inverse_reshape(layout.ReshapedWeight(
-                        weight, meta.kernel_size, meta.c_in, meta.c_out, meta.kind
-                    ))
+                    weight = layout.inverse_reshape(weight, meta.kind, meta.kernel_size)
                 tensors.append(tensor_record(f"{meta.name}.weight", weight))
             if "bias" in entry:
                 tensors.append(tensor_record(f"{meta.name}.bias", entry["bias"]))

@@ -3,11 +3,13 @@
 `_AXES` is the one table of which stored axis holds which channels: conv
 `(C_in, C_out, K, K)`, deconv `(C_out, C_in, K, K)`, fc `(C_in, C_out)`.
 `weight_shape`, `channel_axis`, `reshape_weight` and `empty_weight` derive
-from it. Every kind becomes a `(C_in*K*K, C_out)` matrix whose row block
-`[c*K*K, (c+1)*K*K)` of column `o` holds filter `(c, o)` flattened
-row-major (K is 1 for fc). Columns are then cut into length-`d` subvectors,
-the atomic unit every later stage quantizes. Both steps are lossless and
-have exact inverses.
+from it. Every kind becomes a `(C_in*K*K, C_out)` float64 matrix whose row
+block `[c*K*K, (c+1)*K*K)` of column `o` holds filter `(c, o)` flattened
+row-major (K is 1 for fc). The matrix is a plain array: the kind and kernel
+size that undo the reshape are the layer's own, which every caller holds in
+its `LayerMeta`. Columns are then cut into length-`d` subvectors, the atomic
+unit every later stage quantizes. Both steps are lossless and have exact
+inverses.
 """
 
 from __future__ import annotations
@@ -30,25 +32,6 @@ def _axes(kind: str) -> str:
     return _AXES[kind]
 
 
-@dataclass(frozen=True, eq=False)
-class ReshapedWeight:
-    """A weight tensor flattened to 2-D, remembering how to undo it."""
-
-    matrix: np.ndarray  # (rows, cols) float64
-    kernel_size: int
-    c_in: int
-    c_out: int
-    source_kind: str  # conv | deconv | fc
-
-    @property
-    def rows(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.matrix.shape[1]
-
-
 def weight_shape(kind: str, c_in: int, c_out: int, kernel_size: int) -> tuple:
     """The stored shape of a `kind` layer's weight tensor."""
     size = {"i": c_in, "o": c_out, "k": kernel_size}
@@ -67,7 +50,7 @@ def _rows(tensor: np.ndarray, kind: str) -> np.ndarray:
     return tensor.reshape(*tensor.shape[:2], kk).transpose(in_axis, 2, out_axis)
 
 
-def reshape_weight(weight, kind: str) -> ReshapedWeight:
+def reshape_weight(weight, kind: str) -> np.ndarray:
     """Flatten a stored `kind` weight to its `(C_in*K*K, C_out)` float64 matrix, in one copy."""
     w = np.asarray(weight)
     if w.ndim != len(_axes(kind)) or len(set(w.shape[2:])) > 1:
@@ -75,8 +58,7 @@ def reshape_weight(weight, kind: str) -> ReshapedWeight:
             f"{kind} weights must be {weight_shape(kind, 'C_in', 'C_out', 'K')}, got {w.shape}"
         )
     rows = _rows(w, kind).astype(np.float64, order="C")
-    c_in, kk, c_out = rows.shape
-    return ReshapedWeight(rows.reshape(c_in * kk, c_out), math.isqrt(kk), c_in, c_out, kind)
+    return rows.reshape(-1, rows.shape[2])
 
 
 def empty_weight(kind: str, c_in: int, c_out: int, kernel_size: int, dtype, out=None) -> tuple:
@@ -100,10 +82,12 @@ def empty_weight(kind: str, c_in: int, c_out: int, kernel_size: int, dtype, out=
     return tensor, _rows(tensor, kind)
 
 
-def inverse_reshape(rw: ReshapedWeight) -> np.ndarray:
-    """Recover the original weight tensor from a reshaped matrix."""
-    tensor, rows = empty_weight(rw.source_kind, rw.c_in, rw.c_out, rw.kernel_size, rw.matrix.dtype)
-    rows[...] = rw.matrix.reshape(rows.shape)
+def inverse_reshape(matrix: np.ndarray, kind: str, kernel_size: int) -> np.ndarray:
+    """Recover the stored `kind` weight tensor from its `(C_in*K*K, C_out)` matrix."""
+    rows, c_out = matrix.shape
+    c_in = rows // kernel_size**2
+    tensor, view = empty_weight(kind, c_in, c_out, kernel_size, matrix.dtype)
+    view[...] = matrix.reshape(view.shape)
     return tensor
 
 
@@ -145,18 +129,9 @@ def split_matrix(matrix: np.ndarray, d: int) -> np.ndarray:
     return np.ascontiguousarray(matrix.reshape(m // d, d, n).transpose(0, 2, 1))
 
 
-def split_subvectors(rw: ReshapedWeight, d: int) -> SubvectorMatrix:
-    """Cut a reshaped weight into subvectors of length `d`.
-
-    For K>1 sources `d` must also be a multiple of K*K so no subvector
-    straddles a filter boundary.
-    """
-    k = rw.kernel_size
-    if k > 1 and d % (k * k) != 0:
-        raise IndivisibleBlockSize(
-            f"subvector size {d} must be a multiple of K^2={k * k} for K={k} layers"
-        )
-    return SubvectorMatrix(split_matrix(rw.matrix, d))
+def split_subvectors(matrix: np.ndarray, d: int) -> SubvectorMatrix:
+    """Cut a reshaped weight matrix into subvectors of length `d`."""
+    return SubvectorMatrix(split_matrix(matrix, d))
 
 
 def merge_matrix(subvectors: np.ndarray) -> np.ndarray:

@@ -3,11 +3,13 @@
 Reordering the rows of a weight matrix changes which entries end up in the
 same subvector, and the log-determinant of the subvector covariance lower-
 bounds how well a fixed-size codebook can represent them. This module
-estimates that covariance, scores permutations by its (regularized) log
-determinant, builds a greedy bucket-balanced initial permutation, and refines
-it with stochastic local search. Convolution rows move in contiguous groups
-of K*K so whole filters stay together, and several layers that must share one
-channel permutation can be optimized jointly on their summed objective.
+estimates that covariance as a plain `(d, d)` array (`subvector_covariance`,
+which `rd_lower_bound` and the annealed quantizer take as it is), scores
+permutations by its (regularized) log determinant, builds a greedy
+bucket-balanced initial permutation, and refines it with stochastic local
+search. Convolution rows move in contiguous groups of K*K so whole filters
+stay together, and several layers that must share one channel permutation
+can be optimized jointly on their summed objective.
 
 The search scores every order, the identity and greedy starts included,
 from raw moments per chunk (d consecutive rows of the permuted matrix): a
@@ -104,19 +106,6 @@ def expand_channel_permutation(channel_indices, rows_per_channel: int) -> Permut
     return Permutation(_unit_rows(np.asarray(channel_indices, dtype=np.int64), g), block=g)
 
 
-@dataclass(frozen=True, eq=False)
-class CovarianceStats:
-    """Empirical mean/covariance of a set of subvectors."""
-
-    sigma: np.ndarray  # (d, d), mean-centered, 1/N normalization
-    count: int
-    mean: np.ndarray  # (d,)
-
-    @property
-    def dim(self) -> int:
-        return self.sigma.shape[0]
-
-
 def _as_points(subvectors) -> np.ndarray:
     if isinstance(subvectors, SubvectorMatrix):
         return subvectors.points()
@@ -126,8 +115,8 @@ def _as_points(subvectors) -> np.ndarray:
     return pts
 
 
-def subvector_covariance(subvectors) -> CovarianceStats:
-    """Mean-centered covariance (1/N normalization) over all subvectors."""
+def subvector_covariance(subvectors) -> np.ndarray:
+    """The `(d, d)` mean-centered covariance (1/N normalization) over all subvectors."""
     pts = _as_points(subvectors)
     n = pts.shape[0]
     if n < 2:
@@ -136,8 +125,7 @@ def subvector_covariance(subvectors) -> CovarianceStats:
     centered = pts - mean
     # einsum keeps the reduction off BLAS so results do not depend on thread count
     sigma = np.einsum("ni,nj->ij", centered, centered) / n
-    sigma = 0.5 * (sigma + sigma.T)
-    return CovarianceStats(sigma=sigma, count=n, mean=mean)
+    return 0.5 * (sigma + sigma.T)
 
 
 def _diagonal(a: np.ndarray) -> np.ndarray:
@@ -166,22 +154,17 @@ def _regularized_logdet(sigma: np.ndarray):
     return 2.0 * np.log(_diagonal(chol)).sum(axis=-1)
 
 
-def logdet(stats: CovarianceStats) -> float:
-    """Natural-log determinant of ``sigma + eps*I`` via a symmetric factorization."""
-    return float(_regularized_logdet(stats.sigma))
-
-
-def rd_lower_bound(stats: CovarianceStats, k: int) -> float:
+def rd_lower_bound(sigma: np.ndarray, k: int) -> float:
     """Minimum expected per-subvector squared error of a size-`k` quantizer.
 
-    Evaluates ``k**(-2/d) * d * det(sigma)**(1/d)`` for ``d = stats.dim``
-    with the exact (unregularized) determinant, so degenerate covariances
-    give 0.
+    Evaluates ``k**(-2/d) * d * det(sigma)**(1/d)`` for the `(d, d)`
+    subvector covariance `sigma` with the exact (unregularized) determinant,
+    so degenerate covariances give 0.
     """
     if k < 1:
         raise ValueError("codebook size must be >= 1")
-    d = stats.dim
-    eigs = np.clip(np.linalg.eigvalsh(stats.sigma), 0.0, None)
+    d = sigma.shape[0]
+    eigs = np.clip(np.linalg.eigvalsh(sigma), 0.0, None)
     if np.any(eigs <= 0.0):
         det_root = 0.0
     else:
@@ -191,7 +174,8 @@ def rd_lower_bound(stats: CovarianceStats, k: int) -> float:
 
 def matrix_objective(matrix: np.ndarray, d: int) -> float:
     """Regularized logdet of the subvector covariance of `matrix`."""
-    return logdet(subvector_covariance(split_matrix(matrix, d).reshape(-1, d)))
+    sigma = subvector_covariance(split_matrix(matrix, d).reshape(-1, d))
+    return float(_regularized_logdet(sigma))
 
 
 def permuted_objective(matrix: np.ndarray, d: int, indices) -> float:

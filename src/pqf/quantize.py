@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .layout import SubvectorMatrix
-from .permsearch import CovarianceStats
 from .rng import gaussian, make_rng
 
 DEFAULT_ITERATIONS = 1000
@@ -333,23 +332,23 @@ def kmeans(subvectors, k_eff: int, iters: int = DEFAULT_ITERATIONS, seed: int = 
     return (codes.reshape(shape) if shape is not None else codes), codebook, error
 
 
-def src(subvectors, stats: CovarianceStats, k_eff: int, cfg: SRCConfig):
+def src(subvectors, sigma: np.ndarray, k_eff: int, cfg: SRCConfig):
     """Annealed k-means: noisy codebook updates, clean code updates.
 
     The noise standard deviation per coordinate is the square root of the
-    diagonal of ``stats.sigma``, scaled by ``(1 - tau/I)**gamma``; the final
+    diagonal of `sigma`, the `(d, d)` subvector covariance, scaled by ``(1 - tau/I)**gamma``; the final
     iteration runs at exactly zero noise. Returns ``(codes, codebook, error)``
     after all ``cfg.iterations`` rounds; a zero covariance adds no noise, so
     that run stops at a fixed point as `kmeans` does.
     """
     pts, shape = _points_and_shape(subvectors)
-    if stats.dim != pts.shape[1]:
+    if sigma.shape[0] != pts.shape[1]:
         raise DimensionMismatch(
-            f"covariance dimension {stats.dim} != subvector length {pts.shape[1]}"
+            f"covariance dimension {sigma.shape[0]} != subvector length {pts.shape[1]}"
         )
     if k_eff < 1:
         raise ValueError("codebook size must be >= 1")
-    noise_std = np.sqrt(np.clip(np.diag(stats.sigma), 0.0, None))
+    noise_std = np.sqrt(np.clip(np.diag(sigma), 0.0, None))
     codes, codebook, error = _run(
         pts,
         k_eff,

@@ -1,14 +1,16 @@
 """Test-only helpers: container equality for round trips, quantizer-error and centroid-gradient
 oracles, the noise-free quantizer loop run to its last round, the one-proposal-at-a-time swap
 search and its logdet and fold, the group-permutation oracles (apply a group's permutation and
-its `BlockViolation`, check the function is unchanged, parse a group listing), a toy residual net
-and a toy dataset."""
+its `BlockViolation`, check the function is unchanged, parse a group listing), a toy residual net,
+a narrowed synthetic ResNet and a toy dataset."""
 
 from __future__ import annotations
 
+import importlib.resources as resources
+
 import numpy as np
 
-from pqf import finetune, layout, quantize
+from pqf import finetune, layout, quantize, tensor_io
 from pqf.codec import LayerEncoding
 from pqf.errors import PQFError, ShapeMismatch, UnsupportedLayerKind
 from pqf.finetune import ToyDataset, _init_checkpoint, _same, _split
@@ -61,8 +63,7 @@ def compressed_models_equal(a: CompressedModel, b: CompressedModel) -> bool:
 
 def quantization_error(weight, enc: LayerEncoding) -> float:
     """Mean squared error per subvector between P*W_r and its reconstruction."""
-    rw = layout.reshape_weight(weight, enc.source_kind)
-    permuted = enc.permutation.apply_rows(rw.matrix)
+    permuted = enc.permutation.apply_rows(layout.reshape_weight(weight, enc.source_kind))
     approx = layout.merge_matrix(np.asarray(enc.codebook, dtype=np.float64)[enc.codes])
     m_hat = permuted.shape[0] // enc.d
     return float(np.square(approx - permuted).sum() / (m_hat * permuted.shape[1]))
@@ -363,3 +364,28 @@ def two_spirals(n_per_arm: int, seed: int, noise: float = 0.15) -> ToyDataset:
     x = np.concatenate([arm, -arm]) + gaussian(rng, (2 * n_per_arm, 2)) * noise
     y = np.repeat(np.arange(2), n_per_arm)
     return _split(x, y, rng)
+
+
+def synthetic_resnet(depth: int, divisor: int, seed: int) -> ModelCheckpoint:
+    """The shipped ResNet-`depth` with every channel count but the 3 image channels divided by
+    `divisor`; weights from `pqf.rng`, each input channel scaled by its own log-uniform factor."""
+    arch = (resources.files("pqf") / "data" / f"resnet{depth}.arch").read_text()
+    spec = tensor_io.parse_arch_spec(arch)
+    layers, tensors = [], []
+    for meta in spec.layers:
+        c_in, c_out = (c if c == 3 else c // divisor for c in (meta.c_in, meta.c_out))
+        has_bias = meta.kind == "fc" if meta.kind in WEIGHTED_KINDS else None
+        layers.append(LayerMeta(meta.name, meta.kind, meta.kernel_size, c_in, c_out, has_bias))
+        rng = make_rng(seed, f"r{depth}", meta.name)
+        if meta.kind in WEIGHTED_KINDS:
+            k = meta.kernel_size
+            shape = (c_in, c_out, k, k) if meta.kind == "conv" else (c_in, c_out)
+            scales = 10.0 ** (1.5 * (rng.random(c_in) - 0.5))
+            weight = gaussian(rng, shape) * 0.05 * scales.reshape((c_in,) + (1,) * (len(shape) - 1))
+            tensors.append(tensor_io.tensor_record(f"{meta.name}.weight", weight))
+            if has_bias:
+                tensors.append(tensor_io.tensor_record(f"{meta.name}.bias", gaussian(rng, (c_out,)) * 0.01))
+        elif meta.kind == "batchnorm":
+            tensors.append(tensor_io.tensor_record(f"{meta.name}.weight", 1.0 + 0.1 * gaussian(rng, (c_out,))))
+            tensors.append(tensor_io.tensor_record(f"{meta.name}.bias", 0.1 * gaussian(rng, (c_out,))))
+    return ModelCheckpoint(tensors=tensors, layers=layers, edges=list(spec.edges))

@@ -18,7 +18,7 @@ from helpers import (
     verify_equivalence,
 )
 from pqf import codec, finetune, graph, layout, permsearch, quantize, tensor_io
-from pqf.cli import BenchConfig, run_bench, run_eval
+from pqf.cli import BENCH_METHODS, BenchConfig, run_bench, run_eval
 from pqf.codec import CompressionConfig, bit_report, encode_layer
 from pqf.finetune import ToyNetwork, backward, forward, make_mlp_checkpoint
 from pqf.permsearch import (
@@ -264,9 +264,9 @@ def test_criterion_5_src_beats_kmeans():
         k_errors, s_errors, wins = [], [], 0
         for seed in range(20):
             pts = _mixture(seed)
-            stats = subvector_covariance(pts)
+            sigma = subvector_covariance(pts)
             _, _, ke = kmeans(pts, 64, iters=150, seed=seed)
-            _, _, se = src(pts, stats, 64, SRCConfig(150, 0.5, seed))
+            _, _, se = src(pts, sigma, 64, SRCConfig(150, 0.5, seed))
             k_errors.append(ke)
             s_errors.append(se)
             wins += se <= ke
@@ -286,7 +286,7 @@ def test_criterion_6_ablation_ordering():
         rows = run_bench(cfg, base_seed=0)
         med = {
             m: float(np.median([r["error"] for r in rows if r["method"] == m]))
-            for m in cfg.methods
+            for m in BENCH_METHODS
         }
         assert med["perm+src"] <= med["src"] <= med["kmeans"], med
 
@@ -302,9 +302,9 @@ def test_criterion_7_rate_distortion_sanity():
             a = gaussian(rng, (d, d))
             chol = np.linalg.cholesky(a @ a.T + 0.3 * np.eye(d))
             pts = gaussian(rng, (100 * k, d)) @ chol.T
-            stats = subvector_covariance(pts)
+            sigma = subvector_covariance(pts)
             _, _, err = kmeans(pts, k, iters=80, seed=d + k)
-            bound = rd_lower_bound(stats, k)
+            bound = rd_lower_bound(sigma, k)
             assert err >= 0.9 * bound, (d, k, err, bound)
 
 
@@ -444,7 +444,8 @@ def test_criterion_10_round_trip_suite(tmp_path):
                 w, meta, CompressionConfig.small_blocks(k=5, src_iterations=30), seed=seed
             )
             decoded = codec.decode_layer(enc)
-            rw, rw_hat = layout.reshape_weight(w, "conv"), layout.reshape_weight(decoded, "conv")
-            m_hat = rw.rows // enc.d
-            direct = float(np.square(rw_hat.matrix - rw.matrix).sum() / (m_hat * rw.cols))
+            matrix = layout.reshape_weight(w, "conv")
+            matrix_hat = layout.reshape_weight(decoded, "conv")
+            m_hat = matrix.shape[0] // enc.d
+            direct = float(np.square(matrix_hat - matrix).sum() / (m_hat * matrix.shape[1]))
             assert abs(direct - enc.error) < 1e-10

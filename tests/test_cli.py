@@ -11,9 +11,10 @@ import pytest
 
 import pqf
 from pqf import cli, finetune, tensor_io
-from pqf.cli import BenchConfig, bench_csv, run_bench
+from pqf.cli import BENCH_METHODS, BenchConfig, bench_csv, run_bench
 from pqf.finetune import make_mlp_checkpoint
-from pqf.rng import gaussian, make_rng
+
+from helpers import synthetic_resnet
 
 
 @pytest.fixture(scope="module")
@@ -368,34 +369,9 @@ def test_compressed_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert outs[0] == outs[1]
 
 
-def _synthetic_resnet(depth: int, divisor: int, seed: int) -> tensor_io.ModelCheckpoint:
-    """The shipped ResNet-`depth` with every channel count but the 3 image channels divided by
-    `divisor`; weights from `pqf.rng`, each input channel scaled by its own log-uniform factor."""
-    arch = (resources.files("pqf") / "data" / f"resnet{depth}.arch").read_text()
-    spec = tensor_io.parse_arch_spec(arch)
-    layers, tensors = [], []
-    for meta in spec.layers:
-        c_in, c_out = (c if c == 3 else c // divisor for c in (meta.c_in, meta.c_out))
-        has_bias = meta.kind == "fc" if meta.kind in tensor_io.WEIGHTED_KINDS else None
-        layers.append(tensor_io.LayerMeta(meta.name, meta.kind, meta.kernel_size, c_in, c_out, has_bias))
-        rng = make_rng(seed, f"r{depth}", meta.name)
-        if meta.kind in tensor_io.WEIGHTED_KINDS:
-            k = meta.kernel_size
-            shape = (c_in, c_out, k, k) if meta.kind == "conv" else (c_in, c_out)
-            scales = 10.0 ** (1.5 * (rng.random(c_in) - 0.5))
-            weight = gaussian(rng, shape) * 0.05 * scales.reshape((c_in,) + (1,) * (len(shape) - 1))
-            tensors.append(tensor_io.tensor_record(f"{meta.name}.weight", weight))
-            if has_bias:
-                tensors.append(tensor_io.tensor_record(f"{meta.name}.bias", gaussian(rng, (c_out,)) * 0.01))
-        elif meta.kind == "batchnorm":
-            tensors.append(tensor_io.tensor_record(f"{meta.name}.weight", 1.0 + 0.1 * gaussian(rng, (c_out,))))
-            tensors.append(tensor_io.tensor_record(f"{meta.name}.bias", 0.1 * gaussian(rng, (c_out,))))
-    return tensor_io.ModelCheckpoint(tensors=tensors, layers=layers, edges=list(spec.edges))
-
-
 def _pinned_compress_digest(tmp_path, depth: int, divisor: int, *flags) -> str:
     source, packed = tmp_path / "model.pqfn", tmp_path / "model.pqfc"
-    tensor_io.save_checkpoint(_synthetic_resnet(depth, divisor, seed=3), source)
+    tensor_io.save_checkpoint(synthetic_resnet(depth, divisor, seed=3), source)
     argv = ["compress", str(source), "--out", str(packed), "--k", "32", "--k-fc", "32",
             "--src-iters", "1", "--perm-iters", "100", "--seed", "3", *flags]
     assert cli.main(argv) == 0
@@ -469,7 +445,7 @@ def test_bench_csv_and_isotropic_band(capsys):
     assert csv.splitlines()[0] == "method,seed,error,rd_bound,wall_time_s"
     med = {
         m: float(np.median([r["error"] for r in rows if r["method"] == m]))
-        for m in cfg.methods
+        for m in BENCH_METHODS
     }
     # isotropic data: permutations cannot help, medians sit in one noise band
     assert abs(med["perm+src"] - med["src"]) <= 0.05 * med["src"]
@@ -481,7 +457,7 @@ def test_bench_anisotropic_ordering_smoke():
     rows = run_bench(cfg, base_seed=3)
     med = {
         m: float(np.median([r["error"] for r in rows if r["method"] == m]))
-        for m in cfg.methods
+        for m in BENCH_METHODS
     }
     assert med["perm+src"] <= med["src"] <= med["kmeans"]
 
@@ -489,9 +465,8 @@ def test_bench_anisotropic_ordering_smoke():
 def test_bench_bound_below_error_large_sample():
     # 4 subvectors per column x 26000 columns: N >= 100k samples
     cfg = BenchConfig(seeds=1, rows=8, cols=26000, d=2, k=16, src_iterations=40,
-                      perm_iterations=0, generator="isotropic", methods=("kmeans",))
-    rows = run_bench(cfg, base_seed=1)
-    (row,) = rows
+                      perm_iterations=0, generator="isotropic")
+    (row,) = [r for r in run_bench(cfg, base_seed=1) if r["method"] == "kmeans"]
     assert row["rd_bound"] <= row["error"] * 1.12
 
 
@@ -604,6 +579,8 @@ def test_out_of_range_config_flag_is_usage_error(
         (["bench", "--rows", "6", "--d", "4"], "--rows must be a multiple of --d, got --rows 6 and --d 4"),
         (["bench", "--generator", "isotropic", "--rows", "5", "--d", "2"],
          "--rows must be a multiple of --d, got --rows 5 and --d 2"),
+        (["bench", "--rows", "8", "--cols", "1", "--d", "8", "--generator", "isotropic"],
+         "the matrix must hold at least 2 subvectors (--rows / --d x --cols), got 1"),
     ],
 )
 def test_out_of_range_eval_or_bench_flag_is_usage_error(capsys, argv, detail):

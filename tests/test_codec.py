@@ -6,6 +6,7 @@ from helpers import (
     make_residual_checkpoint,
     quantization_error,
     records_equal,
+    synthetic_resnet,
 )
 from pqf import cli, codec, layout, permsearch, quantize, tensor_io
 from pqf.codec import (
@@ -16,11 +17,17 @@ from pqf.codec import (
     decompress_model,
     encode_layer,
 )
-from pqf.errors import CodebookOverflow, IndivisibleBlockSize, NonFiniteWeight, PQFError
+from pqf.errors import (
+    CodebookOverflow,
+    IndivisibleBlockSize,
+    NonFiniteWeight,
+    PQFError,
+    ShapeMismatch,
+)
 from pqf.finetune import make_mlp_checkpoint
 from pqf.permsearch import Permutation
 from pqf.rng import make_rng
-from pqf.tensor_io import EncodedEntry, LayerMeta, TensorRecord
+from pqf.tensor_io import EncodedEntry, LayerMeta, TensorRecord, code_width
 
 
 def _meta(kind="fc", k=1, c_in=8, c_out=4, name="layer"):
@@ -90,9 +97,10 @@ def test_reported_error_matches_definition_oracle():
     enc = encode_layer(w, meta, cfg, permutation=perm, seed=3)
     # recompute from the definition via the decoded tensor
     decoded = decode_layer(enc)
-    rw, rw_hat = layout.reshape_weight(w, "conv"), layout.reshape_weight(decoded, "conv")
-    m_hat = rw.rows // enc.d
-    direct = float(np.square(rw_hat.matrix - rw.matrix).sum() / (m_hat * rw.cols))
+    matrix = layout.reshape_weight(w, "conv")
+    matrix_hat = layout.reshape_weight(decoded, "conv")
+    m_hat = matrix.shape[0] // enc.d
+    direct = float(np.square(matrix_hat - matrix).sum() / (m_hat * matrix.shape[1]))
     assert abs(direct - enc.error) < 1e-10
     assert abs(quantization_error(w, enc) - enc.error) < 1e-14
 
@@ -116,6 +124,34 @@ def test_encode_rejects_incompatible_d():
     meta = _meta(c_in=6, c_out=4)
     with pytest.raises(IndivisibleBlockSize):
         encode_layer(w, meta, CompressionConfig.small_blocks(), seed=0)
+
+
+@pytest.mark.parametrize(
+    "shape,meta",
+    [((8, 4), _meta(c_in=8, c_out=3)), ((4, 8), _meta(c_in=8, c_out=4)),
+     ((2, 4, 3, 3), _meta(kind="conv", k=1, c_in=2, c_out=4)),
+     ((2, 4, 3, 3), _meta(kind="conv", k=3, c_in=4, c_out=2))],
+)
+def test_encode_rejects_a_weight_its_layer_does_not_describe(shape, meta):
+    # the layer's geometry prices the entry, so a weight of another shape cannot encode
+    with pytest.raises(ShapeMismatch, match="layer 'layer'"):
+        encode_layer(np.ones(shape), meta, CompressionConfig.small_blocks(k=2, k_fc=2), seed=0)
+
+
+@pytest.mark.parametrize("regime", ["small", "large"])
+def test_every_encoded_entry_matches_its_bit_report_rows(regime):
+    ckpt = synthetic_resnet(18, 8, seed=5)
+    build = CompressionConfig.small_blocks if regime == "small" else CompressionConfig.large_blocks
+    cfg = build(k=64, k_fc=512, quantizer="kmeans", src_iterations=1, perm_iterations=2)
+    model, report, _ = compress_model(ckpt, cfg, seed=5)
+    rows = {r.name: r for r in report.rows}
+    entries = [e for e in model.entries if isinstance(e, EncodedEntry)]
+    assert len(entries) == 20  # every weighted layer but the first conv
+    for e in entries:
+        assert e.codebook.shape == (e.k_eff, e.d) == rows[f"{e.name}.codebook"].shape
+        codes = rows[f"{e.name}.codes_matrix"]
+        assert codes.shape == (e.n, e.m_hat)
+        assert codes.bits == e.m_hat * e.n * code_width(e.k_eff)
 
 
 # ---------------------------------------------------------------------------

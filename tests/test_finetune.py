@@ -336,9 +336,7 @@ def test_decode_index_gathers_what_decode_layer_decodes(
     want = codec.decode_layer(enc)
     for index in (decode_index(enc), decode_index(enc, centroid_maps(enc))):
         assert index.shape == (c_in * block, c_out)
-        gathered = layout.inverse_reshape(
-            layout.ReshapedWeight(np.take(enc.codebook, index), kernel_size, c_in, c_out, kind)
-        )
+        gathered = layout.inverse_reshape(np.take(enc.codebook, index), kind, kernel_size)
         assert gathered.dtype == want.dtype and gathered.shape == want.shape
         assert gathered.tobytes() == want.tobytes()
 
@@ -417,9 +415,7 @@ def test_residual_training_and_finetuning_are_pinned():
         for meta in n.layers:
             for part, arr in sorted(n.params.get(meta.name, {}).items()):
                 if part == "weight" and meta.kind in ("conv", "fc"):  # hashed in stored layout
-                    arr = layout.inverse_reshape(layout.ReshapedWeight(
-                        arr, meta.kernel_size, meta.c_in, meta.c_out, meta.kind
-                    ))
+                    arr = layout.inverse_reshape(arr, meta.kind, meta.kernel_size)
                 h.update(arr.tobytes())
     for enc in qnet.encodings.values():
         h.update(enc.codebook.tobytes())

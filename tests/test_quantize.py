@@ -4,7 +4,7 @@ import pytest
 from helpers import noiseless_quantizer_oracle
 from pqf import layout, quantize
 from pqf.errors import DimensionMismatch
-from pqf.permsearch import CovarianceStats, subvector_covariance
+from pqf.permsearch import subvector_covariance
 from pqf.quantize import (
     SRCConfig,
     assign_codes,
@@ -51,8 +51,8 @@ def test_assign_dimension_mismatch():
 
 
 def test_assign_keeps_subvector_grid_shape():
-    rw = layout.reshape_weight(make_rng(32, "grid").standard_normal((8, 5)), "fc")
-    subs = layout.split_subvectors(rw, 2)
+    matrix = layout.reshape_weight(make_rng(32, "grid").standard_normal((8, 5)), "fc")
+    subs = layout.split_subvectors(matrix, 2)
     codes = assign_codes(subs, np.zeros((3, 2)))
     assert codes.shape == (4, 5)
 
@@ -274,9 +274,9 @@ def _mixture(seed, n=1024, d=4, components=96, spread=0.1):
 
 def test_src_single_iteration_is_noiseless_kmeans_round():
     pts = _mixture(1)
-    stats = subvector_covariance(pts)
+    sigma = subvector_covariance(pts)
     k_codes, k_cb, k_err = kmeans(pts, k_eff=16, iters=1, seed=5)
-    s_codes, s_cb, s_err = src(pts, stats, k_eff=16, cfg=SRCConfig(1, 0.5, 5))
+    s_codes, s_cb, s_err = src(pts, sigma, k_eff=16, cfg=SRCConfig(1, 0.5, 5))
     assert np.array_equal(k_codes, s_codes)
     assert np.array_equal(k_cb, s_cb)
     assert k_err == s_err
@@ -284,7 +284,7 @@ def test_src_single_iteration_is_noiseless_kmeans_round():
 
 def test_src_with_zero_covariance_is_bitwise_kmeans():
     pts = _mixture(2, n=300, d=3)
-    zero = CovarianceStats(np.zeros((3, 3)), len(pts), np.zeros(3))
+    zero = np.zeros((3, 3))
     for iters in (1, 7, 25):
         k_codes, k_cb, k_err = kmeans(pts, k_eff=12, iters=iters, seed=9)
         s_codes, s_cb, s_err = src(pts, zero, k_eff=12, cfg=SRCConfig(iters, 0.5, 9))
@@ -295,7 +295,7 @@ def test_src_with_zero_covariance_is_bitwise_kmeans():
 
 def test_noiseless_run_stops_at_its_fixed_point_with_the_full_runs_bytes(monkeypatch):
     pts = _mixture(4, n=400, d=3)
-    zero = CovarianceStats(np.zeros((3, 3)), len(pts), np.zeros(3))
+    zero = np.zeros((3, 3))
     for iters in (1, 4, 30, 200):
         want_codes, want_cb, want_err = noiseless_quantizer_oracle(pts, 12, iters, seed=6)
         for codes, cb, err in (
@@ -316,8 +316,8 @@ def test_src_final_iteration_noise_is_zero():
     # gamma on a (1 - I/I) base: the last update must be exactly noiseless,
     # so a 2-iteration run ends at a plain kmeans step from its own codes
     pts = _mixture(3, n=200, d=3)
-    stats = subvector_covariance(pts)
-    codes, cb, err = src(pts, stats, k_eff=8, cfg=SRCConfig(2, 0.5, 3))
+    sigma = subvector_covariance(pts)
+    codes, cb, err = src(pts, sigma, k_eff=8, cfg=SRCConfig(2, 0.5, 3))
     # re-applying the noiseless closing round (update + assign) is a fixpoint
     # only for the codebook update half; check codes are the argmin of cb
     assert np.array_equal(codes, assign_codes(pts, cb))
@@ -327,9 +327,9 @@ def test_src_beats_kmeans_on_mixture_medians():
     k_errs, s_errs, wins = [], [], 0
     for seed in range(8):
         pts = _mixture(100 + seed)
-        stats = subvector_covariance(pts)
+        sigma = subvector_covariance(pts)
         _, _, k_err = kmeans(pts, k_eff=64, iters=100, seed=seed)
-        _, _, s_err = src(pts, stats, k_eff=64, cfg=SRCConfig(100, 0.5, seed))
+        _, _, s_err = src(pts, sigma, k_eff=64, cfg=SRCConfig(100, 0.5, seed))
         k_errs.append(k_err)
         s_errs.append(s_err)
         wins += s_err <= k_err
@@ -338,9 +338,8 @@ def test_src_beats_kmeans_on_mixture_medians():
 
 
 def test_src_dimension_mismatch():
-    stats = CovarianceStats(np.zeros((2, 2)), 10, np.zeros(2))
     with pytest.raises(DimensionMismatch):
-        src(np.zeros((10, 3)), stats, 2, SRCConfig(1, 0.5, 0))
+        src(np.zeros((10, 3)), np.zeros((2, 2)), 2, SRCConfig(1, 0.5, 0))
 
 
 def test_src_config_validation():
@@ -359,9 +358,9 @@ def test_src_config_rejects_a_gamma_that_is_not_finite(gamma):
 
 def test_determinism_across_runs():
     pts = _mixture(4, n=256, d=4)
-    stats = subvector_covariance(pts)
-    first = src(pts, stats, 16, SRCConfig(30, 0.5, 42))
-    second = src(pts, stats, 16, SRCConfig(30, 0.5, 42))
+    sigma = subvector_covariance(pts)
+    first = src(pts, sigma, 16, SRCConfig(30, 0.5, 42))
+    second = src(pts, sigma, 16, SRCConfig(30, 0.5, 42))
     assert np.array_equal(first[0], second[0])
     assert np.array_equal(first[1], second[1])
     assert first[2] == second[2]
