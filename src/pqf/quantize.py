@@ -12,15 +12,17 @@ the same seed.
 
 The code update is exact. Each block of subvectors is scored in float32
 against all centroids with one matrix multiply (``||c||**2 - 2 x.c``, the
-norm folded in as one more column). A subvector keeps the winner when no
-other centroid scores within a rigorous rounding margin,
+norm folded in as one more column), written into one score buffer that the
+call reuses for every block. A subvector keeps the winner when no other
+centroid scores within a rigorous rounding margin,
 ``4*g_{d+4}*(||x|| + max ||c||)**2`` with ``g_n ~ n * 2**-24`` (it also covers
 the cast to float32, underflow and overflow). Every other subvector is
 re-scored in float64 with the plain difference form, over only the centroids
-inside the margin. Codes are therefore the difference form's argmin (lowest
-index on ties) bit for bit, whatever order or thread count the BLAS library
-uses. Toy-sized calls skip the prefilter and take the difference form
-directly.
+inside the margin; these subvectors are collected across blocks and
+re-scored in batches of about one block. Codes are therefore the difference
+form's argmin (lowest index on ties) bit for bit, whatever order or thread
+count the BLAS library uses. Toy-sized calls skip the prefilter and take the
+difference form directly.
 """
 
 from __future__ import annotations
@@ -139,6 +141,13 @@ def _assign(pts, codebook, norms, lifted) -> np.ndarray:
     every other row is re-scored with the difference form over its
     candidates only.
 
+    Buffers and batches. All blocks are scored into one float32 buffer the
+    size of a block (at most `_BLOCK` values unless k is larger), and each
+    row's winner is read, masked and restored through its flat offset in
+    that buffer. The undecided rows of successive blocks, with their
+    candidate masks, are held until the masks would pass `_BLOCK` entries
+    and then re-scored in one float64 call (`_Undecided`).
+
     Margin. Let u = 2**-24, g_n = n*u/(1 - n*u), G_n the float64 analogue
     (unit 2**-53), R = ||x|| + max_j ||c_j|| and D_j = ||x - c_j||**2 <= R**2
     (exact). The float64 difference form rounds once in the subtraction
@@ -178,10 +187,12 @@ def _assign(pts, codebook, norms, lifted) -> np.ndarray:
         return _assign_exact(pts, codebook)
     out = np.empty(n, dtype=np.int64)
     rows, centroid_major = _layout(n, k)
+    buffer = np.empty(rows * k, dtype=np.float32)
     if centroid_major:
         count_index = np.stack([np.ones(k), np.arange(k)]).astype(np.float32)
     else:
-        at = np.arange(rows)
+        offsets = np.arange(0, rows * k, k)
+    undecided = _Undecided(pts, codebook, out)
     gamma = (d + 4) * _U32 / (1 - (d + 4) * _U32)
     # overflow only makes a limit infinite or a score non-finite, which sends
     # the row to the difference form over all k
@@ -189,35 +200,66 @@ def _assign(pts, codebook, norms, lifted) -> np.ndarray:
         cb_sq = np.einsum("ij,ij->i", codebook, codebook)
         radius = norms + np.sqrt(cb_sq.max())
         margin = (4.0 * gamma * 2.0**-898) * np.square(radius * 2.0**449) + (d + 1) * 2.0**-147
-        lifted_cb = np.empty((k, d + 1), dtype=np.float32)
-        lifted_cb[:, :d] = -2.0 * codebook
-        lifted_cb[:, d] = cb_sq
+        # (d + 1, k), which the row-major GEMM reads about twice as fast as its transpose
+        lifted_cb = np.empty((d + 1, k), dtype=np.float32)
+        lifted_cb[:d] = -2.0 * codebook.T
+        lifted_cb[d] = cb_sq
         for start in range(0, n, rows):
             stop = min(start + rows, n)
+            flat = buffer[: (stop - start) * k]
             if centroid_major:
-                score = lifted_cb @ lifted[start:stop].T  # (k, rows)
+                score = np.matmul(lifted_cb.T, lifted[start:stop].T, out=flat.reshape(k, -1))
                 limit = (score.min(axis=0) + margin[start:stop]).astype(np.float32)
                 # per row: how many candidates, and the sum of their indices
                 count, best = count_index @ (score <= limit).astype(np.float32)
                 sure = count == 1
                 score = score.T
             else:
-                score = lifted[start:stop] @ lifted_cb.T  # (rows, k)
-                here = at[: stop - start]
+                score = np.matmul(lifted[start:stop], lifted_cb, out=flat.reshape(-1, k))
+                at = offsets[: stop - start]
                 best = np.argmin(score, axis=1)
-                lowest = score[here, best]
+                won = at + best
+                lowest = flat[won]
                 limit = (lowest + margin[start:stop]).astype(np.float32)
-                score[here, best] = np.inf
+                flat[won] = np.inf
                 # argmin, unlike min, has no per-row overhead along short rows
-                sure = score[here, np.argmin(score, axis=1)] > limit
-                score[here, best] = lowest
+                sure = flat[at + np.argmin(score, axis=1)] > limit
+                flat[won] = lowest
             out[start:stop] = best
             if not sure.all():
                 unsure = np.flatnonzero(~sure)
                 cand = score[unsure] <= limit[unsure, None]
                 cand[~np.isfinite(limit[unsure])] = True
-                out[start + unsure] = _assign_candidates(pts[start + unsure], codebook, cand)
+                undecided.add(start + unsure, cand)
+        undecided.flush()
     return out
+
+
+class _Undecided:
+    """Rows the prefilter leaves undecided, scored in float64 a batch at a time.
+
+    A batch goes to `_assign_candidates` before its candidate masks would
+    pass `_BLOCK` entries, so the float64 pass costs a call per `_BLOCK`
+    entries rather than one per score block.
+    """
+
+    def __init__(self, pts, codebook, out):
+        self.pts, self.codebook, self.out = pts, codebook, out
+        self.rows, self.cands, self.held = [], [], 0
+
+    def add(self, rows: np.ndarray, cand: np.ndarray):
+        if self.held + cand.size > _BLOCK:
+            self.flush()
+        self.rows.append(rows)
+        self.cands.append(cand)
+        self.held += cand.size
+
+    def flush(self):
+        if self.rows:
+            rows = np.concatenate(self.rows)
+            cand = np.concatenate(self.cands)
+            self.out[rows] = _assign_candidates(self.pts[rows], self.codebook, cand)
+            self.rows, self.cands, self.held = [], [], 0
 
 
 def _assign_candidates(pts: np.ndarray, codebook: np.ndarray, cand: np.ndarray) -> np.ndarray:
@@ -249,8 +291,7 @@ def update_codebook(subvectors, codes, k_eff: int) -> np.ndarray:
     """
     pts, _ = _points_and_shape(subvectors)
     flat = np.asarray(codes, dtype=np.int64).ravel()
-    codebook, _ = _update(pts, flat, k_eff)
-    return codebook
+    return _update(pts, flat, k_eff)
 
 
 def _update(pts: np.ndarray, codes: np.ndarray, k_eff: int):
@@ -269,7 +310,7 @@ def _update(pts: np.ndarray, codes: np.ndarray, k_eff: int):
             worst = int(np.argmax(errors))
             codebook[t] = pts[worst]
             errors[worst] = -1.0
-    return codebook, empties.size > 0
+    return codebook
 
 
 def reconstruction_error(subvectors, codebook, codes) -> float:
@@ -287,15 +328,18 @@ def _quantize_rng(seed: int) -> np.random.Generator:
 def _run(pts, k_eff, iters, rng, noise_std=None, gamma=DEFAULT_GAMMA):
     """Up to `iters` rounds of (codebook update, code update) from random codes.
 
-    Without noise, a round that keeps every code and re-seeds no cluster is
-    a fixed point: each later round would repeat it exactly and draw nothing
-    from `rng`, so the loop stops there with the bytes a full run returns.
+    Without noise, a round that keeps every code is a fixed point: `_update`
+    is a pure function of the points and the codes, re-seeding included, so
+    the next round would rebuild the same codebook and the same codes, and
+    no later round draws from `rng`. The loop stops there with the bytes a
+    full run returns, even in a layer that re-seeds every round (a fully
+    pruned one).
     """
     n = pts.shape[0]
     codes = rng.integers(0, k_eff, size=n, dtype=np.int64)
     if iters == 0:
         # otherwise the first iteration replaces it before anything reads it
-        codebook, _ = _update(pts, codes, k_eff)
+        codebook = _update(pts, codes, k_eff)
     prefilter = _lift(pts, k_eff) if iters > 0 else None
     add_noise = noise_std is not None and bool(np.any(noise_std > 0))
     # one buffer for every draw; the last iteration draws none, so one alone needs none
@@ -308,12 +352,11 @@ def _run(pts, k_eff, iters, rng, noise_std=None, gamma=DEFAULT_GAMMA):
             np.add(pts, noisy, out=noisy)
         else:
             noisy = pts
-        codebook, reseeded = _update(noisy, codes, k_eff)
+        codebook = _update(noisy, codes, k_eff)
         new_codes = _assign(pts, codebook, *prefilter)
-        stable = not reseeded and np.array_equal(new_codes, codes)
-        codes = new_codes
-        if stable and not add_noise:
+        if not add_noise and np.array_equal(new_codes, codes):
             break
+        codes = new_codes
     return codes, codebook, reconstruction_error(pts, codebook, codes)
 
 
@@ -321,7 +364,7 @@ def kmeans(subvectors, k_eff: int, iters: int = DEFAULT_ITERATIONS, seed: int = 
     """Plain k-means from random assignments.
 
     Runs `iters` rounds of (codebook update, code update) or stops early once
-    assignments are stable with no empty-cluster re-seeding. ``iters=0``
+    a round keeps every code (see `_run`). ``iters=0``
     returns the random initial assignments with their implied codebook.
     Returns ``(codes, codebook, error)``.
     """

@@ -192,6 +192,50 @@ def test_only_small_calls_take_the_exact_path(monkeypatch):
     assert rows_seen == [16]
 
 
+def _record_fallback(monkeypatch):
+    """Record (rows, candidate-mask entries) for every float64 fallback call."""
+    calls = []
+    scored = quantize._assign_candidates
+
+    def record(pts, centroids, cand):
+        calls.append((len(pts), cand.size))
+        return scored(pts, centroids, cand)
+
+    monkeypatch.setattr(quantize, "_assign_candidates", record)
+    return calls
+
+
+@pytest.mark.parametrize("k", [32, 2048])
+def test_undecided_rows_of_many_blocks_share_one_fallback_call(monkeypatch, k):
+    rows = _block_rows(k)
+    rng = make_rng(87, "planted")
+    codebook = rng.standard_normal((k, 4))
+    n = 5 * rows + rows // 2  # a partial last block
+    pts = rng.standard_normal((n, 4))
+    # rows on a duplicated centroid, in the first, a middle and the last block
+    codebook[[1, 6, 10]] = codebook[[0, 5, 9]]
+    planted = [3, 2 * rows + 7, n - 2]
+    pts[planted] = codebook[[0, 5, 9]]
+    calls = _record_fallback(monkeypatch)
+    _assert_matches_oracle(pts, codebook)
+    assert len(calls) == 1 and calls[0][0] >= len(planted)
+
+
+def test_the_fallback_holds_about_one_block_of_candidates(monkeypatch):
+    k = 2048
+    rng = make_rng(88, "all-unsure")
+    base = rng.integers(-3, 4, size=(k // 2, 4)).astype(np.float64)
+    codebook = np.concatenate([base, base])  # every centroid twice: no row is sure
+    n = 8 * _block_rows(k) + 5
+    pts = rng.integers(-3, 4, size=(n, 4)).astype(np.float64)
+    calls = _record_fallback(monkeypatch)
+    _assert_matches_oracle(pts, codebook)
+    assert sum(r for r, _ in calls) == n
+    assert len(calls) >= 8
+    # the candidate masks held for one call: a row each of k entries
+    assert max(entries for _, entries in calls) <= quantize._BLOCK
+
+
 # ---------------------------------------------------------------------------
 # update_codebook
 # ---------------------------------------------------------------------------
@@ -310,6 +354,20 @@ def test_noiseless_run_stops_at_its_fixed_point_with_the_full_runs_bytes(monkeyp
     monkeypatch.setattr(quantize, "_update", lambda *a: calls.append(1) or update(*a))
     src(pts, zero, k_eff=12, cfg=SRCConfig(200, 0.5, 6))
     assert len(calls) < 200
+
+
+def test_noiseless_run_stops_at_its_fixed_point_even_when_it_reseeds(monkeypatch):
+    # an all-zero (fully pruned) layer re-seeds its empty clusters every round
+    pts = np.zeros((400, 3))
+    want_codes, want_cb, want_err = noiseless_quantizer_oracle(pts, 12, 200, seed=6)
+    calls = []
+    update = quantize._update
+    monkeypatch.setattr(quantize, "_update", lambda *a: calls.append(1) or update(*a))
+    codes, cb, err = kmeans(pts, k_eff=12, iters=200, seed=6)
+    assert len(calls) <= 3
+    assert np.array_equal(codes, want_codes)
+    assert cb.tobytes() == want_cb.tobytes()
+    assert err == want_err
 
 
 def test_src_final_iteration_noise_is_zero():
