@@ -25,7 +25,7 @@ tensor_io.save_checkpoint(reloaded, again)
 print("bit-exact reload:", raw_path.read_bytes() == again.read_bytes())
 
 # compress: permutation search + annealed codebooks, then pack to disk
-cfg = codec.CompressionConfig.small_blocks(k=16, k_fc=16, src_iterations=100, perm_iterations=200)
+cfg = codec.CompressionConfig(k=16, k_fc=16, src_iterations=100, perm_iterations=200)
 model, report, errors = codec.compress_model(ckpt, cfg, seed=0)
 comp_path = workdir / "toy.pqfc"
 comp_bytes = tensor_io.save_compressed(model, comp_path)

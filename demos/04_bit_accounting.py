@@ -13,11 +13,11 @@ from pqf import codec, tensor_io
 arch = tensor_io.parse_arch_spec(
     (resources.files("pqf") / "data" / "resnet18.arch").read_text()
 )
-cfg = codec.CompressionConfig.small_blocks(k=256)
+cfg = codec.CompressionConfig(k=256)
 report = codec.bit_report(arch, cfg)
 print(report.to_text())
 
 print("\nlarge-blocks regime at the same k trades error for size:")
-large = codec.bit_report(arch, codec.CompressionConfig.large_blocks(k=256))
+large = codec.bit_report(arch, codec.CompressionConfig(k=256, d_conv_multiplier=2))
 print(f"  small blocks: {report.total_mb:6.2f} MB  ({report.ratio:5.1f}x)")
 print(f"  large blocks: {large.total_mb:6.2f} MB  ({large.ratio:5.1f}x)")

@@ -32,12 +32,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+_SEED_RANGE = range(-(1 << 63), 1 << 63)  # the signed 64-bit ints a seed is hashed as
+
+
 def _seed(text: str) -> int:
     """`--seed`; its default is PQF_SEED's text, which argparse parses only without --seed."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"PQF_SEED or --seed is not an integer: {text!r}")
+    if value not in _SEED_RANGE:
+        raise argparse.ArgumentTypeError(
+            f"PQF_SEED or --seed must be between {_SEED_RANGE[0]} and {_SEED_RANGE[-1]}, got {value}"
+        )
+    return value
 
 
 def _at_least(low: int):
@@ -110,28 +118,29 @@ def build_parser() -> _Parser:
     _add_common(p)
 
     p = sub.add_parser("bench", help="quantizer ablation on synthetic weights")
-    p.add_argument("--seeds", type=_at_least_one, default=20)
-    p.add_argument("--rows", type=_at_least_one, default=32)
-    p.add_argument("--cols", type=_at_least_one, default=96)
-    p.add_argument("--d", type=_at_least_one, default=4)
-    p.add_argument("--k", type=_at_least_one, default=16)
-    p.add_argument("--src-iters", type=_at_least_one, default=150)
-    p.add_argument("--perm-iters", type=_non_negative, default=300)
-    p.add_argument("--generator", choices=("anisotropic", "isotropic"), default="anisotropic")
+    p.add_argument("--seeds", type=_at_least_one, default=BenchConfig.seeds)
+    p.add_argument("--rows", type=_at_least_one, default=BenchConfig.rows)
+    p.add_argument("--cols", type=_at_least_one, default=BenchConfig.cols)
+    p.add_argument("--d", type=_at_least_one, default=BenchConfig.d)
+    p.add_argument("--k", type=_at_least_one, default=BenchConfig.k)
+    p.add_argument("--src-iters", type=_at_least_one, default=BenchConfig.src_iterations)
+    p.add_argument("--perm-iters", type=_non_negative, default=BenchConfig.perm_iterations)
+    p.add_argument("--generator", choices=("anisotropic", "isotropic"), default=BenchConfig.generator)
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
     _add_common(p)
     return parser
 
 
 def _add_config_flags(parser):
+    defaults = codec.CompressionConfig
     parser.add_argument("--regime", choices=("small", "large"), default="small")
-    parser.add_argument("--k", type=int, default=256)
-    parser.add_argument("--k-fc", type=int, default=2048)
-    parser.add_argument("--d-pw", type=_at_least_one, default=4)
-    parser.add_argument("--src-iters", type=int, default=1000)
-    parser.add_argument("--gamma", type=float, default=0.5)
+    parser.add_argument("--k", type=int, default=defaults.k)
+    parser.add_argument("--k-fc", type=int, default=defaults.k_fc)
+    parser.add_argument("--d-pw", type=_at_least_one, default=defaults.d_pw)
+    parser.add_argument("--src-iters", type=int, default=defaults.src_iterations)
+    parser.add_argument("--gamma", type=float, default=defaults.gamma)
     parser.add_argument("--no-anneal", action="store_true", help="plain k-means codebooks")
-    parser.add_argument("--perm-iters", type=_non_negative, default=1000)
+    parser.add_argument("--perm-iters", type=_non_negative, default=defaults.perm_iterations)
     parser.add_argument("--no-perm", action="store_true", help="identity permutations")
 
 
@@ -281,11 +290,10 @@ def run_eval(toy="mlp", epochs=30, lr=1e-3, lr_min=1e-6, k=4, d=8, seed=0) -> di
     raw_acc = finetune.accuracy(net, dataset.val_x, dataset.val_y)
 
     trained = net.to_checkpoint()
-    cfg = codec.CompressionConfig.small_blocks(
+    cfg = codec.CompressionConfig(
         k=k,
         k_fc=k,
         d_fc=d,
-        skip_first_conv=(toy == "conv"),
         # the conv toy's 8 -> 4 classifier has 4 subvectors, too few for a
         # codebook of more than one centroid, so it stays raw
         skip=frozenset({"fc"} if toy == "conv" else ()),

@@ -19,7 +19,6 @@ from . import layout, permsearch, quantize, tensor_io
 from .errors import (
     CodebookOverflow,
     IndivisibleBlockSize,
-    MalformedFile,
     NonFiniteWeight,
     ShapeMismatch,
     TensorTooLarge,
@@ -46,6 +45,8 @@ class CompressionConfig:
     (2, large blocks) subvectors for K>1 convolutions; pointwise convolutions
     use ``d_pw`` and fully-connected layers ``d_fc``. Classifier fc layers get
     their own codebook size ``k_fc`` regardless of the convolutional ``k``.
+    The first convolution is always kept raw; ``skip`` names more layers to
+    keep raw.
     """
 
     k: int = 256
@@ -53,21 +54,12 @@ class CompressionConfig:
     d_conv_multiplier: int = 1
     d_pw: int = 4
     d_fc: int = 4
-    skip_first_conv: bool = True
     skip: frozenset = frozenset()
     quantizer: str = "src"  # src | kmeans
     src_iterations: int = quantize.DEFAULT_ITERATIONS
     gamma: float = quantize.DEFAULT_GAMMA
     use_permutation: bool = True
     perm_iterations: int = 1000
-
-    @classmethod
-    def small_blocks(cls, k: int = 256, **kwargs) -> "CompressionConfig":
-        return cls(k=k, d_conv_multiplier=1, d_pw=4, **kwargs)
-
-    @classmethod
-    def large_blocks(cls, k: int = 256, d_pw: int = 4, **kwargs) -> "CompressionConfig":
-        return cls(k=k, d_conv_multiplier=2, d_pw=d_pw, **kwargs)
 
     def subvector_size(self, meta: LayerMeta) -> int:
         if meta.kind in ("conv", "deconv"):
@@ -93,30 +85,32 @@ def first_conv_name(layers) -> str | None:
 def is_compressible(meta: LayerMeta, cfg: CompressionConfig, first_conv: str | None) -> bool:
     if meta.kind not in WEIGHTED_KINDS:
         return False
-    if meta.name in cfg.skip:
-        return False
-    if cfg.skip_first_conv and meta.name == first_conv:
-        return False
-    return True
+    return meta.name not in cfg.skip and meta.name != first_conv
 
 
 @dataclass(eq=False)
 class LayerEncoding:
-    """Permutation + codebook + codes for one layer, and what they decode to."""
+    """Permutation + codebook + codes for one layer, and what they decode to.
+
+    The arrays hold the geometry: the layer's `(C_in*K*K, C_out)` matrix has
+    ``m_hat * d`` rows and ``n`` columns, for the ``(m_hat, n)`` codes and the
+    ``(k_eff, d)`` codebook.
+    """
 
     permutation: Permutation
     codebook: np.ndarray  # (k_eff, d) float64, or float32 when read from a container
     codes: np.ndarray  # (m_hat, n) int64
     kernel_size: int
-    c_in: int
-    c_out: int
-    d: int
     source_kind: str
     error: float = 0.0
 
     @property
     def k_eff(self) -> int:
         return self.codebook.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.codebook.shape[1]
 
 
 def _require_finite(name: str, weight) -> None:
@@ -165,9 +159,6 @@ def encode_layer(
         codebook=codebook,
         codes=codes,
         kernel_size=meta.kernel_size,
-        c_in=meta.c_in,
-        c_out=meta.c_out,
-        d=d,
         source_kind=meta.kind,
         error=error,
     )
@@ -186,13 +177,13 @@ def decode_layer(enc: LayerEncoding, out=None) -> np.ndarray:
     layer of a model in turn.
     """
     m_hat, n = enc.codes.shape
+    kk = enc.kernel_size**2
     subvectors = np.take(enc.codebook, enc.codes, axis=0)  # (m_hat, n, d)
     weight, rows = layout.empty_weight(
-        enc.source_kind, enc.c_in, enc.c_out, enc.kernel_size, subvectors.dtype, out
+        enc.source_kind, m_hat * enc.d // kk, n, enc.kernel_size, subvectors.dtype, out
     )
     # row i*d + t of the permuted matrix is row dest[i, t] of the layer's own
     dest = enc.permutation.indices.reshape(m_hat, enc.d)
-    kk = enc.kernel_size**2
     rows[dest // kk, dest % kk] = subvectors.transpose(0, 2, 1)
     return weight
 
@@ -453,8 +444,8 @@ def encoding_to_entry(name: str, enc: LayerEncoding) -> EncodedEntry:
         name=name,
         source_kind=enc.source_kind,
         kernel_size=enc.kernel_size,
-        c_in=enc.c_in,
-        c_out=enc.c_out,
+        c_in=m_hat * enc.d // enc.kernel_size**2,
+        c_out=n,
         d=enc.d,
         k_eff=enc.k_eff,
         codebook=codebook,
@@ -472,23 +463,14 @@ def entry_to_encoding(entry: EncodedEntry, codes=None) -> LayerEncoding:
     The codebook widens to float32, which holds every float16 exactly, and
     the codes are unpacked into a new int64 array. With `codes`, an int64
     ``(m_hat, n)`` array, the encoding takes it as its code grid as it is,
-    for the caller to unpack into before decoding. Raises `MalformedFile`
-    naming the entry if the stored permutation repeats or skips a row, or
-    breaks its `perm_block` structure.
+    for the caller to unpack into before decoding. `EncodedEntry.validate`
+    has checked the stored permutation.
     """
-    permutation = Permutation(entry.permutation.astype(np.int64), block=entry.perm_block)
-    try:
-        permutation.validate()
-    except IndivisibleBlockSize as exc:
-        raise MalformedFile(f"entry {entry.name!r} stores an invalid permutation: {exc}") from exc
     return LayerEncoding(
-        permutation=permutation,
+        permutation=Permutation(entry.permutation.astype(np.int64), block=entry.perm_block),
         codebook=entry.codebook.astype(np.float32),
         codes=entry.unpack() if codes is None else codes,
         kernel_size=entry.kernel_size,
-        c_in=entry.c_in,
-        c_out=entry.c_out,
-        d=entry.d,
         source_kind=entry.source_kind,
     )
 
@@ -524,9 +506,9 @@ def decompress_to_file(model: CompressedModel, path) -> int:
     int64 buffer sized for the layer with the most codes, decoded into one
     float32 buffer sized for the largest weight, and written, and both
     buffers are reused for the next layer. Both buffers are allocated and
-    every permutation and declared shape is checked before the file is
-    opened, so a hostile entry leaves no file; `load_compressed` has already
-    checked each entry's codes.
+    every declared shape is checked before the file is opened, so a hostile
+    entry leaves no file; `load_compressed` has already checked each entry
+    whole, its codes and permutation included.
     """
     entries = {}
 

@@ -80,9 +80,6 @@ def blob_images(n_per_class: int, n_classes: int, shape=(2, 6, 6), seed: int = 0
 # Toy networks over checkpoint metadata
 # ---------------------------------------------------------------------------
 
-_PARAMETERIZED = WEIGHTED_KINDS | {"batchnorm"}  # the kinds backward gives gradients
-
-
 @dataclass(eq=False)
 class ToyNetwork:
     """Executable view of a checkpoint, with optional per-layer encodings."""
@@ -258,31 +255,20 @@ def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple:
     return float(-(np.log(picked, out=picked).sum() / n)), probs
 
 
-def backward(net: ToyNetwork, cache: dict, labels, into=None) -> tuple:
+def backward(net: ToyNetwork, cache: dict, labels, into: dict) -> tuple:
     """Softmax cross-entropy loss value plus exact parameter gradients.
 
-    Without `into`, returns the gradients of every parameterized layer as
-    a dict of layer name -> {"weight": array, "bias": array}. With `into`,
-    a dict of that form whose arrays are contiguous float64 and shaped like
-    the parts, computes only the gradients it names, writes each into its
-    array and returns `into`. Either way, a value's gradient is formed only
-    when a part to compute lies at or before it, so the network input gets
-    none.
+    `into` is a dict of layer name -> {"weight": array, "bias": array} whose
+    arrays are contiguous float64 and shaped like the parts. Backward
+    computes only the gradients it names, writes each into its array and
+    returns ``(loss, into)``. A value's gradient is formed only when a part
+    to compute lies at or before it, so the network input gets none.
     """
     loss_value, upstream = softmax_cross_entropy(cache["logits"], labels)
 
-    grads = {} if into is None else into
-
-    def part(name, key, shape):
-        """The array for the gradient of `name`'s `key`, or None when it is not asked for."""
-        if into is None:
-            grads.setdefault(name, {})[key] = np.empty(shape)
-        return grads.get(name, {}).get(key)
-
     needed = set()  # values whose gradient reaches a part to compute
     for meta, producers in net.plan:
-        wanted = meta.kind in _PARAMETERIZED if into is None else meta.name in into
-        if wanted or not needed.isdisjoint(producers):
+        if meta.name in into or not needed.isdisjoint(producers):
             needed.add(meta.name)
 
     values = cache["values"]
@@ -310,10 +296,11 @@ def backward(net: ToyNetwork, cache: dict, labels, into=None) -> tuple:
             w, rows = cache["weights"][meta.name], cache["rows"][meta.name]
             if meta.kind == "conv":
                 g = g.transpose(0, 2, 3, 1).reshape(-1, meta.c_out)
-            dw = part(meta.name, "weight", w.shape)
+            asked = into.get(meta.name, {})
+            dw = asked.get("weight")
             if dw is not None:
                 np.matmul(rows.T, g, out=dw)
-            db = part(meta.name, "bias", (meta.c_out,)) if net.bias(meta.name) is not None else None
+            db = asked.get("bias") if net.bias(meta.name) is not None else None
             if db is not None:
                 np.add.reduce(g, 0, out=db)
             if producers[0] in needed:
@@ -329,10 +316,11 @@ def backward(net: ToyNetwork, cache: dict, labels, into=None) -> tuple:
         elif meta.kind == "batchnorm":
             gamma = net.params[meta.name]["weight"]
             axes = (0,) + tuple(range(2, xin.ndim))
-            dgamma = part(meta.name, "weight", gamma.shape)
+            asked = into.get(meta.name, {})
+            dgamma = asked.get("weight")
             if dgamma is not None:
                 np.add.reduce(g * xin, axes, out=dgamma)
-            dbeta = part(meta.name, "bias", gamma.shape)
+            dbeta = asked.get("bias")
             if dbeta is not None:
                 np.add.reduce(g, axes, out=dbeta)
             if producers[0] in needed:
@@ -343,7 +331,7 @@ def backward(net: ToyNetwork, cache: dict, labels, into=None) -> tuple:
             push(producers[0], np.broadcast_to(g[:, :, None, None], xin.shape) / (h * w_sp))
         elif meta.kind == "reshape":
             push(producers[0], g.reshape(xin.shape))
-    return loss_value, grads
+    return loss_value, into
 
 
 def centroid_maps(enc) -> tuple:
@@ -356,7 +344,8 @@ def centroid_maps(enc) -> tuple:
     ``code*d + j`` for coordinate `j`. Codes and permutations are frozen in
     fine-tuning, so the maps are computed once per encoding.
     """
-    index = np.arange(enc.c_in * enc.kernel_size**2 * enc.c_out).reshape(-1, enc.c_out)
+    m_hat, n = enc.codes.shape
+    index = np.arange(m_hat * enc.d * n).reshape(-1, n)
     positions = layout.split_matrix(enc.permutation.apply_rows(index), enc.d).ravel()
     bins = (enc.codes[:, :, None] * enc.d + np.arange(enc.d)).ravel()
     return positions, bins
@@ -374,7 +363,7 @@ def decode_index(enc, maps=None) -> np.ndarray:
     positions, bins = centroid_maps(enc) if maps is None else maps
     index = np.empty(positions.size, np.intp)
     index[positions] = bins
-    return index.reshape(-1, enc.c_out)
+    return index.reshape(-1, enc.codes.shape[1])
 
 
 def centroid_gradients(weight_grad: np.ndarray, enc, maps=None) -> np.ndarray:
@@ -462,6 +451,9 @@ class FinetuneTrace:
     lr: list
 
 
+_FINETUNE_BATCH, _TRAIN_BATCH = 32, 64  # samples per step: codebook fine-tuning, raw training
+
+
 def _epoch_batches(n: int, batch_size: int, rng) -> list:
     order = rng.permutation(n)
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
@@ -519,12 +511,11 @@ def finetune_codebooks(
     net: ToyNetwork,
     dataset: ToyDataset,
     epochs: int = 9,
-    batch_size: int = 32,
     lr: float = 1e-3,
     lr_min: float = 1e-6,
     seed: int = 0,
 ) -> FinetuneTrace:
-    """Fine-tune codebook centroids only; codes and permutations are frozen.
+    """Fine-tune codebook centroids only, in batches of 32; codes and permutations are frozen.
 
     Since codes and permutations are frozen, each encoding's index maps are
     built once: `decode_index`, through which every forward decodes the
@@ -558,7 +549,7 @@ def finetune_codebooks(
     try:
         # a container's float32 codebook trains in float64, like a fresh one
         trace = _train(
-            net, dataset, epochs, batch_size, lr, lr_min, seed, "finetune-shuffle",
+            net, dataset, epochs, _FINETUNE_BATCH, lr, lr_min, seed, "finetune-shuffle",
             [enc.codebook for _, enc in encodings], bind,
         )
     finally:
@@ -575,13 +566,12 @@ def train_network(
     net: ToyNetwork,
     dataset: ToyDataset,
     epochs: int = 100,
-    batch_size: int = 64,
     seed: int = 0,
 ) -> FinetuneTrace:
     """Train raw dense/conv weights; a fixture step for demos and evals.
 
-    The rate anneals from 1e-2 to 1e-4. Backward writes the gradients
-    straight into the flat gradient vector.
+    Batches hold 64 samples and the rate anneals from 1e-2 to 1e-4.
+    Backward writes the gradients straight into the flat gradient vector.
     """
     keys = [
         (meta.name, part)
@@ -598,7 +588,7 @@ def train_network(
         return into, None
 
     return _train(
-        net, dataset, epochs, batch_size, 1e-2, 1e-4, seed, "train-shuffle",
+        net, dataset, epochs, _TRAIN_BATCH, 1e-2, 1e-4, seed, "train-shuffle",
         [net.params[name][part] for name, part in keys], bind,
     )
 

@@ -24,10 +24,12 @@ from . import layout
 from .errors import (
     DanglingEdge,
     DuplicateTensorName,
+    IndivisibleBlockSize,
     IoFailure,
     MalformedFile,
     TensorTooLarge,
 )
+from .permsearch import Permutation
 
 CHECKPOINT_MAGIC = b"PQFN"
 COMPRESSED_MAGIC = b"PQFC"
@@ -568,10 +570,12 @@ class EncodedEntry:
         return codes.reshape(self.m_hat, self.n)
 
     def validate(self):
-        """Check kind, geometry, sizes and codes; every code is below `k_eff`.
+        """Check kind, geometry, sizes, codes and permutation.
 
-        A width of `bits` bounds every code when `k_eff` is a power of two;
-        otherwise the codes are unpacked once, briefly, to find the largest.
+        Every code is below `k_eff`: a width of `bits` bounds every code when
+        `k_eff` is a power of two; otherwise the codes are unpacked once,
+        briefly, to find the largest. The permutation moves each row once and
+        keeps its `perm_block` structure.
         """
         m_hat, n = self.m_hat, self.n
         if self.source_kind not in WEIGHTED_KINDS:
@@ -594,6 +598,10 @@ class EncodedEntry:
                 raise MalformedFile(f"entry {self.name!r} has out-of-range codes")
         if self.permutation.shape != (m_hat * self.d,):
             raise MalformedFile(f"entry {self.name!r} permutation length mismatch")
+        try:
+            Permutation(self.permutation, block=self.perm_block).validate()
+        except IndivisibleBlockSize as exc:
+            raise MalformedFile(f"entry {self.name!r} stores an invalid permutation: {exc}") from exc
 
 
 # The fields of an encoded entry that its manifest object holds as they are:
@@ -673,8 +681,9 @@ def load_compressed(path) -> CompressedModel:
     A missing, mistyped or negative manifest field raises `MalformedFile`
     naming the entry and the field. Encoded entries keep their codes packed,
     as slices of the file's bytes; each entry is checked as a whole
-    (`EncodedEntry.validate`), so a section of the wrong length or an
-    out-of-range code is a `MalformedFile` here, before any decoding.
+    (`EncodedEntry.validate`), so a section of the wrong length, an
+    out-of-range code or a permutation that repeats a row or breaks its
+    block structure is a `MalformedFile` here, before any decoding.
     """
     manifest, payload = _unframe(_read_file(path), COMPRESSED_MAGIC)
     listed = _listing(manifest, "entries")

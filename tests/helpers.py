@@ -1,8 +1,8 @@
 """Test-only helpers: container equality for round trips, quantizer-error and centroid-gradient
 oracles, the noise-free quantizer loop run to its last round, the one-proposal-at-a-time swap
 search and its logdet and fold, the group-permutation oracles (apply a group's permutation and
-its `BlockViolation`, check the function is unchanged, parse a group listing), a toy residual net,
-a narrowed synthetic ResNet and a toy dataset."""
+its `BlockViolation`, check the function is unchanged, parse a group listing), an all-gradients
+`into` for `backward`, a toy residual net, a narrowed synthetic ResNet and a toy dataset."""
 
 from __future__ import annotations
 
@@ -337,6 +337,16 @@ def parse_groups_text(text: str) -> list:
 def _parse_name_list(blob: str) -> list:
     inner = blob.strip().strip("[]")
     return [t.strip() for t in inner.split(",") if t.strip()]
+
+
+def all_gradients(net: finetune.ToyNetwork) -> dict:
+    """A `backward` `into` asking for every gradient: each part of every conv, deconv, fc and
+    batchnorm layer, as a fresh float64 array shaped like the parameter."""
+    return {
+        meta.name: {part: np.empty(np.shape(array)) for part, array in net.params[meta.name].items()}
+        for meta in net.layers
+        if meta.kind in WEIGHTED_KINDS | {"batchnorm"}
+    }
 
 
 def make_residual_checkpoint(

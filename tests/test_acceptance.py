@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    all_gradients,
     apply_group_permutation,
     make_residual_checkpoint,
     parse_groups_text,
@@ -157,7 +158,7 @@ def test_criterion_1_bit_accounting_golden():
         assert len(reference) == 82
         assert sum(r[3] for r in reference) == 12_927_232  # guards the transcription
         arch = tensor_io.parse_arch_spec(_data_text("resnet18.arch"))
-        report = bit_report(arch, CompressionConfig.small_blocks(k=256))
+        report = bit_report(arch, CompressionConfig(k=256))
         got = [(r.name, tuple(r.shape), r.dtype, r.bits) for r in report.rows]
         assert got == reference
         assert report.total_bits == 12_927_232
@@ -314,7 +315,7 @@ def test_criterion_7_rate_distortion_sanity():
 
 def _check_grads(net, x, labels, params, encodings=()):
     _, cache = forward(net, x)
-    _, grads = backward(net, cache, labels)
+    _, grads = backward(net, cache, labels, into=all_gradients(net))
     h = 1e-5
 
     def numeric_of(arr, recompute):
@@ -331,7 +332,7 @@ def _check_grads(net, x, labels, params, encodings=()):
         return out
 
     def loss_now():
-        return backward(net, forward(net, x)[1], labels)[0]
+        return backward(net, forward(net, x)[1], labels, into=all_gradients(net))[0]
 
     checked = 0
     for name, part in params:
@@ -376,7 +377,7 @@ def test_criterion_8_gradient_suite():
             rng = make_rng(seed, "acc8-enc")
             w = gaussian(rng, (8, 5))
             meta = tensor_io.LayerMeta("fc1", "fc", 1, 8, 5)
-            cfg = CompressionConfig.small_blocks(
+            cfg = CompressionConfig(
                 k=3, k_fc=3, d_fc=4, src_iterations=15
             )
             enc = encode_layer(w, meta, cfg, seed=seed)
@@ -422,7 +423,7 @@ def test_criterion_10_round_trip_suite(tmp_path):
         tensor_io.save_checkpoint(tensor_io.load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-        cfg = CompressionConfig.small_blocks(k=4, k_fc=4, src_iterations=20, perm_iterations=40)
+        cfg = CompressionConfig(k=4, k_fc=4, src_iterations=20, perm_iterations=40)
         model, _, _ = codec.compress_model(ckpt, cfg, seed=2)
         c1, c2 = tmp_path / "a.pqfc", tmp_path / "b.pqfc"
         tensor_io.save_compressed(model, c1)
@@ -441,7 +442,7 @@ def test_criterion_10_round_trip_suite(tmp_path):
             w = gaussian(make_rng(seed, "acc10-w"), (4, 6, 3, 3))
             meta = tensor_io.LayerMeta("c", "conv", 3, 4, 6)
             enc = encode_layer(
-                w, meta, CompressionConfig.small_blocks(k=5, src_iterations=30), seed=seed
+                w, meta, CompressionConfig(k=5, src_iterations=30), seed=seed
             )
             decoded = codec.decode_layer(enc)
             matrix = layout.reshape_weight(w, "conv")

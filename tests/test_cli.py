@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import pqf
-from pqf import cli, finetune, tensor_io
+from pqf import cli, codec, finetune, tensor_io
 from pqf.cli import BENCH_METHODS, BenchConfig, bench_csv, run_bench
+from pqf.errors import MalformedFile
 from pqf.finetune import make_mlp_checkpoint
 
 from helpers import synthetic_resnet
@@ -145,10 +146,7 @@ def test_decompress_duplicate_permutation_index_is_data_error(tmp_path, capsys):
     argv = ["compress", str(ckpt_path), "--out", str(packed), "--k", "4", "--k-fc", "4",
             "--src-iters", "5", "--perm-iters", "5"]
     assert cli.main(argv) == 0
-    model = tensor_io.load_compressed(packed)
-    (fc1,) = [e for e in model.entries if isinstance(e, tensor_io.EncodedEntry) and e.name == "fc1"]
-    fc1.permutation[:] = 0
-    tensor_io.save_compressed(model, packed)
+    _zero_permutation(packed, "fc1")
     capsys.readouterr()
     back_path = tmp_path / "back.pqfn"
     assert cli.main(["decompress", str(packed), "--out", str(back_path)]) == 2
@@ -205,6 +203,30 @@ def _rewrite_manifest(path, edit):
     edit(manifest)
     blob = json.dumps(manifest).encode()
     path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + mlen :])
+
+
+def _zero_permutation(path, name):
+    """Overwrite the stored permutation of encoded entry `name` with zeros, in place."""
+    raw = bytearray(path.read_bytes())
+    mlen = int.from_bytes(raw[8:16], "little")
+    (obj,) = [o for o in json.loads(raw[16 : 16 + mlen])["entries"] if o["name"] == name]
+    start, nbytes = 16 + mlen + obj["perm_offset"], 4 * obj["m_hat"] * obj["d"]
+    raw[start : start + nbytes] = bytes(nbytes)
+    path.write_bytes(raw)
+
+
+def test_a_permutation_that_repeats_a_row_is_rejected_at_load_and_at_save(tmp_path):
+    _, packed = _compressed_toy(tmp_path)
+    model = tensor_io.load_compressed(packed)
+    (fc1,) = [e for e in model.entries if isinstance(e, tensor_io.EncodedEntry) and e.name == "fc1"]
+    fc1.permutation[:] = 0
+    again = tmp_path / "again.pqfc"
+    with pytest.raises(MalformedFile, match="entry 'fc1' stores an invalid permutation"):
+        tensor_io.save_compressed(model, again)
+    assert not again.exists()
+    _zero_permutation(packed, "fc1")
+    with pytest.raises(MalformedFile, match="entry 'fc1' stores an invalid permutation"):
+        tensor_io.load_compressed(packed)
 
 
 def _compressed_toy(tmp_path):
@@ -495,6 +517,79 @@ def test_seed_env_fallback(tmp_path, arch_paths, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "error kind=Usage" in err and "PQF_SEED" in err and "'abc'" in err
     assert not packed.exists()
+
+
+def _seeded_run(tmp_path, command):
+    """A small `command` run whose output file is returned with its argv."""
+    out = tmp_path / "out"
+    if command == "compress":
+        source = tmp_path / "toy.pqfn"
+        tensor_io.save_checkpoint(make_mlp_checkpoint((8, 16, 4), seed=1), source)
+        argv = ["compress", str(source), "--k", "4", "--k-fc", "4", "--src-iters", "2",
+                "--perm-iters", "2"]
+    elif command == "eval":
+        argv = ["eval", "--epochs", "1"]
+    else:
+        argv = ["bench", "--seeds", "1", "--src-iters", "2", "--perm-iters", "2"]
+    return argv + ["--out", str(out)], out
+
+
+@pytest.mark.parametrize("command", ["compress", "eval", "bench"])
+@pytest.mark.parametrize("via", ["--seed", "PQF_SEED"])
+@pytest.mark.parametrize(
+    "seed, ok", [(2**63 - 1, True), (-(2**63), True), (2**63, False), (-(2**63) - 1, False)]
+)
+def test_seed_outside_the_signed_64_bit_range_is_usage_error(
+    tmp_path, capsys, monkeypatch, command, via, seed, ok
+):
+    argv, out = _seeded_run(tmp_path, command)
+    if via == "--seed":
+        argv += ["--seed", str(seed)]
+    else:
+        monkeypatch.setenv("PQF_SEED", str(seed))
+    if ok:
+        assert cli.main(argv) == 0
+        assert out.exists()
+        return
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "error kind=Usage" in err and f"got {seed}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["decompress", "x.pqfc", "--out", "y"], ["report", "x.arch"], ["groups", "x.arch"]]
+)
+def test_every_command_checks_the_seed_range(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--seed", str(2**63)])
+    assert exc.value.code == 1
+    assert "error kind=Usage" in capsys.readouterr().err
+
+
+def test_no_config_flags_build_the_default_configs(tmp_path, monkeypatch):
+    built = {}
+
+    class Built(Exception):
+        pass
+
+    def capture(command, position):
+        def stop(*args, **kwargs):
+            built[command] = args[position]
+            raise Built
+
+        return stop
+
+    monkeypatch.setattr(codec, "compress_model", capture("compress", 1))
+    monkeypatch.setattr(cli, "run_bench", capture("bench", 0))
+    source = tmp_path / "toy.pqfn"
+    tensor_io.save_checkpoint(make_mlp_checkpoint((8, 16, 4), seed=1), source)
+    for argv in (["compress", str(source), "--out", str(tmp_path / "toy.pqfc")], ["bench"]):
+        with pytest.raises(Built):
+            cli.main(argv)
+    assert built == {"compress": codec.CompressionConfig(), "bench": BenchConfig()}
 
 
 def test_config_flag_mapping():

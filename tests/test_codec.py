@@ -39,7 +39,7 @@ def test_zero_error_when_codebook_covers_distinct_subvectors():
     row = make_rng(41, "enc").standard_normal(4)
     w2 = np.tile(row, (16, 1))
     meta = _meta(c_in=16, c_out=4)
-    cfg = CompressionConfig.small_blocks(
+    cfg = CompressionConfig(
         k=64, k_fc=64, quantizer="kmeans", src_iterations=100
     )
     enc2 = encode_layer(w2, meta, cfg, seed=0)
@@ -51,7 +51,7 @@ def test_zero_error_when_codebook_covers_distinct_subvectors():
 def test_fc_encode_matches_direct_kmeans_composition():
     w = make_rng(43, "compose").standard_normal((8, 4))
     meta = _meta()
-    cfg = CompressionConfig.small_blocks(
+    cfg = CompressionConfig(
         k=2, k_fc=2, quantizer="kmeans", src_iterations=40
     )
     seed = 77
@@ -67,7 +67,7 @@ def test_fc_encode_matches_direct_kmeans_composition():
 def test_conv_large_blocks_enforce_filter_groups():
     w = make_rng(44, "conv").standard_normal((4, 6, 3, 3))
     meta = _meta(kind="conv", k=3, c_in=4, c_out=6, name="c")
-    cfg = CompressionConfig.large_blocks(k=8, src_iterations=10)
+    cfg = CompressionConfig(k=8, d_conv_multiplier=2, src_iterations=10)
     enc = encode_layer(w, meta, cfg, seed=1)
     assert enc.d == 18
     assert enc.permutation.block == 9
@@ -76,7 +76,7 @@ def test_conv_large_blocks_enforce_filter_groups():
 def test_decode_single_centroid():
     w = make_rng(45, "single").standard_normal((8, 3))
     meta = _meta(c_in=8, c_out=3)
-    cfg = CompressionConfig.small_blocks(k=1, k_fc=1, src_iterations=5)
+    cfg = CompressionConfig(k=1, k_fc=1, src_iterations=5)
     enc = encode_layer(w, meta, cfg, seed=0)
     assert enc.k_eff == 1
     decoded = decode_layer(enc)
@@ -90,7 +90,7 @@ def test_reported_error_matches_definition_oracle():
     rng = make_rng(46, "err")
     w = rng.standard_normal((4, 5, 3, 3))
     meta = _meta(kind="conv", k=3, c_in=4, c_out=5, name="c")
-    cfg = CompressionConfig.small_blocks(k=7, src_iterations=25)
+    cfg = CompressionConfig(k=7, src_iterations=25)
     perm = Permutation(
         (np.array([2, 0, 3, 1])[:, None] * 9 + np.arange(9)).ravel(), block=9
     )
@@ -110,7 +110,7 @@ def test_error_invariant_under_permutation_in_both_spaces():
     rng = make_rng(47, "perm-err")
     w = rng.standard_normal((8, 6))
     meta = _meta(c_in=8, c_out=6)
-    cfg = CompressionConfig.small_blocks(k=3, k_fc=3, src_iterations=20)
+    cfg = CompressionConfig(k=3, k_fc=3, src_iterations=20)
     perm = Permutation(make_rng(48, "p").permutation(8))
     enc = encode_layer(w, meta, cfg, permutation=perm, seed=5)
     decoded = decode_layer(enc)
@@ -123,7 +123,7 @@ def test_encode_rejects_incompatible_d():
     w = np.zeros((6, 4))
     meta = _meta(c_in=6, c_out=4)
     with pytest.raises(IndivisibleBlockSize):
-        encode_layer(w, meta, CompressionConfig.small_blocks(), seed=0)
+        encode_layer(w, meta, CompressionConfig(), seed=0)
 
 
 @pytest.mark.parametrize(
@@ -135,14 +135,14 @@ def test_encode_rejects_incompatible_d():
 def test_encode_rejects_a_weight_its_layer_does_not_describe(shape, meta):
     # the layer's geometry prices the entry, so a weight of another shape cannot encode
     with pytest.raises(ShapeMismatch, match="layer 'layer'"):
-        encode_layer(np.ones(shape), meta, CompressionConfig.small_blocks(k=2, k_fc=2), seed=0)
+        encode_layer(np.ones(shape), meta, CompressionConfig(k=2, k_fc=2), seed=0)
 
 
 @pytest.mark.parametrize("regime", ["small", "large"])
 def test_every_encoded_entry_matches_its_bit_report_rows(regime):
     ckpt = synthetic_resnet(18, 8, seed=5)
-    build = CompressionConfig.small_blocks if regime == "small" else CompressionConfig.large_blocks
-    cfg = build(k=64, k_fc=512, quantizer="kmeans", src_iterations=1, perm_iterations=2)
+    cfg = CompressionConfig(k=64, k_fc=512, d_conv_multiplier=1 if regime == "small" else 2,
+                            quantizer="kmeans", src_iterations=1, perm_iterations=2)
     model, report, _ = compress_model(ckpt, cfg, seed=5)
     rows = {r.name: r for r in report.rows}
     entries = [e for e in model.entries if isinstance(e, EncodedEntry)]
@@ -160,7 +160,7 @@ def test_every_encoded_entry_matches_its_bit_report_rows(regime):
 
 def test_report_arithmetic_invariants():
     arch = tensor_io.load_arch_spec("src/pqf/data/resnet18.arch")
-    cfg = CompressionConfig.small_blocks(k=256)
+    cfg = CompressionConfig(k=256)
     rep = bit_report(arch, cfg)
     assert rep.total_bits == sum(r.bits for r in rep.rows)
     assert rep.total_mb == pytest.approx(rep.total_bits / 8 / 1024**2)
@@ -171,7 +171,7 @@ def test_report_arithmetic_invariants():
 
 def test_report_spot_rows():
     arch = tensor_io.load_arch_spec("src/pqf/data/resnet18.arch")
-    rep = bit_report(arch, CompressionConfig.small_blocks(k=256))
+    rep = bit_report(arch, CompressionConfig(k=256))
     rows = {r.name: r for r in rep.rows}
     assert rows["conv1.weight"].bits == 301056
     assert rows["fc.codes_matrix"].bits == 1000 * 128 * 11
@@ -182,7 +182,7 @@ def test_report_spot_rows():
 
 def test_report_text_last_line_and_csv():
     arch = tensor_io.load_arch_spec("src/pqf/data/resnet18.arch")
-    rep = bit_report(arch, CompressionConfig.small_blocks(k=256))
+    rep = bit_report(arch, CompressionConfig(k=256))
     text = rep.to_text()
     assert text.splitlines()[-1] == "total_MB 1.54"
     csv = rep.to_csv()
@@ -200,7 +200,7 @@ def _toy_mlp():
 
 def test_compress_model_round_trips_and_matches_report(tmp_path):
     ckpt = _toy_mlp()
-    cfg = CompressionConfig.small_blocks(
+    cfg = CompressionConfig(
         k=8, k_fc=8, src_iterations=25, perm_iterations=50
     )
     model, report, errors = compress_model(ckpt, cfg, seed=11)
@@ -219,7 +219,7 @@ def test_compress_model_round_trips_and_matches_report(tmp_path):
 
 def test_compress_skip_all_yields_raw_entries():
     ckpt = _toy_mlp()
-    cfg = CompressionConfig.small_blocks(
+    cfg = CompressionConfig(
         k=8, skip=frozenset({"fc1", "fc2"}), use_permutation=False
     )
     model, report, errors = compress_model(ckpt, cfg, seed=0)
@@ -232,7 +232,7 @@ def test_compress_skip_all_yields_raw_entries():
 
 def test_compress_deterministic_and_jobs_invariant():
     ckpt = _toy_mlp()
-    cfg = CompressionConfig.small_blocks(k=4, k_fc=4, src_iterations=15, perm_iterations=30)
+    cfg = CompressionConfig(k=4, k_fc=4, src_iterations=15, perm_iterations=30)
     m1, _, e1 = compress_model(ckpt, cfg, seed=3, jobs=1)
     m2, _, e2 = compress_model(ckpt, cfg, seed=3, jobs=4)
     assert e1 == e2
@@ -241,7 +241,7 @@ def test_compress_deterministic_and_jobs_invariant():
 
 def test_jobs_pool_keeps_the_declaration_order(tmp_path):
     ckpt = make_mlp_checkpoint((16, 32, 64, 4), seed=5)
-    cfg = CompressionConfig.small_blocks(k=8, k_fc=8, src_iterations=5, perm_iterations=10)
+    cfg = CompressionConfig(k=8, k_fc=8, src_iterations=5, perm_iterations=10)
     permutations = codec.resolve_layer_permutations(ckpt, cfg, seed=2)
     encodings = codec.encode_layers(ckpt, cfg, permutations, seed=2, jobs=2)
     assert list(encodings) == ["fc1", "fc2", "fc3"]
@@ -255,10 +255,12 @@ def test_jobs_pool_keeps_the_declaration_order(tmp_path):
     assert written[0] == written[1]
 
 
-@pytest.mark.parametrize("regime", [CompressionConfig.small_blocks, CompressionConfig.large_blocks])
-def test_compress_model_scores_no_order_with_the_reference_objective(regime, monkeypatch):
+@pytest.mark.parametrize("d_conv_multiplier", [1, 2], ids=["small_blocks", "large_blocks"])
+def test_compress_model_scores_no_order_with_the_reference_objective(d_conv_multiplier, monkeypatch):
     ckpt = make_residual_checkpoint(c_in=2, width=8, n_blocks=2, seed=7)
-    cfg = regime(k=4, k_fc=4, src_iterations=3, perm_iterations=20)
+    cfg = CompressionConfig(
+        k=4, k_fc=4, d_conv_multiplier=d_conv_multiplier, src_iterations=3, perm_iterations=20
+    )
     calls = []
     original = permsearch.matrix_objective
     monkeypatch.setattr(
@@ -283,10 +285,10 @@ def _anisotropic_mlp(seed):
 
 
 def test_permutation_does_not_hurt_summed_error():
-    cfg_perm = CompressionConfig.small_blocks(
+    cfg_perm = CompressionConfig(
         k=4, k_fc=4, quantizer="kmeans", src_iterations=40, perm_iterations=150
     )
-    cfg_id = CompressionConfig.small_blocks(
+    cfg_id = CompressionConfig(
         k=4, k_fc=4, quantizer="kmeans", src_iterations=40, use_permutation=False
     )
     better = 0
@@ -302,7 +304,7 @@ def test_permutation_does_not_hurt_summed_error():
 def test_deconv_encode_decode_round_trip():
     w = make_rng(50, "deconv").standard_normal((6, 4, 3, 3))  # (C_out, C_in, K, K)
     meta = _meta(kind="deconv", k=3, c_in=4, c_out=6, name="up")
-    cfg = CompressionConfig.small_blocks(k=6, src_iterations=25)
+    cfg = CompressionConfig(k=6, src_iterations=25)
     enc = encode_layer(w, meta, cfg, seed=2)
     assert enc.source_kind == "deconv"
     decoded = decode_layer(enc)
@@ -340,8 +342,8 @@ def test_reshape_coupled_layer_still_gets_permutation_search():
         edges=edges,
     )
     base = dict(k=4, k_fc=4, quantizer="kmeans", src_iterations=40)
-    with_perm = CompressionConfig.small_blocks(perm_iterations=200, **base)
-    without = CompressionConfig.small_blocks(use_permutation=False, **base)
+    with_perm = CompressionConfig(perm_iterations=200, **base)
+    without = CompressionConfig(use_permutation=False, **base)
     model_p, _, err_p = compress_model(ckpt, with_perm, seed=1)
     _, _, err_i = compress_model(ckpt, without, seed=1)
     assert err_p["fc1"] <= err_i["fc1"] + 1e-12
@@ -354,7 +356,7 @@ def test_reshape_coupled_layer_still_gets_permutation_search():
 def test_entry_encoding_round_trip_preserves_f16_codebook():
     w = make_rng(49, "f16").standard_normal((8, 4))
     meta = _meta(c_in=8, c_out=4)
-    cfg = CompressionConfig.small_blocks(k=2, k_fc=2, src_iterations=10)
+    cfg = CompressionConfig(k=2, k_fc=2, src_iterations=10)
     enc = encode_layer(w, meta, cfg, seed=0)
     entry = codec.encoding_to_entry("layer", enc)
     assert isinstance(entry, EncodedEntry)
@@ -368,7 +370,7 @@ def test_entry_encoding_round_trip_preserves_f16_codebook():
 def test_compress_rejects_non_finite_weight(bad):
     ckpt = _toy_mlp()
     ckpt.tensor("fc2.weight").data[3, 1] = bad
-    cfg = CompressionConfig.small_blocks(k=4, k_fc=4, src_iterations=5, perm_iterations=5)
+    cfg = CompressionConfig(k=4, k_fc=4, src_iterations=5, perm_iterations=5)
     with pytest.raises(NonFiniteWeight, match="fc2"):
         compress_model(ckpt, cfg, seed=0)
     assert issubclass(NonFiniteWeight, PQFError)
@@ -377,14 +379,14 @@ def test_compress_rejects_non_finite_weight(bad):
 def test_encode_layer_rejects_non_finite_weight():
     w = make_rng(50, "nan").standard_normal((8, 4))
     w[0, 0] = np.nan
-    cfg = CompressionConfig.small_blocks(k=2, k_fc=2, src_iterations=5)
+    cfg = CompressionConfig(k=2, k_fc=2, src_iterations=5)
     with pytest.raises(NonFiniteWeight):
         encode_layer(w, _meta(c_in=8, c_out=4), cfg)
 
 
 def test_codebook_beyond_float16_range_is_an_error():
     w = make_rng(51, "f16").standard_normal((8, 4))
-    enc = encode_layer(w, _meta(c_in=8, c_out=4), CompressionConfig.small_blocks(k=2, k_fc=2))
+    enc = encode_layer(w, _meta(c_in=8, c_out=4), CompressionConfig(k=2, k_fc=2))
     enc.codebook[1, 0] = 65504.0  # the largest float16 is still fine
     codec.encoding_to_entry("layer", enc)
     enc.codebook[1, 0] = -65520.0  # rounds to -inf in float16
@@ -396,7 +398,7 @@ def test_codebook_beyond_float16_range_is_an_error():
 def test_compress_rejects_weights_whose_centroids_overflow_float16():
     ckpt = _toy_mlp()
     ckpt.tensor("fc1.weight").data[:] = 1e5
-    cfg = CompressionConfig.small_blocks(k=4, k_fc=4, src_iterations=5, use_permutation=False)
+    cfg = CompressionConfig(k=4, k_fc=4, src_iterations=5, use_permutation=False)
     with pytest.raises(CodebookOverflow, match="fc1"):
         compress_model(ckpt, cfg, seed=0)
 
@@ -415,7 +417,7 @@ def _decode_oracle(enc):
     if enc.source_kind == "fc":
         return matrix.copy()
     k = enc.kernel_size
-    conv = matrix.reshape(enc.c_in, k, k, enc.c_out).transpose(0, 3, 1, 2)
+    conv = matrix.reshape(m_hat * d // k**2, k, k, n).transpose(0, 3, 1, 2)
     return (conv.transpose(1, 0, 2, 3) if enc.source_kind == "deconv" else conv).copy()
 
 
@@ -492,7 +494,7 @@ def test_decompressed_bytes_match_the_float64_decoder(
 
 def test_entry_to_encoding_widens_to_float32_and_shares_the_codes():
     w = make_rng(62, "f32").standard_normal((8, 4))
-    enc = encode_layer(w, _meta(c_in=8, c_out=4), CompressionConfig.small_blocks(k=2, k_fc=2))
+    enc = encode_layer(w, _meta(c_in=8, c_out=4), CompressionConfig(k=2, k_fc=2))
     entry = codec.encoding_to_entry("layer", enc)
     back = codec.entry_to_encoding(entry)
     assert back.codebook.dtype == np.float32
@@ -541,7 +543,7 @@ def test_streamed_decompress_writes_the_bytes_of_the_in_memory_decode(
 
 def test_a_decode_failing_while_the_file_is_written_leaves_no_file(tmp_path, monkeypatch, capsys):
     w = make_rng(63, "oom").standard_normal((8, 4))
-    enc = encode_layer(w, _meta(c_in=8, c_out=4), CompressionConfig.small_blocks(k=2, k_fc=2))
+    enc = encode_layer(w, _meta(c_in=8, c_out=4), CompressionConfig(k=2, k_fc=2))
     packed, out = tmp_path / "m.pqfc", tmp_path / "m.pqfn"
     tensor_io.save_compressed(
         tensor_io.CompressedModel(entries=[codec.encoding_to_entry("layer", enc)]), packed

@@ -3,7 +3,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from helpers import centroid_gradients_oracle, make_residual_checkpoint, two_spirals
+from helpers import (
+    all_gradients,
+    centroid_gradients_oracle,
+    make_residual_checkpoint,
+    two_spirals,
+)
 from pqf import codec, finetune, layout
 from pqf.codec import CompressionConfig, encode_layer
 from pqf.errors import DanglingEdge, DivergedLoss, MalformedFile, ShapeMismatch
@@ -105,7 +110,7 @@ def test_relu_blocks_gradient_at_negative_preactivation():
     net = ToyNetwork.from_checkpoint(ckpt)
     x = np.array([[1.0, 1.0]])  # first hidden unit pre-activation = -2 < 0
     _, cache = forward(net, x)
-    _, grads = backward(net, cache, np.array([0]))
+    _, grads = backward(net, cache, np.array([0]), into=all_gradients(net))
     assert np.allclose(grads["fc1"]["weight"][:, 0], 0.0)
     assert not np.allclose(grads["fc1"]["weight"][:, 1], 0.0)
 
@@ -118,9 +123,9 @@ def _finite_difference(net, x, labels, name, part, h=1e-5):
     for i in range(flat.size):
         old = flat[i]
         flat[i] = old + h
-        lp = backward(net, forward(net, x)[1], labels)[0]
+        lp = backward(net, forward(net, x)[1], labels, into=all_gradients(net))[0]
         flat[i] = old - h
-        lm = backward(net, forward(net, x)[1], labels)[0]
+        lm = backward(net, forward(net, x)[1], labels, into=all_gradients(net))[0]
         flat[i] = old
         gflat[i] = (lp - lm) / (2 * h)
     return grad
@@ -137,7 +142,7 @@ def test_mlp_gradients_match_finite_differences():
     x = gaussian(make_rng(7, "fd"), (5, 4))
     labels = np.array([0, 1, 2, 1, 0])
     _, cache = forward(net, x)
-    _, grads = backward(net, cache, labels)
+    _, grads = backward(net, cache, labels, into=all_gradients(net))
     for name in ("fc1", "fc2"):
         for part in ("weight", "bias"):
             _assert_close(grads[name][part], _finite_difference(net, x, labels, name, part))
@@ -149,7 +154,7 @@ def test_residual_conv_gradients_match_finite_differences():
     x = gaussian(make_rng(9, "fd2"), (3, 2, 4, 4))
     labels = np.array([0, 3, 1])
     _, cache = forward(net, x)
-    _, grads = backward(net, cache, labels)
+    _, grads = backward(net, cache, labels, into=all_gradients(net))
     for name in ("stem", "block1.conv1", "block1.conv2", "fc"):
         _assert_close(grads[name]["weight"], _finite_difference(net, x, labels, name, "weight"))
     # batchnorm affine gradients too
@@ -171,7 +176,7 @@ def _encoded_single_layer(seed=0, m=8, n=4, d=4, k=3):
     rng = make_rng(seed, "encw")
     w = rng.standard_normal((m, n))
     meta = LayerMeta("fc1", "fc", 1, m, n)
-    cfg = CompressionConfig.small_blocks(
+    cfg = CompressionConfig(
         k=k, k_fc=k, d_fc=d, src_iterations=20
     )
     enc = encode_layer(w, meta, cfg, seed=seed)
@@ -188,9 +193,6 @@ def test_centroid_gradient_single_assignment_is_verbatim_slice():
         codebook=np.zeros((2, 2)),
         codes=np.array([[0], [1]]),
         kernel_size=1,
-        c_in=4,
-        c_out=1,
-        d=2,
         source_kind="fc",
     )
     wgrad = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -206,9 +208,6 @@ def test_centroid_gradient_sums_shared_positions():
         codebook=np.zeros((2, 2)),
         codes=np.array([[0], [0]]),
         kernel_size=1,
-        c_in=4,
-        c_out=1,
-        d=2,
         source_kind="fc",
     )
     wgrad = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -222,7 +221,7 @@ def test_centroid_gradients_match_finite_differences():
     x = gaussian(make_rng(11, "cfd"), (6, 8))
     labels = np.array([0, 1, 2, 3, 0, 1])
     _, cache = forward(net, x)
-    _, grads = backward(net, cache, labels)
+    _, grads = backward(net, cache, labels, into=all_gradients(net))
     analytic = centroid_gradients(grads["fc1"]["weight"], enc)
 
     numeric = np.zeros_like(enc.codebook)
@@ -231,9 +230,9 @@ def test_centroid_gradients_match_finite_differences():
         flat = enc.codebook.ravel()
         old = flat[i]
         flat[i] = old + h
-        lp = backward(net, forward(net, x)[1], labels)[0]
+        lp = backward(net, forward(net, x)[1], labels, into=all_gradients(net))[0]
         flat[i] = old - h
-        lm = backward(net, forward(net, x)[1], labels)[0]
+        lm = backward(net, forward(net, x)[1], labels, into=all_gradients(net))[0]
         flat[i] = old
         numeric.ravel()[i] = (lp - lm) / (2 * h)
     _assert_close(analytic, numeric)
@@ -252,7 +251,7 @@ def test_centroid_gradients_match_the_per_column_oracle_bit_for_bit(
     perm = Permutation((np.array(units)[:, None] * block + np.arange(block)).ravel(), block)
     rng = make_rng(61, "cg-oracle", kind)
     meta = LayerMeta("l", kind, kernel_size, c_in, c_out)
-    cfg = CompressionConfig.small_blocks(k=4, k_fc=4, d_fc=4, src_iterations=5)
+    cfg = CompressionConfig(k=4, k_fc=4, d_fc=4, src_iterations=5)
     weight = gaussian(rng, layout.weight_shape(kind, c_in, c_out, kernel_size))
     enc = encode_layer(weight, meta, cfg, permutation=perm, seed=3)
     assert enc.k_eff * enc.d < enc.codes.size * enc.d  # bins shared, so summation order matters
@@ -287,14 +286,14 @@ def test_forward_backward_decodes_each_encoded_layer_once(monkeypatch):
     x = gaussian(make_rng(41, "dec"), (5, 8))
     calls = _count_calls(monkeypatch, finetune, "decode_index")
     _, cache = forward(net, x)
-    backward(net, cache, np.array([0, 1, 2, 3, 0]))
+    backward(net, cache, np.array([0, 1, 2, 3, 0]), into=all_gradients(net))
     assert len(calls) == 1
 
 
 def test_conv_forward_backward_decodes_each_encoded_layer_once(monkeypatch):
     ckpt = make_conv_classifier_checkpoint((2, 4, 4), 3, 4, seed=42)
-    cfg = CompressionConfig.small_blocks(
-        k=4, k_fc=4, use_permutation=False, skip_first_conv=False, src_iterations=5
+    cfg = CompressionConfig(
+        k=4, k_fc=4, use_permutation=False, src_iterations=5
     )
     encodings = codec.encode_layers(ckpt, cfg, {}, 43)
     assert "conv2" in encodings
@@ -302,7 +301,7 @@ def test_conv_forward_backward_decodes_each_encoded_layer_once(monkeypatch):
     x = gaussian(make_rng(44, "dec"), (3, 2, 6, 6))
     calls = _count_calls(monkeypatch, finetune, "decode_index")
     _, cache = forward(net, x)
-    backward(net, cache, np.array([0, 1, 2]))
+    backward(net, cache, np.array([0, 1, 2]), into=all_gradients(net))
     assert len(calls) == len(encodings)
 
 
@@ -326,8 +325,7 @@ def test_decode_index_gathers_what_decode_layer_decodes(
     units = rng.permutation(c_in) if permuted else np.arange(c_in)
     assert permuted != np.array_equal(units, np.arange(c_in))
     perm = Permutation((units[:, None] * block + np.arange(block)).ravel(), block)
-    make = CompressionConfig.large_blocks if large else CompressionConfig.small_blocks
-    cfg = make(k=8, k_fc=8, src_iterations=5)
+    cfg = CompressionConfig(k=8, k_fc=8, d_conv_multiplier=2 if large else 1, src_iterations=5)
     meta = LayerMeta("l", kind, kernel_size, c_in, c_out)
     weight = gaussian(rng, layout.weight_shape(kind, c_in, c_out, kernel_size))
     enc = encode_layer(weight, meta, cfg, permutation=perm, seed=4)
@@ -368,7 +366,7 @@ def _residual_net_and_input():
 def test_backward_writes_only_the_gradients_asked_for_bit_for_bit():
     net, x, labels = _residual_net_and_input()
     _, cache = forward(net, x)
-    loss, full = backward(net, cache, labels)
+    loss, full = backward(net, cache, labels, into=all_gradients(net))
     asked = [("stem", "weight"), ("block1.conv2", "weight"), ("block1.bn1", "bias"),
              ("fc", "bias")]
     into = {}
@@ -385,19 +383,22 @@ def test_backward_forms_no_gradient_for_the_network_input(monkeypatch):
     net, x, labels = _residual_net_and_input()
     _, cache = forward(net, x)
     calls = _count_calls(monkeypatch, finetune, "_col2im")
-    backward(net, cache, labels)
+    backward(net, cache, labels, into=all_gradients(net))
     assert len(calls) == 2  # block1.conv1 and block1.conv2; the stem reads the input
     calls.clear()
     backward(net, cache, labels, into={"fc": {"bias": np.empty(4)}})
     assert calls == []  # nothing before fc is asked for
 
 
-def test_residual_training_and_finetuning_are_pinned():
+def test_residual_training_and_finetuning_are_pinned(monkeypatch):
     # conv, batchnorm, add and fc gradients, written into the flat gradient
-    # vector or carried onto permuted codebooks, all reach these bytes
+    # vector or carried onto permuted codebooks, all reach these bytes; batches
+    # of 16 give each epoch a partial last batch
+    monkeypatch.setattr(finetune, "_TRAIN_BATCH", 16)
+    monkeypatch.setattr(finetune, "_FINETUNE_BATCH", 16)
     dataset = blob_images(12, 4, (2, 6, 6), seed=64)
     net = ToyNetwork.from_checkpoint(make_residual_checkpoint(c_in=2, width=4, n_blocks=1, seed=65))
-    train_network(net, dataset, epochs=3, batch_size=16, seed=66)
+    train_network(net, dataset, epochs=3, seed=66)
     trained = net.to_checkpoint()
     perms = {
         name: Permutation((np.array(units)[:, None] * block + np.arange(block)).ravel(), block)
@@ -406,10 +407,10 @@ def test_residual_training_and_finetuning_are_pinned():
             ("fc", [1, 3, 0, 2], 1),
         ]
     }
-    cfg = CompressionConfig.small_blocks(k=4, k_fc=4, perm_iterations=20, src_iterations=5)
+    cfg = CompressionConfig(k=4, k_fc=4, perm_iterations=20, src_iterations=5)
     qnet = ToyNetwork.from_checkpoint(trained, encodings=codec.encode_layers(trained, cfg, perms, 67))
     assert sorted(qnet.encodings) == sorted(perms)
-    finetune_codebooks(qnet, dataset, epochs=2, batch_size=16, seed=68)
+    finetune_codebooks(qnet, dataset, epochs=2, seed=68)
     h = hashlib.sha256()
     for n in (net, qnet):
         for meta in n.layers:
@@ -429,7 +430,7 @@ def _residual_step_calls(monkeypatch, owner, name):
     calls = _count_calls(monkeypatch, owner, name)
     for _ in range(3):
         _, cache = forward(net, x)
-        backward(net, cache, np.array([0, 1]))
+        backward(net, cache, np.array([0, 1]), into=all_gradients(net))
     return calls
 
 
@@ -453,8 +454,8 @@ def test_training_steps_never_reshape_a_weight(monkeypatch):
 def test_checkpoint_round_trip_keeps_every_tensor(ckpt, encoded):
     encodings = {}
     if encoded:
-        cfg = CompressionConfig.small_blocks(
-            k=4, k_fc=4, skip_first_conv=False, use_permutation=False, src_iterations=5
+        cfg = CompressionConfig(
+            k=4, k_fc=4, use_permutation=False, src_iterations=5
         )
         encodings = codec.encode_layers(ckpt, cfg, {}, 43)
         assert any(ckpt.layer(name).kind == "conv" for name in encodings)
@@ -609,7 +610,7 @@ def test_trained_tensors_stay_reachable():
     rebuilt = ToyNetwork.from_checkpoint(trained)
     assert np.allclose(forward(rebuilt, x)[0], forward(net, x)[0], atol=1e-5)
 
-    cfg = CompressionConfig.small_blocks(k=3, k_fc=3, d_fc=2, src_iterations=10)
+    cfg = CompressionConfig(k=3, k_fc=3, d_fc=2, src_iterations=10)
     qnet = ToyNetwork.from_checkpoint(trained, encodings=codec.encode_layers(trained, cfg, {}, 43))
     before = {n: enc.codebook.copy() for n, enc in qnet.encodings.items()}
     finetune_codebooks(qnet, dataset, epochs=3, seed=44)
@@ -682,7 +683,7 @@ def test_full_pipeline_compress_store_finetune(tmp_path):
     from pqf.codec import compress_model, entry_to_encoding
     from pqf import tensor_io as tio
 
-    cfg = CompressionConfig.small_blocks(
+    cfg = CompressionConfig(
         k=4, k_fc=4, d_fc=8,
         src_iterations=40, perm_iterations=60,
     )
