@@ -16,8 +16,11 @@ goes first.
 The result goes to ``BENCH_paper-default.json`` in ``.bench_work/`` of this
 checkout (``--out`` to change), and the checkpoint and ``.pqfc`` files to
 ``paper_clock/`` beside it. The JSON holds, per tree, the per-iteration
-median and quartiles, the estimate, every run's wall seconds, peak RSS and
-``.pqfc`` sha256, and the host.
+median and quartiles, the estimate, every run's wall seconds, peak RSS,
+``.pqfc`` sha256 and the sha256 of the ``.pqfn`` that ``.pqfc`` decompresses
+to, and the host. The ``.pqfn`` digest does not depend on the container
+format, so it shows whether two trees that write different ``.pqfc`` bytes
+still store the same codes, codebooks and permutations.
 """
 
 from __future__ import annotations
@@ -49,11 +52,16 @@ def build_checkpoint(divisor: int, seed: int, out: Path) -> None:
 
 
 def run_compress(tree: Path, checkpoint: Path, iters: int, seed: int, out: Path) -> dict:
-    """One `pqf compress` in a child process: wall seconds, peak RSS, output hash."""
+    """One `pqf compress` in a child process: wall seconds, peak RSS, output hash.
+
+    A second child then decompresses the output with the same tree, untimed,
+    for the hash of the checkpoint it decodes to.
+    """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env.update({name: "1" for name in BLAS_VARIABLES})
-    command = [sys.executable, "-m", "pqf.cli", "compress", str(checkpoint), "--out", str(out),
-               "--src-iters", str(iters), "--seed", str(seed), "--manifest", os.devnull, *COMPRESS_FLAGS]
+    pqf = [sys.executable, "-m", "pqf.cli"]
+    command = [*pqf, "compress", str(checkpoint), "--out", str(out), "--src-iters", str(iters),
+               "--seed", str(seed), "--manifest", os.devnull, *COMPRESS_FLAGS]
     start = time.perf_counter()
     child = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL)
     # wait4, unlike wait, reports this child's own peak RSS
@@ -62,11 +70,16 @@ def run_compress(tree: Path, checkpoint: Path, iters: int, seed: int, out: Path)
     child.returncode = os.waitstatus_to_exitcode(status)
     if child.returncode:
         raise SystemExit(f"compress in {tree} exited {child.returncode}")
+    decoded = out.with_suffix(".pqfn")
+    command = [*pqf, "decompress", str(out), "--out", str(decoded), "--manifest", os.devnull]
+    if subprocess.run(command, env=env, stdout=subprocess.DEVNULL).returncode:
+        raise SystemExit(f"decompress in {tree} failed")
     return {
         "iters": iters,
         "seconds": seconds,
         "peak_rss_mb": usage.ru_maxrss / 1024,  # kilobytes on Linux
         "sha256": hashlib.sha256(out.read_bytes()).hexdigest(),
+        "pqfn_sha256": hashlib.sha256(decoded.read_bytes()).hexdigest(),
     }
 
 
@@ -86,7 +99,8 @@ def summarize(runs: list) -> dict:
     return {
         "per_iteration_s": quartiles(per_iter),
         "paper_default_min": quartiles(estimate),
-        "sha256": {str(n): sorted({r["sha256"] for r in runs if r["iters"] == n}) for n in (1, LONG_ITERATIONS)},
+        **{key: {str(n): sorted({r[key] for r in runs if r["iters"] == n}) for n in (1, LONG_ITERATIONS)}
+           for key in ("sha256", "pqfn_sha256")},
         "peak_rss_mb": max(r["peak_rss_mb"] for r in runs),
         "runs": runs,
     }

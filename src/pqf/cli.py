@@ -223,6 +223,7 @@ def _cmd_compress(args) -> dict:
     return {
         "seeds": {"master": args.seed},
         "per_layer_error": {k: float(v) for k, v in sorted(errors.items())},
+        "permutation_bits": model.permutation_bits,
         "bytes_written": nbytes,
     }
 

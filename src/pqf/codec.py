@@ -2,7 +2,9 @@
 
 A layer encoding is a row permutation, a codebook, and a code grid; decoding
 rebuilds the permuted matrix from centroids, undoes the permutation, and
-undoes the reshape. Bit accounting prices a whole architecture without
+undoes the reshape. A compressed model stores each permutation group's
+channel permutation once, and each layer's row permutation is lifted from
+its group's. Bit accounting prices a whole architecture without
 touching weights: uncompressed tensors at 32 bits per parameter, codebooks at
 16 bits per entry, codes at ``ceil(log2(k_eff))`` bits each. The first
 convolution, biases, and batchnorm vectors stay uncompressed.
@@ -339,17 +341,20 @@ def _compressed_layers(ckpt: ModelCheckpoint, cfg: CompressionConfig) -> list:
     ]
 
 
-def resolve_layer_permutations(ckpt: ModelCheckpoint, cfg: CompressionConfig, seed: int = 0):
-    """Optimize one shared permutation per group; returns name -> row Permutation.
+def resolve_layer_permutations(ckpt: ModelCheckpoint, cfg: CompressionConfig, seed: int = 0) -> list:
+    """Optimize one shared channel permutation per group.
 
-    A group's children are its layers that `cfg` compresses. `resolve_groups`
-    proves that the group's units divide each child's input channels, and
-    `validate` that each weight has its layer's shape.
+    Returns ``(names, units)`` for each group whose permutation is not the
+    identity: the group's children that `cfg` compresses, in sorted order,
+    and the permutation of the group's channel units (blocks of
+    `channel_block` channels). `resolve_groups` proves that the units divide
+    each child's input channels, and `validate` that each weight has its
+    layer's shape.
     """
     if not cfg.use_permutation:
-        return {}
+        return []
     compressed = {meta.name: meta for meta in _compressed_layers(ckpt, cfg)}
-    result = {}
+    result = []
     for group in graph_mod.resolve_groups(ckpt):
         names = [name for name in group.children if name in compressed]
         if not names:
@@ -363,11 +368,25 @@ def resolve_layer_permutations(ckpt: ModelCheckpoint, cfg: CompressionConfig, se
         # `names` keeps the sorted order of `group.children`
         unit_perm = permsearch.optimize_group_permutation(
             specs, iters=cfg.perm_iterations, seed=derive_seed(seed, "perm", *names)
-        )
-        for name, (_, _, rows_per_unit) in zip(names, specs):
-            result[name] = permsearch.expand_channel_permutation(
-                unit_perm.indices, rows_per_unit
-            )
+        ).indices
+        if not np.array_equal(unit_perm, np.arange(units)):
+            result.append((tuple(names), unit_perm))
+    return result
+
+
+def row_permutation(units, c_in: int, kernel_size: int) -> Permutation:
+    """A group's unit permutation lifted to the ``C_in*K*K`` rows of one member's matrix."""
+    return permsearch.expand_channel_permutation(units, c_in * kernel_size**2 // len(units))
+
+
+def layer_permutations(ckpt: ModelCheckpoint, groups) -> dict:
+    """name -> row `Permutation` of every member of `groups`, the
+    ``(names, units)`` pairs `resolve_layer_permutations` returns."""
+    result = {}
+    for names, units in groups:
+        for name in names:
+            meta = ckpt.layer(name)
+            result[name] = row_permutation(units, meta.c_in, meta.kernel_size)
     return result
 
 
@@ -410,29 +429,41 @@ def compress_model(ckpt: ModelCheckpoint, cfg: CompressionConfig, seed: int = 0,
     # fail before the permutation search, not after it
     for meta in _compressed_layers(ckpt, cfg):
         _require_finite(meta.name, ckpt.tensor(f"{meta.name}.weight").data)
-    permutations = resolve_layer_permutations(ckpt, cfg, seed)
-    encodings = encode_layers(ckpt, cfg, permutations, seed, jobs)
+    groups = resolve_layer_permutations(ckpt, cfg, seed)
+    group_of = {name: i for i, (names, _) in enumerate(groups) for name in names}
+    encodings = encode_layers(ckpt, cfg, layer_permutations(ckpt, groups), seed, jobs)
 
     entries = []
     for rec in ckpt.tensors:
         layer_name = rec.name[: -len(".weight")] if rec.name.endswith(".weight") else None
         if layer_name in encodings:
             enc = encodings[layer_name]
-            entries.append(encoding_to_entry(layer_name, enc))
+            entries.append(encoding_to_entry(layer_name, enc, group_of.get(layer_name)))
         else:
             entries.append(rec)
-    model = CompressedModel(entries=entries, layers=list(ckpt.layers), edges=list(ckpt.edges))
+    model = CompressedModel(
+        entries=entries,
+        layers=list(ckpt.layers),
+        edges=list(ckpt.edges),
+        groups=[units for _, units in groups],
+    )
     report = bit_report(ckpt, cfg)
     errors = {name: enc.error for name, enc in encodings.items()}
     return model, report, errors
 
 
-def encoding_to_entry(name: str, enc: LayerEncoding) -> EncodedEntry:
+def encoding_to_entry(name: str, enc: LayerEncoding, group: int | None = None) -> EncodedEntry:
     """Convert an in-memory encoding to its storage form (float16 codebook, packed codes).
 
-    Raises `CodebookOverflow` if a finite centroid coordinate would round to
-    infinity in float16 (magnitude 65520 or more).
+    The entry stores no permutation: `group` indexes the model's stored
+    channel permutation that `enc.permutation` lifts (`row_permutation`),
+    and None stands for the identity, so a permuted encoding without a
+    group raises ValueError. Raises `CodebookOverflow` if a finite centroid
+    coordinate would round to infinity in float16 (magnitude 65520 or more).
     """
+    rows = enc.permutation.indices
+    if group is None and not np.array_equal(rows, np.arange(rows.size)):
+        raise ValueError(f"layer {name!r} is permuted, so its entry must name its group")
     with np.errstate(over="ignore"):
         codebook = enc.codebook.astype("<f2")
     if not np.isfinite(codebook).all():
@@ -452,22 +483,27 @@ def encoding_to_entry(name: str, enc: LayerEncoding) -> EncodedEntry:
         packed=tensor_io.pack_codes(enc.codes, code_width(enc.k_eff)),
         m_hat=m_hat,
         n=n,
-        permutation=enc.permutation.indices.astype("<u4"),
-        perm_block=enc.permutation.block,
+        group=group,
     )
 
 
-def entry_to_encoding(entry: EncodedEntry, codes=None) -> LayerEncoding:
+def entry_to_encoding(entry: EncodedEntry, groups=(), codes=None) -> LayerEncoding:
     """Rehydrate a storage entry; the codebook keeps its float16 rounding.
 
-    The codebook widens to float32, which holds every float16 exactly, and
-    the codes are unpacked into a new int64 array. With `codes`, an int64
-    ``(m_hat, n)`` array, the encoding takes it as its code grid as it is,
-    for the caller to unpack into before decoding. `EncodedEntry.validate`
-    has checked the stored permutation.
+    `groups` is the model's list of stored group permutations, which the
+    entry's `group` indexes. The codebook widens to float32, which holds
+    every float16 exactly, and the codes are unpacked into a new int64
+    array. With `codes`, an int64 ``(m_hat, n)`` array, the encoding takes
+    it as its code grid as it is, for the caller to unpack into before
+    decoding. `CompressedModel.validate` has checked the group permutation
+    against the entry.
     """
+    if entry.group is None:
+        permutation = Permutation.identity(entry.m_hat * entry.d, block=entry.kernel_size**2)
+    else:
+        permutation = row_permutation(groups[entry.group], entry.c_in, entry.kernel_size)
     return LayerEncoding(
-        permutation=Permutation(entry.permutation.astype(np.int64), block=entry.perm_block),
+        permutation=permutation,
         codebook=entry.codebook.astype(np.float32),
         codes=entry.unpack() if codes is None else codes,
         kernel_size=entry.kernel_size,
@@ -493,7 +529,9 @@ def _decoded_checkpoint(model: CompressedModel, decode) -> ModelCheckpoint:
 
 def decompress_model(model: CompressedModel) -> ModelCheckpoint:
     """Decode every entry back into a plain checkpoint (float32 tensors)."""
-    return _decoded_checkpoint(model, lambda name, entry: decode_layer(entry_to_encoding(entry)))
+    return _decoded_checkpoint(
+        model, lambda name, entry: decode_layer(entry_to_encoding(entry, model.groups))
+    )
 
 
 def decompress_to_file(model: CompressedModel, path) -> int:
@@ -507,8 +545,8 @@ def decompress_to_file(model: CompressedModel, path) -> int:
     float32 buffer sized for the largest weight, and written, and both
     buffers are reused for the next layer. Both buffers are allocated and
     every declared shape is checked before the file is opened, so a hostile
-    entry leaves no file; `load_compressed` has already checked each entry
-    whole, its codes and permutation included.
+    entry leaves no file; `load_compressed` has already checked the model
+    whole, its codes and group permutations included.
     """
     entries = {}
 
@@ -532,7 +570,7 @@ def decompress_to_file(model: CompressedModel, path) -> int:
         detail = f"tensor {largest!r}: {sizes[largest]} values do not fit in memory"
         raise TensorTooLarge(detail) from exc
     encodings = {
-        name: entry_to_encoding(e, codes=codes[: e.m_hat * e.n].reshape(e.m_hat, e.n))
+        name: entry_to_encoding(e, model.groups, codes[: e.m_hat * e.n].reshape(e.m_hat, e.n))
         for name, e in entries.items()
     }
 

@@ -2,10 +2,14 @@
 
 Two little-endian container formats share one framing: a 4-byte magic, a
 u32 format version, a u64 manifest length, a UTF-8 JSON manifest, and a raw
-payload section. ``PQFN`` files hold uncompressed checkpoints (named tensors
-plus layer/edge metadata); ``PQFC`` files hold compressed models whose
-entries are either raw tensors or per-layer encodings with float16 codebooks
-and bit-packed codes. Architecture specs are plain text: one
+payload section. ``PQFN`` files (version 1) hold uncompressed checkpoints
+(named tensors plus layer/edge metadata), the payload right after the
+manifest. ``PQFC`` files (version 2) hold compressed models whose entries are
+either raw tensors or per-layer encodings with float16 codebooks and
+bit-packed codes, plus one bit-packed channel permutation per permutation
+group that is not the identity; zero bytes pad the payload and each of its
+arrays to a 64-byte file offset, and the manifest holds the payload's CRC-32.
+Architecture specs are plain text: one
 ``name kind K C_in C_out`` line per layer followed by
 ``edge producer consumer`` lines.
 """
@@ -16,6 +20,7 @@ import contextlib
 import json
 import math
 import os
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,16 +29,16 @@ from . import layout
 from .errors import (
     DanglingEdge,
     DuplicateTensorName,
-    IndivisibleBlockSize,
     IoFailure,
     MalformedFile,
     TensorTooLarge,
 )
-from .permsearch import Permutation
 
 CHECKPOINT_MAGIC = b"PQFN"
 COMPRESSED_MAGIC = b"PQFC"
-FORMAT_VERSION = 1
+CHECKPOINT_VERSION = 1
+COMPRESSED_VERSION = 2
+ALIGN = 64  # a compressed model's payload and its arrays start at multiples of this file offset
 _HEADER = 4 + 4 + 8  # magic + u32 version + u64 manifest length
 
 DTYPES = {
@@ -256,9 +261,14 @@ def _view(data) -> memoryview:
 
 
 class _Payload:
-    """The buffers written after a manifest, in file order, and their total size."""
+    """The buffers written after a manifest, in file order, and their total size.
 
-    def __init__(self):
+    Each buffer starts at a multiple of `align` bytes into the payload, after
+    zero bytes of padding.
+    """
+
+    def __init__(self, align: int = 1):
+        self.align = align
         self.parts = []
         self.nbytes = 0
 
@@ -271,26 +281,42 @@ class _Payload:
         if not callable(data):
             data = _view(data)
             nbytes = data.nbytes
-        offset = self.nbytes
+        offset = _aligned(self.nbytes, self.align)
+        if offset > self.nbytes:
+            self.parts.append(bytes(offset - self.nbytes))
         self.parts.append(data)
-        self.nbytes += nbytes
+        self.nbytes = offset + nbytes
         return offset
 
+    def crc32(self) -> int:
+        """CRC-32 of the payload; every part must be bytes or an array."""
+        crc = 0
+        for part in self.parts:
+            crc = zlib.crc32(part, crc)
+        return crc
 
-def _write_file(path, magic: bytes, manifest: dict, payload: _Payload) -> int:
+
+def _aligned(offset: int, align: int) -> int:
+    return -(-offset // align) * align
+
+
+def _write_file(path, magic: bytes, version: int, manifest: dict, payload: _Payload) -> int:
     """Write header, manifest, then each payload buffer in place; returns the bytes written.
 
-    If any part fails, the partly written file is removed.
+    Zero bytes pad the manifest so that the payload starts at a multiple of
+    ``payload.align`` bytes into the file. If any part fails, the partly
+    written file is removed.
     """
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    head = magic + FORMAT_VERSION.to_bytes(4, "little") + len(blob).to_bytes(8, "little")
+    head = magic + version.to_bytes(4, "little") + len(blob).to_bytes(8, "little")
+    gap = bytes(_aligned(_HEADER + len(blob), payload.align) - _HEADER - len(blob))
     try:
         fh = open(path, "wb")
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
     try:
         with fh:
-            for part in (head, blob, *payload.parts):
+            for part in (head, blob, gap, *payload.parts):
                 fh.write(_view(part()) if callable(part) else part)
     except BaseException as exc:
         with contextlib.suppress(OSError):
@@ -298,28 +324,37 @@ def _write_file(path, magic: bytes, manifest: dict, payload: _Payload) -> int:
         if isinstance(exc, OSError):
             raise IoFailure(str(exc)) from exc
         raise
-    return len(head) + len(blob) + payload.nbytes
+    return len(head) + len(blob) + len(gap) + payload.nbytes
 
 
-def _unframe(raw: bytes, magic: bytes) -> tuple:
-    """Split a file into its manifest and a view of its payload (no copy)."""
+def _unframe(raw: bytes, magic: bytes, version: int, align: int = 1) -> tuple:
+    """Split a file into its manifest and a view of its payload (no copy).
+
+    The payload starts at the first multiple of `align` after the manifest;
+    the bytes between must be zero.
+    """
     if len(raw) < _HEADER:
         raise MalformedFile("file too short for header")
     if raw[:4] != magic:
         raise MalformedFile(f"bad magic {raw[:4]!r}, expected {magic!r}")
-    version = int.from_bytes(raw[4:8], "little")
-    if version != FORMAT_VERSION:
-        raise MalformedFile(f"unsupported format version {version}")
-    mlen = int.from_bytes(raw[8:16], "little")
-    if len(raw) < _HEADER + mlen:
+    found = int.from_bytes(raw[4:8], "little")
+    if found != version:
+        raise MalformedFile(
+            f"unsupported {magic.decode()} format version {found}; this build reads version {version}"
+        )
+    end = _HEADER + int.from_bytes(raw[8:16], "little")
+    if len(raw) < end:
         raise MalformedFile("file truncated inside manifest")
     try:
-        manifest = json.loads(raw[_HEADER : _HEADER + mlen].decode("utf-8"))
+        manifest = json.loads(raw[_HEADER:end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedFile(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise MalformedFile("manifest is not a JSON object")
-    return manifest, memoryview(raw)[_HEADER + mlen :]
+    start = _aligned(end, align)
+    if len(raw) < start or any(raw[end:start]):
+        raise MalformedFile("the padding after the manifest is truncated or not zero")
+    return manifest, memoryview(raw)[start:]
 
 
 def _read_file(path) -> bytes:
@@ -330,9 +365,11 @@ def _read_file(path) -> bytes:
         raise IoFailure(str(exc)) from exc
 
 
-def _take(payload: memoryview, offset: int, nbytes: int, what: str) -> memoryview:
+def _take(payload: memoryview, offset: int, nbytes: int, what: str, align: int = 1) -> memoryview:
     if offset < 0 or nbytes < 0 or offset + nbytes > len(payload):
         raise MalformedFile(f"file truncated inside {what}")
+    if offset % align:
+        raise MalformedFile(f"{what} starts at payload offset {offset}, not a multiple of {align}")
     return payload[offset : offset + nbytes]
 
 
@@ -355,7 +392,7 @@ def _put_tensor(payload: _Payload, rec: TensorRecord, produce=None) -> dict:
     }
 
 
-def _get_tensor(payload: memoryview, obj: dict) -> TensorRecord:
+def _get_tensor(payload: memoryview, obj: dict, align: int = 1) -> TensorRecord:
     """Inverse of :func:`_put_tensor`, checking the fields against the payload."""
     name = _field(obj, "name", str, "tensor")
     where = f"tensor {name!r}"
@@ -370,7 +407,7 @@ def _get_tensor(payload: memoryview, obj: dict) -> TensorRecord:
     nbytes = math.prod(shape) * DTYPES[dtype].itemsize
     if nbytes != _field(obj, "nbytes", int, where):
         raise MalformedFile(f"tensor {name!r} byte length mismatch")
-    raw = _take(payload, _field(obj, "offset", int, where), nbytes, where)
+    raw = _take(payload, _field(obj, "offset", int, where), nbytes, where, align)
     return TensorRecord(name, dtype, shape, np.frombuffer(raw, DTYPES[dtype]).reshape(shape).copy())
 
 
@@ -393,12 +430,12 @@ def save_checkpoint(ckpt: ModelCheckpoint, path, produce=None) -> int:
         "layers": [_layer_to_dict(m) for m in ckpt.layers],
         "edges": [[p, c] for p, c in ckpt.edges],
     }
-    return _write_file(path, CHECKPOINT_MAGIC, manifest, payload)
+    return _write_file(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, manifest, payload)
 
 
 def load_checkpoint(path) -> ModelCheckpoint:
     """Parse and fully validate a ``PQFN`` checkpoint file."""
-    manifest, payload = _unframe(_read_file(path), CHECKPOINT_MAGIC)
+    manifest, payload = _unframe(_read_file(path), CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     tensors = [_get_tensor(payload, obj) for obj in _listing(manifest, "tensors")]
     layers, edges = _graph_from_manifest(manifest)
     ckpt = ModelCheckpoint(tensors=tensors, layers=layers, edges=edges)
@@ -486,17 +523,12 @@ def pack_codes(values, bits: int) -> bytes:
 def unpack_codes(buf, bits: int, count: int, out=None) -> np.ndarray:
     """Inverse of :func:`pack_codes`; returns int64 values.
 
-    Eight codes fill exactly `bits` bytes, so the zero-padded section reads
-    as a ``(groups, bits)`` byte grid in which code ``q`` of every group
-    starts at the same byte ``q*bits // 8`` and bit ``q*bits % 8``. Each of
-    the 8 lanes is then one strided little-endian u32 read at that byte,
-    shifted and masked in place into its own contiguous row of a u32
-    ``(8, groups)`` array; a code spans at most 7 + 16 bits, so the u32
-    holds it. One widening store interleaves the rows into int64. One path
-    serves every width. With `out`, a contiguous 1-D int64 buffer of at
-    least `count` elements, the codes are written over its leading elements
-    and returned as a view of them. Raises `MalformedFile` for a width
-    outside 0..16 or a section whose length disagrees with `count`.
+    8- and 16-bit codes are whole little-endian bytes or u16s, read by one
+    widening copy. Any other width goes through :func:`_unpack_lanes`. With
+    `out`, a contiguous 1-D int64 buffer of at least `count` elements, the
+    codes are written over its leading elements and returned as a view of
+    them. Raises `MalformedFile` for a width outside 0..16 or a section
+    whose length disagrees with `count`.
     """
     if not 0 <= bits <= MAX_CODE_BITS:
         raise MalformedFile(f"code width {bits} outside 0..{MAX_CODE_BITS}")
@@ -510,10 +542,27 @@ def unpack_codes(buf, bits: int, count: int, out=None) -> np.ndarray:
     codes = out[:count]
     if bits == 0 or count == 0:
         codes[:] = 0
-        return codes
+    elif bits in (8, 16):
+        codes[:] = np.frombuffer(buf, dtype="<u1" if bits == 8 else "<u2")
+    else:
+        _unpack_lanes(buf, bits, count, codes)
+    return codes
+
+
+def _unpack_lanes(buf, bits: int, count: int, codes: np.ndarray) -> None:
+    """Unpack `count` codes of 1..16 bits from `buf` into the int64 array `codes`.
+
+    Eight codes fill exactly `bits` bytes, so the zero-padded section reads
+    as a ``(groups, bits)`` byte grid in which code ``q`` of every group
+    starts at the same byte ``q*bits // 8`` and bit ``q*bits % 8``. Each of
+    the 8 lanes is then one strided little-endian u32 read at that byte,
+    shifted and masked in place into its own contiguous row of a u32
+    ``(8, groups)`` array; a code spans at most 7 + 16 bits, so the u32
+    holds it. One widening store interleaves the rows into int64.
+    """
     groups = -(-count // 8)
     grid = np.zeros(groups * bits + 3, dtype=np.uint8)  # +3: the last lane's u32 read
-    grid[:need] = np.frombuffer(buf, dtype=np.uint8)
+    grid[: len(buf)] = np.frombuffer(buf, dtype=np.uint8)
     lanes = np.empty((8, groups), dtype=np.uint32)
     mask = np.uint32((1 << bits) - 1)
     for lane, row in enumerate(lanes):
@@ -525,7 +574,6 @@ def unpack_codes(buf, bits: int, count: int, out=None) -> np.ndarray:
     codes[: whole * 8].reshape(whole, 8)[...] = lanes[:, :whole].T
     if tail:
         codes[whole * 8 :] = lanes[:tail, whole]
-    return codes
 
 
 # ---------------------------------------------------------------------------
@@ -534,12 +582,15 @@ def unpack_codes(buf, bits: int, count: int, out=None) -> np.ndarray:
 
 @dataclass(eq=False)
 class EncodedEntry:
-    """One layer's codebook, packed codes and permutation, plus its geometry.
+    """One layer's codebook and packed codes, plus its geometry and permutation group.
 
     The codes stay in their stored form: `packed` holds the ``m_hat * n``
     codes of the ``(m_hat, n)`` grid, `bits` = ``code_width(k_eff)`` bits
     each, as `pack_codes` writes them (a `memoryview` into the file when
     loaded). `unpack` turns them into int64 codes when a layer is decoded.
+    `group` indexes the model's `groups`, whose channel permutation the
+    layer's rows were permuted by before quantization; None means the
+    identity.
     """
 
     name: str
@@ -553,8 +604,7 @@ class EncodedEntry:
     packed: bytes  # or a memoryview of them
     m_hat: int
     n: int
-    permutation: np.ndarray  # (rows,) uint32
-    perm_block: int = 1
+    group: int | None = None
 
     @property
     def bits(self) -> int:
@@ -570,12 +620,12 @@ class EncodedEntry:
         return codes.reshape(self.m_hat, self.n)
 
     def validate(self):
-        """Check kind, geometry, sizes, codes and permutation.
+        """Check kind, geometry, sizes and codes.
 
         Every code is below `k_eff`: a width of `bits` bounds every code when
         `k_eff` is a power of two; otherwise the codes are unpacked once,
-        briefly, to find the largest. The permutation moves each row once and
-        keeps its `perm_block` structure.
+        briefly, to find the largest. `CompressedModel.validate` checks the
+        group.
         """
         m_hat, n = self.m_hat, self.n
         if self.source_kind not in WEIGHTED_KINDS:
@@ -596,59 +646,110 @@ class EncodedEntry:
         if m_hat * n and self.k_eff < (1 << self.bits):
             if self.k_eff == 0 or self.unpack().max() >= self.k_eff:
                 raise MalformedFile(f"entry {self.name!r} has out-of-range codes")
-        if self.permutation.shape != (m_hat * self.d,):
-            raise MalformedFile(f"entry {self.name!r} permutation length mismatch")
-        try:
-            Permutation(self.permutation, block=self.perm_block).validate()
-        except IndivisibleBlockSize as exc:
-            raise MalformedFile(f"entry {self.name!r} stores an invalid permutation: {exc}") from exc
 
 
 # The fields of an encoded entry that its manifest object holds as they are:
-# two strings, then ints. The codebook, codes and permutation are sections of
-# the payload, found through the offsets that follow.
-_STORED_FIELDS = (
-    "name", "source_kind", "kernel_size", "c_in", "c_out", "d", "k_eff", "m_hat", "n", "perm_block",
-)
-_SECTION_FIELDS = ("codebook_offset", "codes_offset", "codes_nbytes", "perm_offset")
+# two strings, then ints. The codebook and codes are sections of the payload,
+# found through the offsets that follow; `group` is an index or null.
+_STORED_FIELDS = ("name", "source_kind", "kernel_size", "c_in", "c_out", "d", "k_eff", "m_hat", "n")
+_SECTION_FIELDS = ("codebook_offset", "codes_offset", "codes_nbytes")
 
 
 @dataclass(eq=False)
 class CompressedModel:
     """Ordered entries, each a `TensorRecord` stored verbatim or an `EncodedEntry`,
-    plus an echo of the architecture DAG."""
+    the channel permutation of each permutation group that is not the identity
+    (int arrays, one value per channel unit of the group), and an echo of the
+    architecture DAG."""
 
     entries: list = field(default_factory=list)
     layers: list = field(default_factory=list)
     edges: list = field(default_factory=list)
+    groups: list = field(default_factory=list)
+
+    @property
+    def permutation_bits(self) -> int:
+        """Bits of the stored group permutations: ``code_width(units)`` per unit."""
+        return sum(len(perm) * code_width(len(perm)) for perm in self.groups)
+
+    def validate(self):
+        """Check every entry, and each group once: a permutation of its units that
+        `pack_codes` can store, whose units divide each member's input channels."""
+        for i, perm in enumerate(self.groups):
+            units = _check_units(len(perm), i)
+            if not np.array_equal(np.sort(perm), np.arange(units)):
+                raise MalformedFile(f"group {i} does not store a permutation of {units} units")
+        for entry in self.entries:
+            entry.validate()
+            if isinstance(entry, TensorRecord) or entry.group is None:
+                continue
+            if not 0 <= entry.group < len(self.groups):
+                raise MalformedFile(
+                    f"entry {entry.name!r} names group {entry.group}; the file stores {len(self.groups)}"
+                )
+            units = len(self.groups[entry.group])
+            if entry.c_in % units:
+                raise MalformedFile(
+                    f"entry {entry.name!r}: the {units} units of group {entry.group} "
+                    f"do not divide its {entry.c_in} input channels"
+                )
 
 
 def save_compressed(model: CompressedModel, path) -> int:
-    """Serialize a compressed model; returns the byte count written."""
-    payload = _Payload()
+    """Serialize a compressed model; returns the byte count written.
+
+    The model is validated before the file is opened. Every array starts at
+    a multiple of `ALIGN` bytes into the file, and the manifest holds the
+    payload's CRC-32.
+    """
+    model.validate()
+    payload = _Payload(ALIGN)
+    groups = [
+        {"units": len(perm), "offset": payload.add(pack_codes(perm, code_width(len(perm))))}
+        for perm in model.groups
+    ]
     entries = []
     for entry in model.entries:
         if isinstance(entry, TensorRecord):
             entries.append({"type": "raw", **_put_tensor(payload, entry)})
             continue
-        entry.validate()
         entries.append(
             {
                 "type": "encoded",
                 **{key: getattr(entry, key) for key in _STORED_FIELDS},
+                "group": entry.group,
                 "codebook_offset": payload.add(entry.codebook.astype("<f2", copy=False)),
                 "codes_offset": payload.add(entry.packed),
                 "codes_nbytes": len(entry.packed),
-                "perm_offset": payload.add(entry.permutation.astype("<u4", copy=False)),
             }
         )
     manifest = {
+        "crc32": payload.crc32(),
         "entry_count": len(entries),
         "entries": entries,
+        "groups": groups,
         "layers": [_layer_to_dict(m) for m in model.layers],
         "edges": [[p, c] for p, c in model.edges],
     }
-    return _write_file(path, COMPRESSED_MAGIC, manifest, payload)
+    return _write_file(path, COMPRESSED_MAGIC, COMPRESSED_VERSION, manifest, payload)
+
+
+def _check_units(units: int, i: int) -> int:
+    """`units` if `pack_codes` can store a permutation of that many; else `MalformedFile`."""
+    if not 1 <= units <= 1 << MAX_CODE_BITS:
+        raise MalformedFile(
+            f"group {i} permutes {units} channel units; the container stores 1 to {1 << MAX_CODE_BITS}"
+        )
+    return units
+
+
+def _get_group(payload: memoryview, obj: dict, i: int) -> np.ndarray:
+    """One stored group permutation, unpacked; `CompressedModel.validate` checks it."""
+    where = f"group {i}"
+    units = _check_units(_field(obj, "units", int, where), i)
+    bits = code_width(units)
+    raw = _take(payload, _field(obj, "offset", int, where), (units * bits + 7) // 8, where, ALIGN)
+    return unpack_codes(raw, bits, units)
 
 
 def _get_encoded(payload: memoryview, obj: dict) -> EncodedEntry:
@@ -661,31 +762,34 @@ def _get_encoded(payload: memoryview, obj: dict) -> EncodedEntry:
     for key in ints:
         if f[key] < 0:
             raise MalformedFile(f"{where}: field {key!r} is negative")
-    k_eff, d, m_hat = f["k_eff"], f["d"], f["m_hat"]
-    cb_raw = _take(payload, f["codebook_offset"], k_eff * d * 2, where)
-    codes_raw = _take(payload, f["codes_offset"], f["codes_nbytes"], where)
-    perm_raw = _take(payload, f["perm_offset"], m_hat * d * 4, where)
-    entry = EncodedEntry(
+    if "group" not in obj or not (obj["group"] is None or _is_int(obj["group"])):
+        raise MalformedFile(f"{where}: field 'group' is missing or not int or null")
+    k_eff, d = f["k_eff"], f["d"]
+    cb_raw = _take(payload, f["codebook_offset"], k_eff * d * 2, where, ALIGN)
+    codes_raw = _take(payload, f["codes_offset"], f["codes_nbytes"], where, ALIGN)
+    return EncodedEntry(
         **{key: f[key] for key in _STORED_FIELDS},
         codebook=np.frombuffer(cb_raw, dtype="<f2").reshape(k_eff, d).copy(),
         packed=codes_raw,
-        permutation=np.frombuffer(perm_raw, dtype="<u4").copy(),
+        group=obj["group"],
     )
-    entry.validate()
-    return entry
 
 
 def load_compressed(path) -> CompressedModel:
     """Parse a ``PQFC`` compressed model file.
 
-    A missing, mistyped or negative manifest field raises `MalformedFile`
-    naming the entry and the field. Encoded entries keep their codes packed,
-    as slices of the file's bytes; each entry is checked as a whole
-    (`EncodedEntry.validate`), so a section of the wrong length, an
-    out-of-range code or a permutation that repeats a row or breaks its
-    block structure is a `MalformedFile` here, before any decoding.
+    The payload must match the manifest's CRC-32. A missing, mistyped or
+    negative manifest field raises `MalformedFile` naming the entry and the
+    field. Encoded entries keep their codes packed, as slices of the file's
+    bytes; the model is checked as a whole (`CompressedModel.validate`), so
+    a section of the wrong length, an out-of-range code or a group
+    permutation that repeats a unit is a `MalformedFile` here, before any
+    decoding.
     """
-    manifest, payload = _unframe(_read_file(path), COMPRESSED_MAGIC)
+    manifest, payload = _unframe(_read_file(path), COMPRESSED_MAGIC, COMPRESSED_VERSION, ALIGN)
+    crc = _required(manifest, "crc32")
+    if not _is_int(crc) or crc != zlib.crc32(payload):
+        raise MalformedFile("payload checksum mismatch: the file is corrupt")
     listed = _listing(manifest, "entries")
     count = _required(manifest, "entry_count")
     if not _is_int(count) or count != len(listed):
@@ -694,10 +798,13 @@ def load_compressed(path) -> CompressedModel:
     for obj in listed:
         kind = obj.get("type")
         if kind == "raw":
-            entries.append(_get_tensor(payload, obj))
+            entries.append(_get_tensor(payload, obj, ALIGN))
         elif kind == "encoded":
             entries.append(_get_encoded(payload, obj))
         else:
             raise MalformedFile(f"unknown entry type {kind!r}")
+    groups = [_get_group(payload, obj, i) for i, obj in enumerate(_listing(manifest, "groups"))]
     layers, edges = _graph_from_manifest(manifest)
-    return CompressedModel(entries=entries, layers=layers, edges=edges)
+    model = CompressedModel(entries=entries, layers=layers, edges=edges, groups=groups)
+    model.validate()
+    return model

@@ -1,12 +1,15 @@
-"""Test-only helpers: container equality for round trips, quantizer-error and centroid-gradient
-oracles, the noise-free quantizer loop run to its last round, the one-proposal-at-a-time swap
-search and its logdet and fold, the group-permutation oracles (apply a group's permutation and
-its `BlockViolation`, check the function is unchanged, parse a group listing), an all-gradients
-`into` for `backward`, a toy residual net, a narrowed synthetic ResNet and a toy dataset."""
+"""Test-only helpers: container equality for round trips, container framing for hand edits,
+quantizer-error and centroid-gradient oracles, the noise-free quantizer loop run to its last
+round, the one-proposal-at-a-time swap search and its logdet and fold, the group-permutation
+oracles (apply a group's permutation and its `BlockViolation`, check the function is unchanged,
+parse a group listing), an all-gradients `into` for `backward`, a toy residual net, a narrowed
+synthetic ResNet and a toy dataset."""
 
 from __future__ import annotations
 
 import importlib.resources as resources
+import json
+import zlib
 
 import numpy as np
 
@@ -47,7 +50,7 @@ def entries_equal(a, b) -> bool:
         all(getattr(a, f) == getattr(b, f) for f in _STORED_FIELDS)
         and a.codebook.tobytes() == b.codebook.tobytes()
         and bytes(a.packed) == bytes(b.packed)
-        and np.array_equal(a.permutation, b.permutation)
+        and a.group == b.group
     )
 
 
@@ -58,7 +61,50 @@ def compressed_models_equal(a: CompressedModel, b: CompressedModel) -> bool:
         return False
     if list(a.edges) != list(b.edges):
         return False
+    if len(a.groups) != len(b.groups) or not all(map(np.array_equal, a.groups, b.groups)):
+        return False
     return all(entries_equal(x, y) for x, y in zip(a.entries, b.entries))
+
+
+def _payload_start(raw: bytes) -> tuple:
+    """(manifest end, payload start) of a container's bytes."""
+    end = 16 + int.from_bytes(raw[8:16], "little")
+    align = tensor_io.ALIGN if raw[:4] == tensor_io.COMPRESSED_MAGIC else 1
+    return end, -(-end // align) * align
+
+
+def split_container(raw: bytes) -> tuple:
+    """A container's (manifest, payload bytes)."""
+    end, start = _payload_start(raw)
+    return json.loads(raw[16:end]), raw[start:]
+
+
+def join_container(raw: bytes, manifest: dict, payload: bytes, reseal: bool = False) -> bytes:
+    """`raw`'s magic and version framing `manifest` and `payload` again.
+
+    A `.pqfc` payload starts at the next multiple of `ALIGN`; with `reseal`
+    a `.pqfc` manifest first takes the payload's CRC-32, so an edit made on purpose
+    reaches the check it aims at rather than the checksum.
+    """
+    if reseal and raw[:4] == tensor_io.COMPRESSED_MAGIC:
+        manifest = {**manifest, "crc32": zlib.crc32(payload)}
+    blob = json.dumps(manifest).encode()
+    head = raw[:8] + len(blob).to_bytes(8, "little") + blob
+    _, start = _payload_start(head)
+    return head + bytes(start - len(head)) + payload
+
+
+def edit_container(path, edit_manifest=None, edit_payload=None, reseal: bool = True):
+    """Rewrite a container file through `edit_manifest(manifest)` and
+    `edit_payload(manifest, bytearray)`, both in place, then reseal it."""
+    raw = path.read_bytes()
+    manifest, payload = split_container(raw)
+    payload = bytearray(payload)
+    if edit_manifest is not None:
+        edit_manifest(manifest)
+    if edit_payload is not None:
+        edit_payload(manifest, payload)
+    path.write_bytes(join_container(raw, manifest, bytes(payload), reseal))
 
 
 def quantization_error(weight, enc: LayerEncoding) -> float:

@@ -15,7 +15,7 @@ from pqf.cli import BENCH_METHODS, BenchConfig, bench_csv, run_bench
 from pqf.errors import MalformedFile
 from pqf.finetune import make_mlp_checkpoint
 
-from helpers import synthetic_resnet
+from helpers import edit_container, split_container, synthetic_resnet
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +146,7 @@ def test_decompress_duplicate_permutation_index_is_data_error(tmp_path, capsys):
     argv = ["compress", str(ckpt_path), "--out", str(packed), "--k", "4", "--k-fc", "4",
             "--src-iters", "5", "--perm-iters", "5"]
     assert cli.main(argv) == 0
-    _zero_permutation(packed, "fc1")
+    _zero_group_permutation(packed)
     capsys.readouterr()
     back_path = tmp_path / "back.pqfn"
     assert cli.main(["decompress", str(packed), "--out", str(back_path)]) == 2
@@ -197,36 +197,46 @@ def _edit_manifest(path, listing, name, **fields):
 
 def _rewrite_manifest(path, edit):
     """Rewrite a container's JSON manifest through `edit(manifest)`."""
-    raw = path.read_bytes()
-    mlen = int.from_bytes(raw[8:16], "little")
-    manifest = json.loads(raw[16 : 16 + mlen])
-    edit(manifest)
-    blob = json.dumps(manifest).encode()
-    path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + mlen :])
+    edit_container(path, edit)
 
 
-def _zero_permutation(path, name):
-    """Overwrite the stored permutation of encoded entry `name` with zeros, in place."""
-    raw = bytearray(path.read_bytes())
-    mlen = int.from_bytes(raw[8:16], "little")
-    (obj,) = [o for o in json.loads(raw[16 : 16 + mlen])["entries"] if o["name"] == name]
-    start, nbytes = 16 + mlen + obj["perm_offset"], 4 * obj["m_hat"] * obj["d"]
-    raw[start : start + nbytes] = bytes(nbytes)
-    path.write_bytes(raw)
+def _zero_group_permutation(path):
+    """Overwrite the first stored group permutation with zeros, in place, and reseal the file."""
+
+    def zero(manifest, payload):
+        (group,) = manifest["groups"]
+        units = group["units"]
+        start, nbytes = group["offset"], (units * tensor_io.code_width(units) + 7) // 8
+        payload[start : start + nbytes] = bytes(nbytes)
+
+    edit_container(path, edit_payload=zero)
 
 
-def test_a_permutation_that_repeats_a_row_is_rejected_at_load_and_at_save(tmp_path):
+def test_a_group_permutation_that_repeats_a_unit_is_rejected_at_load_and_at_save(tmp_path):
     _, packed = _compressed_toy(tmp_path)
     model = tensor_io.load_compressed(packed)
-    (fc1,) = [e for e in model.entries if isinstance(e, tensor_io.EncodedEntry) and e.name == "fc1"]
-    fc1.permutation[:] = 0
+    (fc2,) = [e for e in model.entries if isinstance(e, tensor_io.EncodedEntry) and e.name == "fc2"]
+    assert fc2.group == 0
+    model.groups[0][:] = 0
     again = tmp_path / "again.pqfc"
-    with pytest.raises(MalformedFile, match="entry 'fc1' stores an invalid permutation"):
+    with pytest.raises(MalformedFile, match="group 0 does not store a permutation of 16 units"):
         tensor_io.save_compressed(model, again)
     assert not again.exists()
-    _zero_permutation(packed, "fc1")
-    with pytest.raises(MalformedFile, match="entry 'fc1' stores an invalid permutation"):
+    _zero_group_permutation(packed)
+    with pytest.raises(MalformedFile, match="group 0 does not store a permutation of 16 units"):
         tensor_io.load_compressed(packed)
+
+
+def test_decompress_of_a_version_1_file_is_data_error_naming_the_version(tmp_path, capsys):
+    _, packed = _compressed_toy(tmp_path)
+    raw = bytearray(packed.read_bytes())
+    raw[4:8] = (1).to_bytes(4, "little")
+    packed.write_bytes(bytes(raw))
+    back_path = tmp_path / "back.pqfn"
+    capsys.readouterr()
+    assert cli.main(["decompress", str(packed), "--out", str(back_path)]) == 2
+    assert "error kind=MalformedFile detail='unsupported PQFC format version 1" in capsys.readouterr().err
+    assert not back_path.exists()
 
 
 def _compressed_toy(tmp_path):
@@ -391,29 +401,89 @@ def test_compressed_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert outs[0] == outs[1]
 
 
-def _pinned_compress_digest(tmp_path, depth: int, divisor: int, *flags) -> str:
-    source, packed = tmp_path / "model.pqfn", tmp_path / "model.pqfc"
+def _pinned_compress_digests(tmp_path, depth: int, divisor: int, *flags) -> tuple:
+    """sha256 of the `.pqfc` a compress writes, and of the `.pqfn` it decompresses to."""
+    source, packed, back = tmp_path / "model.pqfn", tmp_path / "model.pqfc", tmp_path / "back.pqfn"
     tensor_io.save_checkpoint(synthetic_resnet(depth, divisor, seed=3), source)
     argv = ["compress", str(source), "--out", str(packed), "--k", "32", "--k-fc", "32",
             "--src-iters", "1", "--perm-iters", "100", "--seed", "3", *flags]
     assert cli.main(argv) == 0
-    return hashlib.sha256(packed.read_bytes()).hexdigest()
+    assert cli.main(["decompress", str(packed), "--out", str(back)]) == 0
+    return tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (packed, back))
 
 
 def test_permutation_search_bytes_are_pinned(tmp_path):
-    # a ResNet-50 at 1/8 width has 21 groups that search; the hash pins every
-    # proposal the search keeps, so a refactor of the search cannot change them silently
-    assert _pinned_compress_digest(tmp_path, 50, 8) == (
-        "3e6b5de4e4eb54834693a92aaaac306401f18e52264eaf263f59b97b375796f2"
+    # a ResNet-50 at 1/8 width has 21 groups that search; the hashes pin every
+    # proposal the search keeps, so a refactor of the search cannot change them
+    # silently. The .pqfn hash does not depend on the container format.
+    assert _pinned_compress_digests(tmp_path, 50, 8) == (
+        "6ba389286a5cc1cf106c294f44cfa36c817412de25340b0a00ba3add2900399d",
+        "e603c95dc2e58abd777085a716106a606a0a9055f5400f51b515876c12e6a12e",
     )
 
 
 def test_large_regime_search_bytes_are_pinned(tmp_path):
     # a ResNet-18 at 1/4 width in the large regime searches 12 groups, 4 of them over
     # two families, with d = 18 for its 3x3 children
-    assert _pinned_compress_digest(tmp_path, 18, 4, "--regime", "large") == (
-        "7bc8a656c84fca088a38df84ab48e4a7db0f79295e19e651d5a13a04ec36e8be"
+    assert _pinned_compress_digests(tmp_path, 18, 4, "--regime", "large") == (
+        "fe3b2bc5ec25e0a781c22dcba6d2e49ef8f036fa9d8114c4f5b5120b9683c173",
+        "011493ac0b13cefe7705fe135f705772ded05852a3660071d3000b10a88a9c9e",
     )
+
+
+def test_pqfc_size_is_its_sections_plus_framing_and_padding(tmp_path):
+    # a ResNet-18 at 1/8 width: the bit table prices codebooks and codes, and the
+    # run manifest the group permutations the search stored
+    source, packed, run = tmp_path / "model.pqfn", tmp_path / "model.pqfc", tmp_path / "run.json"
+    tensor_io.save_checkpoint(synthetic_resnet(18, 8, seed=4), source)
+    argv = ["compress", str(source), "--out", str(packed), "--k", "16", "--k-fc", "16",
+            "--src-iters", "1", "--perm-iters", "20", "--seed", "4", "--manifest", str(run)]
+    assert cli.main(argv) == 0
+    raw = packed.read_bytes()
+    manifest, payload = split_container(raw)
+    model = tensor_io.load_compressed(packed)
+    encoded = [e for e in model.entries if isinstance(e, tensor_io.EncodedEntry)]
+    assert model.groups and any(e.group is None for e in encoded)
+    sections = [(g["offset"], (g["units"] * tensor_io.code_width(g["units"]) + 7) // 8)
+                for g in manifest["groups"]]
+    for obj in manifest["entries"]:
+        if obj["type"] == "raw":
+            sections.append((obj["offset"], obj["nbytes"]))
+        else:
+            sections.append((obj["codebook_offset"], 2 * obj["k_eff"] * obj["d"]))
+            sections.append((obj["codes_offset"], obj["codes_nbytes"]))
+    # after the zero gap that ends the manifest, the sections tile the payload
+    # in order, each at the next multiple of 64 after zero padding
+    head = 16 + int.from_bytes(raw[8:16], "little")
+    padding = len(raw) - len(payload) - head
+    end = 0
+    for offset, nbytes in sorted(sections):
+        assert offset == -(-end // 64) * 64 and not any(payload[end:offset])
+        padding += offset - end
+        end = offset + nbytes
+    assert end == len(payload)
+    report = codec.bit_report(tensor_io.load_checkpoint(source), _config_of(argv))
+    bits = {r.name: r.bits for r in report.rows}
+    raw_bytes = sum(rec.nbytes for rec in model.entries if isinstance(rec, tensor_io.TensorRecord))
+    encoded_rows = (".codebook", ".codes_matrix")
+    assert raw_bytes * 8 == sum(b for name, b in bits.items() if not name.endswith(encoded_rows))
+    content = raw_bytes + sum(e.codebook.nbytes + len(e.packed) for e in encoded)
+    assert sum(e.codebook.nbytes * 8 for e in encoded) == sum(
+        b for name, b in bits.items() if name.endswith(".codebook")
+    )
+    assert sum(len(e.packed) for e in encoded) == sum(
+        -(-b // 8) for name, b in bits.items() if name.endswith(".codes_matrix")
+    )
+    permutation_bits = json.loads(run.read_text())["permutation_bits"]
+    assert permutation_bits == model.permutation_bits == sum(
+        len(p) * tensor_io.code_width(len(p)) for p in model.groups
+    )
+    stored_groups = sum(-(-len(p) * tensor_io.code_width(len(p)) // 8) for p in model.groups)
+    assert len(raw) - head - padding == content + stored_groups
+
+
+def _config_of(argv):
+    return cli._config_from_args(cli.build_parser().parse_args(argv))
 
 
 def test_eval_emits_csv_trace(tmp_path, capsys):
@@ -734,7 +804,6 @@ def _entry_decoding_to_four_gigabytes(tmp_path):
     entry = tensor_io.EncodedEntry(
         name="wide", source_kind="fc", kernel_size=1, c_in=rows, c_out=cols, d=rows, k_eff=1,
         codebook=np.zeros((1, rows), dtype="<f2"), packed=b"", m_hat=1, n=cols,
-        permutation=np.arange(rows, dtype="<u4"),
     )
     packed = tmp_path / "wide.pqfc"
     tensor_io.save_compressed(tensor_io.CompressedModel(entries=[entry]), packed)
@@ -764,15 +833,15 @@ def test_decompress_of_an_entry_too_large_for_memory_is_data_error(tmp_path, mak
     assert not back_path.exists()
 
 
-def _drop_perm_block(manifest):
+def _drop_group(manifest):
     (fc1,) = [o for o in manifest["entries"] if o["name"] == "fc1"]
-    del fc1["perm_block"]
+    del fc1["group"]
 
 
 @pytest.mark.parametrize(
     "edit, detail",
     [
-        (_drop_perm_block, "entry 'fc1': field 'perm_block' is missing or not int"),
+        (_drop_group, "entry 'fc1': field 'group' is missing or not int or null"),
         (lambda m: [o.update(m_hat=None) for o in m["entries"] if o["name"] == "fc1"],
          "entry 'fc1': field 'm_hat' is missing or not int"),
         (lambda m: m.update(entries=5), "manifest field 'entries' is not a list of objects"),

@@ -693,7 +693,7 @@ def test_full_pipeline_compress_store_finetune(tmp_path):
     loaded = tio.load_compressed(path)
 
     encodings = {
-        e.name: entry_to_encoding(e)
+        e.name: entry_to_encoding(e, loaded.groups)
         for e in loaded.entries
         if isinstance(e, tio.EncodedEntry)
     }

@@ -1,8 +1,10 @@
 """Seeded mutants of both containers: `pqf decompress` of a `.pqfc`, and `pqf compress` and
-`pqf report` of a `.pqfn`, exit 0 or 2 and never raise."""
+`pqf report` of a `.pqfn`, exit 0 or 2 and never raise; a `.pqfc` payload bit flip that
+does not recompute the checksum always exits 2."""
 
 import json
 
+from helpers import join_container, split_container
 from pqf import cli, tensor_io
 from pqf.finetune import make_mlp_checkpoint
 from pqf.rng import make_rng
@@ -21,37 +23,35 @@ def _field_paths(node, path=()):
             yield from _field_paths(value, (*path, i))
 
 
-def _split(raw: bytes):
-    mlen = int.from_bytes(raw[8:16], "little")
-    return json.loads(raw[16 : 16 + mlen]), raw[16 + mlen :]
-
-
-def _join(raw: bytes, manifest, payload: bytes) -> bytes:
-    blob = json.dumps(manifest).encode()
-    return raw[:8] + len(blob).to_bytes(8, "little") + blob + payload
+def _flip(payload: bytes, start: int, size: int, rng) -> bytes:
+    """`payload` with 1-3 random bits flipped among its `size` bytes from `start`."""
+    flipped = bytearray(payload)
+    for bit in rng.integers(0, 8 * size, size=int(rng.integers(1, 4))):
+        flipped[start + bit // 8] ^= 1 << int(bit % 8)
+    return bytes(flipped)
 
 
 def _mutants(raw: bytes, count: int, seed: int, tag: str):
     """`count` mutants: a manifest field deleted, nulled or retyped, or 1-3 payload bits flipped.
 
     A flip lands anywhere in the payload or, as often, inside one entry's
-    packed codes: they are too small a share of the payload for flips spread
-    over all of it to reach them reliably.
+    packed codes or one group's permutation: they are too small a share of
+    the payload for flips spread over all of it to reach them reliably. A
+    `.pqfc` flip recomputes the checksum, so that it reaches the checks
+    behind it.
     """
     rng = make_rng(seed, tag)
-    manifest, payload = _split(raw)
+    manifest, payload = split_container(raw)
     paths = list(_field_paths(manifest))
-    spans = [(0, len(payload))] + [
-        (e["codes_offset"], e["codes_nbytes"])
-        for e in manifest.get("entries", []) if e["type"] == "encoded"
-    ]
+    spans = [(0, len(payload))]
+    spans += [(e["codes_offset"], e["codes_nbytes"])
+              for e in manifest.get("entries", []) if e["type"] == "encoded"]
+    spans += [(g["offset"], (g["units"] * tensor_io.code_width(g["units"]) + 7) // 8)
+              for g in manifest.get("groups", [])]
     for _ in range(count):
         if rng.random() < 0.25:
             start, size = spans[int(rng.integers(len(spans)))]
-            flipped = bytearray(payload)
-            for bit in rng.integers(0, 8 * size, size=int(rng.integers(1, 4))):
-                flipped[start + bit // 8] ^= 1 << int(bit % 8)
-            yield "flip", _join(raw, manifest, bytes(flipped))
+            yield "flip", join_container(raw, manifest, _flip(payload, start, size, rng), reseal=True)
             continue
         edited = json.loads(json.dumps(manifest))
         path = paths[int(rng.integers(len(paths)))]
@@ -63,21 +63,26 @@ def _mutants(raw: bytes, count: int, seed: int, tag: str):
             del parent[path[-1]]
         else:
             parent[path[-1]] = None if action == "null" else _RETYPED[int(rng.integers(len(_RETYPED)))]
-        yield f"{action} {path}", _join(raw, edited, payload)
+        yield f"{action} {path}", join_container(raw, edited, payload)
 
 
-def test_decompress_of_pqfc_mutants_exits_0_or_2_and_leaves_no_file_on_2(
-    tmp_path, capsys, monkeypatch
-):
+def _compressed_toy(tmp_path) -> bytes:
     source, packed = tmp_path / "toy.pqfn", tmp_path / "toy.pqfc"
     tensor_io.save_checkpoint(make_mlp_checkpoint((8, 16, 4), seed=2), source)
     # fc1 gets 5 centroids (3-bit codes that the width does not bound), fc2 gets 4
     argv = ["compress", str(source), "--out", str(packed), "--k", "5", "--k-fc", "5",
             "--src-iters", "3", "--perm-iters", "5"]
     assert cli.main(argv) == 0
-    assert sorted(e.k_eff for e in tensor_io.load_compressed(packed).entries
-                  if isinstance(e, tensor_io.EncodedEntry)) == [4, 5]
-    raw = packed.read_bytes()
+    model = tensor_io.load_compressed(packed)
+    assert sorted(e.k_eff for e in model.entries if isinstance(e, tensor_io.EncodedEntry)) == [4, 5]
+    assert len(model.groups) == 1
+    return packed.read_bytes()
+
+
+def test_decompress_of_pqfc_mutants_exits_0_or_2_and_leaves_no_file_on_2(
+    tmp_path, capsys, monkeypatch
+):
+    raw = _compressed_toy(tmp_path)
     mutant, out = tmp_path / "mutant.pqfc", tmp_path / "out.pqfn"
     opened = []
     write_file = tensor_io._write_file
@@ -118,3 +123,18 @@ def test_compress_and_report_of_pqfn_mutants_exit_0_or_2_and_leave_no_file_on_2(
             out.unlink(missing_ok=True)
             exits.append(code)
     assert exits.count(0) and exits.count(2) > len(exits) // 2
+
+
+def test_decompress_of_a_payload_bit_flip_is_a_checksum_error(tmp_path, capsys):
+    raw = _compressed_toy(tmp_path)
+    manifest, payload = split_container(raw)
+    head = len(raw) - len(payload)
+    rng = make_rng(13, "pqfc-flips")
+    mutant, out = tmp_path / "mutant.pqfc", tmp_path / "out.pqfn"
+    for i in range(200):
+        mutant.write_bytes(raw[:head] + _flip(payload, 0, len(payload), rng))
+        capsys.readouterr()
+        assert cli.main(["decompress", str(mutant), "--out", str(out)]) == 2, i
+        err = capsys.readouterr().err
+        assert "error kind=MalformedFile" in err and "payload checksum mismatch" in err, i
+        assert not out.exists(), i

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import compressed_models_equal, records_equal
+from helpers import compressed_models_equal, edit_container, join_container, records_equal, split_container
 from pqf import tensor_io
 from pqf.errors import DanglingEdge, DuplicateTensorName, MalformedFile
 from pqf.rng import make_rng
@@ -193,18 +193,16 @@ def _encoded_entry(name, k_eff, d, m_hat, n, seed=0):
         packed=pack_codes(rng.integers(0, k_eff, size=(m_hat, n)), code_width(k_eff)),
         m_hat=m_hat,
         n=n,
-        permutation=np.arange(m_hat * d, dtype="<u4"),
-        perm_block=9 if d % 9 == 0 else 1,
     )
 
 
-def test_empty_model_is_header_only(tmp_path):
+def test_empty_model_is_header_and_padding_only(tmp_path):
     path = tmp_path / "empty.pqfc"
     nbytes = save_compressed(CompressedModel(), path)
     raw = path.read_bytes()
     assert nbytes == len(raw)
-    mlen = int.from_bytes(raw[8:16], "little")
-    assert nbytes == 16 + mlen  # no payload after the manifest
+    end = 16 + int.from_bytes(raw[8:16], "little")
+    assert nbytes == -(-end // 64) * 64 and raw[end:] == bytes(nbytes - end)  # no payload
     assert load_compressed(path).entries == []
 
 
@@ -213,25 +211,28 @@ def test_codes_section_is_4096_bytes_for_byte_wide_codes(tmp_path):
     entry = _encoded_entry("layer", k_eff=256, d=9, m_hat=64, n=64)
     path = tmp_path / "one.pqfc"
     save_compressed(CompressedModel(entries=[entry]), path)
-    import json
-
-    raw = path.read_bytes()
-    mlen = int.from_bytes(raw[8:16], "little")
-    manifest = json.loads(raw[16 : 16 + mlen])
+    manifest, _ = split_container(path.read_bytes())
     assert manifest["entries"][0]["codes_nbytes"] == 4096
 
 
-def test_compressed_round_trip_k2048(tmp_path):
-    entries = [
-        tensor_record("bn.weight", np.linspace(0, 1, 8)),
-        _encoded_entry("wide", k_eff=2048, d=4, m_hat=16, n=33, seed=3),
-        _encoded_entry("filters", k_eff=256, d=9, m_hat=8, n=10, seed=4),
-    ]
-    model = CompressedModel(
-        entries=entries,
+def _grouped_model():
+    """A raw tensor and two encoded entries, one of them in a stored group of 16 units."""
+    wide = _encoded_entry("wide", k_eff=2048, d=4, m_hat=16, n=33, seed=3)
+    wide.group = 0
+    return CompressedModel(
+        entries=[
+            tensor_record("bn.weight", np.linspace(0, 1, 8)),
+            wide,
+            _encoded_entry("filters", k_eff=256, d=9, m_hat=8, n=10, seed=4),
+        ],
         layers=[LayerMeta("wide", "conv", 1, 64, 33)],
         edges=[],
+        groups=[make_rng(5, "units").permutation(16)],
     )
+
+
+def test_compressed_round_trip_k2048(tmp_path):
+    model = _grouped_model()
     path = tmp_path / "model.pqfc"
     nbytes = save_compressed(model, path)
     assert nbytes == path.stat().st_size
@@ -344,18 +345,6 @@ def test_declared_records_are_produced_in_file_order_and_checked(tmp_path):
     assert not path.exists()
 
 
-def _manifest_edit(path, edit):
-    """Rewrite a container's JSON manifest through `edit(manifest)`."""
-    import json
-
-    raw = path.read_bytes()
-    mlen = int.from_bytes(raw[8:16], "little")
-    manifest = json.loads(raw[16 : 16 + mlen])
-    edit(manifest)
-    blob = json.dumps(manifest).encode()
-    path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + mlen :])
-
-
 def _saved_entry(tmp_path):
     entry = _encoded_entry("layer", k_eff=16, d=4, m_hat=4, n=5, seed=6)
     path = tmp_path / "one.pqfc"
@@ -370,7 +359,11 @@ def _not_int(key):
 @pytest.mark.parametrize(
     "edit, match",
     [
-        (lambda m: m["entries"][0].pop("perm_block"), _not_int("perm_block")),
+        (lambda m: m["entries"][0].pop("group"), "field 'group' is missing or not int or null"),
+        (lambda m: m["entries"][0].update(group=1), "entry 'layer' names group 1; the file stores 0"),
+        (lambda m: m.pop("groups"), "manifest field 'groups' is missing"),
+        (lambda m: m.update(groups=[{"units": -3, "offset": 0}]), "group 0 permutes -3 channel units"),
+        (lambda m: m.update(groups=[{"units": 4}]), "group 0: field 'offset' is missing or not int"),
         (lambda m: m["entries"][0].update(m_hat=None), _not_int("m_hat")),
         (lambda m: m["entries"][0].update(k_eff="16"), _not_int("k_eff")),
         (lambda m: m["entries"][0].update(d=True), _not_int("d")),
@@ -387,7 +380,7 @@ def _not_int(key):
 )
 def test_hostile_compressed_manifest_field_is_malformed(tmp_path, edit, match):
     path = _saved_entry(tmp_path)
-    _manifest_edit(path, edit)
+    edit_container(path, edit)
     with pytest.raises(MalformedFile, match=match):
         load_compressed(path)
 
@@ -395,9 +388,7 @@ def test_hostile_compressed_manifest_field_is_malformed(tmp_path, edit, match):
 def test_manifest_that_is_not_an_object_is_malformed(tmp_path):
     path = _saved_entry(tmp_path)
     raw = path.read_bytes()
-    blob = b"[1, 2]"
-    mlen = int.from_bytes(raw[8:16], "little")
-    path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + mlen :])
+    path.write_bytes(join_container(raw, [1, 2], split_container(raw)[1]))
     with pytest.raises(MalformedFile, match="not a JSON object"):
         load_compressed(path)
 
@@ -416,6 +407,96 @@ def test_entry_with_an_impossible_kind_is_malformed(tmp_path, overrides, match):
     entry.source_kind = "conv"
     path = tmp_path / "one.pqfc"
     save_compressed(CompressedModel(entries=[entry]), path)
-    _manifest_edit(path, lambda m: m["entries"][0].update(overrides))
+    edit_container(path, lambda m: m["entries"][0].update(overrides))
     with pytest.raises(MalformedFile, match=match):
         load_compressed(path)
+
+
+@pytest.mark.parametrize("bits", range(17))
+def test_unpack_reads_every_width_as_the_lane_path_does(bits):
+    # 8- and 16-bit codes take the widening copy, every other width the lanes
+    rng = make_rng(102, "paths", str(bits))
+    for count in (0, 1, 7, 8, 9, 15, 17, 1003):
+        values = rng.integers(0, 1 << bits, size=count)
+        packed = pack_codes(values, bits)
+        got = unpack_codes(packed, bits, count)
+        assert np.array_equal(got, values), (bits, count)
+        if bits and count:  # the lanes serve 1..16 bits, and unpack_codes reads no codes itself
+            lanes = np.full(count, -1, dtype=np.int64)
+            tensor_io._unpack_lanes(packed, bits, count, lanes)
+            assert np.array_equal(lanes, got), (bits, count)
+
+
+def test_payload_and_every_array_start_at_a_64_byte_file_offset(tmp_path):
+    path = tmp_path / "model.pqfc"
+    save_compressed(_grouped_model(), path)
+    raw = path.read_bytes()
+    manifest, payload = split_container(raw)
+    start = len(raw) - len(payload)
+    offsets = [g["offset"] for g in manifest["groups"]]
+    for obj in manifest["entries"]:
+        keys = ("offset",) if obj["type"] == "raw" else ("codebook_offset", "codes_offset")
+        offsets += [obj[key] for key in keys]
+    assert len(offsets) == 6
+    assert start % 64 == 0 and all((start + offset) % 64 == 0 for offset in offsets)
+    edit_container(path, lambda m: m["entries"][1].update(codes_offset=m["entries"][1]["codes_offset"] + 1))
+    with pytest.raises(MalformedFile, match="entry 'wide' starts at payload offset .*, not a multiple of 64"):
+        load_compressed(path)
+
+
+def test_a_payload_bit_flip_fails_the_checksum(tmp_path):
+    path = tmp_path / "model.pqfc"
+    save_compressed(_grouped_model(), path)
+    raw = bytearray(path.read_bytes())
+    raw[-1] ^= 0x10
+    path.write_bytes(bytes(raw))
+    with pytest.raises(MalformedFile, match="payload checksum mismatch"):
+        load_compressed(path)
+
+
+def test_padding_after_the_manifest_must_be_zero(tmp_path):
+    path = tmp_path / "model.pqfc"
+    save_compressed(_grouped_model(), path)
+    raw = bytearray(path.read_bytes())
+    end = 16 + int.from_bytes(raw[8:16], "little")
+    assert end % 64  # the manifest leaves a gap before the payload
+    raw[end] = 1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(MalformedFile, match="padding after the manifest"):
+        load_compressed(path)
+
+
+def test_a_version_1_compressed_file_is_not_read_and_checkpoints_stay_version_1(tmp_path):
+    path, ckpt_path = tmp_path / "model.pqfc", tmp_path / "mini.pqfn"
+    save_compressed(_grouped_model(), path)
+    raw = bytearray(path.read_bytes())
+    assert raw[4:8] == (2).to_bytes(4, "little")
+    raw[4:8] = (1).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(MalformedFile, match="unsupported PQFC format version 1; this build reads version 2"):
+        load_compressed(path)
+    save_checkpoint(_mini_checkpoint(), ckpt_path)
+    raw = ckpt_path.read_bytes()
+    assert raw[4:8] == (1).to_bytes(4, "little")
+    # a checkpoint's payload follows its manifest with no padding
+    assert len(raw) == 16 + int.from_bytes(raw[8:16], "little") + (12 + 3) * 4
+
+
+def test_group_units_must_divide_each_member_s_input_channels(tmp_path):
+    model = _grouped_model()
+    model.groups = [np.arange(48)[::-1]]
+    with pytest.raises(MalformedFile, match="the 48 units of group 0 do not divide its 64 input channels"):
+        save_compressed(model, tmp_path / "model.pqfc")
+
+
+def test_a_group_too_large_for_16_bit_packing_is_a_typed_error(tmp_path):
+    from pqf.errors import PQFError
+
+    path = tmp_path / "model.pqfc"
+    widest = np.arange(1 << 16)[::-1]
+    save_compressed(CompressedModel(groups=[widest]), path)
+    assert np.array_equal(load_compressed(path).groups[0], widest)
+    detail = "group 0 permutes 65537 channel units; the container stores 1 to 65536"
+    with pytest.raises(PQFError, match=detail):
+        save_compressed(CompressedModel(groups=[np.arange(65537)[::-1]]), tmp_path / "wide.pqfc")
+    assert not (tmp_path / "wide.pqfc").exists()
