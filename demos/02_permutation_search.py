@@ -24,9 +24,9 @@ matrix = np.concatenate(
 
 identity_obj = permsearch.matrix_objective(matrix, d)
 greedy = permsearch.greedy_init(matrix, d)
-greedy_obj = permsearch.permuted_objective(matrix, d, greedy.indices)
+greedy_obj = permsearch.permuted_objective(matrix, d, greedy)
 refined = permsearch.local_search(matrix, d, 1, greedy, iters=1000, seed=0)
-refined_obj = permsearch.permuted_objective(matrix, d, refined.indices)
+refined_obj = permsearch.permuted_objective(matrix, d, refined)
 
 print(f"logdet objective, identity : {identity_obj:9.4f}")
 print(f"logdet objective, greedy   : {greedy_obj:9.4f}")
@@ -34,7 +34,7 @@ print(f"logdet objective, +search  : {refined_obj:9.4f}")
 
 # a lower covariance determinant translates into lower quantization error
 k = 32
-for label, perm in (("identity", np.arange(m)), ("optimized", refined.indices)):
+for label, perm in (("identity", np.arange(m)), ("optimized", refined)):
     pts = layout.split_matrix(matrix[perm], d).reshape(-1, d)
     sigma = permsearch.subvector_covariance(pts)
     _, _, err = quantize.src(pts, sigma, k, quantize.SRCConfig(200, 0.5, 1))

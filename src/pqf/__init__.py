@@ -1,6 +1,6 @@
 """Permutation-preconditioned vector quantization for weight checkpoints.
 
-The pipeline has three stages: find row permutations that make each layer's
+The pipeline has three stages: find the channel orders that make each layer's
 subvectors cheaper to quantize, learn codebooks with an annealed k-means, and
 fine-tune the codebooks with gradient descent on a task loss. Supporting
 machinery covers bit-exact containers, exact bit accounting, and resolution

@@ -372,10 +372,10 @@ def _bench_one(matrix: np.ndarray, cfg: BenchConfig, method: str, seed: int):
     d = cfg.d
     if method == "perm+src":
         init = permsearch.greedy_init(matrix, d, 1)
-        perm = permsearch.local_search(
+        rows = permsearch.local_search(
             matrix, d, 1, init, cfg.perm_iterations, derive_seed(seed, "bench-perm")
         )
-        work = perm.apply_rows(matrix)
+        work = matrix[rows]
     else:
         work = matrix
     pts = layout.split_matrix(work, d).reshape(-1, d)

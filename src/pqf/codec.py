@@ -1,10 +1,10 @@
 """Per-layer encodings, decoding, exact bit accounting, and orchestration.
 
-A layer encoding is a row permutation, a codebook, and a code grid; decoding
-rebuilds the permuted matrix from centroids, undoes the permutation, and
-undoes the reshape. A compressed model stores each permutation group's
-channel permutation once, and each layer's row permutation is lifted from
-its group's. Bit accounting prices a whole architecture without
+A layer encoding is its permutation group's channel-unit order, a codebook,
+and a code grid; decoding rebuilds the permuted matrix from centroids,
+undoes the order (lifted to the layer's rows), and undoes the reshape. A
+compressed model stores each group's unit order once, and every member's
+entry names it. Bit accounting prices a whole architecture without
 touching weights: uncompressed tensors at 32 bits per parameter, codebooks at
 16 bits per entry, codes at ``ceil(log2(k_eff))`` bits each. The first
 convolution, biases, and batchnorm vectors stay uncompressed.
@@ -26,7 +26,6 @@ from .errors import (
     TensorTooLarge,
     UnknownLayerKind,
 )
-from .permsearch import Permutation
 from .rng import derive_seed
 from .tensor_io import (
     CompressedModel,
@@ -92,14 +91,16 @@ def is_compressible(meta: LayerMeta, cfg: CompressionConfig, first_conv: str | N
 
 @dataclass(eq=False)
 class LayerEncoding:
-    """Permutation + codebook + codes for one layer, and what they decode to.
+    """Unit order + codebook + codes for one layer, and what they decode to.
 
     The arrays hold the geometry: the layer's `(C_in*K*K, C_out)` matrix has
     ``m_hat * d`` rows and ``n`` columns, for the ``(m_hat, n)`` codes and the
-    ``(k_eff, d)`` codebook.
+    ``(k_eff, d)`` codebook. `units` is the order of its group's channel
+    units, each ``C_in / len(units)`` input channels, that the rows were put
+    in before quantization; None keeps the stored order.
     """
 
-    permutation: Permutation
+    units: np.ndarray | None
     codebook: np.ndarray  # (k_eff, d) float64, or float32 when read from a container
     codes: np.ndarray  # (m_hat, n) int64
     kernel_size: int
@@ -114,6 +115,13 @@ class LayerEncoding:
     def d(self) -> int:
         return self.codebook.shape[1]
 
+    def row_order(self) -> np.ndarray:
+        """The layer matrix's row at each row of the permuted matrix the codes encode."""
+        rows = self.codes.shape[0] * self.d
+        if self.units is None:
+            return np.arange(rows)
+        return permsearch.expand_channel_permutation(self.units, rows // len(self.units)).indices
+
 
 def _require_finite(name: str, weight) -> None:
     """Raise `NonFiniteWeight` unless every entry of the weight is finite."""
@@ -125,13 +133,15 @@ def encode_layer(
     weight,
     meta: LayerMeta,
     cfg: CompressionConfig,
-    permutation: Permutation | None = None,
+    units=None,
     seed: int = 0,
 ) -> LayerEncoding:
     """Reshape, permute, split, and quantize one layer's weights.
 
     The geometry is `meta`'s, priced by the rule `bit_report` uses; a weight
-    of another shape raises `ShapeMismatch` naming the layer.
+    of another shape raises `ShapeMismatch` naming the layer. `units`, an
+    order of channel units (None: the stored order), must be a permutation
+    whose length divides ``meta.c_in``, or `IndivisibleBlockSize` is raised.
     """
     _require_finite(meta.name, weight)
     shape = layout.weight_shape(meta.kind, meta.c_in, meta.c_out, meta.kernel_size)
@@ -141,14 +151,17 @@ def encode_layer(
         )
     d, m_hat, n, k_eff = _layer_geometry(meta, cfg)
     matrix = layout.reshape_weight(weight, meta.kind)
-    if permutation is None:
-        permutation = Permutation.identity(len(matrix), block=meta.kernel_size**2)
-    permutation.validate()
-    if permutation.size != len(matrix):
-        raise IndivisibleBlockSize(
-            f"permutation covers {permutation.size} rows, layer has {len(matrix)}"
-        )
-    subs = layout.split_subvectors(permutation.apply_rows(matrix), d)
+    if units is not None:
+        units = np.asarray(units, dtype=np.int64)
+        if not units.size or meta.c_in % units.size or not np.array_equal(
+            np.sort(units), np.arange(units.size)
+        ):
+            raise IndivisibleBlockSize(
+                f"layer {meta.name!r}: the unit order is not a permutation of units "
+                f"that divide its {meta.c_in} input channels"
+            )
+        matrix = matrix[permsearch.expand_channel_permutation(units, len(matrix) // units.size).indices]
+    subs = layout.split_subvectors(matrix, d)
     if cfg.quantizer == "kmeans":
         codes, codebook, error = quantize.kmeans(subs, k_eff, cfg.src_iterations, seed)
     else:
@@ -157,7 +170,7 @@ def encode_layer(
             subs, sigma, k_eff, quantize.SRCConfig(cfg.src_iterations, cfg.gamma, seed)
         )
     return LayerEncoding(
-        permutation=permutation,
+        units=units,
         codebook=codebook,
         codes=codes,
         kernel_size=meta.kernel_size,
@@ -185,7 +198,7 @@ def decode_layer(enc: LayerEncoding, out=None) -> np.ndarray:
         enc.source_kind, m_hat * enc.d // kk, n, enc.kernel_size, subvectors.dtype, out
     )
     # row i*d + t of the permuted matrix is row dest[i, t] of the layer's own
-    dest = enc.permutation.indices.reshape(m_hat, enc.d)
+    dest = enc.row_order().reshape(m_hat, enc.d)
     rows[dest // kk, dest % kk] = subvectors.transpose(0, 2, 1)
     return weight
 
@@ -344,10 +357,10 @@ def _compressed_layers(ckpt: ModelCheckpoint, cfg: CompressionConfig) -> list:
 def resolve_layer_permutations(ckpt: ModelCheckpoint, cfg: CompressionConfig, seed: int = 0) -> list:
     """Optimize one shared channel permutation per group.
 
-    Returns ``(names, units)`` for each group whose permutation is not the
+    Returns ``(names, units)`` for each group whose order is not the
     identity: the group's children that `cfg` compresses, in sorted order,
-    and the permutation of the group's channel units (blocks of
-    `channel_block` channels). `resolve_groups` proves that the units divide
+    and the order of the group's channel units (blocks of `channel_block`
+    channels), which each child's encoding takes as it is. `resolve_groups` proves that the units divide
     each child's input channels, and `validate` that each weight has its
     layer's shape.
     """
@@ -374,28 +387,13 @@ def resolve_layer_permutations(ckpt: ModelCheckpoint, cfg: CompressionConfig, se
     return result
 
 
-def row_permutation(units, c_in: int, kernel_size: int) -> Permutation:
-    """A group's unit permutation lifted to the ``C_in*K*K`` rows of one member's matrix."""
-    return permsearch.expand_channel_permutation(units, c_in * kernel_size**2 // len(units))
-
-
-def layer_permutations(ckpt: ModelCheckpoint, groups) -> dict:
-    """name -> row `Permutation` of every member of `groups`, the
-    ``(names, units)`` pairs `resolve_layer_permutations` returns."""
-    result = {}
-    for names, units in groups:
-        for name in names:
-            meta = ckpt.layer(name)
-            result[name] = row_permutation(units, meta.c_in, meta.kernel_size)
-    return result
-
-
 def encode_layers(
-    ckpt: ModelCheckpoint, cfg: CompressionConfig, permutations: dict, seed: int, jobs: int = 1
+    ckpt: ModelCheckpoint, cfg: CompressionConfig, units: dict, seed: int, jobs: int = 1
 ) -> dict:
     """Encode every compressible layer; returns name -> `LayerEncoding`.
 
-    Layers missing from `permutations` keep the identity. Seeds are derived
+    `units` maps a layer to its group's unit order; layers missing from it
+    keep their stored order. Seeds are derived
     per layer, so `jobs` worker threads change nothing but wall time;
     results stay in declaration order.
     """
@@ -405,7 +403,7 @@ def encode_layers(
             ckpt.tensor(f"{meta.name}.weight").data,
             meta,
             cfg,
-            permutation=permutations.get(meta.name),
+            units=units.get(meta.name),
             seed=derive_seed(seed, "quantize", meta.name),
         )
 
@@ -431,7 +429,8 @@ def compress_model(ckpt: ModelCheckpoint, cfg: CompressionConfig, seed: int = 0,
         _require_finite(meta.name, ckpt.tensor(f"{meta.name}.weight").data)
     groups = resolve_layer_permutations(ckpt, cfg, seed)
     group_of = {name: i for i, (names, _) in enumerate(groups) for name in names}
-    encodings = encode_layers(ckpt, cfg, layer_permutations(ckpt, groups), seed, jobs)
+    units_of = {name: units for names, units in groups for name in names}
+    encodings = encode_layers(ckpt, cfg, units_of, seed, jobs)
 
     entries = []
     for rec in ckpt.tensors:
@@ -455,14 +454,14 @@ def compress_model(ckpt: ModelCheckpoint, cfg: CompressionConfig, seed: int = 0,
 def encoding_to_entry(name: str, enc: LayerEncoding, group: int | None = None) -> EncodedEntry:
     """Convert an in-memory encoding to its storage form (float16 codebook, packed codes).
 
-    The entry stores no permutation: `group` indexes the model's stored
-    channel permutation that `enc.permutation` lifts (`row_permutation`),
-    and None stands for the identity, so a permuted encoding without a
-    group raises ValueError. Raises `CodebookOverflow` if a finite centroid
-    coordinate would round to infinity in float16 (magnitude 65520 or more).
+    The entry stores no unit order: `group` indexes the model's stored order
+    that equals `enc.units`, and None stands for the stored order, so a
+    permuted encoding without a group raises ValueError. Raises
+    `CodebookOverflow` if a finite centroid coordinate would round to
+    infinity in float16 (magnitude 65520 or more).
     """
-    rows = enc.permutation.indices
-    if group is None and not np.array_equal(rows, np.arange(rows.size)):
+    units = enc.units
+    if group is None and units is not None and not np.array_equal(units, np.arange(units.size)):
         raise ValueError(f"layer {name!r} is permuted, so its entry must name its group")
     with np.errstate(over="ignore"):
         codebook = enc.codebook.astype("<f2")
@@ -490,20 +489,16 @@ def encoding_to_entry(name: str, enc: LayerEncoding, group: int | None = None) -
 def entry_to_encoding(entry: EncodedEntry, groups=(), codes=None) -> LayerEncoding:
     """Rehydrate a storage entry; the codebook keeps its float16 rounding.
 
-    `groups` is the model's list of stored group permutations, which the
-    entry's `group` indexes. The codebook widens to float32, which holds
+    `groups` is the model's list of stored unit orders, which the entry's
+    `group` indexes. The codebook widens to float32, which holds
     every float16 exactly, and the codes are unpacked into a new int64
     array. With `codes`, an int64 ``(m_hat, n)`` array, the encoding takes
     it as its code grid as it is, for the caller to unpack into before
-    decoding. `CompressedModel.validate` has checked the group permutation
-    against the entry.
+    decoding. `CompressedModel.validate` has checked the unit order against
+    the entry.
     """
-    if entry.group is None:
-        permutation = Permutation.identity(entry.m_hat * entry.d, block=entry.kernel_size**2)
-    else:
-        permutation = row_permutation(groups[entry.group], entry.c_in, entry.kernel_size)
     return LayerEncoding(
-        permutation=permutation,
+        units=None if entry.group is None else groups[entry.group],
         codebook=entry.codebook.astype(np.float32),
         codes=entry.unpack() if codes is None else codes,
         kernel_size=entry.kernel_size,

@@ -339,14 +339,14 @@ def centroid_maps(enc) -> tuple:
 
     Both list the code grid in order, subvector by subvector and within each
     its `d` coordinates. ``positions`` holds the flat index into the
-    `(C_in*K*K, C_out)` weight matrix of each coordinate: the permutation
-    and subvector cut applied to a matrix of indices. ``bins`` holds
-    ``code*d + j`` for coordinate `j`. Codes and permutations are frozen in
-    fine-tuning, so the maps are computed once per encoding.
+    `(C_in*K*K, C_out)` weight matrix of each coordinate: the row order
+    (`enc.row_order()`) and subvector cut applied to a matrix of indices.
+    ``bins`` holds ``code*d + j`` for coordinate `j`. Codes and unit orders
+    are frozen in fine-tuning, so the maps are computed once per encoding.
     """
     m_hat, n = enc.codes.shape
     index = np.arange(m_hat * enc.d * n).reshape(-1, n)
-    positions = layout.split_matrix(enc.permutation.apply_rows(index), enc.d).ravel()
+    positions = layout.split_matrix(index[enc.row_order()], enc.d).ravel()
     bins = (enc.codes[:, :, None] * enc.d + np.arange(enc.d)).ravel()
     return positions, bins
 
@@ -530,7 +530,7 @@ def finetune_codebooks(
         raise ValueError("network has no encoded layers to fine-tune")
     encodings = list(net.encodings.items())
     frozen_codes = {n: enc.codes.copy() for n, enc in encodings}
-    frozen_perms = {n: enc.permutation.indices.copy() for n, enc in encodings}
+    frozen_units = {n: np.copy(enc.units) for n, enc in encodings}
     maps = [centroid_maps(enc) for _, enc in encodings]
     indices = {n: decode_index(enc, m) for (n, enc), m in zip(encodings, maps)}
     weight_grads = {n: {"weight": np.zeros(index.shape)} for n, index in indices.items()}
@@ -556,9 +556,7 @@ def finetune_codebooks(
         net.decode_indices = {}
     for name, enc in net.encodings.items():
         assert np.array_equal(enc.codes, frozen_codes[name]), "codes must stay frozen"
-        assert np.array_equal(
-            enc.permutation.indices, frozen_perms[name]
-        ), "permutations must stay frozen"
+        assert np.array_equal(enc.units, frozen_units[name]), "unit orders must stay frozen"
     return trace
 
 

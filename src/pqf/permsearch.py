@@ -1,15 +1,18 @@
-"""Row-permutation search that shrinks the subvector covariance determinant.
+"""Channel-order search that shrinks the subvector covariance determinant.
 
 Reordering the rows of a weight matrix changes which entries end up in the
 same subvector, and the log-determinant of the subvector covariance lower-
 bounds how well a fixed-size codebook can represent them. This module
 estimates that covariance as a plain `(d, d)` array (`subvector_covariance`,
 which `rd_lower_bound` and the annealed quantizer take as it is), scores
-permutations by its (regularized) log determinant, builds a greedy
-bucket-balanced initial permutation, and refines it with stochastic local
-search. Convolution rows move in contiguous groups of K*K so whole filters
-stay together, and several layers that must share one channel permutation
-can be optimized jointly on their summed objective.
+orders by its (regularized) log determinant, builds a greedy
+bucket-balanced initial order, and refines it with stochastic local search.
+Rows move in units: a unit is the contiguous block of rows of one channel
+(K*K rows of a convolution, so whole filters stay together) or of several,
+and every order here is an order of units, ``units[i]`` being the unit
+placed at position i; `expand_channel_permutation` lifts one to rows.
+Several layers that must share one channel order can be optimized jointly
+on their summed objective.
 
 The search scores every order, the identity and greedy starts included,
 from raw moments per chunk (d consecutive rows of the permuted matrix): a
@@ -61,38 +64,13 @@ from .rng import make_rng
 
 @dataclass(frozen=True, eq=False)
 class Permutation:
-    """A row permutation: ``apply(M)[i] == M[indices[i]]``.
+    """A row or channel order: ``matrix[indices]`` puts row ``indices[i]`` at row i.
 
-    `block` rows move together: ``indices[b*block + r] == indices[b*block] + r``.
+    What `optimize_group_permutation` and `expand_channel_permutation` return;
+    `benchmarks/run.py` reads their `indices`.
     """
 
     indices: np.ndarray
-    block: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
-
-    @classmethod
-    def identity(cls, size: int, block: int = 1) -> "Permutation":
-        return cls(np.arange(size, dtype=np.int64), block)
-
-    @property
-    def size(self) -> int:
-        return self.indices.shape[0]
-
-    def validate(self):
-        idx = self.indices
-        m, g = idx.shape[0], self.block
-        if g <= 0 or m % g != 0:
-            raise IndivisibleBlockSize(f"block {g} does not divide {m} rows")
-        if not np.array_equal(np.sort(idx), np.arange(m)):
-            raise IndivisibleBlockSize("indices are not a permutation")
-        grid = idx.reshape(m // g, g)
-        if not np.array_equal(grid, grid[:, :1] + np.arange(g)):
-            raise IndivisibleBlockSize("permutation does not respect its block structure")
-
-    def apply_rows(self, matrix: np.ndarray) -> np.ndarray:
-        return matrix[self.indices]
 
 
 def _unit_rows(units: np.ndarray, g: int) -> np.ndarray:
@@ -101,9 +79,8 @@ def _unit_rows(units: np.ndarray, g: int) -> np.ndarray:
 
 
 def expand_channel_permutation(channel_indices, rows_per_channel: int) -> Permutation:
-    """Lift a channel permutation to row level, `rows_per_channel` rows each."""
-    g = int(rows_per_channel)
-    return Permutation(_unit_rows(np.asarray(channel_indices, dtype=np.int64), g), block=g)
+    """Lift a channel order to the rows of a matrix, `rows_per_channel` rows each."""
+    return Permutation(_unit_rows(np.asarray(channel_indices, dtype=np.int64), int(rows_per_channel)))
 
 
 def _as_points(subvectors) -> np.ndarray:
@@ -197,13 +174,13 @@ def _group_scores(matrix: np.ndarray, block: int) -> np.ndarray:
     return _regularized_logdet(np.einsum("gin,gjn->gij", centered, centered) / n)
 
 
-def greedy_init(weight, d: int, block: int = 1) -> Permutation:
-    """Bucket-balancing initial permutation.
+def greedy_init(weight, d: int, block: int = 1) -> np.ndarray:
+    """Bucket-balancing initial order of the ``m/block`` units of `block` rows.
 
-    Creates ``d/block`` buckets of capacity ``m/d`` row groups, assigns groups
-    in descending score order to the non-full bucket with the smallest
-    running score sum (ties to the lowest bucket index), then interlaces the
-    buckets so same-bucket groups land exactly `d` rows apart.
+    Creates ``d/block`` buckets of capacity ``m/d`` units, assigns units in
+    descending score order to the non-full bucket with the smallest running
+    score sum (ties to the lowest bucket index), then interlaces the buckets
+    so same-bucket units land exactly `d` rows apart.
     """
     matrix = np.asarray(weight, dtype=np.float64)
     m = matrix.shape[0]
@@ -227,11 +204,11 @@ def greedy_init(weight, d: int, block: int = 1) -> Permutation:
         if len(buckets[pick]) == capacity:
             open_buckets.remove(pick)
 
-    group_order = np.empty(m // block, dtype=np.int64)
+    units = np.empty(m // block, dtype=np.int64)
     for b, members in enumerate(buckets):
         for slot, g in enumerate(members):
-            group_order[slot * n_buckets + b] = g
-    return Permutation(_unit_rows(group_order, block), block=block)
+            units[slot * n_buckets + b] = g
+    return units
 
 
 def _logdets(total: np.ndarray) -> np.ndarray:
@@ -450,25 +427,26 @@ def _swap_search(families, units: np.ndarray, iters: int, seed: int):
     return units
 
 
-def local_search(
-    weight, d: int, block: int, init: Permutation, iters: int, seed: int
-) -> Permutation:
-    """Refine a permutation by random group swaps, keeping strict improvements.
+def local_search(weight, d: int, block: int, init_units, iters: int, seed: int) -> np.ndarray:
+    """Refine an order of the `block`-row units by random swaps, keeping strict improvements.
 
-    Each iteration proposes swapping two distinct `block`-row groups chosen
-    uniformly at random and rescores it from per-chunk moments, recomputing
-    only the chunks of `d` rows that hold the two groups; the result never
-    scores worse than `init`. Deterministic given `seed`.
+    Each iteration proposes swapping two distinct units chosen uniformly at
+    random and rescores it from per-chunk moments, recomputing only the
+    chunks of `d` rows that hold the two units; the returned order never
+    scores worse than `init_units`, which is left as it is. Deterministic
+    given `seed`.
     """
     matrix = np.asarray(weight, dtype=np.float64)
-    init.validate()
-    if init.block != block or init.size != matrix.shape[0]:
-        raise IndivisibleBlockSize("initial permutation does not match the matrix/block")
-    if d <= 0 or matrix.shape[0] % d != 0:
-        raise IndivisibleBlockSize(f"subvector size {d} does not divide {matrix.shape[0]} rows")
-    units = init.indices[::block] // block
+    m = matrix.shape[0]
+    if block <= 0 or m % block != 0:
+        raise IndivisibleBlockSize(f"block {block} does not divide {m} rows")
+    if d <= 0 or m % d != 0:
+        raise IndivisibleBlockSize(f"subvector size {d} does not divide {m} rows")
+    units = np.array(init_units, dtype=np.int64)
+    if not np.array_equal(np.sort(units), np.arange(m // block)):
+        raise IndivisibleBlockSize(f"initial order is not a permutation of {m // block} units")
     families = _families([(matrix, d, block)], units)
-    return expand_channel_permutation(_swap_search(families, units, iters, seed), block)
+    return _swap_search(families, units, iters, seed)
 
 
 def optimize_group_permutation(children, iters: int = 1000, seed: int = 0) -> Permutation:
@@ -483,7 +461,7 @@ def optimize_group_permutation(children, iters: int = 1000, seed: int = 0) -> Pe
     children is optimized: the greedy initialization comes from the largest
     of them, the identity is kept instead when it scores no worse, and local
     search then swaps channels accepting strict improvements of the sum.
-    Returns a channel-level permutation with ``block=1``.
+    Returns the channel order.
     """
     specs = [(np.asarray(w, dtype=np.float64), int(d), int(block)) for w, d, block in children]
     if not specs:
@@ -507,7 +485,7 @@ def optimize_group_permutation(children, iters: int = 1000, seed: int = 0) -> Pe
     # greedy initialization needs whole blocks inside each subvector
     matrix, d, block = max(specs, key=lambda s: s[0].size)
     if d % block == 0:
-        starts.append(greedy_init(matrix, d, block).indices[::block] // block)
+        starts.append(greedy_init(matrix, d, block))
     # min keeps the first of equal scores: the identity wins a tie
     units, families = min(((u, _families(specs, u)) for u in starts), key=lambda s: _total(s[1]))
     return Permutation(_swap_search(families, units, iters, seed))

@@ -41,12 +41,7 @@ COMPRESSED_VERSION = 2
 ALIGN = 64  # a compressed model's payload and its arrays start at multiples of this file offset
 _HEADER = 4 + 4 + 8  # magic + u32 version + u64 manifest length
 
-DTYPES = {
-    "f32": np.dtype("<f4"),
-    "f16": np.dtype("<f2"),
-    "u8": np.dtype("u1"),
-    "u16": np.dtype("<u2"),
-}
+DTYPES = {"f32": np.dtype("<f4")}  # every stored tensor is float32
 
 LAYER_KINDS = frozenset(
     {"conv", "deconv", "fc", "batchnorm", "add", "relu", "pool", "reshape", "input", "output"}
@@ -86,10 +81,10 @@ class TensorRecord:
         return int(np.prod(self.shape, dtype=np.int64)) * DTYPES[self.dtype].itemsize
 
 
-def tensor_record(name: str, array, dtype: str = "f32") -> TensorRecord:
-    """Build a record from any array-like, casting to the storage dtype."""
-    arr = np.asarray(array).astype(DTYPES[dtype])
-    return TensorRecord(name=name, dtype=dtype, shape=tuple(arr.shape), data=arr)
+def tensor_record(name: str, array) -> TensorRecord:
+    """Build a float32 record from any array-like."""
+    arr = np.asarray(array).astype(DTYPES["f32"])
+    return TensorRecord(name=name, dtype="f32", shape=tuple(arr.shape), data=arr)
 
 
 @dataclass
@@ -674,14 +669,25 @@ class CompressedModel:
 
     def validate(self):
         """Check every entry, and each group once: a permutation of its units that
-        `pack_codes` can store, whose units divide each member's input channels."""
+        `pack_codes` can store, whose units divide each member's input channels.
+        When the model declares layers, each encoded entry must describe one:
+        the same name, kind, kernel size and channel counts."""
         for i, perm in enumerate(self.groups):
             units = _check_units(len(perm), i)
             if not np.array_equal(np.sort(perm), np.arange(units)):
                 raise MalformedFile(f"group {i} does not store a permutation of {units} units")
+        layers = {m.name: (m.kind, m.kernel_size, m.c_in, m.c_out) for m in self.layers}
         for entry in self.entries:
             entry.validate()
-            if isinstance(entry, TensorRecord) or entry.group is None:
+            if isinstance(entry, TensorRecord):
+                continue
+            geometry = (entry.source_kind, entry.kernel_size, entry.c_in, entry.c_out)
+            if layers and layers.get(entry.name) != geometry:
+                raise MalformedFile(
+                    f"entry {entry.name!r} does not match a declared layer's kind, "
+                    "kernel size and channels"
+                )
+            if entry.group is None:
                 continue
             if not 0 <= entry.group < len(self.groups):
                 raise MalformedFile(

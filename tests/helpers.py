@@ -1,5 +1,5 @@
 """Test-only helpers: container equality for round trips, container framing for hand edits,
-quantizer-error and centroid-gradient oracles, the noise-free quantizer loop run to its last
+an encoding's row order, quantizer-error and centroid-gradient oracles, the noise-free quantizer loop run to its last
 round, the one-proposal-at-a-time swap search and its logdet and fold, the group-permutation
 oracles (apply a group's permutation and its `BlockViolation`, check the function is unchanged,
 parse a group listing), an all-gradients `into` for `backward`, a toy residual net, a narrowed
@@ -19,7 +19,7 @@ from pqf.errors import PQFError, ShapeMismatch, UnsupportedLayerKind
 from pqf.finetune import ToyDataset, _init_checkpoint, _same, _split
 from pqf.graph import PermutationGroup
 from pqf.layout import channel_axis
-from pqf.permsearch import Permutation, _unit_rows
+from pqf.permsearch import _unit_rows
 from pqf.rng import gaussian, make_rng
 from pqf.tensor_io import (
     WEIGHTED_KINDS,
@@ -107,9 +107,18 @@ def edit_container(path, edit_manifest=None, edit_payload=None, reseal: bool = T
     path.write_bytes(join_container(raw, manifest, bytes(payload), reseal))
 
 
+def row_order_oracle(enc: LayerEncoding) -> np.ndarray:
+    """The layer-matrix row at each row of `enc`'s permuted matrix: its units' rows, in the
+    order of `enc.units`, each unit a run of equally many consecutive rows."""
+    rows = np.arange(enc.codes.shape[0] * enc.d)
+    if enc.units is None:
+        return rows
+    return rows.reshape(len(enc.units), -1)[enc.units].ravel()
+
+
 def quantization_error(weight, enc: LayerEncoding) -> float:
     """Mean squared error per subvector between P*W_r and its reconstruction."""
-    permuted = enc.permutation.apply_rows(layout.reshape_weight(weight, enc.source_kind))
+    permuted = layout.reshape_weight(weight, enc.source_kind)[row_order_oracle(enc)]
     approx = layout.merge_matrix(np.asarray(enc.codebook, dtype=np.float64)[enc.codes])
     m_hat = permuted.shape[0] // enc.d
     return float(np.square(approx - permuted).sum() / (m_hat * permuted.shape[1]))
@@ -138,7 +147,7 @@ def centroid_gradients_oracle(weight_grad, enc: LayerEncoding) -> np.ndarray:
     index maps in `finetune.centroid_gradients` must, so the two agree bit
     for bit.
     """
-    permuted = enc.permutation.apply_rows(np.asarray(weight_grad))
+    permuted = np.asarray(weight_grad)[row_order_oracle(enc)]
     pts = layout.split_matrix(permuted, enc.d).reshape(-1, enc.d)
     flat = enc.codes.ravel()
     out = np.zeros((enc.k_eff, enc.d))
@@ -299,9 +308,7 @@ def apply_group_permutation(ckpt: ModelCheckpoint, group: PermutationGroup, perm
     Parents move their output dimension and 1-D vectors; children move their
     input dimension. Returns a new checkpoint; the original is untouched.
     """
-    indices = (
-        permutation.indices if isinstance(permutation, Permutation) else np.asarray(permutation)
-    ).astype(np.int64)
+    indices = np.asarray(permutation, dtype=np.int64)
     if indices.shape[0] != group.channels:
         raise ShapeMismatch(
             f"permutation covers {indices.shape[0]} channels, group has {group.channels}"

@@ -239,7 +239,7 @@ def test_criterion_4_permutation_matches_exhaustive_search():
             matrix = _correlated_matrix(seed)
             init = greedy_init(matrix, d=2, block=1)
             found = local_search(matrix, 2, 1, init, iters=1000, seed=seed)
-            achieved = permuted_objective(matrix, 2, found.indices)
+            achieved = permuted_objective(matrix, 2, found)
             best = np.inf
             for pairs in _ordered_pairings(list(range(8))):
                 order = np.array([i for pair in pairs for i in pair])

@@ -315,6 +315,26 @@ def test_decompress_layer_disagreeing_with_its_entry_is_data_error(tmp_path, cap
     _assert_malformed(["decompress", str(packed), "--out", str(back_path)], back_path, capsys)
 
 
+@pytest.mark.parametrize(
+    "fields", [{"source_kind": "deconv"}, {"kernel_size": 1, "c_in": 72}, {"name": "ghost"}]
+)
+def test_decompress_entry_disagreeing_with_its_declared_layer_is_data_error(tmp_path, fields, capsys):
+    # conv2 is 8 -> 8, so as a deconv its entry still decodes to the declared shape
+    ckpt_path, packed = tmp_path / "conv.pqfn", tmp_path / "conv.pqfc"
+    tensor_io.save_checkpoint(finetune.make_conv_classifier_checkpoint((2, 8, 8), 3, 4, seed=1), ckpt_path)
+    argv = ["compress", str(ckpt_path), "--out", str(packed), "--k", "4", "--k-fc", "4",
+            "--src-iters", "2", "--perm-iters", "5"]
+    assert cli.main(argv) == 0
+    _rewrite_manifest(
+        packed, lambda m: next(o for o in m["entries"] if o["name"] == "conv2").update(fields)
+    )
+    name = fields.get("name", "conv2")
+    with pytest.raises(MalformedFile, match=f"entry '{name}' does not match a declared layer"):
+        tensor_io.load_compressed(packed)
+    back_path = tmp_path / "back.pqfn"
+    _assert_malformed(["decompress", str(packed), "--out", str(back_path)], back_path, capsys)
+
+
 def test_compress_child_with_a_single_subvector(tmp_path):
     # fc2 is 4 -> 1: with d = 4 its one column is one subvector
     ckpt_path = tmp_path / "tiny.pqfn"
@@ -795,6 +815,7 @@ def _zero_bit_entry_of_a_trillion_columns(tmp_path):
             "--src-iters", "2", "--perm-iters", "5"]
     assert cli.main(argv) == 0
     _edit_manifest(packed, "entries", "fc1", n=10**12, c_out=10**12)
+    _edit_manifest(packed, "layers", "fc1", c_out=10**12)
     return packed, "entry 'fc1': 2 x 1000000000000 codes do not fit in memory"
 
 

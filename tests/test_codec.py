@@ -6,6 +6,7 @@ from helpers import (
     make_residual_checkpoint,
     quantization_error,
     records_equal,
+    row_order_oracle,
     synthetic_resnet,
 )
 from pqf import cli, codec, layout, permsearch, quantize, tensor_io
@@ -25,7 +26,6 @@ from pqf.errors import (
     ShapeMismatch,
 )
 from pqf.finetune import make_mlp_checkpoint
-from pqf.permsearch import Permutation
 from pqf.rng import make_rng
 from pqf.tensor_io import EncodedEntry, LayerMeta, TensorRecord, code_width
 
@@ -68,9 +68,19 @@ def test_conv_large_blocks_enforce_filter_groups():
     w = make_rng(44, "conv").standard_normal((4, 6, 3, 3))
     meta = _meta(kind="conv", k=3, c_in=4, c_out=6, name="c")
     cfg = CompressionConfig(k=8, d_conv_multiplier=2, src_iterations=10)
-    enc = encode_layer(w, meta, cfg, seed=1)
+    enc = encode_layer(w, meta, cfg, np.array([1, 0]), seed=1)  # two units of two channels
     assert enc.d == 18
-    assert enc.permutation.block == 9
+    grid = enc.row_order().reshape(4, 9)
+    assert np.array_equal(grid, grid[:, :1] + np.arange(9))  # whole filters move
+    assert np.array_equal(grid[:, 0], [18, 27, 0, 9])
+
+
+@pytest.mark.parametrize("units", [[0, 1, 2], [0, 0, 1, 2], [1, 2, 3, 4], [], [[0, 1], [1, 0]]])
+def test_encode_rejects_a_unit_order_that_is_not_a_permutation_dividing_its_channels(units):
+    w = make_rng(44, "conv").standard_normal((4, 6, 3, 3))
+    meta = _meta(kind="conv", k=3, c_in=4, c_out=6, name="c")
+    with pytest.raises(IndivisibleBlockSize, match="layer 'c': the unit order"):
+        encode_layer(w, meta, CompressionConfig(k=8, src_iterations=1), units)
 
 
 def test_decode_single_centroid():
@@ -91,10 +101,7 @@ def test_reported_error_matches_definition_oracle():
     w = rng.standard_normal((4, 5, 3, 3))
     meta = _meta(kind="conv", k=3, c_in=4, c_out=5, name="c")
     cfg = CompressionConfig(k=7, src_iterations=25)
-    perm = Permutation(
-        (np.array([2, 0, 3, 1])[:, None] * 9 + np.arange(9)).ravel(), block=9
-    )
-    enc = encode_layer(w, meta, cfg, permutation=perm, seed=3)
+    enc = encode_layer(w, meta, cfg, units=np.array([2, 0, 3, 1]), seed=3)
     # recompute from the definition via the decoded tensor
     decoded = decode_layer(enc)
     matrix = layout.reshape_weight(w, "conv")
@@ -111,8 +118,7 @@ def test_error_invariant_under_permutation_in_both_spaces():
     w = rng.standard_normal((8, 6))
     meta = _meta(c_in=8, c_out=6)
     cfg = CompressionConfig(k=3, k_fc=3, src_iterations=20)
-    perm = Permutation(make_rng(48, "p").permutation(8))
-    enc = encode_layer(w, meta, cfg, permutation=perm, seed=5)
+    enc = encode_layer(w, meta, cfg, units=make_rng(48, "p").permutation(8), seed=5)
     decoded = decode_layer(enc)
     m_hat = 8 // enc.d
     unpermuted_err = float(np.square(decoded - w).sum() / (m_hat * 6))
@@ -244,7 +250,8 @@ def test_jobs_pool_keeps_the_declaration_order(tmp_path):
     cfg = CompressionConfig(k=8, k_fc=8, src_iterations=5, perm_iterations=10)
     groups = codec.resolve_layer_permutations(ckpt, cfg, seed=2)
     assert groups  # the search moved at least one group
-    encodings = codec.encode_layers(ckpt, cfg, codec.layer_permutations(ckpt, groups), seed=2, jobs=2)
+    units = {name: order for names, order in groups for name in names}
+    encodings = codec.encode_layers(ckpt, cfg, units, seed=2, jobs=2)
     assert list(encodings) == ["fc1", "fc2", "fc3"]
 
     written = []
@@ -350,8 +357,8 @@ def test_reshape_coupled_layer_still_gets_permutation_search():
     assert err_p["fc1"] <= err_i["fc1"] + 1e-12
     (entry,) = [e for e in model_p.entries if isinstance(e, tensor_io.EncodedEntry)]
     assert entry.group == 0 and len(model_p.groups[0]) == 4  # 4 units of 9 channels
-    rows = codec.row_permutation(model_p.groups[0], entry.c_in, entry.kernel_size)
-    grid = rows.indices.reshape(4, 9)
+    rows = codec.entry_to_encoding(entry, model_p.groups).row_order()
+    grid = rows.reshape(4, 9)
     assert np.array_equal(grid, grid[:, :1] + np.arange(9))  # whole blocks moved
 
 
@@ -364,19 +371,18 @@ def test_entry_encoding_round_trip_preserves_f16_codebook():
     assert isinstance(entry, EncodedEntry)
     back = codec.entry_to_encoding(entry)
     assert np.array_equal(back.codes, enc.codes)
-    assert np.array_equal(back.permutation.indices, enc.permutation.indices)
+    assert back.units is None and enc.units is None
     assert np.array_equal(back.codebook, enc.codebook.astype("<f2").astype(np.float64))
 
 
 def test_a_permuted_encoding_round_trips_through_its_group_and_needs_one():
     w = make_rng(49, "f16").standard_normal((8, 4))
     units = make_rng(49, "units").permutation(8)
-    perm = permsearch.expand_channel_permutation(units, 1)
-    enc = encode_layer(w, _meta(c_in=8, c_out=4), CompressionConfig(k=2, k_fc=2), perm, seed=0)
+    enc = encode_layer(w, _meta(c_in=8, c_out=4), CompressionConfig(k=2, k_fc=2), units, seed=0)
     with pytest.raises(ValueError, match="layer 'layer' is permuted"):
         codec.encoding_to_entry("layer", enc)
     back = codec.entry_to_encoding(codec.encoding_to_entry("layer", enc, 0), [units])
-    assert np.array_equal(back.permutation.indices, enc.permutation.indices)
+    assert np.array_equal(back.units, units) and np.array_equal(back.row_order(), units)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -426,7 +432,7 @@ def _decode_oracle(enc):
     m_hat, n, d = subvectors.shape
     permuted = subvectors.transpose(0, 2, 1).reshape(m_hat * d, n)
     matrix = np.empty_like(permuted)
-    matrix[enc.permutation.indices] = permuted
+    matrix[row_order_oracle(enc)] = permuted
     if enc.source_kind == "fc":
         return matrix.copy()
     k = enc.kernel_size
@@ -444,7 +450,7 @@ def _pqfn_oracle(model) -> bytes:
             rec = entry
         else:
             weight = _decode_oracle(codec.entry_to_encoding(entry, model.groups))
-            rec = tensor_io.tensor_record(f"{entry.name}.weight", weight, "f32")
+            rec = tensor_io.tensor_record(f"{entry.name}.weight", weight)
         listing.append({"name": rec.name, "dtype": rec.dtype, "shape": list(rec.shape),
                         "offset": len(payload), "nbytes": rec.nbytes})
         payload.extend(rec.data.tobytes())
@@ -455,10 +461,9 @@ def _pqfn_oracle(model) -> bytes:
 
 
 def _grouped_entry(name, enc, groups):
-    """`enc` as a stored entry; a channel permutation other than the identity joins `groups`."""
-    kk = enc.kernel_size**2
-    units = enc.permutation.indices[::kk] // kk
-    if np.array_equal(units, np.arange(units.size)):
+    """`enc` as a stored entry; a unit order other than the identity joins `groups`."""
+    units = enc.units
+    if units is None or np.array_equal(units, np.arange(units.size)):
         return codec.encoding_to_entry(name, enc)
     groups.append(units)
     return codec.encoding_to_entry(name, enc, len(groups) - 1)
@@ -482,16 +487,16 @@ def _encode_case(kind, k, c_in, c_out, regime, order, name="layer"):
     meta = _meta(kind=kind, k=k, c_in=c_in, c_out=c_out, name=name)
     cfg = CompressionConfig(k=8, k_fc=8, d_conv_multiplier=2 if regime == "large" else 1,
                             quantizer="kmeans", src_iterations=3)
-    perm = {
+    units = {
         "identity": None,
-        "channels": permsearch.expand_channel_permutation(rng.permutation(c_in), k * k),
-        # a row order that splits filters, which only a hand-made file stores
-        "rows": Permutation(rng.permutation(c_in * k * k), block=1),
+        "channels": rng.permutation(c_in),
+        # reversed units of two channels, as in a group that a reshape couples
+        "units": np.arange(c_in // 2)[::-1].copy(),
     }[order]
-    return weight, encode_layer(weight, meta, cfg, permutation=perm, seed=3), rng
+    return weight, encode_layer(weight, meta, cfg, units, seed=3), rng
 
 
-@pytest.mark.parametrize("order", ["identity", "channels", "rows"])
+@pytest.mark.parametrize("order", ["identity", "channels", "units"])
 @pytest.mark.parametrize("kind, k, c_in, c_out, regime", _DECODE_LAYERS)
 def test_decompressed_bytes_match_the_float64_decoder(
     tmp_path, kind, k, c_in, c_out, regime, order
@@ -501,8 +506,6 @@ def test_decompressed_bytes_match_the_float64_decoder(
     decoded = decode_layer(enc)
     assert decoded.dtype == np.float64 and decoded.shape == weight.shape
     assert np.array_equal(decoded, _decode_oracle(enc))
-    if order == "rows" and k > 1:
-        return  # no container stores a row order that splits filters
     bias = tensor_io.tensor_record("layer.bias", rng.standard_normal(c_out))
     model = tensor_io.CompressedModel(groups=[])
     model.entries = [_grouped_entry("layer", enc, model.groups), bias]
@@ -529,7 +532,7 @@ def test_entry_to_encoding_widens_to_float32_and_shares_the_codes():
 
 @pytest.mark.parametrize("kind, k, c_in, c_out, regime", _DECODE_LAYERS)
 def test_decode_into_a_buffer_overwrites_it_and_returns_a_view(kind, k, c_in, c_out, regime):
-    _, enc, _ = _encode_case(kind, k, c_in, c_out, regime, "rows")
+    _, enc, _ = _encode_case(kind, k, c_in, c_out, regime, "units")
     enc.codebook = enc.codebook.astype(np.float32)
     buf = np.full(c_in * c_out * k * k + 5, np.nan, dtype=np.float32)
     decoded = decode_layer(enc, out=buf)
@@ -548,7 +551,7 @@ def test_streamed_decompress_writes_the_bytes_of_the_in_memory_decode(
     # raw tensors sit between encoded layers, and the smaller second layer
     # decodes over what the first one left in the reused buffer
     _, enc, rng = _encode_case(kind, k, c_in, c_out, regime, "channels")
-    _, small, _ = _encode_case("fc", 1, 4, 3, "small", "rows", name="small")
+    _, small, _ = _encode_case("fc", 1, 4, 3, "small", "units", name="small")
     model = tensor_io.CompressedModel(groups=[])
     model.entries = [
         tensor_io.tensor_record("first", rng.standard_normal(7)),

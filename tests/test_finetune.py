@@ -12,7 +12,6 @@ from helpers import (
 from pqf import codec, finetune, layout
 from pqf.codec import CompressionConfig, encode_layer
 from pqf.errors import DanglingEdge, DivergedLoss, MalformedFile, ShapeMismatch
-from pqf.permsearch import Permutation
 from pqf.finetune import (
     OptimizerState,
     ToyNetwork,
@@ -186,10 +185,8 @@ def _encoded_single_layer(seed=0, m=8, n=4, d=4, k=3):
 
 
 def test_centroid_gradient_single_assignment_is_verbatim_slice():
-    from pqf.permsearch import Permutation
-
     enc = codec.LayerEncoding(
-        permutation=Permutation.identity(4),
+        units=None,
         codebook=np.zeros((2, 2)),
         codes=np.array([[0], [1]]),
         kernel_size=1,
@@ -201,10 +198,8 @@ def test_centroid_gradient_single_assignment_is_verbatim_slice():
 
 
 def test_centroid_gradient_sums_shared_positions():
-    from pqf.permsearch import Permutation
-
     enc = codec.LayerEncoding(
-        permutation=Permutation.identity(4),
+        units=None,
         codebook=np.zeros((2, 2)),
         codes=np.array([[0], [0]]),
         kernel_size=1,
@@ -245,15 +240,12 @@ def test_centroid_gradients_match_finite_differences():
 def test_centroid_gradients_match_the_per_column_oracle_bit_for_bit(
     kind, kernel_size, c_in, c_out, units
 ):
-    from pqf.permsearch import Permutation
-
     block = kernel_size**2
-    perm = Permutation((np.array(units)[:, None] * block + np.arange(block)).ravel(), block)
     rng = make_rng(61, "cg-oracle", kind)
     meta = LayerMeta("l", kind, kernel_size, c_in, c_out)
     cfg = CompressionConfig(k=4, k_fc=4, d_fc=4, src_iterations=5)
     weight = gaussian(rng, layout.weight_shape(kind, c_in, c_out, kernel_size))
-    enc = encode_layer(weight, meta, cfg, permutation=perm, seed=3)
+    enc = encode_layer(weight, meta, cfg, np.array(units), seed=3)
     assert enc.k_eff * enc.d < enc.codes.size * enc.d  # bins shared, so summation order matters
     maps = centroid_maps(enc)
     shape = (c_in * block, c_out)  # gradients of the weight matrix
@@ -324,11 +316,10 @@ def test_decode_index_gathers_what_decode_layer_decodes(
     block = kernel_size**2
     units = rng.permutation(c_in) if permuted else np.arange(c_in)
     assert permuted != np.array_equal(units, np.arange(c_in))
-    perm = Permutation((units[:, None] * block + np.arange(block)).ravel(), block)
     cfg = CompressionConfig(k=8, k_fc=8, d_conv_multiplier=2 if large else 1, src_iterations=5)
     meta = LayerMeta("l", kind, kernel_size, c_in, c_out)
     weight = gaussian(rng, layout.weight_shape(kind, c_in, c_out, kernel_size))
-    enc = encode_layer(weight, meta, cfg, permutation=perm, seed=4)
+    enc = encode_layer(weight, meta, cfg, units, seed=4)
     assert enc.d == (2 * block if large else block if kernel_size > 1 else 4)
     enc.codebook = enc.codebook.astype(dtype)
     want = codec.decode_layer(enc)
@@ -400,16 +391,13 @@ def test_residual_training_and_finetuning_are_pinned(monkeypatch):
     net = ToyNetwork.from_checkpoint(make_residual_checkpoint(c_in=2, width=4, n_blocks=1, seed=65))
     train_network(net, dataset, epochs=3, seed=66)
     trained = net.to_checkpoint()
-    perms = {
-        name: Permutation((np.array(units)[:, None] * block + np.arange(block)).ravel(), block)
-        for name, units, block in [
-            ("block1.conv1", [2, 0, 3, 1], 9), ("block1.conv2", [3, 1, 0, 2], 9),
-            ("fc", [1, 3, 0, 2], 1),
-        ]
+    units = {
+        "block1.conv1": np.array([2, 0, 3, 1]), "block1.conv2": np.array([3, 1, 0, 2]),
+        "fc": np.array([1, 3, 0, 2]),
     }
     cfg = CompressionConfig(k=4, k_fc=4, perm_iterations=20, src_iterations=5)
-    qnet = ToyNetwork.from_checkpoint(trained, encodings=codec.encode_layers(trained, cfg, perms, 67))
-    assert sorted(qnet.encodings) == sorted(perms)
+    qnet = ToyNetwork.from_checkpoint(trained, encodings=codec.encode_layers(trained, cfg, units, 67))
+    assert sorted(qnet.encodings) == sorted(units)
     finetune_codebooks(qnet, dataset, epochs=2, seed=68)
     h = hashlib.sha256()
     for n in (net, qnet):
@@ -583,10 +571,10 @@ def test_finetune_keeps_codes_and_perms_and_structure():
     net, enc = _encoded_single_layer(seed=14)
     dataset = gaussian_blobs(30, 4, 8, seed=15)
     codes_before = enc.codes.copy()
-    perm_before = enc.permutation.indices.copy()
+    units_before = np.copy(enc.units)
     finetune_codebooks(net, dataset, epochs=4, seed=1)
     assert np.array_equal(enc.codes, codes_before)
-    assert np.array_equal(enc.permutation.indices, perm_before)
+    assert np.array_equal(enc.units, units_before)
     decoded = codec.decode_layer(enc)
     blocks = decoded.reshape(2, 4, 4).transpose(0, 2, 1).reshape(-1, 4)
     centroid_set = {tuple(c) for c in enc.codebook}

@@ -6,7 +6,6 @@ import pytest
 from pqf import permsearch
 from pqf.errors import IndivisibleBlockSize, MismatchedChannelCounts, TooFewSubvectors
 from pqf.permsearch import (
-    Permutation,
     expand_channel_permutation,
     greedy_init,
     local_search,
@@ -111,31 +110,22 @@ def test_hadamard_consistency_on_random_instances():
 
 
 # ---------------------------------------------------------------------------
-# Permutation mechanics
+# Unit orders
 # ---------------------------------------------------------------------------
-
-def test_permutation_block_validation():
-    Permutation(np.array([2, 3, 0, 1]), block=2).validate()
-    with pytest.raises(IndivisibleBlockSize):
-        Permutation(np.array([1, 2, 3, 0]), block=2).validate()
-    with pytest.raises(IndivisibleBlockSize):
-        Permutation(np.array([0, 0, 1, 2]), block=1).validate()
-
-
-def test_permutation_preserves_row_multiset_and_inverts():
-    rng = make_rng(15, "perm")
-    matrix = rng.standard_normal((12, 5))
-    perm = Permutation(rng.permutation(12))
-    permuted = perm.apply_rows(matrix)
-    assert np.array_equal(np.sort(permuted, axis=0), np.sort(matrix, axis=0))
-    assert np.array_equal(Permutation(np.argsort(perm.indices)).apply_rows(permuted), matrix)
-
 
 def test_expand_channel_permutation():
     perm = expand_channel_permutation([2, 0, 1], 3)
     assert np.array_equal(perm.indices, [6, 7, 8, 0, 1, 2, 3, 4, 5])
-    assert perm.block == 3
-    perm.validate()
+
+
+def test_expanded_unit_order_keeps_each_unit_whole_and_inverts():
+    rng = make_rng(15, "perm")
+    matrix = rng.standard_normal((12, 5))
+    units = rng.permutation(4)
+    rows = expand_channel_permutation(units, 3).indices
+    permuted = matrix[rows]
+    assert np.array_equal(permuted.reshape(4, 3, 5), matrix.reshape(4, 3, 5)[units])
+    assert np.array_equal(permuted[np.argsort(rows)], matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -153,27 +143,24 @@ def test_greedy_hand_trace():
             [1.0, -1.0],
         ]
     )
-    perm = greedy_init(rows, d=2, block=1)
-    assert np.array_equal(perm.indices, [0, 1, 3, 2])
+    units = greedy_init(rows, d=2, block=1)
+    assert np.array_equal(units, [0, 1, 3, 2])
 
 
 def test_greedy_identical_rows_is_valid_and_neutral():
     matrix = np.ones((8, 6))
-    perm = greedy_init(matrix, d=2, block=1)
-    perm.validate()
-    assert permuted_objective(matrix, 2, perm.indices) == pytest.approx(
+    units = greedy_init(matrix, d=2, block=1)
+    assert np.array_equal(np.sort(units), np.arange(8))
+    assert permuted_objective(matrix, 2, units) == pytest.approx(
         matrix_objective(matrix, 2)
     )
 
 
 def test_greedy_single_capacity_buckets():
     matrix = make_rng(16, "greedy").standard_normal((18, 4))
-    perm = greedy_init(matrix, d=18, block=9)
-    perm.validate()
-    assert perm.block == 9
-    # capacity 1: exactly one 9-row group per bucket, so groups stay whole
-    groups = perm.indices.reshape(2, 9) // 9
-    assert sorted(g[0] for g in groups) == [0, 1]
+    units = greedy_init(matrix, d=18, block=9)
+    # capacity 1: exactly one 9-row unit per bucket
+    assert sorted(units) == [0, 1]
 
 
 def _loop_group_scores(matrix, block):
@@ -225,25 +212,37 @@ def _pairing_optimum(matrix):
 
 def test_local_search_zero_iters_returns_init():
     matrix = make_rng(17, "ls").standard_normal((8, 5))
-    init = Permutation(np.arange(8))
+    init = np.arange(8)
     out = local_search(matrix, 2, 1, init, iters=0, seed=0)
-    assert np.array_equal(out.indices, init.indices)
+    assert np.array_equal(out, init)
 
 
 def test_local_search_rejects_subvector_size_not_dividing_rows():
-    init = Permutation(np.arange(6))
     with pytest.raises(IndivisibleBlockSize):
-        local_search(np.ones((6, 5)), 4, 1, init, iters=0, seed=0)
+        local_search(np.ones((6, 5)), 4, 1, np.arange(6), iters=0, seed=0)
+
+
+@pytest.mark.parametrize("init", [[1, 0, 0, 2], [0, 1, 2], [0, 1, 2, 4], [[0, 1], [2, 3]]])
+def test_local_search_rejects_an_initial_order_that_is_not_a_permutation_of_its_units(init):
+    with pytest.raises(IndivisibleBlockSize, match="not a permutation of 4 units"):
+        local_search(np.ones((8, 5)), 2, 2, init, iters=10, seed=0)
+
+
+def test_local_search_leaves_its_initial_order_as_it_is():
+    matrix = make_rng(17, "ls").standard_normal((8, 5))
+    init = np.arange(8)[::-1].copy()
+    out = local_search(matrix, 2, 1, init, iters=200, seed=0)
+    assert np.array_equal(init, np.arange(8)[::-1]) and not np.array_equal(out, init)
 
 
 def test_local_search_never_worse_and_prefix_monotone():
     matrix = make_rng(18, "ls2").standard_normal((8, 40))
     init = greedy_init(matrix, 2, 1)
-    base = permuted_objective(matrix, 2, init.indices)
+    base = permuted_objective(matrix, 2, init)
     prev = base
     for iters in (5, 10, 50, 200):
         out = local_search(matrix, 2, 1, init, iters=iters, seed=5)
-        obj = permuted_objective(matrix, 2, out.indices)
+        obj = permuted_objective(matrix, 2, out)
         assert obj <= base + 1e-12
         assert obj <= prev + 1e-12  # same seed: longer runs extend the same path
         prev = obj
@@ -259,7 +258,7 @@ def test_local_search_finds_known_pairing():
         matrix = np.stack([a, b, a * 1.05, b * 0.95]) + noise
         init = greedy_init(matrix, 2, 1)
         out = local_search(matrix, 2, 1, init, iters=1000, seed=seed)
-        achieved = permuted_objective(matrix, 2, out.indices)
+        achieved = permuted_objective(matrix, 2, out)
         if achieved <= _pairing_optimum(matrix) + 1e-9:
             hits += 1
     assert hits >= 19
@@ -269,8 +268,8 @@ def test_local_search_respects_blocks():
     matrix = make_rng(19, "ls3").standard_normal((18, 10))
     init = greedy_init(matrix, 18, 9)
     out = local_search(matrix, 18, 9, init, iters=50, seed=1)
-    out.validate()
-    assert out.block == 9
+    # an order of the two 9-row units, not of rows
+    assert sorted(out) == [0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +280,15 @@ def test_single_child_reduces_to_local_search():
     matrix = make_rng(20, "group1").standard_normal((12, 25))
     d, block, iters, seed = 2, 1, 120, 3
     greedy = greedy_init(matrix, d, block)
-    identity = Permutation.identity(12)
+    identity = np.arange(12)
     init = (
         greedy
-        if permuted_objective(matrix, d, greedy.indices)
-        < permuted_objective(matrix, d, identity.indices)
+        if permuted_objective(matrix, d, greedy) < permuted_objective(matrix, d, identity)
         else identity
     )
     expected = local_search(matrix, d, block, init, iters, seed)
     group = optimize_group_permutation([(matrix, d, block)], iters=iters, seed=seed)
-    assert np.array_equal(group.indices, expected.indices)
+    assert np.array_equal(group.indices, expected)
 
 
 def test_two_identical_children_match_single_child():
@@ -343,11 +341,7 @@ def test_group_with_conv_and_fc_children():
     conv_child = rng.standard_normal((36, 12))
     fc_child = rng.standard_normal((4, 20))
     out = optimize_group_permutation([(conv_child, 9, 9), (fc_child, 2, 1)], iters=80, seed=2)
-    out.validate()
-    assert out.size == 4
-    rows = expand_channel_permutation(out.indices, 9)
-    rows.validate()
-    assert rows.block == 9
+    assert np.array_equal(np.sort(out.indices), np.arange(4))
     # the conv child's objective cannot move, so it does not steer the search
     solo = optimize_group_permutation([(fc_child, 2, 1)], iters=80, seed=2)
     assert np.array_equal(out.indices, solo.indices)
@@ -380,7 +374,6 @@ def test_group_of_invariant_children_keeps_identity_without_search(children, mon
     )
     out = optimize_group_permutation(specs, iters=50, seed=3)
     assert np.array_equal(out.indices, np.arange(4))
-    assert out.block == 1
     assert calls == []
 
 
@@ -670,7 +663,7 @@ def _oracle_start(children):
     matrix, d, block = max(live, key=lambda s: s[0].size)
     if d % block != 0:
         return identity
-    greedy = greedy_init(matrix, d, block).indices[::block] // block
+    greedy = greedy_init(matrix, d, block)
     return greedy if _oracle_objective(live, greedy) < _oracle_objective(live, identity) else identity
 
 
