@@ -153,9 +153,7 @@ def encode_layer(
     matrix = layout.reshape_weight(weight, meta.kind)
     if units is not None:
         units = np.asarray(units, dtype=np.int64)
-        if not units.size or meta.c_in % units.size or not np.array_equal(
-            np.sort(units), np.arange(units.size)
-        ):
+        if not units.size or meta.c_in % units.size or not permsearch.is_permutation(units, units.size):
             raise IndivisibleBlockSize(
                 f"layer {meta.name!r}: the unit order is not a permutation of units "
                 f"that divide its {meta.c_in} input channels"
@@ -437,7 +435,7 @@ def compress_model(ckpt: ModelCheckpoint, cfg: CompressionConfig, seed: int = 0,
         layer_name = rec.name[: -len(".weight")] if rec.name.endswith(".weight") else None
         if layer_name in encodings:
             enc = encodings[layer_name]
-            entries.append(encoding_to_entry(layer_name, enc, group_of.get(layer_name)))
+            entries.append(encoding_to_entry(ckpt.layer(layer_name), enc, group_of.get(layer_name)))
         else:
             entries.append(rec)
     model = CompressedModel(
@@ -451,39 +449,25 @@ def compress_model(ckpt: ModelCheckpoint, cfg: CompressionConfig, seed: int = 0,
     return model, report, errors
 
 
-def encoding_to_entry(name: str, enc: LayerEncoding, group: int | None = None) -> EncodedEntry:
-    """Convert an in-memory encoding to its storage form (float16 codebook, packed codes).
+def encoding_to_entry(layer: LayerMeta, enc: LayerEncoding, group: int | None = None) -> EncodedEntry:
+    """Convert an encoding of `layer` to its storage form (float16 codebook, packed codes).
 
-    The entry stores no unit order: `group` indexes the model's stored order
-    that equals `enc.units`, and None stands for the stored order, so a
-    permuted encoding without a group raises ValueError. Raises
-    `CodebookOverflow` if a finite centroid coordinate would round to
-    infinity in float16 (magnitude 65520 or more).
+    The entry holds `layer`, which gives its geometry, and stores no unit
+    order: `group` indexes the model's stored order that equals
+    `enc.units`, and None stands for the stored order, so a permuted
+    encoding without a group raises ValueError. Raises `CodebookOverflow` if
+    a finite centroid coordinate would round to infinity in float16
+    (magnitude 65520 or more).
     """
     units = enc.units
     if group is None and units is not None and not np.array_equal(units, np.arange(units.size)):
-        raise ValueError(f"layer {name!r} is permuted, so its entry must name its group")
+        raise ValueError(f"layer {layer.name!r} is permuted, so its entry must name its group")
     with np.errstate(over="ignore"):
         codebook = enc.codebook.astype("<f2")
     if not np.isfinite(codebook).all():
-        raise CodebookOverflow(
-            f"layer {name!r}: a centroid exceeds the float16 range (max 65504)"
-        )
-    m_hat, n = enc.codes.shape
-    return EncodedEntry(
-        name=name,
-        source_kind=enc.source_kind,
-        kernel_size=enc.kernel_size,
-        c_in=m_hat * enc.d // enc.kernel_size**2,
-        c_out=n,
-        d=enc.d,
-        k_eff=enc.k_eff,
-        codebook=codebook,
-        packed=tensor_io.pack_codes(enc.codes, code_width(enc.k_eff)),
-        m_hat=m_hat,
-        n=n,
-        group=group,
-    )
+        raise CodebookOverflow(f"layer {layer.name!r}: a centroid exceeds the float16 range (max 65504)")
+    packed = tensor_io.pack_codes(enc.codes, code_width(enc.k_eff))
+    return EncodedEntry(layer, enc.d, enc.k_eff, codebook, packed, group)
 
 
 def entry_to_encoding(entry: EncodedEntry, groups=(), codes=None) -> LayerEncoding:
@@ -501,8 +485,8 @@ def entry_to_encoding(entry: EncodedEntry, groups=(), codes=None) -> LayerEncodi
         units=None if entry.group is None else groups[entry.group],
         codebook=entry.codebook.astype(np.float32),
         codes=entry.unpack() if codes is None else codes,
-        kernel_size=entry.kernel_size,
-        source_kind=entry.source_kind,
+        kernel_size=entry.layer.kernel_size,
+        source_kind=entry.layer.kind,
     )
 
 
@@ -513,10 +497,9 @@ def _decoded_checkpoint(model: CompressedModel, decode) -> ModelCheckpoint:
         if isinstance(entry, TensorRecord):
             tensors.append(entry)
             continue
-        name = f"{entry.name}.weight"
-        data = decode(name, entry)
-        shape = layout.weight_shape(entry.source_kind, entry.c_in, entry.c_out, entry.kernel_size)
-        tensors.append(TensorRecord(name, "f32", shape, data))
+        name, meta = f"{entry.name}.weight", entry.layer
+        shape = layout.weight_shape(meta.kind, meta.c_in, meta.c_out, meta.kernel_size)
+        tensors.append(TensorRecord(name, shape, decode(name, entry)))
     ckpt = ModelCheckpoint(tensors=tensors, layers=list(model.layers), edges=list(model.edges))
     tensor_io._fill_bias_flags(ckpt)
     return ckpt
@@ -534,7 +517,7 @@ def decompress_to_file(model: CompressedModel, path) -> int:
 
     The bytes equal those of ``save_checkpoint(decompress_model(model), path)``,
     but only one layer's codes and decoded weight are held at a time. The
-    manifest follows from the entries' geometry, so `save_checkpoint` writes
+    manifest follows from the declared layers, so `save_checkpoint` writes
     it first. Then each encoded layer's packed codes are unpacked into one
     int64 buffer sized for the layer with the most codes, decoded into one
     float32 buffer sized for the largest weight, and written, and both

@@ -78,6 +78,11 @@ def _unit_rows(units: np.ndarray, g: int) -> np.ndarray:
     return (units[:, None] * g + np.arange(g)).ravel()
 
 
+def is_permutation(order, n: int) -> bool:
+    """Whether `order` holds each of ``0 .. n-1`` exactly once."""
+    return np.array_equal(np.sort(order), np.arange(n))
+
+
 def expand_channel_permutation(channel_indices, rows_per_channel: int) -> Permutation:
     """Lift a channel order to the rows of a matrix, `rows_per_channel` rows each."""
     return Permutation(_unit_rows(np.asarray(channel_indices, dtype=np.int64), int(rows_per_channel)))
@@ -427,6 +432,14 @@ def _swap_search(families, units: np.ndarray, iters: int, seed: int):
     return units
 
 
+def _check_divides(m: int, d: int, block: int):
+    """Raise `IndivisibleBlockSize` unless `block` and `d` both divide `m` rows."""
+    if block <= 0 or m % block != 0:
+        raise IndivisibleBlockSize(f"block {block} does not divide {m} rows")
+    if d <= 0 or m % d != 0:
+        raise IndivisibleBlockSize(f"subvector size {d} does not divide {m} rows")
+
+
 def local_search(weight, d: int, block: int, init_units, iters: int, seed: int) -> np.ndarray:
     """Refine an order of the `block`-row units by random swaps, keeping strict improvements.
 
@@ -438,12 +451,9 @@ def local_search(weight, d: int, block: int, init_units, iters: int, seed: int) 
     """
     matrix = np.asarray(weight, dtype=np.float64)
     m = matrix.shape[0]
-    if block <= 0 or m % block != 0:
-        raise IndivisibleBlockSize(f"block {block} does not divide {m} rows")
-    if d <= 0 or m % d != 0:
-        raise IndivisibleBlockSize(f"subvector size {d} does not divide {m} rows")
+    _check_divides(m, d, block)
     units = np.array(init_units, dtype=np.int64)
-    if not np.array_equal(np.sort(units), np.arange(m // block)):
+    if not is_permutation(units, m // block):
         raise IndivisibleBlockSize(f"initial order is not a permutation of {m // block} units")
     families = _families([(matrix, d, block)], units)
     return _swap_search(families, units, iters, seed)
@@ -468,11 +478,7 @@ def optimize_group_permutation(children, iters: int = 1000, seed: int = 0) -> Pe
         raise MismatchedChannelCounts("need at least one child")
 
     for matrix, d, block in specs:
-        m = matrix.shape[0]
-        if block <= 0 or m % block != 0:
-            raise IndivisibleBlockSize(f"block {block} does not divide {m} rows")
-        if d <= 0 or m % d != 0:
-            raise IndivisibleBlockSize(f"subvector size {d} does not divide {m} rows")
+        _check_divides(matrix.shape[0], d, block)
     counts = sorted({matrix.shape[0] // block for matrix, _, block in specs})
     if len(counts) > 1:
         raise MismatchedChannelCounts(f"children disagree on channels: {counts}")

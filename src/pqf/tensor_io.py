@@ -4,13 +4,14 @@ Two little-endian container formats share one framing: a 4-byte magic, a
 u32 format version, a u64 manifest length, a UTF-8 JSON manifest, and a raw
 payload section. ``PQFN`` files (version 1) hold uncompressed checkpoints
 (named tensors plus layer/edge metadata), the payload right after the
-manifest. ``PQFC`` files (version 2) hold compressed models whose entries are
+manifest. ``PQFC`` files (version 3) hold compressed models whose entries are
 either raw tensors or per-layer encodings with float16 codebooks and
 bit-packed codes, plus one bit-packed channel permutation per permutation
-group that is not the identity; zero bytes pad the payload and each of its
-arrays to a 64-byte file offset, and the manifest holds the payload's CRC-32.
-Architecture specs are plain text: one
-``name kind K C_in C_out`` line per layer followed by
+group that is not the identity. An encoded entry names its declared layer,
+whose kind, kernel size and channel counts give its geometry; zero bytes
+pad the payload and each of its arrays to a 64-byte file offset, and the
+file ends in the CRC-32 of every byte before it. Architecture specs are
+plain text: one ``name kind K C_in C_out`` line per layer followed by
 ``edge producer consumer`` lines.
 """
 
@@ -33,15 +34,17 @@ from .errors import (
     MalformedFile,
     TensorTooLarge,
 )
+from .permsearch import is_permutation
 
 CHECKPOINT_MAGIC = b"PQFN"
 COMPRESSED_MAGIC = b"PQFC"
 CHECKPOINT_VERSION = 1
-COMPRESSED_VERSION = 2
+COMPRESSED_VERSION = 3
 ALIGN = 64  # a compressed model's payload and its arrays start at multiples of this file offset
 _HEADER = 4 + 4 + 8  # magic + u32 version + u64 manifest length
+_CRC = 4  # a compressed model ends in the u32 CRC-32 of every byte before it
 
-DTYPES = {"f32": np.dtype("<f4")}  # every stored tensor is float32
+_F32 = np.dtype("<f4")  # every stored tensor is float32, written "f32"
 
 LAYER_KINDS = frozenset(
     {"conv", "deconv", "fc", "batchnorm", "add", "relu", "pool", "reshape", "input", "output"}
@@ -52,39 +55,36 @@ PASSTHROUGH_KINDS = frozenset({"batchnorm", "add", "relu", "pool", "reshape"})
 
 @dataclass(eq=False)
 class TensorRecord:
-    """One named tensor: raw little-endian values in row-major order.
+    """One named float32 tensor: raw little-endian values in row-major order.
 
     A record whose `data` is None only declares its tensor; `save_checkpoint`
     asks for the array when it writes the record.
     """
 
     name: str
-    dtype: str
     shape: tuple
     data: np.ndarray | None
 
     def validate(self, data=None):
-        """Check the dtype, and that `data` (default: the record's own, if
-        any) has the declared shape and storage dtype."""
-        if self.dtype not in DTYPES:
-            raise MalformedFile(f"unknown dtype {self.dtype!r} for tensor {self.name!r}")
+        """Check that `data` (default: the record's own, if any) has the
+        declared shape and is float32."""
         data = self.data if data is None else data
         if data is None:
             return
         if tuple(data.shape) != tuple(self.shape):
             raise MalformedFile(f"tensor {self.name!r} shape mismatch")
-        if data.dtype != DTYPES[self.dtype]:
+        if data.dtype != _F32:
             raise MalformedFile(f"tensor {self.name!r} storage dtype mismatch")
 
     @property
     def nbytes(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64)) * DTYPES[self.dtype].itemsize
+        return int(np.prod(self.shape, dtype=np.int64)) * _F32.itemsize
 
 
 def tensor_record(name: str, array) -> TensorRecord:
     """Build a float32 record from any array-like."""
-    arr = np.asarray(array).astype(DTYPES["f32"])
-    return TensorRecord(name=name, dtype="f32", shape=tuple(arr.shape), data=arr)
+    arr = np.asarray(array).astype(_F32)
+    return TensorRecord(name=name, shape=tuple(arr.shape), data=arr)
 
 
 @dataclass
@@ -139,6 +139,8 @@ class ModelCheckpoint:
                     raise MalformedFile(f"{meta.kind} layer {meta.name!r} must preserve channels")
             if meta.kind in WEIGHTED_KINDS and min(meta.kernel_size, meta.c_in, meta.c_out) < 1:
                 raise MalformedFile(f"layer {meta.name!r} has an empty dimension")
+            if meta.kind == "fc" and meta.kernel_size != 1:
+                raise MalformedFile(f"fc layer {meta.name!r} has kernel size {meta.kernel_size}")
 
         self.topological_order()
 
@@ -283,35 +285,37 @@ class _Payload:
         self.nbytes = offset + nbytes
         return offset
 
-    def crc32(self) -> int:
-        """CRC-32 of the payload; every part must be bytes or an array."""
-        crc = 0
-        for part in self.parts:
-            crc = zlib.crc32(part, crc)
-        return crc
-
 
 def _aligned(offset: int, align: int) -> int:
     return -(-offset // align) * align
 
 
-def _write_file(path, magic: bytes, version: int, manifest: dict, payload: _Payload) -> int:
+def _write_file(
+    path, magic: bytes, version: int, manifest: dict, payload: _Payload, sealed: bool = False
+) -> int:
     """Write header, manifest, then each payload buffer in place; returns the bytes written.
 
     Zero bytes pad the manifest so that the payload starts at a multiple of
-    ``payload.align`` bytes into the file. If any part fails, the partly
-    written file is removed.
+    ``payload.align`` bytes into the file. A `sealed` file, whose payload
+    parts must all be bytes or arrays, ends in the CRC-32 of every byte
+    before it. If any part fails, the partly written file is removed.
     """
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     head = magic + version.to_bytes(4, "little") + len(blob).to_bytes(8, "little")
     gap = bytes(_aligned(_HEADER + len(blob), payload.align) - _HEADER - len(blob))
+    parts = [head, blob, gap, *payload.parts]
+    if sealed:
+        crc = 0
+        for part in parts:
+            crc = zlib.crc32(part, crc)
+        parts.append(crc.to_bytes(_CRC, "little"))
     try:
         fh = open(path, "wb")
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
     try:
         with fh:
-            for part in (head, blob, gap, *payload.parts):
+            for part in parts:
                 fh.write(_view(part()) if callable(part) else part)
     except BaseException as exc:
         with contextlib.suppress(OSError):
@@ -319,16 +323,18 @@ def _write_file(path, magic: bytes, version: int, manifest: dict, payload: _Payl
         if isinstance(exc, OSError):
             raise IoFailure(str(exc)) from exc
         raise
-    return len(head) + len(blob) + len(gap) + payload.nbytes
+    return len(head) + len(blob) + len(gap) + payload.nbytes + _CRC * sealed
 
 
-def _unframe(raw: bytes, magic: bytes, version: int, align: int = 1) -> tuple:
+def _unframe(raw: bytes, magic: bytes, version: int, align: int = 1, sealed: bool = False) -> tuple:
     """Split a file into its manifest and a view of its payload (no copy).
 
-    The payload starts at the first multiple of `align` after the manifest;
-    the bytes between must be zero.
+    A `sealed` file's last bytes must be the CRC-32 of every byte before
+    them, checked right after the magic and version. The payload starts at
+    the first multiple of `align` after the manifest; the bytes between must
+    be zero.
     """
-    if len(raw) < _HEADER:
+    if len(raw) < _HEADER + _CRC * sealed:
         raise MalformedFile("file too short for header")
     if raw[:4] != magic:
         raise MalformedFile(f"bad magic {raw[:4]!r}, expected {magic!r}")
@@ -337,8 +343,11 @@ def _unframe(raw: bytes, magic: bytes, version: int, align: int = 1) -> tuple:
         raise MalformedFile(
             f"unsupported {magic.decode()} format version {found}; this build reads version {version}"
         )
+    body = memoryview(raw)[: len(raw) - _CRC * sealed]
+    if sealed and zlib.crc32(body) != int.from_bytes(raw[-_CRC:], "little"):
+        raise MalformedFile("checksum mismatch: the file is corrupt")
     end = _HEADER + int.from_bytes(raw[8:16], "little")
-    if len(raw) < end:
+    if len(body) < end:
         raise MalformedFile("file truncated inside manifest")
     try:
         manifest = json.loads(raw[_HEADER:end].decode("utf-8"))
@@ -347,9 +356,9 @@ def _unframe(raw: bytes, magic: bytes, version: int, align: int = 1) -> tuple:
     if not isinstance(manifest, dict):
         raise MalformedFile("manifest is not a JSON object")
     start = _aligned(end, align)
-    if len(raw) < start or any(raw[end:start]):
+    if len(body) < start or any(raw[end:start]):
         raise MalformedFile("the padding after the manifest is truncated or not zero")
-    return manifest, memoryview(raw)[start:]
+    return manifest, body[start:]
 
 
 def _read_file(path) -> bytes:
@@ -380,7 +389,7 @@ def _put_tensor(payload: _Payload, rec: TensorRecord, produce=None) -> dict:
     data = produced if rec.data is None else rec.data
     return {
         "name": rec.name,
-        "dtype": rec.dtype,
+        "dtype": "f32",
         "shape": list(rec.shape),
         "offset": payload.add(data, rec.nbytes),
         "nbytes": rec.nbytes,
@@ -392,18 +401,18 @@ def _get_tensor(payload: memoryview, obj: dict, align: int = 1) -> TensorRecord:
     name = _field(obj, "name", str, "tensor")
     where = f"tensor {name!r}"
     dtype = _field(obj, "dtype", str, where)
-    if dtype not in DTYPES:
+    if dtype != "f32":
         raise MalformedFile(f"unknown dtype {dtype!r}")
     shape = tuple(_field(obj, "shape", list, where))
     if not all(_is_int(s) for s in shape):
         raise MalformedFile(f"{where}: field 'shape' is not a list of int")
     if any(s < 0 for s in shape):
         raise MalformedFile(f"tensor {name!r} has a negative dimension")
-    nbytes = math.prod(shape) * DTYPES[dtype].itemsize
+    nbytes = math.prod(shape) * _F32.itemsize
     if nbytes != _field(obj, "nbytes", int, where):
         raise MalformedFile(f"tensor {name!r} byte length mismatch")
     raw = _take(payload, _field(obj, "offset", int, where), nbytes, where, align)
-    return TensorRecord(name, dtype, shape, np.frombuffer(raw, DTYPES[dtype]).reshape(shape).copy())
+    return TensorRecord(name, shape, np.frombuffer(raw, _F32).reshape(shape).copy())
 
 
 def save_checkpoint(ckpt: ModelCheckpoint, path, produce=None) -> int:
@@ -577,29 +586,35 @@ def _unpack_lanes(buf, bits: int, count: int, codes: np.ndarray) -> None:
 
 @dataclass(eq=False)
 class EncodedEntry:
-    """One layer's codebook and packed codes, plus its geometry and permutation group.
+    """One layer's codebook and packed codes, and its permutation group.
 
-    The codes stay in their stored form: `packed` holds the ``m_hat * n``
-    codes of the ``(m_hat, n)`` grid, `bits` = ``code_width(k_eff)`` bits
-    each, as `pack_codes` writes them (a `memoryview` into the file when
-    loaded). `unpack` turns them into int64 codes when a layer is decoded.
-    `group` indexes the model's `groups`, whose channel permutation the
-    layer's rows were permuted by before quantization; None means the
-    identity.
+    The geometry is the declared `layer`'s: its ``(C_in*K*K, C_out)`` matrix
+    holds an ``(m_hat, n)`` grid of `d`-long subvectors. `packed` holds
+    their ``m_hat * n`` codes, `bits` = ``code_width(k_eff)`` bits each, as
+    `pack_codes` writes them (a `memoryview` into the file when loaded).
+    `unpack` turns them into int64 codes when a layer is decoded. `group`
+    indexes the model's `groups`, whose channel permutation the layer's rows
+    were permuted by before quantization; None means the identity.
     """
 
-    name: str
-    source_kind: str
-    kernel_size: int
-    c_in: int
-    c_out: int
+    layer: LayerMeta
     d: int
     k_eff: int
     codebook: np.ndarray  # (k_eff, d) float16
     packed: bytes  # or a memoryview of them
-    m_hat: int
-    n: int
     group: int | None = None
+
+    @property
+    def name(self) -> str:
+        return self.layer.name
+
+    @property
+    def m_hat(self) -> int:
+        return self.layer.c_in * self.layer.kernel_size**2 // self.d
+
+    @property
+    def n(self) -> int:
+        return self.layer.c_out
 
     @property
     def bits(self) -> int:
@@ -615,47 +630,41 @@ class EncodedEntry:
         return codes.reshape(self.m_hat, self.n)
 
     def validate(self):
-        """Check kind, geometry, sizes and codes.
+        """Check that `d` splits the layer's rows, then sizes and codes.
 
         Every code is below `k_eff`: a width of `bits` bounds every code when
         `k_eff` is a power of two; otherwise the codes are unpacked once,
         briefly, to find the largest. `CompressedModel.validate` checks the
-        group.
+        layer and the group.
         """
-        m_hat, n = self.m_hat, self.n
-        if self.source_kind not in WEIGHTED_KINDS:
-            raise MalformedFile(f"entry {self.name!r} has unknown source kind {self.source_kind!r}")
-        if self.source_kind == "fc" and self.kernel_size != 1:
-            raise MalformedFile(f"fc entry {self.name!r} has kernel size {self.kernel_size}")
-        if self.d < 1:
-            raise MalformedFile(f"entry {self.name!r} has subvector size {self.d}")
-        if m_hat * self.d != self.c_in * self.kernel_size**2 or n != self.c_out:
-            raise MalformedFile(f"entry {self.name!r} codes do not match its layer geometry")
+        rows = self.layer.c_in * self.layer.kernel_size**2
+        if self.d < 1 or rows % self.d:
+            raise MalformedFile(f"entry {self.name!r}: subvector size {self.d} does not divide {rows} rows")
         if self.codebook.shape != (self.k_eff, self.d):
             raise MalformedFile(f"entry {self.name!r} codebook shape mismatch")
-        need = (m_hat * n * self.bits + 7) // 8
+        count = self.m_hat * self.n
+        need = (count * self.bits + 7) // 8
         if len(self.packed) != need:
             raise MalformedFile(
                 f"entry {self.name!r}: packed code section has {len(self.packed)} bytes, expected {need}"
             )
-        if m_hat * n and self.k_eff < (1 << self.bits):
+        if count and self.k_eff < (1 << self.bits):
             if self.k_eff == 0 or self.unpack().max() >= self.k_eff:
                 raise MalformedFile(f"entry {self.name!r} has out-of-range codes")
 
 
-# The fields of an encoded entry that its manifest object holds as they are:
-# two strings, then ints. The codebook and codes are sections of the payload,
-# found through the offsets that follow; `group` is an index or null.
-_STORED_FIELDS = ("name", "source_kind", "kernel_size", "c_in", "c_out", "d", "k_eff", "m_hat", "n")
-_SECTION_FIELDS = ("codebook_offset", "codes_offset", "codes_nbytes")
+# The int fields of an encoded entry's manifest object, besides its `name`
+# and its `group` (an index or null); the offsets find its codebook and codes
+# in the payload.
+_ENCODED_INTS = ("d", "k_eff", "codebook_offset", "codes_offset")
 
 
 @dataclass(eq=False)
 class CompressedModel:
-    """Ordered entries, each a `TensorRecord` stored verbatim or an `EncodedEntry`,
-    the channel permutation of each permutation group that is not the identity
-    (int arrays, one value per channel unit of the group), and an echo of the
-    architecture DAG."""
+    """Ordered entries, each a `TensorRecord` stored verbatim or an `EncodedEntry`
+    holding one of the declared `layers`, the channel permutation of each
+    permutation group that is not the identity (int arrays, one value per
+    channel unit of the group), and an echo of the architecture DAG."""
 
     entries: list = field(default_factory=list)
     layers: list = field(default_factory=list)
@@ -668,36 +677,32 @@ class CompressedModel:
         return sum(len(perm) * code_width(len(perm)) for perm in self.groups)
 
     def validate(self):
-        """Check every entry, and each group once: a permutation of its units that
-        `pack_codes` can store, whose units divide each member's input channels.
-        When the model declares layers, each encoded entry must describe one:
-        the same name, kind, kernel size and channel counts."""
+        """Check the declared graph by `ModelCheckpoint`'s rules, each group once (a
+        permutation of its units that `pack_codes` can store, whose units divide
+        each member's input channels), and every entry. Each encoded entry holds
+        a declared weighted layer that no other entry holds."""
+        ModelCheckpoint(layers=self.layers, edges=self.edges).validate()
         for i, perm in enumerate(self.groups):
             units = _check_units(len(perm), i)
-            if not np.array_equal(np.sort(perm), np.arange(units)):
+            if not is_permutation(perm, units):
                 raise MalformedFile(f"group {i} does not store a permutation of {units} units")
-        layers = {m.name: (m.kind, m.kernel_size, m.c_in, m.c_out) for m in self.layers}
+        weighted = {m.name: m for m in self.layers if m.kind in WEIGHTED_KINDS}
         for entry in self.entries:
+            if isinstance(entry, EncodedEntry) and weighted.pop(entry.name, None) is not entry.layer:
+                detail = "does not hold a declared weighted layer of its own"
+                raise MalformedFile(f"entry {entry.name!r} {detail}")
             entry.validate()
-            if isinstance(entry, TensorRecord):
-                continue
-            geometry = (entry.source_kind, entry.kernel_size, entry.c_in, entry.c_out)
-            if layers and layers.get(entry.name) != geometry:
-                raise MalformedFile(
-                    f"entry {entry.name!r} does not match a declared layer's kind, "
-                    "kernel size and channels"
-                )
-            if entry.group is None:
+            if isinstance(entry, TensorRecord) or entry.group is None:
                 continue
             if not 0 <= entry.group < len(self.groups):
                 raise MalformedFile(
                     f"entry {entry.name!r} names group {entry.group}; the file stores {len(self.groups)}"
                 )
             units = len(self.groups[entry.group])
-            if entry.c_in % units:
+            if entry.layer.c_in % units:
                 raise MalformedFile(
                     f"entry {entry.name!r}: the {units} units of group {entry.group} "
-                    f"do not divide its {entry.c_in} input channels"
+                    f"do not divide its {entry.layer.c_in} input channels"
                 )
 
 
@@ -705,8 +710,9 @@ def save_compressed(model: CompressedModel, path) -> int:
     """Serialize a compressed model; returns the byte count written.
 
     The model is validated before the file is opened. Every array starts at
-    a multiple of `ALIGN` bytes into the file, and the manifest holds the
-    payload's CRC-32.
+    a multiple of `ALIGN` bytes into the file, and the file ends in the
+    CRC-32 of every byte before it. An encoded entry stores its layer's
+    name, not its geometry.
     """
     model.validate()
     payload = _Payload(ALIGN)
@@ -721,23 +727,21 @@ def save_compressed(model: CompressedModel, path) -> int:
             continue
         entries.append(
             {
-                "type": "encoded",
-                **{key: getattr(entry, key) for key in _STORED_FIELDS},
+                "name": entry.name,
+                "d": entry.d,
+                "k_eff": entry.k_eff,
                 "group": entry.group,
                 "codebook_offset": payload.add(entry.codebook.astype("<f2", copy=False)),
                 "codes_offset": payload.add(entry.packed),
-                "codes_nbytes": len(entry.packed),
             }
         )
     manifest = {
-        "crc32": payload.crc32(),
-        "entry_count": len(entries),
         "entries": entries,
         "groups": groups,
         "layers": [_layer_to_dict(m) for m in model.layers],
         "edges": [[p, c] for p, c in model.edges],
     }
-    return _write_file(path, COMPRESSED_MAGIC, COMPRESSED_VERSION, manifest, payload)
+    return _write_file(path, COMPRESSED_MAGIC, COMPRESSED_VERSION, manifest, payload, True)
 
 
 def _check_units(units: int, i: int) -> int:
@@ -758,59 +762,53 @@ def _get_group(payload: memoryview, obj: dict, i: int) -> np.ndarray:
     return unpack_codes(raw, bits, units)
 
 
-def _get_encoded(payload: memoryview, obj: dict) -> EncodedEntry:
-    """Rebuild one encoded entry, checking every field's presence, type and sign."""
+def _get_encoded(payload: memoryview, obj: dict, weighted: dict) -> EncodedEntry:
+    """Rebuild one encoded entry on its layer in `weighted` (name -> `LayerMeta`),
+    checking every field's presence, type and sign."""
     name = _field(obj, "name", str, "encoded entry")
     where = f"entry {name!r}"
-    f = {"name": name, "source_kind": _field(obj, "source_kind", str, where)}
-    ints = _STORED_FIELDS[2:] + _SECTION_FIELDS
-    f.update((key, _field(obj, key, int, where)) for key in ints)
-    for key in ints:
-        if f[key] < 0:
+    f = {key: _field(obj, key, int, where) for key in _ENCODED_INTS}
+    for key, value in f.items():
+        if value < 0:
             raise MalformedFile(f"{where}: field {key!r} is negative")
     if "group" not in obj or not (obj["group"] is None or _is_int(obj["group"])):
         raise MalformedFile(f"{where}: field 'group' is missing or not int or null")
+    if name not in weighted:
+        raise MalformedFile(f"{where} names no declared weighted layer")
     k_eff, d = f["k_eff"], f["d"]
     cb_raw = _take(payload, f["codebook_offset"], k_eff * d * 2, where, ALIGN)
-    codes_raw = _take(payload, f["codes_offset"], f["codes_nbytes"], where, ALIGN)
-    return EncodedEntry(
-        **{key: f[key] for key in _STORED_FIELDS},
-        codebook=np.frombuffer(cb_raw, dtype="<f2").reshape(k_eff, d).copy(),
-        packed=codes_raw,
-        group=obj["group"],
-    )
+    codebook = np.frombuffer(cb_raw, dtype="<f2").reshape(k_eff, d).copy()
+    entry = EncodedEntry(weighted[name], d, k_eff, codebook, b"", obj["group"])
+    # `validate` rejects d = 0, which leaves no code grid to size
+    nbytes = (entry.m_hat * entry.n * entry.bits + 7) // 8 if d else 0
+    entry.packed = _take(payload, f["codes_offset"], nbytes, where, ALIGN)
+    return entry
 
 
 def load_compressed(path) -> CompressedModel:
     """Parse a ``PQFC`` compressed model file.
 
-    The payload must match the manifest's CRC-32. A missing, mistyped or
-    negative manifest field raises `MalformedFile` naming the entry and the
-    field. Encoded entries keep their codes packed, as slices of the file's
-    bytes; the model is checked as a whole (`CompressedModel.validate`), so
-    a section of the wrong length, an out-of-range code or a group
-    permutation that repeats a unit is a `MalformedFile` here, before any
-    decoding.
+    The file must end in the CRC-32 of its other bytes, checked before the
+    manifest is read. A missing, mistyped or negative manifest field raises
+    `MalformedFile` naming the entry and the field, and so does an encoded
+    entry that names no declared weighted layer. Encoded entries keep their
+    codes packed, as slices of the file's bytes; the model is checked as a
+    whole (`CompressedModel.validate`), so a section of the wrong length, an
+    out-of-range code or a group permutation that repeats a unit is a
+    `MalformedFile` here, before any decoding.
     """
-    manifest, payload = _unframe(_read_file(path), COMPRESSED_MAGIC, COMPRESSED_VERSION, ALIGN)
-    crc = _required(manifest, "crc32")
-    if not _is_int(crc) or crc != zlib.crc32(payload):
-        raise MalformedFile("payload checksum mismatch: the file is corrupt")
-    listed = _listing(manifest, "entries")
-    count = _required(manifest, "entry_count")
-    if not _is_int(count) or count != len(listed):
-        raise MalformedFile("entry count disagrees with the entry list")
-    entries = []
-    for obj in listed:
-        kind = obj.get("type")
-        if kind == "raw":
-            entries.append(_get_tensor(payload, obj, ALIGN))
-        elif kind == "encoded":
-            entries.append(_get_encoded(payload, obj))
-        else:
-            raise MalformedFile(f"unknown entry type {kind!r}")
-    groups = [_get_group(payload, obj, i) for i, obj in enumerate(_listing(manifest, "groups"))]
+    manifest, payload = _unframe(_read_file(path), COMPRESSED_MAGIC, COMPRESSED_VERSION, ALIGN, sealed=True)
     layers, edges = _graph_from_manifest(manifest)
+    weighted = {m.name: m for m in layers if m.kind in WEIGHTED_KINDS}
+    entries = []
+    for obj in _listing(manifest, "entries"):
+        if "type" not in obj:
+            entries.append(_get_encoded(payload, obj, weighted))
+        elif obj["type"] == "raw":
+            entries.append(_get_tensor(payload, obj, ALIGN))
+        else:
+            raise MalformedFile(f"unknown entry type {obj['type']!r}")
+    groups = [_get_group(payload, obj, i) for i, obj in enumerate(_listing(manifest, "groups"))]
     model = CompressedModel(entries=entries, layers=layers, edges=edges, groups=groups)
     model.validate()
     return model

@@ -1,8 +1,9 @@
 """Test-only helpers: container equality for round trips, container framing for hand edits,
-an encoding's row order, quantizer-error and centroid-gradient oracles, the noise-free quantizer loop run to its last
-round, the one-proposal-at-a-time swap search and its logdet and fold, the group-permutation
-oracles (apply a group's permutation and its `BlockViolation`, check the function is unchanged,
-parse a group listing), an all-gradients `into` for `backward`, a toy residual net, a narrowed
+a compressed model declaring its encoded layers, an encoding's row order, quantizer-error
+and centroid-gradient oracles, the noise-free quantizer loop run to its last round, the
+one-proposal-at-a-time swap search and its logdet and fold, the group-permutation oracles
+(apply a group's permutation and its `BlockViolation`, check the function is unchanged, parse
+a group listing), an all-gradients `into` for `backward`, a toy residual net, a narrowed
 synthetic ResNet and a toy dataset."""
 
 from __future__ import annotations
@@ -24,17 +25,16 @@ from pqf.rng import gaussian, make_rng
 from pqf.tensor_io import (
     WEIGHTED_KINDS,
     CompressedModel,
+    EncodedEntry,
     LayerMeta,
     ModelCheckpoint,
     TensorRecord,
-    _STORED_FIELDS,
 )
 
 
 def records_equal(a: TensorRecord, b: TensorRecord) -> bool:
     return (
         a.name == b.name
-        and a.dtype == b.dtype
         and tuple(a.shape) == tuple(b.shape)
         and a.data.tobytes() == b.data.tobytes()
     )
@@ -47,7 +47,7 @@ def entries_equal(a, b) -> bool:
     if isinstance(a, TensorRecord):
         return records_equal(a, b)
     return (
-        all(getattr(a, f) == getattr(b, f) for f in _STORED_FIELDS)
+        (a.name, a.d, a.k_eff) == (b.name, b.d, b.k_eff)
         and a.codebook.tobytes() == b.codebook.tobytes()
         and bytes(a.packed) == bytes(b.packed)
         and a.group == b.group
@@ -66,32 +66,47 @@ def compressed_models_equal(a: CompressedModel, b: CompressedModel) -> bool:
     return all(entries_equal(x, y) for x, y in zip(a.entries, b.entries))
 
 
-def _payload_start(raw: bytes) -> tuple:
-    """(manifest end, payload start) of a container's bytes."""
-    end = 16 + int.from_bytes(raw[8:16], "little")
-    align = tensor_io.ALIGN if raw[:4] == tensor_io.COMPRESSED_MAGIC else 1
-    return end, -(-end // align) * align
+def declared_model(entries, groups=()) -> CompressedModel:
+    """A compressed model of `entries` that declares an input, each encoded entry's layer
+    and an output, the fewest layers `CompressedModel.validate` accepts."""
+    layers = [e.layer for e in entries if isinstance(e, EncodedEntry)]
+    return CompressedModel(
+        entries=list(entries),
+        layers=[LayerMeta("input", "input"), *layers, LayerMeta("output", "output")],
+        groups=list(groups),
+    )
+
+
+def _sealed(raw: bytes) -> bool:
+    """Whether a container ends in a checksum: every `.pqfc` does."""
+    return raw[:4] == tensor_io.COMPRESSED_MAGIC
 
 
 def split_container(raw: bytes) -> tuple:
-    """A container's (manifest, payload bytes)."""
-    end, start = _payload_start(raw)
-    return json.loads(raw[16:end]), raw[start:]
+    """A container's (manifest, payload bytes); a `.pqfc`'s checksum is not payload."""
+    end = 16 + int.from_bytes(raw[8:16], "little")
+    start = end + (-end % tensor_io.ALIGN if _sealed(raw) else 0)
+    return json.loads(raw[16:end]), raw[start : len(raw) - 4 * _sealed(raw)]
+
+
+def resealed(raw: bytes) -> bytes:
+    """A `.pqfc`'s bytes with its last 4 replaced by the CRC-32 of all the others."""
+    return raw[:-4] + zlib.crc32(raw[:-4]).to_bytes(4, "little")
 
 
 def join_container(raw: bytes, manifest: dict, payload: bytes, reseal: bool = False) -> bytes:
     """`raw`'s magic and version framing `manifest` and `payload` again.
 
-    A `.pqfc` payload starts at the next multiple of `ALIGN`; with `reseal`
-    a `.pqfc` manifest first takes the payload's CRC-32, so an edit made on purpose
-    reaches the check it aims at rather than the checksum.
+    A `.pqfc` payload starts at the next multiple of `ALIGN`, and the file
+    ends in `raw`'s checksum or, with `reseal`, in its own, so that an edit
+    made on purpose reaches the check it aims at rather than the checksum.
     """
-    if reseal and raw[:4] == tensor_io.COMPRESSED_MAGIC:
-        manifest = {**manifest, "crc32": zlib.crc32(payload)}
     blob = json.dumps(manifest).encode()
     head = raw[:8] + len(blob).to_bytes(8, "little") + blob
-    _, start = _payload_start(head)
-    return head + bytes(start - len(head)) + payload
+    if not _sealed(raw):
+        return head + payload
+    joined = head + bytes(-len(head) % tensor_io.ALIGN) + payload + raw[-4:]
+    return resealed(joined) if reseal else joined
 
 
 def edit_container(path, edit_manifest=None, edit_payload=None, reseal: bool = True):
@@ -319,7 +334,7 @@ def apply_group_permutation(ckpt: ModelCheckpoint, group: PermutationGroup, perm
 
     out = ModelCheckpoint(
         tensors=[
-            type(rec)(rec.name, rec.dtype, tuple(rec.shape), rec.data.copy())
+            type(rec)(rec.name, tuple(rec.shape), rec.data.copy())
             for rec in ckpt.tensors
         ],
         layers=[

@@ -15,7 +15,7 @@ from pqf.cli import BENCH_METHODS, BenchConfig, bench_csv, run_bench
 from pqf.errors import MalformedFile
 from pqf.finetune import make_mlp_checkpoint
 
-from helpers import edit_container, split_container, synthetic_resnet
+from helpers import declared_model, edit_container, split_container, synthetic_resnet
 
 
 @pytest.fixture(scope="module")
@@ -227,15 +227,19 @@ def test_a_group_permutation_that_repeats_a_unit_is_rejected_at_load_and_at_save
         tensor_io.load_compressed(packed)
 
 
-def test_decompress_of_a_version_1_file_is_data_error_naming_the_version(tmp_path, capsys):
+@pytest.mark.parametrize("version", [1, 2])
+def test_decompress_of_an_older_version_file_is_data_error_naming_the_version(
+    tmp_path, capsys, version
+):
     _, packed = _compressed_toy(tmp_path)
     raw = bytearray(packed.read_bytes())
-    raw[4:8] = (1).to_bytes(4, "little")
+    raw[4:8] = version.to_bytes(4, "little")
     packed.write_bytes(bytes(raw))
     back_path = tmp_path / "back.pqfn"
     capsys.readouterr()
     assert cli.main(["decompress", str(packed), "--out", str(back_path)]) == 2
-    assert "error kind=MalformedFile detail='unsupported PQFC format version 1" in capsys.readouterr().err
+    detail = f"error kind=MalformedFile detail='unsupported PQFC format version {version}"
+    assert detail in capsys.readouterr().err
     assert not back_path.exists()
 
 
@@ -256,10 +260,13 @@ def _assert_malformed(argv, out_path, capsys):
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("fields", [{"d": 0}, {"c_out": 17}, {"c_in": 9}])
-def test_decompress_entry_with_wrong_geometry_is_data_error(tmp_path, fields, capsys):
+@pytest.mark.parametrize(
+    "listing, fields", [("entries", {"d": 0}), ("entries", {"d": 3}), ("layers", {"c_in": 9})]
+)
+def test_decompress_entry_with_wrong_geometry_is_data_error(tmp_path, listing, fields, capsys):
+    # fc1 is 8 -> 16 with d = 4: neither 3 nor a d of 4 divides the rows of 9 input channels
     _, packed = _compressed_toy(tmp_path)
-    _edit_tensor_entry(packed, "fc1", **fields)
+    _edit_manifest(packed, listing, "fc1", **fields)
     back_path = tmp_path / "back.pqfn"
     _assert_malformed(["decompress", str(packed), "--out", str(back_path)], back_path, capsys)
 
@@ -315,24 +322,42 @@ def test_decompress_layer_disagreeing_with_its_entry_is_data_error(tmp_path, cap
     _assert_malformed(["decompress", str(packed), "--out", str(back_path)], back_path, capsys)
 
 
-@pytest.mark.parametrize(
-    "fields", [{"source_kind": "deconv"}, {"kernel_size": 1, "c_in": 72}, {"name": "ghost"}]
-)
-def test_decompress_entry_disagreeing_with_its_declared_layer_is_data_error(tmp_path, fields, capsys):
-    # conv2 is 8 -> 8, so as a deconv its entry still decodes to the declared shape
+def _layer_named(manifest, name):
+    return next(o for o in manifest["layers"] if o["name"] == name)
+
+
+# manifest edits that still parse; the first two also decode, to another model
+_MANIFEST_EDITS = {
+    # fc's group is the one stored, so fc decodes in the stored order
+    "group-null": lambda m: next(o for o in m["entries"] if o.get("group") == 0).update(group=None),
+    # conv2 is 8 -> 8, so as a deconv it decodes to the declared shape
+    "conv-as-deconv": lambda m: _layer_named(m, "conv2").update(kind="deconv"),
+    "c_out": lambda m: _layer_named(m, "conv2").update(c_out=9),
+}
+
+
+@pytest.mark.parametrize("what", sorted(_MANIFEST_EDITS))
+def test_decompress_of_a_manifest_edit_without_a_new_checksum_is_data_error(tmp_path, what, capsys):
     ckpt_path, packed = tmp_path / "conv.pqfn", tmp_path / "conv.pqfc"
     tensor_io.save_checkpoint(finetune.make_conv_classifier_checkpoint((2, 8, 8), 3, 4, seed=1), ckpt_path)
     argv = ["compress", str(ckpt_path), "--out", str(packed), "--k", "4", "--k-fc", "4",
             "--src-iters", "2", "--perm-iters", "5"]
     assert cli.main(argv) == 0
-    _rewrite_manifest(
-        packed, lambda m: next(o for o in m["entries"] if o["name"] == "conv2").update(fields)
-    )
-    name = fields.get("name", "conv2")
-    with pytest.raises(MalformedFile, match=f"entry '{name}' does not match a declared layer"):
-        tensor_io.load_compressed(packed)
-    back_path = tmp_path / "back.pqfn"
-    _assert_malformed(["decompress", str(packed), "--out", str(back_path)], back_path, capsys)
+    back_path, again = tmp_path / "back.pqfn", tmp_path / "again.pqfn"
+    assert cli.main(["decompress", str(packed), "--out", str(back_path)]) == 0
+    resealed = tmp_path / "resealed.pqfc"
+    resealed.write_bytes(packed.read_bytes())
+    edit_container(resealed, _MANIFEST_EDITS[what])
+    if what != "c_out":
+        assert cli.main(["decompress", str(resealed), "--out", str(again)]) == 0
+        assert again.read_bytes() != back_path.read_bytes()
+    back_path.unlink()
+    edit_container(packed, _MANIFEST_EDITS[what], reseal=False)
+    capsys.readouterr()
+    assert cli.main(["decompress", str(packed), "--out", str(back_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error kind=MalformedFile" in err and "checksum mismatch" in err
+    assert not back_path.exists()
 
 
 def test_compress_child_with_a_single_subvector(tmp_path):
@@ -437,7 +462,7 @@ def test_permutation_search_bytes_are_pinned(tmp_path):
     # proposal the search keeps, so a refactor of the search cannot change them
     # silently. The .pqfn hash does not depend on the container format.
     assert _pinned_compress_digests(tmp_path, 50, 8) == (
-        "6ba389286a5cc1cf106c294f44cfa36c817412de25340b0a00ba3add2900399d",
+        "4c5ad75867ffa662554ac18c2f1cdac59e2ebfa56ad59b8be655fd27d34db640",
         "e603c95dc2e58abd777085a716106a606a0a9055f5400f51b515876c12e6a12e",
     )
 
@@ -446,7 +471,7 @@ def test_large_regime_search_bytes_are_pinned(tmp_path):
     # a ResNet-18 at 1/4 width in the large regime searches 12 groups, 4 of them over
     # two families, with d = 18 for its 3x3 children
     assert _pinned_compress_digests(tmp_path, 18, 4, "--regime", "large") == (
-        "fe3b2bc5ec25e0a781c22dcba6d2e49ef8f036fa9d8114c4f5b5120b9683c173",
+        "d33923c2d038d700b702562a025f4d82fc1050909580b9d140f66ab73ba32183",
         "011493ac0b13cefe7705fe135f705772ded05852a3660071d3000b10a88a9c9e",
     )
 
@@ -466,16 +491,18 @@ def test_pqfc_size_is_its_sections_plus_framing_and_padding(tmp_path):
     assert model.groups and any(e.group is None for e in encoded)
     sections = [(g["offset"], (g["units"] * tensor_io.code_width(g["units"]) + 7) // 8)
                 for g in manifest["groups"]]
+    code_bytes = {e.name: len(e.packed) for e in encoded}
     for obj in manifest["entries"]:
-        if obj["type"] == "raw":
+        if obj.get("type") == "raw":
             sections.append((obj["offset"], obj["nbytes"]))
         else:
             sections.append((obj["codebook_offset"], 2 * obj["k_eff"] * obj["d"]))
-            sections.append((obj["codes_offset"], obj["codes_nbytes"]))
+            sections.append((obj["codes_offset"], code_bytes[obj["name"]]))
     # after the zero gap that ends the manifest, the sections tile the payload
-    # in order, each at the next multiple of 64 after zero padding
+    # in order, each at the next multiple of 64 after zero padding; the file
+    # ends in a 4-byte checksum
     head = 16 + int.from_bytes(raw[8:16], "little")
-    padding = len(raw) - len(payload) - head
+    padding = len(raw) - 4 - len(payload) - head
     end = 0
     for offset, nbytes in sorted(sections):
         assert offset == -(-end // 64) * 64 and not any(payload[end:offset])
@@ -499,7 +526,7 @@ def test_pqfc_size_is_its_sections_plus_framing_and_padding(tmp_path):
         len(p) * tensor_io.code_width(len(p)) for p in model.groups
     )
     stored_groups = sum(-(-len(p) * tensor_io.code_width(len(p)) // 8) for p in model.groups)
-    assert len(raw) - head - padding == content + stored_groups
+    assert len(raw) - head - padding - 4 == content + stored_groups
 
 
 def _config_of(argv):
@@ -814,7 +841,6 @@ def _zero_bit_entry_of_a_trillion_columns(tmp_path):
     argv = ["compress", str(source), "--out", str(packed), "--k", "1", "--k-fc", "1",
             "--src-iters", "2", "--perm-iters", "5"]
     assert cli.main(argv) == 0
-    _edit_manifest(packed, "entries", "fc1", n=10**12, c_out=10**12)
     _edit_manifest(packed, "layers", "fc1", c_out=10**12)
     return packed, "entry 'fc1': 2 x 1000000000000 codes do not fit in memory"
 
@@ -822,12 +848,10 @@ def _zero_bit_entry_of_a_trillion_columns(tmp_path):
 def _entry_decoding_to_four_gigabytes(tmp_path):
     """A 6 MB file whose one entry decodes to 10**9 float32 values."""
     rows, cols = 10**6, 1000
-    entry = tensor_io.EncodedEntry(
-        name="wide", source_kind="fc", kernel_size=1, c_in=rows, c_out=cols, d=rows, k_eff=1,
-        codebook=np.zeros((1, rows), dtype="<f2"), packed=b"", m_hat=1, n=cols,
-    )
+    layer = tensor_io.LayerMeta("wide", "fc", 1, rows, cols)
+    entry = tensor_io.EncodedEntry(layer, rows, 1, np.zeros((1, rows), dtype="<f2"), b"")
     packed = tmp_path / "wide.pqfc"
-    tensor_io.save_compressed(tensor_io.CompressedModel(entries=[entry]), packed)
+    tensor_io.save_compressed(declared_model([entry]), packed)
     return packed, "tensor 'wide.weight': 1000000000 values do not fit in memory"
 
 
@@ -863,8 +887,6 @@ def _drop_group(manifest):
     "edit, detail",
     [
         (_drop_group, "entry 'fc1': field 'group' is missing or not int or null"),
-        (lambda m: [o.update(m_hat=None) for o in m["entries"] if o["name"] == "fc1"],
-         "entry 'fc1': field 'm_hat' is missing or not int"),
         (lambda m: m.update(entries=5), "manifest field 'entries' is not a list of objects"),
     ],
 )
@@ -884,8 +906,7 @@ def test_decompress_hostile_entry_field_is_data_error(tmp_path, capsys, edit, de
     [
         ("pqfc", ("edges",)),
         ("pqfc", ("layers",)),
-        ("pqfc", ("entries", "entry_count")),
-        ("pqfc", ("entry_count",)),
+        ("pqfc", ("entries",)),
         ("pqfn", ("tensors",)),
         ("pqfn", ("edges",)),
         ("pqfn", ("layers",)),

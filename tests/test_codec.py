@@ -3,6 +3,7 @@ import pytest
 
 from helpers import (
     compressed_models_equal,
+    declared_model,
     make_residual_checkpoint,
     quantization_error,
     records_equal,
@@ -367,8 +368,8 @@ def test_entry_encoding_round_trip_preserves_f16_codebook():
     meta = _meta(c_in=8, c_out=4)
     cfg = CompressionConfig(k=2, k_fc=2, src_iterations=10)
     enc = encode_layer(w, meta, cfg, seed=0)
-    entry = codec.encoding_to_entry("layer", enc)
-    assert isinstance(entry, EncodedEntry)
+    entry = codec.encoding_to_entry(meta, enc)
+    assert isinstance(entry, EncodedEntry) and entry.layer is meta
     back = codec.entry_to_encoding(entry)
     assert np.array_equal(back.codes, enc.codes)
     assert back.units is None and enc.units is None
@@ -378,10 +379,11 @@ def test_entry_encoding_round_trip_preserves_f16_codebook():
 def test_a_permuted_encoding_round_trips_through_its_group_and_needs_one():
     w = make_rng(49, "f16").standard_normal((8, 4))
     units = make_rng(49, "units").permutation(8)
-    enc = encode_layer(w, _meta(c_in=8, c_out=4), CompressionConfig(k=2, k_fc=2), units, seed=0)
+    meta = _meta(c_in=8, c_out=4)
+    enc = encode_layer(w, meta, CompressionConfig(k=2, k_fc=2), units, seed=0)
     with pytest.raises(ValueError, match="layer 'layer' is permuted"):
-        codec.encoding_to_entry("layer", enc)
-    back = codec.entry_to_encoding(codec.encoding_to_entry("layer", enc, 0), [units])
+        codec.encoding_to_entry(meta, enc)
+    back = codec.entry_to_encoding(codec.encoding_to_entry(meta, enc, 0), [units])
     assert np.array_equal(back.units, units) and np.array_equal(back.row_order(), units)
 
 
@@ -405,12 +407,13 @@ def test_encode_layer_rejects_non_finite_weight():
 
 def test_codebook_beyond_float16_range_is_an_error():
     w = make_rng(51, "f16").standard_normal((8, 4))
-    enc = encode_layer(w, _meta(c_in=8, c_out=4), CompressionConfig(k=2, k_fc=2))
+    meta = _meta(c_in=8, c_out=4)
+    enc = encode_layer(w, meta, CompressionConfig(k=2, k_fc=2))
     enc.codebook[1, 0] = 65504.0  # the largest float16 is still fine
-    codec.encoding_to_entry("layer", enc)
+    codec.encoding_to_entry(meta, enc)
     enc.codebook[1, 0] = -65520.0  # rounds to -inf in float16
     with pytest.raises(CodebookOverflow, match="layer"):
-        codec.encoding_to_entry("layer", enc)
+        codec.encoding_to_entry(meta, enc)
     assert issubclass(CodebookOverflow, PQFError)
 
 
@@ -451,22 +454,24 @@ def _pqfn_oracle(model) -> bytes:
         else:
             weight = _decode_oracle(codec.entry_to_encoding(entry, model.groups))
             rec = tensor_io.tensor_record(f"{entry.name}.weight", weight)
-        listing.append({"name": rec.name, "dtype": rec.dtype, "shape": list(rec.shape),
+        listing.append({"name": rec.name, "dtype": "f32", "shape": list(rec.shape),
                         "offset": len(payload), "nbytes": rec.nbytes})
         payload.extend(rec.data.tobytes())
-    manifest = {"tensors": listing, "layers": [], "edges": []}
+    layers = [{"name": m.name, "kind": m.kind, "kernel_size": m.kernel_size, "c_in": m.c_in,
+               "c_out": m.c_out} for m in model.layers]
+    manifest = {"tensors": listing, "layers": layers, "edges": [list(e) for e in model.edges]}
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     head = b"PQFN" + (1).to_bytes(4, "little") + len(blob).to_bytes(8, "little")
     return head + blob + bytes(payload)
 
 
-def _grouped_entry(name, enc, groups):
-    """`enc` as a stored entry; a unit order other than the identity joins `groups`."""
+def _grouped_entry(meta, enc, groups):
+    """`enc` of `meta` as a stored entry; a unit order other than the identity joins `groups`."""
     units = enc.units
     if units is None or np.array_equal(units, np.arange(units.size)):
-        return codec.encoding_to_entry(name, enc)
+        return codec.encoding_to_entry(meta, enc)
     groups.append(units)
-    return codec.encoding_to_entry(name, enc, len(groups) - 1)
+    return codec.encoding_to_entry(meta, enc, len(groups) - 1)
 
 
 # (kind, K, C_in, C_out, regime): every stored layout the decoder writes
@@ -507,8 +512,9 @@ def test_decompressed_bytes_match_the_float64_decoder(
     assert decoded.dtype == np.float64 and decoded.shape == weight.shape
     assert np.array_equal(decoded, _decode_oracle(enc))
     bias = tensor_io.tensor_record("layer.bias", rng.standard_normal(c_out))
-    model = tensor_io.CompressedModel(groups=[])
-    model.entries = [_grouped_entry("layer", enc, model.groups), bias]
+    groups = []
+    meta = _meta(kind=kind, k=k, c_in=c_in, c_out=c_out)
+    model = declared_model([_grouped_entry(meta, enc, groups), bias], groups)
     assert len(model.groups) == (order != "identity")
     packed = tmp_path / "model.pqfc"
     tensor_io.save_compressed(model, packed)
@@ -522,9 +528,9 @@ def test_decompressed_bytes_match_the_float64_decoder(
 
 def test_entry_to_encoding_widens_to_float32_and_shares_the_codes():
     w = make_rng(62, "f32").standard_normal((8, 4))
-    enc = encode_layer(w, _meta(c_in=8, c_out=4), CompressionConfig(k=2, k_fc=2))
-    entry = codec.encoding_to_entry("layer", enc)
-    back = codec.entry_to_encoding(entry)
+    meta = _meta(c_in=8, c_out=4)
+    enc = encode_layer(w, meta, CompressionConfig(k=2, k_fc=2))
+    back = codec.entry_to_encoding(codec.encoding_to_entry(meta, enc))
     assert back.codebook.dtype == np.float32
     assert np.array_equal(back.codes, enc.codes)
     assert decode_layer(back).dtype == np.float32
@@ -552,14 +558,15 @@ def test_streamed_decompress_writes_the_bytes_of_the_in_memory_decode(
     # decodes over what the first one left in the reused buffer
     _, enc, rng = _encode_case(kind, k, c_in, c_out, regime, "channels")
     _, small, _ = _encode_case("fc", 1, 4, 3, "small", "units", name="small")
-    model = tensor_io.CompressedModel(groups=[])
-    model.entries = [
+    groups = []
+    entries = [
         tensor_io.tensor_record("first", rng.standard_normal(7)),
-        _grouped_entry("layer", enc, model.groups),
+        _grouped_entry(_meta(kind=kind, k=k, c_in=c_in, c_out=c_out), enc, groups),
         tensor_io.tensor_record("layer.bias", rng.standard_normal(c_out)),
-        _grouped_entry("small", small, model.groups),
+        _grouped_entry(_meta(c_in=4, c_out=3, name="small"), small, groups),
         tensor_io.tensor_record("last", rng.standard_normal((2, 3))),
     ]
+    model = declared_model(entries, groups)
     assert len(model.groups) == 2
     packed, streamed, in_memory = tmp_path / "m.pqfc", tmp_path / "s.pqfn", tmp_path / "m.pqfn"
     tensor_io.save_compressed(model, packed)
@@ -573,11 +580,10 @@ def test_streamed_decompress_writes_the_bytes_of_the_in_memory_decode(
 
 def test_a_decode_failing_while_the_file_is_written_leaves_no_file(tmp_path, monkeypatch, capsys):
     w = make_rng(63, "oom").standard_normal((8, 4))
-    enc = encode_layer(w, _meta(c_in=8, c_out=4), CompressionConfig(k=2, k_fc=2))
+    meta = _meta(c_in=8, c_out=4)
+    enc = encode_layer(w, meta, CompressionConfig(k=2, k_fc=2))
     packed, out = tmp_path / "m.pqfc", tmp_path / "m.pqfn"
-    tensor_io.save_compressed(
-        tensor_io.CompressedModel(entries=[codec.encoding_to_entry("layer", enc)]), packed
-    )
+    tensor_io.save_compressed(declared_model([codec.encoding_to_entry(meta, enc)]), packed)
 
     def no_memory(enc, out=None):
         raise MemoryError
@@ -607,14 +613,16 @@ def test_streamed_decompress_of_mixed_code_widths_matches_the_in_memory_decode(t
     for name, kind, k, c_in, c_out, k_eff in _MIXED_WIDTHS:
         weight = rng.standard_normal(layout.weight_shape(kind, c_in, c_out, k))
         cfg = CompressionConfig(k=k_eff, k_fc=k_eff, quantizer="kmeans", src_iterations=2)
-        enc = encode_layer(weight, _meta(kind=kind, k=k, c_in=c_in, c_out=c_out, name=name), cfg)
+        meta = _meta(kind=kind, k=k, c_in=c_in, c_out=c_out, name=name)
+        enc = encode_layer(weight, meta, cfg)
         assert enc.k_eff == k_eff
-        entries.append(codec.encoding_to_entry(name, enc))
+        entries.append(codec.encoding_to_entry(meta, enc))
         entries.append(tensor_io.tensor_record(f"{name}.bias", rng.standard_normal(c_out)))
     assert [e.bits for e in entries[::2]] == [0, 1, 11, 2, 3, 7]
     packed, streamed, in_memory = tmp_path / "m.pqfc", tmp_path / "s.pqfn", tmp_path / "m.pqfn"
-    tensor_io.save_compressed(tensor_io.CompressedModel(entries=entries), packed)
+    model = declared_model(entries)
+    tensor_io.save_compressed(model, packed)
     assert cli.main(["decompress", str(packed), "--out", str(streamed)]) == 0
     tensor_io.save_checkpoint(decompress_model(tensor_io.load_compressed(packed)), in_memory)
     assert streamed.read_bytes() == in_memory.read_bytes()
-    assert streamed.read_bytes() == _pqfn_oracle(tensor_io.CompressedModel(entries=entries))
+    assert streamed.read_bytes() == _pqfn_oracle(model)

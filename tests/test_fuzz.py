@@ -1,8 +1,10 @@
 """Seeded mutants of both containers: `pqf decompress` of a `.pqfc`, and `pqf compress` and
-`pqf report` of a `.pqfn`, exit 0 or 2 and never raise; a `.pqfc` payload bit flip that
+`pqf report` of a `.pqfn`, exit 0 or 2 and never raise; a `.pqfc` bit flip anywhere that
 does not recompute the checksum always exits 2."""
 
 import json
+
+import numpy as np
 
 from helpers import join_container, split_container
 from pqf import cli, tensor_io
@@ -37,15 +39,19 @@ def _mutants(raw: bytes, count: int, seed: int, tag: str):
     A flip lands anywhere in the payload or, as often, inside one entry's
     packed codes or one group's permutation: they are too small a share of
     the payload for flips spread over all of it to reach them reliably. A
-    `.pqfc` flip recomputes the checksum, so that it reaches the checks
+    `.pqfc` mutant recomputes the checksum, so that it reaches the checks
     behind it.
     """
     rng = make_rng(seed, tag)
     manifest, payload = split_container(raw)
     paths = list(_field_paths(manifest))
+    layers = {o["name"]: o for o in manifest.get("layers", [])}
     spans = [(0, len(payload))]
-    spans += [(e["codes_offset"], e["codes_nbytes"])
-              for e in manifest.get("entries", []) if e["type"] == "encoded"]
+    for e in manifest.get("entries", []):
+        if "codes_offset" in e:  # an encoded entry: its layer's C_in*K*K*C_out / d codes
+            layer = layers[e["name"]]
+            codes = layer["c_in"] * layer["kernel_size"] ** 2 * layer["c_out"] // e["d"]
+            spans.append((e["codes_offset"], (codes * tensor_io.code_width(e["k_eff"]) + 7) // 8))
     spans += [(g["offset"], (g["units"] * tensor_io.code_width(g["units"]) + 7) // 8)
               for g in manifest.get("groups", [])]
     for _ in range(count):
@@ -63,7 +69,7 @@ def _mutants(raw: bytes, count: int, seed: int, tag: str):
             del parent[path[-1]]
         else:
             parent[path[-1]] = None if action == "null" else _RETYPED[int(rng.integers(len(_RETYPED)))]
-        yield f"{action} {path}", join_container(raw, edited, payload)
+        yield f"{action} {path}", join_container(raw, edited, payload, reseal=True)
 
 
 def _compressed_toy(tmp_path) -> bytes:
@@ -125,16 +131,19 @@ def test_compress_and_report_of_pqfn_mutants_exit_0_or_2_and_leave_no_file_on_2(
     assert exits.count(0) and exits.count(2) > len(exits) // 2
 
 
-def test_decompress_of_a_payload_bit_flip_is_a_checksum_error(tmp_path, capsys):
+def test_decompress_of_a_bit_flip_anywhere_is_a_malformed_file(tmp_path, capsys):
+    # the checksum covers every byte after the magic and version, itself included
     raw = _compressed_toy(tmp_path)
-    manifest, payload = split_container(raw)
-    head = len(raw) - len(payload)
+    assert len(raw) < 11_000  # CRC-32 catches every 1-3 bit error in a file this short
     rng = make_rng(13, "pqfc-flips")
     mutant, out = tmp_path / "mutant.pqfc", tmp_path / "out.pqfn"
     for i in range(200):
-        mutant.write_bytes(raw[:head] + _flip(payload, 0, len(payload), rng))
+        flipped = _flip(raw, 0, len(raw), rng)
+        mutant.write_bytes(flipped)
         capsys.readouterr()
         assert cli.main(["decompress", str(mutant), "--out", str(out)]) == 2, i
         err = capsys.readouterr().err
-        assert "error kind=MalformedFile" in err and "payload checksum mismatch" in err, i
+        assert "error kind=MalformedFile" in err, i
+        first = int(np.flatnonzero(np.frombuffer(raw, "u1") != np.frombuffer(flipped, "u1"))[0])
+        assert first < 8 or "checksum mismatch" in err, i
         assert not out.exists(), i

@@ -6,20 +6,27 @@ residual adds with an earlier node of equal width, and two parallel convolutions
 add; then a pool or a channel-expanding reshape, then one or two fc layers. On each, every
 permutation group `resolve_groups` finds takes a random order of its channel units, applied to
 the checkpoint one group at a time and all together, and the outputs must not move; the groups
-must not depend on the declaration order; and a compress round trip keeps every tensor's shape
-or ends as a typed `PQFError`.
+must not depend on the declaration order; and a compress round trip through a `.pqfc` file keeps
+every tensor's shape, streaming the bytes of the in-memory decode, or ends as a typed `PQFError`.
 """
 
 import numpy as np
 
 from helpers import apply_group_permutation, verify_equivalence
-from pqf.codec import CompressionConfig, compress_model, decompress_model
+from pqf.codec import CompressionConfig, compress_model, decompress_model, decompress_to_file
 from pqf.errors import PQFError
 from pqf.graph import resolve_groups
 from pqf.layout import weight_shape
 from pqf.permsearch import expand_channel_permutation
 from pqf.rng import gaussian, make_rng
-from pqf.tensor_io import LayerMeta, ModelCheckpoint, tensor_record
+from pqf.tensor_io import (
+    LayerMeta,
+    ModelCheckpoint,
+    load_compressed,
+    save_checkpoint,
+    save_compressed,
+    tensor_record,
+)
 
 DAGS = 200
 WIDTHS = (4, 6, 8, 12)
@@ -135,8 +142,10 @@ def test_random_architectures_group_the_same_in_any_declaration_order():
         assert _as_set(resolve_groups(again)) == _as_set(resolve_groups(ckpt)), seed
 
 
-def test_random_architectures_round_trip_their_shapes_or_fail_typed():
+def test_random_architectures_round_trip_their_shapes_or_fail_typed(tmp_path):
+    # every loaded entry takes its geometry from its declared layer, reshapes included
     cfg = CompressionConfig(k=2, k_fc=2, src_iterations=2, perm_iterations=20)
+    packed, streamed, in_memory = tmp_path / "m.pqfc", tmp_path / "s.pqfn", tmp_path / "m.pqfn"
     outcomes = {"kept": 0, "typed": 0}
     for seed in range(DAGS):
         ckpt, _ = random_dag(seed)
@@ -145,7 +154,12 @@ def test_random_architectures_round_trip_their_shapes_or_fail_typed():
         except PQFError:
             outcomes["typed"] += 1
             continue
-        back = decompress_model(model)
+        save_compressed(model, packed)
+        loaded = load_compressed(packed)
+        decompress_to_file(loaded, streamed)
+        save_checkpoint(decompress_model(model), in_memory)
+        assert streamed.read_bytes() == in_memory.read_bytes(), seed
+        back = decompress_model(loaded)
         assert [(r.name, tuple(r.shape)) for r in back.tensors] == [
             (r.name, tuple(r.shape)) for r in ckpt.tensors
         ], seed

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import compressed_models_equal, edit_container, join_container, records_equal, split_container
+from helpers import (
+    compressed_models_equal,
+    declared_model,
+    edit_container,
+    join_container,
+    records_equal,
+    resealed,
+    split_container,
+)
 from pqf import tensor_io
 from pqf.errors import DanglingEdge, DuplicateTensorName, MalformedFile
 from pqf.rng import make_rng
@@ -40,9 +48,6 @@ def _mini_checkpoint():
 
 @pytest.mark.parametrize("dtype", ["f16", "u8", "u16"])
 def test_records_are_float32_only(tmp_path, dtype):
-    with pytest.raises(MalformedFile, match=f"unknown dtype '{dtype}'"):
-        save_checkpoint(ModelCheckpoint(tensors=[tensor_io.TensorRecord("t", dtype, (2,), None)]),
-                        tmp_path / "never.pqfn")
     path = tmp_path / "mini.pqfn"
     save_checkpoint(_mini_checkpoint(), path)
     edit_container(path, lambda m: m["tensors"][1].update(dtype=dtype))
@@ -176,29 +181,25 @@ def test_eleven_bit_section_size():
 # ---------------------------------------------------------------------------
 
 def _encoded_entry(name, k_eff, d, m_hat, n, seed=0):
+    """An entry of random codes on a conv layer: 3x3 when `d` holds whole filters, else 1x1."""
     rng = make_rng(seed, "entry", name)
+    k = 3 if d % 9 == 0 else 1
     return EncodedEntry(
-        name=name,
-        source_kind="conv",
-        kernel_size=3 if d % 9 == 0 else 1,
-        c_in=(m_hat * d) // (9 if d % 9 == 0 else 1),
-        c_out=n,
-        d=d,
-        k_eff=k_eff,
+        LayerMeta(name, "conv", k, m_hat * d // k**2, n),
+        d,
+        k_eff,
         codebook=rng.standard_normal((k_eff, d)).astype("<f2"),
         packed=pack_codes(rng.integers(0, k_eff, size=(m_hat, n)), code_width(k_eff)),
-        m_hat=m_hat,
-        n=n,
     )
 
 
-def test_empty_model_is_header_and_padding_only(tmp_path):
+def test_empty_model_is_header_padding_and_checksum_only(tmp_path):
     path = tmp_path / "empty.pqfc"
     nbytes = save_compressed(CompressedModel(), path)
     raw = path.read_bytes()
     assert nbytes == len(raw)
     end = 16 + int.from_bytes(raw[8:16], "little")
-    assert nbytes == -(-end // 64) * 64 and raw[end:] == bytes(nbytes - end)  # no payload
+    assert nbytes == -(-end // 64) * 64 + 4 and raw[end:-4] == bytes(nbytes - 4 - end)  # no payload
     assert load_compressed(path).entries == []
 
 
@@ -206,25 +207,20 @@ def test_codes_section_is_4096_bytes_for_byte_wide_codes(tmp_path):
     # 64*64 codes at 8 bits each occupy exactly 4096 payload bytes
     entry = _encoded_entry("layer", k_eff=256, d=9, m_hat=64, n=64)
     path = tmp_path / "one.pqfc"
-    save_compressed(CompressedModel(entries=[entry]), path)
-    manifest, _ = split_container(path.read_bytes())
-    assert manifest["entries"][0]["codes_nbytes"] == 4096
+    save_compressed(declared_model([entry]), path)
+    assert len(load_compressed(path).entries[0].packed) == 4096
 
 
 def _grouped_model():
     """A raw tensor and two encoded entries, one of them in a stored group of 16 units."""
     wide = _encoded_entry("wide", k_eff=2048, d=4, m_hat=16, n=33, seed=3)
     wide.group = 0
-    return CompressedModel(
-        entries=[
-            tensor_record("bn.weight", np.linspace(0, 1, 8)),
-            wide,
-            _encoded_entry("filters", k_eff=256, d=9, m_hat=8, n=10, seed=4),
-        ],
-        layers=[LayerMeta("wide", "conv", 1, 64, 33), LayerMeta("filters", "conv", 3, 8, 10)],
-        edges=[],
-        groups=[make_rng(5, "units").permutation(16)],
-    )
+    entries = [
+        tensor_record("bn.weight", np.linspace(0, 1, 8)),
+        wide,
+        _encoded_entry("filters", k_eff=256, d=9, m_hat=8, n=10, seed=4),
+    ]
+    return declared_model(entries, groups=[make_rng(5, "units").permutation(16)])
 
 
 def test_compressed_round_trip_k2048(tmp_path):
@@ -344,32 +340,47 @@ def test_declared_records_are_produced_in_file_order_and_checked(tmp_path):
 def _saved_entry(tmp_path):
     entry = _encoded_entry("layer", k_eff=16, d=4, m_hat=4, n=5, seed=6)
     path = tmp_path / "one.pqfc"
-    save_compressed(CompressedModel(entries=[entry]), path)
+    save_compressed(declared_model([entry]), path)
     return path
 
 
-def _not_int(key):
-    return f"entry 'layer': field '{key}' is missing or not int"
+_ENCODED_KEYS = ("name", "d", "k_eff", "group", "codebook_offset", "codes_offset")
+
+
+def test_an_encoded_entry_stores_its_six_keys_and_the_manifest_no_checksum(tmp_path):
+    manifest, _ = split_container(_saved_entry(tmp_path).read_bytes())
+    assert sorted(manifest) == ["edges", "entries", "groups", "layers"]
+    assert sorted(manifest["entries"][0]) == sorted(_ENCODED_KEYS)
+
+
+@pytest.mark.parametrize("action", ["delete", "retype"])
+@pytest.mark.parametrize("key", _ENCODED_KEYS)
+def test_every_stored_field_of_an_encoded_entry_is_read(tmp_path, key, action):
+    path = _saved_entry(tmp_path)
+
+    def edit(manifest):
+        (obj,) = manifest["entries"]
+        if action == "delete":
+            del obj[key]
+        else:
+            obj[key] = 7 if key == "name" else "7"
+
+    edit_container(path, edit)
+    with pytest.raises(MalformedFile, match=f"field '{key}' is missing or not"):
+        load_compressed(path)
 
 
 @pytest.mark.parametrize(
     "edit, match",
     [
-        (lambda m: m["entries"][0].pop("group"), "field 'group' is missing or not int or null"),
         (lambda m: m["entries"][0].update(group=1), "entry 'layer' names group 1; the file stores 0"),
         (lambda m: m.pop("groups"), "manifest field 'groups' is missing"),
         (lambda m: m.update(groups=[{"units": -3, "offset": 0}]), "group 0 permutes -3 channel units"),
         (lambda m: m.update(groups=[{"units": 4}]), "group 0: field 'offset' is missing or not int"),
-        (lambda m: m["entries"][0].update(m_hat=None), _not_int("m_hat")),
-        (lambda m: m["entries"][0].update(k_eff="16"), _not_int("k_eff")),
-        (lambda m: m["entries"][0].update(d=True), _not_int("d")),
         (lambda m: m["entries"][0].update(codes_offset=-1), "field 'codes_offset' is negative"),
-        (lambda m: m["entries"][0].update(codes_nbytes=9), "section has 9 bytes, expected 10"),
-        (lambda m: m["entries"][0].pop("name"), "encoded entry: field 'name' is missing"),
-        (lambda m: m["entries"][0].update(source_kind=7), "'source_kind' is missing or not str"),
         (lambda m: m.update(entries=5), "field 'entries' is not a list of objects"),
         (lambda m: m.update(entries=[5]), "field 'entries' is not a list of objects"),
-        (lambda m: m.update(entry_count=None), "entry count disagrees"),
+        (lambda m: m["entries"][0].update(type="encoded"), "unknown entry type 'encoded'"),
         (lambda m: m.update(edges=[["a"]]), "field 'edges' is not a list"),
         (lambda m: m.update(layers=[{"name": "a", "kind": "fc"}]), "layer 'a': field 'kernel_size"),
     ],
@@ -384,28 +395,46 @@ def test_hostile_compressed_manifest_field_is_malformed(tmp_path, edit, match):
 def test_manifest_that_is_not_an_object_is_malformed(tmp_path):
     path = _saved_entry(tmp_path)
     raw = path.read_bytes()
-    path.write_bytes(join_container(raw, [1, 2], split_container(raw)[1]))
+    path.write_bytes(join_container(raw, [1, 2], split_container(raw)[1], reseal=True))
     with pytest.raises(MalformedFile, match="not a JSON object"):
         load_compressed(path)
 
 
 @pytest.mark.parametrize(
-    "overrides, match",
-    [({"source_kind": "pool"}, "source kind"), ({"source_kind": "fc"}, "kernel size")],
+    "edit, match",
+    [
+        (lambda m: m["entries"][0].update(name="ghost"), "entry 'ghost' names no declared weighted layer"),
+        (lambda m: m["entries"][0].update(name="input"), "entry 'input' names no declared weighted layer"),
+        (lambda m: m["entries"].append(dict(m["entries"][0])), "entry 'layer' does not hold a declared"),
+        (lambda m: m["layers"].append(dict(m["layers"][1])), "duplicate layer name 'layer'"),
+        (lambda m: m["layers"][1].update(kind="fc"), "fc layer 'layer' has kernel size 3"),
+        (lambda m: m["layers"].pop(0), "exactly one input node"),
+    ],
 )
-def test_entry_with_an_impossible_kind_is_malformed(tmp_path, overrides, match):
-    # the (4, 5) code grid with d = 9 reads as a 3x3 conv with 4 input channels
+def test_an_entry_must_hold_a_declared_weighted_layer_of_its_own(tmp_path, edit, match):
+    # the (4, 5) code grid with d = 9 is a 3x3 conv with 4 input channels
     entry = _encoded_entry("layer", k_eff=16, d=9, m_hat=4, n=5, seed=6)
-    for key, value in overrides.items():
-        setattr(entry, key, value)
-    with pytest.raises(MalformedFile, match=match):
-        entry.validate()
-    entry.source_kind = "conv"
     path = tmp_path / "one.pqfc"
-    save_compressed(CompressedModel(entries=[entry]), path)
-    edit_container(path, lambda m: m["entries"][0].update(overrides))
+    save_compressed(declared_model([entry]), path)
+    edit_container(path, edit)
     with pytest.raises(MalformedFile, match=match):
         load_compressed(path)
+
+
+def test_save_rejects_an_entry_whose_layer_is_not_the_declared_one_or_is_held_twice(tmp_path):
+    entry = _encoded_entry("layer", k_eff=16, d=9, m_hat=4, n=5, seed=6)
+    path = tmp_path / "one.pqfc"
+    model = declared_model([entry])
+    model.layers[1] = LayerMeta("layer", "conv", 3, 4, 5)  # the same geometry, another layer
+    with pytest.raises(MalformedFile, match="entry 'layer' does not hold a declared weighted layer"):
+        save_compressed(model, path)
+    model = declared_model([entry, entry])
+    with pytest.raises(MalformedFile, match="duplicate layer name 'layer'"):
+        save_compressed(model, path)
+    model.layers.pop(1)
+    with pytest.raises(MalformedFile, match="entry 'layer' does not hold a declared weighted layer"):
+        save_compressed(model, path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("bits", range(17))
@@ -428,10 +457,10 @@ def test_payload_and_every_array_start_at_a_64_byte_file_offset(tmp_path):
     save_compressed(_grouped_model(), path)
     raw = path.read_bytes()
     manifest, payload = split_container(raw)
-    start = len(raw) - len(payload)
+    start = len(raw) - len(payload) - 4  # the file ends in a 4-byte checksum
     offsets = [g["offset"] for g in manifest["groups"]]
     for obj in manifest["entries"]:
-        keys = ("offset",) if obj["type"] == "raw" else ("codebook_offset", "codes_offset")
+        keys = ("offset",) if obj.get("type") == "raw" else ("codebook_offset", "codes_offset")
         offsets += [obj[key] for key in keys]
     assert len(offsets) == 6
     assert start % 64 == 0 and all((start + offset) % 64 == 0 for offset in offsets)
@@ -440,14 +469,19 @@ def test_payload_and_every_array_start_at_a_64_byte_file_offset(tmp_path):
         load_compressed(path)
 
 
-def test_a_payload_bit_flip_fails_the_checksum(tmp_path):
+def test_a_bit_flip_after_the_version_fails_the_checksum(tmp_path):
     path = tmp_path / "model.pqfc"
     save_compressed(_grouped_model(), path)
-    raw = bytearray(path.read_bytes())
-    raw[-1] ^= 0x10
-    path.write_bytes(bytes(raw))
-    with pytest.raises(MalformedFile, match="payload checksum mismatch"):
-        load_compressed(path)
+    raw = path.read_bytes()
+    manifest, payload = split_container(raw)
+    start = len(raw) - len(payload) - 4
+    # the manifest length, the manifest, the padding, the payload and the checksum
+    for at in (9, 20, start - 1, start + 100, len(raw) - 1):
+        flipped = bytearray(raw)
+        flipped[at] ^= 0x10
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(MalformedFile, match="checksum mismatch"):
+            load_compressed(path)
 
 
 def test_padding_after_the_manifest_must_be_zero(tmp_path):
@@ -457,19 +491,21 @@ def test_padding_after_the_manifest_must_be_zero(tmp_path):
     end = 16 + int.from_bytes(raw[8:16], "little")
     assert end % 64  # the manifest leaves a gap before the payload
     raw[end] = 1
-    path.write_bytes(bytes(raw))
+    path.write_bytes(resealed(bytes(raw)))
     with pytest.raises(MalformedFile, match="padding after the manifest"):
         load_compressed(path)
 
 
-def test_a_version_1_compressed_file_is_not_read_and_checkpoints_stay_version_1(tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_an_older_compressed_file_is_not_read_and_checkpoints_stay_version_1(tmp_path, version):
     path, ckpt_path = tmp_path / "model.pqfc", tmp_path / "mini.pqfn"
     save_compressed(_grouped_model(), path)
     raw = bytearray(path.read_bytes())
-    assert raw[4:8] == (2).to_bytes(4, "little")
-    raw[4:8] = (1).to_bytes(4, "little")
+    assert raw[4:8] == (3).to_bytes(4, "little")
+    raw[4:8] = version.to_bytes(4, "little")
     path.write_bytes(bytes(raw))
-    with pytest.raises(MalformedFile, match="unsupported PQFC format version 1; this build reads version 2"):
+    detail = f"unsupported PQFC format version {version}; this build reads version 3"
+    with pytest.raises(MalformedFile, match=detail):
         load_compressed(path)
     save_checkpoint(_mini_checkpoint(), ckpt_path)
     raw = ckpt_path.read_bytes()
