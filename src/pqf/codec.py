@@ -153,7 +153,7 @@ def encode_layer(
     matrix = layout.reshape_weight(weight, meta.kind)
     if units is not None:
         units = np.asarray(units, dtype=np.int64)
-        if not units.size or meta.c_in % units.size or not permsearch.is_permutation(units, units.size):
+        if not units.size or meta.c_in % units.size or not layout.is_permutation(units, units.size):
             raise IndivisibleBlockSize(
                 f"layer {meta.name!r}: the unit order is not a permutation of units "
                 f"that divide its {meta.c_in} input channels"

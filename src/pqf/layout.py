@@ -121,6 +121,11 @@ class SubvectorMatrix:
         return self.subvectors.reshape(self.count, self.d)
 
 
+def is_permutation(order, n: int) -> bool:
+    """Whether `order` holds each of ``0 .. n-1`` exactly once."""
+    return np.array_equal(np.sort(order), np.arange(n))
+
+
 def split_matrix(matrix: np.ndarray, d: int) -> np.ndarray:
     """Cut an `(m, n)` matrix into an `(m/d, n, d)` subvector array."""
     m, n = matrix.shape

@@ -58,7 +58,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import IndivisibleBlockSize, MismatchedChannelCounts, TooFewSubvectors
-from .layout import SubvectorMatrix, split_matrix
+from .layout import SubvectorMatrix, is_permutation, split_matrix
 from .rng import make_rng
 
 
@@ -76,11 +76,6 @@ class Permutation:
 def _unit_rows(units: np.ndarray, g: int) -> np.ndarray:
     """Row indices of the contiguous `g`-row units listed in `units`, in order."""
     return (units[:, None] * g + np.arange(g)).ravel()
-
-
-def is_permutation(order, n: int) -> bool:
-    """Whether `order` holds each of ``0 .. n-1`` exactly once."""
-    return np.array_equal(np.sort(order), np.arange(n))
 
 
 def expand_channel_permutation(channel_indices, rows_per_channel: int) -> Permutation:

@@ -34,7 +34,6 @@ from .errors import (
     MalformedFile,
     TensorTooLarge,
 )
-from .permsearch import is_permutation
 
 CHECKPOINT_MAGIC = b"PQFN"
 COMPRESSED_MAGIC = b"PQFC"
@@ -620,6 +619,11 @@ class EncodedEntry:
     def bits(self) -> int:
         return code_width(self.k_eff)
 
+    @property
+    def codes_nbytes(self) -> int:
+        """Bytes of the packed codes: ``m_hat * n`` codes of `bits` bits each."""
+        return (self.m_hat * self.n * self.bits + 7) // 8
+
     def unpack(self, out=None) -> np.ndarray:
         """The ``(m_hat, n)`` int64 codes, over the leading elements of `out` if given."""
         try:
@@ -642,13 +646,12 @@ class EncodedEntry:
             raise MalformedFile(f"entry {self.name!r}: subvector size {self.d} does not divide {rows} rows")
         if self.codebook.shape != (self.k_eff, self.d):
             raise MalformedFile(f"entry {self.name!r} codebook shape mismatch")
-        count = self.m_hat * self.n
-        need = (count * self.bits + 7) // 8
-        if len(self.packed) != need:
+        if len(self.packed) != self.codes_nbytes:
             raise MalformedFile(
-                f"entry {self.name!r}: packed code section has {len(self.packed)} bytes, expected {need}"
+                f"entry {self.name!r}: packed code section has {len(self.packed)} bytes, "
+                f"expected {self.codes_nbytes}"
             )
-        if count and self.k_eff < (1 << self.bits):
+        if self.m_hat * self.n and self.k_eff < (1 << self.bits):
             if self.k_eff == 0 or self.unpack().max() >= self.k_eff:
                 raise MalformedFile(f"entry {self.name!r} has out-of-range codes")
 
@@ -684,7 +687,7 @@ class CompressedModel:
         ModelCheckpoint(layers=self.layers, edges=self.edges).validate()
         for i, perm in enumerate(self.groups):
             units = _check_units(len(perm), i)
-            if not is_permutation(perm, units):
+            if not layout.is_permutation(perm, units):
                 raise MalformedFile(f"group {i} does not store a permutation of {units} units")
         weighted = {m.name: m for m in self.layers if m.kind in WEIGHTED_KINDS}
         for entry in self.entries:
@@ -779,9 +782,8 @@ def _get_encoded(payload: memoryview, obj: dict, weighted: dict) -> EncodedEntry
     cb_raw = _take(payload, f["codebook_offset"], k_eff * d * 2, where, ALIGN)
     codebook = np.frombuffer(cb_raw, dtype="<f2").reshape(k_eff, d).copy()
     entry = EncodedEntry(weighted[name], d, k_eff, codebook, b"", obj["group"])
-    # `validate` rejects d = 0, which leaves no code grid to size
-    nbytes = (entry.m_hat * entry.n * entry.bits + 7) // 8 if d else 0
-    entry.packed = _take(payload, f["codes_offset"], nbytes, where, ALIGN)
+    # the codes are sized from the entry's layer; `validate` rejects d = 0, which leaves no grid
+    entry.packed = _take(payload, f["codes_offset"], entry.codes_nbytes if d else 0, where, ALIGN)
     return entry
 
 

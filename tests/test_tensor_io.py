@@ -353,7 +353,7 @@ def test_an_encoded_entry_stores_its_six_keys_and_the_manifest_no_checksum(tmp_p
     assert sorted(manifest["entries"][0]) == sorted(_ENCODED_KEYS)
 
 
-@pytest.mark.parametrize("action", ["delete", "retype"])
+@pytest.mark.parametrize("action", ["delete", "retype", "bool"])
 @pytest.mark.parametrize("key", _ENCODED_KEYS)
 def test_every_stored_field_of_an_encoded_entry_is_read(tmp_path, key, action):
     path = _saved_entry(tmp_path)
@@ -362,6 +362,8 @@ def test_every_stored_field_of_an_encoded_entry_is_read(tmp_path, key, action):
         (obj,) = manifest["entries"]
         if action == "delete":
             del obj[key]
+        elif action == "bool":  # JSON true is not the int 1
+            obj[key] = True
         else:
             obj[key] = 7 if key == "name" else "7"
 
@@ -434,6 +436,17 @@ def test_save_rejects_an_entry_whose_layer_is_not_the_declared_one_or_is_held_tw
     model.layers.pop(1)
     with pytest.raises(MalformedFile, match="entry 'layer' does not hold a declared weighted layer"):
         save_compressed(model, path)
+    assert not path.exists()
+
+
+def test_save_rejects_an_entry_whose_code_section_is_not_its_layers_size(tmp_path):
+    entry = _encoded_entry("layer", k_eff=16, d=4, m_hat=4, n=5, seed=6)
+    assert entry.codes_nbytes == len(entry.packed) == 10
+    path = tmp_path / "one.pqfc"
+    for packed in (entry.packed[:-1], entry.packed + b"\0"):
+        entry.packed = packed
+        with pytest.raises(MalformedFile, match=f"has {len(packed)} bytes, expected 10"):
+            save_compressed(declared_model([entry]), path)
     assert not path.exists()
 
 
