@@ -26,7 +26,7 @@ print("bit-exact reload:", raw_path.read_bytes() == again.read_bytes())
 
 # compress: permutation search + annealed codebooks, then pack to disk
 cfg = codec.CompressionConfig(k=16, k_fc=16, src_iterations=100, perm_iterations=200)
-model, report, errors = codec.compress_model(ckpt, cfg, seed=0)
+model, report, errors, _ = codec.compress_model(ckpt, cfg, seed=0)
 comp_path = workdir / "toy.pqfc"
 comp_bytes = tensor_io.save_compressed(model, comp_path)
 print(f"compressed: {comp_bytes} bytes ({raw_bytes / comp_bytes:.1f}x smaller file)")

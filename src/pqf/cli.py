@@ -215,7 +215,7 @@ def _write_csv(path, text: str):
 def _cmd_compress(args) -> dict:
     ckpt = tensor_io.load_checkpoint(args.checkpoint)
     cfg = _config_from_args(args)
-    model, report, errors = codec.compress_model(ckpt, cfg, seed=args.seed, jobs=args.jobs)
+    model, report, errors, searches = codec.compress_model(ckpt, cfg, seed=args.seed, jobs=args.jobs)
     nbytes = tensor_io.save_compressed(model, args.out)
     print(f"wrote {args.out} ({nbytes} bytes)")
     print(f"total_bits {report.total_bits}")
@@ -224,6 +224,23 @@ def _cmd_compress(args) -> dict:
         "seeds": {"master": args.seed},
         "per_layer_error": {k: float(v) for k, v in sorted(errors.items())},
         "permutation_bits": model.permutation_bits,
+        "groups": [
+            {
+                "children": list(names),
+                "units": int(s.units.size),
+                "start": s.start,
+                "objective": {
+                    "identity": s.identity_objective,
+                    "start": s.start_objective,
+                    "final": s.final_objective,
+                },
+                "proposals_scored": s.proposals,
+                "swaps_kept": s.swaps,
+                "rounds": s.rounds,
+            }
+            for names, s in searches
+            if s.start is not None
+        ],
         "bytes_written": nbytes,
     }
 

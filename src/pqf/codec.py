@@ -353,36 +353,41 @@ def _compressed_layers(ckpt: ModelCheckpoint, cfg: CompressionConfig) -> list:
 
 
 def resolve_layer_permutations(ckpt: ModelCheckpoint, cfg: CompressionConfig, seed: int = 0) -> list:
-    """Optimize one shared channel permutation per group.
+    """Search one shared channel permutation per group.
 
-    Returns ``(names, units)`` for each group whose order is not the
-    identity: the group's children that `cfg` compresses, in sorted order,
-    and the order of the group's channel units (blocks of `channel_block`
-    channels), which each child's encoding takes as it is. `resolve_groups` proves that the units divide
+    Returns ``(names, search)`` for each group with a child that `cfg`
+    compresses, in the order of `resolve_groups`: those children, in sorted
+    order, and the `permsearch.GroupSearch` of the order of the group's
+    channel units (blocks of `channel_block` channels), which each child's
+    encoding takes as it is. `resolve_groups` proves that the units divide
     each child's input channels, and `validate` that each weight has its
-    layer's shape.
+    layer's shape. Each group's float64 matrices are made only when the
+    search sets that group up (`permsearch.search_groups`).
     """
     if not cfg.use_permutation:
         return []
     compressed = {meta.name: meta for meta in _compressed_layers(ckpt, cfg)}
-    result = []
+    named = []
     for group in graph_mod.resolve_groups(ckpt):
-        names = [name for name in group.children if name in compressed]
-        if not names:
-            continue
-        units = group.channels // group.channel_block
-        specs = []
-        for name in names:
-            meta = compressed[name]
-            matrix = layout.reshape_weight(ckpt.tensor(f"{name}.weight").data, meta.kind)
-            specs.append((matrix, cfg.subvector_size(meta), matrix.shape[0] // units))
         # `names` keeps the sorted order of `group.children`
-        unit_perm = permsearch.optimize_group_permutation(
-            specs, iters=cfg.perm_iterations, seed=derive_seed(seed, "perm", *names)
-        ).indices
-        if not np.array_equal(unit_perm, np.arange(units)):
-            result.append((tuple(names), unit_perm))
-    return result
+        names = tuple(name for name in group.children if name in compressed)
+        if names:
+            named.append((names, group.channels // group.channel_block))
+
+    def children():
+        for names, units in named:
+            metas = [compressed[name] for name in names]
+            yield [
+                (
+                    layout.reshape_weight(ckpt.tensor(f"{meta.name}.weight").data, meta.kind),
+                    cfg.subvector_size(meta),
+                    meta.c_in * meta.kernel_size**2 // units,
+                )
+                for meta in metas
+            ], derive_seed(seed, "perm", *names)
+
+    searches = permsearch.search_groups(children(), cfg.perm_iterations)
+    return [(names, search) for (names, _), search in zip(named, searches)]
 
 
 def encode_layers(
@@ -417,7 +422,8 @@ def encode_layers(
 def compress_model(ckpt: ModelCheckpoint, cfg: CompressionConfig, seed: int = 0, jobs: int = 1):
     """Permute, quantize, and package a checkpoint.
 
-    Returns ``(CompressedModel, CompressionReport, per_layer_errors)``.
+    Returns ``(CompressedModel, CompressionReport, per_layer_errors,
+    searches)``, `searches` as `resolve_layer_permutations` returns them.
     Deterministic given the seed; layers and groups are independent, so a
     thread pool of `jobs` workers changes nothing but wall time.
     """
@@ -425,7 +431,10 @@ def compress_model(ckpt: ModelCheckpoint, cfg: CompressionConfig, seed: int = 0,
     # fail before the permutation search, not after it
     for meta in _compressed_layers(ckpt, cfg):
         _require_finite(meta.name, ckpt.tensor(f"{meta.name}.weight").data)
-    groups = resolve_layer_permutations(ckpt, cfg, seed)
+    searches = resolve_layer_permutations(ckpt, cfg, seed)
+    groups = [
+        (names, s.units) for names, s in searches if not np.array_equal(s.units, np.arange(s.units.size))
+    ]
     group_of = {name: i for i, (names, _) in enumerate(groups) for name in names}
     units_of = {name: units for names, units in groups for name in names}
     encodings = encode_layers(ckpt, cfg, units_of, seed, jobs)
@@ -446,7 +455,7 @@ def compress_model(ckpt: ModelCheckpoint, cfg: CompressionConfig, seed: int = 0,
     )
     report = bit_report(ckpt, cfg)
     errors = {name: enc.error for name, enc in encodings.items()}
-    return model, report, errors
+    return model, report, errors, searches
 
 
 def encoding_to_entry(layer: LayerMeta, enc: LayerEncoding, group: int | None = None) -> EncodedEntry:

@@ -30,18 +30,26 @@ next batch starts right after it. Every candidate sums its chunks in the
 same fixed order, so the search keeps exactly the swaps that scoring one
 proposal at a time keeps, whatever the batch sizes.
 
-A scoring round takes a fixed number of numpy calls, whatever its batch
-size. Besides the current chunk moments, each family keeps one lane per
-candidate, a copy of them, and the round writes each candidate's recomputed
-chunks into its lane; one sum over the chunk axis then folds every lane, and
-the written chunks are put back. A sum over an axis that is not the
-innermost adds the chunks one at a time in chunk order, the sequential fold
-that scores the current order, so every candidate scores bit for bit what
-its order scores. Folding the chunks before the first one a round touches
-once, as a prefix shared by all lanes, would be exact for the same reason;
-it is left out, because it costs more calls than the reads it saves at the
-batch sizes the search uses. Families with the same subvector size take
-their logdets in one Cholesky call.
+A scoring round advances every group of a wave at once. Groups are set up
+in waves bounded by the float64 values their searches hold; a group's input
+matrices are dropped once its chunk moments exist, and a group with nothing
+to search holds nothing. Each round scores every active group's next batch
+against that group's own order, takes the logdets of all their candidates
+in one Cholesky call per subvector size, and keeps each group's first
+strict improvement, so the round's fixed cost of numpy calls is paid once
+for the wave rather than once per group. Within a group, each family keeps
+one lane per candidate besides the current chunk moments, a copy of them,
+and the round writes each candidate's recomputed chunks into its lane; one
+sum over the chunk axis then folds every lane, and the written chunks are
+put back. A sum over an axis that is not the innermost adds the chunks one
+at a time in chunk order, the sequential fold that scores the current
+order, and a Cholesky factor depends only on its own matrix, so every
+candidate scores bit for bit what its order scores, whichever batches and
+groups share its round. Folding the chunks before the first one a round
+touches once, as a prefix shared by all lanes, would be exact for the same
+reason; it is left out, because it costs more calls than the reads it saves
+at the batch sizes the search uses. The chunks each proposal touches are
+tabled once per block of draws, not once per round.
 
 When every swap unit of a layer holds whole subvectors (its rows per unit are
 a multiple of the subvector size d, as for a 3x3 convolution with d = 9), a
@@ -52,7 +60,7 @@ the group search leaves such layers out and skips groups made only of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -235,8 +243,10 @@ _BATCH = 1 << 20
 # it, and ResNet-18 in the large regime, whose work bound is lower, did not
 # move.
 _MAX_BATCH = 16
-# Proposals are drawn in blocks of at most this many pairs (1 MB), so memory
-# does not grow with the iteration count.
+# Proposals are drawn, and their swap tables built, in blocks of at most
+# this many values (the pairs, and per family the positions and chunks each
+# pair touches) and at least one pair, so memory does not grow with the
+# iteration count and stays small where a pair touches wide chunks.
 _DRAWS = 1 << 16
 # ``pairs @ (g * _SWAP_SIGNS)`` is ``(g*(b-a), g*(a-b))`` for each pair ``(a, b)``
 _SWAP_SIGNS = np.array([[-1, 1], [1, -1]])
@@ -281,8 +291,12 @@ class _ChunkMoments:
         self._shift = block * _SWAP_SIGNS
         # lane 0 holds the current chunk moments, lane i the chunks candidate i of a round folds
         self._lanes = self._moments(grid)[None]
+        # values held: the shifted rows and one lane; a pair's swap table
+        self.lane = self._lanes.size
+        self.values = sum(x.size for x in self.shifted) + self.lane
+        self.table = 2 * span * (d + 2)
         # values one candidate touches: its lane, its chunks' einsum products
-        self.work = self._lanes.size + 2 * span * (d + 1) ** 2 * sum(x.shape[1] for x in matrices)
+        self.work = self.lane + 2 * span * (d + 1) ** 2 * sum(x.shape[1] for x in matrices)
 
     def _moments(self, positions: np.ndarray) -> np.ndarray:
         """Augmented second moments ``(..., C, d+1, d+1)`` of the chunks at `positions`."""
@@ -303,8 +317,21 @@ class _ChunkMoments:
         """Regularized logdet of each child's subvector covariance."""
         return _logdets(self.moments.sum(axis=0))
 
-    def score(self, pairs: np.ndarray) -> np.ndarray:
-        """Summed chunk moments ``(B, children, d+1, d+1)`` after each swap of ``pairs[i]``.
+    def draw(self, pairs: np.ndarray):
+        """Build the swap table of a block of proposals ``pairs`` ``(P, 2)``.
+
+        Per pair, the positions of the chunks the two units touch, with the
+        two units' rows exchanged, and those chunks. They do not depend on
+        the order, only on which positions the units hold, so a table serves
+        every round of the block.
+        """
+        positions, units = self._swap[:, pairs]
+        moved = units[..., None] == pairs[:, None, None, None, :]
+        positions += (moved @ (pairs @ self._shift)[:, None, None, :, None])[..., 0]
+        self._table = (pairs, positions, self._chunks[pairs])
+
+    def score(self, lo: int, hi: int) -> np.ndarray:
+        """Summed chunk moments ``(B, children, d+1, d+1)`` after each swap ``lo..hi-1`` of the drawn block.
 
         Every candidate swaps against the current order. The chunks the two
         units touch are recomputed for all candidates at once (a chunk both
@@ -315,12 +342,9 @@ class _ChunkMoments:
         each candidate's total is bit for bit the one its order has, which
         `commit` makes current.
         """
-        count = pairs.shape[0]
-        # the positions of each touched chunk, then with the two units' rows exchanged
-        positions, units = self._swap[:, pairs]
-        moved = units[..., None] == pairs[:, None, None, None, :]
-        positions += (moved @ (pairs @ self._shift)[:, None, None, :, None])[..., 0]
-        chunks, moments = self._chunks[pairs], self._moments(positions)
+        pairs, positions, chunks = (table[lo:hi] for table in self._table)
+        count = hi - lo
+        moments = self._moments(positions)
         self._scored = (pairs, chunks, moments)
         if len(self._lanes) <= count:
             self._lanes = np.repeat(self._lanes[:1], count + 1, axis=0)
@@ -338,6 +362,10 @@ class _ChunkMoments:
         positions = self._unit_positions[pairs[i]]
         self.order[positions] = self.order[positions[::-1]]
 
+    def units(self) -> np.ndarray:
+        """The current unit order; unit u starts the row at position u*block."""
+        return self.order[: -1 : self.block] // self.block
+
 
 def _families(specs, units: np.ndarray) -> list:
     """`_ChunkMoments` of ``(matrix, d, block)`` children, one per `(d, block)`."""
@@ -352,23 +380,31 @@ def _total(families) -> float:
     return sum(float(f.objectives().sum()) for f in families)
 
 
-def _score(families, pairs: np.ndarray) -> np.ndarray:
-    """Summed objective of every child of `families` after each swap of ``pairs[i]``.
+def _score(batches) -> list:
+    """Summed objective after each swap of each batch: one array per batch.
 
-    Families of one `d` take their logdets in one call. Each family's children
-    are summed, then the families in order, as `_total` sums them.
+    A batch is ``(families, lo, hi)``, one group's families and the
+    proposals ``lo..hi-1`` of their drawn block. The logdets of every family
+    of one `d`, over all batches, are taken in one call; each matrix's value
+    does not depend on the others in the call. Each family's children are
+    summed, then a batch's families in order, as `_total` sums them.
     """
-    totals = [f.score(pairs) for f in families]
+    families = [f for fs, _, _ in batches for f in fs]
+    totals = [f.score(lo, hi) for fs, lo, hi in batches for f in fs]
     sums = [None] * len(families)
     for d in dict.fromkeys(f.d for f in families):
         members = [i for i, f in enumerate(families) if f.d == d]
-        stack = [totals[i] for i in members]
-        logdets = _logdets(np.concatenate(stack, axis=1) if len(stack) > 1 else stack[0])
+        stack = [totals[i].reshape(-1, d + 1, d + 1) for i in members]
+        logdets = _logdets(np.concatenate(stack) if len(stack) > 1 else stack[0])
         end = 0
-        for i in members:
-            start, end = end, end + families[i].children
-            sums[i] = logdets[:, start:end].sum(axis=-1)
-    return sum(sums)
+        for i, part in zip(members, stack):
+            start, end = end, end + len(part)
+            sums[i] = logdets[start:end].reshape(totals[i].shape[:2]).sum(axis=-1)
+    out, end = [], 0
+    for fs, _, _ in batches:
+        start, end = end, end + len(fs)
+        out.append(sum(sums[start:end]))
+    return out
 
 
 def _pairs(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
@@ -383,48 +419,110 @@ def _pairs(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     return pairs
 
 
-def _swap_search(families, units: np.ndarray, iters: int, seed: int):
-    """Random pair swaps of `units`, in place, kept when they lower the objective.
+@dataclass(frozen=True, eq=False)
+class GroupSearch:
+    """One group's unit order, and how the search found it.
 
-    `families` are the children's `_ChunkMoments`, set up at `units`. The
-    proposals are scored speculatively, a batch at a time against the
-    current order, and the first candidate of a batch below the current
-    objective is kept; the next batch starts right after it. This is exact:
-    a rejected proposal leaves the order as it was and the pairs do not
-    depend on the decisions, so every candidate is scored on the order a
-    one-at-a-time loop would score it on, and the same proposals are kept.
-    A batch starts at one pair, doubles after a batch that keeps none, holds
-    twice the pairs up to the kept one after one that keeps, and holds no
-    more candidates than fit `_BATCH` values of work, nor more than
-    `_MAX_BATCH`; the result does not depend on these sizes. Deterministic
-    given `seed`.
+    A group none of whose children can change under a swap has no search:
+    `start` is None and the rest is 0. Otherwise `start` is the start taken,
+    ``"identity"`` or ``"greedy"``; the three objectives are the summed
+    objective of those children at the identity, at the start and at the
+    returned order; `proposals` counts the candidates scored (a speculative
+    one scored after a kept swap counts, and is scored again), `swaps` the
+    swaps kept and `rounds` the scoring rounds.
     """
-    n = units.shape[0]
-    if n < 2 or iters <= 0:
-        return units
-    rng = make_rng(seed, "perm-local-search")
-    current = _total(families)
-    cap = max(1, min(_BATCH // sum(f.work for f in families), _MAX_BATCH))
-    size = 1
-    for first in range(0, iters, _DRAWS):
-        pairs = _pairs(rng, n, min(_DRAWS, iters - first))
-        start = 0
-        while start < len(pairs):
-            batch = pairs[start : start + size]
-            scores = _score(families, batch)
-            better = (scores < current).nonzero()[0]
-            if better.size == 0:
-                start, size = start + len(batch), min(2 * size, cap)
-                continue
-            j = int(better[0])
-            for family in families:
-                family.commit(j)
-            current = scores[j]
-            start, size = start + j + 1, min(2 * (j + 1), cap)
-    # every family keeps the order; unit u starts the row at position u*block
-    family = families[0]
-    units[:] = family.order[: -1 : family.block] // family.block
-    return units
+
+    units: np.ndarray
+    start: str | None = None
+    identity_objective: float = 0.0
+    start_objective: float = 0.0
+    final_objective: float = 0.0
+    proposals: int = 0
+    swaps: int = 0
+    rounds: int = 0
+
+
+class _Search:
+    """One group's random pair swaps, kept when they lower the objective.
+
+    `families` are the children's `_ChunkMoments`, set up at the start
+    order that `found` holds, with its objective. The proposals are scored
+    speculatively, a batch at a time against the current order, and the
+    first candidate of a batch below the current objective is kept; the
+    next batch starts right after it. This is exact: a rejected proposal
+    leaves the order as it was and the pairs do not depend on the
+    decisions, so every candidate is scored on the order a one-at-a-time
+    loop would score it on, and the same proposals are kept. A batch starts
+    at one pair, doubles after a batch that keeps none, holds twice the
+    pairs up to the kept one after one that keeps, and holds no more
+    candidates than fit `_BATCH` values of work, nor more than `_MAX_BATCH`,
+    nor more than are left of the drawn block; the result does not depend
+    on these sizes. Deterministic given `seed`.
+    """
+
+    def __init__(self, families, iters: int, seed: int, found: GroupSearch):
+        self.families, self.found, self.current = families, found, found.final_objective
+        self.n = families[0].units().size
+        self.left = max(iters, 0) if self.n >= 2 else 0  # proposals not yet drawn
+        self.rng = make_rng(seed, "perm-local-search")
+        self.cap = max(1, min(_BATCH // sum(f.work for f in families), _MAX_BATCH))
+        table = 2 + sum(f.table for f in families)
+        self.block = max(1, _DRAWS // table)
+        # values held at most: shifted rows, every lane, one block's pairs and tables
+        self.held = sum(f.values + self.cap * f.lane for f in families) + min(self.block, self.left) * table
+        self.lo = self.hi = self.drawn = 0
+        self.size = 1
+        self.proposals = self.swaps = self.rounds = 0
+
+    def next(self) -> bool:
+        """Set the next batch ``lo..hi-1``; False once every proposal is decided."""
+        if self.lo == self.drawn:
+            if not self.left:
+                return False
+            self.drawn = min(self.block, self.left)
+            self.left -= self.drawn
+            pairs = _pairs(self.rng, self.n, self.drawn)
+            for family in self.families:
+                family.draw(pairs)
+            self.lo = 0
+        self.hi = min(self.lo + self.size, self.drawn)
+        return True
+
+    def decide(self, scores: np.ndarray):
+        """Keep the first candidate of the batch below the current objective, if any."""
+        self.rounds += 1
+        self.proposals += len(scores)
+        better = (scores < self.current).nonzero()[0]
+        if better.size == 0:
+            self.lo, self.size = self.hi, min(2 * self.size, self.cap)
+            return
+        j = int(better[0])
+        for family in self.families:
+            family.commit(j)
+        self.current = scores[j]
+        self.swaps += 1
+        self.lo, self.size = self.lo + j + 1, min(2 * (j + 1), self.cap)
+
+    def result(self) -> GroupSearch:
+        # every family keeps the order
+        return replace(self.found, units=self.families[0].units(), final_objective=float(self.current),
+                       proposals=self.proposals, swaps=self.swaps, rounds=self.rounds)
+
+
+def _run(searches):
+    """Advance every search to its end, each round scoring one batch of every active search."""
+    active = [s for s in searches if s.next()]
+    while active:
+        for search, scores in zip(active, _score([(s.families, s.lo, s.hi) for s in active])):
+            search.decide(scores)
+        active = [s for s in active if s.next()]
+
+
+def _swap_search(families, units: np.ndarray, iters: int, seed: int) -> np.ndarray:
+    """The unit order `_Search` finds from `families`, set up at `units`."""
+    search = _Search(families, iters, seed, GroupSearch(units, final_objective=_total(families)))
+    _run([search])
+    return search.result().units
 
 
 def _check_divides(m: int, d: int, block: int):
@@ -450,23 +548,14 @@ def local_search(weight, d: int, block: int, init_units, iters: int, seed: int) 
     units = np.array(init_units, dtype=np.int64)
     if not is_permutation(units, m // block):
         raise IndivisibleBlockSize(f"initial order is not a permutation of {m // block} units")
-    families = _families([(matrix, d, block)], units)
-    return _swap_search(families, units, iters, seed)
+    return _swap_search(_families([(matrix, d, block)], units), units, iters, seed)
 
 
-def optimize_group_permutation(children, iters: int = 1000, seed: int = 0) -> Permutation:
-    """Find one channel permutation shared by all `children`.
+def _setup(children, iters: int, seed: int):
+    """Check one group's children, pick its start and set up its search.
 
-    `children` is a list of ``(weight_matrix, d, block)`` tuples where `block`
-    is the number of matrix rows per shared channel (K*K for convolutions).
-    A child with ``block % d == 0`` holds whole subvectors in every channel,
-    so a channel permutation only reorders its subvectors and cannot change
-    its objective: such children are left out, and a group of nothing else
-    keeps the identity without a search. The summed objective of the other
-    children is optimized: the greedy initialization comes from the largest
-    of them, the identity is kept instead when it scores no worse, and local
-    search then swaps channels accepting strict improvements of the sum.
-    Returns the channel order.
+    Returns the group's `GroupSearch` when nothing is left to search, and
+    its `_Search` otherwise; neither holds the children's matrices.
     """
     specs = [(np.asarray(w, dtype=np.float64), int(d), int(block)) for w, d, block in children]
     if not specs:
@@ -477,16 +566,81 @@ def optimize_group_permutation(children, iters: int = 1000, seed: int = 0) -> Pe
     counts = sorted({matrix.shape[0] // block for matrix, _, block in specs})
     if len(counts) > 1:
         raise MismatchedChannelCounts(f"children disagree on channels: {counts}")
-    channels = counts[0]
 
     specs = [spec for spec in specs if spec[2] % spec[1] != 0]
-    starts = [np.arange(channels, dtype=np.int64)]
+    starts = {"identity": np.arange(counts[0], dtype=np.int64)}
     if not specs:
-        return Permutation(starts[0])
+        return GroupSearch(starts["identity"])
     # greedy initialization needs whole blocks inside each subvector
     matrix, d, block = max(specs, key=lambda s: s[0].size)
     if d % block == 0:
-        starts.append(greedy_init(matrix, d, block))
-    # min keeps the first of equal scores: the identity wins a tie
-    units, families = min(((u, _families(specs, u)) for u in starts), key=lambda s: _total(s[1]))
-    return Permutation(_swap_search(families, units, iters, seed))
+        starts["greedy"] = greedy_init(matrix, d, block)
+    scored = []
+    for start, units in starts.items():
+        families = _families(specs, units)
+        scored.append((_total(families), start, units, families))
+    # min keeps the first of equal totals: the identity wins a tie
+    total, start, units, families = min(scored, key=lambda s: s[0])
+    found = GroupSearch(units, start, scored[0][0], total, total)
+    return _Search(families, iters, seed, found) if iters > 0 and units.size > 1 else found
+
+
+# A wave of groups takes searches until they hold this many float64 values
+# (`_Search.held`), then they advance together. On ResNet-50 at 1/8 width,
+# 100 proposals, one BLAS thread, the group search took 109, 90, 86 and
+# 85 ms (medians of 20) with one group per wave, 2**16 values, 2**18 and all
+# 21 searches at once. After eight compress runs in one process, peak RSS
+# was the per-group search's with 2**16 and 0.5 MB above it with 2**18.
+_WAVE = 1 << 16
+
+
+def search_groups(groups, iters: int):
+    """Find one channel permutation per group; yields each group's `GroupSearch`, in order.
+
+    `groups` yields ``(children, seed)`` for each group: `children` is a
+    list of ``(weight_matrix, d, block)`` tuples where `block` is the number
+    of matrix rows per shared channel (K*K for convolutions). A child with
+    ``block % d == 0`` holds whole subvectors in every channel, so a channel
+    permutation only reorders its subvectors and cannot change its
+    objective: such children are left out, and a group of nothing else
+    keeps the identity without a search. The summed objective of the other
+    children is optimized: the greedy initialization comes from the largest
+    of them, the identity is kept instead when it scores no worse, and
+    `iters` proposals of random swaps then keep strict improvements of the
+    sum (`_Search`, with the group's `seed`).
+
+    Groups are set up in waves. A wave takes groups until their searches
+    hold `_WAVE` float64 values, so it holds at most that plus one group;
+    then every search of the wave advances together, one batch of each in
+    every scoring round (`_run`), and the wave's results are yielded. A
+    group's matrices are dropped once its chunk moments exist, and a group
+    with nothing to search holds nothing. Each group's order depends only
+    on its own children and seed.
+    """
+    wave, held = [], 0
+    for children, seed in groups:
+        wave.append(_setup(children, iters, seed))
+        del children  # the chunk moments hold all the search needs
+        if isinstance(wave[-1], _Search):
+            held += wave[-1].held
+        if held >= _WAVE:
+            yield from _finish(wave)
+            wave, held = [], 0
+    yield from _finish(wave)
+
+
+def _finish(wave):
+    """Run the searches of `wave` together and yield every group's `GroupSearch`."""
+    searches = [s for s in wave if isinstance(s, _Search)]
+    _run(searches)
+    for item in wave:
+        yield item.result() if isinstance(item, _Search) else item
+
+
+def optimize_group_permutation(children, iters: int = 1000, seed: int = 0) -> Permutation:
+    """Find one channel permutation shared by all `children`; returns the channel order.
+
+    The search of `search_groups` for one group of ``(weight_matrix, d, block)`` children.
+    """
+    (search,) = search_groups([(children, seed)], iters)
+    return Permutation(search.units)

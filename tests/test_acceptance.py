@@ -424,7 +424,7 @@ def test_criterion_10_round_trip_suite(tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
 
         cfg = CompressionConfig(k=4, k_fc=4, src_iterations=20, perm_iterations=40)
-        model, _, _ = codec.compress_model(ckpt, cfg, seed=2)
+        model, _, _, _ = codec.compress_model(ckpt, cfg, seed=2)
         c1, c2 = tmp_path / "a.pqfc", tmp_path / "b.pqfc"
         tensor_io.save_compressed(model, c1)
         tensor_io.save_compressed(tensor_io.load_compressed(c1), c2)

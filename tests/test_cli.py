@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pqf
-from pqf import cli, codec, finetune, tensor_io
+from pqf import cli, codec, finetune, graph, tensor_io
 from pqf.cli import BENCH_METHODS, BenchConfig, bench_csv, run_bench
 from pqf.errors import MalformedFile
 from pqf.finetune import make_mlp_checkpoint
@@ -474,6 +474,37 @@ def test_large_regime_search_bytes_are_pinned(tmp_path):
         "d33923c2d038d700b702562a025f4d82fc1050909580b9d140f66ab73ba32183",
         "011493ac0b13cefe7705fe135f705772ded05852a3660071d3000b10a88a9c9e",
     )
+
+
+def test_compress_manifest_explains_each_searched_group(tmp_path):
+    # a ResNet-18 at 1/8 width: its 3x3 children cannot change under a swap, so
+    # the groups that search are those with a 1x1 or fc child
+    source = tmp_path / "model.pqfn"
+    ckpt = synthetic_resnet(18, 8, seed=4)
+    tensor_io.save_checkpoint(ckpt, source)
+    runs = []
+    for i, jobs in enumerate(("1", "1", "2")):
+        packed, run = tmp_path / f"{i}.pqfc", tmp_path / f"{i}.json"
+        argv = ["compress", str(source), "--out", str(packed), "--k", "16", "--k-fc", "16",
+                "--src-iters", "1", "--perm-iters", "20", "--seed", "4", "--jobs", jobs,
+                "--manifest", str(run)]
+        assert cli.main(argv) == 0
+        runs.append((packed.read_bytes(), json.loads(run.read_text())["groups"]))
+    assert runs[0] == runs[1] == runs[2]  # reruns and --jobs change neither
+    groups = runs[0][1]
+    kernel = {meta.name: meta.kernel_size for meta in ckpt.layers}
+    expected = [(sorted(g.children), g.channels // g.channel_block)
+                for g in graph.resolve_groups(ckpt) if any(kernel[c] == 1 for c in g.children)]
+    assert [(g["children"], g["units"]) for g in groups] == expected
+    for g in groups:
+        assert set(g) == {"children", "units", "start", "objective", "proposals_scored",
+                          "swaps_kept", "rounds"}
+        assert g["start"] in ("identity", "greedy")
+        objective = g["objective"]
+        assert objective["final"] <= objective["start"] <= objective["identity"]
+        assert g["swaps_kept"] <= g["rounds"] <= g["proposals_scored"]
+        assert g["proposals_scored"] >= 20
+    assert any(g["swaps_kept"] for g in groups)
 
 
 def test_pqfc_size_is_its_sections_plus_framing_and_padding(tmp_path):

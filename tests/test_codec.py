@@ -150,7 +150,7 @@ def test_every_encoded_entry_matches_its_bit_report_rows(regime):
     ckpt = synthetic_resnet(18, 8, seed=5)
     cfg = CompressionConfig(k=64, k_fc=512, d_conv_multiplier=1 if regime == "small" else 2,
                             quantizer="kmeans", src_iterations=1, perm_iterations=2)
-    model, report, _ = compress_model(ckpt, cfg, seed=5)
+    model, report, _, _ = compress_model(ckpt, cfg, seed=5)
     rows = {r.name: r for r in report.rows}
     entries = [e for e in model.entries if isinstance(e, EncodedEntry)]
     assert len(entries) == 20  # every weighted layer but the first conv
@@ -210,7 +210,7 @@ def test_compress_model_round_trips_and_matches_report(tmp_path):
     cfg = CompressionConfig(
         k=8, k_fc=8, src_iterations=25, perm_iterations=50
     )
-    model, report, errors = compress_model(ckpt, cfg, seed=11)
+    model, report, errors, _ = compress_model(ckpt, cfg, seed=11)
     assert set(errors) == {"fc1", "fc2"}
     path = tmp_path / "toy.pqfc"
     tensor_io.save_compressed(model, path)
@@ -229,7 +229,7 @@ def test_compress_skip_all_yields_raw_entries():
     cfg = CompressionConfig(
         k=8, skip=frozenset({"fc1", "fc2"}), use_permutation=False
     )
-    model, report, errors = compress_model(ckpt, cfg, seed=0)
+    model, report, errors, _ = compress_model(ckpt, cfg, seed=0)
     assert errors == {}
     assert all(isinstance(e, TensorRecord) for e in model.entries)
     for entry, rec in zip(model.entries, ckpt.tensors):
@@ -240,8 +240,8 @@ def test_compress_skip_all_yields_raw_entries():
 def test_compress_deterministic_and_jobs_invariant():
     ckpt = _toy_mlp()
     cfg = CompressionConfig(k=4, k_fc=4, src_iterations=15, perm_iterations=30)
-    m1, _, e1 = compress_model(ckpt, cfg, seed=3, jobs=1)
-    m2, _, e2 = compress_model(ckpt, cfg, seed=3, jobs=4)
+    m1, _, e1, _ = compress_model(ckpt, cfg, seed=3, jobs=1)
+    m2, _, e2, _ = compress_model(ckpt, cfg, seed=3, jobs=4)
     assert e1 == e2
     assert compressed_models_equal(m1, m2)
 
@@ -250,18 +250,40 @@ def test_jobs_pool_keeps_the_declaration_order(tmp_path):
     ckpt = make_mlp_checkpoint((16, 32, 64, 4), seed=5)
     cfg = CompressionConfig(k=8, k_fc=8, src_iterations=5, perm_iterations=10)
     groups = codec.resolve_layer_permutations(ckpt, cfg, seed=2)
-    assert groups  # the search moved at least one group
-    units = {name: order for names, order in groups for name in names}
+    units = {name: s.units for names, s in groups for name in names}
+    assert any(not np.array_equal(order, np.arange(order.size)) for order in units.values())
     encodings = codec.encode_layers(ckpt, cfg, units, seed=2, jobs=2)
     assert list(encodings) == ["fc1", "fc2", "fc3"]
 
     written = []
     for jobs in (1, 2):
-        model, _, _ = compress_model(ckpt, cfg, seed=2, jobs=jobs)
+        model, _, _, _ = compress_model(ckpt, cfg, seed=2, jobs=jobs)
         path = tmp_path / f"jobs{jobs}.pqfc"
         tensor_io.save_compressed(model, path)
         written.append(path.read_bytes())
     assert written[0] == written[1]
+
+
+def test_wave_budget_leaves_the_searches_and_bytes_unchanged(tmp_path, monkeypatch):
+    ckpt = synthetic_resnet(18, 8, seed=6)
+    cfg = CompressionConfig(k=8, k_fc=8, src_iterations=1, perm_iterations=30)
+    waves, original = [], permsearch._run
+    monkeypatch.setattr(permsearch, "_run", lambda searches: waves.append(len(searches)) or original(searches))
+    written, sizes = [], []
+    # one group per wave, a few per wave, and every group in one wave
+    for budget in (0, 1 << 12, 1 << 40):
+        monkeypatch.setattr(permsearch, "_WAVE", budget)
+        waves.clear()
+        model, _, _, searches = compress_model(ckpt, cfg, seed=6)
+        path = tmp_path / f"{budget}.pqfc"
+        tensor_io.save_compressed(model, path)
+        found = [(names, s.units.tolist(), s.final_objective, s.proposals, s.swaps) for names, s in searches]
+        written.append((path.read_bytes(), found))
+        sizes.append(sorted(filter(None, waves)))
+    assert written[0] == written[1] == written[2]
+    searched = sizes[2][0]
+    assert sizes[0] == [1] * searched and len(sizes[1]) > 1 and max(sizes[1]) > 1
+    assert sizes[2] == [searched] and model.groups
 
 
 @pytest.mark.parametrize("d_conv_multiplier", [1, 2], ids=["small_blocks", "large_blocks"])
@@ -275,7 +297,7 @@ def test_compress_model_scores_no_order_with_the_reference_objective(d_conv_mult
     monkeypatch.setattr(
         permsearch, "matrix_objective", lambda *a: calls.append(a) or original(*a)
     )
-    model, _, _ = compress_model(ckpt, cfg, seed=1)
+    model, _, _, _ = compress_model(ckpt, cfg, seed=1)
     assert calls == []
     assert any(isinstance(e, EncodedEntry) and e.name == "fc" for e in model.entries)
 
@@ -303,8 +325,8 @@ def test_permutation_does_not_hurt_summed_error():
     better = 0
     for seed in range(20):
         ckpt = _anisotropic_mlp(seed)
-        _, _, with_perm = compress_model(ckpt, cfg_perm, seed=seed)
-        _, _, without = compress_model(ckpt, cfg_id, seed=seed)
+        _, _, with_perm, _ = compress_model(ckpt, cfg_perm, seed=seed)
+        _, _, without, _ = compress_model(ckpt, cfg_id, seed=seed)
         if sum(with_perm.values()) <= sum(without.values()) + 1e-12:
             better += 1
     assert better >= 18
@@ -353,8 +375,8 @@ def test_reshape_coupled_layer_still_gets_permutation_search():
     base = dict(k=4, k_fc=4, quantizer="kmeans", src_iterations=40)
     with_perm = CompressionConfig(perm_iterations=200, **base)
     without = CompressionConfig(use_permutation=False, **base)
-    model_p, _, err_p = compress_model(ckpt, with_perm, seed=1)
-    _, _, err_i = compress_model(ckpt, without, seed=1)
+    model_p, _, err_p, _ = compress_model(ckpt, with_perm, seed=1)
+    _, _, err_i, _ = compress_model(ckpt, without, seed=1)
     assert err_p["fc1"] <= err_i["fc1"] + 1e-12
     (entry,) = [e for e in model_p.entries if isinstance(e, tensor_io.EncodedEntry)]
     assert entry.group == 0 and len(model_p.groups[0]) == 4  # 4 units of 9 channels

@@ -675,7 +675,7 @@ def test_full_pipeline_compress_store_finetune(tmp_path):
         k=4, k_fc=4, d_fc=8,
         src_iterations=40, perm_iterations=60,
     )
-    model, _, _ = compress_model(trained, cfg, seed=33)
+    model, _, _, _ = compress_model(trained, cfg, seed=33)
     path = tmp_path / "trained.pqfc"
     tio.save_compressed(model, path)
     loaded = tio.load_compressed(path)

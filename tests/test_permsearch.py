@@ -1,4 +1,5 @@
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -478,10 +479,10 @@ def test_search_with_a_degenerate_child_matches_the_one_proposal_loop(monkeypatc
         assert np.array_equal(got, scalar_swap_search(specs, start, 300, seed))
         assert not np.array_equal(got, start)
     # some batch of several candidates fell back to scoring them one by one
-    assert any(len(a) == 4 and a[0] > 1 and len(b) == 3 for a, b in zip(shapes, shapes[1:]))
+    assert any(len(a) == 3 and a[0] > 1 and len(b) == 2 for a, b in zip(shapes, shapes[1:]))
 
 
-@pytest.mark.parametrize("batch, draws", [(1, 1 << 16), (1 << 40, 7), (1, 1)])
+@pytest.mark.parametrize("batch, draws", [(1, 1 << 16), (1 << 40, 100), (1, 1)])
 def test_search_does_not_depend_on_batch_or_draw_sizes(batch, draws, monkeypatch):
     monkeypatch.setattr(permsearch, "_BATCH", batch)
     monkeypatch.setattr(permsearch, "_MAX_BATCH", batch)
@@ -496,6 +497,117 @@ def test_search_does_not_depend_on_batch_or_draw_sizes(batch, draws, monkeypatch
         )
 
 
+# (d, block) of live children: a unit inside one chunk, straddling two, spanning several
+_LIVE_SHAPES = [(2, 1), (4, 1), (4, 2), (4, 3), (4, 9), (18, 9), (9, 6)]
+
+
+def _random_groups(rng, count):
+    """`count` groups of 1-3 live children of mixed shapes and widths, some with an
+    invariant child, then a group of an invariant child alone; ``(children, seed)`` each."""
+    groups = []
+    for seed in range(count):
+        n = int(rng.choice([2, 3, 4, 6, 12, 24]))
+        live = [(d, block) for d, block in _LIVE_SHAPES if n * block % d == 0]
+        children = []
+        for _ in range(int(rng.integers(1, 4))):
+            d, block = live[int(rng.integers(len(live)))]
+            children.append((_scaled_matrix(rng, n * block, int(rng.integers(2, 13))), d, block))
+        if rng.random() < 0.3:
+            children.insert(0, (rng.standard_normal((n * 9, 5)), 9, 9))
+        groups.append((children, seed))
+    groups.append(([(rng.standard_normal((4 * 9, 5)), 9, 9)], count))
+    return groups
+
+
+def _fields(search):
+    return (search.units.tobytes(), search.start, _bits(search.identity_objective),
+            _bits(search.start_objective), _bits(search.final_objective),
+            search.proposals, search.swaps, search.rounds)
+
+
+@pytest.mark.parametrize("wave", [0, 3000, 1 << 40], ids=["one-group-waves", "mid", "one-wave"])
+@pytest.mark.parametrize("iters", [0, 1, 60])
+def test_groups_searched_together_equal_each_group_alone_and_the_scalar_loop(iters, wave, monkeypatch):
+    # a few pairs per draw block, so 60 proposals take several blocks
+    monkeypatch.setattr(permsearch, "_DRAWS", 64)
+    monkeypatch.setattr(permsearch, "_WAVE", wave)
+    groups = _random_groups(make_rng(31, "groups"), 12)
+    together = list(permsearch.search_groups(groups, iters))
+    assert len(together) == len(groups)
+    for (children, seed), got in zip(groups, together):
+        (alone,) = permsearch.search_groups([(children, seed)], iters)
+        assert _fields(got) == _fields(alone)
+        n = children[0][0].shape[0] // children[0][2]
+        live = [child for child in children if child[2] % child[1]]
+        if not live:
+            assert got.start is None and np.array_equal(got.units, np.arange(n))
+            continue
+        identity = np.arange(n)
+        start = identity if got.start == "identity" else greedy_init(*max(live, key=lambda c: c[0].size))
+        assert np.array_equal(got.units, scalar_swap_search(live, start, iters, seed))
+        for objective, units in ((got.identity_objective, identity), (got.start_objective, start),
+                                 (got.final_objective, got.units)):
+            assert _bits(objective) == _bits(permsearch._total(permsearch._families(live, units)))
+        assert got.final_objective <= got.start_objective <= got.identity_objective
+        assert got.swaps <= got.rounds <= got.proposals
+        assert got.proposals >= (iters if n > 1 else 0)
+    if iters > 1:
+        assert sum(g.swaps for g in together) > 0
+        assert {g.start for g in together} == {None, "identity", "greedy"}
+
+
+@pytest.mark.parametrize("budget", [0, 2000, 20000, 1 << 40])
+@pytest.mark.parametrize("iters", [0, 40])
+def test_a_wave_holds_at_most_its_budget_plus_one_group(budget, iters, monkeypatch):
+    waves = []
+    original = permsearch._run
+
+    def run(searches):
+        waves.append([s.held for s in searches])
+        return original(searches)
+
+    monkeypatch.setattr(permsearch, "_run", run)
+    monkeypatch.setattr(permsearch, "_WAVE", budget)
+    groups = _random_groups(make_rng(32, "waves"), 12)
+    results = list(permsearch.search_groups(groups, iters))
+    if iters == 0:
+        assert all(held == [] for held in waves)  # no group holds anything for a search
+        return
+    waves = [held for held in waves if held]
+    assert sum(map(len, waves)) == sum(r.start is not None and r.units.size > 1 for r in results)
+    for held in waves:
+        # only the group that reached the budget goes past it
+        assert len(held) == 1 or sum(held[:-1]) < budget
+    assert all(sum(held) >= budget for held in waves[:-1])
+    assert all(h > 0 for held in waves for h in held)
+
+
+def test_a_group_drops_its_matrices_once_its_chunk_moments_exist(monkeypatch):
+    refs = []
+    rng = make_rng(33, "drop")
+
+    def matrix(rows, cols):
+        out = _scaled_matrix(rng, rows, cols)
+        refs.append(weakref.ref(out))
+        return out
+
+    def groups():
+        for seed in range(5):
+            yield [(matrix(12, 7), 4, 1), (matrix(36, 5), 4, 3)], seed
+
+    alive = []
+    original = permsearch._run
+
+    def run(searches):
+        alive.append(sum(ref() is not None for ref in refs))
+        return original(searches)
+
+    monkeypatch.setattr(permsearch, "_run", run)
+    monkeypatch.setattr(permsearch, "_WAVE", 1 << 40)
+    assert len(list(permsearch.search_groups(groups(), 30))) == 5
+    assert alive == [0] and len(refs) == 10
+
+
 @pytest.mark.parametrize("n", [2, 3, 17, 1000])
 def test_vectorised_pair_draws_equal_the_scalar_draws(n):
     scalar, batched = make_rng(n, "perm-local-search"), make_rng(n, "perm-local-search")
@@ -506,6 +618,14 @@ def test_vectorised_pair_draws_equal_the_scalar_draws(n):
     # one stream, drawn in blocks of several sizes
     got = np.vstack([permsearch._pairs(batched, n, count) for count in (1, 0, 5, 194, 200)])
     assert np.array_equal(got, expected)
+
+
+def _score_pairs(families, pairs):
+    """One group's summed objective after each swap of `pairs`, scored in one round."""
+    for family in families:
+        family.draw(pairs)
+    (scores,) = permsearch._score([(families, 0, len(pairs))])
+    return scores
 
 
 def test_tracked_objective_follows_every_score_and_commit():
@@ -520,7 +640,7 @@ def test_tracked_objective_follows_every_score_and_commit():
     ]
     for _ in range(300):
         pairs = np.array([rng.choice(24, 2, replace=False) for _ in range(int(rng.integers(1, 5)))])
-        scores = permsearch._score(families, pairs)
+        scores = _score_pairs(families, pairs)
         for (a, b), score in zip(pairs, scores):
             swapped = units.copy()
             swapped[[a, b]] = swapped[[b, a]]
@@ -587,12 +707,12 @@ def test_a_round_scores_each_candidate_as_the_one_at_a_time_fold(children):
     for count in (1, 2, 5, 9, 3, 1, 16):
         pairs = permsearch._pairs(rng, units.size, count)
         current = [f.moments.copy() for f in families]
-        scores = permsearch._score(families, pairs)
+        scores = _score_pairs(families, pairs)
         family_scores = []
         for family, moments in zip(families, current):
             _, chunks, candidates = family._scored
             totals = candidate_totals_oracle(moments, chunks, candidates)
-            assert _bits(family.score(pairs)) == _bits(totals)
+            assert _bits(family.score(0, count)) == _bits(totals)
             family_scores.append(logdets_oracle(totals).sum(axis=-1))
         assert _bits(scores) == _bits(sum(family_scores))
         # each candidate folds what a fresh set-up at its order folds
@@ -608,7 +728,7 @@ def test_a_round_scores_each_candidate_as_the_one_at_a_time_fold(children):
         assert _bits(new.moments) == _bits(tracked.moments)
 
 
-def test_families_of_one_d_share_one_logdet_call(monkeypatch):
+def test_every_group_of_a_round_shares_one_logdet_call_per_d(monkeypatch):
     shapes = []
     original = permsearch._regularized_logdet
     monkeypatch.setattr(
@@ -618,19 +738,28 @@ def test_families_of_one_d_share_one_logdet_call(monkeypatch):
     # three families, (4, 1), (18, 9) and (4, 3); the two of d = 4 are not neighbours
     specs = [(_scaled_matrix(rng, 16, 9), 4, 1), (_scaled_matrix(rng, 16 * 9, 5), 18, 9),
              (_scaled_matrix(rng, 48, 7), 4, 3), (_scaled_matrix(rng, 16, 11), 4, 1)]
-    units = rng.permutation(16)
-    families = permsearch._families(specs, units)
+    families = permsearch._families(specs, rng.permutation(16))
     assert [(f.d, f.block, f.children) for f in families] == [(4, 1, 2), (18, 9, 1), (4, 3, 1)]
-    pairs = permsearch._pairs(rng, 16, 3)
-    current = [f.moments.copy() for f in families]
+    # a second group of 10 units, with one family of d = 4
+    other = permsearch._families([(_scaled_matrix(rng, 20, 6), 4, 2)], rng.permutation(10))
+    for group, n in ((families, 16), (other, 10)):
+        pairs = permsearch._pairs(rng, n, 8)
+        for family in group:
+            family.draw(pairs)
+    batches = [(families, 2, 5), (other, 1, 6)]
+    alone = [permsearch._score([batch])[0] for batch in batches]
+    current = [[f.moments.copy() for f in fs] for fs, _, _ in batches]
     shapes.clear()
-    scores = permsearch._score(families, pairs)
-    assert shapes == [(3, 3, 4, 4), (3, 1, 18, 18)]
-    expected = []
-    for family, moments in zip(families, current):
-        _, chunks, candidates = family._scored
-        expected.append(logdets_oracle(candidate_totals_oracle(moments, chunks, candidates)).sum(axis=-1))
-    assert _bits(scores) == _bits(sum(expected))
+    scores = permsearch._score(batches)
+    # 3 candidates of three children and 5 of one child at d = 4; 3 of one at d = 18
+    assert shapes == [(3 * 3 + 5, 4, 4), (3, 18, 18)]
+    for (group, _, _), moments, got, solo in zip(batches, current, scores, alone):
+        expected = []
+        for family, chunk_moments in zip(group, moments):
+            _, chunks, candidates = family._scored
+            totals = candidate_totals_oracle(chunk_moments, chunks, candidates)
+            expected.append(logdets_oracle(totals).sum(axis=-1))
+        assert _bits(got) == _bits(sum(expected)) == _bits(solo)
 
 
 def test_objective_evaluations_do_not_grow_with_iterations(monkeypatch):

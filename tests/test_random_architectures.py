@@ -150,7 +150,7 @@ def test_random_architectures_round_trip_their_shapes_or_fail_typed(tmp_path):
     for seed in range(DAGS):
         ckpt, _ = random_dag(seed)
         try:
-            model, _, _ = compress_model(ckpt, cfg, seed=seed)
+            model, _, _, _ = compress_model(ckpt, cfg, seed=seed)
         except PQFError:
             outcomes["typed"] += 1
             continue
