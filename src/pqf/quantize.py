@@ -240,18 +240,12 @@ class _Undecided:
 
     A batch goes to `_assign_candidates` before its candidate masks would
     pass `_BLOCK` entries, so the float64 pass costs a call per `_BLOCK`
-    entries rather than one per score block. A batch with a row of more than
-    two candidates scores only the lowest-index member of each set of
-    bitwise-equal centroids: equal centroids score equally for every row,
-    the margin keeps every centroid tied with the winner a candidate, and
-    the lowest index wins a tie, so the codes do not change. The map of
-    those members is built at most once per call.
+    entries rather than one per score block.
     """
 
     def __init__(self, pts, codebook, out):
         self.pts, self.codebook, self.out = pts, codebook, out
         self.rows, self.cands, self.held = [], [], 0
-        self.distinct = None
 
     def add(self, rows: np.ndarray, cand: np.ndarray):
         if self.held + cand.size > _BLOCK:
@@ -264,14 +258,6 @@ class _Undecided:
         if self.rows:
             rows = np.concatenate(self.rows)
             cand = np.concatenate(self.cands)
-            # an undecided row has at least two candidates unless k = 1, so this finds a row with more
-            if np.count_nonzero(cand) > 2 * len(rows):
-                if self.distinct is None:
-                    k, d = self.codebook.shape
-                    as_bytes = np.ascontiguousarray(self.codebook).view(np.dtype((np.void, 8 * d)))
-                    self.distinct = np.zeros(k, dtype=bool)
-                    self.distinct[np.unique(as_bytes[:, 0], return_index=True)[1]] = True
-                cand &= self.distinct
             self.out[rows] = _assign_candidates(self.pts[rows], self.codebook, cand)
             self.rows, self.cands, self.held = [], [], 0
 

@@ -94,34 +94,6 @@ def test_assign_matches_oracle_with_duplicate_centroids_and_ties(d):
     _assert_matches_oracle(pts, codebook)
 
 
-@pytest.mark.parametrize("codebook", ["all-equal", "duplicated", "mixed"])
-@pytest.mark.parametrize("k", [40, 300])
-def test_undecided_rows_score_one_of_each_set_of_equal_centroids(codebook, k, monkeypatch):
-    rng = make_rng(k, "equal-centroids", codebook)
-    d = 4
-    distinct = {"all-equal": 1, "duplicated": 5, "mixed": k // 2}[codebook]
-    base = rng.standard_normal((distinct, d))
-    if codebook == "all-equal":
-        base[:] = 0.0
-    # every centroid of `base` at least once; in "mixed" half of them repeat
-    centroids = base[np.concatenate([np.arange(distinct), rng.integers(0, distinct, k - distinct)])]
-    centroids = centroids[rng.permutation(k)]
-    # rows on centroids and at midpoints, which tie over whole sets of equal centroids
-    picks = rng.integers(0, k, size=(2, 1500))
-    pts = np.concatenate([centroids[picks[0]], (centroids[picks[0]] + centroids[picks[1]]) / 2,
-                          np.zeros((200, d))])
-    widths = []
-    original = quantize._assign_candidates
-
-    def scored(points, cb, cand):
-        widths.append(cand.sum(axis=1).max())
-        return original(points, cb, cand)
-
-    monkeypatch.setattr(quantize, "_assign_candidates", scored)
-    _assert_matches_oracle(pts, centroids)
-    assert widths and max(widths) <= distinct < k
-
-
 @pytest.mark.parametrize("d", [1, 4, 9])
 def test_assign_matches_oracle_on_integer_grid(d):
     rng = make_rng(60 + d, "grid")
