@@ -4,23 +4,25 @@
     python3 scripts/paper_clock.py [--divisor 1] [--seed 1] [--pairs 5]
                                    [--baseline DIR] [--out PATH]
 
-Builds the synthetic ResNet-18 of ``benchmarks/synth.py`` (channel counts
-divided by ``--divisor``, weights from ``--seed``). Then each pair runs
-``pqf compress`` with the paper's defaults, once at 1 and once at N = 11
-SRC iterations, each in its own child process with one BLAS thread. The
-pair's per-iteration cost is ``(t_N - t_1) / (N - 1)``, and its paper-default
-estimate is ``t_1 + 999`` such iterations. With ``--baseline DIR``, another
+Each tree builds the synthetic ResNet-18 of its ``benchmarks/synth.py``
+(channel counts divided by ``--divisor``, weights from ``--seed``) in its own
+checkpoint format. Then each pair runs ``pqf compress`` with the paper's
+defaults, once at 1 and once at N = 11 SRC iterations, each in its own child
+process with one BLAS thread. The pair's per-iteration cost is
+``(t_N - t_1) / (N - 1)``, and its paper-default estimate is ``t_1 + 999``
+such iterations. With ``--baseline DIR``, another
 checkout of pqf runs the same pair too, and the two trees alternate which
 goes first.
 
 The result goes to ``BENCH_paper-default.json`` in ``.bench_work/`` of this
-checkout (``--out`` to change), and the checkpoint and ``.pqfc`` files to
+checkout (``--out`` to change), and the checkpoints and ``.pqfc`` files to
 ``paper_clock/`` beside it. The JSON holds, per tree, the per-iteration
 median and quartiles, the estimate, every run's wall seconds, peak RSS,
-``.pqfc`` sha256 and the sha256 of the ``.pqfn`` that ``.pqfc`` decompresses
-to, and the host. The ``.pqfn`` digest does not depend on the container
-format, so it shows whether two trees that write different ``.pqfc`` bytes
-still store the same codes, codebooks and permutations.
+``.pqfc`` sha256, the decoded digest, and the host. The decoded digest is the
+sha256 of each tensor's name, shape and float32 bytes, in file order, of the
+``.pqfn`` that ``.pqfc`` decompresses to, read back by the same tree. It does
+not depend on either container format, so it shows whether two trees that
+write different bytes still store the same model.
 """
 
 from __future__ import annotations
@@ -42,20 +44,33 @@ PAPER_ITERATIONS = 1000
 LONG_ITERATIONS = 11
 COMPRESS_FLAGS = ("--k", "256", "--k-fc", "2048", "--perm-iters", "1000", "--jobs", "1")
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# argv: model.pqfc, decoded.pqfn; prints the decoded digest last
+DECODE_AND_DIGEST = """
+import hashlib, json, os, sys
+from pqf import cli, tensor_io
+model, decoded = sys.argv[1:]
+if cli.main(["decompress", model, "--out", decoded, "--manifest", os.devnull]):
+    sys.exit(1)
+digest = hashlib.sha256()
+for rec in tensor_io.load_checkpoint(decoded).tensors:  # float32, checked at load
+    digest.update(rec.name.encode() + json.dumps(list(rec.shape)).encode() + rec.data.tobytes())
+print(digest.hexdigest())
+"""
 
 
-def build_checkpoint(divisor: int, seed: int, out: Path) -> None:
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
-    import synth
-
-    synth.write_checkpoint(ROOT, "resnet18", divisor, seed, out)
+def build_checkpoint(tree: Path, divisor: int, seed: int, out: Path) -> None:
+    """Write the synthetic ResNet-18 with `tree`'s own pqf, in a child process."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(tree / d) for d in ("src", "benchmarks")))
+    code = ("import sys, pathlib, synth; "
+            f"synth.write_checkpoint(pathlib.Path(sys.argv[1]), 'resnet18', {divisor}, {seed}, sys.argv[2])")
+    subprocess.run([sys.executable, "-c", code, str(tree), str(out)], env=env, check=True)
 
 
 def run_compress(tree: Path, checkpoint: Path, iters: int, seed: int, out: Path) -> dict:
     """One `pqf compress` in a child process: wall seconds, peak RSS, output hash.
 
     A second child then decompresses the output with the same tree, untimed,
-    for the hash of the checkpoint it decodes to.
+    and prints the decoded digest of the checkpoint it decodes to.
     """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env.update({name: "1" for name in BLAS_VARIABLES})
@@ -70,16 +85,16 @@ def run_compress(tree: Path, checkpoint: Path, iters: int, seed: int, out: Path)
     child.returncode = os.waitstatus_to_exitcode(status)
     if child.returncode:
         raise SystemExit(f"compress in {tree} exited {child.returncode}")
-    decoded = out.with_suffix(".pqfn")
-    command = [*pqf, "decompress", str(out), "--out", str(decoded), "--manifest", os.devnull]
-    if subprocess.run(command, env=env, stdout=subprocess.DEVNULL).returncode:
+    command = [sys.executable, "-c", DECODE_AND_DIGEST, str(out), str(out.with_suffix(".pqfn"))]
+    decoded = subprocess.run(command, env=env, stdout=subprocess.PIPE, text=True)
+    if decoded.returncode:
         raise SystemExit(f"decompress in {tree} failed")
     return {
         "iters": iters,
         "seconds": seconds,
         "peak_rss_mb": usage.ru_maxrss / 1024,  # kilobytes on Linux
         "sha256": hashlib.sha256(out.read_bytes()).hexdigest(),
-        "pqfn_sha256": hashlib.sha256(decoded.read_bytes()).hexdigest(),
+        "decoded_sha256": decoded.stdout.split()[-1],
     }
 
 
@@ -100,7 +115,7 @@ def summarize(runs: list) -> dict:
         "per_iteration_s": quartiles(per_iter),
         "paper_default_min": quartiles(estimate),
         **{key: {str(n): sorted({r[key] for r in runs if r["iters"] == n}) for n in (1, LONG_ITERATIONS)}
-           for key in ("sha256", "pqfn_sha256")},
+           for key in ("sha256", "decoded_sha256")},
         "peak_rss_mb": max(r["peak_rss_mb"] for r in runs),
         "runs": runs,
     }
@@ -138,15 +153,16 @@ def main(argv=None) -> int:
         trees["baseline"] = args.baseline.resolve()
     scratch = args.out.parent / "paper_clock"
     scratch.mkdir(parents=True, exist_ok=True)
-    checkpoint = scratch / f"resnet18_w{args.divisor}_s{args.seed}.pqfn"
-    build_checkpoint(args.divisor, args.seed, checkpoint)
+    checkpoints = {name: scratch / f"{name}_resnet18_w{args.divisor}_s{args.seed}.pqfn" for name in trees}
+    for name, tree in trees.items():
+        build_checkpoint(tree, args.divisor, args.seed, checkpoints[name])
     runs = {name: [] for name in trees}
     for pair in range(args.pairs):
         order = list(trees) if pair % 2 == 0 else list(trees)[::-1]
         for name in order:
             for iters in (1, LONG_ITERATIONS):
                 out = scratch / f"{name}_{iters}.pqfc"
-                runs[name].append(run_compress(trees[name], checkpoint, iters, args.seed, out))
+                runs[name].append(run_compress(trees[name], checkpoints[name], iters, args.seed, out))
                 print(f"pair {pair + 1}/{args.pairs} {name} iters={iters} "
                       f"{runs[name][-1]['seconds']:.2f} s", file=sys.stderr)
     result = {

@@ -2,17 +2,19 @@
 
 Two little-endian container formats share one framing: a 4-byte magic, a
 u32 format version, a u64 manifest length, a UTF-8 JSON manifest, and a raw
-payload section. ``PQFN`` files (version 1) hold uncompressed checkpoints
-(named tensors plus layer/edge metadata), the payload right after the
-manifest. ``PQFC`` files (version 3) hold compressed models whose entries are
-either raw tensors or per-layer encodings with float16 codebooks and
-bit-packed codes, plus one bit-packed channel permutation per permutation
-group that is not the identity. An encoded entry names its declared layer,
-whose kind, kernel size and channel counts give its geometry; zero bytes
-pad the payload and each of its arrays to a 64-byte file offset, and the
-file ends in the CRC-32 of every byte before it. Architecture specs are
-plain text: one ``name kind K C_in C_out`` line per layer followed by
-``edge producer consumer`` lines.
+payload whose every array, like the payload itself, starts at a 64-byte file
+offset after zero padding. A tensor is stored as ``{"name", "shape",
+"offset"}``, its float32 values at that payload offset. ``PQFN`` files
+(version 2) hold checkpoints: tensors plus layer/edge metadata. ``PQFC``
+files (version 4) hold compressed models: tensors and, holding ``d`` in place
+of ``shape``, per-layer encodings (a float16 codebook and bit-packed codes on
+a declared layer, whose geometry they take), plus one bit-packed channel
+permutation per permutation group that is not the identity; the file ends in
+the CRC-32 of every byte before it. An older version is a `MalformedFile`
+naming it: save the checkpoint, or compress its source, again with this
+build. Loaded arrays are writable views of one buffer read from the file.
+Architecture specs are plain text: one ``name kind K C_in C_out`` line per
+layer followed by ``edge producer consumer`` lines.
 """
 
 from __future__ import annotations
@@ -37,13 +39,13 @@ from .errors import (
 
 CHECKPOINT_MAGIC = b"PQFN"
 COMPRESSED_MAGIC = b"PQFC"
-CHECKPOINT_VERSION = 1
-COMPRESSED_VERSION = 3
-ALIGN = 64  # a compressed model's payload and its arrays start at multiples of this file offset
+CHECKPOINT_VERSION = 2
+COMPRESSED_VERSION = 4
+ALIGN = 64  # a payload and its arrays start at multiples of this file offset
 _HEADER = 4 + 4 + 8  # magic + u32 version + u64 manifest length
 _CRC = 4  # a compressed model ends in the u32 CRC-32 of every byte before it
 
-_F32 = np.dtype("<f4")  # every stored tensor is float32, written "f32"
+_F32 = np.dtype("<f4")  # every stored tensor is little-endian float32
 
 LAYER_KINDS = frozenset(
     {"conv", "deconv", "fc", "batchnorm", "add", "relu", "pool", "reshape", "input", "output"}
@@ -136,8 +138,8 @@ class ModelCheckpoint:
             if meta.kind in PASSTHROUGH_KINDS and meta.kind != "reshape":
                 if meta.c_in != meta.c_out:
                     raise MalformedFile(f"{meta.kind} layer {meta.name!r} must preserve channels")
-            if meta.kind in WEIGHTED_KINDS and min(meta.kernel_size, meta.c_in, meta.c_out) < 1:
-                raise MalformedFile(f"layer {meta.name!r} has an empty dimension")
+            if min(meta.kernel_size, meta.c_in, meta.c_out) < 1:
+                raise MalformedFile(f"layer {meta.name!r} has a kernel size or channel count below 1")
             if meta.kind == "fc" and meta.kernel_size != 1:
                 raise MalformedFile(f"fc layer {meta.name!r} has kernel size {meta.kernel_size}")
 
@@ -259,12 +261,11 @@ def _view(data) -> memoryview:
 class _Payload:
     """The buffers written after a manifest, in file order, and their total size.
 
-    Each buffer starts at a multiple of `align` bytes into the payload, after
+    Each buffer starts at a multiple of `ALIGN` bytes into the payload, after
     zero bytes of padding.
     """
 
-    def __init__(self, align: int = 1):
-        self.align = align
+    def __init__(self):
         self.parts = []
         self.nbytes = 0
 
@@ -277,7 +278,7 @@ class _Payload:
         if not callable(data):
             data = _view(data)
             nbytes = data.nbytes
-        offset = _aligned(self.nbytes, self.align)
+        offset = _aligned(self.nbytes)
         if offset > self.nbytes:
             self.parts.append(bytes(offset - self.nbytes))
         self.parts.append(data)
@@ -285,8 +286,8 @@ class _Payload:
         return offset
 
 
-def _aligned(offset: int, align: int) -> int:
-    return -(-offset // align) * align
+def _aligned(offset: int) -> int:
+    return -(-offset // ALIGN) * ALIGN
 
 
 def _write_file(
@@ -295,13 +296,13 @@ def _write_file(
     """Write header, manifest, then each payload buffer in place; returns the bytes written.
 
     Zero bytes pad the manifest so that the payload starts at a multiple of
-    ``payload.align`` bytes into the file. A `sealed` file, whose payload
-    parts must all be bytes or arrays, ends in the CRC-32 of every byte
-    before it. If any part fails, the partly written file is removed.
+    `ALIGN` bytes into the file. A `sealed` file, whose payload parts must
+    all be bytes or arrays, ends in the CRC-32 of every byte before it. If
+    any part fails, the partly written file is removed.
     """
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     head = magic + version.to_bytes(4, "little") + len(blob).to_bytes(8, "little")
-    gap = bytes(_aligned(_HEADER + len(blob), payload.align) - _HEADER - len(blob))
+    gap = bytes(_aligned(_HEADER + len(blob)) - _HEADER - len(blob))
     parts = [head, blob, gap, *payload.parts]
     if sealed:
         crc = 0
@@ -325,12 +326,12 @@ def _write_file(
     return len(head) + len(blob) + len(gap) + payload.nbytes + _CRC * sealed
 
 
-def _unframe(raw: bytes, magic: bytes, version: int, align: int = 1, sealed: bool = False) -> tuple:
+def _unframe(raw: bytearray, magic: bytes, version: int, sealed: bool = False) -> tuple:
     """Split a file into its manifest and a view of its payload (no copy).
 
     A `sealed` file's last bytes must be the CRC-32 of every byte before
     them, checked right after the magic and version. The payload starts at
-    the first multiple of `align` after the manifest; the bytes between must
+    the first multiple of `ALIGN` after the manifest; the bytes between must
     be zero.
     """
     if len(raw) < _HEADER + _CRC * sealed:
@@ -354,25 +355,30 @@ def _unframe(raw: bytes, magic: bytes, version: int, align: int = 1, sealed: boo
         raise MalformedFile(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise MalformedFile("manifest is not a JSON object")
-    start = _aligned(end, align)
+    start = _aligned(end)
     if len(body) < start or any(raw[end:start]):
         raise MalformedFile("the padding after the manifest is truncated or not zero")
     return manifest, body[start:]
 
 
-def _read_file(path) -> bytes:
+def _read_file(path) -> bytearray:
+    """The whole file, read in place into one new buffer: not mapped, so the
+    file may be overwritten while views of the buffer live on."""
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            raw = bytearray(os.fstat(fh.fileno()).st_size)
+            del raw[fh.readinto(raw) :]
+            raw += fh.read()  # what the size left out: a pipe's bytes, or a file that grew
+            return raw
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
 
 
-def _take(payload: memoryview, offset: int, nbytes: int, what: str, align: int = 1) -> memoryview:
+def _take(payload: memoryview, offset: int, nbytes: int, what: str) -> memoryview:
     if offset < 0 or nbytes < 0 or offset + nbytes > len(payload):
         raise MalformedFile(f"file truncated inside {what}")
-    if offset % align:
-        raise MalformedFile(f"{what} starts at payload offset {offset}, not a multiple of {align}")
+    if offset % ALIGN:
+        raise MalformedFile(f"{what} starts at payload offset {offset}, not a multiple of {ALIGN}")
     return payload[offset : offset + nbytes]
 
 
@@ -386,32 +392,20 @@ def _put_tensor(payload: _Payload, rec: TensorRecord, produce=None) -> dict:
         return array
 
     data = produced if rec.data is None else rec.data
-    return {
-        "name": rec.name,
-        "dtype": "f32",
-        "shape": list(rec.shape),
-        "offset": payload.add(data, rec.nbytes),
-        "nbytes": rec.nbytes,
-    }
+    return {"name": rec.name, "shape": list(rec.shape), "offset": payload.add(data, rec.nbytes)}
 
 
-def _get_tensor(payload: memoryview, obj: dict, align: int = 1) -> TensorRecord:
-    """Inverse of :func:`_put_tensor`, checking the fields against the payload."""
+def _get_tensor(payload: memoryview, obj: dict) -> TensorRecord:
+    """Inverse of :func:`_put_tensor`: a writable view of the payload, checked against it."""
     name = _field(obj, "name", str, "tensor")
     where = f"tensor {name!r}"
-    dtype = _field(obj, "dtype", str, where)
-    if dtype != "f32":
-        raise MalformedFile(f"unknown dtype {dtype!r}")
     shape = tuple(_field(obj, "shape", list, where))
     if not all(_is_int(s) for s in shape):
         raise MalformedFile(f"{where}: field 'shape' is not a list of int")
     if any(s < 0 for s in shape):
         raise MalformedFile(f"tensor {name!r} has a negative dimension")
-    nbytes = math.prod(shape) * _F32.itemsize
-    if nbytes != _field(obj, "nbytes", int, where):
-        raise MalformedFile(f"tensor {name!r} byte length mismatch")
-    raw = _take(payload, _field(obj, "offset", int, where), nbytes, where, align)
-    return TensorRecord(name, shape, np.frombuffer(raw, _F32).reshape(shape).copy())
+    raw = _take(payload, _field(obj, "offset", int, where), math.prod(shape) * _F32.itemsize, where)
+    return TensorRecord(name, shape, np.frombuffer(raw, _F32).reshape(shape))
 
 
 def save_checkpoint(ckpt: ModelCheckpoint, path, produce=None) -> int:
@@ -437,7 +431,7 @@ def save_checkpoint(ckpt: ModelCheckpoint, path, produce=None) -> int:
 
 
 def load_checkpoint(path) -> ModelCheckpoint:
-    """Parse and fully validate a ``PQFN`` checkpoint file."""
+    """Parse and fully validate a ``PQFN`` checkpoint file; its tensors are views of one buffer."""
     manifest, payload = _unframe(_read_file(path), CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     tensors = [_get_tensor(payload, obj) for obj in _listing(manifest, "tensors")]
     layers, edges = _graph_from_manifest(manifest)
@@ -712,13 +706,12 @@ class CompressedModel:
 def save_compressed(model: CompressedModel, path) -> int:
     """Serialize a compressed model; returns the byte count written.
 
-    The model is validated before the file is opened. Every array starts at
-    a multiple of `ALIGN` bytes into the file, and the file ends in the
+    The model is validated before the file is opened. The file ends in the
     CRC-32 of every byte before it. An encoded entry stores its layer's
     name, not its geometry.
     """
     model.validate()
-    payload = _Payload(ALIGN)
+    payload = _Payload()
     groups = [
         {"units": len(perm), "offset": payload.add(pack_codes(perm, code_width(len(perm))))}
         for perm in model.groups
@@ -726,7 +719,7 @@ def save_compressed(model: CompressedModel, path) -> int:
     entries = []
     for entry in model.entries:
         if isinstance(entry, TensorRecord):
-            entries.append({"type": "raw", **_put_tensor(payload, entry)})
+            entries.append(_put_tensor(payload, entry))
             continue
         entries.append(
             {
@@ -761,7 +754,7 @@ def _get_group(payload: memoryview, obj: dict, i: int) -> np.ndarray:
     where = f"group {i}"
     units = _check_units(_field(obj, "units", int, where), i)
     bits = code_width(units)
-    raw = _take(payload, _field(obj, "offset", int, where), (units * bits + 7) // 8, where, ALIGN)
+    raw = _take(payload, _field(obj, "offset", int, where), (units * bits + 7) // 8, where)
     return unpack_codes(raw, bits, units)
 
 
@@ -779,11 +772,11 @@ def _get_encoded(payload: memoryview, obj: dict, weighted: dict) -> EncodedEntry
     if name not in weighted:
         raise MalformedFile(f"{where} names no declared weighted layer")
     k_eff, d = f["k_eff"], f["d"]
-    cb_raw = _take(payload, f["codebook_offset"], k_eff * d * 2, where, ALIGN)
-    codebook = np.frombuffer(cb_raw, dtype="<f2").reshape(k_eff, d).copy()
+    cb_raw = _take(payload, f["codebook_offset"], k_eff * d * 2, where)
+    codebook = np.frombuffer(cb_raw, dtype="<f2").reshape(k_eff, d)
     entry = EncodedEntry(weighted[name], d, k_eff, codebook, b"", obj["group"])
     # the codes are sized from the entry's layer; `validate` rejects d = 0, which leaves no grid
-    entry.packed = _take(payload, f["codes_offset"], entry.codes_nbytes if d else 0, where, ALIGN)
+    entry.packed = _take(payload, f["codes_offset"], entry.codes_nbytes if d else 0, where)
     return entry
 
 
@@ -791,25 +784,23 @@ def load_compressed(path) -> CompressedModel:
     """Parse a ``PQFC`` compressed model file.
 
     The file must end in the CRC-32 of its other bytes, checked before the
-    manifest is read. A missing, mistyped or negative manifest field raises
-    `MalformedFile` naming the entry and the field, and so does an encoded
-    entry that names no declared weighted layer. Encoded entries keep their
-    codes packed, as slices of the file's bytes; the model is checked as a
+    manifest is read. An entry with a ``shape`` is a tensor; any other is an
+    encoding, which must hold ``d``. A missing, mistyped or negative manifest
+    field raises `MalformedFile` naming the entry and the field, and so does
+    an encoded entry that names no declared weighted layer. Tensors and
+    codebooks are views of the file's bytes, and encoded entries keep their
+    codes packed, as slices of them; the model is checked as a
     whole (`CompressedModel.validate`), so a section of the wrong length, an
     out-of-range code or a group permutation that repeats a unit is a
     `MalformedFile` here, before any decoding.
     """
-    manifest, payload = _unframe(_read_file(path), COMPRESSED_MAGIC, COMPRESSED_VERSION, ALIGN, sealed=True)
+    manifest, payload = _unframe(_read_file(path), COMPRESSED_MAGIC, COMPRESSED_VERSION, sealed=True)
     layers, edges = _graph_from_manifest(manifest)
     weighted = {m.name: m for m in layers if m.kind in WEIGHTED_KINDS}
-    entries = []
-    for obj in _listing(manifest, "entries"):
-        if "type" not in obj:
-            entries.append(_get_encoded(payload, obj, weighted))
-        elif obj["type"] == "raw":
-            entries.append(_get_tensor(payload, obj, ALIGN))
-        else:
-            raise MalformedFile(f"unknown entry type {obj['type']!r}")
+    entries = [
+        _get_tensor(payload, obj) if "shape" in obj else _get_encoded(payload, obj, weighted)
+        for obj in _listing(manifest, "entries")
+    ]
     groups = [_get_group(payload, obj, i) for i, obj in enumerate(_listing(manifest, "groups"))]
     model = CompressedModel(entries=entries, layers=layers, edges=edges, groups=groups)
     model.validate()

@@ -72,20 +72,20 @@ def declared_model(entries, groups=()) -> CompressedModel:
     layers = [e.layer for e in entries if isinstance(e, EncodedEntry)]
     return CompressedModel(
         entries=list(entries),
-        layers=[LayerMeta("input", "input"), *layers, LayerMeta("output", "output")],
+        layers=[LayerMeta("input", "input", 1, 1, 1), *layers, LayerMeta("output", "output", 1, 1, 1)],
         groups=list(groups),
     )
 
 
 def _sealed(raw: bytes) -> bool:
-    """Whether a container ends in a checksum: every `.pqfc` does."""
+    """Whether a container ends in a checksum: every `.pqfc` does, no `.pqfn` does."""
     return raw[:4] == tensor_io.COMPRESSED_MAGIC
 
 
 def split_container(raw: bytes) -> tuple:
     """A container's (manifest, payload bytes); a `.pqfc`'s checksum is not payload."""
     end = 16 + int.from_bytes(raw[8:16], "little")
-    start = end + (-end % tensor_io.ALIGN if _sealed(raw) else 0)
+    start = end + -end % tensor_io.ALIGN
     return json.loads(raw[16:end]), raw[start : len(raw) - 4 * _sealed(raw)]
 
 
@@ -97,15 +97,16 @@ def resealed(raw: bytes) -> bytes:
 def join_container(raw: bytes, manifest: dict, payload: bytes, reseal: bool = False) -> bytes:
     """`raw`'s magic and version framing `manifest` and `payload` again.
 
-    A `.pqfc` payload starts at the next multiple of `ALIGN`, and the file
-    ends in `raw`'s checksum or, with `reseal`, in its own, so that an edit
-    made on purpose reaches the check it aims at rather than the checksum.
+    The payload starts at the next multiple of `ALIGN`. A `.pqfc` ends in
+    `raw`'s checksum or, with `reseal`, in its own, so that an edit made on
+    purpose reaches the check it aims at rather than the checksum.
     """
     blob = json.dumps(manifest).encode()
     head = raw[:8] + len(blob).to_bytes(8, "little") + blob
+    joined = head + bytes(-len(head) % tensor_io.ALIGN) + payload
     if not _sealed(raw):
-        return head + payload
-    joined = head + bytes(-len(head) % tensor_io.ALIGN) + payload + raw[-4:]
+        return joined
+    joined += raw[-4:]
     return resealed(joined) if reseal else joined
 
 

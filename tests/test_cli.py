@@ -1,6 +1,7 @@
 import hashlib
 import importlib.resources as resources
 import json
+import math
 import os
 import subprocess
 import sys
@@ -227,7 +228,7 @@ def test_a_group_permutation_that_repeats_a_unit_is_rejected_at_load_and_at_save
         tensor_io.load_compressed(packed)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_decompress_of_an_older_version_file_is_data_error_naming_the_version(
     tmp_path, capsys, version
 ):
@@ -253,6 +254,22 @@ def _compressed_toy(tmp_path):
     return ckpt_path, packed
 
 
+def test_compress_and_decompress_may_write_over_their_own_input(tmp_path):
+    # the loaders read the whole file before the output opens, so a mapped file, which
+    # opening the output truncates, cannot be what the program reads from
+    source, packed = _compressed_toy(tmp_path)
+    back = tmp_path / "back.pqfn"
+    assert cli.main(["decompress", str(packed), "--out", str(back)]) == 0
+    both = tmp_path / "both"
+    both.write_bytes(source.read_bytes())
+    argv = ["compress", str(both), "--out", str(both), "--k", "4", "--k-fc", "4",
+            "--src-iters", "5", "--perm-iters", "5"]
+    assert cli.main(argv) == 0
+    assert both.read_bytes() == packed.read_bytes()
+    assert cli.main(["decompress", str(both), "--out", str(both)]) == 0
+    assert both.read_bytes() == back.read_bytes()
+
+
 def _assert_malformed(argv, out_path, capsys):
     capsys.readouterr()
     assert cli.main(argv) == 2
@@ -273,7 +290,9 @@ def test_decompress_entry_with_wrong_geometry_is_data_error(tmp_path, listing, f
 
 def test_decompress_short_raw_entry_is_data_error(tmp_path, capsys):
     _, packed = _compressed_toy(tmp_path)
-    _edit_tensor_entry(packed, "fc1.bias", nbytes=16 * 4 - 4)
+    # the bias's 16 values would start at the payload's last aligned offset and run past its end
+    end = len(split_container(packed.read_bytes())[1])
+    _edit_tensor_entry(packed, "fc1.bias", offset=end // 64 * 64)
     back_path = tmp_path / "back.pqfn"
     _assert_malformed(["decompress", str(packed), "--out", str(back_path)], back_path, capsys)
 
@@ -373,12 +392,29 @@ def test_compress_child_with_a_single_subvector(tmp_path):
     assert tensor_io.load_checkpoint(back_path).tensor("fc2.weight").data.shape == (4, 1)
 
 
-def test_weighted_layer_with_an_empty_dimension_is_data_error(tmp_path, capsys):
-    arch = tmp_path / "empty.arch"
-    arch.write_text("input input 1 4 4\nfc1 fc 1 4 0\noutput output 1 0 0\n"
-                    "edge input fc1\nedge fc1 output\n")
-    assert cli.main(["report", str(arch)]) == 2
-    assert "error kind=MalformedFile" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["report", "groups"])
+@pytest.mark.parametrize("line", ["fc1 fc 1 3 0", "bn batchnorm 1 -4 -4", "r reshape 1 3 0", "p pool 0 3 3"])
+def test_a_layer_of_any_kind_with_a_dimension_below_1_is_data_error(tmp_path, capsys, line, command):
+    name = line.split()[0]
+    arch = tmp_path / "bad.arch"
+    arch.write_text(f"input input 1 3 3\n{line}\noutput output 1 3 3\n"
+                    f"edge input {name}\nedge {name} output\n")
+    capsys.readouterr()
+    assert cli.main([command, str(arch)]) == 2
+    err = capsys.readouterr().err
+    assert "error kind=MalformedFile" in err
+    assert f"layer '{name}' has a kernel size or channel count below 1" in err
+
+
+def test_a_checkpoint_layer_with_a_dimension_below_1_is_data_error(tmp_path, capsys):
+    path, out = tmp_path / "toy.pqfn", tmp_path / "toy.pqfc"
+    tensor_io.save_checkpoint(make_mlp_checkpoint((8, 16, 4), seed=1), path)
+    edit_container(path, lambda m: _layer_named(m, "relu1").update(c_in=0, c_out=0))
+    for argv in (["report", str(path)], ["compress", str(path), "--out", str(out)]):
+        capsys.readouterr()
+        assert cli.main(argv) == 2, argv[0]
+        assert "layer 'relu1' has a kernel size or channel count below 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_compress_is_reproducible(tmp_path):
@@ -460,10 +496,10 @@ def _pinned_compress_digests(tmp_path, depth: int, divisor: int, *flags) -> tupl
 def test_permutation_search_bytes_are_pinned(tmp_path):
     # a ResNet-50 at 1/8 width has 21 groups that search; the hashes pin every
     # proposal the search keeps, so a refactor of the search cannot change them
-    # silently. The .pqfn hash does not depend on the container format.
+    # silently. Both hashes change with the container format.
     assert _pinned_compress_digests(tmp_path, 50, 8) == (
-        "4c5ad75867ffa662554ac18c2f1cdac59e2ebfa56ad59b8be655fd27d34db640",
-        "e603c95dc2e58abd777085a716106a606a0a9055f5400f51b515876c12e6a12e",
+        "71caeefef6532e221771a4485eb3c3c7b230a7a23076a9dc1cd784ced2a42348",
+        "3822d5431cfde41f0eb9a5739a5260b064b77d12e546d5e6465e4fd30e0c8ed3",
     )
 
 
@@ -471,8 +507,8 @@ def test_large_regime_search_bytes_are_pinned(tmp_path):
     # a ResNet-18 at 1/4 width in the large regime searches 12 groups, 4 of them over
     # two families, with d = 18 for its 3x3 children
     assert _pinned_compress_digests(tmp_path, 18, 4, "--regime", "large") == (
-        "d33923c2d038d700b702562a025f4d82fc1050909580b9d140f66ab73ba32183",
-        "011493ac0b13cefe7705fe135f705772ded05852a3660071d3000b10a88a9c9e",
+        "7de97bc6a4826f19df8756f61129ca5901a0b79afd9ee11191a7cd1927e39eda",
+        "2d5dc96c30c919ed8c0f183f949d24be3a4a67f823855cc92d255b056983f817",
     )
 
 
@@ -524,8 +560,8 @@ def test_pqfc_size_is_its_sections_plus_framing_and_padding(tmp_path):
                 for g in manifest["groups"]]
     code_bytes = {e.name: len(e.packed) for e in encoded}
     for obj in manifest["entries"]:
-        if obj.get("type") == "raw":
-            sections.append((obj["offset"], obj["nbytes"]))
+        if "shape" in obj:
+            sections.append((obj["offset"], 4 * math.prod(obj["shape"])))
         else:
             sections.append((obj["codebook_offset"], 2 * obj["k_eff"] * obj["d"]))
             sections.append((obj["codes_offset"], code_bytes[obj["name"]]))

@@ -476,15 +476,15 @@ def _pqfn_oracle(model) -> bytes:
         else:
             weight = _decode_oracle(codec.entry_to_encoding(entry, model.groups))
             rec = tensor_io.tensor_record(f"{entry.name}.weight", weight)
-        listing.append({"name": rec.name, "dtype": "f32", "shape": list(rec.shape),
-                        "offset": len(payload), "nbytes": rec.nbytes})
+        payload.extend(bytes(-len(payload) % 64))
+        listing.append({"name": rec.name, "shape": list(rec.shape), "offset": len(payload)})
         payload.extend(rec.data.tobytes())
     layers = [{"name": m.name, "kind": m.kind, "kernel_size": m.kernel_size, "c_in": m.c_in,
                "c_out": m.c_out} for m in model.layers]
     manifest = {"tensors": listing, "layers": layers, "edges": [list(e) for e in model.edges]}
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    head = b"PQFN" + (1).to_bytes(4, "little") + len(blob).to_bytes(8, "little")
-    return head + blob + bytes(payload)
+    head = b"PQFN" + (2).to_bytes(4, "little") + len(blob).to_bytes(8, "little") + blob
+    return head + bytes(-len(head) % 64) + bytes(payload)
 
 
 def _grouped_entry(meta, enc, groups):

@@ -463,20 +463,20 @@ def test_checkpoint_round_trip_keeps_every_tensor(ckpt, encoded):
     "build, kwargs, digest",
     [
         (make_mlp_checkpoint, dict(sizes=(8, 16, 16, 4), seed=5),
-         "1d724d89a5af5ab94ef95a9a13b679d9c8da58a3ce0222a09b4e6ceaa721cb1f"),
+         "b853a9b2c14a76588bcc3390fbcb0117e8e56ddad89acf981af5fcf65fc9b5c2"),
         (make_mlp_checkpoint, dict(sizes=(3, 4, 2), seed=47),
-         "cd9a3ac163aa1f048b918126b6bec3da221e63445cf9c6c88f988f3dc41f23b7"),
+         "d08f386343ab9ec1b3a27fd4aa004348d7dc48a076be6d959339a863058d9258"),
         (make_mlp_checkpoint, dict(sizes=(8, 5), seed=1),
-         "e8e0ba12f7f9f2d09763668daee48a4ff4436400445676f129f51dad2b9b395c"),
+         "3a951ec8ece336e057e739f8877942e8ac98a2e056495a168a1ca7722b061310"),
         (make_conv_classifier_checkpoint, dict(channels=(2, 64, 64), kernel_size=3, seed=4),
-         "cfc29738487f491b9cfc14319e8d3bc8c80d08cc150539b12c493d874cbcebc8"),
+         "53c2f69c69071794a83e5fc354d2803d5aa226d355af31537c17a70f5475834e"),
         (make_conv_classifier_checkpoint, dict(channels=(2, 4, 4), kernel_size=3, n_classes=4,
                                                seed=42),
-         "2afd46d4630d0d02710ea0d3ad3ffd03073a6ba97e3c5c5186e47fd9596065cd"),
+         "5ab542052c99ebbce51d34fddd9db1584c0c22a305f755589ca1c67887b6c03c"),
         (make_residual_checkpoint, dict(c_in=2, width=8, n_blocks=2, seed=7),
-         "584a2e9b0bb3c1f33c8cc14c6f57200574789ab7dc9b1a5ee074340eab957c83"),
+         "f74f37301f6c03f67a1c5e869dfdc55cecfd66924fdd8f1838b5200b8ca67018"),
         (make_residual_checkpoint, dict(c_in=2, width=4, n_blocks=1, seed=8),
-         "f0d7abdca50187a4d62a4dec91020b932b709e1f4df839da1e51d5a065544f94"),
+         "22a4c2be87a50c706b29334ccc617d5040830a4936e15267e958970206022aa2"),
     ],
 )
 def test_toy_checkpoint_bytes_are_pinned(tmp_path, build, kwargs, digest):
@@ -485,7 +485,7 @@ def test_toy_checkpoint_bytes_are_pinned(tmp_path, build, kwargs, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("sizes, layer", [((8, 0, 4), "fc1"), ((0, 4), "fc1"), ((8, 4, 0), "fc2")])
+@pytest.mark.parametrize("sizes, layer", [((8, 0, 4), "fc1"), ((0, 4), "input"), ((8, 4, 0), "fc2")])
 def test_mlp_with_a_zero_width_is_malformed(sizes, layer):
     with pytest.raises(MalformedFile, match=f"'{layer}'"):
         make_mlp_checkpoint(sizes)

@@ -1,12 +1,14 @@
 """Seeded mutants of both containers: `pqf decompress` of a `.pqfc`, and `pqf compress` and
 `pqf report` of a `.pqfn`, exit 0 or 2 and never raise; a `.pqfc` bit flip anywhere that
-does not recompute the checksum always exits 2."""
+does not recompute the checksum always exits 2; each fault of the shared framing is a
+`MalformedFile` that names it."""
 
 import json
 
 import numpy as np
+import pytest
 
-from helpers import join_container, split_container
+from helpers import edit_container, join_container, split_container
 from pqf import cli, tensor_io
 from pqf.finetune import make_mlp_checkpoint
 from pqf.rng import make_rng
@@ -147,3 +149,49 @@ def test_decompress_of_a_bit_flip_anywhere_is_a_malformed_file(tmp_path, capsys)
         first = int(np.flatnonzero(np.frombuffer(raw, "u1") != np.frombuffer(flipped, "u1"))[0])
         assert first < 8 or "checksum mismatch" in err, i
         assert not out.exists(), i
+
+
+def _set_version(path, version: int):
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + version.to_bytes(4, "little") + raw[8:])
+
+
+def _unpad(path):
+    """Put a 1 in the zero padding that follows the manifest."""
+    raw = path.read_bytes()
+    end = 16 + int.from_bytes(raw[8:16], "little")
+    assert end % 64
+    path.write_bytes(raw[:end] + b"\1" + raw[end + 1 :])
+
+
+# (container, how the file is broken in place, what the error detail says)
+_FRAMING_FAULTS = {
+    "pqfn-offset": ("pqfn", lambda path: edit_container(path, lambda m: m["tensors"][1].update(offset=516)),
+                    "tensor 'fc1.bias' starts at payload offset 516, not a multiple of 64"),
+    "pqfn-padding": ("pqfn", _unpad, "the padding after the manifest is truncated or not zero"),
+    "pqfn-v1": ("pqfn", lambda path: _set_version(path, 1),
+                "unsupported PQFN format version 1; this build reads version 2"),
+    # a tensor entry without its shape reads as an encoding, which must hold `d`
+    "pqfc-neither": ("pqfc", lambda path: edit_container(path, lambda m: m["entries"][1].pop("shape")),
+                     "entry 'fc1.bias': field 'd' is missing or not int"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FRAMING_FAULTS))
+def test_each_framing_fault_is_a_malformed_file_that_names_it(tmp_path, capsys, fault):
+    container, breaks, detail = _FRAMING_FAULTS[fault]
+    source, packed = tmp_path / "toy.pqfn", tmp_path / "toy.pqfc"
+    tensor_io.save_checkpoint(make_mlp_checkpoint((8, 16, 4), seed=2), source)
+    assert cli.main(["compress", str(source), "--out", str(packed), "--k", "5", "--k-fc", "5",
+                     "--src-iters", "3", "--perm-iters", "5"]) == 0
+    broken, out = tmp_path / f"broken.{container}", tmp_path / "out"
+    broken.write_bytes((source if container == "pqfn" else packed).read_bytes())
+    breaks(broken)
+    commands = ([["compress", str(broken), "--out", str(out)], ["report", str(broken)]]
+                if container == "pqfn" else [["decompress", str(broken), "--out", str(out)]])
+    for argv in commands:
+        capsys.readouterr()
+        assert cli.main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert "error kind=MalformedFile" in err and detail in err, argv[0]
+        assert not out.exists()

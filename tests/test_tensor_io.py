@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,11 +51,17 @@ def _mini_checkpoint():
 
 @pytest.mark.parametrize("dtype", ["f16", "u8", "u16"])
 def test_records_are_float32_only(tmp_path, dtype):
+    # a file stores no dtype: every tensor is float32, so a record of another is not written
     path = tmp_path / "mini.pqfn"
-    save_checkpoint(_mini_checkpoint(), path)
-    edit_container(path, lambda m: m["tensors"][1].update(dtype=dtype))
-    with pytest.raises(MalformedFile, match=f"unknown dtype '{dtype}'"):
-        load_checkpoint(path)
+    ckpt = _mini_checkpoint()
+    rec = ckpt.tensors[1]
+    rec.data = rec.data.astype({"f16": np.float16, "u8": np.uint8, "u16": np.uint16}[dtype])
+    with pytest.raises(MalformedFile, match="'fc1.bias' storage dtype mismatch"):
+        save_checkpoint(ckpt, path)
+    assert not path.exists()
+    rec.data = rec.data.astype(np.float32)
+    save_checkpoint(ckpt, path)
+    assert {t.data.dtype for t in load_checkpoint(path).tensors} == {np.dtype("<f4")}
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -67,6 +76,40 @@ def test_checkpoint_round_trip(tmp_path):
     assert [(m.name, m.kind) for m in loaded.layers] == [(m.name, m.kind) for m in ckpt.layers]
     assert loaded.edges == ckpt.edges
     assert loaded.layer("fc1").has_bias is True
+
+
+def _owner(array):
+    """The object whose buffer `array` views, through any chain of numpy views."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return array.obj if isinstance(array, memoryview) else array
+
+
+def test_loaded_tensors_are_writable_views_of_one_buffer(tmp_path):
+    path = tmp_path / "mini.pqfn"
+    save_checkpoint(_mini_checkpoint(), path)
+    weight, bias = (rec.data for rec in load_checkpoint(path).tensors)
+    assert weight.flags.writeable and bias.flags.writeable
+    assert isinstance(_owner(weight), bytearray) and _owner(weight) is _owner(bias)
+    weight[0, 0] = 7.0  # a write reaches only its own tensor
+    assert bias.tolist() == [0.5, -0.5, 0.25]
+    save_compressed(_grouped_model(), tmp_path / "model.pqfc")
+    raw, wide, filters = load_compressed(tmp_path / "model.pqfc").entries
+    assert raw.data.flags.writeable and wide.codebook.flags.writeable
+    assert isinstance(_owner(raw.data), bytearray)
+    assert _owner(raw.data) is _owner(wide.codebook) is _owner(filters.codebook) is wide.packed.obj
+
+
+def test_a_checkpoint_read_from_a_pipe_loads(tmp_path):
+    # a pipe's size is not known before it is read
+    path, fifo = tmp_path / "mini.pqfn", tmp_path / "fifo"
+    save_checkpoint(_mini_checkpoint(), path)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+    writer.start()
+    loaded = load_checkpoint(fifo)
+    writer.join()
+    assert all(map(records_equal, loaded.tensors, _mini_checkpoint().tensors))
 
 
 def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
@@ -382,7 +425,7 @@ def test_every_stored_field_of_an_encoded_entry_is_read(tmp_path, key, action):
         (lambda m: m["entries"][0].update(codes_offset=-1), "field 'codes_offset' is negative"),
         (lambda m: m.update(entries=5), "field 'entries' is not a list of objects"),
         (lambda m: m.update(entries=[5]), "field 'entries' is not a list of objects"),
-        (lambda m: m["entries"][0].update(type="encoded"), "unknown entry type 'encoded'"),
+        (lambda m: m["entries"][0].update(shape=[4]), "tensor 'layer': field 'offset' is missing"),
         (lambda m: m.update(edges=[["a"]]), "field 'edges' is not a list"),
         (lambda m: m.update(layers=[{"name": "a", "kind": "fc"}]), "layer 'a': field 'kernel_size"),
     ],
@@ -473,7 +516,7 @@ def test_payload_and_every_array_start_at_a_64_byte_file_offset(tmp_path):
     start = len(raw) - len(payload) - 4  # the file ends in a 4-byte checksum
     offsets = [g["offset"] for g in manifest["groups"]]
     for obj in manifest["entries"]:
-        keys = ("offset",) if obj.get("type") == "raw" else ("codebook_offset", "codes_offset")
+        keys = ("offset",) if "shape" in obj else ("codebook_offset", "codes_offset")
         offsets += [obj[key] for key in keys]
     assert len(offsets) == 6
     assert start % 64 == 0 and all((start + offset) % 64 == 0 for offset in offsets)
@@ -509,22 +552,34 @@ def test_padding_after_the_manifest_must_be_zero(tmp_path):
         load_compressed(path)
 
 
-@pytest.mark.parametrize("version", [1, 2])
-def test_an_older_compressed_file_is_not_read_and_checkpoints_stay_version_1(tmp_path, version):
-    path, ckpt_path = tmp_path / "model.pqfc", tmp_path / "mini.pqfn"
-    save_compressed(_grouped_model(), path)
+@pytest.mark.parametrize("magic, version", [("PQFC", 1), ("PQFC", 2), ("PQFC", 3), ("PQFN", 1)])
+def test_an_older_file_is_not_read_and_names_its_version(tmp_path, magic, version):
+    path = tmp_path / "file"
+    if magic == "PQFC":
+        save_compressed(_grouped_model(), path)
+        load, current = load_compressed, 4
+    else:
+        save_checkpoint(_mini_checkpoint(), path)
+        load, current = load_checkpoint, 2
     raw = bytearray(path.read_bytes())
-    assert raw[4:8] == (3).to_bytes(4, "little")
+    assert raw[:8] == magic.encode() + current.to_bytes(4, "little")
     raw[4:8] = version.to_bytes(4, "little")
     path.write_bytes(bytes(raw))
-    detail = f"unsupported PQFC format version {version}; this build reads version 3"
+    detail = f"unsupported {magic} format version {version}; this build reads version {current}"
     with pytest.raises(MalformedFile, match=detail):
-        load_compressed(path)
-    save_checkpoint(_mini_checkpoint(), ckpt_path)
-    raw = ckpt_path.read_bytes()
-    assert raw[4:8] == (1).to_bytes(4, "little")
-    # a checkpoint's payload follows its manifest with no padding
-    assert len(raw) == 16 + int.from_bytes(raw[8:16], "little") + (12 + 3) * 4
+        load(path)
+
+
+def test_a_checkpoint_is_framed_as_a_compressed_model_without_the_checksum(tmp_path):
+    path = tmp_path / "mini.pqfn"
+    save_checkpoint(_mini_checkpoint(), path)
+    raw = path.read_bytes()
+    manifest, payload = split_container(raw)
+    start = len(raw) - len(payload)
+    assert [sorted(obj) for obj in manifest["tensors"]] == [["name", "offset", "shape"]] * 2
+    assert start % 64 == 0 and [obj["offset"] for obj in manifest["tensors"]] == [0, 64]
+    # the weight's 12 values, zero padding, then the bias's 3 values end the file
+    assert len(payload) == 64 + 3 * 4 and not any(payload[12 * 4 : 64])
 
 
 def test_group_units_must_divide_each_member_s_input_channels(tmp_path):
