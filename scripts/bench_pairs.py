@@ -13,7 +13,11 @@ checkout's ``.bench_work/results/``.
 For each end-to-end metric of each workload it prints the parent's and the
 change's median, the parent's quartile spread (the distance between its
 quartiles), and in how many pairs the change read lower; and it says whether
-every pair wrote the same output hashes. The same summary, with every run,
+every pair wrote the same output hashes. A metric is marked unresolved when
+the parent's spread, relative to its median, exceeds the metric's bound in
+the change checkout's ``BENCHMARK.json``, unless every change run reads
+better than every parent run: such a metric cannot show a regression within
+its bound, nor its absence. The same summary, with every run,
 goes to ``--out`` as JSON (by default ``.bench_work/bench_pairs.json`` of the
 change's checkout).
 """
@@ -56,12 +60,28 @@ def quartiles(values: list) -> tuple:
     return q1, median, q3
 
 
-def summarize(pairs: list) -> dict:
+def end_to_end(tree: Path) -> dict:
+    """Name -> ``(bound, better)`` of each end-to-end metric of `tree`'s ``BENCHMARK.json``."""
+    declared = json.loads((tree / "BENCHMARK.json").read_text())["end_to_end"]
+    return {m["name"]: (m["bound"], m["better"]) for m in declared}
+
+
+def unresolved(parent: list, change: list, bound: float, better: str) -> bool:
+    """Whether the parent's runs spread too widely for `bound`, and the change does not
+    read better than the parent in every run (`better` is "lower" or "higher")."""
+    q1, median, q3 = quartiles(parent)
+    sign = 1 if better == "lower" else -1
+    beats = max(sign * c for c in change) < min(sign * p for p in parent)
+    return q3 - q1 > bound * abs(median) and not beats
+
+
+def summarize(pairs: list, bounds: dict) -> dict:
     """Per-metric comparison of the pairs of one workload.
 
     `pairs` holds ``{"parent": run, "change": run}``, each run as
-    `run_benchmark` returns it. A pair in which both sides read the same
-    value counts as lower for neither.
+    `run_benchmark` returns it; `bounds` is `end_to_end` of the benchmark.
+    A pair in which both sides read the same value counts as lower for
+    neither. Each metric in `bounds` says whether it is `unresolved`.
     """
     names = list(pairs[0]["parent"]["result"]["metrics"])
     metrics = {}
@@ -79,6 +99,8 @@ def summarize(pairs: list) -> dict:
             "pairs": len(pairs),
             **values,
         }
+        if name in bounds:
+            metrics[name]["unresolved"] = unresolved(values["parent"], values["change"], *bounds[name])
     return {
         "pairs": len(pairs),
         "correct": {side: sum(p[side]["result"]["correct"] for p in pairs) for side in SIDES},
@@ -104,6 +126,7 @@ def format_summary(workload: str, summary: dict) -> str:
             f"parent quartile spread {m['parent_spread']:.3g} "
             f"({_percent(m['parent_spread'], m['parent_median'])}); "
             f"change lower in {m['change_lower']} of {m['pairs']}"
+            + ("; UNRESOLVED: the spread exceeds the bound" if m.get("unresolved") else "")
         )
     return "\n".join(lines)
 
@@ -119,6 +142,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     out = args.out or trees["change"] / ".bench_work" / "bench_pairs.json"
+    bounds = end_to_end(trees["change"])
     report = {"config": {"trees": {side: str(path) for side, path in trees.items()},
                          "seeds": args.seeds, "seconds": args.seconds},
               "workloads": {}}
@@ -131,7 +155,7 @@ def main(argv=None) -> int:
                 pair[side] = run_benchmark(trees[side], workload, seed, args.seconds)
                 print(f"{workload} seed {seed} {side} done", file=sys.stderr)
             pairs.append(pair)
-        summary = summarize(pairs)
+        summary = summarize(pairs, bounds)
         report["workloads"][workload] = {"summary": summary, "pairs": pairs}
         print(format_summary(workload, summary), flush=True)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -11,7 +11,6 @@ from . import codec, finetune, graph, layout, permsearch, quantize, tensor_io
 from .codec import CompressionConfig, bit_report, compress_model, decompress_model
 from .graph import resolve_groups
 from .tensor_io import (
-    load_arch_spec,
     load_checkpoint,
     load_compressed,
     save_checkpoint,
@@ -33,7 +32,6 @@ __all__ = [
     "compress_model",
     "decompress_model",
     "resolve_groups",
-    "load_arch_spec",
     "load_checkpoint",
     "load_compressed",
     "save_checkpoint",

@@ -173,12 +173,12 @@ def _config_from_args(args) -> codec.CompressionConfig:
 
 
 def _load_model_description(path) -> tensor_io.ModelCheckpoint:
-    """Accept either a binary checkpoint or a text architecture spec."""
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head == tensor_io.CHECKPOINT_MAGIC:
-        return tensor_io.load_checkpoint(path)
-    return tensor_io.load_arch_spec(path)
+    """Accept either a binary checkpoint or a text architecture spec, reading the file once
+    (so it may be a pipe)."""
+    raw = tensor_io._read_file(path)
+    if raw[:4] == tensor_io.CHECKPOINT_MAGIC:
+        return tensor_io.parse_checkpoint(raw)
+    return tensor_io.parse_arch_spec(raw)
 
 
 def _emit_manifest(args, payload: dict):

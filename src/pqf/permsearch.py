@@ -18,7 +18,8 @@ The search scores every order, the identity and greedy starts included,
 from raw moments per chunk (d consecutive rows of the permuted matrix): a
 swap recomputes only the chunks holding the two swapped units, and the
 objective sums the chunks in a fixed order, so it depends only on the
-current order and needs no periodic exact recompute. `matrix_objective`
+current order and needs no periodic exact recompute. A group sets up each
+family of children once; a start adds only its order and chunk moments. `matrix_objective`
 evaluates the same objective from the covariance formula; it is the
 reference the search is tested against, not a second path through it.
 
@@ -59,6 +60,7 @@ the group search leaves such layers out and skips groups made only of them.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -263,20 +265,19 @@ class _ChunkMoments:
     shifted by the child's overall mean: the covariance does not change under
     the shift, and the raw-moment form keeps its precision. The objective
     sums the chunk arrays in a fixed order, so it is a pure function of the
-    unit order and never drifts.
+    unit order and never drifts. The set-up is order-free; `at` adds an order.
     """
 
-    def __init__(self, matrices, d: int, block: int, units: np.ndarray):
+    def __init__(self, matrices, d: int, block: int):
         self.d, self.block, self.children = d, block, len(matrices)
-        n = units.size
-        m = n * block
+        self.m = m = matrices[0].shape[0]
+        n = m // block
         # row m of each shifted matrix is all ones, and every chunk gathers it
         # last: the chunk's last moment row then holds its sums and its count
         self.shifted = [np.vstack([matrix - matrix.mean(), np.ones(matrix.shape[1])])
                         for matrix in matrices]
-        self.order = np.append(_unit_rows(units, block), m)  # the row at each position
         # chunk c holds positions c*d, ..., c*d + d-1 and, last, m: the ones row
-        grid = np.hstack([np.arange(m).reshape(-1, d), np.full((m // d, 1), m)])
+        self._grid = grid = np.hstack([np.arange(m).reshape(-1, d), np.full((m // d, 1), m)])
         # a unit starts a multiple of gcd(block, d) rows into a chunk, so it
         # touches at most `span` chunks: those of its rows d apart and its last
         span = (block + d - math.gcd(block, d) - 1) // d + 1
@@ -289,14 +290,20 @@ class _ChunkMoments:
         self._unit_positions = np.arange(m).reshape(n, block)
         # moves the first unit's rows of a pair to the second's place, and back
         self._shift = block * _SWAP_SIGNS
-        # lane 0 holds the current chunk moments, lane i the chunks candidate i of a round folds
-        self._lanes = self._moments(grid)[None]
         # values held: the shifted rows and one lane; a pair's swap table
-        self.lane = self._lanes.size
+        self.lane = (m // d) * self.children * (d + 1) ** 2
         self.values = sum(x.size for x in self.shifted) + self.lane
         self.table = 2 * span * (d + 2)
         # values one candidate touches: its lane, its chunks' einsum products
         self.work = self.lane + 2 * span * (d + 1) ** 2 * sum(x.shape[1] for x in matrices)
+
+    def at(self, units: np.ndarray) -> _ChunkMoments:
+        """A copy at the unit order `units` that shares the shifted rows, grid and swap tables."""
+        other = copy.copy(self)
+        other.order = np.append(_unit_rows(units, self.block), self.m)  # the row at each position
+        # lane 0 holds the current chunk moments, lane i the chunks candidate i of a round folds
+        other._lanes = other._moments(self._grid)[None]
+        return other
 
     def _moments(self, positions: np.ndarray) -> np.ndarray:
         """Augmented second moments ``(..., C, d+1, d+1)`` of the chunks at `positions`."""
@@ -306,6 +313,7 @@ class _ChunkMoments:
             chunks = shifted[rows]
             # einsum keeps the reduction off BLAS so results do not depend on thread count
             np.einsum("tin,tjn->tij", chunks, chunks, out=out[:, c])
+            del chunks  # before the next child's are gathered
         return out.reshape(positions.shape[:-1] + out.shape[1:])
 
     @property
@@ -372,7 +380,7 @@ def _families(specs, units: np.ndarray) -> list:
     by_shape = {}
     for matrix, d, block in specs:
         by_shape.setdefault((d, block), []).append(matrix)
-    return [_ChunkMoments(ms, d, block, units) for (d, block), ms in by_shape.items()]
+    return [_ChunkMoments(ms, d, block).at(units) for (d, block), ms in by_shape.items()]
 
 
 def _total(families) -> float:
@@ -568,20 +576,20 @@ def _setup(children, iters: int, seed: int):
         raise MismatchedChannelCounts(f"children disagree on channels: {counts}")
 
     specs = [spec for spec in specs if spec[2] % spec[1] != 0]
-    starts = {"identity": np.arange(counts[0], dtype=np.int64)}
+    units = np.arange(counts[0], dtype=np.int64)
     if not specs:
-        return GroupSearch(starts["identity"])
+        return GroupSearch(units)
+    families = _families(specs, units)
+    identity = _total(families)
+    found = GroupSearch(units, "identity", identity, identity, identity)
     # greedy initialization needs whole blocks inside each subvector
     matrix, d, block = max(specs, key=lambda s: s[0].size)
     if d % block == 0:
-        starts["greedy"] = greedy_init(matrix, d, block)
-    scored = []
-    for start, units in starts.items():
-        families = _families(specs, units)
-        scored.append((_total(families), start, units, families))
-    # min keeps the first of equal totals: the identity wins a tie
-    total, start, units, families = min(scored, key=lambda s: s[0])
-    found = GroupSearch(units, start, scored[0][0], total, total)
+        units = greedy_init(matrix, d, block)
+        greedy = [family.at(units) for family in families]
+        total = _total(greedy)
+        if total < identity:  # a tie keeps the identity
+            families, found = greedy, GroupSearch(units, "greedy", identity, total, total)
     return _Search(families, iters, seed, found) if iters > 0 and units.size > 1 else found
 
 
@@ -605,9 +613,10 @@ def search_groups(groups, iters: int):
     objective: such children are left out, and a group of nothing else
     keeps the identity without a search. The summed objective of the other
     children is optimized: the greedy initialization comes from the largest
-    of them, the identity is kept instead when it scores no worse, and
-    `iters` proposals of random swaps then keep strict improvements of the
-    sum (`_Search`, with the group's `seed`).
+    of them, the identity, scored on the same set-up of each family, is kept
+    instead when it scores no worse, and `iters` proposals of random swaps
+    then keep strict improvements of the sum (`_Search`, with the group's
+    `seed`).
 
     Groups are set up in waves. A wave takes groups until their searches
     hold `_WAVE` float64 values, so it holds at most that plus one group;

@@ -3,7 +3,8 @@
 Two little-endian container formats share one framing: a 4-byte magic, a
 u32 format version, a u64 manifest length, a UTF-8 JSON manifest, and a raw
 payload whose every array, like the payload itself, starts at a 64-byte file
-offset after zero padding. A tensor is stored as ``{"name", "shape",
+offset after zero padding; no two arrays overlap, and the payload holds only
+zeros outside them. A tensor is stored as ``{"name", "shape",
 "offset"}``, its float32 values at that payload offset. ``PQFN`` files
 (version 2) hold checkpoints: tensors plus layer/edge metadata. ``PQFC``
 files (version 4) hold compressed models: tensors and, holding ``d`` in place
@@ -374,12 +375,31 @@ def _read_file(path) -> bytearray:
         raise IoFailure(str(exc)) from exc
 
 
-def _take(payload: memoryview, offset: int, nbytes: int, what: str) -> memoryview:
-    if offset < 0 or nbytes < 0 or offset + nbytes > len(payload):
-        raise MalformedFile(f"file truncated inside {what}")
-    if offset % ALIGN:
-        raise MalformedFile(f"{what} starts at payload offset {offset}, not a multiple of {ALIGN}")
-    return payload[offset : offset + nbytes]
+class _Sections:
+    """A file's payload, taken section by section, then checked to hold nothing else."""
+
+    def __init__(self, payload: memoryview):
+        self.payload, self.taken = payload, []
+
+    def take(self, offset: int, nbytes: int, what: str) -> memoryview:
+        """The `nbytes` bytes at `offset`, which must lie in the payload on the `ALIGN` grid."""
+        if offset < 0 or nbytes < 0 or offset + nbytes > len(self.payload):
+            raise MalformedFile(f"file truncated inside {what}")
+        if offset % ALIGN:
+            raise MalformedFile(f"{what} starts at payload offset {offset}, not a multiple of {ALIGN}")
+        self.taken.append((offset, offset + nbytes, what))
+        return self.payload[offset : offset + nbytes]
+
+    def check(self):
+        """No two sections taken overlap, and every byte between them, or after the last, is zero."""
+        end, before = 0, "the manifest"
+        tail = (len(self.payload), len(self.payload), "the end of the payload")
+        for start, stop, what in [*sorted(self.taken), tail]:
+            if start < end:
+                raise MalformedFile(f"{what} overlaps {before}")
+            if bytes(self.payload[end:start]).strip(b"\0"):
+                raise MalformedFile(f"the padding between {before} and {what} is not zero")
+            end, before = stop, what
 
 
 def _put_tensor(payload: _Payload, rec: TensorRecord, produce=None) -> dict:
@@ -395,7 +415,7 @@ def _put_tensor(payload: _Payload, rec: TensorRecord, produce=None) -> dict:
     return {"name": rec.name, "shape": list(rec.shape), "offset": payload.add(data, rec.nbytes)}
 
 
-def _get_tensor(payload: memoryview, obj: dict) -> TensorRecord:
+def _get_tensor(payload: _Sections, obj: dict) -> TensorRecord:
     """Inverse of :func:`_put_tensor`: a writable view of the payload, checked against it."""
     name = _field(obj, "name", str, "tensor")
     where = f"tensor {name!r}"
@@ -404,7 +424,7 @@ def _get_tensor(payload: memoryview, obj: dict) -> TensorRecord:
         raise MalformedFile(f"{where}: field 'shape' is not a list of int")
     if any(s < 0 for s in shape):
         raise MalformedFile(f"tensor {name!r} has a negative dimension")
-    raw = _take(payload, _field(obj, "offset", int, where), math.prod(shape) * _F32.itemsize, where)
+    raw = payload.take(_field(obj, "offset", int, where), math.prod(shape) * _F32.itemsize, where)
     return TensorRecord(name, shape, np.frombuffer(raw, _F32).reshape(shape))
 
 
@@ -432,12 +452,19 @@ def save_checkpoint(ckpt: ModelCheckpoint, path, produce=None) -> int:
 
 def load_checkpoint(path) -> ModelCheckpoint:
     """Parse and fully validate a ``PQFN`` checkpoint file; its tensors are views of one buffer."""
-    manifest, payload = _unframe(_read_file(path), CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    return parse_checkpoint(_read_file(path))
+
+
+def parse_checkpoint(raw: bytearray) -> ModelCheckpoint:
+    """`load_checkpoint` of a file's bytes `raw`; the tensors are views of `raw`."""
+    manifest, view = _unframe(raw, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    payload = _Sections(view)
     tensors = [_get_tensor(payload, obj) for obj in _listing(manifest, "tensors")]
     layers, edges = _graph_from_manifest(manifest)
     ckpt = ModelCheckpoint(tensors=tensors, layers=layers, edges=edges)
     _fill_bias_flags(ckpt)
     ckpt.validate()
+    payload.check()
     return ckpt
 
 
@@ -454,19 +481,13 @@ def _fill_bias_flags(ckpt: ModelCheckpoint):
 # Architecture spec text files
 # ---------------------------------------------------------------------------
 
-def load_arch_spec(path) -> ModelCheckpoint:
-    """Parse a text architecture spec into a tensor-less checkpoint."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    except UnicodeDecodeError as exc:
-        raise MalformedFile(f"architecture spec is not UTF-8 text: {exc}") from exc
-    return parse_arch_spec(text)
-
-
-def parse_arch_spec(text: str) -> ModelCheckpoint:
+def parse_arch_spec(text) -> ModelCheckpoint:
+    """Parse architecture spec `text`, a str or UTF-8 bytes, into a tensor-less checkpoint."""
+    if not isinstance(text, str):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedFile(f"architecture spec is not UTF-8 text: {exc}") from exc
     layers, edges = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -749,16 +770,16 @@ def _check_units(units: int, i: int) -> int:
     return units
 
 
-def _get_group(payload: memoryview, obj: dict, i: int) -> np.ndarray:
+def _get_group(payload: _Sections, obj: dict, i: int) -> np.ndarray:
     """One stored group permutation, unpacked; `CompressedModel.validate` checks it."""
     where = f"group {i}"
     units = _check_units(_field(obj, "units", int, where), i)
     bits = code_width(units)
-    raw = _take(payload, _field(obj, "offset", int, where), (units * bits + 7) // 8, where)
+    raw = payload.take(_field(obj, "offset", int, where), (units * bits + 7) // 8, where)
     return unpack_codes(raw, bits, units)
 
 
-def _get_encoded(payload: memoryview, obj: dict, weighted: dict) -> EncodedEntry:
+def _get_encoded(payload: _Sections, obj: dict, weighted: dict) -> EncodedEntry:
     """Rebuild one encoded entry on its layer in `weighted` (name -> `LayerMeta`),
     checking every field's presence, type and sign."""
     name = _field(obj, "name", str, "encoded entry")
@@ -772,11 +793,11 @@ def _get_encoded(payload: memoryview, obj: dict, weighted: dict) -> EncodedEntry
     if name not in weighted:
         raise MalformedFile(f"{where} names no declared weighted layer")
     k_eff, d = f["k_eff"], f["d"]
-    cb_raw = _take(payload, f["codebook_offset"], k_eff * d * 2, where)
+    cb_raw = payload.take(f["codebook_offset"], k_eff * d * 2, where)
     codebook = np.frombuffer(cb_raw, dtype="<f2").reshape(k_eff, d)
     entry = EncodedEntry(weighted[name], d, k_eff, codebook, b"", obj["group"])
     # the codes are sized from the entry's layer; `validate` rejects d = 0, which leaves no grid
-    entry.packed = _take(payload, f["codes_offset"], entry.codes_nbytes if d else 0, where)
+    entry.packed = payload.take(f["codes_offset"], entry.codes_nbytes if d else 0, where)
     return entry
 
 
@@ -792,9 +813,11 @@ def load_compressed(path) -> CompressedModel:
     codes packed, as slices of them; the model is checked as a
     whole (`CompressedModel.validate`), so a section of the wrong length, an
     out-of-range code or a group permutation that repeats a unit is a
-    `MalformedFile` here, before any decoding.
+    `MalformedFile` here, before any decoding. So are sections that overlap
+    and non-zero bytes between them (`_Sections.check`).
     """
-    manifest, payload = _unframe(_read_file(path), COMPRESSED_MAGIC, COMPRESSED_VERSION, sealed=True)
+    manifest, view = _unframe(_read_file(path), COMPRESSED_MAGIC, COMPRESSED_VERSION, sealed=True)
+    payload = _Sections(view)
     layers, edges = _graph_from_manifest(manifest)
     weighted = {m.name: m for m in layers if m.kind in WEIGHTED_KINDS}
     entries = [
@@ -804,4 +827,5 @@ def load_compressed(path) -> CompressedModel:
     groups = [_get_group(payload, obj, i) for i, obj in enumerate(_listing(manifest, "groups"))]
     model = CompressedModel(entries=entries, layers=layers, edges=edges, groups=groups)
     model.validate()
+    payload.check()
     return model

@@ -8,13 +8,15 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
+BOUNDS = bench_pairs.end_to_end(SCRIPT.parents[1])
 
 
-def _run(op_s, rss, digest="aa", correct=True):
+def _run(op_s, rss, digest="aa", correct=True, **more):
     """A run as `run_benchmark` returns it, from a canned benchmark stdout."""
     result = {"correct": correct, "attempted": 20, "failed": 0,
               "metrics": {"op_s": {"value": op_s, "unit": "s"},
-                          "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+                          "peak_rss_mb": {"value": rss, "unit": "MB"},
+                          **{name: {"value": value, "unit": "x"} for name, value in more.items()}}}
     stdout = "machine {}\nchecks {}\n" + json.dumps(result) + "\n"
     return {"seed": 0, "result": bench_pairs.parse_result(stdout), "hashes": {"compress": digest}}
 
@@ -24,7 +26,7 @@ def test_summary_of_canned_pairs():
     change = [0.18, 0.22, 0.19, 0.20, 0.24]
     pairs = [{"parent": _run(p, 50.0), "change": _run(c, 50.0 + i)}
              for i, (p, c) in enumerate(zip(parent, change))]
-    summary = bench_pairs.summarize(pairs)
+    summary = bench_pairs.summarize(pairs, BOUNDS)
     assert summary["pairs"] == 5
     assert summary["correct"] == {"parent": 5, "change": 5}
     assert summary["hashes_equal"]
@@ -49,7 +51,44 @@ def test_summary_of_canned_pairs():
 def test_summary_flags_a_pair_whose_outputs_differ():
     pairs = [{"parent": _run(0.2, 50.0), "change": _run(0.1, 50.0)},
              {"parent": _run(0.2, 50.0), "change": _run(0.1, 50.0, digest="bb", correct=False)}]
-    summary = bench_pairs.summarize(pairs)
+    summary = bench_pairs.summarize(pairs, BOUNDS)
     assert not summary["hashes_equal"]
     assert summary["correct"] == {"parent": 2, "change": 1}
     assert "OUTPUT HASHES DIFFER" in bench_pairs.format_summary("w", summary)
+
+
+def test_the_bounds_are_the_benchmarks_end_to_end_metrics():
+    declared = json.loads((SCRIPT.parents[1] / "BENCHMARK.json").read_text())["end_to_end"]
+    assert BOUNDS == {m["name"]: (m["bound"], m["better"]) for m in declared}
+    assert BOUNDS["op_s"] == (0.25, "lower") and BOUNDS["success_ratio"][1] == "higher"
+
+
+def test_a_metric_whose_parent_spread_exceeds_its_bound_is_unresolved():
+    # op_s: the parent's quartiles 1.2 and 2.1 are 45% of its median 2.0, past
+    # the 25% bound; peak_rss_mb spreads 2% against its 10%
+    parent = [1.2, 2.0, 2.1, 2.4, 1.1]
+    mixed = [1.0, 2.2, 1.9, 2.0, 1.4]
+    pairs = [{"parent": _run(p, 50.0 + i, success_ratio=0.9 + i / 50, trace_spans=1),
+              "change": _run(c, 50.0, success_ratio=0.95, trace_spans=2)}
+             for i, (p, c) in enumerate(zip(parent, mixed))]
+    metrics = bench_pairs.summarize(pairs, BOUNDS)["metrics"]
+    assert metrics["op_s"]["parent_spread"] == pytest.approx(0.9)
+    assert metrics["op_s"]["unresolved"]
+    assert not metrics["peak_rss_mb"]["unresolved"]
+    # success_ratio spreads 4 points on 0.94, past its 1% bound, and is better when
+    # higher: a change at 0.95 beats only some parent runs
+    assert metrics["success_ratio"]["unresolved"]
+    assert "unresolved" not in metrics["trace_spans"]  # not an end-to-end metric
+    text = bench_pairs.format_summary("w", bench_pairs.summarize(pairs, BOUNDS)).splitlines()
+    assert text[1].startswith("  op_s (s):") and text[1].endswith("; UNRESOLVED: the spread exceeds the bound")
+    assert not text[2].endswith("UNRESOLVED: the spread exceeds the bound")
+
+
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_a_wide_spread_is_resolved_when_every_change_run_reads_better(better):
+    parent = [1.2, 2.0, 2.1, 2.4, 1.1]
+    change = [0.9, 1.0, 0.5, 1.05, 0.7] if better == "lower" else [2.5, 3.0, 2.41, 4.0, 2.6]
+    assert not bench_pairs.unresolved(parent, change, 0.25, better)
+    # one change run that does not beat the parent's best leaves it unresolved
+    assert bench_pairs.unresolved(parent, change[:-1] + [1.1 if better == "lower" else 2.4], 0.25, better)
+    assert not bench_pairs.unresolved(parent, change[:-1] + [1.1], 0.5, better)  # 45% is within 50%

@@ -5,13 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pqf
-from pqf import cli, codec, finetune, graph, tensor_io
+from pqf import cli, codec, finetune, graph, permsearch, tensor_io
 from pqf.cli import BENCH_METHODS, BenchConfig, bench_csv, run_bench
 from pqf.errors import MalformedFile
 from pqf.finetune import make_mlp_checkpoint
@@ -58,6 +59,35 @@ def test_non_utf8_architecture_file_is_malformed(tmp_path, capsys, command, cont
     capsys.readouterr()
     assert cli.main([command, str(path)]) == 2
     assert "error kind=MalformedFile" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["report", "groups"])
+@pytest.mark.parametrize("source", ["checkpoint", "spec"])
+def test_report_and_groups_read_a_pipe_as_they_read_the_file(tmp_path, capsys, arch_paths, command, source):
+    path = tmp_path / "toy.pqfn"
+    if source == "checkpoint":
+        tensor_io.save_checkpoint(make_mlp_checkpoint((8, 16, 4), seed=1), path)
+    else:
+        path = arch_paths / "resnet18.arch"
+    capsys.readouterr()
+    assert cli.main([command, str(path)]) == 0
+    expected = capsys.readouterr().out
+    # a pipe's bytes are gone once read, so the file must be read once; the
+    # path names the pipe as a shell's `<(cat toy.pqfn)` does, so a second
+    # open finds the rest of the bytes rather than waiting for a writer
+    read, write = os.pipe()
+
+    def feed():
+        with open(write, "wb") as fh:
+            fh.write(path.read_bytes())
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    code = cli.main([command, f"/dev/fd/{read}"])
+    writer.join(timeout=60)
+    os.close(read)
+    assert not writer.is_alive()
+    assert code == 0 and capsys.readouterr().out == expected
 
 
 def test_module_entry_point_runs_main(tmp_path):
@@ -541,6 +571,59 @@ def test_compress_manifest_explains_each_searched_group(tmp_path):
         assert g["swaps_kept"] <= g["rounds"] <= g["proposals_scored"]
         assert g["proposals_scored"] >= 20
     assert any(g["swaps_kept"] for g in groups)
+
+
+def _compress_groups(tmp_path, *flags) -> list:
+    """The manifest's searched groups of a seed-4 compress of the ResNet-18 at 1/8 width."""
+    source, packed, run = tmp_path / "model.pqfn", tmp_path / "model.pqfc", tmp_path / "run.json"
+    tensor_io.save_checkpoint(synthetic_resnet(18, 8, seed=4), source)
+    argv = ["compress", str(source), "--out", str(packed), "--k", "16", "--k-fc", "16",
+            "--src-iters", "1", "--seed", "4", "--jobs", "1", "--manifest", str(run), *flags]
+    assert cli.main(argv) == 0
+    return json.loads(run.read_text())["groups"]
+
+
+@pytest.mark.parametrize("iters", ["0", "20"])
+@pytest.mark.parametrize("regime", ["small", "large"])
+def test_each_searched_group_sets_up_each_family_once(tmp_path, monkeypatch, regime, iters):
+    # the identity and greedy starts share each family's shifted rows, grid and
+    # swap tables; a start adds only its order and chunk moments
+    built, families = [], []
+
+    class CountedMoments(permsearch._ChunkMoments):
+        def __init__(self, *args):
+            built[-1] += 1
+            super().__init__(*args)
+
+    setup = permsearch._setup
+
+    def counted_setup(children, iters, seed):
+        families.append(len({(d, block) for _, d, block in children if block % d}))
+        built.append(0)
+        return setup(children, iters, seed)
+
+    monkeypatch.setattr(permsearch, "_ChunkMoments", CountedMoments)
+    monkeypatch.setattr(permsearch, "_setup", counted_setup)
+    groups = _compress_groups(tmp_path, "--regime", regime, "--perm-iters", iters)
+    assert built == families and sum(f > 0 for f in families) == len(groups)
+    # the large regime's 3x3 children are live at d = 18, a second family;
+    # every group has a greedy start, which the identity keeps out in the small regime
+    assert max(families) == (2 if regime == "large" else 1)
+    assert {g["start"] for g in groups} == {"greedy" if regime == "large" else "identity"}
+
+
+def test_a_greedy_start_that_ties_the_identity_keeps_the_identity(tmp_path, monkeypatch):
+    calls = []
+
+    def identity_order(weight, d, block=1):
+        calls.append(d)
+        return np.arange(len(weight) // block)
+
+    monkeypatch.setattr(permsearch, "greedy_init", identity_order)
+    groups = _compress_groups(tmp_path, "--perm-iters", "20")
+    assert len(calls) == len(groups) > 0
+    for g in groups:
+        assert g["start"] == "identity" and g["objective"]["start"] == g["objective"]["identity"]
 
 
 def test_pqfc_size_is_its_sections_plus_framing_and_padding(tmp_path):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -166,7 +168,7 @@ def test_every_encoded_entry_matches_its_bit_report_rows(regime):
 # ---------------------------------------------------------------------------
 
 def test_report_arithmetic_invariants():
-    arch = tensor_io.load_arch_spec("src/pqf/data/resnet18.arch")
+    arch = tensor_io.parse_arch_spec(Path("src/pqf/data/resnet18.arch").read_text())
     cfg = CompressionConfig(k=256)
     rep = bit_report(arch, cfg)
     assert rep.total_bits == sum(r.bits for r in rep.rows)
@@ -177,7 +179,7 @@ def test_report_arithmetic_invariants():
 
 
 def test_report_spot_rows():
-    arch = tensor_io.load_arch_spec("src/pqf/data/resnet18.arch")
+    arch = tensor_io.parse_arch_spec(Path("src/pqf/data/resnet18.arch").read_text())
     rep = bit_report(arch, CompressionConfig(k=256))
     rows = {r.name: r for r in rep.rows}
     assert rows["conv1.weight"].bits == 301056
@@ -188,7 +190,7 @@ def test_report_spot_rows():
 
 
 def test_report_text_last_line_and_csv():
-    arch = tensor_io.load_arch_spec("src/pqf/data/resnet18.arch")
+    arch = tensor_io.parse_arch_spec(Path("src/pqf/data/resnet18.arch").read_text())
     rep = bit_report(arch, CompressionConfig(k=256))
     text = rep.to_text()
     assert text.splitlines()[-1] == "total_MB 1.54"

@@ -164,6 +164,22 @@ def _unpad(path):
     path.write_bytes(raw[:end] + b"\1" + raw[end + 1 :])
 
 
+def _soil(path, at: int):
+    """Put 0xff at payload byte `at`, in the zero bytes after a section (a `.pqfc` is resealed)."""
+    edit_container(path, edit_payload=lambda manifest, payload: payload.__setitem__(at, 0xFF))
+
+
+def _soiled_gap_checkpoint(path):
+    """A checkpoint whose 96-byte `fc1.weight` leaves a gap before `fc1.bias`, 0xff in the gap."""
+    tensor_io.save_checkpoint(make_mlp_checkpoint((8, 3, 4), seed=2), path)
+    _soil(path, 96)
+
+
+def _share_offset(entries: str, i: int, key: str):
+    """Give entry `i + 1` of `entries` the offset `key` of entry `i`."""
+    return lambda m: m[entries][i + 1].update(offset=m[entries][i][key])
+
+
 # (container, how the file is broken in place, what the error detail says)
 _FRAMING_FAULTS = {
     "pqfn-offset": ("pqfn", lambda path: edit_container(path, lambda m: m["tensors"][1].update(offset=516)),
@@ -171,6 +187,14 @@ _FRAMING_FAULTS = {
     "pqfn-padding": ("pqfn", _unpad, "the padding after the manifest is truncated or not zero"),
     "pqfn-v1": ("pqfn", lambda path: _set_version(path, 1),
                 "unsupported PQFN format version 1; this build reads version 2"),
+    "pqfn-gap": ("pqfn", _soiled_gap_checkpoint,
+                 "the padding between tensor 'fc1.weight' and tensor 'fc1.bias' is not zero"),
+    "pqfn-shared-offset": ("pqfn", lambda path: edit_container(path, _share_offset("tensors", 0, "offset")),
+                           "tensor 'fc1.weight' overlaps tensor 'fc1.bias'"),
+    # the 16-unit group permutation of `fc2` is 8 bytes, then zeros up to `fc1`'s codebook
+    "pqfc-gap": ("pqfc", lambda path: _soil(path, 8), "the padding between group 0 and entry 'fc1' is not zero"),
+    "pqfc-shared-offset": ("pqfc", lambda path: edit_container(path, _share_offset("entries", 0, "codes_offset")),
+                           "tensor 'fc1.bias' overlaps entry 'fc1'"),
     # a tensor entry without its shape reads as an encoding, which must hold `d`
     "pqfc-neither": ("pqfc", lambda path: edit_container(path, lambda m: m["entries"][1].pop("shape")),
                      "entry 'fc1.bias': field 'd' is missing or not int"),

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -635,8 +636,8 @@ def test_tracked_objective_follows_every_score_and_commit():
     specs = [(offset, 4, 1), (_scaled_matrix(rng, 24, 7), 4, 1), (_scaled_matrix(rng, 72, 11), 4, 3)]
     units = rng.permutation(24)
     families = [
-        permsearch._ChunkMoments([offset, specs[1][0]], 4, 1, units),
-        permsearch._ChunkMoments([specs[2][0]], 4, 3, units),
+        permsearch._ChunkMoments([offset, specs[1][0]], 4, 1).at(units),
+        permsearch._ChunkMoments([specs[2][0]], 4, 3).at(units),
     ]
     for _ in range(300):
         pairs = np.array([rng.choice(24, 2, replace=False) for _ in range(int(rng.integers(1, 5)))])
@@ -783,6 +784,23 @@ def test_objective_evaluations_do_not_grow_with_iterations(monkeypatch):
         optimize_group_permutation(children, iters=iters, seed=4)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_the_set_up_holds_one_shifted_copy_of_each_child():
+    rng = make_rng(34, "one-copy")
+    # two children of one family, with a greedy start (block 1 divides d = 4)
+    children = [(rng.standard_normal((256, 256)), 4, 1), (rng.standard_normal((256, 256)), 4, 1)]
+    size = sum(matrix.nbytes for matrix, _, _ in children)
+    tracemalloc.start()
+    try:
+        found = permsearch._setup(children, 0, 34)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found.start in ("identity", "greedy")
+    # one shifted copy of each child is `size`; a second copy would reach
+    # 2 * `size` by itself, past the one child's chunks gathered at a time
+    assert size < peak < 2 * size
 
 
 def _oracle_start(children):
