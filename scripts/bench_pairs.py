@@ -2,13 +2,16 @@
 """Paired benchmark runs of two pqf checkouts: a parent and a change.
 
     python3 scripts/bench_pairs.py --parent DIR [--change DIR] --workload r50-permute
-                                   [--workload ...] --seeds 1 2 3 ... [--seconds 25] [--out PATH]
+                                   [--workload ...] --seeds 1 2 3 ... [--seconds 25]
+                                   [--env NAME=VALUE ...] [--out PATH]
 
 For each workload and seed, ``benchmarks/run.py`` of each checkout runs once
 in its own child process, the parent first at the first seed, the change
-first at the next, and so on. The script only calls the benchmark; it reads
-each run's result line and the output hashes of the run's record in the
-checkout's ``.bench_work/results/``.
+first at the next, and so on. Each ``--env NAME=VALUE`` (repeatable) sets
+that variable for both sides' runs, such as ``MALLOC_MMAP_THRESHOLD_=131072``
+to pin glibc's heap placement when comparing ``peak_rss_mb``. The script only
+calls the benchmark; it reads each run's result line and the output hashes of
+the run's record in the checkout's ``.bench_work/results/``.
 
 For each end-to-end metric of each workload it prints the parent's and the
 change's median, the parent's quartile spread (the distance between its
@@ -19,13 +22,14 @@ the change checkout's ``BENCHMARK.json``, unless every change run reads
 better than every parent run: such a metric cannot show a regression within
 its bound, nor its absence. The same summary, with every run,
 goes to ``--out`` as JSON (by default ``.bench_work/bench_pairs.json`` of the
-change's checkout).
+change's checkout), with the ``--env`` variables under ``config``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -40,11 +44,23 @@ def parse_result(stdout: str) -> dict:
     return json.loads(stdout.strip().splitlines()[-1])
 
 
-def run_benchmark(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One run of `tree`'s benchmark: its result and the output hashes it recorded."""
+def env_pair(text: str) -> tuple:
+    """``NAME=VALUE`` as ``(NAME, VALUE)``; the value may hold ``=`` or be empty."""
+    name, sep, value = text.partition("=")
+    if not sep or not name:
+        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
+    return name, value
+
+
+def run_benchmark(tree: Path, workload: str, seed: int, seconds: float, env=None) -> dict:
+    """One run of `tree`'s benchmark: its result and the output hashes it recorded.
+
+    `env` maps variables to set for the run on top of this process's own.
+    """
     command = [sys.executable, str(tree / "benchmarks" / "run.py"), "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds)]
-    proc = subprocess.run(command, capture_output=True, text=True, cwd=tree)
+    proc = subprocess.run(command, capture_output=True, text=True, cwd=tree,
+                          env={**os.environ, **(env or {})})
     if proc.returncode != 0:
         raise SystemExit(f"{tree}: benchmark exited {proc.returncode}: {proc.stderr.strip()[-2000:]}")
     record = tree / ".bench_work" / "results" / f"{workload}-seed{seed}-trace0.json"
@@ -138,13 +154,16 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--env", type=env_pair, action="append", default=[], metavar="NAME=VALUE",
+                        help="set a variable for both sides' runs (repeatable)")
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
+    env = dict(args.env)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     out = args.out or trees["change"] / ".bench_work" / "bench_pairs.json"
     bounds = end_to_end(trees["change"])
     report = {"config": {"trees": {side: str(path) for side, path in trees.items()},
-                         "seeds": args.seeds, "seconds": args.seconds},
+                         "seeds": args.seeds, "seconds": args.seconds, "env": env},
               "workloads": {}}
     for workload in args.workload:
         pairs = []
@@ -152,7 +171,7 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"first": order[0]}
             for side in order:
-                pair[side] = run_benchmark(trees[side], workload, seed, args.seconds)
+                pair[side] = run_benchmark(trees[side], workload, seed, args.seconds, env)
                 print(f"{workload} seed {seed} {side} done", file=sys.stderr)
             pairs.append(pair)
         summary = summarize(pairs, bounds)

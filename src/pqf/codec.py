@@ -12,7 +12,7 @@ convolution, biases, and batchnorm vectors stay uncompressed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -177,24 +177,67 @@ def encode_layer(
     )
 
 
+def _stored_order(enc: LayerEncoding, out=None) -> LayerEncoding:
+    """`enc`, one code per stored filter (``d == K*K``), with `units` None and the same decode.
+
+    A unit order moves whole rows of the code grid, so putting each grid
+    row at its channel's row undoes it. The codes are laid out as the
+    stored weight's two channel axes take them (a deconv's are the
+    transpose of a contiguous ``(n, m_hat)`` array); `enc` is returned as
+    it is when already so. Otherwise they go over the leading elements of
+    `out`, a contiguous int64 buffer of at least ``m_hat * n``, or into a
+    new array.
+    """
+    codes, transposed = enc.codes, _transposed(enc.source_kind)
+    if enc.units is None and (codes.T if transposed else codes).flags.c_contiguous:
+        return enc
+    m_hat, n = codes.shape
+    shape = (n, m_hat) if transposed else (m_hat, n)
+    grid = np.empty(shape, np.int64) if out is None else out[: m_hat * n].reshape(shape)
+    stored = grid.T if transposed else grid
+    rows = slice(None)
+    if enc.units is not None:
+        rows = permsearch.expand_channel_permutation(enc.units, m_hat // enc.units.size).indices
+    stored[rows] = codes  # a scatter: unlike `np.take(..., out=)`, it allocates nothing
+    return replace(enc, units=None, codes=stored)
+
+
+def _transposed(kind: str) -> bool:
+    """Whether a stored `kind` weight puts its output channels first."""
+    return layout.channel_axis(kind, "o") == 0
+
+
 def decode_layer(enc: LayerEncoding, out=None) -> np.ndarray:
     """Rebuild the weight tensor approximation in its original shape.
 
-    Two passes over the weight: gather the centroids in the codebook's own
-    dtype (float32 from a container, float64 once fine-tuned), then scatter
-    each subvector's rows to their unpermuted place, straight into the
-    stored layout (`layout.empty_weight`), so no transpose copy follows.
-    With `out`, a contiguous 1-D buffer of the codebook's dtype and at
-    least the weight's size, the weight is written over its leading
-    elements and returned as a view of them, so one buffer can serve every
-    layer of a model in turn.
+    The centroids are gathered in the codebook's own dtype (float32 from a
+    container, float64 once fine-tuned) straight into the stored layout
+    (`layout.empty_weight`). When ``d == K*K`` each code is one stored
+    filter, so that is one pass over the weight: a `np.take` of the
+    codebook rows, by the codes in stored channel order (`_stored_order`),
+    into the ``(C_in, C_out, K*K)`` view of a conv (``(C_out, C_in, K*K)``
+    of a deconv). It uses ``mode="clip"``, because numpy buffers a `take`
+    into `out` in its default mode; no code is clipped, since
+    `encode_layer` makes codes below `k_eff` and `load_compressed` bounds
+    every stored code (`EncodedEntry.validate`). Other layers (pointwise,
+    fc, large blocks) take two passes: gather the subvectors, then scatter
+    each one's rows to their unpermuted place. With `out`, a contiguous 1-D
+    buffer of the codebook's dtype and at least the weight's size, the
+    weight is written over its leading elements and returned as a view of
+    them, so one buffer can serve every layer of a model in turn.
     """
     m_hat, n = enc.codes.shape
     kk = enc.kernel_size**2
-    subvectors = np.take(enc.codebook, enc.codes, axis=0)  # (m_hat, n, d)
     weight, rows = layout.empty_weight(
-        enc.source_kind, m_hat * enc.d // kk, n, enc.kernel_size, subvectors.dtype, out
+        enc.source_kind, m_hat * enc.d // kk, n, enc.kernel_size, enc.codebook.dtype, out
     )
+    if enc.d == kk:
+        codes = _stored_order(enc).codes
+        filters = weight.reshape(*weight.shape[:2], kk)
+        index = codes.T if _transposed(enc.source_kind) else codes
+        np.take(enc.codebook, index, axis=0, out=filters, mode="clip")
+        return weight
+    subvectors = np.take(enc.codebook, enc.codes, axis=0)  # (m_hat, n, d)
     # row i*d + t of the permuted matrix is row dest[i, t] of the layer's own
     dest = enc.row_order().reshape(m_hat, enc.d)
     rows[dest // kk, dest % kk] = subvectors.transpose(0, 2, 1)
@@ -362,7 +405,9 @@ def resolve_layer_permutations(ckpt: ModelCheckpoint, cfg: CompressionConfig, se
     encoding takes as it is. `resolve_groups` proves that the units divide
     each child's input channels, and `validate` that each weight has its
     layer's shape. Each group's float64 matrices are made only when the
-    search sets that group up (`permsearch.search_groups`).
+    search sets that group up (`permsearch.search_groups`), and only for
+    the children a swap can change: the search drops the others unread, so
+    each of them is passed as its rows with no columns.
     """
     if not cfg.use_permutation:
         return []
@@ -374,17 +419,16 @@ def resolve_layer_permutations(ckpt: ModelCheckpoint, cfg: CompressionConfig, se
         if names:
             named.append((names, group.channels // group.channel_block))
 
+    def child(meta, units):
+        rows, d = meta.c_in * meta.kernel_size**2, cfg.subvector_size(meta)
+        block = rows // units
+        if block % d == 0:  # a swap cannot change it, so the search reads only its rows
+            return np.empty((rows, 0)), d, block
+        return layout.reshape_weight(ckpt.tensor(f"{meta.name}.weight").data, meta.kind), d, block
+
     def children():
         for names, units in named:
-            metas = [compressed[name] for name in names]
-            yield [
-                (
-                    layout.reshape_weight(ckpt.tensor(f"{meta.name}.weight").data, meta.kind),
-                    cfg.subvector_size(meta),
-                    meta.c_in * meta.kernel_size**2 // units,
-                )
-                for meta in metas
-            ], derive_seed(seed, "perm", *names)
+            yield [child(compressed[name], units) for name in names], derive_seed(seed, "perm", *names)
 
     searches = permsearch.search_groups(children(), cfg.perm_iterations)
     return [(names, search) for (names, _), search in zip(named, searches)]
@@ -527,13 +571,21 @@ def decompress_to_file(model: CompressedModel, path) -> int:
     The bytes equal those of ``save_checkpoint(decompress_model(model), path)``,
     but only one layer's codes and decoded weight are held at a time. The
     manifest follows from the declared layers, so `save_checkpoint` writes
-    it first. Then each encoded layer's packed codes are unpacked into one
-    int64 buffer sized for the layer with the most codes, decoded into one
-    float32 buffer sized for the largest weight, and written, and both
-    buffers are reused for the next layer. Both buffers are allocated and
-    every declared shape is checked before the file is opened, so a hostile
-    entry leaves no file; `load_compressed` has already checked the model
-    whole, its codes and group permutations included.
+    it first. Then each layer is decoded through buffers that serve every
+    layer in turn:
+
+    - `codes`, int64, sized for the layer with the most codes: each encoded
+      layer's packed codes are unpacked into it;
+    - `grid`, int64, sized for the largest layer whose every code is one
+      filter (``d == K*K``): a moved one's or a deconv's codes are put in
+      stored channel order there (`_stored_order`);
+    - `buf`, float32, sized for the largest weight: each layer is decoded
+      into it and written.
+
+    Every buffer is allocated and every declared shape is checked before
+    the file is opened, so a hostile entry leaves no file; `load_compressed`
+    has already checked the model whole, its codes and group permutations
+    included.
     """
     entries = {}
 
@@ -541,21 +593,26 @@ def decompress_to_file(model: CompressedModel, path) -> int:
         entries[name] = entry
         return None  # the record declares the tensor; `produce` decodes it
 
+    def allocate(sizes, dtype, detail):
+        largest = max(sizes, key=sizes.get, default=None)
+        try:
+            return np.empty(sizes.get(largest, 0), dtype=dtype)
+        except MemoryError as exc:
+            raise TensorTooLarge(detail(largest)) from exc
+
+    def too_many_codes(name):
+        e = entries[name]
+        return f"entry {e.name!r}: {e.m_hat} x {e.n} codes do not fit in memory"
+
     ckpt = _decoded_checkpoint(model, declare)
     counts = {name: e.m_hat * e.n for name, e in entries.items()}
+    filters = {name: counts[name] for name, e in entries.items() if e.d == e.layer.kernel_size**2}
     sizes = {name: count * entries[name].d for name, count in counts.items()}
-    most = max(counts, key=counts.get, default=None)
-    largest = max(sizes, key=sizes.get, default=None)
-    try:
-        codes = np.empty(counts.get(most, 0), dtype=np.int64)
-    except MemoryError as exc:
-        e = entries[most]
-        raise TensorTooLarge(f"entry {e.name!r}: {e.m_hat} x {e.n} codes do not fit in memory") from exc
-    try:
-        buf = np.empty(sizes.get(largest, 0), dtype=np.float32)
-    except MemoryError as exc:
-        detail = f"tensor {largest!r}: {sizes[largest]} values do not fit in memory"
-        raise TensorTooLarge(detail) from exc
+    codes = allocate(counts, np.int64, too_many_codes)
+    grid = allocate(filters, np.int64, too_many_codes)
+    buf = allocate(
+        sizes, np.float32, lambda name: f"tensor {name!r}: {sizes[name]} values do not fit in memory"
+    )
     encodings = {
         name: entry_to_encoding(e, model.groups, codes[: e.m_hat * e.n].reshape(e.m_hat, e.n))
         for name, e in entries.items()
@@ -564,7 +621,8 @@ def decompress_to_file(model: CompressedModel, path) -> int:
     def produce(rec):
         try:
             entries[rec.name].unpack(out=codes)
-            return decode_layer(encodings[rec.name], out=buf)
+            enc = encodings[rec.name]
+            return decode_layer(_stored_order(enc, grid) if rec.name in filters else enc, out=buf)
         except MemoryError as exc:
             raise TensorTooLarge(f"tensor {rec.name!r} does not fit in memory") from exc
 

@@ -610,13 +610,14 @@ def search_groups(groups, iters: int):
     of matrix rows per shared channel (K*K for convolutions). A child with
     ``block % d == 0`` holds whole subvectors in every channel, so a channel
     permutation only reorders its subvectors and cannot change its
-    objective: such children are left out, and a group of nothing else
-    keeps the identity without a search. The summed objective of the other
-    children is optimized: the greedy initialization comes from the largest
-    of them, the identity, scored on the same set-up of each family, is kept
-    instead when it scores no worse, and `iters` proposals of random swaps
-    then keep strict improvements of the sum (`_Search`, with the group's
-    `seed`).
+    objective: such children are left out after their row counts are
+    checked, so their matrices may have no columns, and a group of nothing
+    else keeps the identity without a search. The summed objective of the
+    other children is optimized: the greedy initialization comes from the
+    largest of them, the identity, scored on the same set-up of each family,
+    is kept instead when it scores no worse, and `iters` proposals of random
+    swaps then keep strict improvements of the sum (`_Search`, with the
+    group's `seed`).
 
     Groups are set up in waves. A wave takes groups until their searches
     hold `_WAVE` float64 values, so it holds at most that plus one group;

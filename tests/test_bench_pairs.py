@@ -92,3 +92,52 @@ def test_a_wide_spread_is_resolved_when_every_change_run_reads_better(better):
     # one change run that does not beat the parent's best leaves it unresolved
     assert bench_pairs.unresolved(parent, change[:-1] + [1.1 if better == "lower" else 2.4], 0.25, better)
     assert not bench_pairs.unresolved(parent, change[:-1] + [1.1], 0.5, better)  # 45% is within 50%
+
+
+_FAKE_RUN = """
+import json, os, sys
+from pathlib import Path
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+record = Path(".bench_work/results") / f"{args['--workload']}-seed{args['--seed']}-trace0.json"
+record.parent.mkdir(parents=True, exist_ok=True)
+record.write_text(json.dumps({"hashes": {"op": os.environ.get("PQF_FAKE", "unset")}}))
+metrics = {"op_s": {"value": float(os.environ.get("PQF_FAKE_OP", "0")), "unit": "s"}}
+print(json.dumps({"correct": True, "metrics": metrics}))
+"""
+
+
+def _fake_tree(path: Path) -> Path:
+    """A checkout whose benchmark reports the variables it was run with."""
+    (path / "benchmarks").mkdir(parents=True)
+    (path / "benchmarks" / "run.py").write_text(_FAKE_RUN)
+    (path / "BENCHMARK.json").write_text((SCRIPT.parents[1] / "BENCHMARK.json").read_text())
+    return path
+
+
+def test_env_sets_each_variable_for_both_sides_and_is_recorded(tmp_path, monkeypatch):
+    monkeypatch.delenv("PQF_FAKE", raising=False)
+    parent, change, out = _fake_tree(tmp_path / "parent"), _fake_tree(tmp_path / "change"), tmp_path / "o.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "w", "--seeds", "1", "2",
+            "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv + ["--env", "PQF_FAKE=a=b", "--env", "PQF_FAKE_OP=0.5"]) == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["env"] == {"PQF_FAKE": "a=b", "PQF_FAKE_OP": "0.5"}
+    pairs = report["workloads"]["w"]["pairs"]
+    assert [p["first"] for p in pairs] == ["parent", "change"]
+    for pair in pairs:
+        for side in bench_pairs.SIDES:
+            assert pair[side]["hashes"] == {"op": "a=b"}
+            assert pair[side]["result"]["metrics"]["op_s"]["value"] == 0.5
+    # without --env the runs see this process's environment, and the record says so
+    assert bench_pairs.main(argv) == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["env"] == {}
+    assert report["workloads"]["w"]["pairs"][0]["parent"]["hashes"] == {"op": "unset"}
+
+
+@pytest.mark.parametrize("text", ["NOVALUE", "=1"])
+def test_env_without_a_name_and_an_equals_sign_is_a_usage_error(text, capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", ".", "--workload", "w", "--seeds", "1", "--env", text])
+    assert exc.value.code == 2
+    assert "expected NAME=VALUE" in capsys.readouterr().err

@@ -506,6 +506,8 @@ _DECODE_LAYERS = [
     ("conv", 3, 6, 5, "large"),
     ("deconv", 3, 4, 6, "small"),
     ("deconv", 1, 8, 3, "small"),
+    ("conv", 5, 4, 3, "small"),
+    ("deconv", 5, 4, 3, "small"),
 ]
 
 
@@ -572,6 +574,65 @@ def test_decode_into_a_buffer_overwrites_it_and_returns_a_view(kind, k, c_in, c_
         decode_layer(enc, out=buf[:-6])
     with pytest.raises(ValueError):
         decode_layer(enc, out=buf.astype(np.float64))
+
+
+@pytest.mark.parametrize("kind, k, order", [("conv", 3, "identity"), ("conv", 5, "channels"),
+                                           ("deconv", 5, "channels")])
+def test_decoding_one_filter_per_code_allocates_no_weight_sized_buffer(kind, k, order):
+    # a take into `out` in numpy's default mode buffers the whole weight; a
+    # moved layer or a deconv still puts its codes in stored channel order,
+    # 8 / (4 K^2) of the weight's bytes: under 1/8 from K = 5
+    import tracemalloc
+
+    c_in, c_out = 64, 48
+    rng = make_rng(65, "one-gather", kind, str(k))
+    enc = codec.LayerEncoding(
+        units=None if order == "identity" else rng.permutation(c_in // 2),
+        codebook=rng.standard_normal((256, k * k)).astype(np.float32),
+        codes=rng.integers(0, 256, (c_in, c_out)),
+        kernel_size=k,
+        source_kind=kind,
+    )
+    weight_bytes = c_in * c_out * k * k * 4
+    buf = np.empty(c_in * c_out * k * k, dtype=np.float32)
+    decode_layer(enc, out=buf)
+    tracemalloc.start()
+    try:
+        decoded = decode_layer(enc, out=buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < weight_bytes / 8
+    assert np.shares_memory(decoded, buf) and np.array_equal(decoded, _decode_oracle(enc))
+
+
+@pytest.mark.parametrize("regime", ["small", "large"])
+def test_the_search_reshapes_only_the_children_a_swap_can_change(monkeypatch, regime):
+    # a child whose channels hold whole subvectors (every 3x3 conv of the small
+    # regime) is dropped by the search unread, so it is never reshaped
+    ckpt = synthetic_resnet(18, 8, seed=4)
+    cfg = CompressionConfig(k=16, k_fc=16, d_conv_multiplier=2 if regime == "large" else 1,
+                            perm_iterations=5)
+    reshaped, reshape = [], layout.reshape_weight
+    monkeypatch.setattr(layout, "reshape_weight",
+                        lambda weight, kind: reshaped.append(weight.shape) or reshape(weight, kind))
+    searches = codec.resolve_layer_permutations(ckpt, cfg, seed=4)
+    meta = {m.name: m for m in ckpt.layers}
+    live = [
+        name
+        for names, search in searches
+        for name in names
+        if meta[name].c_in * meta[name].kernel_size**2 // search.units.size
+        % cfg.subvector_size(meta[name])
+    ]
+    shape = {name: ckpt.tensor(f"{name}.weight").shape for name in live}
+    assert reshaped == [shape[name] for name in live]
+    children = sum(len(names) for names, _ in searches)
+    assert len(live) < children if regime == "small" else len(live) == children
+    # a group of such children alone still gets the identity, with no search
+    for names, search in searches:
+        if not set(names) & set(live):
+            assert search.start is None and np.array_equal(search.units, np.arange(search.units.size))
 
 
 @pytest.mark.parametrize("kind, k, c_in, c_out, regime", _DECODE_LAYERS)
