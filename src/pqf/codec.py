@@ -529,10 +529,9 @@ def entry_to_encoding(entry: EncodedEntry, groups=(), codes=None) -> LayerEncodi
     `groups` is the model's list of stored unit orders, which the entry's
     `group` indexes. The codebook widens to float32, which holds
     every float16 exactly, and the codes are unpacked into a new int64
-    array. With `codes`, an int64 ``(m_hat, n)`` array, the encoding takes
-    it as its code grid as it is, for the caller to unpack into before
-    decoding. `CompressedModel.validate` has checked the unit order against
-    the entry.
+    array. With `codes`, the entry's int64 ``(m_hat, n)`` codes already
+    unpacked, the encoding takes them as its code grid as they are.
+    `CompressedModel.validate` has checked the unit order against the entry.
     """
     return LayerEncoding(
         units=None if entry.group is None else groups[entry.group],
@@ -613,15 +612,11 @@ def decompress_to_file(model: CompressedModel, path) -> int:
     buf = allocate(
         sizes, np.float32, lambda name: f"tensor {name!r}: {sizes[name]} values do not fit in memory"
     )
-    encodings = {
-        name: entry_to_encoding(e, model.groups, codes[: e.m_hat * e.n].reshape(e.m_hat, e.n))
-        for name, e in entries.items()
-    }
 
     def produce(rec):
         try:
-            entries[rec.name].unpack(out=codes)
-            enc = encodings[rec.name]
+            entry = entries[rec.name]
+            enc = entry_to_encoding(entry, model.groups, entry.unpack(out=codes))
             return decode_layer(_stored_order(enc, grid) if rec.name in filters else enc, out=buf)
         except MemoryError as exc:
             raise TensorTooLarge(f"tensor {rec.name!r} does not fit in memory") from exc

@@ -8,8 +8,11 @@ to the consumer's input slot; elementwise adds force all their inputs to
 agree; batchnorm/relu/pool pass channels through unchanged (batchnorm's own
 vectors travel with the parent side); channel-expanding reshapes join slots
 while forcing contiguous blocks to move together. Slots tied to the network
-input or output are fixed and their classes dropped. What remains are the
-independent permutation groups.
+input or output are fixed and their classes dropped. One pass over the layers
+collects each free class's slots in layer order as (layer, output side,
+channels); its parents, children, channel count and per-slot checks read
+that list. The classes with parents and children are the independent
+permutation groups, in the order of their first slots.
 """
 
 from __future__ import annotations
@@ -58,31 +61,17 @@ def resolve_groups(model: ModelCheckpoint) -> list:
     """Partition an architecture DAG into independent permutation groups."""
     layers, edges = model.layers, model.edges
 
+    # slot 2i = input side of layer i, slot 2i+1 = output side
+    uf = _UnionFind(2 * len(layers))
     index = {}
     for i, meta in enumerate(layers):
         if meta.kind not in LAYER_KINDS:
             raise UnsupportedLayerKind(f"{meta.name!r} has kind {meta.kind!r}")
         index[meta.name] = i
-
-    # slot 2i = input side of layer i, slot 2i+1 = output side
-    uf = _UnionFind(2 * len(layers))
-    slot_channels = {}
-    fixed_slots = []
-    for i, meta in enumerate(layers):
-        s_in, s_out = 2 * i, 2 * i + 1
-        slot_channels[s_in] = meta.c_in
-        slot_channels[s_out] = meta.c_out
         if meta.kind in PASSTHROUGH_KINDS:
-            uf.union(s_in, s_out)
-        elif meta.kind == "input":
-            fixed_slots.append(s_out)
-        elif meta.kind == "output":
-            fixed_slots.append(s_in)
-
+            uf.union(2 * i, 2 * i + 1)
     for producer, consumer in edges:
         uf.union(2 * index[producer] + 1, 2 * index[consumer])
-
-    fixed_roots = {uf.find(s) for s in fixed_slots}
 
     # channel-expanding reshapes impose contiguity blocks on their class
     block_factors = {}
@@ -95,55 +84,44 @@ def resolve_groups(model: ModelCheckpoint) -> list:
                 f"reshape {meta.name!r} must scale channels by an integer factor"
             )
         root = uf.find(2 * i)
-        factor = big // small
-        block_factors[root] = math.lcm(block_factors.get(root, 1), factor)
+        block_factors[root] = math.lcm(block_factors.get(root, 1), big // small)
 
-    drafts = {}  # root -> [parents, children, max_channels, counts]
-    order = []
-
-    def draft(root):
-        if root not in drafts:
-            drafts[root] = [[], [], 0, []]
-            order.append(root)
-        return drafts[root]
-
+    # the input's output side and each output's input side are fixed
+    fixed = {
+        uf.find(2 * i + (m.kind == "input")) for i, m in enumerate(layers) if m.kind in ("input", "output")
+    }
+    classes = {}  # free root -> [(layer, output side, channels)] in layer order
     for i, meta in enumerate(layers):
-        s_in, s_out = 2 * i, 2 * i + 1
-        for slot in (s_in, s_out):
-            root = uf.find(slot)
-            if root in fixed_roots:
-                continue
-            entry = draft(root)
-            entry[2] = max(entry[2], slot_channels[slot])
-            entry[3].append((meta.name, slot_channels[slot]))
-            if meta.kind in WEIGHTED_KINDS:
-                if slot == s_out:
-                    entry[0].append(meta.name)
-                else:
-                    entry[1].append(meta.name)
-            elif meta.kind == "batchnorm" and slot == s_in:
-                entry[0].append(meta.name)
+        for out, count in ((False, meta.c_in), (True, meta.c_out)):
+            root = uf.find(2 * i + out)
+            if root not in fixed:
+                classes.setdefault(root, []).append((meta, out, count))
 
     groups = []
-    for root in order:
-        parents, children, channels, counts = drafts[root]
+    for root, slots in classes.items():
+        # batchnorm vectors travel with the parents' output side
+        parents = sorted(
+            m.name for m, out, _ in slots if (m.kind in WEIGHTED_KINDS if out else m.kind == "batchnorm")
+        )
+        children = sorted(m.name for m, out, _ in slots if not out and m.kind in WEIGHTED_KINDS)
         if not parents or not children:
             continue
+        channels = max(0, *(count for _, _, count in slots))
         channel_block = block_factors.get(root, 1)
-        for name, count in counts:
+        for meta, _, count in slots:
             if count <= 0 or channels % count != 0:
                 raise InconsistentChannelCounts(
-                    f"slot of {name!r} has {count} channels, group spans {channels}"
+                    f"slot of {meta.name!r} has {count} channels, group spans {channels}"
                 )
             if channel_block % (channels // count) != 0:
                 raise InconsistentChannelCounts(
-                    f"slot of {name!r} needs factor {channels // count}, "
+                    f"slot of {meta.name!r} needs factor {channels // count}, "
                     f"group block is {channel_block}"
                 )
         groups.append(
             PermutationGroup(
-                parents=tuple(sorted(parents)),
-                children=tuple(sorted(children)),
+                parents=tuple(parents),
+                children=tuple(children),
                 channels=channels,
                 channel_block=channel_block,
             )

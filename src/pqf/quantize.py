@@ -305,7 +305,7 @@ def _update(pts: np.ndarray, codes: np.ndarray, k_eff: int):
     codebook[nonempty] = sums[nonempty] / counts[nonempty, None]
     empties = np.flatnonzero(~nonempty)
     if empties.size:
-        errors = np.square(pts - codebook[codes]).sum(axis=1)
+        errors = _squared_residuals(pts, codebook, codes).sum(axis=1)
         for t in empties:
             worst = int(np.argmax(errors))
             codebook[t] = pts[worst]
@@ -318,7 +318,14 @@ def reconstruction_error(subvectors, codebook, codes) -> float:
     pts, _ = _points_and_shape(subvectors)
     flat = np.asarray(codes, dtype=np.int64).ravel()
     cb = np.asarray(codebook, dtype=np.float64)
-    return float(np.square(pts - cb[flat]).sum() / pts.shape[0])
+    return float(_squared_residuals(pts, cb, flat).sum() / pts.shape[0])
+
+
+def _squared_residuals(pts, codebook, codes) -> np.ndarray:
+    """``(pts - codebook[codes]) ** 2``, squared in the gather's own buffer."""
+    res = codebook[codes]
+    np.subtract(pts, res, out=res)
+    return np.square(res, out=res)
 
 
 def _quantize_rng(seed: int) -> np.random.Generator:

@@ -1,4 +1,6 @@
 import importlib.resources as resources
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from helpers import (
     records_equal,
     verify_equivalence,
 )
+from pqf import cli
 from pqf.errors import InconsistentChannelCounts
 from pqf.finetune import make_mlp_checkpoint
 from pqf.graph import PermutationGroup, format_groups, resolve_groups
@@ -58,6 +61,17 @@ def test_reference_group_goldens(name, count):
     expected = parse_groups_text(_data_text(f"{name}.groups"))
     assert len(resolved) == count
     assert _group_sets(resolved) == _group_sets(expected)
+
+
+def test_shipped_specs_and_goldens_are_what_their_scripts_render():
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    # a run name other than "__main__" defines the generators without writing
+    arch = runpy.run_path(str(scripts / "gen_arch_specs.py"), run_name="gen_arch_specs")
+    goldens = runpy.run_path(str(scripts / "gen_group_goldens.py"), run_name="gen_group_goldens")
+    assert _data_text("resnet18.arch") == arch["resnet18"]()
+    assert _data_text("resnet50.arch") == arch["resnet50"]()
+    assert _data_text("resnet18.groups") == goldens["render"](goldens["R18"])
+    assert _data_text("resnet50.groups") == goldens["render"](goldens["resnet50_groups"]())
 
 
 def test_resnet18_spotcheck_block_group():
@@ -145,6 +159,49 @@ def test_inconsistent_channels_raise():
     )
     with pytest.raises(InconsistentChannelCounts):
         resolve_groups(ckpt)
+
+
+_CONV_INTO_RESHAPE = """
+input input 1 2 2
+conv1 conv 3 2 4
+flat reshape 1 4 {flat}
+fc1 fc 1 {flat} 5
+out1 output 1 5 5
+edge input conv1
+edge conv1 flat
+edge flat fc1
+edge fc1 out1
+"""
+
+
+@pytest.mark.parametrize(
+    "spec,detail",
+    [
+        (_CONV_INTO_RESHAPE.format(flat=6), "reshape 'flat' must scale channels by an integer factor"),
+        (
+            "input input 1 2 2\nfc1 fc 1 2 4\nfc2 fc 1 6 3\noutput output 1 3 3\n"
+            "edge input fc1\nedge fc1 fc2\nedge fc2 output\n",
+            "slot of 'fc1' has 4 channels, group spans 6",
+        ),
+        (
+            # the reshape's 36 channels move in blocks of 9, but fc2 reads 18 of them
+            _CONV_INTO_RESHAPE.format(flat=36)
+            + "fc2 fc 1 18 5\nout2 output 1 5 5\nedge flat fc2\nedge fc2 out2\n",
+            "slot of 'fc2' needs factor 2, group block is 9",
+        ),
+    ],
+    ids=["reshape-factor", "slot-divides-group", "slot-factor-in-block"],
+)
+def test_every_inconsistent_channel_count_names_its_layer(spec, detail, tmp_path, capsys):
+    with pytest.raises(InconsistentChannelCounts) as exc:
+        resolve_groups(parse_arch_spec(spec))
+    assert str(exc.value) == detail
+    path = tmp_path / "bad.arch"
+    path.write_text(spec)
+    assert cli.main(["groups", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f'error kind=InconsistentChannelCounts detail="{detail}"' in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -295,6 +297,23 @@ def test_kmeans_zero_iters_returns_initialization():
     assert np.array_equal(cb, again_cb)
     assert err == pytest.approx(reconstruction_error(pts, cb, codes))
     assert codes.min() >= 0 and codes.max() < 4
+
+
+def test_reconstruction_error_holds_one_copy_of_the_points():
+    rng = make_rng(36, "residual-peak")
+    pts = rng.standard_normal((200_000, 4))
+    cb = rng.standard_normal((256, 4))
+    codes = rng.integers(0, 256, size=200_000)
+    want = float(np.square(pts - cb[codes]).sum() / pts.shape[0])
+    tracemalloc.start()
+    try:
+        got = reconstruction_error(pts, cb, codes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.hex() == want.hex()
+    # the gathered centroids are one copy; a difference beside them is a second
+    assert peak < 1.5 * pts.nbytes
 
 
 def test_kmeans_error_monotone_per_iteration():
