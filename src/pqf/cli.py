@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import codec, finetune, graph, layout, permsearch, quantize, tensor_io
+from . import codec, finetune, graph, layout, permsearch, tensor_io
 from .errors import PQFError
 from .rng import derive_seed, gaussian, make_rng
 
@@ -386,29 +386,22 @@ def synthetic_weights(cfg: BenchConfig, seed: int) -> np.ndarray:
 
 
 def _bench_one(matrix: np.ndarray, cfg: BenchConfig, method: str, seed: int):
-    d = cfg.d
+    """`matrix` quantized as one fc layer: its error and its rate-distortion bound."""
+    d, rows = cfg.d, None
     if method == "perm+src":
         init = permsearch.greedy_init(matrix, d, 1)
         rows = permsearch.local_search(
             matrix, d, 1, init, cfg.perm_iterations, derive_seed(seed, "bench-perm")
         )
-        work = matrix[rows]
-    else:
-        work = matrix
-    pts = layout.split_matrix(work, d).reshape(-1, d)
-    sigma = permsearch.subvector_covariance(pts)
-    k_eff = quantize.clamp_codebook_size(cfg.k, pts.shape[0])
-    if method == "kmeans":
-        _, _, err = quantize.kmeans(pts, k_eff, cfg.src_iterations, derive_seed(seed, "bench-q"))
-    else:
-        _, _, err = quantize.src(
-            pts,
-            sigma,
-            k_eff,
-            quantize.SRCConfig(cfg.src_iterations, 0.5, derive_seed(seed, "bench-q")),
-        )
-    bound = permsearch.rd_lower_bound(sigma, k_eff)
-    return err, bound
+    layer = tensor_io.LayerMeta("bench", "fc", c_in=cfg.rows, c_out=cfg.cols)
+    quantizer = "kmeans" if method == "kmeans" else "src"
+    layer_cfg = codec.CompressionConfig(
+        k_fc=cfg.k, d_fc=d, quantizer=quantizer, src_iterations=cfg.src_iterations
+    )
+    enc = codec.encode_layer(matrix, layer, layer_cfg, rows, derive_seed(seed, "bench-q"))
+    work = matrix if rows is None else matrix[rows]
+    sigma = permsearch.subvector_covariance(layout.split_subvectors(work, d))
+    return enc.error, permsearch.rd_lower_bound(sigma, enc.k_eff)
 
 
 def run_bench(cfg: BenchConfig, base_seed: int = 0) -> list:
@@ -506,6 +499,10 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error kind=IoFailure detail={str(exc)!r}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # an array a run needs does not fit, whichever command asked for it
+        print(f"error kind=TensorTooLarge detail={str(exc)!r}", file=sys.stderr)
         return 2
     return 0
 

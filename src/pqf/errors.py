@@ -66,4 +66,4 @@ class CodebookOverflow(PQFError):
 
 
 class TensorTooLarge(PQFError):
-    """A tensor an input declares does not fit in memory."""
+    """A tensor an input declares, or an array a run needs, does not fit in memory."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndivisibleBlockSize, ShapeMismatch
+from .errors import DimensionMismatch, IndivisibleBlockSize, ShapeMismatch
 
 # stored axes per weighted kind: i = input channels, o = output channels,
 # k = kernel; the two channel axes come first
@@ -112,13 +112,20 @@ class SubvectorMatrix:
     def n(self) -> int:
         return self.subvectors.shape[1]
 
-    @property
-    def count(self) -> int:
-        return self.m_hat * self.n
 
-    def points(self) -> np.ndarray:
-        """Subvectors as an `(m_hat*n, d)` array, row-major in (i, j)."""
-        return self.subvectors.reshape(self.count, self.d)
+def subvector_points(subvectors) -> tuple:
+    """Subvectors as `(N, d)` points, and the `(m_hat, n)` grid that holds them.
+
+    A `SubvectorMatrix` gives its points row-major in (i, j) and its grid;
+    anything else is read as an `(N, d)` float64 array, with grid None, and
+    raises `DimensionMismatch` unless it is 2-D.
+    """
+    if isinstance(subvectors, SubvectorMatrix):
+        return subvectors.subvectors.reshape(-1, subvectors.d), (subvectors.m_hat, subvectors.n)
+    pts = np.asarray(subvectors, dtype=np.float64)
+    if pts.ndim != 2:
+        raise DimensionMismatch(f"expected an (N, d) array, got shape {pts.shape}")
+    return pts, None
 
 
 def is_permutation(order, n: int) -> bool:

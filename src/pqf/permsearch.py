@@ -68,7 +68,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import IndivisibleBlockSize, MismatchedChannelCounts, TooFewSubvectors
-from .layout import SubvectorMatrix, is_permutation, split_matrix
+from .layout import is_permutation, split_matrix, subvector_points
 from .rng import make_rng
 
 
@@ -93,18 +93,9 @@ def expand_channel_permutation(channel_indices, rows_per_channel: int) -> Permut
     return Permutation(_unit_rows(np.asarray(channel_indices, dtype=np.int64), int(rows_per_channel)))
 
 
-def _as_points(subvectors) -> np.ndarray:
-    if isinstance(subvectors, SubvectorMatrix):
-        return subvectors.points()
-    pts = np.asarray(subvectors, dtype=np.float64)
-    if pts.ndim != 2:
-        raise TooFewSubvectors(f"expected an (N, d) array, got shape {pts.shape}")
-    return pts
-
-
 def subvector_covariance(subvectors) -> np.ndarray:
     """The `(d, d)` mean-centered covariance (1/N normalization) over all subvectors."""
-    pts = _as_points(subvectors)
+    pts, _ = subvector_points(subvectors)
     n = pts.shape[0]
     if n < 2:
         raise TooFewSubvectors(f"need at least 2 subvectors, got {n}")
@@ -274,8 +265,10 @@ class _ChunkMoments:
         n = m // block
         # row m of each shifted matrix is all ones, and every chunk gathers it
         # last: the chunk's last moment row then holds its sums and its count
-        self.shifted = [np.vstack([matrix - matrix.mean(), np.ones(matrix.shape[1])])
-                        for matrix in matrices]
+        self.shifted = [np.empty((m + 1, matrix.shape[1])) for matrix in matrices]
+        for matrix, shifted in zip(matrices, self.shifted):
+            np.subtract(matrix, matrix.mean(), out=shifted[:m])
+            shifted[m] = 1.0
         # chunk c holds positions c*d, ..., c*d + d-1 and, last, m: the ones row
         self._grid = grid = np.hstack([np.arange(m).reshape(-1, d), np.full((m // d, 1), m)])
         # a unit starts a multiple of gcd(block, d) rows into a chunk, so it

@@ -21,8 +21,9 @@ re-scored in float64 with the plain difference form, over only the centroids
 inside the margin; these subvectors are collected across blocks and
 re-scored in batches of about one block. Codes are therefore the difference
 form's argmin (lowest index on ties) bit for bit, whatever order or thread
-count the BLAS library uses. Toy-sized calls skip the prefilter and take the
-difference form directly.
+count the BLAS library uses. One routine, `_nearest`, computes that
+difference form: over each undecided subvector's candidates, and over all
+centroids for toy-sized calls, which skip the prefilter.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .layout import SubvectorMatrix
+from .layout import subvector_points
 from .rng import gaussian, make_rng
 
 DEFAULT_ITERATIONS = 1000
@@ -62,15 +63,6 @@ def clamp_codebook_size(k: int, num_subvectors: int) -> int:
     return max(1, min(int(k), num_subvectors // 4))
 
 
-def _points_and_shape(subvectors):
-    if isinstance(subvectors, SubvectorMatrix):
-        return subvectors.points(), (subvectors.m_hat, subvectors.n)
-    pts = np.asarray(subvectors, dtype=np.float64)
-    if pts.ndim != 2:
-        raise DimensionMismatch(f"expected an (N, d) array, got shape {pts.shape}")
-    return pts, None
-
-
 def assign_codes(subvectors, codebook) -> np.ndarray:
     """Nearest centroid (squared Euclidean) per subvector; ties go low.
 
@@ -78,10 +70,10 @@ def assign_codes(subvectors, codebook) -> np.ndarray:
     float32 matrix-multiply prefilter decides every subvector whose winner
     leads all other centroids by more than a proven rounding margin, and the
     float64 difference form over the centroids within that margin decides
-    the rest (see `_assign`), so the codes do not depend on BLAS summation
-    order or thread count.
+    the rest (see `_assign` and `_nearest`), so the codes do not depend on
+    BLAS summation order or thread count.
     """
-    pts, shape = _points_and_shape(subvectors)
+    pts, shape = subvector_points(subvectors)
     cb = np.asarray(codebook, dtype=np.float64)
     if cb.ndim != 2 or cb.shape[1] != pts.shape[1]:
         raise DimensionMismatch(
@@ -139,7 +131,7 @@ def _assign(pts, codebook, norms, lifted) -> np.ndarray:
     ``s_j > s_w + m`` can be neither the argmin of the difference form nor tied
     with it, so a row with one candidate ``s_j <= s_w + m`` keeps it, and
     every other row is re-scored with the difference form over its
-    candidates only.
+    candidates only (`_nearest`).
 
     Buffers and batches. All blocks are scored into one float32 buffer the
     size of a block (at most `_BLOCK` values unless k is larger), and each
@@ -184,7 +176,7 @@ def _assign(pts, codebook, norms, lifted) -> np.ndarray:
     k = codebook.shape[0]
     # the margin below needs (d + 4) u < 1
     if n * k * d <= _EXACT_WORK or (d + 4) * _U32 >= 1:
-        return _assign_exact(pts, codebook)
+        return _nearest(pts, codebook)
     out = np.empty(n, dtype=np.int64)
     rows, centroid_major = _layout(n, k)
     buffer = np.empty(rows * k, dtype=np.float32)
@@ -238,9 +230,9 @@ def _assign(pts, codebook, norms, lifted) -> np.ndarray:
 class _Undecided:
     """Rows the prefilter leaves undecided, scored in float64 a batch at a time.
 
-    A batch goes to `_assign_candidates` before its candidate masks would
-    pass `_BLOCK` entries, so the float64 pass costs a call per `_BLOCK`
-    entries rather than one per score block.
+    A batch goes to `_nearest` before its candidate masks would pass
+    `_BLOCK` entries, so the float64 pass costs a call per `_BLOCK` entries
+    rather than one per score block.
     """
 
     def __init__(self, pts, codebook, out):
@@ -258,28 +250,35 @@ class _Undecided:
         if self.rows:
             rows = np.concatenate(self.rows)
             cand = np.concatenate(self.cands)
-            self.out[rows] = _assign_candidates(self.pts[rows], self.codebook, cand)
+            self.out[rows] = _nearest(self.pts[rows], self.codebook, cand)
             self.rows, self.cands, self.held = [], [], 0
 
 
-def _assign_candidates(pts: np.ndarray, codebook: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    # the difference form over each row's candidates; a non-candidate scores inf
-    r, j = np.nonzero(cand)
-    dist = np.full(cand.shape, np.inf)
-    dist[r, j] = np.square(pts[r] - codebook[j]).sum(axis=1)
-    return np.argmin(dist, axis=1)
+def _nearest(pts: np.ndarray, codebook: np.ndarray, cand=None) -> np.ndarray:
+    """The argmin (lowest index on ties) of the float64 difference form per row.
 
-
-def _assign_exact(pts: np.ndarray, codebook: np.ndarray) -> np.ndarray:
-    k, d = codebook.shape
+    Rows are scored in blocks of about `_BLOCK` float64 values. Without
+    `cand` a row scores every centroid. With `cand`, an `(n, k)` mask that
+    holds at least one candidate per row, a row scores its candidates only:
+    the block is scored against the sorted union of the rows' candidates,
+    and each non-candidate scores inf. The union is sorted, so ties still go
+    to the lowest index.
+    """
+    cols = None if cand is None else np.flatnonzero(cand.any(axis=0))
+    centroids = codebook if cols is None else codebook[cols]
+    n, (k, d) = pts.shape[0], centroids.shape
     rows = max(1, _BLOCK // (k * d))
-    out = np.empty(pts.shape[0], dtype=np.int64)
-    for start in range(0, pts.shape[0], rows):
-        block = pts[start : start + rows]
+    buffer = np.empty((min(rows, n), k, d))
+    out = np.empty(n, dtype=np.int64)
+    for start in range(0, n, rows):
+        block = pts[start : start + rows, None, :]
         # plain difference form: bit-identical to a per-point distance loop
-        dist = np.square(block[:, None, :] - codebook[None, :, :]).sum(axis=2)
+        diff = np.subtract(block, centroids, out=buffer[: len(block)])
+        dist = np.square(diff, out=diff).sum(axis=2)
+        if cols is not None:
+            dist[~cand[start : start + rows, cols]] = np.inf
         out[start : start + rows] = np.argmin(dist, axis=1)
-    return out
+    return out if cols is None else cols[out]
 
 
 def update_codebook(subvectors, codes, k_eff: int) -> np.ndarray:
@@ -289,7 +288,7 @@ def update_codebook(subvectors, codes, k_eff: int) -> np.ndarray:
     reconstruction error (each such subvector used at most once), processed
     in ascending centroid order, which keeps the update deterministic.
     """
-    pts, _ = _points_and_shape(subvectors)
+    pts, _ = subvector_points(subvectors)
     flat = np.asarray(codes, dtype=np.int64).ravel()
     return _update(pts, flat, k_eff)
 
@@ -315,7 +314,7 @@ def _update(pts: np.ndarray, codes: np.ndarray, k_eff: int):
 
 def reconstruction_error(subvectors, codebook, codes) -> float:
     """Mean squared error per subvector (Frobenius norm over count)."""
-    pts, _ = _points_and_shape(subvectors)
+    pts, _ = subvector_points(subvectors)
     flat = np.asarray(codes, dtype=np.int64).ravel()
     cb = np.asarray(codebook, dtype=np.float64)
     return float(_squared_residuals(pts, cb, flat).sum() / pts.shape[0])
@@ -332,22 +331,54 @@ def _quantize_rng(seed: int) -> np.random.Generator:
     return make_rng(seed, "quantize")
 
 
-def _run(pts, k_eff, iters, rng, noise_std=None, gamma=DEFAULT_GAMMA):
+def kmeans(subvectors, k_eff: int, iters: int = DEFAULT_ITERATIONS, seed: int = 0):
+    """Plain k-means from random assignments.
+
+    Runs `iters` rounds of (codebook update, code update) or stops early once
+    a round keeps every code (see `_quantize`). ``iters=0``
+    returns the random initial assignments with their implied codebook.
+    Returns ``(codes, codebook, error)``.
+    """
+    return _quantize(subvectors, k_eff, iters, seed)
+
+
+def src(subvectors, sigma: np.ndarray, k_eff: int, cfg: SRCConfig):
+    """Annealed k-means: noisy codebook updates, clean code updates.
+
+    The noise standard deviation per coordinate is the square root of the
+    diagonal of `sigma`, the `(d, d)` subvector covariance, scaled by ``(1 - tau/I)**gamma``; the final
+    iteration runs at exactly zero noise. Returns ``(codes, codebook, error)``
+    after all ``cfg.iterations`` rounds; a zero covariance adds no noise, so
+    that run stops at a fixed point as `kmeans` does.
+    """
+    return _quantize(subvectors, k_eff, cfg.iterations, cfg.seed, sigma, cfg.gamma)
+
+
+def _quantize(subvectors, k_eff, iters, seed, sigma=None, gamma=DEFAULT_GAMMA):
     """Up to `iters` rounds of (codebook update, code update) from random codes.
 
-    Without noise, a round that keeps every code is a fixed point: `_update`
-    is a pure function of the points and the codes, re-seeding included, so
-    the next round would rebuild the same codebook and the same codes, and
-    no later round draws from `rng`. The loop stops there with the bytes a
-    full run returns, even in a layer that re-seeds every round (a fully
-    pruned one).
+    With `sigma`, each round's codebook update sees the points plus noise
+    (see `src`); without it the run is plain k-means. A round without noise
+    that keeps every code is a fixed point: `_update` is a pure function of
+    the points and the codes, re-seeding included, so the next round would
+    rebuild the same codebook and the same codes, and no later round draws
+    from the generator. The loop stops there with the bytes a full run
+    returns, even in a layer that re-seeds every round (a fully pruned one).
     """
-    n = pts.shape[0]
-    codes = rng.integers(0, k_eff, size=n, dtype=np.int64)
+    pts, shape = subvector_points(subvectors)
+    if sigma is not None and sigma.shape[0] != pts.shape[1]:
+        raise DimensionMismatch(
+            f"covariance dimension {sigma.shape[0]} != subvector length {pts.shape[1]}"
+        )
+    if k_eff < 1:
+        raise ValueError("codebook size must be >= 1")
+    rng = _quantize_rng(seed)
+    codes = rng.integers(0, k_eff, size=pts.shape[0], dtype=np.int64)
     if iters == 0:
         # otherwise the first iteration replaces it before anything reads it
         codebook = _update(pts, codes, k_eff)
     prefilter = _lift(pts, k_eff) if iters > 0 else None
+    noise_std = None if sigma is None else np.sqrt(np.clip(np.diag(sigma), 0.0, None))
     add_noise = noise_std is not None and bool(np.any(noise_std > 0))
     # one buffer for every draw; the last iteration draws none, so one alone needs none
     noise = np.empty(pts.shape) if add_noise and iters > 1 else None
@@ -364,47 +395,5 @@ def _run(pts, k_eff, iters, rng, noise_std=None, gamma=DEFAULT_GAMMA):
         if not add_noise and np.array_equal(new_codes, codes):
             break
         codes = new_codes
-    return codes, codebook, reconstruction_error(pts, codebook, codes)
-
-
-def kmeans(subvectors, k_eff: int, iters: int = DEFAULT_ITERATIONS, seed: int = 0):
-    """Plain k-means from random assignments.
-
-    Runs `iters` rounds of (codebook update, code update) or stops early once
-    a round keeps every code (see `_run`). ``iters=0``
-    returns the random initial assignments with their implied codebook.
-    Returns ``(codes, codebook, error)``.
-    """
-    pts, shape = _points_and_shape(subvectors)
-    if k_eff < 1:
-        raise ValueError("codebook size must be >= 1")
-    codes, codebook, error = _run(pts, k_eff, iters, _quantize_rng(seed))
-    return (codes.reshape(shape) if shape is not None else codes), codebook, error
-
-
-def src(subvectors, sigma: np.ndarray, k_eff: int, cfg: SRCConfig):
-    """Annealed k-means: noisy codebook updates, clean code updates.
-
-    The noise standard deviation per coordinate is the square root of the
-    diagonal of `sigma`, the `(d, d)` subvector covariance, scaled by ``(1 - tau/I)**gamma``; the final
-    iteration runs at exactly zero noise. Returns ``(codes, codebook, error)``
-    after all ``cfg.iterations`` rounds; a zero covariance adds no noise, so
-    that run stops at a fixed point as `kmeans` does.
-    """
-    pts, shape = _points_and_shape(subvectors)
-    if sigma.shape[0] != pts.shape[1]:
-        raise DimensionMismatch(
-            f"covariance dimension {sigma.shape[0]} != subvector length {pts.shape[1]}"
-        )
-    if k_eff < 1:
-        raise ValueError("codebook size must be >= 1")
-    noise_std = np.sqrt(np.clip(np.diag(sigma), 0.0, None))
-    codes, codebook, error = _run(
-        pts,
-        k_eff,
-        cfg.iterations,
-        _quantize_rng(cfg.seed),
-        noise_std=noise_std,
-        gamma=cfg.gamma,
-    )
+    error = reconstruction_error(pts, codebook, codes)
     return (codes.reshape(shape) if shape is not None else codes), codebook, error

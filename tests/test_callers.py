@@ -6,8 +6,10 @@ module-level public function or class among the names and attributes in
 code under `src/`, `benchmarks/`, `demos/` and `scripts/`, and among the
 `module.name` strings by which the benchmark tracer wraps functions. Each
 public method or property of a class must be read as an attribute
-(``obj.name``) in that same code. A mention in a docstring or a comment is
-not a reference.
+(``obj.name``) in that same code. Each module-level private function or
+class must be referenced from code under `src/`, so that folding one helper
+into another leaves no dead one behind. A mention in a docstring or a
+comment is not a reference.
 """
 
 import ast
@@ -23,15 +25,15 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
-def _caller_nodes():
-    for folder in CALLER_DIRS:
+def _caller_nodes(folders=CALLER_DIRS):
+    for folder in folders:
         for path in (ROOT / folder).rglob("*.py"):
             yield from ast.walk(_parse(path))
 
 
-def _referenced_names() -> set:
+def _referenced_names(folders=CALLER_DIRS) -> set:
     names = set()
-    for node in _caller_nodes():
+    for node in _caller_nodes(folders):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -88,3 +90,16 @@ def test_every_public_method_of_a_src_class_is_read_outside_the_tests():
     read = _read_attributes()
     unread = [where for where, name in _public_members() if name not in read]
     assert unread == []
+
+
+def test_every_private_src_function_and_class_is_referenced_in_src():
+    referenced = _referenced_names(("src",))
+    unreferenced = [
+        f"{stem}.{node.name}"
+        for stem, module in _public_modules()
+        for node in module.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and node.name not in referenced
+    ]
+    assert unreferenced == []

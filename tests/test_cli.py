@@ -1005,27 +1005,43 @@ def _entry_decoding_to_four_gigabytes(tmp_path):
     return packed, "tensor 'wide.weight': 1000000000 values do not fit in memory"
 
 
-@pytest.mark.parametrize("make", [_zero_bit_entry_of_a_trillion_columns,
-                                  _entry_decoding_to_four_gigabytes])
-def test_decompress_of_an_entry_too_large_for_memory_is_data_error(tmp_path, make):
+def _run_pqf_in_two_gigabytes(*argv) -> subprocess.CompletedProcess:
+    """`pqf argv` in a child with one BLAS thread whose address space is capped at 2 GiB."""
     import resource
 
-    packed, detail = make(tmp_path)
-    back_path = tmp_path / "back.pqfn"
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     src_dir = str(Path(pqf.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
     limit = 2 << 30  # the child's address space only, so the allocation fails, not the host
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "pqf.cli", "decompress", str(packed), "--out", str(back_path)],
+    return subprocess.run(
+        [sys.executable, "-m", "pqf.cli", *argv],
         env=env, capture_output=True, text=True, timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
+
+
+@pytest.mark.parametrize("make", [_zero_bit_entry_of_a_trillion_columns,
+                                  _entry_decoding_to_four_gigabytes])
+def test_decompress_of_an_entry_too_large_for_memory_is_data_error(tmp_path, make):
+    packed, detail = make(tmp_path)
+    back_path = tmp_path / "back.pqfn"
+    proc = _run_pqf_in_two_gigabytes("decompress", str(packed), "--out", str(back_path))
     assert proc.returncode == 2, proc.stderr
     assert "error kind=TensorTooLarge" in proc.stderr and detail in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not back_path.exists()
+
+
+def test_running_out_of_memory_in_any_command_is_data_error(tmp_path):
+    # a 10**6 x 10**6 float64 weight matrix needs 7.3 TiB
+    out = tmp_path / "bench.csv"
+    proc = _run_pqf_in_two_gigabytes(
+        "bench", "--rows", "1000000", "--cols", "1000000", "--seeds", "1", "--out", str(out)
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "error kind=TensorTooLarge" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def _drop_group(manifest):

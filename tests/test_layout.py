@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pqf import layout
-from pqf.errors import IndivisibleBlockSize, ShapeMismatch
+from pqf.errors import DimensionMismatch, IndivisibleBlockSize, ShapeMismatch
 from pqf.rng import make_rng
 
 
@@ -50,7 +50,7 @@ def test_split_4x1_pairs():
 def test_split_whole_columns():
     matrix = layout.reshape_weight(make_rng(2, "split").standard_normal((4, 2)), "fc")
     s = layout.split_subvectors(matrix, 4)
-    assert s.m_hat == 1 and s.count == 2
+    assert s.m_hat == 1 and s.n == 2
     assert np.array_equal(s.subvectors[0, 0], matrix[:, 0])
     assert np.array_equal(s.subvectors[0, 1], matrix[:, 1])
 
@@ -59,7 +59,7 @@ def test_split_conv_keeps_whole_filters():
     # 18x5 matrix from a K=3 conv, d=9: every subvector is one whole filter
     w = make_rng(3, "filters").standard_normal((2, 5, 3, 3))
     s = layout.split_subvectors(layout.reshape_weight(w, "conv"), 9)
-    assert s.count == 10
+    assert s.m_hat * s.n == 10
     for i in range(s.m_hat):
         for j in range(s.n):
             # index-arithmetic oracle straight into the 4-D tensor
@@ -92,12 +92,17 @@ def test_merge_inverts_split(kind, shape, d):
 
 def test_points_ordering():
     s = layout.split_subvectors(layout.reshape_weight(np.arange(8.0).reshape(4, 2), "fc"), 2)
-    pts = s.points()
-    assert pts.shape == (4, 2)
+    pts, grid = layout.subvector_points(s)
+    assert pts.shape == (4, 2) and grid == (2, 2)
     # (i, j) row-major: (0,0), (0,1), (1,0), (1,1)
     assert np.array_equal(pts[0], s.subvectors[0, 0])
     assert np.array_equal(pts[1], s.subvectors[0, 1])
     assert np.array_equal(pts[2], s.subvectors[1, 0])
+    # a plain array is read as (N, d) points of no grid, and must be 2-D
+    flat, grid = layout.subvector_points(pts.astype(np.float32))
+    assert flat.dtype == np.float64 and np.array_equal(flat, pts) and grid is None
+    with pytest.raises(DimensionMismatch):
+        layout.subvector_points(s.subvectors)
 
 
 @pytest.mark.parametrize(

@@ -183,10 +183,14 @@ def test_assign_matches_oracle_on_integer_grid_ties_at_k2048():
 
 def test_only_small_calls_take_the_exact_path(monkeypatch):
     rows_seen = []
-    exact = quantize._assign_exact
-    monkeypatch.setattr(
-        quantize, "_assign_exact", lambda pts, cb: rows_seen.append(len(pts)) or exact(pts, cb)
-    )
+    nearest = quantize._nearest
+
+    def record(pts, cb, cand=None):
+        if cand is None:  # every centroid: the exact path
+            rows_seen.append(len(pts))
+        return nearest(pts, cb, cand)
+
+    monkeypatch.setattr(quantize, "_nearest", record)
     rng = make_rng(86, "toy")
     _assert_matches_oracle(rng.standard_normal((16, 8)), rng.standard_normal((4, 8)))
     assert rows_seen == [16]
@@ -197,13 +201,14 @@ def test_only_small_calls_take_the_exact_path(monkeypatch):
 def _record_fallback(monkeypatch):
     """Record (rows, candidate-mask entries) for every float64 fallback call."""
     calls = []
-    scored = quantize._assign_candidates
+    nearest = quantize._nearest
 
-    def record(pts, centroids, cand):
+    def record(pts, centroids, cand=None):
+        assert cand is not None  # these calls are too large for the exact path
         calls.append((len(pts), cand.size))
-        return scored(pts, centroids, cand)
+        return nearest(pts, centroids, cand)
 
-    monkeypatch.setattr(quantize, "_assign_candidates", record)
+    monkeypatch.setattr(quantize, "_nearest", record)
     return calls
 
 
@@ -236,6 +241,59 @@ def test_the_fallback_holds_about_one_block_of_candidates(monkeypatch):
     assert len(calls) >= 8
     # the candidate masks held for one call: a row each of k entries
     assert max(entries for _, entries in calls) <= quantize._BLOCK
+
+
+def _per_row_nearest(pts, codebook, cand):
+    """A row at a time: the lowest-index candidate of least difference-form distance."""
+    out = []
+    for x, mask in zip(pts, cand):
+        dists = [(float(np.square(x - codebook[j]).sum()), j) for j in np.flatnonzero(mask)]
+        best = min(dist for dist, _ in dists)
+        out.append(min(j for dist, j in dists if dist == best))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("d", [1, 4, 9])
+def test_nearest_over_candidate_masks_matches_a_per_row_loop(d):
+    rng = make_rng(89 + d, "candidates")
+    base = rng.integers(-2, 3, size=(12, d)).astype(np.float64)
+    codebook = np.concatenate([base, base[:4]])  # duplicates, listed apart
+    pts = np.concatenate([
+        rng.integers(-2, 3, size=(150, d)).astype(np.float64),  # exact ties
+        (base[rng.integers(0, 12, 50)] + base[rng.integers(0, 12, 50)]) / 2,  # midpoints
+        rng.standard_normal((50, d)),
+        np.full((1, d), 1e200),  # squares overflow: the row of an infinite limit
+    ])
+    cand = rng.random((len(pts), len(codebook))) < 0.3
+    cand[np.arange(len(pts)), rng.integers(0, len(codebook), len(pts))] = True
+    cand[-1] = True  # an infinite limit takes every centroid
+    cand[:, 13] = False  # a centroid no row holds
+    with np.errstate(over="ignore"):
+        assert np.array_equal(quantize._nearest(pts, codebook, cand), _per_row_nearest(pts, codebook, cand))
+        every = np.ones_like(cand)
+        assert np.array_equal(quantize._nearest(pts, codebook, every), _per_row_nearest(pts, codebook, every))
+        assert np.array_equal(quantize._nearest(pts, codebook), _per_row_nearest(pts, codebook, every))
+    one = np.ones((len(pts), 1), dtype=bool)
+    assert not quantize._nearest(pts[:-1], codebook[:1], one[:-1]).any()
+    assert not quantize._nearest(pts[:-1], codebook[:1]).any()
+
+
+def test_one_fallback_call_on_equal_centroids_holds_about_one_block():
+    # every centroid equal, as in a fully pruned layer: every row holds all k
+    k, d = 2048, 4
+    rows = quantize._BLOCK // k  # the rows of one fallback call
+    pts, codebook = np.zeros((rows, d)), np.zeros((k, d))
+    cand = np.ones((rows, k), dtype=bool)
+    tracemalloc.start()
+    try:
+        codes = quantize._nearest(pts, codebook, cand)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not codes.any()
+    # one block of float64 differences is _BLOCK values; scoring every
+    # (row, candidate) pair at once would hold rows * k * d of them, 4x that
+    assert peak < 2 * quantize._BLOCK * 8
 
 
 # ---------------------------------------------------------------------------
