@@ -91,9 +91,9 @@ def is_compressible(meta: LayerMeta, cfg: CompressionConfig, first_conv: str | N
 
 @dataclass(eq=False)
 class LayerEncoding:
-    """Unit order + codebook + codes for one layer, and what they decode to.
+    """Unit order + codebook + codes for one `layer`, and what they decode to.
 
-    The arrays hold the geometry: the layer's `(C_in*K*K, C_out)` matrix has
+    `layer` owns the geometry: its ``(C_in*K*K, C_out)`` matrix has
     ``m_hat * d`` rows and ``n`` columns, for the ``(m_hat, n)`` codes and the
     ``(k_eff, d)`` codebook. `units` is the order of its group's channel
     units, each ``C_in / len(units)`` input channels, that the rows were put
@@ -103,8 +103,7 @@ class LayerEncoding:
     units: np.ndarray | None
     codebook: np.ndarray  # (k_eff, d) float64, or float32 when read from a container
     codes: np.ndarray  # (m_hat, n) int64
-    kernel_size: int
-    source_kind: str
+    layer: LayerMeta
     error: float = 0.0
 
     @property
@@ -167,14 +166,7 @@ def encode_layer(
         codes, codebook, error = quantize.src(
             subs, sigma, k_eff, quantize.SRCConfig(cfg.src_iterations, cfg.gamma, seed)
         )
-    return LayerEncoding(
-        units=units,
-        codebook=codebook,
-        codes=codes,
-        kernel_size=meta.kernel_size,
-        source_kind=meta.kind,
-        error=error,
-    )
+    return LayerEncoding(units=units, codebook=codebook, codes=codes, layer=meta, error=error)
 
 
 def _stored_order(enc: LayerEncoding, out=None) -> LayerEncoding:
@@ -188,7 +180,7 @@ def _stored_order(enc: LayerEncoding, out=None) -> LayerEncoding:
     `out`, a contiguous int64 buffer of at least ``m_hat * n``, or into a
     new array.
     """
-    codes, transposed = enc.codes, _transposed(enc.source_kind)
+    codes, transposed = enc.codes, _transposed(enc.layer.kind)
     if enc.units is None and (codes.T if transposed else codes).flags.c_contiguous:
         return enc
     m_hat, n = codes.shape
@@ -208,7 +200,7 @@ def _transposed(kind: str) -> bool:
 
 
 def decode_layer(enc: LayerEncoding, out=None) -> np.ndarray:
-    """Rebuild the weight tensor approximation in its original shape.
+    """Rebuild the weight tensor approximation in the shape of `enc.layer`.
 
     The centroids are gathered in the codebook's own dtype (float32 from a
     container, float64 once fine-tuned) straight into the stored layout
@@ -226,20 +218,20 @@ def decode_layer(enc: LayerEncoding, out=None) -> np.ndarray:
     weight is written over its leading elements and returned as a view of
     them, so one buffer can serve every layer of a model in turn.
     """
-    m_hat, n = enc.codes.shape
-    kk = enc.kernel_size**2
+    meta = enc.layer
+    kk = meta.kernel_size**2
     weight, rows = layout.empty_weight(
-        enc.source_kind, m_hat * enc.d // kk, n, enc.kernel_size, enc.codebook.dtype, out
+        meta.kind, meta.c_in, meta.c_out, meta.kernel_size, enc.codebook.dtype, out
     )
     if enc.d == kk:
         codes = _stored_order(enc).codes
         filters = weight.reshape(*weight.shape[:2], kk)
-        index = codes.T if _transposed(enc.source_kind) else codes
+        index = codes.T if _transposed(meta.kind) else codes
         np.take(enc.codebook, index, axis=0, out=filters, mode="clip")
         return weight
     subvectors = np.take(enc.codebook, enc.codes, axis=0)  # (m_hat, n, d)
     # row i*d + t of the permuted matrix is row dest[i, t] of the layer's own
-    dest = enc.row_order().reshape(m_hat, enc.d)
+    dest = enc.row_order().reshape(-1, enc.d)
     rows[dest // kk, dest % kk] = subvectors.transpose(0, 2, 1)
     return weight
 
@@ -333,15 +325,15 @@ def _layer_geometry(meta: LayerMeta, cfg: CompressionConfig):
     return d, m_hat, n, k_eff
 
 
-def _has_bias(meta: LayerMeta) -> bool:
-    if meta.has_bias is not None:
-        return meta.has_bias
-    return meta.kind == "fc"
-
-
 def bit_report(model: ModelCheckpoint, cfg: CompressionConfig) -> CompressionReport:
-    """Price every stored entry of an architecture, weights not required."""
+    """Price every stored entry of an architecture, weights not required.
+
+    A weighted layer stores a bias when the checkpoint holds its
+    ``<name>.bias`` tensor; an architecture with no tensors (a spec) gives
+    one to every fc layer.
+    """
     first_conv = first_conv_name(model.layers)
+    names = {rec.name for rec in model.tensors}
     rows = []
     baseline = 0
     for meta in model.layers:
@@ -356,20 +348,17 @@ def bit_report(model: ModelCheckpoint, cfg: CompressionConfig) -> CompressionRep
         label = _TYPE_LABEL[meta.kind]
         wshape = _display_weight_shape(meta)
         n_params = int(np.prod(wshape))
-        baseline += n_params + (meta.c_out if _has_bias(meta) else 0)
+        has_bias = f"{meta.name}.bias" in names if names else meta.kind == "fc"
+        baseline += n_params + (meta.c_out if has_bias else 0)
+        bias_row = ReportRow(f"{meta.name}.bias", label, (meta.c_out,), "float32", 32 * meta.c_out)
+        bias = [bias_row] if has_bias else []
         if not is_compressible(meta, cfg, first_conv):
             rows.append(ReportRow(f"{meta.name}.weight", label, wshape, "float32", 32 * n_params))
-            if _has_bias(meta):
-                rows.append(
-                    ReportRow(f"{meta.name}.bias", label, (meta.c_out,), "float32", 32 * meta.c_out)
-                )
+            rows += bias
             continue
         d, m_hat, n, k_eff = _layer_geometry(meta, cfg)
         bits = code_width(k_eff)
-        if _has_bias(meta):
-            rows.append(
-                ReportRow(f"{meta.name}.bias", label, (meta.c_out,), "float32", 32 * meta.c_out)
-            )
+        rows += bias
         rows.append(
             ReportRow(f"{meta.name}.codebook", label, (k_eff, d), "float16", 16 * k_eff * d)
         )
@@ -487,8 +476,7 @@ def compress_model(ckpt: ModelCheckpoint, cfg: CompressionConfig, seed: int = 0,
     for rec in ckpt.tensors:
         layer_name = rec.name[: -len(".weight")] if rec.name.endswith(".weight") else None
         if layer_name in encodings:
-            enc = encodings[layer_name]
-            entries.append(encoding_to_entry(ckpt.layer(layer_name), enc, group_of.get(layer_name)))
+            entries.append(encoding_to_entry(encodings[layer_name], group_of.get(layer_name)))
         else:
             entries.append(rec)
     model = CompressedModel(
@@ -502,17 +490,17 @@ def compress_model(ckpt: ModelCheckpoint, cfg: CompressionConfig, seed: int = 0,
     return model, report, errors, searches
 
 
-def encoding_to_entry(layer: LayerMeta, enc: LayerEncoding, group: int | None = None) -> EncodedEntry:
-    """Convert an encoding of `layer` to its storage form (float16 codebook, packed codes).
+def encoding_to_entry(enc: LayerEncoding, group: int | None = None) -> EncodedEntry:
+    """Convert an encoding to its storage form (float16 codebook, packed codes).
 
-    The entry holds `layer`, which gives its geometry, and stores no unit
-    order: `group` indexes the model's stored order that equals
-    `enc.units`, and None stands for the stored order, so a permuted
+    The entry holds the encoding's `layer`, which gives its geometry, and
+    stores no unit order: `group` indexes the model's stored order that
+    equals `enc.units`, and None stands for the stored order, so a permuted
     encoding without a group raises ValueError. Raises `CodebookOverflow` if
     a finite centroid coordinate would round to infinity in float16
     (magnitude 65520 or more).
     """
-    units = enc.units
+    layer, units = enc.layer, enc.units
     if group is None and units is not None and not np.array_equal(units, np.arange(units.size)):
         raise ValueError(f"layer {layer.name!r} is permuted, so its entry must name its group")
     with np.errstate(over="ignore"):
@@ -526,19 +514,19 @@ def encoding_to_entry(layer: LayerMeta, enc: LayerEncoding, group: int | None = 
 def entry_to_encoding(entry: EncodedEntry, groups=(), codes=None) -> LayerEncoding:
     """Rehydrate a storage entry; the codebook keeps its float16 rounding.
 
-    `groups` is the model's list of stored unit orders, which the entry's
-    `group` indexes. The codebook widens to float32, which holds
-    every float16 exactly, and the codes are unpacked into a new int64
-    array. With `codes`, the entry's int64 ``(m_hat, n)`` codes already
-    unpacked, the encoding takes them as its code grid as they are.
-    `CompressedModel.validate` has checked the unit order against the entry.
+    The encoding holds the entry's `layer`. `groups` is the model's list of
+    stored unit orders, which the entry's `group` indexes. The codebook
+    widens to float32, which holds every float16 exactly, and the codes are
+    unpacked into a new int64 array. With `codes`, the entry's int64
+    ``(m_hat, n)`` codes already unpacked, the encoding takes them as its
+    code grid as they are. `CompressedModel.validate` has checked the unit
+    order against the entry.
     """
     return LayerEncoding(
         units=None if entry.group is None else groups[entry.group],
         codebook=entry.codebook.astype(np.float32),
         codes=entry.unpack() if codes is None else codes,
-        kernel_size=entry.layer.kernel_size,
-        source_kind=entry.layer.kind,
+        layer=entry.layer,
     )
 
 
@@ -552,9 +540,7 @@ def _decoded_checkpoint(model: CompressedModel, decode) -> ModelCheckpoint:
         name, meta = f"{entry.name}.weight", entry.layer
         shape = layout.weight_shape(meta.kind, meta.c_in, meta.c_out, meta.kernel_size)
         tensors.append(TensorRecord(name, shape, decode(name, entry)))
-    ckpt = ModelCheckpoint(tensors=tensors, layers=list(model.layers), edges=list(model.edges))
-    tensor_io._fill_bias_flags(ckpt)
-    return ckpt
+    return ModelCheckpoint(tensors=tensors, layers=list(model.layers), edges=list(model.edges))
 
 
 def decompress_model(model: CompressedModel) -> ModelCheckpoint:

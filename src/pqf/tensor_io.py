@@ -91,7 +91,12 @@ def tensor_record(name: str, array) -> TensorRecord:
 
 @dataclass
 class LayerMeta:
-    """Geometry of one architecture node."""
+    """Geometry of one architecture node.
+
+    `has_bias` is what a builder declares when it makes the layer's tensors;
+    a loaded or parsed checkpoint leaves it None. Whether a layer stores a
+    bias is whether its checkpoint holds the ``<name>.bias`` tensor.
+    """
 
     name: str
     kind: str
@@ -462,19 +467,9 @@ def parse_checkpoint(raw: bytearray) -> ModelCheckpoint:
     tensors = [_get_tensor(payload, obj) for obj in _listing(manifest, "tensors")]
     layers, edges = _graph_from_manifest(manifest)
     ckpt = ModelCheckpoint(tensors=tensors, layers=layers, edges=edges)
-    _fill_bias_flags(ckpt)
     ckpt.validate()
     payload.check()
     return ckpt
-
-
-def _fill_bias_flags(ckpt: ModelCheckpoint):
-    if not ckpt.tensors:
-        return
-    names = {rec.name for rec in ckpt.tensors}
-    for meta in ckpt.layers:
-        if meta.kind in WEIGHTED_KINDS:
-            meta.has_bias = f"{meta.name}.bias" in names
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,7 @@ def row_order_oracle(enc: LayerEncoding) -> np.ndarray:
 
 def quantization_error(weight, enc: LayerEncoding) -> float:
     """Mean squared error per subvector between P*W_r and its reconstruction."""
-    permuted = layout.reshape_weight(weight, enc.source_kind)[row_order_oracle(enc)]
+    permuted = layout.reshape_weight(weight, enc.layer.kind)[row_order_oracle(enc)]
     approx = layout.merge_matrix(np.asarray(enc.codebook, dtype=np.float64)[enc.codes])
     m_hat = permuted.shape[0] // enc.d
     return float(np.square(approx - permuted).sum() / (m_hat * permuted.shape[1]))

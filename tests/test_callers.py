@@ -5,11 +5,13 @@ modules of `src/pqf` (but `__init__.py`) and looks for each
 module-level public function or class among the names and attributes in
 code under `src/`, `benchmarks/`, `demos/` and `scripts/`, and among the
 `module.name` strings by which the benchmark tracer wraps functions. Each
-public method or property of a class must be read as an attribute
-(``obj.name``) in that same code. Each module-level private function or
-class must be referenced from code under `src/`, so that folding one helper
-into another leaves no dead one behind. A mention in a docstring or a
-comment is not a reference.
+public method or property of a class, and each field of a dataclass, must
+be read as an attribute (``obj.name``) in that same code, so that a field
+cannot outlive its last reader; the match is by name, so a field passes
+when any attribute of that name is read. Each module-level private
+function or class must be referenced from code under `src/`, so that
+folding one helper into another leaves no dead one behind. A mention in a
+docstring or a comment is not a reference.
 """
 
 import ast
@@ -80,6 +82,24 @@ def _public_members():
                         yield f"{stem}.{cls.name}.{node.name}", node.name
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in cls.decorator_list
+    )
+
+
+def _dataclass_fields():
+    """Fields of every dataclass, public or private, as ``module.Class.field``."""
+    for stem, module in _public_modules():
+        for cls in module.body:
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+                for node in cls.body:
+                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                        yield f"{stem}.{cls.name}.{node.target.id}", node.target.id
+
+
 def test_every_public_src_name_has_a_caller_outside_the_tests():
     referenced = _referenced_names()
     uncalled = [where for where, name in _public_definitions() if name not in referenced]
@@ -89,6 +109,14 @@ def test_every_public_src_name_has_a_caller_outside_the_tests():
 def test_every_public_method_of_a_src_class_is_read_outside_the_tests():
     read = _read_attributes()
     unread = [where for where, name in _public_members() if name not in read]
+    assert unread == []
+
+
+def test_every_field_of_a_src_dataclass_is_read_outside_the_tests():
+    read = _read_attributes()
+    fields = list(_dataclass_fields())
+    assert fields
+    unread = [where for where, name in fields if name not in read]
     assert unread == []
 
 

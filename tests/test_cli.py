@@ -984,15 +984,32 @@ def test_config_flags_at_their_limits_run(tmp_path, arch_paths, capsys):
     assert cli.main(["eval", "--epochs", "1", "--lr", "0", "--lr-min", "0"]) == 0
 
 
-def _zero_bit_entry_of_a_trillion_columns(tmp_path):
-    """A `--k 1` file whose fc1 entry claims 10**12 output columns of 0-bit codes."""
+def _zero_bit_toy(tmp_path):
+    """The toy MLP compressed with `--k 1`, so every code is 0 bits wide."""
     source, packed = tmp_path / "toy.pqfn", tmp_path / "toy.pqfc"
     tensor_io.save_checkpoint(make_mlp_checkpoint((8, 16, 4), seed=1), source)
     argv = ["compress", str(source), "--out", str(packed), "--k", "1", "--k-fc", "1",
             "--src-iters", "2", "--perm-iters", "5"]
     assert cli.main(argv) == 0
+    return packed
+
+
+def _zero_bit_entry_of_a_trillion_columns(tmp_path):
+    """A `--k 1` file whose fc1 entry claims 10**12 output columns of 0-bit codes.
+
+    Its 16-value fc1 bias no longer matches the layer either; the file is
+    rejected as too large because decompress allocates before it checks that.
+    """
+    packed = _zero_bit_toy(tmp_path)
     _edit_manifest(packed, "layers", "fc1", c_out=10**12)
     return packed, "entry 'fc1': 2 x 1000000000000 codes do not fit in memory"
+
+
+def _zero_bit_entry_of_a_trillion_input_rows(tmp_path):
+    """A well-formed `--k 1` file whose fc1 entry claims 10**12 input rows of 0-bit codes."""
+    packed = _zero_bit_toy(tmp_path)
+    _edit_manifest(packed, "layers", "fc1", c_in=10**12)
+    return packed, "entry 'fc1': 250000000000 x 16 codes do not fit in memory"
 
 
 def _entry_decoding_to_four_gigabytes(tmp_path):
@@ -1021,6 +1038,7 @@ def _run_pqf_in_two_gigabytes(*argv) -> subprocess.CompletedProcess:
 
 
 @pytest.mark.parametrize("make", [_zero_bit_entry_of_a_trillion_columns,
+                                  _zero_bit_entry_of_a_trillion_input_rows,
                                   _entry_decoding_to_four_gigabytes])
 def test_decompress_of_an_entry_too_large_for_memory_is_data_error(tmp_path, make):
     packed, detail = make(tmp_path)

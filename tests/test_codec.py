@@ -199,6 +199,36 @@ def test_report_text_last_line_and_csv():
     assert csv.splitlines()[-1] == "total_MB,,,,1.54"
 
 
+def test_a_checkpoint_built_in_code_prices_its_bias_as_its_saved_copy_does(tmp_path):
+    # a raw 3x3 first conv (3 -> 8), then a 1x1 conv (8 -> 16) with a bias, and
+    # no layer declaring `has_bias`: the 512-bit conv bias is priced either way
+    rng = make_rng(66, "conv-bias")
+    ckpt = tensor_io.ModelCheckpoint(
+        tensors=[
+            tensor_io.tensor_record("conv1.weight", rng.standard_normal((3, 8, 3, 3))),
+            tensor_io.tensor_record("conv2.weight", rng.standard_normal((8, 16, 1, 1))),
+            tensor_io.tensor_record("conv2.bias", rng.standard_normal(16)),
+        ],
+        layers=[
+            LayerMeta("input", "input", 1, 3, 3),
+            LayerMeta("conv1", "conv", 3, 3, 8),
+            LayerMeta("conv2", "conv", 1, 8, 16),
+            LayerMeta("output", "output", 1, 16, 16),
+        ],
+        edges=[("input", "conv1"), ("conv1", "conv2"), ("conv2", "output")],
+    )
+    assert all(meta.has_bias is None for meta in ckpt.layers)
+    cfg = CompressionConfig(k=4, src_iterations=2, perm_iterations=5)
+    _, report, _, _ = compress_model(ckpt, cfg, seed=0)
+    path = tmp_path / "conv.pqfn"
+    tensor_io.save_checkpoint(ckpt, path)
+    loaded = tensor_io.load_checkpoint(path)
+    # 6 912 raw conv1 bits, 512 bias bits, a 4 x 4 float16 codebook and 32 2-bit codes
+    assert report.total_bits == bit_report(ckpt, cfg).total_bits == 7_744
+    assert bit_report(loaded, cfg).total_bits == 7_744
+    assert [r.name for r in report.rows if r.name.endswith(".bias")] == ["conv2.bias"]
+
+
 # ---------------------------------------------------------------------------
 # Whole-model compression
 # ---------------------------------------------------------------------------
@@ -339,7 +369,7 @@ def test_deconv_encode_decode_round_trip():
     meta = _meta(kind="deconv", k=3, c_in=4, c_out=6, name="up")
     cfg = CompressionConfig(k=6, src_iterations=25)
     enc = encode_layer(w, meta, cfg, seed=2)
-    assert enc.source_kind == "deconv"
+    assert enc.layer is meta
     decoded = decode_layer(enc)
     assert decoded.shape == w.shape
     assert quantization_error(w, enc) == pytest.approx(enc.error, rel=1e-12)
@@ -392,7 +422,7 @@ def test_entry_encoding_round_trip_preserves_f16_codebook():
     meta = _meta(c_in=8, c_out=4)
     cfg = CompressionConfig(k=2, k_fc=2, src_iterations=10)
     enc = encode_layer(w, meta, cfg, seed=0)
-    entry = codec.encoding_to_entry(meta, enc)
+    entry = codec.encoding_to_entry(enc)
     assert isinstance(entry, EncodedEntry) and entry.layer is meta
     back = codec.entry_to_encoding(entry)
     assert np.array_equal(back.codes, enc.codes)
@@ -406,8 +436,8 @@ def test_a_permuted_encoding_round_trips_through_its_group_and_needs_one():
     meta = _meta(c_in=8, c_out=4)
     enc = encode_layer(w, meta, CompressionConfig(k=2, k_fc=2), units, seed=0)
     with pytest.raises(ValueError, match="layer 'layer' is permuted"):
-        codec.encoding_to_entry(meta, enc)
-    back = codec.entry_to_encoding(codec.encoding_to_entry(meta, enc, 0), [units])
+        codec.encoding_to_entry(enc)
+    back = codec.entry_to_encoding(codec.encoding_to_entry(enc, 0), [units])
     assert np.array_equal(back.units, units) and np.array_equal(back.row_order(), units)
 
 
@@ -434,10 +464,10 @@ def test_codebook_beyond_float16_range_is_an_error():
     meta = _meta(c_in=8, c_out=4)
     enc = encode_layer(w, meta, CompressionConfig(k=2, k_fc=2))
     enc.codebook[1, 0] = 65504.0  # the largest float16 is still fine
-    codec.encoding_to_entry(meta, enc)
+    codec.encoding_to_entry(enc)
     enc.codebook[1, 0] = -65520.0  # rounds to -inf in float16
     with pytest.raises(CodebookOverflow, match="layer"):
-        codec.encoding_to_entry(meta, enc)
+        codec.encoding_to_entry(enc)
     assert issubclass(CodebookOverflow, PQFError)
 
 
@@ -460,11 +490,11 @@ def _decode_oracle(enc):
     permuted = subvectors.transpose(0, 2, 1).reshape(m_hat * d, n)
     matrix = np.empty_like(permuted)
     matrix[row_order_oracle(enc)] = permuted
-    if enc.source_kind == "fc":
+    if enc.layer.kind == "fc":
         return matrix.copy()
-    k = enc.kernel_size
+    k = enc.layer.kernel_size
     conv = matrix.reshape(m_hat * d // k**2, k, k, n).transpose(0, 3, 1, 2)
-    return (conv.transpose(1, 0, 2, 3) if enc.source_kind == "deconv" else conv).copy()
+    return (conv.transpose(1, 0, 2, 3) if enc.layer.kind == "deconv" else conv).copy()
 
 
 def _pqfn_oracle(model) -> bytes:
@@ -489,13 +519,13 @@ def _pqfn_oracle(model) -> bytes:
     return head + bytes(-len(head) % 64) + bytes(payload)
 
 
-def _grouped_entry(meta, enc, groups):
-    """`enc` of `meta` as a stored entry; a unit order other than the identity joins `groups`."""
+def _grouped_entry(enc, groups):
+    """`enc` as a stored entry; a unit order other than the identity joins `groups`."""
     units = enc.units
     if units is None or np.array_equal(units, np.arange(units.size)):
-        return codec.encoding_to_entry(meta, enc)
+        return codec.encoding_to_entry(enc)
     groups.append(units)
-    return codec.encoding_to_entry(meta, enc, len(groups) - 1)
+    return codec.encoding_to_entry(enc, len(groups) - 1)
 
 
 # (kind, K, C_in, C_out, regime): every stored layout the decoder writes
@@ -539,8 +569,7 @@ def test_decompressed_bytes_match_the_float64_decoder(
     assert np.array_equal(decoded, _decode_oracle(enc))
     bias = tensor_io.tensor_record("layer.bias", rng.standard_normal(c_out))
     groups = []
-    meta = _meta(kind=kind, k=k, c_in=c_in, c_out=c_out)
-    model = declared_model([_grouped_entry(meta, enc, groups), bias], groups)
+    model = declared_model([_grouped_entry(enc, groups), bias], groups)
     assert len(model.groups) == (order != "identity")
     packed = tmp_path / "model.pqfc"
     tensor_io.save_compressed(model, packed)
@@ -556,7 +585,7 @@ def test_entry_to_encoding_widens_to_float32_and_shares_the_codes():
     w = make_rng(62, "f32").standard_normal((8, 4))
     meta = _meta(c_in=8, c_out=4)
     enc = encode_layer(w, meta, CompressionConfig(k=2, k_fc=2))
-    back = codec.entry_to_encoding(codec.encoding_to_entry(meta, enc))
+    back = codec.entry_to_encoding(codec.encoding_to_entry(enc))
     assert back.codebook.dtype == np.float32
     assert np.array_equal(back.codes, enc.codes)
     assert decode_layer(back).dtype == np.float32
@@ -590,8 +619,7 @@ def test_decoding_one_filter_per_code_allocates_no_weight_sized_buffer(kind, k, 
         units=None if order == "identity" else rng.permutation(c_in // 2),
         codebook=rng.standard_normal((256, k * k)).astype(np.float32),
         codes=rng.integers(0, 256, (c_in, c_out)),
-        kernel_size=k,
-        source_kind=kind,
+        layer=_meta(kind=kind, k=k, c_in=c_in, c_out=c_out),
     )
     weight_bytes = c_in * c_out * k * k * 4
     buf = np.empty(c_in * c_out * k * k, dtype=np.float32)
@@ -646,9 +674,9 @@ def test_streamed_decompress_writes_the_bytes_of_the_in_memory_decode(
     groups = []
     entries = [
         tensor_io.tensor_record("first", rng.standard_normal(7)),
-        _grouped_entry(_meta(kind=kind, k=k, c_in=c_in, c_out=c_out), enc, groups),
+        _grouped_entry(enc, groups),
         tensor_io.tensor_record("layer.bias", rng.standard_normal(c_out)),
-        _grouped_entry(_meta(c_in=4, c_out=3, name="small"), small, groups),
+        _grouped_entry(small, groups),
         tensor_io.tensor_record("last", rng.standard_normal((2, 3))),
     ]
     model = declared_model(entries, groups)
@@ -668,7 +696,7 @@ def test_a_decode_failing_while_the_file_is_written_leaves_no_file(tmp_path, mon
     meta = _meta(c_in=8, c_out=4)
     enc = encode_layer(w, meta, CompressionConfig(k=2, k_fc=2))
     packed, out = tmp_path / "m.pqfc", tmp_path / "m.pqfn"
-    tensor_io.save_compressed(declared_model([codec.encoding_to_entry(meta, enc)]), packed)
+    tensor_io.save_compressed(declared_model([codec.encoding_to_entry(enc)]), packed)
 
     def no_memory(enc, out=None):
         raise MemoryError
@@ -701,7 +729,7 @@ def test_streamed_decompress_of_mixed_code_widths_matches_the_in_memory_decode(t
         meta = _meta(kind=kind, k=k, c_in=c_in, c_out=c_out, name=name)
         enc = encode_layer(weight, meta, cfg)
         assert enc.k_eff == k_eff
-        entries.append(codec.encoding_to_entry(meta, enc))
+        entries.append(codec.encoding_to_entry(enc))
         entries.append(tensor_io.tensor_record(f"{name}.bias", rng.standard_normal(c_out)))
     assert [e.bits for e in entries[::2]] == [0, 1, 11, 2, 3, 7]
     packed, streamed, in_memory = tmp_path / "m.pqfc", tmp_path / "s.pqfn", tmp_path / "m.pqfn"

@@ -189,8 +189,7 @@ def test_centroid_gradient_single_assignment_is_verbatim_slice():
         units=None,
         codebook=np.zeros((2, 2)),
         codes=np.array([[0], [1]]),
-        kernel_size=1,
-        source_kind="fc",
+        layer=LayerMeta("fc1", "fc", 1, 4, 1),
     )
     wgrad = np.array([[1.0], [2.0], [3.0], [4.0]])
     cg = centroid_gradients(wgrad, enc)
@@ -202,8 +201,7 @@ def test_centroid_gradient_sums_shared_positions():
         units=None,
         codebook=np.zeros((2, 2)),
         codes=np.array([[0], [0]]),
-        kernel_size=1,
-        source_kind="fc",
+        layer=LayerMeta("fc1", "fc", 1, 4, 1),
     )
     wgrad = np.array([[1.0], [2.0], [3.0], [4.0]])
     cg = centroid_gradients(wgrad, enc)

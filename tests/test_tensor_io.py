@@ -70,12 +70,11 @@ def test_checkpoint_round_trip(tmp_path):
     nbytes = save_checkpoint(ckpt, path)
     assert nbytes == path.stat().st_size
     loaded = load_checkpoint(path)
-    assert len(loaded.tensors) == 2
+    assert [rec.name for rec in loaded.tensors] == ["fc1.weight", "fc1.bias"]
     for a, b in zip(ckpt.tensors, loaded.tensors):
         assert records_equal(a, b)
     assert [(m.name, m.kind) for m in loaded.layers] == [(m.name, m.kind) for m in ckpt.layers]
     assert loaded.edges == ckpt.edges
-    assert loaded.layer("fc1").has_bias is True
 
 
 def _owner(array):
