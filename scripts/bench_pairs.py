@@ -16,7 +16,11 @@ the run's record in the checkout's ``.bench_work/results/``.
 For each end-to-end metric of each workload it prints the parent's and the
 change's median, the parent's quartile spread (the distance between its
 quartiles), and in how many pairs the change read lower; and it says whether
-every pair wrote the same output hashes. A metric is marked unresolved when
+every pair wrote the same output hashes. It also states the rule a claimed
+gain must meet: the change reads better (lower, or higher where the metric's
+``better`` is "higher") in at least nine tenths of the pairs, ties counting
+for neither, and its median is better than the parent's by more than the
+parent's quartile spread. A metric is marked unresolved when
 the parent's spread, relative to its median, exceeds the metric's bound in
 the change checkout's ``BENCHMARK.json``, unless every change run reads
 better than every parent run: such a metric cannot show a regression within
@@ -91,13 +95,34 @@ def unresolved(parent: list, change: list, bound: float, better: str) -> bool:
     return q3 - q1 > bound * abs(median) and not beats
 
 
+def gain_rule(parent: list, change: list, better: str = "lower") -> dict:
+    """Both halves of the rule a claimed gain must meet, in the direction `better`.
+
+    ``change_better`` counts the pairs in which the change read better, ties
+    counting for neither; ``nine_tenths`` says whether that is at least nine
+    tenths of the pairs. ``median_gap`` is how much better the change's median
+    reads than the parent's; ``gap_exceeds_spread`` compares it with the
+    parent's quartile spread. ``gain`` holds when both halves do.
+    """
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * c < sign * p for p, c in zip(parent, change))
+    q1, median, q3 = quartiles(parent)
+    change_median = statistics.median(change)
+    gap = median - change_median if better == "lower" else change_median - median
+    nine_tenths, wide = 10 * wins >= 9 * len(parent), gap > q3 - q1
+    return {"better": better, "change_better": wins, "nine_tenths": nine_tenths,
+            "median_gap": gap, "gap_exceeds_spread": wide, "gain": nine_tenths and wide}
+
+
 def summarize(pairs: list, bounds: dict) -> dict:
     """Per-metric comparison of the pairs of one workload.
 
     `pairs` holds ``{"parent": run, "change": run}``, each run as
     `run_benchmark` returns it; `bounds` is `end_to_end` of the benchmark.
     A pair in which both sides read the same value counts as lower for
-    neither. Each metric in `bounds` says whether it is `unresolved`.
+    neither. Each metric holds its `gain_rule`, in the direction `bounds`
+    declares (lower when it declares none), and each metric in `bounds` says
+    whether it is `unresolved`.
     """
     names = list(pairs[0]["parent"]["result"]["metrics"])
     metrics = {}
@@ -114,6 +139,7 @@ def summarize(pairs: list, bounds: dict) -> dict:
             "change_lower": sum(c < p for p, c in zip(values["parent"], values["change"])),
             "pairs": len(pairs),
             **values,
+            **gain_rule(values["parent"], values["change"], bounds.get(name, (0, "lower"))[1]),
         }
         if name in bounds:
             metrics[name]["unresolved"] = unresolved(values["parent"], values["change"], *bounds[name])
@@ -141,7 +167,11 @@ def format_summary(workload: str, summary: dict) -> str:
             f"({_percent(m['change_median'] - m['parent_median'], m['parent_median'], '+')}); "
             f"parent quartile spread {m['parent_spread']:.3g} "
             f"({_percent(m['parent_spread'], m['parent_median'])}); "
-            f"change lower in {m['change_lower']} of {m['pairs']}"
+            f"change lower in {m['change_lower']} of {m['pairs']}; "
+            f"gain rule: better in {m['change_better']} of {m['pairs']} "
+            f"({'at least' if m['nine_tenths'] else 'under'} nine tenths), median gap "
+            f"{m['median_gap']:.3g} ({'beyond' if m['gap_exceeds_spread'] else 'within'} the spread): "
+            + ("GAIN" if m["gain"] else "no gain")
             + ("; UNRESOLVED: the spread exceeds the bound" if m.get("unresolved") else "")
         )
     return "\n".join(lines)

@@ -6,19 +6,25 @@ network is built from a checkpoint and back when one is written out, so dense
 and conv layers are one matrix product, for a conv on pre-extracted patches
 (stride 1, same padding). The other ops are relu, residual add, frozen
 batchnorm affine, global average pooling, and channel-major flatten. A network
-sorts its graph once, when it is built, into an execution plan that forward
-and backward both walk; forward decodes each weighted layer once and backward
-reuses that matrix. Backward passes are exact reverse-mode gradients of the
-same ops, in float64 throughout, and form only the gradients their caller asks
-for. One training loop serves both raw-weight training and codebook
-fine-tuning. It copies every trainable tensor into one contiguous float64
-vector and rebinds the network's arrays (`params` entries or codebooks) to
-views of it, so each step writes all gradients into one flat gradient vector
-and one fused run of in-place ufuncs is the Adam update. Fine-tuning moves
-only codebook centroids: codes and permutations have no update path, so
-decoded weights stay exact centroid copies. Each is one gather of its
-codebook, and a weight gradient reaches the centroids through the same index
-maps, all computed once per encoding.
+works out its walk once, when it is built: it sorts its graph into a plan
+whose nodes each hold their kind's forward and backward steps, the plan
+positions of their producers and whether they store a bias, so forward and
+backward only call each node's steps over lists indexed by position. Backward
+works out which nodes it steps through, and which gradients each writes,
+once per set of requested parts. Parameter arrays are read on each call,
+because training rebinds them. Forward decodes each weighted layer once and
+backward reuses that matrix. Backward passes are exact reverse-mode gradients
+of the same ops, in float64 throughout, and form only the gradients their
+caller asks for. One training loop serves both raw-weight training and
+codebook fine-tuning. It copies every trainable tensor into one contiguous
+float64 vector and rebinds the network's arrays (`params` entries or
+codebooks) to views of it, so each step writes all gradients into one flat
+gradient vector and one fused run of in-place ufuncs, over work arrays the
+optimizer state keeps, is the Adam update. Fine-tuning moves only codebook
+centroids: codes and permutations have no update path, so decoded weights
+stay exact centroid copies. Each is one gather of its codebook, and a weight
+gradient reaches the centroids through the same index maps, all computed
+once per encoding.
 """
 
 from __future__ import annotations
@@ -81,21 +87,59 @@ def blob_images(n_per_class: int, n_classes: int, shape=(2, 6, 6), seed: int = 0
 # ---------------------------------------------------------------------------
 
 @dataclass(eq=False)
+class _Node:
+    """One node of a network's walk, with what the graph fixes about it.
+
+    `ins` are the plan positions of the values it reads, in edge order; an
+    input node reads the network input, which sits one past the last node.
+    `forward` and `backward` are the steps of its kind. The parameter arrays
+    themselves are looked up on every call, because training rebinds them to
+    views of its flat vector.
+    """
+
+    pos: int
+    meta: LayerMeta
+    ins: tuple
+    has_bias: bool
+    forward: object  # (net, node, values, saved) -> the node's value
+    backward: object  # (node, g, values, saved, dw, db, need_dx) -> input gradient or None
+
+
+@dataclass(eq=False)
 class ToyNetwork:
-    """Executable view of a checkpoint, with optional per-layer encodings."""
+    """Executable view of a checkpoint, with optional per-layer encodings.
+
+    The plan is fixed when the network is built, from its graph and from
+    which layers store a bias; encodings and parameter arrays may change.
+    """
 
     layers: list
     edges: list
     params: dict  # layer name -> {"weight", "bias"} arrays; conv/fc weights as matrices
     encodings: dict = field(default_factory=dict)  # layer name -> LayerEncoding
-    plan: list = field(init=False, repr=False)  # (meta, producer names), topological
+    plan: list = field(init=False, repr=False)  # a `_Node` per layer, topological
+    outputs: tuple = field(init=False, repr=False)  # plan positions of the output nodes
+    # the layers and parts a `backward` call names -> its steps for them
+    walks: dict = field(init=False, repr=False, default_factory=dict)
     # layer name -> `decode_index` of its encoding; set only while
     # `finetune_codebooks` runs, when codes and permutations are frozen
     decode_indices: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         order = ModelCheckpoint([], self.layers, self.edges).topological_order()
-        self.plan = [(meta, [p for p, c in self.edges if c == meta.name]) for meta in order]
+        pos = {meta.name: i for i, meta in enumerate(order)}
+        self.plan = []
+        for i, meta in enumerate(order):
+            ins = (len(order),) if meta.kind == "input" else tuple(
+                pos[p] for p, c in self.edges if c == meta.name
+            )
+            steps = _STEPS.get(meta.kind)
+            # an add reads one value or more, every other kind exactly one
+            if steps is None or len(ins) != 1 and not (meta.kind == "add" and ins):
+                steps = (_unsupported, None)
+            has_bias = "bias" in self.params.get(meta.name, {})
+            self.plan.append(_Node(i, meta, ins, has_bias, *steps))
+        self.outputs = tuple(node.pos for node in self.plan if node.meta.kind == "output")
 
     @classmethod
     def from_checkpoint(cls, ckpt: ModelCheckpoint, encodings=None) -> "ToyNetwork":
@@ -144,9 +188,6 @@ class ToyNetwork:
         index = self.decode_indices.get(name)
         return enc.codebook.take(decode_index(enc) if index is None else index)
 
-    def bias(self, name: str):
-        return self.params.get(name, {}).get("bias")
-
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     """Stride-1, same-padded patches: (B*H*W, C*K*K), channel-major."""
@@ -171,166 +212,245 @@ def _col2im(dcols: np.ndarray, x_shape, k: int) -> np.ndarray:
     return dxp[:, :, pad : pad + h, pad : pad + w]
 
 
+# Each kind's steps. A forward step returns the node's value from `values`,
+# indexed by plan position, and leaves in `saved[node.pos]` what its backward
+# step reads besides `values`. A backward step takes the node's output
+# gradient `g`, writes the parameter gradients `dw` and `db` that are not
+# None, and returns the gradient of its input (the same for each input of an
+# add) when `need_dx`, else None.
+
+def _input_forward(net, node, values, saved):
+    x = values[node.ins[0]]
+    if x.ndim not in (2, 4) or x.shape[1] != node.meta.c_out:
+        raise ShapeMismatch(f"input shape {x.shape} does not fit {node.meta.c_out} channels")
+    return x
+
+
+def _product(net, node, rows, saved):
+    """`rows` times the layer's weight matrix, plus its bias; saves both factors."""
+    name = node.meta.name
+    w = net.decoded_weight(name)
+    saved[node.pos] = rows, w
+    out = rows @ w
+    if node.has_bias:
+        out += net.params[name]["bias"]
+    return out
+
+
+def _product_backward(node, g, values, saved, dw, db, need_dx):
+    """The backward step of an fc layer, and of a conv on its patch rows."""
+    rows, w = saved[node.pos]
+    if dw is not None:
+        np.matmul(rows.T, g, out=dw)
+    if db is not None:
+        np.add.reduce(g, 0, out=db)
+    return g @ w.T if need_dx else None
+
+
+def _rows_mismatch(node, xin, dims: str = "") -> ShapeMismatch:
+    meta = node.meta
+    return ShapeMismatch(f"{meta.kind} {meta.name!r} expects (B, {meta.c_in}{dims}), got {xin.shape}")
+
+
+def _fc_forward(net, node, values, saved):
+    xin = values[node.ins[0]]
+    if xin.ndim != 2 or xin.shape[1] != node.meta.c_in:
+        raise _rows_mismatch(node, xin)
+    return _product(net, node, xin, saved)
+
+
+def _conv_forward(net, node, values, saved):
+    """A conv is the product of its `_im2col` patches, reshaped back to NCHW."""
+    xin = values[node.ins[0]]
+    meta = node.meta
+    if xin.ndim != 4 or xin.shape[1] != meta.c_in:
+        raise _rows_mismatch(node, xin, ", H, W")
+    out = _product(net, node, _im2col(xin, meta.kernel_size), saved)
+    b, _, h, width = xin.shape
+    return out.reshape(b, h, width, meta.c_out).transpose(0, 3, 1, 2)
+
+
+def _conv_backward(node, g, values, saved, dw, db, need_dx):
+    meta = node.meta
+    rows_g = g.transpose(0, 2, 3, 1).reshape(-1, meta.c_out)
+    dx = _product_backward(node, rows_g, values, saved, dw, db, need_dx)
+    return None if dx is None else _col2im(dx, values[node.ins[0]].shape, meta.kernel_size)
+
+
+def _relu_forward(net, node, values, saved):
+    return np.maximum(values[node.ins[0]], 0.0)
+
+
+def _relu_backward(node, g, values, saved, dw, db, need_dx):
+    return g * (values[node.ins[0]] > 0.0)
+
+
+def _sum_forward(net, node, values, saved):
+    """The sum of the node's inputs, in edge order: an output node's one input is its value."""
+    first, *rest = node.ins
+    out = values[first]
+    for p in rest:
+        out = out + values[p]
+    return out
+
+
+def _same_gradient(node, g, values, saved, dw, db, need_dx):
+    return g
+
+
+def _channel_shape(x) -> tuple:
+    return (1, -1) + (1,) * (x.ndim - 2)
+
+
+def _batchnorm_forward(net, node, values, saved):
+    xin = values[node.ins[0]]
+    entry = net.params[node.meta.name]
+    gamma = saved[node.pos] = entry["weight"]
+    shape = _channel_shape(xin)
+    return xin * gamma.reshape(shape) + entry["bias"].reshape(shape)
+
+
+def _batchnorm_backward(node, g, values, saved, dw, db, need_dx):
+    xin = values[node.ins[0]]
+    axes = (0,) + tuple(range(2, xin.ndim))
+    if dw is not None:
+        np.add.reduce(g * xin, axes, out=dw)
+    if db is not None:
+        np.add.reduce(g, axes, out=db)
+    return g * saved[node.pos].reshape(_channel_shape(xin)) if need_dx else None
+
+
+def _pool_forward(net, node, values, saved):
+    return values[node.ins[0]].mean(axis=(2, 3))
+
+
+def _pool_backward(node, g, values, saved, dw, db, need_dx):
+    shape = values[node.ins[0]].shape
+    return np.broadcast_to(g[:, :, None, None], shape) / (shape[2] * shape[3])
+
+
+def _reshape_forward(net, node, values, saved):
+    xin = values[node.ins[0]]
+    return xin.reshape(xin.shape[0], -1)
+
+
+def _reshape_backward(node, g, values, saved, dw, db, need_dx):
+    return g.reshape(values[node.ins[0]].shape)
+
+
+def _unsupported(net, node, values, saved):
+    meta = node.meta
+    if meta.kind in _STEPS:
+        raise ShapeMismatch(f"{meta.kind} {meta.name!r} cannot read {len(node.ins)} inputs")
+    raise ShapeMismatch(f"evaluator does not support layer kind {meta.kind!r}")
+
+
+_STEPS = {  # kind -> (forward step, backward step); an input's gradient is never formed
+    "input": (_input_forward, None),
+    "fc": (_fc_forward, _product_backward),
+    "conv": (_conv_forward, _conv_backward),
+    "relu": (_relu_forward, _relu_backward),
+    "add": (_sum_forward, _same_gradient),
+    "batchnorm": (_batchnorm_forward, _batchnorm_backward),
+    "pool": (_pool_forward, _pool_backward),
+    "reshape": (_reshape_forward, _reshape_backward),
+    "output": (_sum_forward, _same_gradient),
+}
+
+
 def forward(net: ToyNetwork, x) -> tuple:
     """Run the DAG; returns (logits, cache) with everything backward needs.
 
-    Each fc or conv layer is one product of its input rows with its
-    `(C_in*K*K, C_out)` weight matrix, read once from
-    `ToyNetwork.decoded_weight`; a conv layer's rows are its `_im2col`
-    patches, and its product is reshaped back to NCHW.
+    One walk over `net.plan` calls each node's forward step; the cache is the
+    list of node values, by plan position, and the list of what each node's
+    backward step reads besides them. Each fc or conv
+    layer is one product of its input rows with its `(C_in*K*K, C_out)`
+    weight matrix, read once from `ToyNetwork.decoded_weight`; a conv
+    layer's rows are its `_im2col` patches. The logits are the value of the
+    last output node.
     """
-    x = np.asarray(x, dtype=np.float64)
-    values = {}
-    cache = {"values": values, "weights": {}, "rows": {}}
-    logits = None
-    for meta, producers in net.plan:
-        if meta.kind == "input":
-            if x.ndim not in (2, 4) or x.shape[1] != meta.c_out:
-                raise ShapeMismatch(f"input shape {x.shape} does not fit {meta.c_out} channels")
-            values[meta.name] = x
-            continue
-        ins = [values[p] for p in producers]
-        if meta.kind in ("fc", "conv"):
-            (xin,) = ins
-            spatial = meta.kind == "conv"
-            if xin.ndim != (4 if spatial else 2) or xin.shape[1] != meta.c_in:
-                dims = ", H, W" if spatial else ""
-                raise ShapeMismatch(
-                    f"{meta.kind} {meta.name!r} expects (B, {meta.c_in}{dims}), got {xin.shape}"
-                )
-            w = cache["weights"][meta.name] = net.decoded_weight(meta.name)
-            rows = cache["rows"][meta.name] = _im2col(xin, meta.kernel_size) if spatial else xin
-            out = rows @ w
-            bias = net.bias(meta.name)
-            if bias is not None:
-                out += bias
-            if spatial:
-                b, _, h, width = xin.shape
-                out = out.reshape(b, h, width, meta.c_out).transpose(0, 3, 1, 2)
-            values[meta.name] = out
-        elif meta.kind == "relu":
-            (xin,) = ins
-            values[meta.name] = np.maximum(xin, 0.0)
-        elif meta.kind == "add":
-            out = ins[0]
-            for extra in ins[1:]:
-                out = out + extra
-            values[meta.name] = out
-        elif meta.kind == "batchnorm":
-            (xin,) = ins
-            gamma = net.params[meta.name]["weight"]
-            beta = net.params[meta.name]["bias"]
-            shape = (1, -1) + (1,) * (xin.ndim - 2)
-            values[meta.name] = xin * gamma.reshape(shape) + beta.reshape(shape)
-        elif meta.kind == "pool":
-            (xin,) = ins
-            values[meta.name] = xin.mean(axis=(2, 3))
-        elif meta.kind == "reshape":
-            (xin,) = ins
-            values[meta.name] = xin.reshape(xin.shape[0], -1)
-        elif meta.kind == "output":
-            (xin,) = ins
-            values[meta.name] = xin
-            logits = xin
-        else:
-            raise ShapeMismatch(f"evaluator does not support layer kind {meta.kind!r}")
-    if logits is None:
+    values = [None] * len(net.plan) + [np.asarray(x, dtype=np.float64)]
+    saved = [None] * len(net.plan)
+    for node in net.plan:
+        values[node.pos] = node.forward(net, node, values, saved)
+    if not net.outputs:
         raise ShapeMismatch("network has no output node")
-    cache["logits"] = logits
-    return logits, cache
+    return values[net.outputs[-1]], (values, saved)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple:
-    """Mean cross-entropy and its gradient w.r.t. the logits."""
-    n = logits.shape[0]
-    picks = (np.arange(n), np.asarray(labels))
-    probs = logits - logits.max(axis=1, keepdims=True)
+    """Mean cross-entropy and its gradient w.r.t. the logits.
+
+    Each row's label is picked through one flat index into the row-major
+    probabilities, so every label must lie in ``[0, C)``.
+    """
+    n, c = logits.shape
+    picks = np.arange(0, n * c, c) + labels
+    # a row's max is exact in any order; a copy of the columns as rows reduces faster
+    probs = logits - np.maximum.reduce(logits.T.copy(), 0)[:, None]
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=1, keepdims=True)
-    picked = probs[picks]
-    probs[picks] = picked - 1.0
+    probs /= np.add.reduce(probs, 1, keepdims=True)
+    flat = probs.reshape(-1)
+    picked = flat[picks]
+    flat[picks] = picked - 1.0
     probs /= n
     picked += 1e-300
     # the sum over n is how np.mean rounds
-    return float(-(np.log(picked, out=picked).sum() / n)), probs
+    return float(-(np.add.reduce(np.log(picked, out=picked)) / n)), probs
 
 
-def backward(net: ToyNetwork, cache: dict, labels, into: dict) -> tuple:
+def _walk(net: ToyNetwork, into: dict) -> list:
+    """Backward's steps for the parts `into` names, in reverse plan order.
+
+    A node is stepped when a part to compute lies at or before it. Each step
+    is ``(node, weight wanted, bias wanted, positions to push to)``: the
+    node's producers that are stepped too, so the network input gets no
+    gradient. A bias is wanted only where the layer has one.
+    """
+    needed = [False] * (len(net.plan) + 1)  # the last slot is the network input
+    for node in net.plan:
+        needed[node.pos] = node.meta.name in into or any(needed[p] for p in node.ins)
+    steps = []
+    for node in reversed(net.plan):
+        if needed[node.pos] and node.backward is not None:
+            asked = into.get(node.meta.name, {})
+            push_to = tuple(p for p in node.ins if needed[p])
+            steps.append((node, "weight" in asked, "bias" in asked and node.has_bias, push_to))
+    return steps
+
+
+def backward(net: ToyNetwork, cache, labels, into: dict) -> tuple:
     """Softmax cross-entropy loss value plus exact parameter gradients.
 
     `into` is a dict of layer name -> {"weight": array, "bias": array} whose
     arrays are contiguous float64 and shaped like the parts. Backward
     computes only the gradients it names, writes each into its array and
-    returns ``(loss, into)``. A value's gradient is formed only when a part
-    to compute lies at or before it, so the network input gets none.
+    returns ``(loss, into)``. The loss gradient enters at each output node
+    and walks back through the steps `_walk` lists for the requested parts,
+    worked out once per network and set of parts; gradients that meet at a
+    node are summed in reverse plan order.
     """
-    loss_value, upstream = softmax_cross_entropy(cache["logits"], labels)
-
-    needed = set()  # values whose gradient reaches a part to compute
-    for meta, producers in net.plan:
-        if meta.name in into or not needed.isdisjoint(producers):
-            needed.add(meta.name)
-
-    values = cache["values"]
-    dvalues = {}
-
-    def push(name, grad):
-        if name not in needed:
-            return
-        if name in dvalues:
-            dvalues[name] = dvalues[name] + grad
-        else:
-            dvalues[name] = grad
-
-    for meta, producers in reversed(net.plan):
-        if meta.name not in needed:
-            continue
-        g = dvalues.get(meta.name)
-        if meta.kind == "output":
-            push(producers[0], upstream if g is None else g + upstream)
-            continue
+    values, saved = cache
+    loss_value, upstream = softmax_cross_entropy(values[net.outputs[-1]], labels)
+    key = tuple(into), tuple(map(tuple, into.values()))  # the layers named, and their parts
+    steps = net.walks.get(key)
+    if steps is None:
+        steps = net.walks[key] = _walk(net, into)
+    dvalues = [None] * len(net.plan)
+    for pos in net.outputs:
+        dvalues[pos] = upstream
+    for node, want_w, want_b, push_to in steps:
+        g = dvalues[node.pos]
         if g is None:
             continue
-        xin = values[producers[0]]
-        if meta.kind in ("fc", "conv"):
-            w, rows = cache["weights"][meta.name], cache["rows"][meta.name]
-            if meta.kind == "conv":
-                g = g.transpose(0, 2, 3, 1).reshape(-1, meta.c_out)
-            asked = into.get(meta.name, {})
-            dw = asked.get("weight")
-            if dw is not None:
-                np.matmul(rows.T, g, out=dw)
-            db = asked.get("bias") if net.bias(meta.name) is not None else None
-            if db is not None:
-                np.add.reduce(g, 0, out=db)
-            if producers[0] in needed:
-                dx = g @ w.T
-                if meta.kind == "conv":
-                    dx = _col2im(dx, xin.shape, meta.kernel_size)
-                push(producers[0], dx)
-        elif meta.kind == "relu":
-            push(producers[0], g * (xin > 0.0))
-        elif meta.kind == "add":
-            for p in producers:
-                push(p, g)
-        elif meta.kind == "batchnorm":
-            gamma = net.params[meta.name]["weight"]
-            axes = (0,) + tuple(range(2, xin.ndim))
-            asked = into.get(meta.name, {})
-            dgamma = asked.get("weight")
-            if dgamma is not None:
-                np.add.reduce(g * xin, axes, out=dgamma)
-            dbeta = asked.get("bias")
-            if dbeta is not None:
-                np.add.reduce(g, axes, out=dbeta)
-            if producers[0] in needed:
-                shape = (1, -1) + (1,) * (xin.ndim - 2)
-                push(producers[0], g * gamma.reshape(shape))
-        elif meta.kind == "pool":
-            _, _, h, w_sp = xin.shape
-            push(producers[0], np.broadcast_to(g[:, :, None, None], xin.shape) / (h * w_sp))
-        elif meta.kind == "reshape":
-            push(producers[0], g.reshape(xin.shape))
+        if want_w or want_b:
+            asked = into[node.meta.name]
+            dw, db = asked["weight"] if want_w else None, asked["bias"] if want_b else None
+        else:
+            dw = db = None
+        dx = node.backward(node, g, values, saved, dw, db, bool(push_to))
+        for p in push_to:
+            dvalues[p] = dx if dvalues[p] is None else dvalues[p] + dx
     return loss_value, into
 
 
@@ -376,7 +496,7 @@ def centroid_gradients(weight_grad: np.ndarray, enc, maps=None) -> np.ndarray:
     """
     positions, bins = centroid_maps(enc) if maps is None else maps
     k_eff, d = enc.codebook.shape
-    grads = np.bincount(bins, weights=np.take(weight_grad, positions), minlength=k_eff * d)
+    grads = np.bincount(bins, weights=weight_grad.take(positions), minlength=k_eff * d)
     return grads.reshape(k_eff, d)
 
 
@@ -389,13 +509,18 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator 
 
 @dataclass(eq=False)
 class OptimizerState:
-    """First/second moment accumulators plus the cosine schedule endpoints."""
+    """First/second moment accumulators plus the cosine schedule endpoints.
+
+    `work` holds the two arrays a step works in, the update and its
+    denominator, kept beside the moments so that a step allocates nothing.
+    """
 
     lr: float = 1e-3
     lr_min: float = 1e-6
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
+    work: tuple = ()
 
 
 def cosine_lr(state: OptimizerState, t: float) -> float:
@@ -417,15 +542,17 @@ def adam_cosine_step(
     b1, b2 = _BETA1, _BETA2
     if state.m is None:
         state.m, state.v = np.zeros_like(params), np.zeros_like(params)
+        state.work = np.empty_like(params), np.empty_like(params)
     m, v = state.m, state.v
-    work = np.multiply(grad, 1.0 - b1)
+    update, work = state.work
+    np.multiply(grad, 1.0 - b1, out=work)
     m *= b1
     m += work
     np.square(grad, out=work)
     work *= 1.0 - b2
     v *= b2
     v += work
-    update = np.divide(m, 1.0 - b1**state.step)  # m_hat
+    np.divide(m, 1.0 - b1**state.step, out=update)  # m_hat
     np.divide(v, 1.0 - b2**state.step, out=work)  # v_hat
     np.sqrt(work, out=work)
     work += _EPS
@@ -474,8 +601,14 @@ def _train(net, dataset, epochs, batch_size, lr, lr_min, seed, tag, tensors, bin
     and returns ``(into, pull)``: each step `backward` writes the gradients
     `into` names, then ``pull()``, unless None, carries them into
     `grad_views`. A gradient never written stays zero, which leaves its
-    tensor unchanged. ``tag`` names the shuffle stream.
+    tensor unchanged. ``tag`` names the shuffle stream. Each training label
+    must name one of the last output node's channels, since
+    `softmax_cross_entropy` picks it by a flat index; else `ShapeMismatch`.
     """
+    labels = dataset.train_y
+    classes = net.plan[net.outputs[-1]].meta.c_out if net.outputs else 0
+    if net.outputs and labels.size and not 0 <= labels.min() <= labels.max() < classes:
+        raise ShapeMismatch(f"training labels must lie in [0, {classes}) for {classes} outputs")
     params = np.empty(sum(a.size for a in tensors))
     views = _views(params, tensors)
     for view, tensor in zip(views, tensors):
@@ -492,7 +625,7 @@ def _train(net, dataset, epochs, batch_size, lr, lr_min, seed, tag, tensors, bin
         loss_sum = 0.0
         for batch in _epoch_batches(n_train, batch_size, rng):
             _, cache = forward(net, dataset.train_x[batch])
-            loss = backward(net, cache, dataset.train_y[batch], into=into)[0]
+            loss = backward(net, cache, labels[batch], into=into)[0]
             if not math.isfinite(loss):
                 raise DivergedLoss(f"loss became {loss} at epoch {epoch}")
             t = step / max(1, steps_total - 1)

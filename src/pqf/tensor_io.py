@@ -160,17 +160,9 @@ class ModelCheckpoint:
 
         if self.tensors and self.layers:
             for meta in self.layers:
-                if meta.kind not in WEIGHTED_KINDS:
-                    continue
-                if f"{meta.name}.weight" not in by_name:
+                if meta.kind in WEIGHTED_KINDS and f"{meta.name}.weight" not in by_name:
                     raise MalformedFile(f"layer {meta.name!r} has no weight tensor")
-                stored = layout.weight_shape(meta.kind, meta.c_in, meta.c_out, meta.kernel_size)
-                for part, want in (("weight", stored), ("bias", (meta.c_out,))):
-                    rec = by_name.get(f"{meta.name}.{part}")
-                    if rec is not None and tuple(rec.shape) != want:
-                        raise MalformedFile(
-                            f"layer {meta.name!r} {part} has shape {tuple(rec.shape)}, expected {want}"
-                        )
+            _check_layer_records(self.layers, by_name)
 
     def topological_order(self) -> list:
         """Kahn topological sort; raises on cycles and on edges to unknown layers."""
@@ -195,6 +187,22 @@ class ModelCheckpoint:
             raise MalformedFile("layer graph contains a cycle")
         by_name = {m.name: m for m in self.layers}
         return [by_name[n] for n in order]
+
+
+def _check_layer_records(layers: list, records: dict):
+    """Each ``<layer>.weight`` and ``<layer>.bias`` record of a weighted layer in
+    `records` (name -> `TensorRecord`) has the shape the layer declares: the
+    stored weight shape and ``(C_out,)``. Raises `MalformedFile` otherwise."""
+    for meta in layers:
+        if meta.kind not in WEIGHTED_KINDS:
+            continue
+        stored = layout.weight_shape(meta.kind, meta.c_in, meta.c_out, meta.kernel_size)
+        for part, want in (("weight", stored), ("bias", (meta.c_out,))):
+            rec = records.get(f"{meta.name}.{part}")
+            if rec is not None and tuple(rec.shape) != want:
+                raise MalformedFile(
+                    f"layer {meta.name!r} {part} has shape {tuple(rec.shape)}, expected {want}"
+                )
 
 
 def _layer_to_dict(meta: LayerMeta) -> dict:
@@ -520,7 +528,11 @@ MAX_CODE_BITS = 16  # the widest code the container stores: k_eff <= 65536
 
 
 def pack_codes(values, bits: int) -> bytes:
-    """Pack non-negative ints to `bits` bits each, LSB-first within the stream."""
+    """Pack non-negative ints to `bits` bits each, LSB-first within the stream.
+
+    An 8- or 16-bit code is its little-endian u1 or u2 value, the mirror of
+    `unpack_codes`' widening copy; any other width goes bit by bit.
+    """
     vals = np.ascontiguousarray(values, dtype="<u2").ravel()
     if bits == 0 or vals.size == 0:
         return b""
@@ -528,6 +540,8 @@ def pack_codes(values, bits: int) -> bytes:
         raise ValueError(f"code width {bits} out of range")
     if vals.size and int(vals.max()) >= (1 << bits):
         raise ValueError("code value does not fit in the requested width")
+    if bits in (8, 16):
+        return (vals.astype("<u1") if bits == 8 else vals).tobytes()
     bit_rows = np.unpackbits(vals.view("u1").reshape(-1, 2), axis=1, bitorder="little")
     stream = bit_rows[:, :bits].ravel()
     return np.packbits(stream, bitorder="little").tobytes()
@@ -693,8 +707,11 @@ class CompressedModel:
         """Check the declared graph by `ModelCheckpoint`'s rules, each group once (a
         permutation of its units that `pack_codes` can store, whose units divide
         each member's input channels), and every entry. Each encoded entry holds
-        a declared weighted layer that no other entry holds."""
+        a declared weighted layer that no other entry holds, and each raw weight
+        or bias of a weighted layer has the shape that layer declares."""
         ModelCheckpoint(layers=self.layers, edges=self.edges).validate()
+        raw = {entry.name: entry for entry in self.entries if isinstance(entry, TensorRecord)}
+        _check_layer_records(self.layers, raw)
         for i, perm in enumerate(self.groups):
             units = _check_units(len(perm), i)
             if not layout.is_permutation(perm, units):

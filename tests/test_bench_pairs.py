@@ -141,3 +141,47 @@ def test_env_without_a_name_and_an_equals_sign_is_a_usage_error(text, capsys):
         bench_pairs.main(["--parent", ".", "--workload", "w", "--seeds", "1", "--env", text])
     assert exc.value.code == 2
     assert "expected NAME=VALUE" in capsys.readouterr().err
+
+
+def _pairs(parent, change):
+    return [{"parent": _run(p, 50.0), "change": _run(c, 50.0)} for p, c in zip(parent, change)]
+
+
+def test_the_gain_rule_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_spread():
+    # the parent's quartiles are 1.0225 and 1.0775: a spread of 0.055 around its median 1.05
+    parent = [1.00, 1.02, 1.04, 1.06, 1.08, 1.10, 1.01, 1.03, 1.07, 1.09]
+    cases = {
+        # lower in all ten pairs and 0.15 lower in the median: a gain
+        "gain": ([p - 0.15 for p in parent], 10, True, True),
+        # lower in eight pairs only, though the median gap is wide
+        "too few pairs": ([p - 0.15 for p in parent[:8]] + [p + 0.01 for p in parent[8:]], 8, False, True),
+        # lower in every pair, but by 0.05, within the parent's own spread
+        "within the spread": ([p - 0.05 for p in parent], 10, True, False),
+    }
+    for label, (change, wins, nine_tenths, wide) in cases.items():
+        op = bench_pairs.summarize(_pairs(parent, change), BOUNDS)["metrics"]["op_s"]
+        assert op["parent_spread"] == pytest.approx(0.055)
+        assert (op["change_better"], op["nine_tenths"], op["gap_exceeds_spread"]) == (wins, nine_tenths, wide), label
+        assert op["gain"] == (nine_tenths and wide), label
+    # nine of ten is enough; a tie counts for neither side
+    change = [p - 0.15 for p in parent[:9]] + [parent[9]]
+    op = bench_pairs.summarize(_pairs(parent, change), BOUNDS)["metrics"]["op_s"]
+    assert op["change_better"] == 9 and op["gain"]
+    assert op["median_gap"] == pytest.approx(0.15)
+    text = bench_pairs.format_summary("toy-eval", bench_pairs.summarize(_pairs(parent, change), BOUNDS))
+    assert "gain rule: better in 9 of 10 (at least nine tenths), median gap 0.15 (beyond the spread): GAIN" in text
+
+
+def test_the_gain_rule_follows_the_direction_a_metric_declares():
+    parent = [0.90, 0.91, 0.92, 0.93, 0.94]
+    higher = [p + 0.05 for p in parent]
+    rule = bench_pairs.gain_rule(parent, higher, "higher")
+    assert rule["change_better"] == 5 and rule["median_gap"] == pytest.approx(0.05) and rule["gain"]
+    assert not bench_pairs.gain_rule(parent, higher, "lower")["gain"]
+    # success_ratio is declared better when higher, so the summary counts it that way
+    pairs = [{"parent": _run(1.0, 50.0, success_ratio=p), "change": _run(1.0, 50.0, success_ratio=c)}
+             for p, c in zip(parent, higher)]
+    ratio = bench_pairs.summarize(pairs, BOUNDS)["metrics"]["success_ratio"]
+    assert ratio["better"] == "higher" and ratio["gain"] and ratio["change_lower"] == 0
+    text = bench_pairs.format_summary("w", bench_pairs.summarize(pairs, BOUNDS))
+    assert "no gain" in text.splitlines()[1]  # op_s ties in every pair

@@ -995,14 +995,35 @@ def _zero_bit_toy(tmp_path):
 
 
 def _zero_bit_entry_of_a_trillion_columns(tmp_path):
-    """A `--k 1` file whose fc1 entry claims 10**12 output columns of 0-bit codes.
+    """A well-formed `--k 1` file whose fc1 entry claims 10**12 output columns of 0-bit codes.
 
-    Its 16-value fc1 bias no longer matches the layer either; the file is
-    rejected as too large because decompress allocates before it checks that.
+    Its 16-value fc1 bias could not match that layer, so the file drops it;
+    the bias was zero, so its bytes are zero padding.
     """
     packed = _zero_bit_toy(tmp_path)
     _edit_manifest(packed, "layers", "fc1", c_out=10**12)
+    _rewrite_manifest(packed, lambda m: m["entries"].remove(
+        next(o for o in m["entries"] if o["name"] == "fc1.bias")))
     return packed, "entry 'fc1': 2 x 1000000000000 codes do not fit in memory"
+
+
+def test_a_raw_record_that_disagrees_with_its_declared_layer_is_malformed(tmp_path):
+    source, packed = tmp_path / "toy.pqfn", tmp_path / "toy.pqfc"
+    tensor_io.save_checkpoint(make_mlp_checkpoint((8, 16, 16, 4), seed=1), source)
+    argv = ["compress", str(source), "--out", str(packed), "--k", "1", "--k-fc", "1", "--no-perm"]
+    assert cli.main(argv) == 0
+    model = tensor_io.load_compressed(packed)
+    # the 0-bit codes of the encoded fc2 fit any geometry; its raw bias does not
+    tensor_io.save_compressed(model, tmp_path / "again.pqfc")
+    model.layers[[m.name for m in model.layers].index("fc2")].c_out = 8
+    out = tmp_path / "bad.pqfc"
+    want = r"layer 'fc2' bias has shape \(16,\), expected \(8,\)"
+    with pytest.raises(MalformedFile, match=want):
+        tensor_io.save_compressed(model, out)
+    assert not out.exists()
+    _edit_manifest(packed, "layers", "fc2", c_out=8)
+    with pytest.raises(MalformedFile, match=want):
+        tensor_io.load_compressed(packed)
 
 
 def _zero_bit_entry_of_a_trillion_input_rows(tmp_path):

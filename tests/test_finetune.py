@@ -98,6 +98,16 @@ def test_forward_shape_mismatch():
         forward(net, np.zeros((3, 5)))
 
 
+def test_a_node_reading_more_inputs_than_its_kind_takes_is_a_shape_mismatch():
+    layers = [LayerMeta("input", "input", 1, 4, 4), LayerMeta("fc1", "fc", 1, 4, 4),
+              LayerMeta("relu", "relu", 1, 4, 4), LayerMeta("output", "output", 1, 4, 4)]
+    edges = [("input", "fc1"), ("input", "relu"), ("fc1", "relu"), ("relu", "output")]
+    ckpt = ModelCheckpoint([tensor_record("fc1.weight", np.eye(4))], layers, edges)
+    net = ToyNetwork.from_checkpoint(ckpt)
+    with pytest.raises(ShapeMismatch, match="relu 'relu' cannot read 2 inputs"):
+        forward(net, np.ones((2, 4)))
+
+
 # ---------------------------------------------------------------------------
 # Backward
 # ---------------------------------------------------------------------------
@@ -379,6 +389,28 @@ def test_backward_forms_no_gradient_for_the_network_input(monkeypatch):
     assert calls == []  # nothing before fc is asked for
 
 
+def test_backward_forms_what_a_fresh_network_forms_as_the_requested_parts_change(monkeypatch):
+    # one network asked for every part, then only the classifier weight, then
+    # only one conv weight, then every part again; a fresh network answers each
+    ckpt = make_residual_checkpoint(c_in=2, width=4, n_blocks=1, seed=8)
+    _, x, labels = _residual_net_and_input()
+    net = ToyNetwork.from_checkpoint(ckpt)
+    calls = _count_calls(monkeypatch, finetune, "_col2im")
+
+    def only(name):
+        return lambda n: {name: {"weight": np.full(n.params[name]["weight"].shape, np.nan)}}
+
+    for ask in (all_gradients, only("fc"), only("block1.conv1"), all_gradients):
+        results = []
+        for n in (net, ToyNetwork.from_checkpoint(ckpt)):
+            calls.clear()
+            into = ask(n)
+            loss = backward(n, forward(n, x)[1], labels, into=into)[0]
+            grads = {(name, part): a.tobytes() for name, parts in into.items() for part, a in parts.items()}
+            results.append((loss, grads, len(calls)))  # `_col2im` runs once per conv input gradient
+        assert results[0] == results[1]
+
+
 def test_residual_training_and_finetuning_are_pinned(monkeypatch):
     # conv, batchnorm, add and fc gradients, written into the flat gradient
     # vector or carried onto permuted codebooks, all reach these bytes; batches
@@ -626,6 +658,15 @@ def test_finetuned_float64_codebooks_are_pinned(toy, epochs, seed, digest):
     for enc in net.encodings.values():
         h.update(enc.codebook.tobytes())
     assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("label", [-1, 4])
+def test_a_training_label_outside_the_outputs_is_a_shape_mismatch(label):
+    dataset = gaussian_blobs(10, 4, 8, seed=3)
+    dataset.train_y[5] = label
+    net = ToyNetwork.from_checkpoint(make_mlp_checkpoint((8, 6, 4), seed=4))
+    with pytest.raises(ShapeMismatch, match=r"labels must lie in \[0, 4\)"):
+        train_network(net, dataset, epochs=1, seed=5)
 
 
 def test_finetune_diverged_loss_raises():

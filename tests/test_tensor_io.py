@@ -507,6 +507,25 @@ def test_unpack_reads_every_width_as_the_lane_path_does(bits):
             assert np.array_equal(lanes, got), (bits, count)
 
 
+def _pack_bit_rows(values, bits):
+    """The bit-by-bit route `pack_codes` takes for widths other than 8 and 16."""
+    vals = np.ascontiguousarray(values, dtype="<u2").ravel()
+    bit_rows = np.unpackbits(vals.view("u1").reshape(-1, 2), axis=1, bitorder="little")
+    return np.packbits(bit_rows[:, :bits].ravel(), bitorder="little").tobytes()
+
+
+@pytest.mark.parametrize("bits", [8, 16])
+def test_whole_byte_codes_pack_as_the_bit_path_does(bits):
+    rng = make_rng(103, "whole-bytes", str(bits))
+    for count in (1, 2, 7, 8, 9, 1003, 200_000):
+        values = rng.integers(0, 1 << bits, size=count)
+        values[0], values[count // 2] = (1 << bits) - 1, 0  # the largest code and the smallest
+        packed = pack_codes(values, bits)
+        assert packed == _pack_bit_rows(values, bits), count
+        if count < 2000:
+            assert packed == _pack_oracle(values, bits), count
+
+
 def test_payload_and_every_array_start_at_a_64_byte_file_offset(tmp_path):
     path = tmp_path / "model.pqfc"
     save_compressed(_grouped_model(), path)
